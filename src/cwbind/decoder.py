@@ -33,11 +33,12 @@ from enum import IntEnum
 
 from . import bindproto, certproto
 from .encoding import Reader, encode_id, lp, u32, u8
-from .errors import ProtocolError
+from .errors import ProtocolError, WireError
 from .scramble import descramble as _descramble_bytes
 from .suite import CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
 from .wire import (
+    BROADCAST_KINDS,
     Ecm,
     Emm,
     EmmKind,
@@ -75,7 +76,13 @@ class ChipChannelMsg:
     @classmethod
     def decode(cls, data: bytes) -> "ChipChannelMsg":
         r = Reader(data)
-        kind = ChipMsgKind(r.take_u8())
+        kind_code = r.take_u8()
+        try:
+            kind = ChipMsgKind(kind_code)
+        except ValueError:
+            raise WireError(
+                f"unknown chip message kind {kind_code} at offset {r.offset - 1}"
+            ) from None
         payload = r.take_lp()
         r.done()
         return cls(kind, payload)
@@ -139,11 +146,12 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     """
     if emm.ca_system_id != client.ca_system_id:
         return []
+    per_receiver = emm.kind not in BROADCAST_KINDS
+    if per_receiver and emm.addressee != client.receiver_id:
+        return []
     aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
 
-    if emm.kind in (EmmKind.PER_RECEIVER_ENROLL, EmmKind.PER_RECEIVER_ENTITLEMENT):
-        if emm.addressee != client.receiver_id:
-            return []
+    if per_receiver:
         body = unprotect(client.suite, client.channel_key, emm.payload, aad=aad)
         if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
@@ -390,13 +398,19 @@ class FrameResult:
 def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     """Feed a broadcast frame through client and chip.
 
+    The client sees only the EMMs the frame routes to it
+    (``BroadcastFrame.emms_for``): its system's broadcast-kind EMMs and the
+    per-receiver EMMs addressed to it, in frame order. Every other EMM is
+    one it would drop unread, so the work per decoder does not grow with
+    the EMMs meant for other decoders.
+
     ``chip_filter``, when given, receives the chip channel message list and
     returns the list actually delivered: this is the observable, attackable
     channel between the two halves.
     """
     msgs: list[ChipChannelMsg] = []
     errors: list[str] = []
-    for emm in frame.emms:
+    for emm in frame.emms_for(decoder.client.ca_system_id, decoder.client.receiver_id):
         try:
             msgs.extend(client_process_emm(decoder.client, emm))
         except Exception as exc:  # noqa: BLE001 - every failure is an outcome

@@ -446,12 +446,17 @@ class World:
     # per-epoch scratch, reset each tick
     epoch_interfered: set[bytes] = field(default_factory=set)
     epoch_one_shots: list[Event] = field(default_factory=list)
+    # the decoder set and each decoder's CA system never change after build
+    _ids_by_ca: dict[int, list[bytes]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._ids_by_ca = {}
+        for decoder_id, decoder in sorted(self.decoders.items()):
+            self._ids_by_ca.setdefault(decoder.ca_index, []).append(decoder_id)
 
     def decoder_ids_by_ca(self) -> dict[int, list[bytes]]:
-        out: dict[int, list[bytes]] = {}
-        for decoder_id, decoder in sorted(self.decoders.items()):
-            out.setdefault(decoder.ca_index, []).append(decoder_id)
-        return out
+        """Decoder ids per CA system, in id order; shared, so read only."""
+        return self._ids_by_ca
 
     def refresh_directory(self) -> None:
         self.directory = ttpmod.parse_directory(self.suite, ttpmod.export_directory(self.ttp))
@@ -648,7 +653,7 @@ def _wrap_ltk_blob(world: World, sig_private: bytes, decoder_id: bytes,
                    ltk: bytes, rng: Drbg) -> bytes:
     """Phase-1 style signed blob delivering an adversary-chosen long-term key."""
     suite = world.suite
-    receiver_pk = world.directory.receiver_pk(decoder_id)
+    receiver_pk = world.directory.receiver_cert(decoder_id).subject_pk
     key_ct = suite.pke_encrypt(receiver_pk, ltk, rng)
     blob = suite.sign(sig_private, decoder_id + lp(key_ct))
     return blob.to_bytes()

@@ -25,6 +25,7 @@ included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .encoding import Reader, encode_id, lp, u16, u32, u64, u8
 from .errors import CryptoError, ProtocolError, WireError
@@ -97,17 +98,16 @@ class Directory:
     certificates: tuple[Certificate, ...]
     revoked_serials: frozenset[int]
 
-    def receiver_pk(self, receiver_id: bytes) -> bytes | None:
+    @cached_property
+    def _receiver_certs(self) -> dict[bytes, Certificate]:
+        out: dict[bytes, Certificate] = {}
         for cert in self.certificates:
-            if cert.subject_role == ROLE_RECEIVER and cert.subject_id == receiver_id:
-                return cert.subject_pk
-        return None
+            if cert.subject_role == ROLE_RECEIVER:
+                out.setdefault(cert.subject_id, cert)  # the first certificate listed wins
+        return out
 
     def receiver_cert(self, receiver_id: bytes) -> Certificate | None:
-        for cert in self.certificates:
-            if cert.subject_role == ROLE_RECEIVER and cert.subject_id == receiver_id:
-                return cert
-        return None
+        return self._receiver_certs.get(receiver_id)
 
 
 @dataclass

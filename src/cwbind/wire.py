@@ -36,13 +36,20 @@ Broadcast frame (magic ``BF``, version 1), the unit of capture/replay::
     "BF" | u8 version | u32 epoch | lp(scrambled content)
          | u16 n_ecms, n*lp(ecm) | u16 n_emms, n*lp(emm)
 
-Frames flow one way; no field exists for receiver responses.
+Frames flow one way; no field exists for receiver responses. Every decoder
+receives the whole frame, but its CA client acts only on its own system's
+broadcast-kind EMMs (whatever their addressee) and on the per-receiver EMMs
+addressed to it. A frame routes its EMMs to those recipients once, on first
+use, so a decoder's work on a frame does not grow with the EMMs meant for
+others (``BroadcastFrame.emms_for``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 from .encoding import BROADCAST_ADDR, Reader, lp, u16, u32, u8
 from .errors import WireError
@@ -104,6 +111,33 @@ class BroadcastFrame:
     scrambled_content: bytes
     ecms: tuple[Ecm, ...]
     emms: tuple[Emm, ...]
+
+    @cached_property
+    def _emm_routes(self) -> dict[int | tuple[int, bytes], list[int]]:
+        """Frame positions of the EMMs: broadcast kinds under the bare
+        ``ca_system_id`` whatever their addressee, per-receiver kinds under
+        ``(ca_system_id, addressee)``."""
+        routes: dict[int | tuple[int, bytes], list[int]] = {}
+        for position, emm in enumerate(self.emms):
+            key = (emm.ca_system_id if emm.kind in BROADCAST_KINDS
+                   else (emm.ca_system_id, emm.addressee))
+            routes.setdefault(key, []).append(position)
+        return routes
+
+    def emms_for(self, ca_system_id: int, receiver_id: bytes) -> Sequence[Emm]:
+        """The EMMs a CA client of ``ca_system_id`` with ``receiver_id`` acts
+        on, in frame order: the system's broadcast-kind EMMs and the
+        per-receiver EMMs addressed to it."""
+        routes = self._emm_routes
+        if not routes:  # most frames carry no EMMs
+            return ()
+        shared = routes.get(ca_system_id)
+        own = routes.get((ca_system_id, receiver_id))
+        if shared is None and own is None:
+            return ()
+        positions = sorted(shared + own) if shared and own else shared or own
+        emms = self.emms
+        return [emms[i] for i in positions]
 
 
 def emm_aad(ca_system_id: int, kind: EmmKind, addressee: bytes) -> bytes:

@@ -1,11 +1,18 @@
 """Decoder: CA client message handling, chip compliance gate, isolation."""
 
-import pytest
+from unittest import mock
 
-from cwbind import headend as hemod
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cwbind import decoder as decmod, headend as hemod
 from cwbind.decoder import (
+    CaClientState,
     ChipChannelMsg,
     ChipMsgKind,
+    Decoder,
+    LegacyChipState,
     chip_process,
     client_process_ecm,
     client_process_emm,
@@ -14,11 +21,11 @@ from cwbind.decoder import (
     process_frame,
     swap_client,
 )
-from cwbind.encoding import encode_id, lp, u32
+from cwbind.encoding import BROADCAST_ADDR, encode_id, lp, u32
 from cwbind.errors import CryptoError, ProtocolError, WireError
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
-from cwbind.wire import Emm, EmmKind
+from cwbind.wire import BROADCAST_KINDS, BroadcastFrame, Emm, EmmKind
 
 
 @pytest.fixture
@@ -266,3 +273,115 @@ def test_client_swap_keeps_chip_and_restores_service(pipeline, suite):
 def test_chip_msg_codec_round_trip():
     msg = ChipChannelMsg(ChipMsgKind.DERIVE, b"\x00\x01\x02")
     assert ChipChannelMsg.decode(msg.encode()) == msg
+
+
+def test_chip_msg_decode_unknown_kind_is_wire_error():
+    for kind_code in [0, *range(6, 256)]:
+        with pytest.raises(WireError, match="at offset 0"):
+            ChipChannelMsg.decode(bytes([kind_code]) + lp(b"\x00"))
+
+
+# ---------------------------------------------------------------------------
+# per-frame EMM routing
+# ---------------------------------------------------------------------------
+
+_IDS = (encode_id(1), encode_id(2))
+
+
+class _PastChecks(Exception):
+    """Raised in place of building the EMM header, which the client does
+    only once an EMM has passed its system and addressee checks."""
+
+
+def _full_scan_acts_on(client, emms):
+    acted = []
+    with mock.patch.object(decmod, "emm_aad", side_effect=_PastChecks):
+        for emm in emms:
+            try:
+                client_process_emm(client, emm)
+            except _PastChecks:
+                acted.append(emm)
+    return acted
+
+
+def _emms_handed_to_client(decoder, frame):
+    handed = []
+    with mock.patch.object(decmod, "client_process_emm",
+                           side_effect=lambda client, emm: handed.append(emm) or []):
+        process_frame(decoder, frame)
+    return handed
+
+
+@given(
+    ca_index=st.sampled_from([0, 1]),
+    receiver_id=st.sampled_from(_IDS),
+    emms=st.lists(st.builds(
+        Emm,
+        ca_system_id=st.sampled_from([0, 1]),
+        kind=st.sampled_from(list(EmmKind)),
+        addressee=st.sampled_from(_IDS + (BROADCAST_ADDR,)),
+        payload=st.binary(max_size=4),
+    ), max_size=24),
+)
+@example(ca_index=0, receiver_id=_IDS[0], emms=[
+    Emm(0, EmmKind.PER_RECEIVER_ENROLL, _IDS[0], b"e"),
+    Emm(0, EmmKind.BROADCAST_CERT, _IDS[1], b"c"),  # broadcast kind, specific addressee
+    Emm(0, EmmKind.PER_RECEIVER_ENTITLEMENT, BROADCAST_ADDR, b"x"),  # per-receiver, broadcast
+    Emm(1, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR, b"p"),
+    Emm(0, EmmKind.PER_RECEIVER_ENTITLEMENT, _IDS[0], b"t"),
+    Emm(0, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR, b"p"),
+])
+def test_process_frame_hands_client_exactly_what_a_full_scan_acts_on(ca_index, receiver_id, emms):
+    client = CaClientState(suite=None, ca_system_id=ca_index, receiver_id=receiver_id,
+                           protocol="bind", channel_key=b"")
+    decoder = Decoder(receiver_id, ca_index, client, LegacyChipState(None))
+    frame = BroadcastFrame(0, b"", (), tuple(emms))
+    assert _emms_handed_to_client(decoder, frame) == _full_scan_acts_on(client, frame.emms)
+
+
+def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
+    # 64 decoders over two systems; one de-authorization per system makes the
+    # next frame carry an entitlement EMM for every remaining decoder
+    master = Drbg.from_int(0x64)
+    ttp = ttp_init(suite, master.child("ttp"))
+    kinds = ["bind", "legacy"]
+    decoders = {}
+    for n in range(1, 65):
+        ca_index = n % 2
+        d = make_decoder(suite, kinds[ca_index], ca_index, n, master.child(f"chip-{n}"),
+                         master.child(f"prov-{n}").read(16))
+        decoders[d.decoder_id] = d
+        if d.chip_public_key() is not None:
+            register_receiver(ttp, n, d.chip_public_key())
+    directory = parse_directory(suite, export_directory(ttp))
+    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
+    for decoder_id, d in decoders.items():
+        hemod.provision_receiver(headend, d.ca_index, decoder_id, d.client.channel_key)
+        hemod.enroll_receiver(headend, d.ca_index, decoder_id, directory)
+        hemod.authorize(headend, d.ca_index, decoder_id, True)
+    setup = hemod.epoch_tick(headend, b"setup")
+    for d in decoders.values():
+        assert process_frame(d, setup).descrambled == b"setup"
+
+    dropped = {encode_id(1), encode_id(2)}
+    for decoder_id in dropped:
+        hemod.authorize(headend, decoders[decoder_id].ca_index, decoder_id, False)
+    content = b"after de-authorization"
+    frame = hemod.epoch_tick(headend, content)
+    assert len(frame.emms) == 64
+
+    calls = []
+    real = decmod.client_process_emm
+    with mock.patch.object(decmod, "client_process_emm",
+                           side_effect=lambda client, emm: calls.append(emm) or real(client, emm)):
+        for decoder_id, d in decoders.items():
+            calls.clear()
+            result = process_frame(d, frame)
+            shared = sum(e.ca_system_id == d.ca_index and e.kind in BROADCAST_KINDS
+                         for e in frame.emms)
+            own = sum(e.ca_system_id == d.ca_index and e.addressee == decoder_id
+                      and e.kind not in BROADCAST_KINDS for e in frame.emms)
+            assert (shared, own) == (0, 1)
+            assert len(calls) <= shared + own
+            assert result.errors == []
+            assert (result.descrambled == content) == (decoder_id not in dropped)

@@ -6,6 +6,7 @@ from cwbind.errors import CryptoError, ProtocolError
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
     Certificate,
+    Directory,
     certify_sender,
     export_directory,
     parse_directory,
@@ -180,6 +181,17 @@ def test_directory_export_parse_round_trip(suite, ttp, rng):
     assert directory.generation == ttp.generation
     assert directory.revoked_serials == frozenset(ttp.revoked_serials)
     assert len(directory.certificates) == 2
+
+
+def test_directory_receiver_cert_lookup(suite, ttp, rng):
+    first = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
+    sender = certify_sender(ttp, 2, suite.keygen("sig", rng).public_key)
+    later = register_receiver(ttp_init(suite, Drbg.from_int(2)), 1,
+                              suite.keygen("pke", rng).public_key)
+    directory = Directory(1, ttp.keypair.public_key, (), (first, sender, later), frozenset())
+    assert directory.receiver_cert(first.subject_id) is first  # first listed wins
+    assert directory.receiver_cert(sender.subject_id) is None  # senders are not receivers
+    assert directory.receiver_cert(b"\x00" * 8) is None
 
 
 def test_directory_signature_checked(suite, ttp, rng):
