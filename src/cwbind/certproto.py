@@ -111,7 +111,7 @@ def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg,
 
     ltk = rng.read(sender.suite.secret_bytes)
     key_ct = sender.suite.pke_encrypt(receiver_cert.subject_pk, ltk, rng)
-    blob = sender.suite.sign(sender.sig_keypair.private_key, _blob_message(receiver_id, key_ct))
+    blob = sender.suite.sign(sender.sig_keypair, _blob_message(receiver_id, key_ct))
     sender.ltk_store[receiver_id] = ltk
     return CertBundle(sender_cert=sender.sender_cert, signed_blob=blob)
 
@@ -130,7 +130,7 @@ def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
     r.done()
     if intended != recv.receiver_id:
         raise ProtocolError("not the intended recipient")
-    ltk = recv.suite.pke_decrypt(recv.enc_keypair.private_key, key_ct)
+    ltk = recv.suite.pke_decrypt(recv.enc_keypair, key_ct)
     recv.ltk = ltk
 
 

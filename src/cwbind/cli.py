@@ -28,10 +28,10 @@ from pathlib import Path
 
 from . import __version__
 from .encoding import id_as_int
-from .errors import CwbindError
+from .errors import CryptoError, CwbindError
 from .binding import second_preimage_strength
 from .sim import load_scenario, run_world
-from .suite import CipherSuite, Drbg, KeyPair, SuiteConfig
+from .suite import CipherSuite, Drbg, SuiteConfig
 from .ttp import Certificate, TtpState, export_directory, rotate, ttp_init
 from .vectors import generate_vectors, vectors_json
 from .wire import decode_ecm, decode_emm, decode_frame
@@ -71,13 +71,13 @@ def _ttp_to_json(ttp: TtpState) -> str:
 def _ttp_from_json(text: str) -> TtpState:
     state = json.loads(text)
     suite = CipherSuite(SuiteConfig(**state["config"]))
+    keypair = suite.load_sig_keypair(bytes.fromhex(state["private_key"]))
+    stored = (state["scheme"], bytes.fromhex(state["public_key"]))
+    if (keypair.scheme, keypair.public_key) != stored:
+        raise CryptoError("ttp state public key does not match its private key")
     ttp = TtpState(
         suite=suite,
-        keypair=KeyPair(
-            scheme=state["scheme"],
-            public_key=bytes.fromhex(state["public_key"]),
-            private_key=bytes.fromhex(state["private_key"]),
-        ),
+        keypair=keypair,
         generation=state["generation"],
         next_serial=state["next_serial"],
     )

@@ -33,7 +33,7 @@ from enum import IntEnum
 
 from . import bindproto, certproto
 from .encoding import Reader, encode_id, lp, u32, u8
-from .errors import ProtocolError, WireError
+from .errors import CwbindError, ProtocolError, WireError
 from .scramble import descramble as _descramble_bytes
 from .suite import CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
@@ -413,14 +413,14 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     for emm in frame.emms_for(decoder.client.ca_system_id, decoder.client.receiver_id):
         try:
             msgs.extend(client_process_emm(decoder.client, emm))
-        except Exception as exc:  # noqa: BLE001 - every failure is an outcome
+        except CwbindError as exc:  # a protocol rejection is an outcome; a bug is not
             errors.append(f"emm:{exc}")
     for ecm in frame.ecms:
         try:
             msg = client_process_ecm(decoder.client, ecm)
             if msg is not None:
                 msgs.append(msg)
-        except Exception as exc:  # noqa: BLE001
+        except CwbindError as exc:
             errors.append(f"ecm:{exc}")
 
     if chip_filter is not None:
@@ -433,7 +433,7 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
             derive_attempted = True
         try:
             result = chip_process(decoder.chip, msg)
-        except Exception as exc:  # noqa: BLE001
+        except CwbindError as exc:
             errors.append(f"chip:{exc}")
             continue
         if result is not None:
@@ -443,6 +443,6 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     if handle is not None:
         try:
             descrambled = descramble(decoder.chip, handle, frame.scrambled_content)
-        except Exception as exc:  # noqa: BLE001
+        except CwbindError as exc:
             errors.append(f"descramble:{exc}")
     return FrameResult(msgs, descrambled, errors, derive_attempted)

@@ -80,7 +80,7 @@ from .decoder import (
     swap_client,
 )
 from .encoding import encode_id, id_as_int, lp, u32
-from .errors import ProtocolError
+from .errors import CwbindError, ProtocolError
 from .suite import CipherSuite, Drbg, KeyPair, SuiteConfig
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
@@ -646,16 +646,16 @@ def _mint_certificate(world: World, rogue_pk: bytes) -> Certificate:
     payload = Certificate.signed_payload(adv.minted_serial, encode_id(0xAD), ROLE_SENDER,
                                          rogue_pk, generation)
     return Certificate(adv.minted_serial, encode_id(0xAD), ROLE_SENDER, rogue_pk,
-                       generation, world.suite.sign(keypair.private_key, payload))
+                       generation, world.suite.sign(keypair, payload))
 
 
-def _wrap_ltk_blob(world: World, sig_private: bytes, decoder_id: bytes,
+def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
                    ltk: bytes, rng: Drbg) -> bytes:
     """Phase-1 style signed blob delivering an adversary-chosen long-term key."""
     suite = world.suite
     receiver_pk = world.directory.receiver_cert(decoder_id).subject_pk
     key_ct = suite.pke_encrypt(receiver_pk, ltk, rng)
-    blob = suite.sign(sig_private, decoder_id + lp(key_ct))
+    blob = suite.sign(sig_pair, decoder_id + lp(key_ct))
     return blob.to_bytes()
 
 
@@ -677,7 +677,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         rogue = suite.keygen("sig", rng)
         ltk = rng.read(suite.secret_bytes)
         rand = rng.read(suite.secret_bytes)
-        blob = _wrap_ltk_blob(world, rogue.private_key, decoder.decoder_id, ltk, rng)
+        blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
         if isinstance(decoder.chip, BindChipState):
             return [
                 ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(rogue.public_key) + lp(blob)),
@@ -702,7 +702,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
             rogue = suite.keygen("sig", rng)
             ltk = rng.read(suite.secret_bytes)
             cert = _mint_certificate(world, rogue.public_key)
-            blob = _wrap_ltk_blob(world, rogue.private_key, decoder.decoder_id, ltk, rng)
+            blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
             return [
                 ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(cert.to_bytes()) + lp(blob)),
                 ChipChannelMsg(ChipMsgKind.DERIVE,
@@ -726,8 +726,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         if snapshot is not None:
             old_pk = snapshot.sig_keypair.public_key
             ltk = rng.read(suite.secret_bytes)
-            blob = _wrap_ltk_blob(world, snapshot.sig_keypair.private_key,
-                                  decoder.decoder_id, ltk, rng)
+            blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
             rand_guess = adv.known_rand.get(ca_index)
             if rand_guess is None:
                 rand_guess = rng.read(suite.secret_bytes)
@@ -816,14 +815,14 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
                 elif isinstance(captured, Emm):
                     try:
                         out.extend(client_process_emm(decoder.client, captured))
-                    except Exception:  # noqa: BLE001 - rejected replays are the point
+                    except CwbindError:  # rejected replays are the point
                         pass
                 elif isinstance(captured, Ecm):
                     try:
                         replayed = client_process_ecm(decoder.client, captured)
                         if replayed is not None:
                             out.append(replayed)
-                    except Exception:  # noqa: BLE001
+                    except CwbindError:
                         pass
             elif event.verb == "inject-cw" and encode_id(int(event.args[0])) == decoder_id:
                 world.epoch_interfered.add(decoder_id)
@@ -867,7 +866,7 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
             try:
                 secret = unprotect(world.suite, key, ecm.protected_secret,
                                    aad=ecm_aad(ecm.ca_system_id, ecm.epoch))
-            except Exception:  # noqa: BLE001 - stale key, nothing learned
+            except CwbindError:  # stale key, nothing learned
                 continue
             ca = headend.ca_systems[ecm.ca_system_id]
             if ca.kind == hemod.KIND_BIND:

@@ -82,9 +82,13 @@ class Drbg:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A key pair; ``loaded`` is ``private_key`` as the scheme loaded it
+    when it built the pair, so signing and decryption never parse it again."""
+
     scheme: str
     public_key: bytes
     private_key: bytes = field(repr=False)
+    loaded: Ed25519PrivateKey | X25519PrivateKey = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,6 @@ class SignedMessage:
         r.done()
         return sm
 
-    @classmethod
-    def read_from(cls, r: Reader) -> "SignedMessage":
-        return cls(message=r.take_lp(), signature=r.take_lp())
-
 
 # ---------------------------------------------------------------------------
 # default scheme implementations
@@ -120,15 +120,18 @@ class Ed25519Sig:
     name = "ed25519"
     public_key_len = 32
 
-    def keygen(self, rng: Drbg) -> KeyPair:
-        sk = rng.read(32)
-        pk = Ed25519PrivateKey.from_private_bytes(sk).public_key().public_bytes(_RAW, _RAW_PUB)
-        return KeyPair(scheme=self.name, public_key=pk, private_key=sk)
+    def load(self, private_key: bytes) -> KeyPair:
+        sk = Ed25519PrivateKey.from_private_bytes(private_key)
+        pk = sk.public_key().public_bytes(_RAW, _RAW_PUB)
+        return KeyPair(scheme=self.name, public_key=pk, private_key=private_key, loaded=sk)
 
-    def sign(self, private_key: bytes, message: bytes) -> SignedMessage:
+    def keygen(self, rng: Drbg) -> KeyPair:
+        return self.load(rng.read(32))
+
+    def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
         if not message:
             raise ValueError("refusing to sign an empty message")
-        sig = Ed25519PrivateKey.from_private_bytes(private_key).sign(message)
+        sig = pair.loaded.sign(message)
         return SignedMessage(message=message, signature=sig)
 
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
@@ -196,10 +199,13 @@ class X25519HybridPke:
     def __init__(self, sym: AesGcmSym):
         self._sym = sym
 
+    def load(self, private_key: bytes) -> KeyPair:
+        sk = X25519PrivateKey.from_private_bytes(private_key)
+        pk = sk.public_key().public_bytes(_RAW, _RAW_PUB)
+        return KeyPair(scheme=self.name, public_key=pk, private_key=private_key, loaded=sk)
+
     def keygen(self, rng: Drbg) -> KeyPair:
-        sk = rng.read(32)
-        pk = X25519PrivateKey.from_private_bytes(sk).public_key().public_bytes(_RAW, _RAW_PUB)
-        return KeyPair(scheme=self.name, public_key=pk, private_key=sk)
+        return self.load(rng.read(32))
 
     def _wrap_key(self, shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
         material = b"cwbind/hybrid-wrap" + lp(shared) + lp(eph_pub) + lp(recipient_pub)
@@ -213,19 +219,17 @@ class X25519HybridPke:
         body = self._sym.encrypt(wrap, plaintext, aad=eph_pub + public_key)
         return eph_pub + body
 
-    def decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
+    def decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
         if len(ciphertext) < self.public_key_len:
             raise CryptoError("hybrid ciphertext too short")
         eph_pub = ciphertext[: self.public_key_len]
         body = ciphertext[self.public_key_len :]
-        sk = X25519PrivateKey.from_private_bytes(private_key)
-        own_pub = sk.public_key().public_bytes(_RAW, _RAW_PUB)
         try:
-            shared = sk.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            shared = pair.loaded.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         except ValueError as exc:
             raise CryptoError("invalid ephemeral public key") from exc
-        wrap = self._wrap_key(shared, eph_pub, own_pub)
-        return self._sym.decrypt(wrap, body, aad=eph_pub + own_pub)
+        wrap = self._wrap_key(shared, eph_pub, pair.public_key)
+        return self._sym.decrypt(wrap, body, aad=eph_pub + pair.public_key)
 
 
 def _sha512(data: bytes) -> bytes:
@@ -303,24 +307,28 @@ class CipherSuite:
         if purpose == "pke":
             pair = self._pke.keygen(rng)
             probe = b"\x5a" * 16
-            if self.pke_decrypt(pair.private_key, self.pke_encrypt(pair.public_key, probe, rng)) != probe:
+            if self.pke_decrypt(pair, self.pke_encrypt(pair.public_key, probe, rng)) != probe:
                 raise CryptoError("fresh pke key pair failed its self-test")
         elif purpose == "sig":
             pair = self._sig.keygen(rng)
-            if self.verify_recover(pair.public_key, self.sign(pair.private_key, b"self-test")) != b"self-test":
+            if self.verify_recover(pair.public_key, self.sign(pair, b"self-test")) != b"self-test":
                 raise CryptoError("fresh sig key pair failed its self-test")
         else:
             raise ValueError(f"unknown keygen purpose: {purpose!r}")
         return pair
 
+    def load_sig_keypair(self, private_key: bytes) -> KeyPair:
+        """Rebuild a stored signature key pair from its private half."""
+        return self._sig.load(private_key)
+
     def pke_encrypt(self, public_key: bytes, plaintext: bytes, rng: Drbg) -> bytes:
         return self._pke.encrypt(public_key, plaintext, rng)
 
-    def pke_decrypt(self, private_key: bytes, ciphertext: bytes) -> bytes:
-        return self._pke.decrypt(private_key, ciphertext)
+    def pke_decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
+        return self._pke.decrypt(pair, ciphertext)
 
-    def sign(self, private_key: bytes, message: bytes) -> SignedMessage:
-        return self._sig.sign(private_key, message)
+    def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
+        return self._sig.sign(pair, message)
 
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
         return self._sig.verify_recover(public_key, sm)

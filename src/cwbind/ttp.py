@@ -145,7 +145,7 @@ def _issue(ttp: TtpState, subject_id: bytes, role: str, subject_pk: bytes) -> Ce
         subject_role=role,
         subject_pk=subject_pk,
         generation=ttp.generation,
-        signature=ttp.suite.sign(ttp.keypair.private_key, payload),
+        signature=ttp.suite.sign(ttp.keypair, payload),
     )
     ttp.next_serial += 1
     ttp.issued_certs.append(cert)
@@ -214,7 +214,7 @@ def export_directory(ttp: TtpState) -> bytes:
     body += u32(len(serials))
     for serial in serials:
         body += u64(serial)
-    return b"TD" + u8(1) + ttp.suite.sign(ttp.keypair.private_key, body).to_bytes()
+    return b"TD" + u8(1) + ttp.suite.sign(ttp.keypair, body).to_bytes()
 
 
 def parse_directory(suite: CipherSuite, data: bytes,
@@ -230,7 +230,7 @@ def parse_directory(suite: CipherSuite, data: bytes,
     version = r.take_u8()
     if version != 1:
         raise WireError(f"unsupported directory version {version} at offset {r.offset - 1}")
-    sm = SignedMessage.read_from(r)
+    sm = SignedMessage(message=r.take_lp(), signature=r.take_lp())
     r.done()
 
     br = Reader(sm.message)
@@ -253,7 +253,7 @@ def signed_revocation_list(ttp: TtpState) -> SignedMessage:
     ttp._count("signed_revocation_list")
     serials = sorted(ttp.revoked_serials)
     body = u32(len(serials)) + b"".join(u64(s) for s in serials)
-    return ttp.suite.sign(ttp.keypair.private_key, body)
+    return ttp.suite.sign(ttp.keypair, body)
 
 
 def parse_revocation_list(suite: CipherSuite, sm: SignedMessage, authority_pk: bytes) -> set[int]:

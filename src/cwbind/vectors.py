@@ -43,7 +43,7 @@ def suite_vectors() -> dict:
     out["pke_ciphertext_seed02_m0f"] = suite.pke_encrypt(
         pke_pair.public_key, message, Drbg(b"\x02" * 8)
     ).hex()
-    out["signed_message_m0f"] = suite.sign(sig_pair.private_key, message).to_bytes().hex()
+    out["signed_message_m0f"] = suite.sign(sig_pair, message).to_bytes().hex()
 
     key = bytes(range(16))
     out["sym_ciphertext_k0f_p20"] = suite.sym_encrypt(key, bytes(range(32)), aad=b"aad").hex()

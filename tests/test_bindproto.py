@@ -88,7 +88,7 @@ def test_resigned_bundle_files_under_interloper_key(world, suite):
 
     ltk = rng.read(16)
     key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, ltk, rng)
-    blob = suite.sign(interloper.private_key,
+    blob = suite.sign(interloper,
                       recv.receiver_id + len(key_ct).to_bytes(4, "big") + key_ct)
     bundle = bindproto.BindBundle(sender_pk=interloper.public_key, signed_blob=blob)
     bindproto.phase1_receive(recv, bundle)

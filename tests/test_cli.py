@@ -94,6 +94,20 @@ def test_ttp_lifecycle(tmp_path, capsys):
     assert "generation=2" in capsys.readouterr().out
 
 
+def test_ttp_state_with_mismatched_key_halves_refused(tmp_path, capsys):
+    state = tmp_path / "authority.json"
+    assert main(["ttp", "init", "--state", str(state), "--seed", "5"]) == 0
+    data = json.loads(state.read_text())
+    public_key = bytearray.fromhex(data["public_key"])
+    public_key[0] ^= 0x01
+    data["public_key"] = public_key.hex()
+    state.write_text(json.dumps(data))
+    directory = tmp_path / "directory.bin"
+    assert main(["ttp", "export", "--state", str(state), "--out", str(directory)]) != 0
+    assert not directory.exists()
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_wire_decode_truncated_names_offset(tmp_path, capsys):
     from cwbind.encoding import BROADCAST_ADDR
     from cwbind.wire import Ecm, Emm, EmmKind, encode_ecm, encode_emm

@@ -105,6 +105,16 @@ def test_entitled_client_derive_message_carries_broadcast_secret(pipeline, suite
     assert derive_secret(BindingInput((sender_pk,), rand), 128) == headend.scrambler_key
 
 
+def test_non_protocol_error_propagates_unscored(pipeline):
+    # only a CwbindError is a rejection; any other exception is a bug and
+    # must fail the run instead of landing in FrameResult.errors
+    headend, decoders, master, directory = pipeline
+    frame = hemod.epoch_tick(headend, b"c")
+    with mock.patch.object(decmod, "chip_process", side_effect=TypeError("bug")):
+        with pytest.raises(TypeError):
+            process_frame(decoders[1], frame)
+
+
 def test_unentitled_client_emits_nothing(pipeline):
     headend, decoders, master, directory = pipeline
     hemod.authorize(headend, 0, encode_id(4), False)

@@ -99,13 +99,54 @@ def test_keygen_distinct_seeds_distinct_keys(suite):
 
 def test_keygen_sig_pair_passes_self_test(suite, rng):
     pair = suite.keygen("sig", rng)
-    sm = suite.sign(pair.private_key, b"round trip")
+    sm = suite.sign(pair, b"round trip")
     assert suite.verify_recover(pair.public_key, sm) == b"round trip"
 
 
 def test_keygen_unknown_purpose(suite, rng):
     with pytest.raises(ValueError):
         suite.keygen("kex", rng)
+
+
+def test_load_sig_keypair_rebuilds_the_generated_pair(suite, rng):
+    pair = suite.keygen("sig", rng)
+    loaded = suite.load_sig_keypair(pair.private_key)
+    assert loaded == pair
+    assert suite.verify_recover(pair.public_key, suite.sign(loaded, b"m")) == b"m"
+
+
+class _CountingLoads:
+    """Stand-in for a private-key class that records every raw key it loads."""
+
+    def __init__(self, real):
+        self.real = real
+        self.loaded: list[bytes] = []
+
+    def from_private_bytes(self, data: bytes):
+        self.loaded.append(bytes(data))
+        return self.real.from_private_bytes(data)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_each_private_key_is_loaded_once(suite, rng, monkeypatch, k):
+    sig_loads = _CountingLoads(Ed25519PrivateKey)
+    pke_loads = _CountingLoads(X25519PrivateKey)
+    monkeypatch.setattr("cwbind.suite.Ed25519PrivateKey", sig_loads)
+    monkeypatch.setattr("cwbind.suite.X25519PrivateKey", pke_loads)
+
+    sig_pair = suite.keygen("sig", rng)
+    for i in range(k):
+        suite.sign(sig_pair, b"message %d" % i)
+    assert sig_loads.loaded == [sig_pair.private_key]
+
+    pke_pair = suite.keygen("pke", rng)
+    cts = [suite.pke_encrypt(pke_pair.public_key, b"message", rng) for _ in range(k)]
+    for ct in cts:
+        assert suite.pke_decrypt(pke_pair, ct) == b"message"
+    assert pke_loads.loaded.count(pke_pair.private_key) == 1
+    # every other load is the fresh ephemeral key of one encryption: the
+    # keygen self-test's and the k above
+    assert len(pke_loads.loaded) == 1 + 1 + k
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +157,7 @@ def test_keygen_unknown_purpose(suite, rng):
 def test_pke_round_trip(suite, rng):
     pair = suite.keygen("pke", rng)
     ct = suite.pke_encrypt(pair.public_key, b"\xaa" * 16, rng)
-    assert suite.pke_decrypt(pair.private_key, ct) == b"\xaa" * 16
+    assert suite.pke_decrypt(pair, ct) == b"\xaa" * 16
 
 
 def test_pke_wrong_private_key_fails(suite, rng):
@@ -124,13 +165,13 @@ def test_pke_wrong_private_key_fails(suite, rng):
     pair2 = suite.keygen("pke", rng)
     ct = suite.pke_encrypt(pair1.public_key, b"secret", rng)
     with pytest.raises(CryptoError):
-        suite.pke_decrypt(pair2.private_key, ct)
+        suite.pke_decrypt(pair2, ct)
 
 
 def test_pke_long_plaintext(suite, rng):
     pair = suite.keygen("pke", rng)
     message = bytes(range(256)) * 40
-    assert suite.pke_decrypt(pair.private_key,
+    assert suite.pke_decrypt(pair,
                              suite.pke_encrypt(pair.public_key, message, rng)) == message
 
 
@@ -168,12 +209,12 @@ def test_pke_known_answer_matches_reference_composition(suite):
 
 def test_sign_verify_round_trip(suite, rng):
     pair = suite.keygen("sig", rng)
-    assert suite.verify_recover(pair.public_key, suite.sign(pair.private_key, b"m")) == b"m"
+    assert suite.verify_recover(pair.public_key, suite.sign(pair, b"m")) == b"m"
 
 
 def test_signature_bit_flip_rejected(suite, rng):
     pair = suite.keygen("sig", rng)
-    sm = suite.sign(pair.private_key, b"message")
+    sm = suite.sign(pair, b"message")
     with pytest.raises(CryptoError):
         suite.verify_recover(pair.public_key, SignedMessage(sm.message, _flip_bit(sm.signature, 0)))
 
@@ -182,7 +223,7 @@ def test_verify_under_other_senders_key_rejected(suite):
     # two seeded pairs, cross-verify
     pair_a = suite.keygen("sig", Drbg(b"\x0a" * 8))
     pair_b = suite.keygen("sig", Drbg(b"\x0b" * 8))
-    sm = suite.sign(pair_a.private_key, b"from a")
+    sm = suite.sign(pair_a, b"from a")
     with pytest.raises(CryptoError):
         suite.verify_recover(pair_b.public_key, sm)
 
@@ -190,12 +231,12 @@ def test_verify_under_other_senders_key_rejected(suite):
 def test_sign_empty_message_refused(suite, rng):
     pair = suite.keygen("sig", rng)
     with pytest.raises(ValueError):
-        suite.sign(pair.private_key, b"")
+        suite.sign(pair, b"")
 
 
 def test_signed_message_serialization_round_trip(suite, rng):
     pair = suite.keygen("sig", rng)
-    sm = suite.sign(pair.private_key, b"wire me")
+    sm = suite.sign(pair, b"wire me")
     assert SignedMessage.from_bytes(sm.to_bytes()) == sm
 
 
@@ -278,9 +319,9 @@ def test_round_trip_laws_1000_randomized_cases(suite):
             assert suite.sym_decrypt(key, suite.sym_encrypt(key, message)) == message
         elif layer == 1:
             ct = suite.pke_encrypt(pke_pair.public_key, message, rng)
-            assert suite.pke_decrypt(pke_pair.private_key, ct) == message
+            assert suite.pke_decrypt(pke_pair, ct) == message
         else:
-            sm = suite.sign(sig_pair.private_key, message)
+            sm = suite.sign(sig_pair, message)
             assert suite.verify_recover(sig_pair.public_key, sm) == message
 
 
@@ -291,10 +332,10 @@ def test_tamper_law_64_sampled_bit_positions(suite, layer):
     if layer == "pke":
         pair = suite.keygen("pke", rng)
         blob = suite.pke_encrypt(pair.public_key, message, rng)
-        check = lambda b: suite.pke_decrypt(pair.private_key, b)  # noqa: E731
+        check = lambda b: suite.pke_decrypt(pair, b)  # noqa: E731
     elif layer == "sig":
         pair = suite.keygen("sig", rng)
-        sm = suite.sign(pair.private_key, message)
+        sm = suite.sign(pair, message)
         blob = sm.to_bytes()
         check = lambda b: suite.verify_recover(  # noqa: E731
             pair.public_key, SignedMessage.from_bytes(b)
@@ -330,7 +371,7 @@ def test_sym_round_trip_property(message, aad):
 def test_sign_round_trip_property(message):
     suite = CipherSuite(SuiteConfig())
     pair = suite.keygen("sig", Drbg.from_int(77))
-    assert suite.verify_recover(pair.public_key, suite.sign(pair.private_key, message)) == message
+    assert suite.verify_recover(pair.public_key, suite.sign(pair, message)) == message
 
 
 # ---------------------------------------------------------------------------
