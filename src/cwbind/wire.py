@@ -82,15 +82,6 @@ class Emm:
     addressee: bytes  # 8-byte receiver id, or BROADCAST_ADDR
     payload: bytes
 
-    def header(self) -> bytes:
-        return (
-            EMM_MAGIC
-            + u8(WIRE_VERSION)
-            + u16(self.ca_system_id)
-            + u8(int(self.kind))
-            + self.addressee
-        )
-
     def is_broadcast(self) -> bool:
         return self.addressee == BROADCAST_ADDR
 
@@ -100,9 +91,6 @@ class Ecm:
     ca_system_id: int
     epoch: int
     protected_secret: bytes
-
-    def header(self) -> bytes:
-        return ECM_MAGIC + u8(WIRE_VERSION) + u16(self.ca_system_id) + u32(self.epoch)
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ def ecm_aad(ca_system_id: int, epoch: int) -> bytes:
 def encode_emm(emm: Emm) -> bytes:
     if len(emm.addressee) != 8:
         raise ValueError("addressee must be 8 bytes")
-    return emm.header() + lp(emm.payload)
+    return emm_aad(emm.ca_system_id, emm.kind, emm.addressee) + lp(emm.payload)
 
 
 def decode_emm(data: bytes) -> Emm:
@@ -175,7 +163,7 @@ def decode_emm(data: bytes) -> Emm:
 
 
 def encode_ecm(ecm: Ecm) -> bytes:
-    return ecm.header() + lp(ecm.protected_secret)
+    return ecm_aad(ecm.ca_system_id, ecm.epoch) + lp(ecm.protected_secret)
 
 
 def decode_ecm(data: bytes) -> Ecm:

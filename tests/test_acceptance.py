@@ -16,6 +16,7 @@ from cwbind import bindproto, certproto, headend as hemod
 from cwbind.binding import second_preimage_strength
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind, chip_process, process_frame
 from cwbind.encoding import encode_id
+from cwbind.errors import CwbindError
 from cwbind.sim import compute_verdicts, load_scenario, run_scenario, run_world
 from cwbind.suite import CipherSuite, Drbg, SuiteConfig
 from cwbind.ttp import Certificate, verify_certificate
@@ -135,7 +136,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
         try:
             cert = Certificate.from_bytes(_flip(cert_bytes, bit))
             verify_certificate(suite, cert, recv.authority_pk)
-        except Exception:
+        except CwbindError:
             count += 1
     rejected["certificate"] = (count, len(_sampled_bits(cert_bytes)))
 
@@ -147,7 +148,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
             forged = certproto.CertBundle(
                 bundle.sender_cert, SignedMessage.from_bytes(_flip(blob_bytes, bit)))
             certproto.phase1_receive(recv, forged)
-        except Exception:
+        except CwbindError:
             count += 1
     rejected["signed-bundle"] = (count, len(_sampled_bits(blob_bytes)))
 
@@ -185,7 +186,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
         before = copy.deepcopy(decoder.client)
         try:
             msgs = client_process_emm(decoder.client, decode_emm(_flip(emm_bytes, bit)))
-        except Exception:
+        except CwbindError:
             count += 1
             continue
         assert msgs == [] and decoder.client == before, f"emm bit {bit} took effect"
@@ -203,7 +204,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
         before = copy.deepcopy(decoder.client)
         try:
             msg = client_process_ecm(decoder.client, decode_ecm(_flip(ecm_bytes, bit)))
-        except Exception:
+        except CwbindError:
             count += 1
             continue
         assert msg is None and decoder.client == before, f"ecm bit {bit} took effect"
@@ -224,7 +225,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
             from cwbind.decoder import descramble
 
             out = descramble(decoder.chip, handle, scrambled)
-        except Exception:
+        except CwbindError:
             count += 1
             continue
         assert out != content, f"derive bit {bit} produced an unauthorized descramble"
