@@ -16,12 +16,21 @@ with a realistic number of senders, the result equals n.
 Knowing a derived secret does not directly reveal the bound random value.
 That is a defense-in-depth observation about the hash, documented here; it is
 not a property this module enforces or tests beyond its statistical proxies.
+
+The head-end and every chip of an epoch derive the same secret from the same
+sorted key set and random value, so ``bound_secret`` memoises the derivation
+by (sorted keys, random value, output bits) in one ``functools.lru_cache`` of
+16 entries, a fixed size that no option or variable changes. The head-end's
+tick fills it and the chips reuse the entry. ``BindingInput`` is built and
+validated only on a miss; a rejected input raises, so it is never cached and
+is rejected again on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 HASH_OUTPUT_BITS = 512
 _LOG2_BASE_LEN = 10  # the calculator normalizes input length by 2**10 bits
@@ -67,6 +76,12 @@ def derive_secret(inp: BindingInput, n_bits: int) -> bytes:
         raise ValueError("output length must be a positive multiple of 8 bits")
     digest = hashlib.sha512(encode_binding_input(inp)).digest()
     return digest[: n_bits // 8]
+
+
+@lru_cache(maxsize=16)
+def bound_secret(public_keys: tuple[bytes, ...], rand: bytes, n_bits: int) -> bytes:
+    """``derive_secret`` over the sorted ``public_keys`` and ``rand``, memoised."""
+    return derive_secret(BindingInput(public_keys, rand), n_bits)
 
 
 def second_preimage_strength(n_bits: int, max_input_len_bits: int) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binding import BindingInput, derive_secret
+from .binding import bound_secret
 from .encoding import Reader, encode_id, lp
 from .errors import ProtocolError
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
@@ -139,7 +139,7 @@ def shared_epoch_secret(pk_set: tuple[bytes, ...], rng: Drbg,
     value has the same length as the derived secret.
     """
     rand = rng.read(n_bits // 8)
-    secret = derive_secret(BindingInput(tuple(sorted(pk_set)), rand), n_bits)
+    secret = bound_secret(tuple(sorted(pk_set)), rand, n_bits)
     return rand, secret
 
 
@@ -164,13 +164,15 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     The key set fed to the derivation is the receiver's active set when one
     has been installed, otherwise the singleton of the delivering sender's
     key (the single-sender deployment). The delivering key must be in the
-    set either way.
+    set either way, and the random value must have the secret's length.
     """
     ltk = recv.ltk_by_sender.get(sender_pk)
     if ltk is None:
         raise ProtocolError("no long-term key stored under this sender key")
     rand = recv.suite.sym_decrypt(ltk, ciphertext, aad=context)
+    if len(rand) != recv.suite.secret_bytes:
+        raise ProtocolError("random value does not have the derived secret's length")
     pk_set = recv.active_pk_set if recv.active_pk_set else (sender_pk,)
     if sender_pk not in pk_set:
         raise ProtocolError("delivering sender key is not in the active key set")
-    return derive_secret(BindingInput(tuple(sorted(pk_set)), rand), recv.suite.secret_bits)
+    return bound_secret(tuple(sorted(pk_set)), rand, recv.suite.secret_bits)

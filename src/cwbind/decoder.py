@@ -43,13 +43,10 @@ from .wire import (
     Emm,
     EmmKind,
     build_pk_set_body,
-    ecm_aad,
     emm_aad,
-    open_broadcast,
     parse_enroll_body,
     parse_entitlement_body,
     parse_pk_set_body,
-    unprotect,
 )
 
 PROTO_CERT = "cert"
@@ -152,7 +149,7 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
 
     if per_receiver:
-        body = unprotect(client.suite, client.channel_key, emm.payload, aad=aad)
+        body = client.suite.sym_decrypt(client.channel_key, emm.payload, aad=aad)
         if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
             client.entitled = entitled
@@ -176,7 +173,7 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     # broadcast kinds: ignorable until the group key arrives with enrollment
     if client.group_key is None:
         return []
-    body = open_broadcast(client.suite, client.group_key, emm.payload, aad=aad)
+    body = client.suite.open_sealed(client.group_key, emm.payload, aad=aad)
 
     if emm.kind == EmmKind.BROADCAST_SENDER_PK and client.protocol == PROTO_BIND:
         client.announce = body  # raw sender public key, fixed length per scheme
@@ -202,8 +199,7 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
         return None
     if not client.entitled or client.ecm_key is None:
         return None
-    secret = unprotect(client.suite, client.ecm_key, ecm.protected_secret,
-                       aad=ecm_aad(ecm.ca_system_id, ecm.epoch))
+    secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, aad=ecm.aad)
     if client.protocol == PROTO_LEGACY:
         return ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(ecm.epoch) + lp(secret))
     if client.protocol == PROTO_CERT:
@@ -299,6 +295,13 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
             pks = parse_pk_set_body(msg.payload)
             if not pks:
                 raise ProtocolError("empty sender key set")
+            # the set must be one the binding can derive from, or the next
+            # DERIVE would fail outside the protocol checks
+            key_len = chip.receiver.suite.sig_public_key_len
+            if any(len(pk) != key_len for pk in pks):
+                raise ProtocolError(f"sender key set holds a key that is not {key_len} bytes")
+            if len(set(pks)) != len(pks):
+                raise ProtocolError("sender key set repeats a key")
             chip.receiver.active_pk_set = tuple(sorted(pks))
             return None
         if msg.kind == ChipMsgKind.DERIVE:
@@ -398,11 +401,12 @@ class FrameResult:
 def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     """Feed a broadcast frame through client and chip.
 
-    The client sees only the EMMs the frame routes to it
-    (``BroadcastFrame.emms_for``): its system's broadcast-kind EMMs and the
-    per-receiver EMMs addressed to it, in frame order. Every other EMM is
-    one it would drop unread, so the work per decoder does not grow with
-    the EMMs meant for other decoders.
+    The client sees only the EMMs and ECMs the frame routes to it
+    (``BroadcastFrame.emms_for``, ``BroadcastFrame.ecms_for``): its system's
+    broadcast-kind EMMs, the per-receiver EMMs addressed to it and its
+    system's ECM, in frame order. Every other message is one it would drop
+    unread, so the work per decoder does not grow with the messages meant
+    for other decoders or systems.
 
     ``chip_filter``, when given, receives the chip channel message list and
     returns the list actually delivered: this is the observable, attackable
@@ -415,7 +419,7 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
             msgs.extend(client_process_emm(decoder.client, emm))
         except CwbindError as exc:  # a protocol rejection is an outcome; a bug is not
             errors.append(f"emm:{exc}")
-    for ecm in frame.ecms:
+    for ecm in frame.ecms_for(decoder.client.ca_system_id):
         try:
             msg = client_process_ecm(decoder.client, ecm)
             if msg is not None:

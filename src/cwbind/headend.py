@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bindproto, certproto
-from .binding import BindingInput, derive_secret
+from .binding import bound_secret
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
 from .scramble import scramble
@@ -48,8 +48,6 @@ from .wire import (
     build_pk_set_body,
     ecm_aad,
     emm_aad,
-    protect,
-    seal_broadcast,
 )
 
 KIND_CERT = "cert"
@@ -104,14 +102,14 @@ def _queue_announcement(ca: CaSystem) -> None:
     kind = EmmKind.BROADCAST_CERT if ca.kind == KIND_CERT else EmmKind.BROADCAST_SENDER_PK
     body = _announce_bytes(ca)
     aad = emm_aad(ca.index, kind, BROADCAST_ADDR)
-    sealed = seal_broadcast(ca.suite, ca.group_key, body, aad=aad)
+    sealed = ca.suite.seal(ca.group_key, body, aad=aad)
     ca.pending_emms.append(Emm(ca.index, kind, BROADCAST_ADDR, sealed))
 
 
 def _queue_pk_set_update_for(headend: HeadendState, ca: CaSystem) -> None:
     body = build_pk_set_body(headend.pk_set)
     aad = emm_aad(ca.index, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR)
-    sealed = seal_broadcast(ca.suite, ca.group_key, body, aad=aad)
+    sealed = ca.suite.seal(ca.group_key, body, aad=aad)
     ca.pending_emms.append(Emm(ca.index, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR, sealed))
 
 
@@ -198,7 +196,7 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
         body = build_enroll_body(blob, ltk_copy, ca.group_key, _announce_bytes(ca))
 
     aad = emm_aad(ca.index, EmmKind.PER_RECEIVER_ENROLL, receiver_id)
-    protected = protect(ca.suite, channel_key, body, aad=aad)
+    protected = ca.suite.sym_encrypt(channel_key, body, aad=aad)
     out = [Emm(ca.index, EmmKind.PER_RECEIVER_ENROLL, receiver_id, protected)]
     ca.pending_emms.extend(out)
     ca.enrolled.add(receiver_id)
@@ -212,7 +210,7 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
 def _queue_entitlement(ca: CaSystem, receiver_id: bytes, entitled: bool) -> None:
     body = build_entitlement_body(entitled, ca.ecm_key if entitled else b"")
     aad = emm_aad(ca.index, EmmKind.PER_RECEIVER_ENTITLEMENT, receiver_id)
-    protected = protect(ca.suite, ca.receiver_channel_keys[receiver_id], body, aad=aad)
+    protected = ca.suite.sym_encrypt(ca.receiver_channel_keys[receiver_id], body, aad=aad)
     ca.pending_emms.append(Emm(ca.index, EmmKind.PER_RECEIVER_ENTITLEMENT, receiver_id, protected))
 
 
@@ -269,7 +267,7 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
         revoke(ttp, old_serial)
         crl = signed_revocation_list(ttp)
         aad = emm_aad(ca.index, EmmKind.CRL_UPDATE, BROADCAST_ADDR)
-        sealed = seal_broadcast(ca.suite, ca.group_key, build_crl_body(crl), aad=aad)
+        sealed = ca.suite.seal(ca.group_key, build_crl_body(crl), aad=aad)
         ca.pending_emms.append(Emm(ca.index, EmmKind.CRL_UPDATE, BROADCAST_ADDR, sealed))
     else:
         bindproto.refresh_sender_key(ca.sender, rng)
@@ -303,7 +301,7 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
     draw = headend.rng.read(suite.secret_bytes)
     if headend.pk_set:
         rand: bytes | None = draw
-        control_word = derive_secret(BindingInput(headend.pk_set, draw), suite.secret_bits)
+        control_word = bound_secret(headend.pk_set, draw, suite.secret_bits)
     else:
         rand = None
         control_word = draw
@@ -312,7 +310,7 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
     ecms = []
     for ca in headend.ca_systems:
         secret = rand if ca.kind == KIND_BIND else control_word
-        protected = protect(suite, ca.ecm_key, secret, aad=ecm_aad(ca.index, headend.epoch))
+        protected = suite.sym_encrypt(ca.ecm_key, secret, aad=ecm_aad(ca.index, headend.epoch))
         ecms.append(Ecm(ca.index, headend.epoch, protected))
 
     emms: list[Emm] = []

@@ -65,7 +65,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from . import certproto, headend as hemod, ttp as ttpmod
-from .binding import BindingInput, derive_secret
+from .binding import bound_secret
 from .decoder import (
     BindChipState,
     CertChipState,
@@ -88,11 +88,9 @@ from .wire import (
     Ecm,
     Emm,
     build_pk_set_body,
-    ecm_aad,
     encode_ecm,
     encode_emm,
     encode_frame,
-    unprotect,
 )
 
 TAMPER_CLASSES = ("ecm", "emm-broadcast", "emm-receiver", "chip-derive", "chip-load-ltk")
@@ -864,17 +862,14 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
     for ecm in frame.ecms:
         for key in keys_by_ca.get(ecm.ca_system_id, []):
             try:
-                secret = unprotect(world.suite, key, ecm.protected_secret,
-                                   aad=ecm_aad(ecm.ca_system_id, ecm.epoch))
+                secret = world.suite.sym_decrypt(key, ecm.protected_secret, aad=ecm.aad)
             except CwbindError:  # stale key, nothing learned
                 continue
             ca = headend.ca_systems[ecm.ca_system_id]
             if ca.kind == hemod.KIND_BIND:
                 adv.known_rand[ecm.ca_system_id] = secret
                 if headend.pk_set:
-                    adv.known_cw = derive_secret(
-                        BindingInput(headend.pk_set, secret), world.suite.secret_bits
-                    )
+                    adv.known_cw = bound_secret(headend.pk_set, secret, world.suite.secret_bits)
             else:
                 adv.known_cw = secret
             break
@@ -912,7 +907,8 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         for decoder_id, decoder in sorted(world.decoders.items()):
             result = process_frame(decoder, frame,
                                    chip_filter=_chip_filter_for(world, decoder, epoch))
-            world.ledger.chip_channel += sum(len(m.encode()) for m in result.chip_msgs)
+            # a chip message encodes as u8 kind | lp(payload)
+            world.ledger.chip_channel += sum(5 + len(m.payload) for m in result.chip_msgs)
             if result.descrambled == content:
                 outcome = OUTCOME_DERIVED
             elif result.errors or result.derive_attempted:

@@ -19,12 +19,26 @@ string scheme id:
 All randomness is drawn from a Drbg, a hash-counter generator: two runs from
 equal seeds produce byte-identical output. Production-grade entropy is a
 non-goal; reproducibility is the point.
+
+Every entitled decoder of a CA system opens the same ECM under the same key,
+and every certificate chip checks the same certificate and revocation list,
+so three results are memoised, each in one ``functools.lru_cache`` of a fixed
+size that no option or variable changes: the ``AESGCM`` context per key
+(``_aead``, 8 entries), the plaintext of each successful AES-GCM open keyed
+by (key, nonce, body, associated data) (``_open``, 32 entries, shared by
+``decrypt`` and ``check_tag``), and each successful Ed25519 verification
+keyed by (public key, signature, message) (``_verify``, 64 entries). A memo
+entry exists only for inputs that already passed the full check. A failure
+raises out of the cached function, so it is never cached: a wrong key,
+nonce, tag, body, associated data or signature is checked again on every
+call and raises ``CryptoError`` each time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import serialization
@@ -110,6 +124,28 @@ class SignedMessage:
 
 
 # ---------------------------------------------------------------------------
+# memoised primitives (successes only; see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _aead(key: bytes) -> AESGCM:
+    return AESGCM(key)
+
+
+@lru_cache(maxsize=32)
+def _open(key: bytes, nonce: bytes, body: bytes, aad: bytes) -> bytes:
+    """AES-GCM open; raises ``InvalidTag`` (uncached) on any mismatch."""
+    return _aead(key).decrypt(nonce, body, aad)
+
+
+@lru_cache(maxsize=64)
+def _verify(public_key: bytes, signature: bytes, message: bytes) -> None:
+    """Ed25519 verification; raises (uncached) unless the signature holds."""
+    Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+
+
+# ---------------------------------------------------------------------------
 # default scheme implementations
 # ---------------------------------------------------------------------------
 
@@ -136,7 +172,7 @@ class Ed25519Sig:
 
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
         try:
-            Ed25519PublicKey.from_public_bytes(public_key).verify(sm.signature, sm.message)
+            _verify(public_key, sm.signature, sm.message)
         except (InvalidSignature, ValueError) as exc:
             raise CryptoError("signature verification failed") from exc
         return sm.message
@@ -153,21 +189,21 @@ class AesGcmSym:
 
     def encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         nonce = self._nonce(key, aad, plaintext)
-        return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
+        return nonce + _aead(key).encrypt(nonce, plaintext, aad)
 
     def decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
         if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
             raise CryptoError("ciphertext too short")
         nonce, body = ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:]
         try:
-            return AESGCM(key).decrypt(nonce, body, aad)
+            return _open(key, nonce, body, aad)
         except InvalidTag as exc:
             raise CryptoError("authenticated decryption failed") from exc
 
     def tag_only(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
         """Integrity-only seal: cleartext body followed by nonce and tag."""
         nonce = self._nonce(key, aad, body)
-        tag = AESGCM(key).encrypt(nonce, b"", aad + body)
+        tag = _aead(key).encrypt(nonce, b"", aad + body)
         return body + nonce + tag
 
     def check_tag(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
@@ -178,7 +214,7 @@ class AesGcmSym:
         nonce = sealed[-trailer:-GCM_TAG_LEN]
         tag = sealed[-GCM_TAG_LEN:]
         try:
-            AESGCM(key).decrypt(nonce, tag, aad + body)
+            _open(key, nonce, tag, aad + body)
         except InvalidTag as exc:
             raise CryptoError("integrity check failed") from exc
         return body
@@ -288,6 +324,7 @@ class CipherSuite:
         self._sig = SIG_SCHEMES[self.config.sig_scheme]
         self._sym = SYM_SCHEMES[self.config.sym_scheme]
         self._hash = HASH_SCHEMES[self.config.hash_scheme]
+        self._sym_key_len = self.config.secret_bytes
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CipherSuite) and self.config == other.config
@@ -302,6 +339,10 @@ class CipherSuite:
     @property
     def secret_bits(self) -> int:
         return self.config.secret_bits
+
+    @property
+    def sig_public_key_len(self) -> int:
+        return self._sig.public_key_len
 
     def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
         if purpose == "pke":
@@ -334,13 +375,13 @@ class CipherSuite:
         return self._sig.verify_recover(public_key, sm)
 
     def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        if len(key) != self.secret_bytes:
-            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
+        if len(key) != self._sym_key_len:
+            raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
         return self._sym.encrypt(key, plaintext, aad)
 
     def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
-        if len(key) != self.secret_bytes:
-            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
+        if len(key) != self._sym_key_len:
+            raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
         return self._sym.decrypt(key, ciphertext, aad)
 
     def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:

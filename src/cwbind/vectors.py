@@ -22,8 +22,6 @@ from .wire import (
     emm_aad,
     encode_ecm,
     encode_emm,
-    protect,
-    seal_broadcast,
 )
 
 
@@ -88,21 +86,21 @@ def wire_vectors() -> dict:
     receiver = encode_id(7)
     out: dict = {}
 
-    sealed = seal_broadcast(suite, group_key, b"\x11" * 32,
-                            aad=emm_aad(1, EmmKind.BROADCAST_SENDER_PK, BROADCAST_ADDR))
+    sealed = suite.seal(group_key, b"\x11" * 32,
+                        aad=emm_aad(1, EmmKind.BROADCAST_SENDER_PK, BROADCAST_ADDR))
     out["emm_broadcast_sender_pk"] = encode_emm(
         Emm(1, EmmKind.BROADCAST_SENDER_PK, BROADCAST_ADDR, sealed)
     ).hex()
 
-    protected = protect(suite, channel_key, b"\x22" * 24,
-                        aad=emm_aad(1, EmmKind.PER_RECEIVER_ENROLL, receiver))
+    protected = suite.sym_encrypt(channel_key, b"\x22" * 24,
+                                  aad=emm_aad(1, EmmKind.PER_RECEIVER_ENROLL, receiver))
     out["emm_per_receiver_enroll"] = encode_emm(
         Emm(1, EmmKind.PER_RECEIVER_ENROLL, receiver, protected)
     ).hex()
 
     secret = bytes(range(48, 64))
     out["ecm_epoch5"] = encode_ecm(
-        Ecm(1, 5, protect(suite, ecm_key, secret, aad=ecm_aad(1, 5)))
+        Ecm(1, 5, suite.sym_encrypt(ecm_key, secret, aad=ecm_aad(1, 5)))
     ).hex()
     return out
 

@@ -9,18 +9,19 @@ Entitlement management message (magic ``EM``, version 1)::
     "EM" | u8 version | u16 ca_system_id | u8 kind | 8-byte addressee | lp(payload)
 
     kind                      addressee   payload protection
-    1 BROADCAST_SENDER_PK     broadcast   sealed(group):  raw sender pk
-    2 BROADCAST_CERT          broadcast   sealed(group):  certificate bytes
-    3 PER_RECEIVER_ENROLL     receiver    protect(recv):  lp(blob) lp(ltk copy)
-                                          lp(group key) lp(announce)
-    4 PER_RECEIVER_ENTITLEMENT receiver   protect(recv):  u8 flag [lp(ecm key)]
-    5 PK_SET_UPDATE           broadcast   sealed(group):  u16 n, n*lp(pk)
-    6 CRL_UPDATE              broadcast   sealed(group):  signed serial list
+    1 BROADCAST_SENDER_PK     broadcast   seal(group):         raw sender pk
+    2 BROADCAST_CERT          broadcast   seal(group):         certificate bytes
+    3 PER_RECEIVER_ENROLL     receiver    sym_encrypt(recv):   lp(blob) lp(ltk copy)
+                                                               lp(group key) lp(announce)
+    4 PER_RECEIVER_ENTITLEMENT receiver   sym_encrypt(recv):   u8 flag [lp(ecm key)]
+    5 PK_SET_UPDATE           broadcast   seal(group):         u16 n, n*lp(pk)
+    6 CRL_UPDATE              broadcast   seal(group):         signed serial list
 
-Broadcast kinds are integrity-protected only (the content is public); the
-per-receiver kinds are confidentiality- and integrity-protected under the
-receiver's provisioning key. The fixed header is bound as associated data in
-both cases.
+Broadcast kinds are integrity-protected only (the content is public,
+``CipherSuite.seal``/``open_sealed``); the per-receiver kinds are
+confidentiality- and integrity-protected under the receiver's provisioning
+key (``CipherSuite.sym_encrypt``/``sym_decrypt``). The fixed header is bound
+as associated data in both cases.
 
 Entitlement control message (magic ``EC``, version 1)::
 
@@ -29,7 +30,8 @@ Entitlement control message (magic ``EC``, version 1)::
 The protected secret carries exactly one n-bit value (the epoch's random
 value for binding-protocol systems, the control word otherwise), encrypted
 under the entitlement key shared by the clients of currently authorized
-decoders.
+decoders, with the fixed header (``Ecm.aad``, built once per ECM) as
+associated data.
 
 Broadcast frame (magic ``BF``, version 1), the unit of capture/replay::
 
@@ -39,9 +41,10 @@ Broadcast frame (magic ``BF``, version 1), the unit of capture/replay::
 Frames flow one way; no field exists for receiver responses. Every decoder
 receives the whole frame, but its CA client acts only on its own system's
 broadcast-kind EMMs (whatever their addressee) and on the per-receiver EMMs
-addressed to it. A frame routes its EMMs to those recipients once, on first
-use, so a decoder's work on a frame does not grow with the EMMs meant for
-others (``BroadcastFrame.emms_for``).
+addressed to it, and on its own system's ECM. A frame routes its EMMs and
+ECMs to those recipients once, on first use, so a decoder's work on a frame
+does not grow with the messages meant for others
+(``BroadcastFrame.emms_for``, ``BroadcastFrame.ecms_for``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from functools import cached_property
 
 from .encoding import BROADCAST_ADDR, Reader, lp, u16, u32, u8
 from .errors import WireError
-from .suite import CipherSuite, SignedMessage
+from .suite import SignedMessage
 
 EMM_MAGIC = b"EM"
 ECM_MAGIC = b"EC"
@@ -92,6 +95,11 @@ class Ecm:
     epoch: int
     protected_secret: bytes
 
+    @cached_property
+    def aad(self) -> bytes:
+        """The fixed header (``ecm_aad``), built once however many read it."""
+        return ecm_aad(self.ca_system_id, self.epoch)
+
 
 @dataclass(frozen=True)
 class BroadcastFrame:
@@ -126,6 +134,17 @@ class BroadcastFrame:
         positions = sorted(shared + own) if shared and own else shared or own
         emms = self.emms
         return [emms[i] for i in positions]
+
+    @cached_property
+    def _ecm_routes(self) -> dict[int, list[Ecm]]:
+        routes: dict[int, list[Ecm]] = {}
+        for ecm in self.ecms:
+            routes.setdefault(ecm.ca_system_id, []).append(ecm)
+        return routes
+
+    def ecms_for(self, ca_system_id: int) -> Sequence[Ecm]:
+        """The ECMs a CA client of ``ca_system_id`` acts on, in frame order."""
+        return self._ecm_routes.get(ca_system_id, ())
 
 
 def emm_aad(ca_system_id: int, kind: EmmKind, addressee: bytes) -> bytes:
@@ -163,7 +182,7 @@ def decode_emm(data: bytes) -> Emm:
 
 
 def encode_ecm(ecm: Ecm) -> bytes:
-    return ecm_aad(ecm.ca_system_id, ecm.epoch) + lp(ecm.protected_secret)
+    return ecm.aad + lp(ecm.protected_secret)
 
 
 def decode_ecm(data: bytes) -> Ecm:
@@ -202,29 +221,6 @@ def decode_frame(data: bytes) -> BroadcastFrame:
     emms = tuple(decode_emm(r.take_lp()) for _ in range(r.take_u16()))
     r.done()
     return BroadcastFrame(epoch, scrambled, ecms, emms)
-
-
-# ---------------------------------------------------------------------------
-# channel protection
-# ---------------------------------------------------------------------------
-
-
-def protect(suite: CipherSuite, key: bytes, plaintext: bytes, aad: bytes) -> bytes:
-    """Confidentiality + integrity for per-receiver payloads and ECM secrets."""
-    return suite.sym_encrypt(key, plaintext, aad=aad)
-
-
-def unprotect(suite: CipherSuite, key: bytes, blob: bytes, aad: bytes) -> bytes:
-    return suite.sym_decrypt(key, blob, aad=aad)
-
-
-def seal_broadcast(suite: CipherSuite, key: bytes, body: bytes, aad: bytes) -> bytes:
-    """Integrity-only protection for broadcast payloads (body stays clear)."""
-    return suite.seal(key, body, aad=aad)
-
-
-def open_broadcast(suite: CipherSuite, key: bytes, sealed: bytes, aad: bytes) -> bytes:
-    return suite.open_sealed(key, sealed, aad=aad)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,12 @@ def test_criterion_02_key_length_anchor():
     # drive one epoch end to end and measure the ECM's secret field
     report, world = run_world(load_scenario(SCENARIOS / "client-swap.scn"),
                               capture_frames=True)
-    from cwbind.wire import decode_frame, ecm_aad, unprotect
+    from cwbind.wire import decode_frame, ecm_aad
 
     frame = decode_frame(world.frames[0])
     ecm = frame.ecms[0]
-    secret = unprotect(world.suite, world.headend.ca_systems[0].ecm_key,
-                       ecm.protected_secret, ecm_aad(ecm.ca_system_id, ecm.epoch))
+    secret = world.suite.sym_decrypt(world.headend.ca_systems[0].ecm_key,
+                                     ecm.protected_secret, ecm_aad(ecm.ca_system_id, ecm.epoch))
     assert len(secret) == 16
     _ok("2 key-length-anchor (n=128, ECM secret 16 bytes)")
 

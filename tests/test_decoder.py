@@ -22,10 +22,10 @@ from cwbind.decoder import (
     swap_client,
 )
 from cwbind.encoding import BROADCAST_ADDR, encode_id, lp, u32
-from cwbind.errors import CryptoError, ProtocolError, WireError
+from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
-from cwbind.wire import BROADCAST_KINDS, BroadcastFrame, Emm, EmmKind
+from cwbind.wire import BROADCAST_KINDS, BroadcastFrame, Emm, EmmKind, build_pk_set_body
 
 
 @pytest.fixture
@@ -257,6 +257,47 @@ def test_chip_state_unchanged_on_failed_messages(pipeline):
         with pytest.raises((ProtocolError, CryptoError, WireError)):
             chip_process(chip, msg)
     assert chip == before
+
+
+def _enrolled_bind_decoder_and_next_derive(pipeline, content):
+    """Bind decoder 1 after its enrollment frame, plus the honest DERIVE of
+    the following frame, not yet delivered to the chip."""
+    headend, decoders, master, directory = pipeline
+    d = decoders[1]
+    process_frame(d, hemod.epoch_tick(headend, b"enroll"))
+    frame = hemod.epoch_tick(headend, content)
+    (ecm,) = frame.ecms_for(d.ca_index)
+    return d, client_process_ecm(d.client, ecm), frame
+
+
+@pytest.mark.parametrize("malformed", ["duplicate", "unequal-lengths", "empty-key"])
+def test_malformed_sender_key_set_refused_before_any_state_change(pipeline, malformed):
+    content = b"after the malformed set"
+    d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, content)
+    (pk,) = d.chip.receiver.active_pk_set
+    bad = {
+        "duplicate": (pk, pk),
+        "unequal-lengths": (pk, b"\x01" * (len(pk) + 1)),
+        "empty-key": (pk, b""),
+    }[malformed]
+    with pytest.raises(CwbindError):
+        chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(bad)))
+    assert d.chip.receiver.active_pk_set == (pk,)
+    handle = chip_process(d.chip, derive)
+    assert handle is not None
+    assert descramble(d.chip, handle, frame.scrambled_content) == content
+
+
+@pytest.mark.parametrize("rand_len", [0, 15, 17])
+def test_wrapped_random_value_of_wrong_length_is_a_protocol_rejection(pipeline, suite, rand_len):
+    d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
+    (pk,) = d.chip.receiver.active_pk_set
+    ltk = d.chip.receiver.ltk_by_sender[pk]
+    wrapped = suite.sym_encrypt(ltk, b"\x07" * rand_len, aad=u32(frame.epoch))
+    msg = ChipChannelMsg(ChipMsgKind.DERIVE, u32(frame.epoch) + lp(pk) + lp(wrapped))
+    with pytest.raises(ProtocolError):
+        chip_process(d.chip, msg)
+    assert chip_process(d.chip, derive) is not None
 
 
 def test_client_swap_keeps_chip_and_restores_service(pipeline, suite):

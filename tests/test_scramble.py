@@ -86,6 +86,8 @@ def test_honest_world_sets_up_one_keystream_per_epoch(monkeypatch, name):
 
 
 def test_cache_state_across_worlds_never_reaches_a_report():
+    # the second pass meets every module-level memo (keystream, AEAD contexts
+    # and opens, signature checks, bound secrets) warm from other worlds
     first = {path.stem: run_scenario(load_scenario(path)).to_text() for path in SHIPPED}
     second = {path.stem: run_scenario(load_scenario(path)).to_text() for path in reversed(SHIPPED)}
     assert len(first) == 9

@@ -25,13 +25,9 @@ from cwbind.wire import (
     encode_ecm,
     encode_emm,
     encode_frame,
-    open_broadcast,
     parse_enroll_body,
     parse_entitlement_body,
     parse_pk_set_body,
-    protect,
-    seal_broadcast,
-    unprotect,
 )
 
 VECTORS = json.loads((Path(__file__).parent / "vectors" / "wire.json").read_text())
@@ -106,24 +102,24 @@ def test_unknown_emm_kind_rejected():
 def test_protect_unprotect_with_header_binding(suite):
     key = bytes(16)
     aad = emm_aad(1, EmmKind.PER_RECEIVER_ENROLL, encode_id(7))
-    blob = protect(suite, key, b"payload", aad)
-    assert unprotect(suite, key, blob, aad) == b"payload"
+    blob = suite.sym_encrypt(key, b"payload", aad)
+    assert suite.sym_decrypt(key, blob, aad) == b"payload"
     with pytest.raises(CryptoError):
-        unprotect(suite, key, blob, emm_aad(1, EmmKind.PER_RECEIVER_ENROLL, encode_id(8)))
+        suite.sym_decrypt(key, blob, emm_aad(1, EmmKind.PER_RECEIVER_ENROLL, encode_id(8)))
     with pytest.raises(CryptoError):
-        unprotect(suite, bytes(range(16)), blob, aad)
+        suite.sym_decrypt(bytes(range(16)), blob, aad)
 
 
 def test_seal_open_broadcast(suite):
     key = bytes(16)
     aad = emm_aad(0, EmmKind.BROADCAST_CERT, BROADCAST_ADDR)
-    sealed = seal_broadcast(suite, key, b"cert bytes", aad)
+    sealed = suite.seal(key, b"cert bytes", aad)
     assert sealed.startswith(b"cert bytes")
-    assert open_broadcast(suite, key, sealed, aad) == b"cert bytes"
+    assert suite.open_sealed(key, sealed, aad) == b"cert bytes"
     tampered = bytearray(sealed)
     tampered[0] ^= 1
     with pytest.raises(CryptoError):
-        open_broadcast(suite, key, bytes(tampered), aad)
+        suite.open_sealed(key, bytes(tampered), aad)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +152,15 @@ def test_ecm_size_parity_across_carried_secret_kind(suite):
     # control word are byte-equal in length when both are n bits
     key = bytes(16)
     rand, cw = b"\x0a" * 16, b"\x0b" * 16
-    ecm_rand = encode_ecm(Ecm(0, 9, protect(suite, key, rand, ecm_aad(0, 9))))
-    ecm_cw = encode_ecm(Ecm(1, 9, protect(suite, key, cw, ecm_aad(1, 9))))
+    ecm_rand = encode_ecm(Ecm(0, 9, suite.sym_encrypt(key, rand, ecm_aad(0, 9))))
+    ecm_cw = encode_ecm(Ecm(1, 9, suite.sym_encrypt(key, cw, ecm_aad(1, 9))))
     assert len(ecm_rand) == len(ecm_cw)
 
 
 def test_ecm_secret_field_is_exactly_16_bytes(suite):
     key = bytes(16)
-    ecm = Ecm(0, 4, protect(suite, key, b"\x0c" * 16, ecm_aad(0, 4)))
-    assert len(unprotect(suite, key, ecm.protected_secret, ecm_aad(0, 4))) == 16
+    ecm = Ecm(0, 4, suite.sym_encrypt(key, b"\x0c" * 16, ecm_aad(0, 4)))
+    assert len(suite.sym_decrypt(key, ecm.protected_secret, ecm_aad(0, 4))) == 16
 
 
 def test_ecm_golden_vector_matches_reference_composition():
