@@ -12,6 +12,8 @@ The derivation is what protects message authenticity: a forger using any
 other key pair can make a receiver complete the protocol, but the receiver
 then derives a secret bound to the forger's key, never the honest sender's.
 Nothing here requires the public key distribution itself to be protected.
+The signed blob and the phase 2 wrap are the ones both shapes share
+(``cwbind.phase1``).
 
 Senders that interoperate on one epoch secret necessarily trust each other
 already (they share the secret); this module does not model trust between
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from .binding import bound_secret
 from .encoding import Reader, encode_id, lp
 from .errors import ProtocolError
+from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Directory
 
@@ -49,16 +52,6 @@ class BindBundle:
 
 
 @dataclass
-class BindSenderState:
-    suite: CipherSuite
-    sender_id: bytes
-    sig_keypair: KeyPair
-    directory: Directory
-    ltk_store: dict[bytes, bytes] = field(default_factory=dict, repr=False)
-    fresh_keys_per_phase1: bool = False
-
-
-@dataclass
 class BindReceiverState:
     # Deliberately no authority key field anywhere in this state.
     suite: CipherSuite
@@ -69,9 +62,9 @@ class BindReceiverState:
 
 
 def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
-                directory: Directory) -> BindSenderState:
+                directory: Directory) -> SenderState:
     """Generate the sender key pair. No authority interaction happens here."""
-    return BindSenderState(suite, encode_id(sender_id), suite.keygen("sig", rng), directory)
+    return SenderState(suite, encode_id(sender_id), suite.keygen("sig", rng), directory)
 
 
 def receiver_init(suite: CipherSuite, receiver_id: bytes | int, rng: Drbg) -> BindReceiverState:
@@ -82,31 +75,15 @@ def receiver_init(suite: CipherSuite, receiver_id: bytes | int, rng: Drbg) -> Bi
     )
 
 
-def refresh_sender_key(sender: BindSenderState, rng: Drbg) -> bytes:
+def refresh_sender_key(sender: SenderState, rng: Drbg) -> bytes:
     """Generate a new sender key pair; returns the new public key."""
     sender.sig_keypair = sender.suite.keygen("sig", rng)
     return sender.sig_keypair.public_key
 
 
-def _blob_message(receiver_id: bytes, key_ct: bytes) -> bytes:
-    return receiver_id + lp(key_ct)
-
-
-def phase1_send(sender: BindSenderState, receiver_id: bytes | int, rng: Drbg) -> BindBundle:
+def phase1_send(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> BindBundle:
     """Produce the phase 1 bundle for one receiver and remember the new key."""
-    receiver_id = encode_id(receiver_id)
-    if sender.fresh_keys_per_phase1:
-        refresh_sender_key(sender, rng)
-    receiver_cert = sender.directory.receiver_cert(receiver_id)
-    if receiver_cert is None:
-        raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not in directory")
-    if receiver_cert.serial in sender.directory.revoked_serials:
-        raise ProtocolError("receiver certificate is revoked")
-
-    ltk = rng.read(sender.suite.secret_bytes)
-    key_ct = sender.suite.pke_encrypt(receiver_cert.subject_pk, ltk, rng)
-    blob = sender.suite.sign(sender.sig_keypair, _blob_message(receiver_id, key_ct))
-    sender.ltk_store[receiver_id] = ltk
+    blob = seal_ltk(sender, receiver_id, rng)
     return BindBundle(sender_pk=sender.sig_keypair.public_key, signed_blob=blob)
 
 
@@ -119,15 +96,7 @@ def phase1_receive(recv: BindReceiverState, bundle: BindBundle) -> None:
     A second delivery for the same sender key overwrites the stored key,
     which is how re-enrollment after a sender key change works.
     """
-    message = recv.suite.verify_recover(bundle.sender_pk, bundle.signed_blob)
-    r = Reader(message)
-    intended = r.take(8)
-    key_ct = r.take_lp()
-    r.done()
-    if intended != recv.receiver_id:
-        raise ProtocolError("not the intended recipient")
-    ltk = recv.suite.pke_decrypt(recv.enc_keypair, key_ct)
-    recv.ltk_by_sender[bundle.sender_pk] = ltk
+    recv.ltk_by_sender[bundle.sender_pk] = open_blob(recv, bundle.sender_pk, bundle.signed_blob)
 
 
 def shared_epoch_secret(pk_set: tuple[bytes, ...], rng: Drbg,
@@ -141,20 +110,6 @@ def shared_epoch_secret(pk_set: tuple[bytes, ...], rng: Drbg,
     rand = rng.read(n_bits // 8)
     secret = bound_secret(tuple(sorted(pk_set)), rand, n_bits)
     return rand, secret
-
-
-def phase2_send(sender: BindSenderState, receiver_id: bytes | int, rand: bytes,
-                context: bytes = b"") -> bytes:
-    """Wrap the secret random value for one authorized receiver.
-
-    ``context`` is authenticated alongside the value; the transport mapping
-    uses it to bind the epoch number so relabeled deliveries are rejected.
-    """
-    receiver_id = encode_id(receiver_id)
-    ltk = sender.ltk_store.get(receiver_id)
-    if ltk is None:
-        raise ProtocolError("receiver has no long-term key (phase 1 not run)")
-    return sender.suite.sym_encrypt(ltk, rand, aad=context)
 
 
 def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,

@@ -10,9 +10,8 @@ under the installed authority key, names a sender role, and is not on the
 known revocation list; the signed blob verifies under the certified sender
 key; this receiver is the intended recipient; the long-term key decrypts.
 A failure at any point aborts and leaves the receiver state unchanged.
-
-Signed blob layout (injective): 8-byte recipient id, then the length-prefixed
-public-key ciphertext of the long-term key.
+The blob itself, and phase 2's wrap, are the ones both shapes share
+(``cwbind.phase1``).
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .encoding import Reader, encode_id, lp
 from .errors import ProtocolError
+from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Certificate, Directory, ROLE_SENDER, TtpState, certify_sender, verify_certificate
 
@@ -45,14 +45,8 @@ class CertBundle:
 
 
 @dataclass
-class CertSenderState:
-    suite: CipherSuite
-    sender_id: bytes
-    sig_keypair: KeyPair
-    sender_cert: Certificate
-    directory: Directory
-    ltk_store: dict[bytes, bytes] = field(default_factory=dict, repr=False)
-    fresh_keys_per_phase1: bool = False
+class CertSenderState(SenderState):
+    sender_cert: Certificate = field(kw_only=True)
 
 
 @dataclass
@@ -71,7 +65,7 @@ def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
     sender_id = encode_id(sender_id)
     pair = suite.keygen("sig", rng)
     cert = certify_sender(ttp, sender_id, pair.public_key)
-    return CertSenderState(suite, sender_id, pair, cert, directory)
+    return CertSenderState(suite, sender_id, pair, directory, sender_cert=cert)
 
 
 def receiver_init(suite: CipherSuite, receiver_id: bytes | int,
@@ -91,29 +85,10 @@ def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> Cer
     return sender.sender_cert
 
 
-def _blob_message(receiver_id: bytes, key_ct: bytes) -> bytes:
-    return receiver_id + lp(key_ct)
-
-
-def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg,
-                ttp: TtpState | None = None) -> CertBundle:
+def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) -> CertBundle:
     """Produce the phase 1 bundle for one receiver and remember the new key."""
-    receiver_id = encode_id(receiver_id)
-    if sender.fresh_keys_per_phase1:
-        if ttp is None:
-            raise ProtocolError("fresh-keys mode needs the authority to certify the new key")
-        refresh_sender_key(sender, rng, ttp)
-    receiver_cert = sender.directory.receiver_cert(receiver_id)
-    if receiver_cert is None:
-        raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not in directory")
-    if receiver_cert.serial in sender.directory.revoked_serials:
-        raise ProtocolError("receiver certificate is revoked")
-
-    ltk = rng.read(sender.suite.secret_bytes)
-    key_ct = sender.suite.pke_encrypt(receiver_cert.subject_pk, ltk, rng)
-    blob = sender.suite.sign(sender.sig_keypair, _blob_message(receiver_id, key_ct))
-    sender.ltk_store[receiver_id] = ltk
-    return CertBundle(sender_cert=sender.sender_cert, signed_blob=blob)
+    return CertBundle(sender_cert=sender.sender_cert,
+                      signed_blob=seal_ltk(sender, receiver_id, rng))
 
 
 def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
@@ -123,29 +98,7 @@ def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
         raise ProtocolError("certificate subject is not a sender")
     if bundle.sender_cert.serial in recv.known_revoked:
         raise ProtocolError("sender certificate is revoked")
-    message = recv.suite.verify_recover(bundle.sender_cert.subject_pk, bundle.signed_blob)
-    r = Reader(message)
-    intended = r.take(8)
-    key_ct = r.take_lp()
-    r.done()
-    if intended != recv.receiver_id:
-        raise ProtocolError("not the intended recipient")
-    ltk = recv.suite.pke_decrypt(recv.enc_keypair, key_ct)
-    recv.ltk = ltk
-
-
-def phase2_send(sender: CertSenderState, receiver_id: bytes | int, secret: bytes,
-                context: bytes = b"") -> bytes:
-    """Wrap the epoch secret for one authorized receiver.
-
-    ``context`` is authenticated alongside the secret; the transport mapping
-    uses it to bind the epoch number so relabeled deliveries are rejected.
-    """
-    receiver_id = encode_id(receiver_id)
-    ltk = sender.ltk_store.get(receiver_id)
-    if ltk is None:
-        raise ProtocolError("receiver has no long-term key (phase 1 not run)")
-    return sender.suite.sym_encrypt(ltk, secret, aad=context)
+    recv.ltk = open_blob(recv, bundle.sender_cert.subject_pk, bundle.signed_blob)
 
 
 def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes = b"") -> bytes:

@@ -16,6 +16,10 @@ Chip channel message (``u8 kind | lp(payload)``)::
     4 CRL_UPDATE     signed revocation list   (cert chips only)
     5 LOAD_CW        u32 epoch | lp(raw control word)
 
+``derive_msg`` and ``load_cw_msg`` build DERIVE and LOAD_CW; LOAD_LTK
+carries ``CertBundle.to_bytes`` or ``BindBundle.to_bytes``. A chip issues a
+handle only for a control word of the suite's secret length.
+
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
 a control word's value never lets an adversary feed it to them.
@@ -34,6 +38,7 @@ from enum import IntEnum
 from . import bindproto, certproto
 from .encoding import Reader, encode_id, lp, u32, u8
 from .errors import CwbindError, ProtocolError, WireError
+from .headend import KIND_BIND, KIND_CERT, KIND_LEGACY
 from .scramble import descramble as _descramble_bytes
 from .suite import CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
@@ -48,11 +53,6 @@ from .wire import (
     parse_entitlement_body,
     parse_pk_set_body,
 )
-
-PROTO_CERT = "cert"
-PROTO_BIND = "bind"
-PROTO_LEGACY = "legacy"
-
 
 class ChipMsgKind(IntEnum):
     LOAD_LTK = 1
@@ -83,6 +83,21 @@ class ChipChannelMsg:
         payload = r.take_lp()
         r.done()
         return cls(kind, payload)
+
+
+def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
+               sender_pk: bytes | None = None) -> ChipChannelMsg:
+    """DERIVE: ``secret`` wrapped under ``ltk`` with the epoch label
+    authenticated. Binding chips are told the sender key it was filed under;
+    certificate chips (``sender_pk`` None) hold one long-term key."""
+    named = b"" if sender_pk is None else lp(sender_pk)
+    wrapped = suite.sym_encrypt(ltk, secret, aad=u32(epoch))
+    return ChipChannelMsg(ChipMsgKind.DERIVE, u32(epoch) + named + lp(wrapped))
+
+
+def load_cw_msg(epoch: int, control_word: bytes) -> ChipChannelMsg:
+    """LOAD_CW: a raw control word, which only a legacy chip accepts."""
+    return ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(epoch) + lp(control_word))
 
 
 class ControlWordHandle:
@@ -157,16 +172,15 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
             return []
         blob, ltk_copy, group_key, announce = parse_enroll_body(body)
         client.group_key = group_key
-        if client.protocol == PROTO_LEGACY:
+        if client.protocol == KIND_LEGACY:
             return []
         client.announce = announce
-        msgs = []
-        if client.protocol == PROTO_CERT:
+        # the bundle layout: lp(certificate or sender pk) | lp(signed blob)
+        msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(announce) + lp(blob))]
+        if client.protocol == KIND_CERT:
             client.ltk_copy = ltk_copy
-            msgs.append(ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(announce) + lp(blob)))
         else:
             client.ltk_by_sender[announce] = ltk_copy
-            msgs.append(ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(announce) + lp(blob)))
             msgs.extend(_pk_set_msg_if_changed(client))
         return msgs
 
@@ -175,16 +189,16 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
         return []
     body = client.suite.open_sealed(client.group_key, emm.payload, aad=aad)
 
-    if emm.kind == EmmKind.BROADCAST_SENDER_PK and client.protocol == PROTO_BIND:
+    if emm.kind == EmmKind.BROADCAST_SENDER_PK and client.protocol == KIND_BIND:
         client.announce = body  # raw sender public key, fixed length per scheme
         return _pk_set_msg_if_changed(client)
-    if emm.kind == EmmKind.BROADCAST_CERT and client.protocol == PROTO_CERT:
+    if emm.kind == EmmKind.BROADCAST_CERT and client.protocol == KIND_CERT:
         client.announce = body
         return []
-    if emm.kind == EmmKind.PK_SET_UPDATE and client.protocol == PROTO_BIND:
+    if emm.kind == EmmKind.PK_SET_UPDATE and client.protocol == KIND_BIND:
         client.co_sender_pks = parse_pk_set_body(body)
         return _pk_set_msg_if_changed(client)
-    if emm.kind == EmmKind.CRL_UPDATE and client.protocol == PROTO_CERT:
+    if emm.kind == EmmKind.CRL_UPDATE and client.protocol == KIND_CERT:
         return [ChipChannelMsg(ChipMsgKind.CRL_UPDATE, body)]
     return []
 
@@ -200,21 +214,19 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
     if not client.entitled or client.ecm_key is None:
         return None
     secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, aad=ecm.aad)
-    if client.protocol == PROTO_LEGACY:
-        return ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(ecm.epoch) + lp(secret))
-    if client.protocol == PROTO_CERT:
+    if client.protocol == KIND_LEGACY:
+        return load_cw_msg(ecm.epoch, secret)
+    if client.protocol == KIND_CERT:
         if client.ltk_copy is None:
             raise ProtocolError("client holds no long-term key copy (not enrolled)")
-        wrapped = client.suite.sym_encrypt(client.ltk_copy, secret, aad=u32(ecm.epoch))
-        return ChipChannelMsg(ChipMsgKind.DERIVE, u32(ecm.epoch) + lp(wrapped))
+        return derive_msg(client.suite, client.ltk_copy, ecm.epoch, secret)
     sender_pk = client.announce
     if sender_pk is None:
         raise ProtocolError("client knows no sender key (not enrolled)")
     ltk = client.ltk_by_sender.get(sender_pk)
     if ltk is None:
         raise ProtocolError("client holds no long-term key for the current sender key")
-    wrapped = client.suite.sym_encrypt(ltk, secret, aad=u32(ecm.epoch))
-    return ChipChannelMsg(ChipMsgKind.DERIVE, u32(ecm.epoch) + lp(sender_pk) + lp(wrapped))
+    return derive_msg(client.suite, ltk, ecm.epoch, secret, sender_pk)
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +255,51 @@ class LegacyChipState:
 ChipState = CertChipState | BindChipState | LegacyChipState
 
 
+def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
+    """Read a ``derive_msg`` or ``load_cw_msg`` payload: the epoch, the
+    sender key when ``named``, then the wrapped or raw word."""
+    r = Reader(payload)
+    epoch = r.take_u32()
+    sender_pk = r.take_lp() if named else None
+    word = r.take_lp()
+    r.done()
+    return epoch, sender_pk, word
+
+
 def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | None:
     """Run one chip channel message through the protocol checks.
 
     Every check failure raises and leaves the chip state unchanged. Only a
-    DERIVE (or legacy LOAD_CW) yields a handle.
+    DERIVE (or legacy LOAD_CW) yields a handle, and all of them are issued
+    at the one tail below: only for a control word of the suite's secret
+    length, and only then does the chip's epoch watermark move.
     """
     if isinstance(chip, LegacyChipState):
         if msg.kind != ChipMsgKind.LOAD_CW:
             raise ProtocolError("legacy chip only accepts raw control words")
-        r = Reader(msg.payload)
-        epoch = r.take_u32()
-        control_word = r.take_lp()
-        r.done()
-        chip.current_epoch = max(chip.current_epoch, epoch)
-        return ControlWordHandle(epoch, control_word)
-
-    if msg.kind == ChipMsgKind.LOAD_CW:
+        epoch, _, control_word = _split_word_msg(msg.payload, named=False)
+        suite = chip.suite
+    elif msg.kind == ChipMsgKind.LOAD_CW:
         raise ProtocolError("raw control word is not an accepted message kind")
-
-    if isinstance(chip, CertChipState):
+    elif isinstance(chip, CertChipState):
         if msg.kind == ChipMsgKind.LOAD_LTK:
-            bundle = certproto.CertBundle.from_bytes(msg.payload)
-            certproto.phase1_receive(chip.receiver, bundle)
+            certproto.phase1_receive(chip.receiver, certproto.CertBundle.from_bytes(msg.payload))
             return None
         if msg.kind == ChipMsgKind.CRL_UPDATE:
-            sm = SignedMessage.from_bytes(msg.payload)
-            serials = parse_revocation_list(
-                chip.receiver.suite, sm, chip.receiver.authority_pk
-            )
-            chip.receiver.known_revoked = serials
+            crl = SignedMessage.from_bytes(msg.payload)
+            chip.receiver.known_revoked = parse_revocation_list(chip.receiver.suite, crl,
+                                                                chip.receiver.authority_pk)
             return None
-        if msg.kind == ChipMsgKind.DERIVE:
-            r = Reader(msg.payload)
-            epoch = r.take_u32()
-            wrapped = r.take_lp()
-            r.done()
-            # the epoch label is authenticated inside the wrap: a relabeled
-            # delivery fails before it can move the epoch watermark
-            control_word = certproto.phase2_receive(chip.receiver, wrapped, context=u32(epoch))
-            chip.current_epoch = max(chip.current_epoch, epoch)
-            return ControlWordHandle(epoch, control_word)
-        raise ProtocolError(f"certificate chip rejects message kind {msg.kind.name}")
-
-    if isinstance(chip, BindChipState):
+        if msg.kind != ChipMsgKind.DERIVE:
+            raise ProtocolError(f"certificate chip rejects message kind {msg.kind.name}")
+        epoch, _, wrapped = _split_word_msg(msg.payload, named=False)
+        # the epoch label is authenticated inside the wrap: a relabeled
+        # delivery fails before it can move the epoch watermark
+        control_word = certproto.phase2_receive(chip.receiver, wrapped, context=u32(epoch))
+        suite = chip.receiver.suite
+    elif isinstance(chip, BindChipState):
         if msg.kind == ChipMsgKind.LOAD_LTK:
-            bundle = bindproto.BindBundle.from_bytes(msg.payload)
-            bindproto.phase1_receive(chip.receiver, bundle)
+            bindproto.phase1_receive(chip.receiver, bindproto.BindBundle.from_bytes(msg.payload))
             return None
         if msg.kind == ChipMsgKind.PK_SET_UPDATE:
             pks = parse_pk_set_body(msg.payload)
@@ -304,19 +314,21 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
                 raise ProtocolError("sender key set repeats a key")
             chip.receiver.active_pk_set = tuple(sorted(pks))
             return None
-        if msg.kind == ChipMsgKind.DERIVE:
-            r = Reader(msg.payload)
-            epoch = r.take_u32()
-            sender_pk = r.take_lp()
-            wrapped = r.take_lp()
-            r.done()
-            control_word = bindproto.phase2_receive(chip.receiver, sender_pk, wrapped,
-                                                    context=u32(epoch))
-            chip.current_epoch = max(chip.current_epoch, epoch)
-            return ControlWordHandle(epoch, control_word)
-        raise ProtocolError(f"binding chip rejects message kind {msg.kind.name}")
+        if msg.kind != ChipMsgKind.DERIVE:
+            raise ProtocolError(f"binding chip rejects message kind {msg.kind.name}")
+        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=True)
+        control_word = bindproto.phase2_receive(chip.receiver, sender_pk, wrapped,
+                                                context=u32(epoch))
+        suite = chip.receiver.suite
+    else:
+        raise TypeError(f"unknown chip state {type(chip).__name__}")
 
-    raise TypeError(f"unknown chip state {type(chip).__name__}")
+    # the descrambler is keyed by exactly this length; any other would fail
+    # outside the protocol checks
+    if len(control_word) != suite.secret_bytes:
+        raise ProtocolError(f"control word is not {suite.secret_bytes} bytes")
+    chip.current_epoch = max(chip.current_epoch, epoch)
+    return ControlWordHandle(epoch, control_word)
 
 
 def descramble(chip: ChipState, handle: ControlWordHandle, scrambled: bytes) -> bytes:
@@ -353,23 +365,17 @@ def make_decoder(suite: CipherSuite, protocol: str, ca_index: int,
     personalize the CA client with its provisioning key."""
     decoder_id = encode_id(decoder_id)
     chip: ChipState
-    if protocol == PROTO_CERT:
+    if protocol == KIND_CERT:
         if authority_pk is None:
             raise ValueError("certificate-protocol chips are initialized with the authority key")
         chip = CertChipState(certproto.receiver_init(suite, decoder_id, authority_pk, rng))
-    elif protocol == PROTO_BIND:
+    elif protocol == KIND_BIND:
         chip = BindChipState(bindproto.receiver_init(suite, decoder_id, rng))
-    elif protocol == PROTO_LEGACY:
+    elif protocol == KIND_LEGACY:
         chip = LegacyChipState(suite)
     else:
         raise ValueError(f"unknown decoder protocol {protocol!r}")
-    client = CaClientState(
-        suite=suite,
-        ca_system_id=ca_index,
-        receiver_id=decoder_id,
-        protocol=protocol,
-        channel_key=channel_key,
-    )
+    client = CaClientState(suite, ca_index, decoder_id, protocol, channel_key)
     return Decoder(decoder_id=decoder_id, ca_index=ca_index, client=client, chip=chip)
 
 
@@ -379,13 +385,9 @@ def swap_client(decoder: Decoder, new_channel_key: bytes) -> None:
     Models a client update after a client-side compromise: all client-held
     keys are discarded; the chip state is untouched.
     """
-    decoder.client = CaClientState(
-        suite=decoder.client.suite,
-        ca_system_id=decoder.client.ca_system_id,
-        receiver_id=decoder.client.receiver_id,
-        protocol=decoder.client.protocol,
-        channel_key=new_channel_key,
-    )
+    old = decoder.client
+    decoder.client = CaClientState(old.suite, old.ca_system_id, old.receiver_id, old.protocol,
+                                   new_channel_key)
 
 
 @dataclass

@@ -31,18 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bindproto, certproto
-from .binding import bound_secret
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
+from .phase1 import SenderState
 from .scramble import scramble
 from .suite import CipherSuite, Drbg
 from .ttp import Directory, TtpState, revoke, signed_revocation_list
 from .wire import (
+    BROADCAST_KINDS,
     BroadcastFrame,
     Ecm,
     Emm,
     EmmKind,
-    build_crl_body,
     build_enroll_body,
     build_entitlement_body,
     build_pk_set_body,
@@ -54,6 +54,7 @@ KIND_CERT = "cert"
 KIND_BIND = "bind"
 KIND_LEGACY = "legacy"
 CA_KINDS = (KIND_CERT, KIND_BIND, KIND_LEGACY)
+_PROTOCOLS = {KIND_CERT: certproto, KIND_BIND: bindproto}
 
 
 @dataclass
@@ -61,7 +62,7 @@ class CaSystem:
     index: int
     kind: str
     suite: CipherSuite
-    sender: certproto.CertSenderState | bindproto.BindSenderState | None
+    sender: SenderState | None  # a ``CertSenderState`` on certificate systems
     group_key: bytes = field(repr=False, default=b"")
     ecm_key: bytes = field(repr=False, default=b"")
     receiver_channel_keys: dict[bytes, bytes] = field(default_factory=dict, repr=False)
@@ -75,6 +76,7 @@ class HeadendState:
     suite: CipherSuite
     rng: Drbg
     ca_systems: list[CaSystem]
+    ttp: TtpState | None = None  # certifies and revokes certificate systems' sender keys
     epoch: int = 0
     pk_set: tuple[bytes, ...] = ()
     scrambler_key: bytes | None = field(default=None, repr=False)
@@ -89,28 +91,28 @@ def _bind_pk_set(headend: HeadendState) -> tuple[bytes, ...]:
 
 
 def _announce_bytes(ca: CaSystem) -> bytes:
+    """A sender's announcement: its certificate, or its bare public key."""
     if ca.kind == KIND_CERT:
         return ca.sender.sender_cert.to_bytes()
-    if ca.kind == KIND_BIND:
-        return ca.sender.sig_keypair.public_key
-    return b""
+    return ca.sender.sig_keypair.public_key
+
+
+def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAST_ADDR) -> Emm:
+    """Protect ``body`` as its kind requires (``cwbind.wire``) and queue the EMM."""
+    aad = emm_aad(ca.index, kind, addressee)
+    if kind in BROADCAST_KINDS:
+        payload = ca.suite.seal(ca.group_key, body, aad=aad)
+    else:
+        payload = ca.suite.sym_encrypt(ca.receiver_channel_keys[addressee], body, aad=aad)
+    emm = Emm(ca.index, kind, addressee, payload)
+    ca.pending_emms.append(emm)
+    return emm
 
 
 def _queue_announcement(ca: CaSystem) -> None:
-    if ca.kind == KIND_LEGACY:
-        return
-    kind = EmmKind.BROADCAST_CERT if ca.kind == KIND_CERT else EmmKind.BROADCAST_SENDER_PK
-    body = _announce_bytes(ca)
-    aad = emm_aad(ca.index, kind, BROADCAST_ADDR)
-    sealed = ca.suite.seal(ca.group_key, body, aad=aad)
-    ca.pending_emms.append(Emm(ca.index, kind, BROADCAST_ADDR, sealed))
-
-
-def _queue_pk_set_update_for(headend: HeadendState, ca: CaSystem) -> None:
-    body = build_pk_set_body(headend.pk_set)
-    aad = emm_aad(ca.index, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR)
-    sealed = ca.suite.seal(ca.group_key, body, aad=aad)
-    ca.pending_emms.append(Emm(ca.index, EmmKind.PK_SET_UPDATE, BROADCAST_ADDR, sealed))
+    if ca.kind != KIND_LEGACY:
+        kind = EmmKind.BROADCAST_CERT if ca.kind == KIND_CERT else EmmKind.BROADCAST_SENDER_PK
+        _queue(ca, kind, _announce_bytes(ca))
 
 
 def _queue_pk_set_updates(headend: HeadendState) -> None:
@@ -119,17 +121,18 @@ def _queue_pk_set_updates(headend: HeadendState) -> None:
     Only needed when systems interoperate; a lone bind system's decoders
     learn its key from the ordinary announcement.
     """
-    bind_systems = [ca for ca in headend.ca_systems if ca.kind == KIND_BIND]
-    if len(bind_systems) < 2:
+    if len(headend.pk_set) < 2:
         return
-    for ca in bind_systems:
-        _queue_pk_set_update_for(headend, ca)
+    for ca in headend.ca_systems:
+        if ca.kind == KIND_BIND:
+            _queue(ca, EmmKind.PK_SET_UPDATE, build_pk_set_body(headend.pk_set))
 
 
 def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
                  ttp: TtpState | None, directory: Directory | None) -> HeadendState:
     """Build the CA systems. Certificate systems need the authority to issue
-    their sender certificates; binding systems involve no authority call."""
+    their sender certificates, and the head-end keeps it to re-certify them
+    on rotation; binding systems involve no authority call."""
     systems: list[CaSystem] = []
     for index, kind in enumerate(kinds):
         if kind not in CA_KINDS:
@@ -147,7 +150,7 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
         ca.group_key = rng.read(suite.secret_bytes)
         ca.ecm_key = rng.read(suite.secret_bytes)
         systems.append(ca)
-    headend = HeadendState(suite=suite, rng=rng, ca_systems=systems)
+    headend = HeadendState(suite=suite, rng=rng, ca_systems=systems, ttp=ttp)
     headend.pk_set = _bind_pk_set(headend)
     for ca in systems:
         _queue_announcement(ca)
@@ -163,14 +166,16 @@ def provision_receiver(headend: HeadendState, ca_index: int,
 
 
 def refresh_directory(headend: HeadendState, directory: Directory) -> None:
+    """Hand every sender the authority's latest directory snapshot."""
     for ca in headend.ca_systems:
         if ca.sender is not None:
             ca.sender.directory = directory
 
 
 def enroll_receiver(headend: HeadendState, ca_index: int,
-                    receiver_id: bytes | int, directory: Directory) -> list[Emm]:
-    """Run phase 1 for one receiver and queue its enrollment EMM.
+                    receiver_id: bytes | int) -> list[Emm]:
+    """Run phase 1 for one receiver, against the directory snapshot the
+    sender holds, and queue its enrollment EMM.
 
     The enrollment payload carries the signed blob, the long-term key copy
     for the client, the broadcast group key, and the current sender
@@ -178,40 +183,28 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
     """
     ca = headend.ca_systems[ca_index]
     receiver_id = encode_id(receiver_id)
-    channel_key = ca.receiver_channel_keys.get(receiver_id)
-    if channel_key is None:
+    if receiver_id not in ca.receiver_channel_keys:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not provisioned")
 
     if ca.kind == KIND_LEGACY:
         body = build_enroll_body(b"", b"", ca.group_key, b"")
     else:
-        ca.sender.directory = directory
-        if ca.kind == KIND_CERT:
-            bundle = certproto.phase1_send(ca.sender, receiver_id, headend.rng)
-            blob = bundle.signed_blob.to_bytes()
-        else:
-            bundle = bindproto.phase1_send(ca.sender, receiver_id, headend.rng)
-            blob = bundle.signed_blob.to_bytes()
-        ltk_copy = ca.sender.ltk_store[receiver_id]
-        body = build_enroll_body(blob, ltk_copy, ca.group_key, _announce_bytes(ca))
+        bundle = _PROTOCOLS[ca.kind].phase1_send(ca.sender, receiver_id, headend.rng)
+        body = build_enroll_body(bundle.signed_blob.to_bytes(), ca.sender.ltk_store[receiver_id],
+                                 ca.group_key, _announce_bytes(ca))
 
-    aad = emm_aad(ca.index, EmmKind.PER_RECEIVER_ENROLL, receiver_id)
-    protected = ca.suite.sym_encrypt(channel_key, body, aad=aad)
-    out = [Emm(ca.index, EmmKind.PER_RECEIVER_ENROLL, receiver_id, protected)]
-    ca.pending_emms.extend(out)
+    out = [_queue(ca, EmmKind.PER_RECEIVER_ENROLL, body, receiver_id)]
     ca.enrolled.add(receiver_id)
     # interoperating deployments: the fresh client needs the co-senders' keys,
     # and any set broadcast that predated its enrollment was unverifiable
-    if ca.kind == KIND_BIND and len([c for c in headend.ca_systems if c.kind == KIND_BIND]) > 1:
-        _queue_pk_set_update_for(headend, ca)
+    if ca.kind == KIND_BIND and len(headend.pk_set) > 1:
+        _queue(ca, EmmKind.PK_SET_UPDATE, build_pk_set_body(headend.pk_set))
     return out
 
 
 def _queue_entitlement(ca: CaSystem, receiver_id: bytes, entitled: bool) -> None:
     body = build_entitlement_body(entitled, ca.ecm_key if entitled else b"")
-    aad = emm_aad(ca.index, EmmKind.PER_RECEIVER_ENTITLEMENT, receiver_id)
-    protected = ca.suite.sym_encrypt(ca.receiver_channel_keys[receiver_id], body, aad=aad)
-    ca.pending_emms.append(Emm(ca.index, EmmKind.PER_RECEIVER_ENTITLEMENT, receiver_id, protected))
+    _queue(ca, EmmKind.PER_RECEIVER_ENTITLEMENT, body, receiver_id)
 
 
 def authorize(headend: HeadendState, ca_index: int,
@@ -241,13 +234,13 @@ def authorize(headend: HeadendState, ca_index: int,
 
 
 def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
-                      ttp: TtpState | None = None,
-                      directory: Directory | None = None,
                       withhold: set[bytes] | None = None) -> list[Emm]:
     """Replace one CA system's sender key pair and re-run phase 1.
 
-    Certificate systems additionally revoke the old certificate and obtain a
-    fresh one from the authority; binding systems touch no authority at all.
+    Certificate systems additionally have the head-end's authority revoke
+    the old certificate and issue a fresh one; binding systems touch no
+    authority at all. Phase 1 runs against the directory snapshot the
+    sender already holds (``refresh_directory``).
     The ECM key is rotated too: a sender-key compromise is assumed to have
     exposed the CA system's channel material. ``withhold`` suppresses the
     per-receiver re-keying EMMs for the named receivers (test hook for
@@ -260,15 +253,10 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     before = len(ca.pending_emms)
 
     if ca.kind == KIND_CERT:
-        if ttp is None:
-            raise ProtocolError("certificate sender rotation requires the authority")
         old_serial = ca.sender.sender_cert.serial
-        certproto.refresh_sender_key(ca.sender, rng, ttp)
-        revoke(ttp, old_serial)
-        crl = signed_revocation_list(ttp)
-        aad = emm_aad(ca.index, EmmKind.CRL_UPDATE, BROADCAST_ADDR)
-        sealed = ca.suite.seal(ca.group_key, build_crl_body(crl), aad=aad)
-        ca.pending_emms.append(Emm(ca.index, EmmKind.CRL_UPDATE, BROADCAST_ADDR, sealed))
+        certproto.refresh_sender_key(ca.sender, rng, headend.ttp)
+        revoke(headend.ttp, old_serial)
+        _queue(ca, EmmKind.CRL_UPDATE, signed_revocation_list(headend.ttp).to_bytes())
     else:
         bindproto.refresh_sender_key(ca.sender, rng)
         headend.pk_set = _bind_pk_set(headend)
@@ -276,14 +264,9 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
 
     _queue_announcement(ca)
     ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
-    current_directory = directory if directory is not None else ca.sender.directory
-    for receiver_id in sorted(ca.enrolled):
-        if receiver_id in withhold:
-            continue
-        enroll_receiver(headend, ca_index, receiver_id, current_directory)
-    for receiver_id in sorted(ca.authorized):
-        if receiver_id in withhold:
-            continue
+    for receiver_id in sorted(ca.enrolled - withhold):
+        enroll_receiver(headend, ca_index, receiver_id)
+    for receiver_id in sorted(ca.authorized - withhold):
         _queue_entitlement(ca, receiver_id, True)
     return ca.pending_emms[before:]
 
@@ -298,13 +281,12 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
     if not headend.ca_systems:
         raise ProtocolError("head-end has no CA system configured")
     suite = headend.suite
-    draw = headend.rng.read(suite.secret_bytes)
+    rand: bytes | None = None
     if headend.pk_set:
-        rand: bytes | None = draw
-        control_word = bound_secret(headend.pk_set, draw, suite.secret_bits)
+        rand, control_word = bindproto.shared_epoch_secret(headend.pk_set, headend.rng,
+                                                           suite.secret_bits)
     else:
-        rand = None
-        control_word = draw
+        control_word = headend.rng.read(suite.secret_bytes)
     headend.scrambler_key = control_word
 
     ecms = []

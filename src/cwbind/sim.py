@@ -66,6 +66,8 @@ from dataclasses import dataclass, field
 
 from . import certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
+from .bindproto import BindBundle
+from .certproto import CertBundle
 from .decoder import (
     BindChipState,
     CertChipState,
@@ -75,13 +77,16 @@ from .decoder import (
     LegacyChipState,
     client_process_ecm,
     client_process_emm,
+    derive_msg,
+    load_cw_msg,
     make_decoder,
     process_frame,
     swap_client,
 )
-from .encoding import encode_id, id_as_int, lp, u32
+from .encoding import encode_id, id_as_int
 from .errors import CwbindError, ProtocolError
-from .suite import CipherSuite, Drbg, KeyPair, SuiteConfig
+from .phase1 import seal_blob
+from .suite import CipherSuite, Drbg, KeyPair, SignedMessage, SuiteConfig
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
@@ -382,12 +387,10 @@ class RunReport:
 
 @dataclass
 class SenderSnapshot:
-    """Everything taken from one CA system at sender-keys compromise time."""
+    """Key material taken from one CA system at sender-keys compromise time."""
 
-    kind: str
     sig_keypair: KeyPair
     ltk_store: dict[bytes, bytes]
-    group_key: bytes
     ecm_key: bytes
 
 
@@ -489,7 +492,7 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> World:
     for spec in config.decoders:
         decoder_id = encode_id(spec.decoder_id)
         hemod.provision_receiver(headend, spec.ca_index, decoder_id, channel_keys[decoder_id])
-        hemod.enroll_receiver(headend, spec.ca_index, decoder_id, directory)
+        hemod.enroll_receiver(headend, spec.ca_index, decoder_id)
 
     world = World(
         config=config, suite=suite, master=master, ttp=ttp, directory=directory,
@@ -521,7 +524,7 @@ def _do_swap_client(world: World, decoder_id: bytes, enroll: bool = True) -> Non
     was_authorized = decoder_id in ca.authorized
     hemod.provision_receiver(world.headend, decoder.ca_index, decoder_id, new_key)
     if enroll:
-        hemod.enroll_receiver(world.headend, decoder.ca_index, decoder_id, world.directory)
+        hemod.enroll_receiver(world.headend, decoder.ca_index, decoder_id)
         if was_authorized:
             hemod.authorize(world.headend, decoder.ca_index, decoder_id, True)
     world.adversary.client_taps.discard(decoder_id)
@@ -544,14 +547,8 @@ def _do_recover(world: World, epoch: int) -> None:
         if isinstance(decoder.chip, CertChipState):
             if decoder.chip.receiver.authority_pk != world.ttp.keypair.public_key:
                 old = decoder.chip.receiver
-                decoder.chip = CertChipState(
-                    certproto.CertReceiverState(
-                        suite=old.suite,
-                        receiver_id=old.receiver_id,
-                        authority_pk=world.ttp.keypair.public_key,
-                        enc_keypair=old.enc_keypair,
-                    )
-                )
+                decoder.chip = CertChipState(certproto.CertReceiverState(
+                    old.suite, old.receiver_id, world.ttp.keypair.public_key, old.enc_keypair))
                 _do_swap_client(world, decoder_id, enroll=False)
                 replaced += 1
     world.decoders_replaced += replaced
@@ -559,12 +556,8 @@ def _do_recover(world: World, epoch: int) -> None:
     for ca in world.headend.ca_systems:
         if ca.kind == hemod.KIND_LEGACY:
             continue
-        hemod.rotate_sender_key(
-            world.headend, ca.index,
-            world.master.child(f"sender-rekey-{ca.index}-{epoch}"),
-            ttp=world.ttp if ca.kind == hemod.KIND_CERT else None,
-            directory=world.directory,
-        )
+        hemod.rotate_sender_key(world.headend, ca.index,
+                                world.master.child(f"sender-rekey-{ca.index}-{epoch}"))
     world.recovery_epoch = epoch
 
 
@@ -583,12 +576,7 @@ def adversary_step(world: World, event: Event) -> World:
             if ca.sender is None:
                 raise ProtocolError("legacy CA system has no sender keys to compromise")
             adv.sender_snapshots[ca.index] = SenderSnapshot(
-                kind=ca.kind,
-                sig_keypair=ca.sender.sig_keypair,
-                ltk_store=dict(ca.sender.ltk_store),
-                group_key=ca.group_key,
-                ecm_key=ca.ecm_key,
-            )
+                ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
         elif what == "ttp-key":
             adv.authority_key = (world.ttp.generation, world.ttp.keypair)
     elif event.verb == "pirate-probe":
@@ -609,20 +597,14 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
     elif event.verb == "deauthorize":
         hemod.authorize(world.headend, int(event.args[0]), encode_id(int(event.args[1])), False)
     elif event.verb == "enroll":
-        hemod.enroll_receiver(world.headend, int(event.args[0]),
-                              encode_id(int(event.args[1])), world.directory)
+        hemod.enroll_receiver(world.headend, int(event.args[0]), encode_id(int(event.args[1])))
     elif event.verb == "rotate-ttp":
         ttpmod.rotate(world.ttp, world.master.child(f"ttp-rotate-{world.ttp.generation}"))
         world.refresh_directory()
     elif event.verb == "rotate-sender":
         ca_index = int(event.args[0])
-        ca = world.headend.ca_systems[ca_index]
-        hemod.rotate_sender_key(
-            world.headend, ca_index,
-            world.master.child(f"sender-rotate-{ca_index}-{epoch}"),
-            ttp=world.ttp if ca.kind == hemod.KIND_CERT else None,
-            directory=world.directory,
-        )
+        hemod.rotate_sender_key(world.headend, ca_index,
+                                world.master.child(f"sender-rotate-{ca_index}-{epoch}"))
     elif event.verb == "swap-client":
         _do_swap_client(world, encode_id(int(event.args[0])))
     elif event.verb == "recover":
@@ -648,13 +630,29 @@ def _mint_certificate(world: World, rogue_pk: bytes) -> Certificate:
 
 
 def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
-                   ltk: bytes, rng: Drbg) -> bytes:
-    """Phase-1 style signed blob delivering an adversary-chosen long-term key."""
-    suite = world.suite
+                   ltk: bytes, rng: Drbg) -> SignedMessage:
+    """Phase-1 signed blob delivering an adversary-chosen long-term key."""
     receiver_pk = world.directory.receiver_cert(decoder_id).subject_pk
-    key_ct = suite.pke_encrypt(receiver_pk, ltk, rng)
-    blob = suite.sign(sig_pair, decoder_id + lp(key_ct))
-    return blob.to_bytes()
+    return seal_blob(world.suite, sig_pair, decoder_id, receiver_pk, ltk, rng)
+
+
+def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: SignedMessage,
+                          ltk: bytes, epoch: int, rand: bytes) -> list[ChipChannelMsg]:
+    """A binding chip's full message set under one sender key: file the
+    long-term key, make the key the whole set, derive from ``rand``."""
+    return [
+        ChipChannelMsg(ChipMsgKind.LOAD_LTK, BindBundle(sender_pk, blob).to_bytes()),
+        ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))),
+        derive_msg(suite, ltk, epoch, rand, sender_pk),
+    ]
+
+
+def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage,
+                          ltk: bytes, epoch: int, secret: bytes) -> list[ChipChannelMsg]:
+    """A certificate chip's message set under a certificate minted for ``rogue``."""
+    cert = _mint_certificate(world, rogue.public_key)
+    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, CertBundle(cert, blob).to_bytes()),
+            derive_msg(world.suite, ltk, epoch, secret)]
 
 
 def _probe_msgs(world: World, decoder: Decoder, epoch: int,
@@ -664,11 +662,10 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     suite = world.suite
     kind, ca_index = probe
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
+    raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
 
     if isinstance(decoder.chip, LegacyChipState):
-        if adv.known_cw is None:
-            return []
-        return [ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(epoch) + lp(adv.known_cw))]
+        return raw_cw
 
     if kind == "forge":
         # rogue sender with its own keys: full message set, own randomness
@@ -677,67 +674,34 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         rand = rng.read(suite.secret_bytes)
         blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
         if isinstance(decoder.chip, BindChipState):
-            return [
-                ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(rogue.public_key) + lp(blob)),
-                ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((rogue.public_key,))),
-                ChipChannelMsg(ChipMsgKind.DERIVE,
-                               u32(epoch) + lp(rogue.public_key)
-                               + lp(suite.sym_encrypt(ltk, rand, aad=u32(epoch)))),
-            ]
+            return _bind_load_and_derive(suite, rogue.public_key, blob, ltk, epoch, rand)
         if isinstance(decoder.chip, CertChipState) and adv.authority_key is not None:
-            cert = _mint_certificate(world, rogue.public_key)
             secret = adv.known_cw if adv.known_cw is not None else rand
-            return [
-                ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(cert.to_bytes()) + lp(blob)),
-                ChipChannelMsg(ChipMsgKind.DERIVE,
-                               u32(epoch) + lp(suite.sym_encrypt(ltk, secret, aad=u32(epoch)))),
-            ]
+            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, secret)
         return []
 
     # pirate probe: use whatever was compromised
+    snapshot = adv.sender_snapshots.get(ca_index)
     if isinstance(decoder.chip, CertChipState):
         if adv.authority_key is not None and adv.known_cw is not None:
             rogue = suite.keygen("sig", rng)
             ltk = rng.read(suite.secret_bytes)
-            cert = _mint_certificate(world, rogue.public_key)
             blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
-            return [
-                ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(cert.to_bytes()) + lp(blob)),
-                ChipChannelMsg(ChipMsgKind.DERIVE,
-                               u32(epoch) + lp(suite.sym_encrypt(ltk, adv.known_cw,
-                                                                 aad=u32(epoch)))),
-            ]
-        snapshot = adv.sender_snapshots.get(ca_index)
+            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, adv.known_cw)
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
-                return [ChipChannelMsg(
-                    ChipMsgKind.DERIVE,
-                    u32(epoch) + lp(suite.sym_encrypt(stolen_ltk, adv.known_cw,
-                                                      aad=u32(epoch))))]
-        if adv.known_cw is not None:
-            return [ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(epoch) + lp(adv.known_cw))]
-        return []
+                return [derive_msg(suite, stolen_ltk, epoch, adv.known_cw)]
+        return raw_cw
 
     if isinstance(decoder.chip, BindChipState):
-        snapshot = adv.sender_snapshots.get(ca_index)
         if snapshot is not None:
-            old_pk = snapshot.sig_keypair.public_key
             ltk = rng.read(suite.secret_bytes)
             blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
-            rand_guess = adv.known_rand.get(ca_index)
-            if rand_guess is None:
-                rand_guess = rng.read(suite.secret_bytes)
-            return [
-                ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(old_pk) + lp(blob)),
-                ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((old_pk,))),
-                ChipChannelMsg(ChipMsgKind.DERIVE,
-                               u32(epoch) + lp(old_pk)
-                               + lp(suite.sym_encrypt(ltk, rand_guess, aad=u32(epoch)))),
-            ]
-        if adv.known_cw is not None:
-            return [ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(epoch) + lp(adv.known_cw))]
-        return []
+            rand_guess = adv.known_rand.get(ca_index) or rng.read(suite.secret_bytes)
+            return _bind_load_and_derive(suite, snapshot.sig_keypair.public_key, blob, ltk,
+                                         epoch, rand_guess)
+        return raw_cw
     return []
 
 
@@ -825,8 +789,7 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
             elif event.verb == "inject-cw" and encode_id(int(event.args[0])) == decoder_id:
                 world.epoch_interfered.add(decoder_id)
                 if adv.known_cw is not None:
-                    out.append(ChipChannelMsg(ChipMsgKind.LOAD_CW,
-                                              u32(epoch) + lp(adv.known_cw)))
+                    out.append(load_cw_msg(epoch, adv.known_cw))
 
         probe = adv.probes.get(decoder_id)
         if probe is not None:

@@ -56,7 +56,6 @@ from functools import cached_property
 
 from .encoding import BROADCAST_ADDR, Reader, lp, u16, u32, u8
 from .errors import WireError
-from .suite import SignedMessage
 
 EMM_MAGIC = b"EM"
 ECM_MAGIC = b"EC"
@@ -273,11 +272,3 @@ def parse_pk_set_body(body: bytes) -> tuple[bytes, ...]:
     pks = tuple(r.take_lp() for _ in range(r.take_u16()))
     r.done()
     return pks
-
-
-def build_crl_body(signed_list: SignedMessage) -> bytes:
-    return signed_list.to_bytes()
-
-
-def parse_crl_body(body: bytes) -> SignedMessage:
-    return SignedMessage.from_bytes(body)

@@ -163,7 +163,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     directory2 = parse_directory(suite, export_directory(ttp2))
     headend = hemod.headend_init(suite, ["bind"], master.child("he"), ttp2, directory2)
     hemod.provision_receiver(headend, 0, encode_id(5), channel_key)
-    hemod.enroll_receiver(headend, 0, encode_id(5), directory2)
+    hemod.enroll_receiver(headend, 0, encode_id(5))
     hemod.authorize(headend, 0, encode_id(5), True)
     content = b"\x5a" * 48
     frame = hemod.epoch_tick(headend, content)

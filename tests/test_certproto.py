@@ -213,12 +213,3 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
         with pytest.raises((CryptoError, ProtocolError)):
             certproto.phase2_receive(receivers[1], bytes(tampered))
 
-
-def test_sender_key_reuse_flag(world, suite):
-    ttp, sender, receivers, rng = world
-    cert_before = sender.sender_cert
-    certproto.phase1_send(sender, 1, rng)
-    assert sender.sender_cert is cert_before  # default: reuse
-    sender.fresh_keys_per_phase1 = True
-    certproto.phase1_send(sender, 1, rng, ttp=ttp)
-    assert sender.sender_cert is not cert_before

@@ -125,6 +125,16 @@ def test_wire_decode_truncated_names_offset(tmp_path, capsys):
     assert "CRL_UPDATE" in capsys.readouterr().out
 
 
+def test_wire_decode_prints_a_valid_ecm(tmp_path, capsys):
+    from cwbind.wire import Ecm, encode_ecm
+
+    ecm_file = tmp_path / "one.ecm"
+    ecm_file.write_bytes(encode_ecm(Ecm(1, 9, b"\xab" * 44)))
+    assert main(["wire", "decode", str(ecm_file)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"ECM ca-system=1 epoch=9\n  protected secret (44 bytes): {'ab' * 44}\n"
+
+
 def test_wire_decode_unknown_magic(tmp_path, capsys):
     bogus = tmp_path / "bogus.bin"
     bogus.write_bytes(b"ZZ\x00\x00")

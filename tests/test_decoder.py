@@ -1,9 +1,11 @@
 """Decoder: CA client message handling, chip compliance gate, isolation."""
 
+import copy
+import functools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwbind import decoder as decmod, headend as hemod
@@ -48,7 +50,7 @@ def pipeline(suite):
     for decoder_id, d in decoders.items():
         hemod.provision_receiver(headend, d.ca_index, decoder_id,
                                  master.child(f"prov-{decoder_id}").read(16))
-        hemod.enroll_receiver(headend, d.ca_index, decoder_id, directory)
+        hemod.enroll_receiver(headend, d.ca_index, decoder_id)
         hemod.authorize(headend, d.ca_index, decoder_id, True)
     return headend, decoders, master, directory
 
@@ -313,7 +315,7 @@ def test_client_swap_keeps_chip_and_restores_service(pipeline, suite):
     assert d.client.group_key is None  # client state is fresh
 
     hemod.provision_receiver(headend, 0, encode_id(1), new_key)
-    hemod.enroll_receiver(headend, 0, encode_id(1), directory)
+    hemod.enroll_receiver(headend, 0, encode_id(1))
     hemod.authorize(headend, 0, encode_id(1), True)
     content = b"post-swap content"
     frame = hemod.epoch_tick(headend, content)
@@ -408,7 +410,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
     headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
     for decoder_id, d in decoders.items():
         hemod.provision_receiver(headend, d.ca_index, decoder_id, d.client.channel_key)
-        hemod.enroll_receiver(headend, d.ca_index, decoder_id, directory)
+        hemod.enroll_receiver(headend, d.ca_index, decoder_id)
         hemod.authorize(headend, d.ca_index, decoder_id, True)
     setup = hemod.epoch_tick(headend, b"setup")
     for d in decoders.values():
@@ -436,3 +438,145 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
             assert len(calls) <= shared + own
             assert result.errors == []
             assert (result.descrambled == content) == (decoder_id not in dropped)
+
+
+# ---------------------------------------------------------------------------
+# words and keys of the wrong length
+# ---------------------------------------------------------------------------
+
+
+def test_raw_control_word_of_wrong_length_gets_no_handle(suite):
+    # the descrambler keys AES with the word, so a 5-byte word must be a
+    # protocol rejection, not a handle that fails inside the descrambler
+    chip = LegacyChipState(suite)
+    with pytest.raises(ProtocolError):
+        handle = chip_process(chip, ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(0) + lp(b"\x05" * 5)))
+        descramble(chip, handle, b"content")
+    assert chip.current_epoch == -1
+
+
+@pytest.mark.parametrize("kind", ["bind", "cert"])
+def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
+    # an adversary with only its own key pair (and, for a certificate chip,
+    # the stolen authority key) delivers a 5-byte long-term key, then a
+    # DERIVE under it: both must be rejections that leave the chip as it was
+    from cwbind.bindproto import BindBundle
+    from cwbind.certproto import CertBundle
+    from cwbind.ttp import certify_sender
+
+    master = Drbg.from_int(0x5B)
+    ttp = ttp_init(suite, master.child("ttp"))
+    d = make_decoder(suite, kind, 0, 1, master.child("chip"), b"\x00" * 16,
+                     authority_pk=ttp.keypair.public_key)
+    rogue = suite.keygen("sig", master.child("rogue"))
+    key_ct = suite.pke_encrypt(d.chip_public_key(), b"\x05" * 5, master.child("wrap"))
+    blob = suite.sign(rogue, encode_id(1) + lp(key_ct))
+    if kind == "bind":
+        bundle = BindBundle(rogue.public_key, blob)
+        named = lp(rogue.public_key)
+    else:
+        bundle = CertBundle(certify_sender(ttp, 0xAD, rogue.public_key), blob)
+        named = b""
+    load = ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())
+    derive = ChipChannelMsg(ChipMsgKind.DERIVE, u32(0) + named + lp(b"\x00" * 44))
+
+    before = copy.deepcopy(d.chip)
+    result = process_frame(d, BroadcastFrame(0, b"content", (), ()),
+                           chip_filter=lambda msgs: msgs + [load, derive])
+    assert result.descrambled is None
+    assert len(result.errors) == 2 and "long-term key is not 16 bytes" in result.errors[0]
+    assert d.chip == before
+
+
+class _Rogue:
+    """One chip of each kind, and an adversary holding its own sender key
+    pair and a certificate for it (the stolen-authority-key case)."""
+
+    def __init__(self):
+        from cwbind.suite import CipherSuite
+        from cwbind.ttp import certify_sender
+
+        suite = CipherSuite()
+        master = Drbg.from_int(0xF022)
+        self.suite = suite
+        self.ttp = ttp_init(suite, master.child("ttp"))
+        self.pair = suite.keygen("sig", master.child("rogue"))
+        self.cert = certify_sender(self.ttp, 0xAD, self.pair.public_key)
+        self.decoders = {
+            kind: make_decoder(suite, kind, 0, 1, master.child(f"chip-{kind}"), b"\x00" * 16,
+                               authority_pk=self.ttp.keypair.public_key)
+            for kind in ("bind", "cert", "legacy")
+        }
+
+    def encode(self, kind, spec) -> bytes:
+        """The chip message a spec describes, built with the adversary's keys."""
+        from cwbind.bindproto import BindBundle
+        from cwbind.certproto import CertBundle
+
+        suite, what = self.suite, spec[0]
+        if what == "load-ltk":
+            chip_pk = self.decoders["cert" if kind == "cert" else "bind"].chip_public_key()
+            key_ct = suite.pke_encrypt(chip_pk, spec[1], Drbg.from_int(7))
+            blob = suite.sign(self.pair, encode_id(1) + lp(key_ct))
+            bundle = (CertBundle(self.cert, blob) if kind == "cert"
+                      else BindBundle(self.pair.public_key, blob))
+            return ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes()).encode()
+        if what == "derive":
+            _, epoch, ltk, secret = spec
+            named = lp(self.pair.public_key) if kind == "bind" else b""
+            # an LTK of the suite's length wraps the secret; any other
+            # length, which no adversary can wrap under, sends it as is
+            wrapped = (suite.sym_encrypt(ltk, secret, aad=u32(epoch))
+                       if len(ltk) == suite.secret_bytes else secret)
+            return ChipChannelMsg(ChipMsgKind.DERIVE, u32(epoch) + named + lp(wrapped)).encode()
+        if what == "load-cw":
+            return ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(spec[1]) + lp(spec[2])).encode()
+        if what == "pk-set":
+            pks = tuple(self.pair.public_key if pk is None else pk for pk in spec[1])
+            return ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(pks)).encode()
+        crl = suite.sign(self.ttp.keypair, u32(len(spec[1]) // 8) + spec[1])
+        return ChipChannelMsg(ChipMsgKind.CRL_UPDATE, crl.to_bytes()).encode()
+
+
+@functools.lru_cache(maxsize=1)
+def _rogue() -> _Rogue:
+    return _Rogue()
+
+
+_sized = st.sampled_from([0, 5, 15, 16, 17, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+_epoch = st.integers(0, 2)
+_spec = st.one_of(
+    st.tuples(st.just("load-ltk"), _sized),
+    st.tuples(st.just("derive"), _epoch, _sized, _sized),
+    st.tuples(st.just("load-cw"), _epoch, _sized),
+    st.tuples(st.just("pk-set"), st.lists(st.none() | _sized, max_size=3)),
+    st.tuples(st.just("crl"), _sized),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["bind", "cert", "legacy"]),
+    steps=st.lists(st.tuples(_spec, st.none() | st.integers(0, 4000)), min_size=1, max_size=4),
+)
+@example(kind="bind", steps=[(("load-ltk", b"\x05" * 5), None),
+                             (("derive", 0, b"\x05" * 5, b"\x00" * 44), None)])
+@example(kind="cert", steps=[(("load-ltk", b"\x01" * 16), None),
+                             (("derive", 0, b"\x01" * 16, b"\x05" * 5), None)])
+@example(kind="legacy", steps=[(("load-cw", 0, b"\x05" * 5), None)])
+def test_chip_then_descramble_raises_only_protocol_errors(kind, steps):
+    # every chip message an adversary can build, with fields of any length,
+    # optionally with one bit flipped, then a descramble under any handle
+    rogue = _rogue()
+    chip = copy.deepcopy(rogue.decoders[kind].chip)
+    for spec, bit in steps:
+        data = bytearray(rogue.encode(kind, spec))
+        if bit is not None:
+            data[bit // 8 % len(data)] ^= 1 << (bit % 8)
+        try:
+            handle = chip_process(chip, ChipChannelMsg.decode(bytes(data)))
+            if handle is not None:
+                descramble(chip, handle, b"content")
+        except CwbindError:
+            pass

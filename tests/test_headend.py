@@ -35,17 +35,17 @@ def build_world(suite, kinds, decoder_plan, seed=1234):
     return master, ttp, directory, headend, decoders
 
 
-def enroll_and_authorize(headend, directory, decoders, ids):
+def enroll_and_authorize(headend, decoders, ids):
     for decoder_id in ids:
         d, _ = decoders[decoder_id]
-        hemod.enroll_receiver(headend, d.ca_index, decoder_id, directory)
+        hemod.enroll_receiver(headend, d.ca_index, decoder_id)
         hemod.authorize(headend, d.ca_index, decoder_id, True)
 
 
 def test_epoch_secret_matches_independent_derivation(suite):
     # oracle: replay the head-end rng stream by hand, then hash rand || pk
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1])
+    enroll_and_authorize(headend, decoders, [1])
     frame = hemod.epoch_tick(headend, b"payload")
 
     shadow = Drbg.from_int(1234).child("headend")
@@ -62,7 +62,7 @@ def test_epoch_secret_matches_independent_derivation(suite):
 
 def test_pure_legacy_headend_draws_control_word_directly(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["legacy"], [(1, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1])
+    enroll_and_authorize(headend, decoders, [1])
     shadow = Drbg.from_int(1234).child("headend")
     shadow.read(16 + 16)  # group + entitlement keys; no sender keygen
     hemod.epoch_tick(headend, b"x")
@@ -73,7 +73,7 @@ def test_mixed_families_recover_identical_content(suite):
     kinds = ["bind", "cert", "legacy"]
     plan = [(1, 0), (2, 1), (3, 2)]
     master, ttp, directory, headend, decoders = build_world(suite, kinds, plan)
-    enroll_and_authorize(headend, directory, decoders, [1, 2, 3])
+    enroll_and_authorize(headend, decoders, [1, 2, 3])
     content = b"\xdd" * 48
     frame = hemod.epoch_tick(headend, content)
     for decoder_id in (1, 2, 3):
@@ -84,7 +84,7 @@ def test_mixed_families_recover_identical_content(suite):
 
 def test_zero_authorized_receivers_still_emits_frame(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
-    hemod.enroll_receiver(headend, 0, encode_id(1), directory)
+    hemod.enroll_receiver(headend, 0, encode_id(1))
     frame = hemod.epoch_tick(headend, b"c")
     assert len(frame.ecms) == 1
     d, _ = decoders[1]
@@ -95,21 +95,21 @@ def test_zero_authorized_receivers_still_emits_frame(suite):
 def test_enroll_requires_provisioning_and_unrevoked_cert(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["cert"], [(1, 0)])
     with pytest.raises(ProtocolError):
-        hemod.enroll_receiver(headend, 0, encode_id(99), directory)  # not provisioned
+        hemod.enroll_receiver(headend, 0, encode_id(99))  # not provisioned
     hemod.provision_receiver(headend, 0, encode_id(99), b"\x00" * 16)
     with pytest.raises(ProtocolError):
-        hemod.enroll_receiver(headend, 0, encode_id(99), directory)  # not registered
+        hemod.enroll_receiver(headend, 0, encode_id(99))  # not registered
     serial = directory.receiver_cert(encode_id(1)).serial
     revoke(ttp, serial)
-    fresh = parse_directory(suite, export_directory(ttp))
+    hemod.refresh_directory(headend, parse_directory(suite, export_directory(ttp)))
     with pytest.raises(ProtocolError):
-        hemod.enroll_receiver(headend, 0, encode_id(1), fresh)
+        hemod.enroll_receiver(headend, 0, encode_id(1))
 
 
 def test_enrollment_never_leaks_long_term_key_bytes(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind", "cert"],
                                                             [(1, 0), (2, 1)])
-    enroll_and_authorize(headend, directory, decoders, [1, 2])
+    enroll_and_authorize(headend, decoders, [1, 2])
     frame = hemod.epoch_tick(headend, b"content")
     broadcast = b"".join(encode_emm(e) for e in frame.emms)
     broadcast += b"".join(encode_ecm(e) for e in frame.ecms)
@@ -122,7 +122,7 @@ def test_enrollment_never_leaks_long_term_key_bytes(suite):
 def test_deauthorize_rotates_entitlement_key(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"],
                                                             [(1, 0), (2, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1, 2])
+    enroll_and_authorize(headend, decoders, [1, 2])
     key_before = headend.ca_systems[0].ecm_key
     hemod.authorize(headend, 0, encode_id(2), False)
     assert headend.ca_systems[0].ecm_key != key_before
@@ -135,7 +135,7 @@ def test_deauthorize_rotates_entitlement_key(suite):
 
 def test_reauthorization_restores_derivation(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1])
+    enroll_and_authorize(headend, decoders, [1])
     decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"setup"))
     hemod.authorize(headend, 0, encode_id(1), False)
     decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"a"))
@@ -151,8 +151,8 @@ def test_authorization_change_does_not_touch_other_chip_bytes(suite):
     def run(with_second):
         master, ttp, directory, headend, decoders = build_world(
             suite, ["bind"], [(1, 0), (2, 0)], seed=777)
-        enroll_and_authorize(headend, directory, decoders, [1])
-        hemod.enroll_receiver(headend, 0, encode_id(2), directory)
+        enroll_and_authorize(headend, decoders, [1])
+        hemod.enroll_receiver(headend, 0, encode_id(2))
         if with_second:
             hemod.authorize(headend, 0, encode_id(2), True)
         frame = hemod.epoch_tick(headend, b"content!")
@@ -171,7 +171,7 @@ def test_authorization_change_does_not_touch_other_chip_bytes(suite):
 def test_sender_rotation_keeps_honest_decoders_working(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"],
                                                             [(1, 0), (2, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1, 2])
+    enroll_and_authorize(headend, decoders, [1, 2])
     setup_frame = hemod.epoch_tick(headend, b"before")
     for decoder_id in (1, 2):
         decmod.process_frame(decoders[decoder_id][0], setup_frame)
@@ -185,7 +185,7 @@ def test_sender_rotation_keeps_honest_decoders_working(suite):
 def test_sender_rotation_cuts_off_withheld_decoder(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"],
                                                             [(1, 0), (2, 0)])
-    enroll_and_authorize(headend, directory, decoders, [1, 2])
+    enroll_and_authorize(headend, decoders, [1, 2])
     setup_frame = hemod.epoch_tick(headend, b"before")
     for decoder_id in (1, 2):
         decmod.process_frame(decoders[decoder_id][0], setup_frame)
@@ -201,15 +201,12 @@ def test_cert_rotation_calls_authority_bind_rotation_does_not(suite):
     kinds = ["bind", "cert"]
     master, ttp, directory, headend, decoders = build_world(suite, kinds,
                                                             [(1, 0), (2, 1)])
-    enroll_and_authorize(headend, directory, decoders, [1, 2])
+    enroll_and_authorize(headend, decoders, [1, 2])
     before = ttp.total_calls
     hemod.rotate_sender_key(headend, 0, master.child("rot-bind"))
     assert ttp.total_calls == before  # binding rotation is authority-free
-    hemod.rotate_sender_key(headend, 1, master.child("rot-cert"), ttp=ttp,
-                            directory=directory)
+    hemod.rotate_sender_key(headend, 1, master.child("rot-cert"))
     assert ttp.total_calls > before
-    with pytest.raises(ProtocolError):
-        hemod.rotate_sender_key(headend, 1, master.child("x"))  # cert needs authority
 
 
 def test_legacy_system_has_no_sender_key(suite):
