@@ -24,6 +24,10 @@ LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
 a control word's value never lets an adversary feed it to them.
 
+Client and chip are one record each for every kind. Both hold their
+``cwbind.kinds.CaKind``, the one place that says how kinds differ; the chip
+also holds its protocol's receiver state (``None`` on a legacy chip).
+
 The CA client is replaceable while the chip stays: swapping in a freshly
 personalized client models a downloaded client update after a client-side
 breach. A repeated phase 1 delivery for the same sender key overwrites the
@@ -38,7 +42,7 @@ from enum import IntEnum
 from . import bindproto, certproto
 from .encoding import Reader, encode_id, lp, u32, u8
 from .errors import CwbindError, ProtocolError, WireError
-from .headend import KIND_BIND, KIND_CERT, KIND_LEGACY
+from .kinds import CaKind, ca_kind
 from .scramble import descramble as _descramble_bytes
 from .suite import CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
@@ -123,27 +127,22 @@ class CaClientState:
     suite: CipherSuite
     ca_system_id: int
     receiver_id: bytes
-    protocol: str
+    kind: CaKind
     channel_key: bytes = field(repr=False)
     group_key: bytes | None = field(default=None, repr=False)
     ecm_key: bytes | None = field(default=None, repr=False)
     entitled: bool = False
-    announce: bytes | None = None  # current sender cert bytes (cert) or pk (bind)
+    announce: bytes | None = None  # current sender certificate bytes, or bare key
     co_sender_pks: tuple[bytes, ...] = ()
-    ltk_copy: bytes | None = field(default=None, repr=False)  # cert protocol
-    ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # bind
+    ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # by announce
     last_pk_set_sent: tuple[bytes, ...] = ()
 
 
-def _client_pk_set(client: CaClientState) -> tuple[bytes, ...]:
+def _pk_set_msg_if_changed(client: CaClientState) -> list[ChipChannelMsg]:
     pks = set(client.co_sender_pks)
     if client.announce is not None:
         pks.add(client.announce)
-    return tuple(sorted(pks))
-
-
-def _pk_set_msg_if_changed(client: CaClientState) -> list[ChipChannelMsg]:
-    current = _client_pk_set(client)
+    current = tuple(sorted(pks))
     if current and current != client.last_pk_set_sent:
         client.last_pk_set_sent = current
         return [ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(current))]
@@ -172,15 +171,13 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
             return []
         blob, ltk_copy, group_key, announce = parse_enroll_body(body)
         client.group_key = group_key
-        if client.protocol == KIND_LEGACY:
+        if client.kind.proto is None:
             return []
         client.announce = announce
+        client.ltk_by_sender[announce] = ltk_copy
         # the bundle layout: lp(certificate or sender pk) | lp(signed blob)
         msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(announce) + lp(blob))]
-        if client.protocol == KIND_CERT:
-            client.ltk_copy = ltk_copy
-        else:
-            client.ltk_by_sender[announce] = ltk_copy
+        if client.kind.binds:
             msgs.extend(_pk_set_msg_if_changed(client))
         return msgs
 
@@ -188,19 +185,15 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     if client.group_key is None:
         return []
     body = client.suite.open_sealed(client.group_key, emm.payload, aad=aad)
-
-    if emm.kind == EmmKind.BROADCAST_SENDER_PK and client.protocol == KIND_BIND:
-        client.announce = body  # raw sender public key, fixed length per scheme
-        return _pk_set_msg_if_changed(client)
-    if emm.kind == EmmKind.BROADCAST_CERT and client.protocol == KIND_CERT:
-        client.announce = body
+    if emm.kind not in client.kind.acts_on:
         return []
-    if emm.kind == EmmKind.PK_SET_UPDATE and client.protocol == KIND_BIND:
-        client.co_sender_pks = parse_pk_set_body(body)
-        return _pk_set_msg_if_changed(client)
-    if emm.kind == EmmKind.CRL_UPDATE and client.protocol == KIND_CERT:
+    if emm.kind == EmmKind.CRL_UPDATE:
         return [ChipChannelMsg(ChipMsgKind.CRL_UPDATE, body)]
-    return []
+    if emm.kind == EmmKind.PK_SET_UPDATE:
+        client.co_sender_pks = parse_pk_set_body(body)
+    else:  # the announcement: certificate bytes, or the raw sender public key
+        client.announce = body
+    return _pk_set_msg_if_changed(client) if client.kind.binds else []
 
 
 def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None:
@@ -214,45 +207,26 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
     if not client.entitled or client.ecm_key is None:
         return None
     secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, aad=ecm.aad)
-    if client.protocol == KIND_LEGACY:
+    if client.kind.proto is None:
         return load_cw_msg(ecm.epoch, secret)
-    if client.protocol == KIND_CERT:
-        if client.ltk_copy is None:
-            raise ProtocolError("client holds no long-term key copy (not enrolled)")
-        return derive_msg(client.suite, client.ltk_copy, ecm.epoch, secret)
-    sender_pk = client.announce
-    if sender_pk is None:
-        raise ProtocolError("client knows no sender key (not enrolled)")
-    ltk = client.ltk_by_sender.get(sender_pk)
-    if ltk is None:
+    ltk = client.ltk_by_sender.get(client.announce)
+    if ltk is None:  # also when no sender key is known yet (not enrolled)
         raise ProtocolError("client holds no long-term key for the current sender key")
-    return derive_msg(client.suite, ltk, ecm.epoch, secret, sender_pk)
+    return derive_msg(client.suite, ltk, ecm.epoch, secret,
+                      client.announce if client.kind.binds else None)
 
 
 # ---------------------------------------------------------------------------
-# chips
+# chip
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class CertChipState:
-    receiver: certproto.CertReceiverState
-    current_epoch: int = -1
-
-
-@dataclass
-class BindChipState:
-    receiver: bindproto.BindReceiverState
-    current_epoch: int = -1
-
-
-@dataclass
-class LegacyChipState:
+class ChipState:
+    kind: CaKind
     suite: CipherSuite
+    receiver: certproto.CertReceiverState | bindproto.BindReceiverState | None = None
     current_epoch: int = -1
-
-
-ChipState = CertChipState | BindChipState | LegacyChipState
 
 
 def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
@@ -274,59 +248,49 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     at the one tail below: only for a control word of the suite's secret
     length, and only then does the chip's epoch watermark move.
     """
-    if isinstance(chip, LegacyChipState):
+    kind, recv = chip.kind, chip.receiver
+    if kind.proto is None:
         if msg.kind != ChipMsgKind.LOAD_CW:
             raise ProtocolError("legacy chip only accepts raw control words")
         epoch, _, control_word = _split_word_msg(msg.payload, named=False)
-        suite = chip.suite
     elif msg.kind == ChipMsgKind.LOAD_CW:
         raise ProtocolError("raw control word is not an accepted message kind")
-    elif isinstance(chip, CertChipState):
-        if msg.kind == ChipMsgKind.LOAD_LTK:
-            certproto.phase1_receive(chip.receiver, certproto.CertBundle.from_bytes(msg.payload))
-            return None
-        if msg.kind == ChipMsgKind.CRL_UPDATE:
-            crl = SignedMessage.from_bytes(msg.payload)
-            chip.receiver.known_revoked = parse_revocation_list(chip.receiver.suite, crl,
-                                                                chip.receiver.authority_pk)
-            return None
-        if msg.kind != ChipMsgKind.DERIVE:
-            raise ProtocolError(f"certificate chip rejects message kind {msg.kind.name}")
-        epoch, _, wrapped = _split_word_msg(msg.payload, named=False)
+    elif msg.kind == ChipMsgKind.LOAD_LTK:
+        bundle_type = bindproto.BindBundle if kind.binds else certproto.CertBundle
+        kind.proto.phase1_receive(recv, bundle_type.from_bytes(msg.payload))
+        return None
+    elif msg.kind == ChipMsgKind.CRL_UPDATE and EmmKind.CRL_UPDATE in kind.acts_on:
+        crl = SignedMessage.from_bytes(msg.payload)
+        recv.known_revoked = parse_revocation_list(recv.suite, crl, recv.authority_pk)
+        return None
+    elif msg.kind == ChipMsgKind.PK_SET_UPDATE and EmmKind.PK_SET_UPDATE in kind.acts_on:
+        pks = parse_pk_set_body(msg.payload)
+        if not pks:
+            raise ProtocolError("empty sender key set")
+        # the set must be one the binding can derive from, or the next
+        # DERIVE would fail outside the protocol checks
+        key_len = recv.suite.sig_public_key_len
+        if any(len(pk) != key_len for pk in pks):
+            raise ProtocolError(f"sender key set holds a key that is not {key_len} bytes")
+        if len(set(pks)) != len(pks):
+            raise ProtocolError("sender key set repeats a key")
+        recv.active_pk_set = tuple(sorted(pks))
+        return None
+    elif msg.kind != ChipMsgKind.DERIVE:
+        raise ProtocolError(f"{kind.name} chip rejects message kind {msg.kind.name}")
+    else:
+        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=kind.binds)
         # the epoch label is authenticated inside the wrap: a relabeled
         # delivery fails before it can move the epoch watermark
-        control_word = certproto.phase2_receive(chip.receiver, wrapped, context=u32(epoch))
-        suite = chip.receiver.suite
-    elif isinstance(chip, BindChipState):
-        if msg.kind == ChipMsgKind.LOAD_LTK:
-            bindproto.phase1_receive(chip.receiver, bindproto.BindBundle.from_bytes(msg.payload))
-            return None
-        if msg.kind == ChipMsgKind.PK_SET_UPDATE:
-            pks = parse_pk_set_body(msg.payload)
-            if not pks:
-                raise ProtocolError("empty sender key set")
-            # the set must be one the binding can derive from, or the next
-            # DERIVE would fail outside the protocol checks
-            key_len = chip.receiver.suite.sig_public_key_len
-            if any(len(pk) != key_len for pk in pks):
-                raise ProtocolError(f"sender key set holds a key that is not {key_len} bytes")
-            if len(set(pks)) != len(pks):
-                raise ProtocolError("sender key set repeats a key")
-            chip.receiver.active_pk_set = tuple(sorted(pks))
-            return None
-        if msg.kind != ChipMsgKind.DERIVE:
-            raise ProtocolError(f"binding chip rejects message kind {msg.kind.name}")
-        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=True)
-        control_word = bindproto.phase2_receive(chip.receiver, sender_pk, wrapped,
-                                                context=u32(epoch))
-        suite = chip.receiver.suite
-    else:
-        raise TypeError(f"unknown chip state {type(chip).__name__}")
+        if kind.binds:
+            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, context=u32(epoch))
+        else:
+            control_word = certproto.phase2_receive(recv, wrapped, context=u32(epoch))
 
     # the descrambler is keyed by exactly this length; any other would fail
     # outside the protocol checks
-    if len(control_word) != suite.secret_bytes:
-        raise ProtocolError(f"control word is not {suite.secret_bytes} bytes")
+    if len(control_word) != chip.suite.secret_bytes:
+        raise ProtocolError(f"control word is not {chip.suite.secret_bytes} bytes")
     chip.current_epoch = max(chip.current_epoch, epoch)
     return ControlWordHandle(epoch, control_word)
 
@@ -353,7 +317,7 @@ class Decoder:
     chip: ChipState
 
     def chip_public_key(self) -> bytes | None:
-        if isinstance(self.chip, LegacyChipState):
+        if self.chip.receiver is None:
             return None
         return self.chip.receiver.enc_keypair.public_key
 
@@ -364,18 +328,15 @@ def make_decoder(suite: CipherSuite, protocol: str, ca_index: int,
     """Manufacture a decoder: generate the chip key pair (if any) and
     personalize the CA client with its provisioning key."""
     decoder_id = encode_id(decoder_id)
-    chip: ChipState
-    if protocol == KIND_CERT:
+    kind = ca_kind(protocol)
+    chip = ChipState(kind, suite)
+    if kind.certified:
         if authority_pk is None:
             raise ValueError("certificate-protocol chips are initialized with the authority key")
-        chip = CertChipState(certproto.receiver_init(suite, decoder_id, authority_pk, rng))
-    elif protocol == KIND_BIND:
-        chip = BindChipState(bindproto.receiver_init(suite, decoder_id, rng))
-    elif protocol == KIND_LEGACY:
-        chip = LegacyChipState(suite)
-    else:
-        raise ValueError(f"unknown decoder protocol {protocol!r}")
-    client = CaClientState(suite, ca_index, decoder_id, protocol, channel_key)
+        chip.receiver = certproto.receiver_init(suite, decoder_id, authority_pk, rng)
+    elif kind.proto is not None:
+        chip.receiver = bindproto.receiver_init(suite, decoder_id, rng)
+    client = CaClientState(suite, ca_index, decoder_id, kind, channel_key)
     return Decoder(decoder_id=decoder_id, ca_index=ca_index, client=client, chip=chip)
 
 
@@ -386,7 +347,7 @@ def swap_client(decoder: Decoder, new_channel_key: bytes) -> None:
     keys are discarded; the chip state is untouched.
     """
     old = decoder.client
-    decoder.client = CaClientState(old.suite, old.ca_system_id, old.receiver_id, old.protocol,
+    decoder.client = CaClientState(old.suite, old.ca_system_id, old.receiver_id, old.kind,
                                    new_channel_key)
 
 

@@ -1,15 +1,18 @@
 """Head-end orchestration: CA systems, shared components, scrambling, EMM/ECM emission.
 
-One head-end carries any mix of CA systems over a single scrambled stream:
+One head-end carries any mix of CA systems over a single scrambled stream.
+Each system's kind is a ``cwbind.kinds.CaKind`` record, the one place that
+says how kinds differ; the head-end reads its fields:
 
-  * ``bind``   -- binding-protocol systems. The shared components draw one
+  * ``binds`` -- binding-protocol systems. The shared components draw one
     random value per epoch and derive the control word by hashing it with the
-    sorted set of all bind senders' public keys; each bind system's ECM
-    carries the random value.
-  * ``cert``   -- certificate-protocol systems. Their ECMs carry the control
-    word itself.
-  * ``legacy`` -- plain systems with no chip-level protocol; their ECMs also
-    carry the control word, and their clients pass it to the chip unwrapped.
+    sorted set of all binding senders' public keys; each such system's ECM
+    carries the random value, and its key set travels as ``PK_SET_UPDATE``.
+  * ``certified`` -- certificate-protocol systems. Their ECMs carry the
+    control word itself; a sender rotation revokes the old certificate.
+  * ``proto`` None -- legacy systems with no chip-level protocol and no
+    sender; their ECMs also carry the control word, and their clients pass
+    it to the chip unwrapped.
 
 If no bind system is configured the control word is drawn directly from the
 RNG. With at least one, every system observes the same (epoch, control word)
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from . import bindproto, certproto
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
+from .kinds import CaKind, ca_kind
 from .phase1 import SenderState
 from .scramble import scramble
 from .suite import CipherSuite, Drbg
@@ -50,17 +54,10 @@ from .wire import (
     emm_aad,
 )
 
-KIND_CERT = "cert"
-KIND_BIND = "bind"
-KIND_LEGACY = "legacy"
-CA_KINDS = (KIND_CERT, KIND_BIND, KIND_LEGACY)
-_PROTOCOLS = {KIND_CERT: certproto, KIND_BIND: bindproto}
-
-
 @dataclass
 class CaSystem:
     index: int
-    kind: str
+    kind: CaKind
     suite: CipherSuite
     sender: SenderState | None  # a ``CertSenderState`` on certificate systems
     group_key: bytes = field(repr=False, default=b"")
@@ -86,13 +83,13 @@ def _bind_pk_set(headend: HeadendState) -> tuple[bytes, ...]:
     return tuple(sorted(
         ca.sender.sig_keypair.public_key
         for ca in headend.ca_systems
-        if ca.kind == KIND_BIND
+        if ca.kind.binds
     ))
 
 
 def _announce_bytes(ca: CaSystem) -> bytes:
     """A sender's announcement: its certificate, or its bare public key."""
-    if ca.kind == KIND_CERT:
+    if ca.kind.certified:
         return ca.sender.sender_cert.to_bytes()
     return ca.sender.sig_keypair.public_key
 
@@ -110,21 +107,20 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
 
 
 def _queue_announcement(ca: CaSystem) -> None:
-    if ca.kind != KIND_LEGACY:
-        kind = EmmKind.BROADCAST_CERT if ca.kind == KIND_CERT else EmmKind.BROADCAST_SENDER_PK
-        _queue(ca, kind, _announce_bytes(ca))
+    if ca.kind.announce is not None:
+        _queue(ca, ca.kind.announce, _announce_bytes(ca))
 
 
-def _queue_pk_set_updates(headend: HeadendState) -> None:
-    """Distribute the full bind-sender key set through every bind system.
+def _queue_pk_set_updates(headend: HeadendState, systems: list[CaSystem]) -> None:
+    """Distribute the full bind-sender key set through the binding ``systems``.
 
     Only needed when systems interoperate; a lone bind system's decoders
     learn its key from the ordinary announcement.
     """
     if len(headend.pk_set) < 2:
         return
-    for ca in headend.ca_systems:
-        if ca.kind == KIND_BIND:
+    for ca in systems:
+        if ca.kind.binds:
             _queue(ca, EmmKind.PK_SET_UPDATE, build_pk_set_body(headend.pk_set))
 
 
@@ -134,15 +130,14 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
     their sender certificates, and the head-end keeps it to re-certify them
     on rotation; binding systems involve no authority call."""
     systems: list[CaSystem] = []
-    for index, kind in enumerate(kinds):
-        if kind not in CA_KINDS:
-            raise ValueError(f"unknown CA system kind {kind!r}")
+    for index, name in enumerate(kinds):
+        kind = ca_kind(name)
         sender = None
-        if kind == KIND_CERT:
+        if kind.certified:
             if ttp is None or directory is None:
                 raise ProtocolError("certificate CA system requires the authority")
             sender = certproto.sender_init(suite, index + 1, rng, ttp, directory)
-        elif kind == KIND_BIND:
+        elif kind.proto is not None:
             if directory is None:
                 raise ProtocolError("binding CA system requires a directory snapshot")
             sender = bindproto.sender_init(suite, index + 1, rng, directory)
@@ -154,7 +149,7 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
     headend.pk_set = _bind_pk_set(headend)
     for ca in systems:
         _queue_announcement(ca)
-    _queue_pk_set_updates(headend)
+    _queue_pk_set_updates(headend, systems)
     return headend
 
 
@@ -186,10 +181,10 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
     if receiver_id not in ca.receiver_channel_keys:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not provisioned")
 
-    if ca.kind == KIND_LEGACY:
+    if ca.kind.proto is None:
         body = build_enroll_body(b"", b"", ca.group_key, b"")
     else:
-        bundle = _PROTOCOLS[ca.kind].phase1_send(ca.sender, receiver_id, headend.rng)
+        bundle = ca.kind.proto.phase1_send(ca.sender, receiver_id, headend.rng)
         body = build_enroll_body(bundle.signed_blob.to_bytes(), ca.sender.ltk_store[receiver_id],
                                  ca.group_key, _announce_bytes(ca))
 
@@ -197,8 +192,7 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
     ca.enrolled.add(receiver_id)
     # interoperating deployments: the fresh client needs the co-senders' keys,
     # and any set broadcast that predated its enrollment was unverifiable
-    if ca.kind == KIND_BIND and len(headend.pk_set) > 1:
-        _queue(ca, EmmKind.PK_SET_UPDATE, build_pk_set_body(headend.pk_set))
+    _queue_pk_set_updates(headend, [ca])
     return out
 
 
@@ -248,11 +242,11 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     """
     ca = headend.ca_systems[ca_index]
     withhold = withhold or set()
-    if ca.kind == KIND_LEGACY:
+    if ca.kind.proto is None:
         raise ProtocolError("legacy CA system has no sender key")
     before = len(ca.pending_emms)
 
-    if ca.kind == KIND_CERT:
+    if ca.kind.certified:
         old_serial = ca.sender.sender_cert.serial
         certproto.refresh_sender_key(ca.sender, rng, headend.ttp)
         revoke(headend.ttp, old_serial)
@@ -260,7 +254,7 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     else:
         bindproto.refresh_sender_key(ca.sender, rng)
         headend.pk_set = _bind_pk_set(headend)
-        _queue_pk_set_updates(headend)
+        _queue_pk_set_updates(headend, headend.ca_systems)
 
     _queue_announcement(ca)
     ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
@@ -291,7 +285,7 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
 
     ecms = []
     for ca in headend.ca_systems:
-        secret = rand if ca.kind == KIND_BIND else control_word
+        secret = rand if ca.kind.binds else control_word
         protected = suite.sym_encrypt(ca.ecm_key, secret, aad=ecm_aad(ca.index, headend.epoch))
         ecms.append(Ecm(ca.index, headend.epoch, protected))
 

@@ -12,13 +12,13 @@ A scenario is a line-oriented text file (``#`` comments, blank lines ignored)::
     rotate-auth <ca> every <W> count <C>   # rotating authorized subset
     at <epoch> <action ...>
 
-Actions::
+Actions, with the argument shapes ``ACTION_ARGS`` checks::
 
-    authorize <ca> <decoder>         deauthorize <ca> <decoder>
-    enroll <ca> <decoder>            swap-client <decoder>
-    rotate-ttp                       rotate-sender <ca>
+    authorize <ca> <ca-decoder>      deauthorize <ca> <ca-decoder>
+    enroll <ca> <ca-decoder>         swap-client <decoder>
+    rotate-ttp                       rotate-sender <sender-ca>
     recover
-    compromise control-word <decoder> | sender-keys <ca> | ttp-key
+    compromise control-word <decoder> | sender-keys <sender-ca> | ttp-key
                | ca-client <decoder>
     tamper <class> <bit>             class: ecm | emm-broadcast | emm-receiver
                                             | chip-derive | chip-load-ltk
@@ -27,6 +27,10 @@ Actions::
     inject-cw <decoder>              one-shot raw control-word injection
     pirate-probe <decoder>           persistent best-effort pirate injection
     forge-sender <ca> <decoder>      persistent rogue-sender message sets
+
+Every ``<ca>`` and decoder (``<src>`` and ``<dst>`` too) must be declared;
+a ``<ca-decoder>`` must be on the CA system just named, and a ``<sender-ca>``
+must be one whose kind has a sender key (not legacy). Counts are exact.
 
 All decoders are provisioned, registered, and enrolled before epoch 0;
 events fire before that epoch's tick. Delivery order is decoder id order.
@@ -63,18 +67,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from . import certproto, headend as hemod, ttp as ttpmod
+from . import bindproto, certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
-from .bindproto import BindBundle
-from .certproto import CertBundle
 from .decoder import (
-    BindChipState,
-    CertChipState,
     ChipChannelMsg,
     ChipMsgKind,
+    ChipState,
     Decoder,
-    LegacyChipState,
     client_process_ecm,
     client_process_emm,
     derive_msg,
@@ -84,7 +85,8 @@ from .decoder import (
     swap_client,
 )
 from .encoding import encode_id, id_as_int
-from .errors import CwbindError, ProtocolError
+from .errors import CwbindError
+from .kinds import CaKind, ca_kind
 from .phase1 import seal_blob
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage, SuiteConfig
 from .ttp import Certificate, Directory, ROLE_SENDER
@@ -100,6 +102,27 @@ from .wire import (
 
 TAMPER_CLASSES = ("ecm", "emm-broadcast", "emm-receiver", "chip-derive", "chip-load-ltk")
 REPLAY_CLASSES = ("chip-derive", "chip-load-ltk", "emm-receiver", "ecm")
+
+# each action's argument shape in the module docstring's terms; "int", or a
+# tuple of the accepted words. ``compromise`` is keyed with its target.
+ACTION_ARGS: dict[str, tuple] = {
+    "authorize": ("ca", "ca-decoder"),
+    "deauthorize": ("ca", "ca-decoder"),
+    "enroll": ("ca", "ca-decoder"),
+    "swap-client": ("decoder",),
+    "rotate-ttp": (),
+    "rotate-sender": ("sender-ca",),
+    "recover": (),
+    "compromise control-word": ("decoder",),
+    "compromise sender-keys": ("sender-ca",),
+    "compromise ttp-key": (),
+    "compromise ca-client": ("decoder",),
+    "tamper": (TAMPER_CLASSES, "int"),
+    "replay": ("decoder", "decoder", REPLAY_CLASSES),
+    "inject-cw": ("decoder",),
+    "pirate-probe": ("decoder",),
+    "forge-sender": ("ca", "decoder"),
+}
 
 OUTCOME_DERIVED = "K"
 OUTCOME_REJECTED = "R"
@@ -140,63 +163,46 @@ class ScenarioConfig:
             raise ValueError("epochs must be positive")
         if not self.ca_kinds:
             raise ValueError("at least one CA system is required")
-        for kind in self.ca_kinds:
-            if kind not in hemod.CA_KINDS:
-                raise ValueError(f"unknown CA kind {kind!r}")
-        ids = [spec.decoder_id for spec in self.decoders]
-        if len(ids) != len(set(ids)):
+        kinds = [ca_kind(name) for name in self.ca_kinds]
+        ca_of = {spec.decoder_id: spec.ca_index for spec in self.decoders}
+        if len(ca_of) != len(self.decoders):
             raise ValueError("decoder ids must be unique")
         for spec in self.decoders:
-            if not 0 <= spec.ca_index < len(self.ca_kinds):
+            if not 0 <= spec.ca_index < len(kinds):
                 raise ValueError(f"decoder {spec.decoder_id} references missing ca {spec.ca_index}")
-        known_ids = set(ids)
         for ev in self.events:
             if not 0 <= ev.epoch < self.epochs:
                 raise ValueError(f"event at epoch {ev.epoch} outside run")
-            self._validate_event(ev, known_ids)
+            _check_action(ev, kinds, ca_of)
 
-    def _validate_event(self, ev: Event, known_ids: set[int]) -> None:
-        def want_decoder(arg: str) -> None:
-            if int(arg) not in known_ids:
-                raise ValueError(f"event references unknown decoder {arg}")
 
-        def want_ca(arg: str) -> None:
-            if not 0 <= int(arg) < len(self.ca_kinds):
+def _check_action(ev: Event, kinds: list[CaKind], ca_of: dict[int, int]) -> None:
+    """Check an event against its ``ACTION_ARGS`` shape; ``ca_of``: decoder -> CA."""
+    name, args = ev.verb, ev.args
+    if name == "compromise" and args:
+        name, args = f"compromise {args[0]}", args[1:]
+    shape = ACTION_ARGS.get(name)
+    if shape is None:
+        raise ValueError(f"unknown action {name!r}")
+    if len(args) != len(shape):
+        raise ValueError(f"{name} takes {len(shape)} argument(s), got {len(args)}")
+    ca = None
+    for want, arg in zip(shape, args):
+        if isinstance(want, tuple):
+            if arg not in want:
+                raise ValueError(f"{name} expects one of {', '.join(want)}, got {arg!r}")
+        elif want == "int":
+            int(arg)
+        elif want.endswith("ca"):
+            ca = int(arg)
+            if not 0 <= ca < len(kinds):
                 raise ValueError(f"event references unknown ca {arg}")
-
-        verb, args = ev.verb, ev.args
-        if verb in ("authorize", "deauthorize", "enroll"):
-            want_ca(args[0]); want_decoder(args[1])
-        elif verb == "rotate-sender":
-            want_ca(args[0])
-        elif verb in ("rotate-ttp", "recover"):
-            pass
-        elif verb == "swap-client":
-            want_decoder(args[0])
-        elif verb == "compromise":
-            what = args[0]
-            if what == "control-word" or what == "ca-client":
-                want_decoder(args[1])
-            elif what == "sender-keys":
-                want_ca(args[1])
-            elif what != "ttp-key":
-                raise ValueError(f"unknown compromise target {what!r}")
-        elif verb == "tamper":
-            if args[0] not in TAMPER_CLASSES:
-                raise ValueError(f"unknown tamper class {args[0]!r}")
-            int(args[1])
-        elif verb == "replay":
-            want_decoder(args[0]); want_decoder(args[1])
-            if args[2] not in REPLAY_CLASSES:
-                raise ValueError(f"unknown replay class {args[2]!r}")
-        elif verb == "inject-cw":
-            want_decoder(args[0])
-        elif verb == "pirate-probe":
-            want_decoder(args[0])
-        elif verb == "forge-sender":
-            want_ca(args[0]); want_decoder(args[1])
-        else:
-            raise ValueError(f"unknown action {verb!r}")
+            if want == "sender-ca" and kinds[ca].proto is None:
+                raise ValueError(f"{name}: ca {arg} is {kinds[ca].name}, with no sender key")
+        elif int(arg) not in ca_of:
+            raise ValueError(f"event references unknown decoder {arg}")
+        elif want == "ca-decoder" and ca_of[int(arg)] != ca:
+            raise ValueError(f"{name}: decoder {arg} is not on ca {ca}")
 
 
 def _expand_rotate_auth(ca_index: int, every: int, count: int,
@@ -283,8 +289,6 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    from pathlib import Path
-
     p = Path(path)
     return parse_scenario(p.read_text(), name_hint=p.stem)
 
@@ -443,6 +447,7 @@ class World:
     recovery_epoch: int | None = None
     decoders_replaced: int = 0
     swap_counts: dict[bytes, int] = field(default_factory=dict)
+    rekey_labels: dict[str, int] = field(default_factory=dict)  # uses per seed label
     frames: list[bytes] | None = None
     # per-epoch scratch, reset each tick
     epoch_interfered: set[bytes] = field(default_factory=set)
@@ -473,13 +478,12 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> World:
     decoders: dict[bytes, Decoder] = {}
     channel_keys: dict[bytes, bytes] = {}
     for spec in config.decoders:
-        protocol = config.ca_kinds[spec.ca_index]
         decoder_id = encode_id(spec.decoder_id)
         channel_key = master.child(f"provision-{spec.decoder_id}").read(suite.secret_bytes)
         decoder = make_decoder(
-            suite, protocol, spec.ca_index, decoder_id,
+            suite, config.ca_kinds[spec.ca_index], spec.ca_index, decoder_id,
             master.child(f"chip-{spec.decoder_id}"), channel_key,
-            authority_pk=ttp.keypair.public_key if protocol == hemod.KIND_CERT else None,
+            authority_pk=ttp.keypair.public_key,
         )
         decoders[decoder_id] = decoder
         channel_keys[decoder_id] = channel_key
@@ -516,6 +520,14 @@ def _fresh_channel_key(world: World, decoder_id: bytes) -> bytes:
     return world.master.child(label).read(world.suite.secret_bytes)
 
 
+def _rekey_rng(world: World, label: str) -> Drbg:
+    """The seed child for one sender re-key. A label used again in the same
+    epoch gets a numbered variant, so every re-key draws a new key pair."""
+    uses = world.rekey_labels.get(label, 0) + 1
+    world.rekey_labels[label] = uses
+    return world.master.child(label if uses == 1 else f"{label}#{uses}")
+
+
 def _do_swap_client(world: World, decoder_id: bytes, enroll: bool = True) -> None:
     decoder = world.decoders[decoder_id]
     new_key = _fresh_channel_key(world, decoder_id)
@@ -542,22 +554,18 @@ def _do_recover(world: World, epoch: int) -> None:
     world.refresh_directory()
 
     # certificate chips hold the retired trust anchor; replace them
-    replaced = 0
     for decoder_id, decoder in sorted(world.decoders.items()):
-        if isinstance(decoder.chip, CertChipState):
-            if decoder.chip.receiver.authority_pk != world.ttp.keypair.public_key:
-                old = decoder.chip.receiver
-                decoder.chip = CertChipState(certproto.CertReceiverState(
-                    old.suite, old.receiver_id, world.ttp.keypair.public_key, old.enc_keypair))
-                _do_swap_client(world, decoder_id, enroll=False)
-                replaced += 1
-    world.decoders_replaced += replaced
+        kind, old = decoder.chip.kind, decoder.chip.receiver
+        if kind.certified and old.authority_pk != world.ttp.keypair.public_key:
+            decoder.chip = ChipState(kind, old.suite, certproto.CertReceiverState(
+                old.suite, old.receiver_id, world.ttp.keypair.public_key, old.enc_keypair))
+            _do_swap_client(world, decoder_id, enroll=False)
+            world.decoders_replaced += 1
 
     for ca in world.headend.ca_systems:
-        if ca.kind == hemod.KIND_LEGACY:
-            continue
-        hemod.rotate_sender_key(world.headend, ca.index,
-                                world.master.child(f"sender-rekey-{ca.index}-{epoch}"))
+        if ca.kind.proto is not None:  # legacy systems have no sender to re-key
+            hemod.rotate_sender_key(world.headend, ca.index,
+                                    _rekey_rng(world, f"sender-rekey-{ca.index}-{epoch}"))
     world.recovery_epoch = epoch
 
 
@@ -571,10 +579,8 @@ def adversary_step(world: World, event: Event) -> World:
             adv.cw_taps.add(encode_id(int(event.args[1])))
         elif what == "ca-client":
             adv.client_taps.add(encode_id(int(event.args[1])))
-        elif what == "sender-keys":
+        elif what == "sender-keys":  # validation admits only systems with a sender
             ca = world.headend.ca_systems[int(event.args[1])]
-            if ca.sender is None:
-                raise ProtocolError("legacy CA system has no sender keys to compromise")
             adv.sender_snapshots[ca.index] = SenderSnapshot(
                 ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
         elif what == "ttp-key":
@@ -604,7 +610,7 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
     elif event.verb == "rotate-sender":
         ca_index = int(event.args[0])
         hemod.rotate_sender_key(world.headend, ca_index,
-                                world.master.child(f"sender-rotate-{ca_index}-{epoch}"))
+                                _rekey_rng(world, f"sender-rotate-{ca_index}-{epoch}"))
     elif event.verb == "swap-client":
         _do_swap_client(world, encode_id(int(event.args[0])))
     elif event.verb == "recover":
@@ -616,17 +622,6 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 # ---------------------------------------------------------------------------
 # pirate message construction
 # ---------------------------------------------------------------------------
-
-
-def _mint_certificate(world: World, rogue_pk: bytes) -> Certificate:
-    """Forge a sender certificate under the stolen authority key."""
-    adv = world.adversary
-    generation, keypair = adv.authority_key
-    adv.minted_serial += 1
-    payload = Certificate.signed_payload(adv.minted_serial, encode_id(0xAD), ROLE_SENDER,
-                                         rogue_pk, generation)
-    return Certificate(adv.minted_serial, encode_id(0xAD), ROLE_SENDER, rogue_pk,
-                       generation, world.suite.sign(keypair, payload))
 
 
 def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
@@ -641,7 +636,7 @@ def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: SignedMess
     """A binding chip's full message set under one sender key: file the
     long-term key, make the key the whole set, derive from ``rand``."""
     return [
-        ChipChannelMsg(ChipMsgKind.LOAD_LTK, BindBundle(sender_pk, blob).to_bytes()),
+        ChipChannelMsg(ChipMsgKind.LOAD_LTK, bindproto.BindBundle(sender_pk, blob).to_bytes()),
         ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))),
         derive_msg(suite, ltk, epoch, rand, sender_pk),
     ]
@@ -649,9 +644,16 @@ def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: SignedMess
 
 def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage,
                           ltk: bytes, epoch: int, secret: bytes) -> list[ChipChannelMsg]:
-    """A certificate chip's message set under a certificate minted for ``rogue``."""
-    cert = _mint_certificate(world, rogue.public_key)
-    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, CertBundle(cert, blob).to_bytes()),
+    """A certificate chip's message set under a sender certificate for
+    ``rogue``, forged with the stolen authority key."""
+    adv = world.adversary
+    generation, keypair = adv.authority_key
+    adv.minted_serial += 1
+    payload = Certificate.signed_payload(adv.minted_serial, encode_id(0xAD), ROLE_SENDER,
+                                         rogue.public_key, generation)
+    cert = Certificate(adv.minted_serial, encode_id(0xAD), ROLE_SENDER, rogue.public_key,
+                       generation, world.suite.sign(keypair, payload))
+    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, certproto.CertBundle(cert, blob).to_bytes()),
             derive_msg(world.suite, ltk, epoch, secret)]
 
 
@@ -660,29 +662,30 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     """Best-effort pirate message set for one decoder, from current knowledge."""
     adv = world.adversary
     suite = world.suite
-    kind, ca_index = probe
+    probe_type, ca_index = probe
+    kind = decoder.chip.kind
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
     raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
 
-    if isinstance(decoder.chip, LegacyChipState):
+    if kind.proto is None:
         return raw_cw
 
-    if kind == "forge":
+    if probe_type == "forge":
         # rogue sender with its own keys: full message set, own randomness
         rogue = suite.keygen("sig", rng)
         ltk = rng.read(suite.secret_bytes)
         rand = rng.read(suite.secret_bytes)
         blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
-        if isinstance(decoder.chip, BindChipState):
+        if kind.binds:
             return _bind_load_and_derive(suite, rogue.public_key, blob, ltk, epoch, rand)
-        if isinstance(decoder.chip, CertChipState) and adv.authority_key is not None:
+        if adv.authority_key is not None:  # a certificate chip
             secret = adv.known_cw if adv.known_cw is not None else rand
             return _cert_load_and_derive(world, rogue, blob, ltk, epoch, secret)
         return []
 
     # pirate probe: use whatever was compromised
     snapshot = adv.sender_snapshots.get(ca_index)
-    if isinstance(decoder.chip, CertChipState):
+    if kind.certified:
         if adv.authority_key is not None and adv.known_cw is not None:
             rogue = suite.keygen("sig", rng)
             ltk = rng.read(suite.secret_bytes)
@@ -694,15 +697,13 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
                 return [derive_msg(suite, stolen_ltk, epoch, adv.known_cw)]
         return raw_cw
 
-    if isinstance(decoder.chip, BindChipState):
-        if snapshot is not None:
-            ltk = rng.read(suite.secret_bytes)
-            blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
-            rand_guess = adv.known_rand.get(ca_index) or rng.read(suite.secret_bytes)
-            return _bind_load_and_derive(suite, snapshot.sig_keypair.public_key, blob, ltk,
-                                         epoch, rand_guess)
-        return raw_cw
-    return []
+    if snapshot is not None:  # a binding chip
+        ltk = rng.read(suite.secret_bytes)
+        blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
+        rand_guess = adv.known_rand.get(ca_index) or rng.read(suite.secret_bytes)
+        return _bind_load_and_derive(suite, snapshot.sig_keypair.public_key, blob, ltk,
+                                     epoch, rand_guess)
+    return raw_cw
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +725,7 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
     if target == "ecm" and frame.ecms:
         ecm = frame.ecms[0]
         tampered = Ecm(ecm.ca_system_id, ecm.epoch, _flip_payload_bit(ecm.protected_secret, bit))
-        for decoder_id in world.decoder_ids_by_ca().get(ecm.ca_system_id, []):
-            world.epoch_interfered.add(decoder_id)
+        world.epoch_interfered.update(world.decoder_ids_by_ca().get(ecm.ca_system_id, []))
         return BroadcastFrame(frame.epoch, frame.scrambled_content,
                               (tampered,) + frame.ecms[1:], frame.emms)
     if target in ("emm-broadcast", "emm-receiver"):
@@ -736,8 +736,8 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
                 emms[i] = Emm(emm.ca_system_id, emm.kind, emm.addressee,
                               _flip_payload_bit(emm.payload, bit))
                 if want_broadcast:
-                    for decoder_id in world.decoder_ids_by_ca().get(emm.ca_system_id, []):
-                        world.epoch_interfered.add(decoder_id)
+                    world.epoch_interfered.update(
+                        world.decoder_ids_by_ca().get(emm.ca_system_id, []))
                 else:
                     world.epoch_interfered.add(emm.addressee)
                 break
@@ -772,20 +772,17 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
                 src = encode_id(int(event.args[0]))
                 captured = adv.captured.get((event.args[2], src))
                 world.epoch_interfered.add(decoder_id)
-                if isinstance(captured, ChipChannelMsg):
-                    out.append(captured)
-                elif isinstance(captured, Emm):
-                    try:
+                try:
+                    if isinstance(captured, ChipChannelMsg):
+                        out.append(captured)
+                    elif isinstance(captured, Emm):
                         out.extend(client_process_emm(decoder.client, captured))
-                    except CwbindError:  # rejected replays are the point
-                        pass
-                elif isinstance(captured, Ecm):
-                    try:
+                    elif isinstance(captured, Ecm):
                         replayed = client_process_ecm(decoder.client, captured)
                         if replayed is not None:
                             out.append(replayed)
-                    except CwbindError:
-                        pass
+                except CwbindError:  # rejected replays are the point
+                    pass
             elif event.verb == "inject-cw" and encode_id(int(event.args[0])) == decoder_id:
                 world.epoch_interfered.add(decoder_id)
                 if adv.known_cw is not None:
@@ -829,7 +826,7 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
             except CwbindError:  # stale key, nothing learned
                 continue
             ca = headend.ca_systems[ecm.ca_system_id]
-            if ca.kind == hemod.KIND_BIND:
+            if ca.kind.binds:
                 adv.known_rand[ecm.ca_system_id] = secret
                 if headend.pk_set:
                     adv.known_cw = bound_secret(headend.pk_set, secret, world.suite.secret_bits)

@@ -203,17 +203,14 @@ def export_directory(ttp: TtpState) -> bytes:
     """
     ttp._count("export_directory")
     current = [cert for cert in ttp.issued_certs if cert.generation == ttp.generation]
-    body = u32(ttp.generation) + lp(ttp.keypair.public_key)
-    body += u16(len(ttp.prior_pks))
-    for generation, pk in ttp.prior_pks:
-        body += u32(generation) + lp(pk)
-    body += u16(len(current))
-    for cert in current:
-        body += lp(cert.to_bytes())
+    parts = [u32(ttp.generation), lp(ttp.keypair.public_key), u16(len(ttp.prior_pks))]
+    parts += [u32(generation) + lp(pk) for generation, pk in ttp.prior_pks]
+    parts.append(u16(len(current)))
+    parts += [lp(cert.to_bytes()) for cert in current]
     serials = sorted(ttp.revoked_serials)
-    body += u32(len(serials))
-    for serial in serials:
-        body += u64(serial)
+    parts.append(u32(len(serials)))
+    parts += [u64(serial) for serial in serials]
+    body = b"".join(parts)  # one join: appending to bytes in a loop is quadratic
     return b"TD" + u8(1) + ttp.suite.sign(ttp.keypair, body).to_bytes()
 
 

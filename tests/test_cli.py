@@ -59,6 +59,15 @@ def test_run_invalid_scenario_fails(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
 
 
+def test_run_action_with_too_few_arguments_fails_cleanly(tmp_path, capsys):
+    # used to escape as an IndexError traceback out of validation
+    bad = tmp_path / "short.scn"
+    bad.write_text("scenario x\nseed 1\nepochs 3\nca 0 bind\ndecoder 1 ca 0\nat 1 authorize 0\n")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_run_frame_capture(tmp_path):
     frames = tmp_path / "run.frames"
     assert main(["run", str(SCENARIO_DIR / "client-swap.scn"), "--out",

@@ -13,8 +13,8 @@ from cwbind.decoder import (
     CaClientState,
     ChipChannelMsg,
     ChipMsgKind,
+    ChipState,
     Decoder,
-    LegacyChipState,
     chip_process,
     client_process_ecm,
     client_process_emm,
@@ -25,6 +25,7 @@ from cwbind.decoder import (
 )
 from cwbind.encoding import BROADCAST_ADDR, encode_id, lp, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
+from cwbind.kinds import BIND, LEGACY
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
 from cwbind.wire import BROADCAST_KINDS, BroadcastFrame, Emm, EmmKind, build_pk_set_body
@@ -198,12 +199,12 @@ def test_stale_handle_refused(pipeline):
 
 
 def test_wrong_key_handle_yields_garbage_not_content(suite):
-    from cwbind.decoder import ControlWordHandle, LegacyChipState
+    from cwbind.decoder import ControlWordHandle
     from cwbind.scramble import scramble
 
     content = b"\x44" * 32
     scrambled = scramble(b"\x01" * 16, 5, content)
-    chip = LegacyChipState(suite, current_epoch=5)
+    chip = ChipState(LEGACY, suite, current_epoch=5)
     wrong = ControlWordHandle(5, b"\x02" * 16)
     assert descramble(chip, wrong, scrambled) != content
 
@@ -215,7 +216,7 @@ def test_secret_isolation_in_reprs(pipeline):
     secrets = [headend.scrambler_key]
     for d in decoders.values():
         result = process_frame(d, frame)
-        if hasattr(d.chip, "receiver"):
+        if d.chip.receiver is not None:
             recv = d.chip.receiver
             secrets.append(recv.enc_keypair.private_key)
             if hasattr(recv, "ltk_by_sender"):
@@ -386,8 +387,8 @@ def _emms_handed_to_client(decoder, frame):
 ])
 def test_process_frame_hands_client_exactly_what_a_full_scan_acts_on(ca_index, receiver_id, emms):
     client = CaClientState(suite=None, ca_system_id=ca_index, receiver_id=receiver_id,
-                           protocol="bind", channel_key=b"")
-    decoder = Decoder(receiver_id, ca_index, client, LegacyChipState(None))
+                           kind=BIND, channel_key=b"")
+    decoder = Decoder(receiver_id, ca_index, client, ChipState(LEGACY, None))
     frame = BroadcastFrame(0, b"", (), tuple(emms))
     assert _emms_handed_to_client(decoder, frame) == _full_scan_acts_on(client, frame.emms)
 
@@ -448,7 +449,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
 def test_raw_control_word_of_wrong_length_gets_no_handle(suite):
     # the descrambler keys AES with the word, so a 5-byte word must be a
     # protocol rejection, not a handle that fails inside the descrambler
-    chip = LegacyChipState(suite)
+    chip = ChipState(LEGACY, suite)
     with pytest.raises(ProtocolError):
         handle = chip_process(chip, ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(0) + lp(b"\x05" * 5)))
         descramble(chip, handle, b"content")

@@ -8,7 +8,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cwbind.decoder import ControlWordHandle, LegacyChipState, descramble
+from cwbind.decoder import ChipState, ControlWordHandle, descramble
+from cwbind.kinds import LEGACY
 from cwbind.scramble import _keystream, scramble
 from cwbind.sim import load_scenario, run_scenario
 
@@ -58,7 +59,7 @@ def test_wrong_control_word_after_right_one_cached_yields_garbage(suite):
     content = b"\x44" * 64
     right, wrong = b"\x01" * 16, b"\x02" * 16
     scrambled = scramble(right, 5, content)  # the head-end fills the cache
-    chip = LegacyChipState(suite, current_epoch=5)
+    chip = ChipState(LEGACY, suite, current_epoch=5)
     assert descramble(chip, ControlWordHandle(5, right), scrambled) == content
     assert descramble(chip, ControlWordHandle(5, wrong), scrambled) != content
 

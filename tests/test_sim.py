@@ -3,8 +3,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cwbind.decoder import BindChipState, CertChipState
+from cwbind.kinds import BIND, CERT
 from cwbind.sim import (
     Event,
     ScenarioConfig,
@@ -70,6 +72,98 @@ def test_invalid_configs_rejected(mutation):
     config = parse_scenario(MINI)
     with pytest.raises(ValueError):
         mutation(config).validate()
+
+
+TWO_CA = """
+scenario two-ca
+seed 3
+epochs 4
+ca 0 bind
+ca 1 legacy
+decoder 1 ca 0
+decoder 2 ca 1
+"""
+
+
+@pytest.mark.parametrize("action", [
+    "authorize 0",  # too few arguments: used to die with an IndexError
+    "compromise",
+    "replay 1 2",
+    "recover now",  # too many
+    "rotate-sender 0 1",
+    "swap-client 1 2",
+    "authorize 1 1",  # decoder 1 belongs to ca 0
+    "deauthorize 0 2",
+    "enroll 1 1",
+    "rotate-sender 1",  # a legacy system has no sender key
+    "compromise sender-keys 1",
+])
+def test_action_with_bad_arguments_rejected(action):
+    # each of these passed or crashed validation, or raised mid-run
+    with pytest.raises(ValueError):
+        parse_scenario(TWO_CA + f"at 1 {action}\n")
+
+
+def _cut(text: str, epochs: int = 6) -> str:
+    """A scenario run over at most ``epochs`` epochs, its events rescaled."""
+    total = int(next(line.split()[1] for line in text.splitlines()
+                     if line.startswith("epochs ")))
+    lines = []
+    for line in text.splitlines():
+        fields = line.split("#", 1)[0].split()
+        if fields[:1] == ["epochs"]:
+            line = f"epochs {min(total, epochs)}"
+        elif fields[:1] == ["at"]:
+            line = " ".join(["at", str(int(fields[1]) * epochs // max(total, epochs))]
+                            + fields[2:])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+_CUT_SHIPPED = [_cut(path.read_text()) for path in SHIPPED]
+# every verb with the argument count the grammar gives it, and one bogus verb
+_ARITY = {"authorize": 2, "deauthorize": 2, "enroll": 2, "swap-client": 1, "rotate-ttp": 0,
+          "rotate-sender": 1, "recover": 0, "compromise": 2, "tamper": 2, "replay": 3,
+          "inject-cw": 1, "pirate-probe": 1, "forge-sender": 2, "sabotage": 1}
+_WORDS = ["control-word", "sender-keys", "ttp-key", "ca-client", "ecm", "emm-broadcast",
+          "emm-receiver", "chip-derive", "chip-load-ltk"]
+_arg = st.integers(0, 8).map(str) | st.sampled_from(_WORDS)
+# the verb's own count is drawn more often than the others, or few lines validate
+_action = st.sampled_from(sorted(_ARITY)).flatmap(lambda verb: st.tuples(
+    st.integers(0, 5), st.just(verb),
+    st.sampled_from([_ARITY[verb]] * 3 + [0, 1, 2, 3]).flatmap(
+        lambda n: st.lists(_arg, min_size=n, max_size=n))))
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.sampled_from(_CUT_SHIPPED), candidates=st.lists(_action, min_size=1, max_size=6))
+def test_mutated_scenarios_are_rejected_or_run(base, candidates):
+    # a shipped scenario cut to 6 epochs; each random action line either
+    # fails validation with a ValueError (nothing else) or joins it, up to
+    # three lines, and the scenario they make runs to the end
+    text, added = base, 0
+    for epoch, verb, args in candidates:
+        line = f"at {epoch} {verb} {' '.join(args)}\n"
+        try:
+            parse_scenario(text + line)
+        except ValueError:
+            continue
+        text, added = text + line, added + 1
+        if added == 3:
+            break
+    if added:
+        run_world(parse_scenario(text))
+
+
+def test_two_sender_rotations_in_one_epoch_draw_two_key_pairs():
+    # both re-keys used to draw from one seed label: the authority refused to
+    # certify the repeated key mid-run, and a binding sender kept its key
+    for kind in ("cert", "bind"):
+        text = TWO_CA.replace("ca 0 bind", f"ca 0 {kind}") + "at 1 rotate-sender 0\n"
+        _, once = run_world(parse_scenario(text))
+        _, twice = run_world(parse_scenario(text + "at 1 rotate-sender 0\n"))
+        first = once.headend.ca_systems[0].sender.sig_keypair.public_key
+        assert twice.headend.ca_systems[0].sender.sig_keypair.public_key != first
 
 
 def test_rotate_auth_expansion_changes_set_each_window():
@@ -224,7 +318,7 @@ at 5 recover
     config = parse_scenario(text)
     report, world = run_world(config)
     for decoder in world.decoders.values():
-        assert isinstance(decoder.chip, BindChipState)
+        assert decoder.chip.kind is BIND
     assert report.decoders_replaced == 0
     assert all(row.outcomes[1] == "K" for row in report.rows)
 
@@ -244,7 +338,7 @@ at 5 recover
     report, world = run_world(parse_scenario(text))
     assert report.decoders_replaced == 2
     for decoder in world.decoders.values():
-        assert isinstance(decoder.chip, CertChipState)
+        assert decoder.chip.kind is CERT
         assert decoder.chip.receiver.authority_pk == world.ttp.keypair.public_key
     assert all(row.outcomes[1] == "K" for row in report.rows if row.epoch >= 5)
 

@@ -1,5 +1,7 @@
 """Authority: registration, issuance, revocation, rotation, directory export."""
 
+import hashlib
+
 import pytest
 
 from cwbind.errors import CryptoError, ProtocolError
@@ -181,6 +183,25 @@ def test_directory_export_parse_round_trip(suite, ttp, rng):
     assert directory.generation == ttp.generation
     assert directory.revoked_serials == frozenset(ttp.revoked_serials)
     assert len(directory.certificates) == 2
+
+
+def test_directory_export_bytes_are_pinned(suite):
+    # 64 receivers, two senders, one rotation and revocations on both sides
+    # of it; the digest was taken from the export before it was built by join
+    master = Drbg.from_int(0xD1)
+    ttp = ttp_init(suite, master.child("ttp"))
+    for n in range(1, 65):
+        register_receiver(ttp, n, suite.keygen("pke", master.child(f"chip-{n}")).public_key)
+    for n in (101, 102):
+        certify_sender(ttp, n, suite.keygen("sig", master.child(f"sender-{n}")).public_key)
+    revoke(ttp, ttp.issued_certs[3].serial)
+    rotate(ttp, master.child("rotate"))
+    for index in (7, 30, 64):
+        revoke(ttp, ttp.issued_certs[-index].serial)
+    blob = export_directory(ttp)
+    assert len(blob) == 8707
+    assert hashlib.sha256(blob).hexdigest() == (
+        "03862caa2ecf7cbd6b9e628a1f331406f9d50a6f5f7316a69121f7733353733a")
 
 
 def test_directory_receiver_cert_lookup(suite, ttp, rng):
