@@ -94,9 +94,10 @@ def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
     """DERIVE: ``secret`` wrapped under ``ltk`` with the epoch label
     authenticated. Binding chips are told the sender key it was filed under;
     certificate chips (``sender_pk`` None) hold one long-term key."""
+    label = u32(epoch)
     named = b"" if sender_pk is None else lp(sender_pk)
-    wrapped = suite.sym_encrypt(ltk, secret, aad=u32(epoch))
-    return ChipChannelMsg(ChipMsgKind.DERIVE, u32(epoch) + named + lp(wrapped))
+    wrapped = suite.sym_encrypt(ltk, secret, aad=label)
+    return ChipChannelMsg(ChipMsgKind.DERIVE, label + named + lp(wrapped))
 
 
 def load_cw_msg(epoch: int, control_word: bytes) -> ChipChannelMsg:
@@ -249,7 +250,16 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     length, and only then does the chip's epoch watermark move.
     """
     kind, recv = chip.kind, chip.receiver
-    if kind.proto is None:
+    # a compliant chip's DERIVE first: every authorized decoder-epoch carries one
+    if msg.kind == ChipMsgKind.DERIVE and kind.proto is not None:
+        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=kind.binds)
+        # the epoch label is authenticated inside the wrap: a relabeled
+        # delivery fails before it can move the epoch watermark
+        if kind.binds:
+            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, context=u32(epoch))
+        else:
+            control_word = certproto.phase2_receive(recv, wrapped, context=u32(epoch))
+    elif kind.proto is None:
         if msg.kind != ChipMsgKind.LOAD_CW:
             raise ProtocolError("legacy chip only accepts raw control words")
         epoch, _, control_word = _split_word_msg(msg.payload, named=False)
@@ -276,16 +286,8 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
             raise ProtocolError("sender key set repeats a key")
         recv.active_pk_set = tuple(sorted(pks))
         return None
-    elif msg.kind != ChipMsgKind.DERIVE:
-        raise ProtocolError(f"{kind.name} chip rejects message kind {msg.kind.name}")
     else:
-        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=kind.binds)
-        # the epoch label is authenticated inside the wrap: a relabeled
-        # delivery fails before it can move the epoch watermark
-        if kind.binds:
-            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, context=u32(epoch))
-        else:
-            control_word = certproto.phase2_receive(recv, wrapped, context=u32(epoch))
+        raise ProtocolError(f"{kind.name} chip rejects message kind {msg.kind.name}")
 
     # the descrambler is keyed by exactly this length; any other would fail
     # outside the protocol checks

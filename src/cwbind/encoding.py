@@ -79,8 +79,7 @@ class Reader:
         return struct.unpack(">Q", self.take(8))[0]
 
     def take_lp(self) -> bytes:
-        length = self.take_u32()
-        return self.take(length)
+        return self.take(int.from_bytes(self.take(4), "big"))
 
     def expect(self, magic: bytes, what: str) -> None:
         got = self.take(len(magic))

@@ -43,7 +43,10 @@ are exercised by the message-level tamper harness in the test suite.
 
 The adversary captures every genuine message it can see (broadcast frames
 and the chip channels) and keeps the latest of each class per decoder for
-replay. ``compromise control-word`` models ongoing extraction from an
+replay. It interposes on a decoder's chip channel only in an epoch where it
+acts on that decoder (an epoch with a one-shot tamper, replay or inject-cw,
+or a probed decoder); every decoder's own chip messages are captured either
+way. ``compromise control-word`` models ongoing extraction from an
 authorized decoder: it survives client swaps and chip replacement, because
 extraction is assumed cheap and repeatable; recovery targets key material,
 not the extraction capability. ``compromise`` of sender keys and the
@@ -84,7 +87,7 @@ from .decoder import (
     process_frame,
     swap_client,
 )
-from .encoding import encode_id, id_as_int
+from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
 from .phase1 import seal_blob
@@ -95,8 +98,8 @@ from .wire import (
     Ecm,
     Emm,
     build_pk_set_body,
-    encode_ecm,
-    encode_emm,
+    ecm_size,
+    emm_size,
     encode_frame,
 )
 
@@ -123,6 +126,8 @@ ACTION_ARGS: dict[str, tuple] = {
     "pirate-probe": ("decoder",),
     "forge-sender": ("ca", "decoder"),
 }
+
+BROADCAST_ID = id_as_int(BROADCAST_ADDR)
 
 OUTCOME_DERIVED = "K"
 OUTCOME_REJECTED = "R"
@@ -168,6 +173,9 @@ class ScenarioConfig:
         if len(ca_of) != len(self.decoders):
             raise ValueError("decoder ids must be unique")
         for spec in self.decoders:
+            # an id is 8 bytes on the wire, and all-ones is the broadcast address
+            if not 0 <= spec.decoder_id < BROADCAST_ID:
+                raise ValueError(f"decoder id {spec.decoder_id} outside 0..{BROADCAST_ID - 1}")
             if not 0 <= spec.ca_index < len(kinds):
                 raise ValueError(f"decoder {spec.decoder_id} references missing ca {spec.ca_index}")
         for ev in self.events:
@@ -312,9 +320,9 @@ class BandwidthLedger:
     def add_frame(self, frame: BroadcastFrame) -> None:
         self.content += len(frame.scrambled_content)
         for ecm in frame.ecms:
-            self.ecm += len(encode_ecm(ecm))
+            self.ecm += ecm_size(ecm)
         for emm in frame.emms:
-            size = len(encode_emm(emm))
+            size = emm_size(emm)
             if emm.is_broadcast():
                 self.emm_broadcast += size
             else:
@@ -454,11 +462,15 @@ class World:
     epoch_one_shots: list[Event] = field(default_factory=list)
     # the decoder set and each decoder's CA system never change after build
     _ids_by_ca: dict[int, list[bytes]] = field(init=False, repr=False)
+    # delivery order: (id, id as an integer, decoder), in id order
+    _delivery: list[tuple[bytes, int, Decoder]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ids_by_ca = {}
+        self._delivery = []
         for decoder_id, decoder in sorted(self.decoders.items()):
             self._ids_by_ca.setdefault(decoder.ca_index, []).append(decoder_id)
+            self._delivery.append((decoder_id, id_as_int(decoder_id), decoder))
 
     def decoder_ids_by_ca(self) -> dict[int, list[bytes]]:
         """Decoder ids per CA system, in id order; shared, so read only."""
@@ -746,10 +758,17 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
 
 
 def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
-    """Build the chip-channel interposition for one decoder this epoch."""
+    """Build the chip-channel interposition for one decoder this epoch, or
+    return ``None`` when the adversary does not act on it: no one-shot event
+    this epoch and no probe on the decoder. The interposer captures the
+    decoder's own chip messages before it alters them; without one,
+    ``run_world`` captures them itself, so every decoder's messages are
+    captured either way."""
     adv = world.adversary
     one_shots = world.epoch_one_shots
     decoder_id = decoder.decoder_id
+    if not one_shots and decoder_id not in adv.probes:
+        return None
 
     def chip_filter(msgs: list[ChipChannelMsg]) -> list[ChipChannelMsg]:
         adv.capture_chip_msgs(decoder_id, msgs)
@@ -863,22 +882,28 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         for ca in world.headend.ca_systems:
             authorized.update(id_as_int(rid) for rid in ca.authorized)
 
+        adv = world.adversary
         outcomes: dict[int, str] = {}
-        for decoder_id, decoder in sorted(world.decoders.items()):
-            result = process_frame(decoder, frame,
-                                   chip_filter=_chip_filter_for(world, decoder, epoch))
+        for decoder_id, int_id, decoder in world._delivery:
+            chip_filter = _chip_filter_for(world, decoder, epoch)
+            result = process_frame(decoder, frame, chip_filter=chip_filter)
+            if chip_filter is None:  # delivered as the client built them
+                adv.capture_chip_msgs(decoder_id, result.chip_msgs)
             # a chip message encodes as u8 kind | lp(payload)
-            world.ledger.chip_channel += sum(5 + len(m.payload) for m in result.chip_msgs)
+            chip_bytes = 0
+            for msg in result.chip_msgs:
+                chip_bytes += 5 + len(msg.payload)
+            world.ledger.chip_channel += chip_bytes
             if result.descrambled == content:
                 outcome = OUTCOME_DERIVED
             elif result.errors or result.derive_attempted:
                 outcome = OUTCOME_REJECTED
             else:
                 outcome = OUTCOME_EXCLUDED
-            outcomes[id_as_int(decoder_id)] = outcome
-            if decoder_id in world.adversary.cw_taps and outcome == OUTCOME_DERIVED:
+            outcomes[int_id] = outcome
+            if decoder_id in adv.cw_taps and outcome == OUTCOME_DERIVED:
                 # live extraction: the tap reads the word as the chip derives it
-                world.adversary.known_cw = world.headend.scrambler_key
+                adv.known_cw = world.headend.scrambler_key
 
         world.rows.append(EpochRow(
             epoch=epoch,

@@ -45,6 +45,9 @@ addressed to it, and on its own system's ECM. A frame routes its EMMs and
 ECMs to those recipients once, on first use, so a decoder's work on a frame
 does not grow with the messages meant for others
 (``BroadcastFrame.emms_for``, ``BroadcastFrame.ecms_for``).
+
+``emm_size`` and ``ecm_size`` give an encoded message's length from the
+layouts above without encoding it, for byte accounting.
 """
 
 from __future__ import annotations
@@ -162,6 +165,12 @@ def encode_emm(emm: Emm) -> bytes:
     return emm_aad(emm.ca_system_id, emm.kind, emm.addressee) + lp(emm.payload)
 
 
+def emm_size(emm: Emm) -> int:
+    """``len(encode_emm(emm))`` for an 8-byte addressee, without encoding:
+    the 14-byte header, the 4-byte length prefix and the payload."""
+    return 18 + len(emm.payload)
+
+
 def decode_emm(data: bytes) -> Emm:
     r = Reader(data)
     r.expect(EMM_MAGIC, "EMM magic")
@@ -182,6 +191,12 @@ def decode_emm(data: bytes) -> Emm:
 
 def encode_ecm(ecm: Ecm) -> bytes:
     return ecm.aad + lp(ecm.protected_secret)
+
+
+def ecm_size(ecm: Ecm) -> int:
+    """``len(encode_ecm(ecm))`` without encoding: the 9-byte header, the
+    4-byte length prefix and the protected secret."""
+    return 13 + len(ecm.protected_secret)
 
 
 def decode_ecm(data: bytes) -> Ecm:

@@ -68,6 +68,15 @@ def test_run_action_with_too_few_arguments_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_run_decoder_id_outside_the_id_space_fails_cleanly(tmp_path, capsys):
+    # used to escape as a struct.error traceback out of the world build
+    bad = tmp_path / "wide.scn"
+    bad.write_text("scenario x\nseed 1\nepochs 3\nca 0 bind\ndecoder -1 ca 0\n")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_run_frame_capture(tmp_path):
     frames = tmp_path / "run.frames"
     assert main(["run", str(SCENARIO_DIR / "client-swap.scn"), "--out",

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cwbind import sim
+from cwbind.encoding import encode_id
 from cwbind.kinds import BIND, CERT
 from cwbind.sim import (
     Event,
@@ -72,6 +74,15 @@ def test_invalid_configs_rejected(mutation):
     config = parse_scenario(MINI)
     with pytest.raises(ValueError):
         mutation(config).validate()
+
+
+@pytest.mark.parametrize("decoder_id", ["-1", str(2**64), str(2**64 - 1)],
+                         ids=["negative", "over-8-bytes", "broadcast-address"])
+def test_decoder_id_outside_the_id_space_rejected(decoder_id):
+    # the first two crashed the run with a struct.error; the broadcast
+    # address ran, with that decoder's own EMMs counted as broadcast
+    with pytest.raises(ValueError, match="decoder id"):
+        parse_scenario(MINI + f"decoder {decoder_id} ca 0\n")
 
 
 TWO_CA = """
@@ -230,6 +241,32 @@ def test_shipped_scenario_matches_expected_report(path):
     assert report.to_text() == expected
 
 
+def _interpose_on_everyone(chip_filter_for):
+    """``_chip_filter_for`` giving every decoder an interposer: where the
+    adversary does not act, one that only captures and passes the list on."""
+    def interposed(world, decoder, epoch):
+        chip_filter = chip_filter_for(world, decoder, epoch)
+        if chip_filter is not None:
+            return chip_filter
+
+        def capture_only(msgs):
+            world.adversary.capture_chip_msgs(decoder.decoder_id, msgs)
+            return list(msgs)
+        return capture_only
+    return interposed
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_uninterposed_decoders_are_captured_as_if_interposed(path, monkeypatch):
+    config = load_scenario(path)
+    report, world = run_world(config)
+    monkeypatch.setattr(sim, "_chip_filter_for", _interpose_on_everyone(sim._chip_filter_for))
+    interposed_report, interposed_world = run_world(config)
+    assert report.to_text() == interposed_report.to_text()
+    assert world.adversary.captured == interposed_world.adversary.captured
+    assert any(cls == "chip-derive" for cls, _ in world.adversary.captured)
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
 def test_shipped_scenario_key_authentication(path):
     report = run_scenario(load_scenario(path))
@@ -249,13 +286,27 @@ def test_ecm_tamper_rejects_all_compliant_decoders_that_epoch():
     assert report.rows[4].outcomes == {1: "K", 2: "K"}  # one-shot only
 
 
-def test_replay_closure_every_class_every_other_decoder():
+def test_replay_closure_every_class_every_other_decoder(monkeypatch):
     # capture everything from decoder 1, replay at decoder 2, every class
     lines = [MINI, "at 0 authorize 0 2\n"]
     classes = ("chip-derive", "chip-load-ltk", "emm-receiver", "ecm")
     for i, cls in enumerate(classes):
         lines.append(f"at {i + 1} replay 1 2 {cls}\n")
+    # what the adversary holds as each replay epoch starts: decoder 1 is
+    # delivered before decoder 2, so a capture first made in the replay
+    # epoch itself would still find its way to the replay
+    held: dict[str, set] = {}
+    step = sim.adversary_step
+
+    def recording_step(world, event):
+        if event.verb == "replay":
+            held[event.args[2]] = set(world.adversary.captured)
+        return step(world, event)
+
+    monkeypatch.setattr(sim, "adversary_step", recording_step)
     report = run_scenario(parse_scenario("".join(lines)))
+    for cls in ("chip-derive", "chip-load-ltk"):
+        assert (cls, encode_id(1)) in held[cls]
     _, violations = compute_verdicts(report.rows)
     assert violations == 0
     # decoder 2 is authorized and still derives its own word every epoch;

@@ -1,6 +1,7 @@
 """Wire codecs: round trips, truncation offsets, protection, golden vectors."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,9 @@ from cwbind.wire import (
     decode_emm,
     decode_frame,
     ecm_aad,
+    ecm_size,
     emm_aad,
+    emm_size,
     encode_ecm,
     encode_emm,
     encode_frame,
@@ -63,6 +66,61 @@ def test_frame_round_trip():
 )
 def test_ecm_round_trip_property(ca, epoch, payload):
     assert decode_ecm(encode_ecm(Ecm(ca, epoch, payload))) == Ecm(ca, epoch, payload)
+
+
+@settings(max_examples=80)
+@given(ca=st.integers(0, 0xFFFF), epoch=st.integers(0, 0xFFFFFFFF), payload=st.binary(max_size=300))
+def test_ecm_size_is_the_encoded_length(ca, epoch, payload):
+    ecm = Ecm(ca, epoch, payload)
+    assert ecm_size(ecm) == len(encode_ecm(ecm))
+
+
+@settings(max_examples=80)
+@given(ca=st.integers(0, 0xFFFF), kind=st.sampled_from(list(EmmKind)),
+       addressee=st.binary(min_size=8, max_size=8), payload=st.binary(max_size=300))
+def test_emm_size_is_the_encoded_length(ca, kind, addressee, payload):
+    emm = Emm(ca, kind, addressee, payload)
+    assert emm_size(emm) == len(encode_emm(emm))
+
+
+def _reference_take_lp(data: bytes, offset: int) -> bytes | str:
+    """A length-prefixed read at ``offset`` spelled out with ``struct``: the
+    field, or the message of the ``WireError`` the read raises."""
+    if offset + 4 > len(data):
+        return f"truncated input: wanted 4 bytes at offset {offset}, have {len(data) - offset}"
+    (length,) = struct.unpack_from(">I", data, offset)
+    start = offset + 4
+    if start + length > len(data):
+        return f"truncated input: wanted {length} bytes at offset {start}, have {len(data) - start}"
+    return data[start : start + length]
+
+
+@st.composite
+def _lp_inputs(draw) -> tuple[bytes, int]:
+    """Bytes read before the field, a length prefix near the size of the
+    bytes after it (or any u32), those bytes, and often a cut anywhere."""
+    head = draw(st.binary(max_size=6))
+    length = draw(st.integers(0, 40) | st.integers(0, 0xFFFFFFFF))
+    data = head + struct.pack(">I", length) + draw(st.binary(max_size=40))
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data, min(len(head), len(data))
+
+
+@settings(max_examples=200)
+@given(case=_lp_inputs())
+def test_take_lp_matches_a_reference_parse(case):
+    data, skip = case
+    r = Reader(data)
+    r.take(skip)
+    expected = _reference_take_lp(data, skip)
+    if isinstance(expected, str):
+        with pytest.raises(WireError) as exc_info:
+            r.take_lp()
+        assert str(exc_info.value) == expected
+    else:
+        assert r.take_lp() == expected
+        assert r.offset == skip + 4 + len(expected)
 
 
 def test_truncation_reports_offset():
