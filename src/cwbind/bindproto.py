@@ -28,7 +28,7 @@ from .binding import bound_secret
 from .encoding import Reader, encode_id, lp
 from .errors import ProtocolError
 from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
-from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
+from .suite import AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Directory
 
 
@@ -59,6 +59,7 @@ class BindReceiverState:
     enc_keypair: KeyPair
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)
     active_pk_set: tuple[bytes, ...] = ()
+    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
 def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
@@ -116,6 +117,10 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
                    context: bytes = b"") -> bytes:
     """Unwrap the random value and derive the epoch secret bound to the keys.
 
+    The unwrap goes through the receiver's own ``ltk_slot``, which holds the
+    context of the last long-term key used, whichever sender it is filed
+    under.
+
     The key set fed to the derivation is the receiver's active set when one
     has been installed, otherwise the singleton of the delivering sender's
     key (the single-sender deployment). The delivering key must be in the
@@ -124,7 +129,7 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     ltk = recv.ltk_by_sender.get(sender_pk)
     if ltk is None:
         raise ProtocolError("no long-term key stored under this sender key")
-    rand = recv.suite.sym_decrypt(ltk, ciphertext, aad=context)
+    rand = recv.suite.sym_decrypt(ltk, ciphertext, aad=context, slot=recv.ltk_slot)
     if len(rand) != recv.suite.secret_bytes:
         raise ProtocolError("random value does not have the derived secret's length")
     pk_set = recv.active_pk_set if recv.active_pk_set else (sender_pk,)

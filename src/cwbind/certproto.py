@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .encoding import Reader, encode_id, lp
 from .errors import ProtocolError
 from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
-from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
+from .suite import AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Certificate, Directory, ROLE_SENDER, TtpState, certify_sender, verify_certificate
 
 
@@ -57,6 +57,7 @@ class CertReceiverState:
     enc_keypair: KeyPair
     ltk: bytes | None = field(default=None, repr=False)
     known_revoked: set[int] = field(default_factory=set)
+    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
 def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
@@ -102,7 +103,8 @@ def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
 
 
 def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes = b"") -> bytes:
-    """Unwrap the epoch secret; authentication failure raises CryptoError."""
+    """Unwrap the epoch secret through the receiver's own ``ltk_slot``;
+    authentication failure raises CryptoError."""
     if recv.ltk is None:
         raise ProtocolError("no long-term key established")
-    return recv.suite.sym_decrypt(recv.ltk, ciphertext, aad=context)
+    return recv.suite.sym_decrypt(recv.ltk, ciphertext, aad=context, slot=recv.ltk_slot)

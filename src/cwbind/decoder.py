@@ -28,6 +28,10 @@ Client and chip are one record each for every kind. Both hold their
 ``cwbind.kinds.CaKind``, the one place that says how kinds differ; the chip
 also holds its protocol's receiver state (``None`` on a legacy chip).
 
+The CA client and each chip's receiver state hold an ``AeadSlot``, their
+own AES-GCM context for the long-term key they wrap or unwrap under every
+epoch; a fresh client or receiver state starts with an empty one.
+
 The CA client is replaceable while the chip stays: swapping in a freshly
 personalized client models a downloaded client update after a client-side
 breach. A repeated phase 1 delivery for the same sender key overwrites the
@@ -44,7 +48,7 @@ from .encoding import Reader, encode_id, lp, u32, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind, ca_kind
 from .scramble import descramble as _descramble_bytes
-from .suite import CipherSuite, Drbg, SignedMessage
+from .suite import AeadSlot, CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
 from .wire import (
     BROADCAST_KINDS,
@@ -90,13 +94,14 @@ class ChipChannelMsg:
 
 
 def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
-               sender_pk: bytes | None = None) -> ChipChannelMsg:
+               sender_pk: bytes | None = None, slot: AeadSlot | None = None) -> ChipChannelMsg:
     """DERIVE: ``secret`` wrapped under ``ltk`` with the epoch label
     authenticated. Binding chips are told the sender key it was filed under;
-    certificate chips (``sender_pk`` None) hold one long-term key."""
+    certificate chips (``sender_pk`` None) hold one long-term key. ``slot``
+    is the wrapping client's own context for ``ltk``."""
     label = u32(epoch)
     named = b"" if sender_pk is None else lp(sender_pk)
-    wrapped = suite.sym_encrypt(ltk, secret, aad=label)
+    wrapped = suite.sym_encrypt(ltk, secret, aad=label, slot=slot)
     return ChipChannelMsg(ChipMsgKind.DERIVE, label + named + lp(wrapped))
 
 
@@ -137,6 +142,7 @@ class CaClientState:
     co_sender_pks: tuple[bytes, ...] = ()
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # by announce
     last_pk_set_sent: tuple[bytes, ...] = ()
+    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
 def _pk_set_msg_if_changed(client: CaClientState) -> list[ChipChannelMsg]:
@@ -214,7 +220,7 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
     if ltk is None:  # also when no sender key is known yet (not enrolled)
         raise ProtocolError("client holds no long-term key for the current sender key")
     return derive_msg(client.suite, ltk, ecm.epoch, secret,
-                      client.announce if client.kind.binds else None)
+                      client.announce if client.kind.binds else None, client.ltk_slot)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,20 @@ entry exists only for inputs that already passed the full check. A failure
 raises out of the cached function, so it is never cached: a wrong key,
 nonce, tag, body, associated data or signature is checked again on every
 call and raises ``CryptoError`` each time.
+
+The ``_aead`` memo serves keys many parties share: the head-end's keys,
+each receiver's EMM channel key, the group and ECM keys, and every key the
+simulated adversary wraps under. A party that uses its own long-term key
+every epoch instead holds an ``AeadSlot``: the CA client for the wrap in
+``decoder.derive_msg``, and each chip's protocol receiver state for the
+unwrap in ``phase2_receive``. A slot keeps the context of the last key used
+through it and rebuilds it when the key differs, so a population larger
+than the ``_aead`` bound does not rebuild the AES key schedule every
+decoder-epoch. A slot open bypasses ``_open``: a chip's DERIVE is seen once,
+so memoising it would only push an ECM out of the shared memo. A slot caches
+a key schedule, never an outcome; a failed open raises ``CryptoError`` on
+every call. Each context costs about 2.4 KiB (cryptography 48.0.0), so a
+slot holds one, however many keys its holder has filed.
 """
 
 from __future__ import annotations
@@ -128,6 +142,32 @@ class SignedMessage:
 # ---------------------------------------------------------------------------
 
 
+class AeadSlot:
+    """The AES-GCM context of the last key one holder used through it.
+
+    Its repr shows no key, and a deep copy is an empty slot, since an
+    ``AESGCM`` context cannot be copied.
+    """
+
+    __slots__ = ("_key", "_context")
+
+    def __init__(self) -> None:
+        self._key: bytes | None = None
+        self._context: AESGCM | None = None
+
+    def context(self, key: bytes) -> AESGCM:
+        if key != self._key:
+            self._context = AESGCM(key)
+            self._key = key
+        return self._context
+
+    def __repr__(self) -> str:
+        return "AeadSlot()"
+
+    def __deepcopy__(self, memo) -> "AeadSlot":
+        return AeadSlot()
+
+
 @lru_cache(maxsize=8)
 def _aead(key: bytes) -> AESGCM:
     return AESGCM(key)
@@ -187,16 +227,21 @@ class AesGcmSym:
         material = b"cwbind/sym-nonce" + lp(key) + lp(aad) + lp(plaintext)
         return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
 
-    def encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    def encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
+                slot: AeadSlot | None = None) -> bytes:
         nonce = self._nonce(key, aad, plaintext)
-        return nonce + _aead(key).encrypt(nonce, plaintext, aad)
+        aead = _aead(key) if slot is None else slot.context(key)
+        return nonce + aead.encrypt(nonce, plaintext, aad)
 
-    def decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
+    def decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
+                slot: AeadSlot | None = None) -> bytes:
         if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
             raise CryptoError("ciphertext too short")
         nonce, body = ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:]
         try:
-            return _open(key, nonce, body, aad)
+            if slot is None:
+                return _open(key, nonce, body, aad)
+            return slot.context(key).decrypt(nonce, body, aad)
         except InvalidTag as exc:
             raise CryptoError("authenticated decryption failed") from exc
 
@@ -374,15 +419,19 @@ class CipherSuite:
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
         return self._sig.verify_recover(public_key, sm)
 
-    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
+                    slot: AeadSlot | None = None) -> bytes:
+        """Encrypt under ``key``, through the holder's ``slot`` when given."""
         if len(key) != self._sym_key_len:
             raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
-        return self._sym.encrypt(key, plaintext, aad)
+        return self._sym.encrypt(key, plaintext, aad, slot)
 
-    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
+    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
+                    slot: AeadSlot | None = None) -> bytes:
+        """Decrypt under ``key``, through the holder's ``slot`` when given."""
         if len(key) != self._sym_key_len:
             raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
-        return self._sym.decrypt(key, ciphertext, aad)
+        return self._sym.decrypt(key, ciphertext, aad, slot)
 
     def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
         """Integrity-only protection for broadcast payloads (body stays clear)."""

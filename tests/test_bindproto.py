@@ -30,7 +30,8 @@ def test_receiver_state_holds_no_authority_key(world):
     # structural: nothing in the state names an authority key
     _, _, receivers, _ = world
     fields = set(vars(receivers[1]))
-    assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set"}
+    assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
+                      "ltk_slot"}
 
 
 def test_module_never_touches_the_authority():
