@@ -17,8 +17,9 @@ Chip channel message (``u8 kind | lp(payload)``)::
     5 LOAD_CW        u32 epoch | lp(raw control word)
 
 ``derive_msg`` and ``load_cw_msg`` build DERIVE and LOAD_CW; LOAD_LTK
-carries ``CertBundle.to_bytes`` or ``BindBundle.to_bytes``. A chip issues a
-handle only for a control word of the suite's secret length.
+carries ``CertBundle.to_bytes`` or ``BindBundle.to_bytes``. DERIVE and LOAD_CW
+are parsed in one pass that, like ``Reader``, raises only ``WireError``. A
+chip issues a handle only for a control word of the suite's secret length.
 
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
@@ -42,9 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import bindproto, certproto
-from .encoding import Reader, encode_id, lp, u32, u8
+from .encoding import U32, Reader, encode_id, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind, ca_kind
 from .scramble import descramble as _descramble_bytes
@@ -70,8 +72,10 @@ class ChipMsgKind(IntEnum):
     LOAD_CW = 5
 
 
-@dataclass(frozen=True)
-class ChipChannelMsg:
+WORD_KINDS = frozenset((ChipMsgKind.DERIVE, ChipMsgKind.LOAD_CW))  # a derivation attempt
+
+
+class ChipChannelMsg(NamedTuple):
     kind: ChipMsgKind
     payload: bytes
 
@@ -99,15 +103,16 @@ def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
     authenticated. Binding chips are told the sender key it was filed under;
     certificate chips (``sender_pk`` None) hold one long-term key. ``slot``
     is the wrapping client's own context for ``ltk``."""
-    label = u32(epoch)
-    named = b"" if sender_pk is None else lp(sender_pk)
+    label = U32.pack(epoch)
+    named = b"" if sender_pk is None else U32.pack(len(sender_pk)) + sender_pk
     wrapped = suite.sym_encrypt(ltk, secret, aad=label, slot=slot)
-    return ChipChannelMsg(ChipMsgKind.DERIVE, label + named + lp(wrapped))
+    return ChipChannelMsg(ChipMsgKind.DERIVE, label + named + U32.pack(len(wrapped)) + wrapped)
 
 
 def load_cw_msg(epoch: int, control_word: bytes) -> ChipChannelMsg:
     """LOAD_CW: a raw control word, which only a legacy chip accepts."""
-    return ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(epoch) + lp(control_word))
+    payload = U32.pack(epoch) + U32.pack(len(control_word)) + control_word
+    return ChipChannelMsg(ChipMsgKind.LOAD_CW, payload)
 
 
 class ControlWordHandle:
@@ -237,14 +242,27 @@ class ChipState:
 
 
 def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
-    """Read a ``derive_msg`` or ``load_cw_msg`` payload: the epoch, the
-    sender key when ``named``, then the wrapped or raw word."""
-    r = Reader(payload)
-    epoch = r.take_u32()
-    sender_pk = r.take_lp() if named else None
-    word = r.take_lp()
-    r.done()
-    return epoch, sender_pk, word
+    """Read a ``derive_msg`` or ``load_cw_msg`` payload in one pass: the
+    epoch, the sender key when ``named``, then the wrapped or raw word."""
+    end = len(payload)
+    if end < 4:
+        raise WireError(f"truncated input: wanted 4 bytes at offset 0, have {end}")
+    sender_pk = word = None
+    offset = 4
+    for _ in range(2 if named else 1):  # a named payload's first field is the sender key
+        if end - offset < 4:
+            raise WireError(
+                f"truncated input: wanted 4 bytes at offset {offset}, have {end - offset}")
+        size = U32.unpack_from(payload, offset)[0]
+        offset += 4
+        if size > end - offset:
+            raise WireError(
+                f"truncated input: wanted {size} bytes at offset {offset}, have {end - offset}")
+        sender_pk, word = word, payload[offset:offset + size]
+        offset += size
+    if offset != end:
+        raise WireError(f"{end - offset} trailing bytes at offset {offset}")
+    return U32.unpack_from(payload)[0], sender_pk, word
 
 
 def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | None:
@@ -262,9 +280,9 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
         # the epoch label is authenticated inside the wrap: a relabeled
         # delivery fails before it can move the epoch watermark
         if kind.binds:
-            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, context=u32(epoch))
+            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, U32.pack(epoch))
         else:
-            control_word = certproto.phase2_receive(recv, wrapped, context=u32(epoch))
+            control_word = certproto.phase2_receive(recv, wrapped, U32.pack(epoch))
     elif kind.proto is None:
         if msg.kind != ChipMsgKind.LOAD_CW:
             raise ProtocolError("legacy chip only accepts raw control words")
@@ -385,14 +403,15 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     """
     msgs: list[ChipChannelMsg] = []
     errors: list[str] = []
-    for emm in frame.emms_for(decoder.client.ca_system_id, decoder.client.receiver_id):
+    client = decoder.client
+    for emm in frame.emms_for(client.ca_system_id, client.receiver_id):
         try:
-            msgs.extend(client_process_emm(decoder.client, emm))
+            msgs.extend(client_process_emm(client, emm))
         except CwbindError as exc:  # a protocol rejection is an outcome; a bug is not
             errors.append(f"emm:{exc}")
-    for ecm in frame.ecms_for(decoder.client.ca_system_id):
+    for ecm in frame.ecms_for(client.ca_system_id):
         try:
-            msg = client_process_ecm(decoder.client, ecm)
+            msg = client_process_ecm(client, ecm)
             if msg is not None:
                 msgs.append(msg)
         except CwbindError as exc:
@@ -404,7 +423,7 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     handle = None
     derive_attempted = False
     for msg in msgs:
-        if msg.kind in (ChipMsgKind.DERIVE, ChipMsgKind.LOAD_CW):
+        if msg.kind in WORD_KINDS:
             derive_attempted = True
         try:
             result = chip_process(decoder.chip, msg)

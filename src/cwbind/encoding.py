@@ -13,6 +13,7 @@ import struct
 from .errors import WireError
 
 BROADCAST_ADDR = b"\xff" * 8
+U32 = struct.Struct(">I")  # every length prefix, and every u32 field
 
 
 def u8(value: int) -> bytes:
@@ -24,7 +25,7 @@ def u16(value: int) -> bytes:
 
 
 def u32(value: int) -> bytes:
-    return struct.pack(">I", value)
+    return U32.pack(value)
 
 
 def u64(value: int) -> bytes:
@@ -33,7 +34,7 @@ def u64(value: int) -> bytes:
 
 def lp(data: bytes) -> bytes:
     """Length-prefix: 4-byte big-endian length followed by the bytes."""
-    return struct.pack(">I", len(data)) + data
+    return U32.pack(len(data)) + data
 
 
 def encode_id(identity: int | bytes) -> bytes:

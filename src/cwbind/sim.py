@@ -6,7 +6,7 @@ A scenario is a line-oriented text file (``#`` comments, blank lines ignored)::
     seed <int>
     epochs <int>
     secret-bits <128|192|256>        # optional, default 128
-    content-bytes <int>              # optional, default 64
+    content-bytes <int>              # optional, default 64, at least 16
     ca <index> <cert|bind|legacy>    # one per CA system, indexes 0..n-1
     decoder <id> ca <index>          # one per decoder
     rotate-auth <ca> every <W> count <C>   # rotating authorized subset
@@ -31,6 +31,8 @@ Actions, with the argument shapes ``ACTION_ARGS`` checks::
 Every ``<ca>`` and decoder (``<src>`` and ``<dst>`` too) must be declared;
 a ``<ca-decoder>`` must be on the CA system just named, and a ``<sender-ca>``
 must be one whose kind has a sender key (not legacy). Counts are exact.
+Content is at least one AES block (16 bytes), so a wrong control word
+reproduces it with probability at most 2^-128. ``rotate-auth`` W, C > 0.
 
 All decoders are provisioned, registered, and enrolled before epoch 0;
 events fire before that epoch's tick. Delivery order is decoder id order.
@@ -75,6 +77,7 @@ from pathlib import Path
 from . import bindproto, certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
 from .decoder import (
+    WORD_KINDS,
     ChipChannelMsg,
     ChipMsgKind,
     ChipState,
@@ -166,6 +169,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
+        if self.content_bytes < 16:
+            raise ValueError(f"content-bytes must be at least 16, got {self.content_bytes}")
         if not self.ca_kinds:
             raise ValueError("at least one CA system is required")
         kinds = [ca_kind(name) for name in self.ca_kinds]
@@ -274,7 +279,10 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
             elif head == "rotate-auth":
                 if fields[2] != "every" or fields[4] != "count":
                     raise ValueError("expected 'rotate-auth <ca> every <W> count <C>'")
-                rotate_auth.append((int(fields[1]), int(fields[3]), int(fields[5])))
+                every, count = int(fields[3]), int(fields[5])
+                if every <= 0 or count <= 0:
+                    raise ValueError(f"rotate-auth every {every} count {count}: both must be > 0")
+                rotate_auth.append((int(fields[1]), every, count))
             elif head == "at":
                 events.append(Event(int(fields[1]), fields[2], tuple(fields[3:])))
             else:
@@ -421,7 +429,7 @@ class AdversaryState:
 
     def capture_chip_msgs(self, decoder_id: bytes, msgs: list[ChipChannelMsg]) -> None:
         for msg in msgs:
-            if msg.kind in (ChipMsgKind.DERIVE, ChipMsgKind.LOAD_CW):
+            if msg.kind in WORD_KINDS:
                 self.captured[("chip-derive", decoder_id)] = msg
             elif msg.kind == ChipMsgKind.LOAD_LTK:
                 self.captured[("chip-load-ltk", decoder_id)] = msg
@@ -776,11 +784,8 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
 
         for event in one_shots:
             if event.verb == "tamper" and event.args[0] in ("chip-derive", "chip-load-ltk"):
-                wanted = (
-                    (ChipMsgKind.DERIVE, ChipMsgKind.LOAD_CW)
-                    if event.args[0] == "chip-derive"
-                    else (ChipMsgKind.LOAD_LTK,)
-                )
+                wanted = (WORD_KINDS if event.args[0] == "chip-derive"
+                          else (ChipMsgKind.LOAD_LTK,))
                 bit = int(event.args[1])
                 for i, msg in enumerate(out):
                     if msg.kind in wanted:
@@ -883,17 +888,15 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
             authorized.update(id_as_int(rid) for rid in ca.authorized)
 
         adv = world.adversary
+        quiet = not world.epoch_one_shots and not adv.probes  # no decoder is acted on
         outcomes: dict[int, str] = {}
         for decoder_id, int_id, decoder in world._delivery:
-            chip_filter = _chip_filter_for(world, decoder, epoch)
+            chip_filter = None if quiet else _chip_filter_for(world, decoder, epoch)
             result = process_frame(decoder, frame, chip_filter=chip_filter)
             if chip_filter is None:  # delivered as the client built them
                 adv.capture_chip_msgs(decoder_id, result.chip_msgs)
-            # a chip message encodes as u8 kind | lp(payload)
-            chip_bytes = 0
-            for msg in result.chip_msgs:
-                chip_bytes += 5 + len(msg.payload)
-            world.ledger.chip_channel += chip_bytes
+            for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
+                world.ledger.chip_channel += 5 + len(msg.payload)
             if result.descrambled == content:
                 outcome = OUTCOME_DERIVED
             elif result.errors or result.derive_attempted:

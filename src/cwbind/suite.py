@@ -10,10 +10,11 @@ string scheme id:
     the signed message travels with the signature and ``verify_recover``
     returns it after verification.
   * symmetric encryption   -- default ``aesgcm``: AES-GCM with the nonce
-    derived from (key, aad, plaintext). Deterministic by construction so
-    seeded runs produce byte-identical transcripts; every value encrypted by
-    the protocols is fresh random material, so nonce determinism never
-    repeats a (key, nonce) pair with two plaintexts.
+    SHA-512("cwbind/sym-nonce" | lp(key) | lp(aad) | lp(plaintext))[:12],
+    built in one join; ``tests/vectors/suite.json`` pins these bytes. Seeded
+    runs are byte-identical; every value the protocols encrypt is fresh
+    random material, so nonce determinism never repeats a (key, nonce) pair
+    with two plaintexts.
   * hash                   -- default ``sha512``.
 
 All randomness is drawn from a Drbg, a hash-counter generator: two runs from
@@ -66,7 +67,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .encoding import Reader, lp, u64
+from .encoding import U32, Reader, lp, u64
 from .errors import CryptoError
 
 _RAW = serialization.Encoding.Raw
@@ -91,6 +92,8 @@ class Drbg:
         return cls(u64(seed))
 
     def read(self, n: int) -> bytes:
+        if n < 0:
+            raise ValueError(f"cannot read {n} bytes")
         while len(self._buf) < n:
             self._buf += hashlib.sha512(self.seed + u64(self.counter)).digest()
             self.counter += 1
@@ -224,7 +227,8 @@ class AesGcmSym:
     name = "aesgcm"
 
     def _nonce(self, key: bytes, aad: bytes, plaintext: bytes) -> bytes:
-        material = b"cwbind/sym-nonce" + lp(key) + lp(aad) + lp(plaintext)
+        material = b"".join((b"cwbind/sym-nonce", U32.pack(len(key)), key, U32.pack(len(aad)),
+                             aad, U32.pack(len(plaintext)), plaintext))
         return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
 
     def encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
@@ -357,7 +361,8 @@ class SuiteConfig:
 
 
 class CipherSuite:
-    """SuiteConfig resolved against the registries, ready to use.
+    """SuiteConfig resolved against the registries, ready to use; the
+    config's ``secret_bits`` and ``secret_bytes`` are read once, at build.
 
     Two suites compare equal when their configs do; the resolved scheme
     objects are interchangeable by construction.
@@ -369,21 +374,14 @@ class CipherSuite:
         self._sig = SIG_SCHEMES[self.config.sig_scheme]
         self._sym = SYM_SCHEMES[self.config.sym_scheme]
         self._hash = HASH_SCHEMES[self.config.hash_scheme]
-        self._sym_key_len = self.config.secret_bytes
+        self.secret_bits = self.config.secret_bits
+        self.secret_bytes = self.config.secret_bytes
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CipherSuite) and self.config == other.config
 
     def __hash__(self) -> int:
         return hash(self.config)
-
-    @property
-    def secret_bytes(self) -> int:
-        return self.config.secret_bytes
-
-    @property
-    def secret_bits(self) -> int:
-        return self.config.secret_bits
 
     @property
     def sig_public_key_len(self) -> int:
@@ -422,15 +420,15 @@ class CipherSuite:
     def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
                     slot: AeadSlot | None = None) -> bytes:
         """Encrypt under ``key``, through the holder's ``slot`` when given."""
-        if len(key) != self._sym_key_len:
-            raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
+        if len(key) != self.secret_bytes:
+            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
         return self._sym.encrypt(key, plaintext, aad, slot)
 
     def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
                     slot: AeadSlot | None = None) -> bytes:
         """Decrypt under ``key``, through the holder's ``slot`` when given."""
-        if len(key) != self._sym_key_len:
-            raise ValueError(f"symmetric key must be {self._sym_key_len} bytes, got {len(key)}")
+        if len(key) != self.secret_bytes:
+            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
         return self._sym.decrypt(key, ciphertext, aad, slot)
 
     def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:

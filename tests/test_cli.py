@@ -77,6 +77,18 @@ def test_run_decoder_id_outside_the_id_space_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line", ["rotate-auth 0 every 0 count 1", "rotate-auth 0 every 2 count -1",
+                                  "content-bytes 0"])
+def test_run_rejects_degenerate_schedule_or_content(tmp_path, capsys, line):
+    # every 0 escaped as a bare range() error; a negative count and empty
+    # content ran, the latter scoring forged derivations K
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"scenario x\nseed 1\nepochs 3\nca 0 bind\ndecoder 1 ca 0\n{line}\n")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_run_frame_capture(tmp_path):
     frames = tmp_path / "run.frames"
     assert main(["run", str(SCENARIO_DIR / "client-swap.scn"), "--out",

@@ -85,6 +85,43 @@ def test_decoder_id_outside_the_id_space_rejected(decoder_id):
         parse_scenario(MINI + f"decoder {decoder_id} ca 0\n")
 
 
+@pytest.mark.parametrize("content_bytes", [0, -5, 15])
+def test_content_shorter_than_one_aes_block_rejected(content_bytes):
+    # with empty content any handle "descrambles" to b"", so this forged
+    # bind derivation scored K every epoch (authenticity-violations 3)
+    text = (MINI + "at 0 forge-sender 0 2\n").replace("epochs 6", "epochs 3")
+    with pytest.raises(ValueError, match=f"content-bytes must be at least 16, got {content_bytes}"):
+        parse_scenario(text + f"content-bytes {content_bytes}\n")
+    report = run_scenario(parse_scenario(text + "content-bytes 16\n"))
+    assert [row.outcomes[2] for row in report.rows] == ["R"] * 3
+    assert report.authenticity_violations == 0
+
+
+@pytest.mark.parametrize("every, count", [(0, 1), (-1, 1), (2, 0), (2, -2)])
+def test_rotate_auth_needs_positive_window_and_count(every, count):
+    # every 0 escaped as a bare range() error; a negative value authorized nobody
+    with pytest.raises(ValueError, match="scenario line 9: rotate-auth every"):
+        parse_scenario(MINI + f"rotate-auth 0 every {every} count {count}\n")
+
+
+def test_quiet_epochs_build_no_chip_filter(monkeypatch):
+    # no one-shot event and no probe: no decoder is interposed, and the
+    # per-decoder hook is not even asked; a tamper epoch asks it for each one
+    calls = []
+    chip_filter_for = sim._chip_filter_for
+
+    def counting(world, decoder, epoch):
+        calls.append(epoch)
+        return chip_filter_for(world, decoder, epoch)
+
+    monkeypatch.setattr(sim, "_chip_filter_for", counting)
+    quiet = run_scenario(parse_scenario(MINI))
+    assert calls == []
+    tampered = run_scenario(parse_scenario(MINI + "at 3 tamper chip-derive 7\n"))
+    assert calls == [3, 3]
+    assert quiet.rows[3].outcomes[1] == "K" and tampered.rows[3].outcomes[1] == "R"
+
+
 TWO_CA = """
 scenario two-ca
 seed 3

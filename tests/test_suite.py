@@ -51,6 +51,14 @@ def test_drbg_same_seed_same_stream():
     assert [a.read(n) for n in (1, 7, 64, 3)] == [b.read(n) for n in (1, 7, 64, 3)]
 
 
+def test_drbg_refuses_a_negative_read():
+    # read(-5) used to return b"" like read(0)
+    rng = Drbg(b"x")
+    with pytest.raises(ValueError, match="-1"):
+        rng.read(-1)
+    assert rng.read(0) == b"" and rng.read(4) == Drbg(b"x").read(4)
+
+
 def test_drbg_children_are_independent_of_parent_position():
     parent1 = Drbg.from_int(9)
     parent2 = Drbg.from_int(9)
