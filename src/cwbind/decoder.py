@@ -31,7 +31,9 @@ also holds its protocol's receiver state (``None`` on a legacy chip).
 
 The CA client and each chip's receiver state hold an ``AeadSlot``, their
 own AES-GCM context for the long-term key they wrap or unwrap under every
-epoch; a fresh client or receiver state starts with an empty one.
+epoch. The client holds a second one, ``channel_slot``, for its channel
+key, which opens every EMM addressed to it. A fresh client or receiver
+state starts with empty slots.
 
 The CA client is replaceable while the chip stays: swapping in a freshly
 personalized client models a downloaded client update after a client-side
@@ -148,6 +150,7 @@ class CaClientState:
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # by announce
     last_pk_set_sent: tuple[bytes, ...] = ()
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
+    channel_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
 def _pk_set_msg_if_changed(client: CaClientState) -> list[ChipChannelMsg]:
@@ -175,7 +178,8 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
 
     if per_receiver:
-        body = client.suite.sym_decrypt(client.channel_key, emm.payload, aad=aad)
+        body = client.suite.sym_decrypt(client.channel_key, emm.payload, aad=aad,
+                                        slot=client.channel_slot)
         if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
             client.entitled = entitled

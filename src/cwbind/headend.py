@@ -27,6 +27,8 @@ per-receiver key; enrollment delivers the broadcast group key under it, and
 entitlement delivers the ECM key. The ECM key rotates whenever a receiver is
 de-authorized, so possession of the current key always coincides with the
 authorized set. Compliant and legacy ECMs are both emitted every epoch.
+Each per-receiver EMM is sealed through an ``AeadSlot`` the head-end keeps
+per provisioned receiver, and opened through its client's own (``suite``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import ProtocolError
 from .kinds import CaKind, ca_kind
 from .phase1 import SenderState
 from .scramble import scramble
-from .suite import CipherSuite, Drbg
+from .suite import AeadSlot, CipherSuite, Drbg
 from .ttp import Directory, TtpState, revoke, signed_revocation_list
 from .wire import (
     BROADCAST_KINDS,
@@ -62,7 +64,8 @@ class CaSystem:
     sender: SenderState | None  # a ``CertSenderState`` on certificate systems
     group_key: bytes = field(repr=False, default=b"")
     ecm_key: bytes = field(repr=False, default=b"")
-    receiver_channel_keys: dict[bytes, bytes] = field(default_factory=dict, repr=False)
+    # per provisioned receiver: its channel key and the slot that seals under it
+    receiver_channels: dict[bytes, tuple[bytes, AeadSlot]] = field(default_factory=dict, repr=False)
     enrolled: set[bytes] = field(default_factory=set)
     authorized: set[bytes] = field(default_factory=set)
     pending_emms: list[Emm] = field(default_factory=list)
@@ -100,7 +103,8 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
     if kind in BROADCAST_KINDS:
         payload = ca.suite.seal(ca.group_key, body, aad=aad)
     else:
-        payload = ca.suite.sym_encrypt(ca.receiver_channel_keys[addressee], body, aad=aad)
+        channel_key, slot = ca.receiver_channels[addressee]
+        payload = ca.suite.sym_encrypt(channel_key, body, aad=aad, slot=slot)
     emm = Emm(ca.index, kind, addressee, payload)
     ca.pending_emms.append(emm)
     return emm
@@ -155,9 +159,10 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
 
 def provision_receiver(headend: HeadendState, ca_index: int,
                        receiver_id: bytes | int, channel_key: bytes) -> None:
-    """Factory step: share the per-receiver CA channel key with the system."""
+    """Factory step: share the per-receiver CA channel key with the system,
+    with an empty slot for it (a re-provisioned receiver's too)."""
     ca = headend.ca_systems[ca_index]
-    ca.receiver_channel_keys[encode_id(receiver_id)] = channel_key
+    ca.receiver_channels[encode_id(receiver_id)] = (channel_key, AeadSlot())
 
 
 def refresh_directory(headend: HeadendState, directory: Directory) -> None:
@@ -178,7 +183,7 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
     """
     ca = headend.ca_systems[ca_index]
     receiver_id = encode_id(receiver_id)
-    if receiver_id not in ca.receiver_channel_keys:
+    if receiver_id not in ca.receiver_channels:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not provisioned")
 
     if ca.kind.proto is None:

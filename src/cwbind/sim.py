@@ -423,7 +423,8 @@ class AdversaryState:
     authority_key: tuple[int, KeyPair] | None = None  # (generation, key pair)
     known_cw: bytes | None = None
     known_rand: dict[int, bytes] = field(default_factory=dict)  # per bind ca
-    captured: dict[tuple[str, bytes], object] = field(default_factory=dict)
+    # (class, decoder id), or ("ecm", CA system id): one ECM per system
+    captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
     probes: dict[bytes, tuple[str, int]] = field(default_factory=dict)  # id -> (type, ca)
     minted_serial: int = 0x7F000000
 
@@ -434,13 +435,12 @@ class AdversaryState:
             elif msg.kind == ChipMsgKind.LOAD_LTK:
                 self.captured[("chip-load-ltk", decoder_id)] = msg
 
-    def capture_frame(self, frame: BroadcastFrame, decoder_ids_by_ca: dict[int, list[bytes]]) -> None:
+    def capture_frame(self, frame: BroadcastFrame) -> None:
         for emm in frame.emms:
             if not emm.is_broadcast():
                 self.captured[("emm-receiver", emm.addressee)] = emm
         for ecm in frame.ecms:
-            for decoder_id in decoder_ids_by_ca.get(ecm.ca_system_id, []):
-                self.captured[("ecm", decoder_id)] = ecm
+            self.captured[("ecm", ecm.ca_system_id)] = ecm
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +794,9 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
                         break
             elif event.verb == "replay" and encode_id(int(event.args[1])) == decoder_id:
                 src = encode_id(int(event.args[0]))
-                captured = adv.captured.get((event.args[2], src))
+                cls = event.args[2]
+                captured = adv.captured.get(
+                    (cls, world.decoders[src].ca_index if cls == "ecm" else src))
                 world.epoch_interfered.add(decoder_id)
                 try:
                     if isinstance(captured, ChipChannelMsg):
@@ -866,6 +868,7 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
     for event in config.events:
         events_by_epoch.setdefault(event.epoch, []).append(event)
 
+    authorized: frozenset[int] | None = None  # shared by the rows of event-free epochs
     for epoch in range(config.epochs):
         world.epoch_interfered = set()
         world.epoch_one_shots = []
@@ -880,12 +883,14 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         world.ledger.add_frame(frame)
         if world.frames is not None:
             world.frames.append(encode_frame(frame))
-        world.adversary.capture_frame(frame, world.decoder_ids_by_ca())
+        world.adversary.capture_frame(frame)
         _update_adversary_ecm_knowledge(world, frame)
 
-        authorized: set[int] = set()
-        for ca in world.headend.ca_systems:
-            authorized.update(id_as_int(rid) for rid in ca.authorized)
+        if authorized is None or epoch in events_by_epoch:  # only events change it
+            systems = world.headend.ca_systems
+            authorized = frozenset(id_as_int(decoder_id)
+                                   for ca_index, ids in world.decoder_ids_by_ca().items()
+                                   for decoder_id in ids if decoder_id in systems[ca_index].authorized)
 
         adv = world.adversary
         quiet = not world.epoch_one_shots and not adv.probes  # no decoder is acted on
@@ -910,7 +915,7 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
 
         world.rows.append(EpochRow(
             epoch=epoch,
-            authorized=frozenset(authorized),
+            authorized=authorized,
             interfered=frozenset(id_as_int(d) for d in world.epoch_interfered),
             outcomes=outcomes,
         ))
@@ -929,18 +934,17 @@ def compute_verdicts(rows: list[EpochRow]) -> tuple[bool, int]:
 
     A violation is an unauthorized decoder landing on ``K``. Implicit key
     authentication additionally requires every authorized decoder whose
-    messages were untouched that epoch to land on ``K``.
+    messages were untouched that epoch to land on ``K``. A decoder with no
+    outcome in a row counts for neither.
     """
     violations = 0
     implicit = True
     for row in rows:
-        for decoder_id, outcome in row.outcomes.items():
-            if outcome == OUTCOME_DERIVED and decoder_id not in row.authorized:
-                violations += 1
-                implicit = False
-            if (decoder_id in row.authorized and decoder_id not in row.interfered
-                    and outcome != OUTCOME_DERIVED):
-                implicit = False
+        derived = {d for d, outcome in row.outcomes.items() if outcome == OUTCOME_DERIVED}
+        stray = len(derived - row.authorized)
+        violations += stray
+        if stray or not (row.authorized - row.interfered) & row.outcomes.keys() <= derived:
+            implicit = False
     return implicit, violations
 
 

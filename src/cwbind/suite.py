@@ -34,19 +34,25 @@ raises out of the cached function, so it is never cached: a wrong key,
 nonce, tag, body, associated data or signature is checked again on every
 call and raises ``CryptoError`` each time.
 
-The ``_aead`` memo serves keys many parties share: the head-end's keys,
-each receiver's EMM channel key, the group and ECM keys, and every key the
-simulated adversary wraps under. A party that uses its own long-term key
-every epoch instead holds an ``AeadSlot``: the CA client for the wrap in
-``decoder.derive_msg``, and each chip's protocol receiver state for the
-unwrap in ``phase2_receive``. A slot keeps the context of the last key used
-through it and rebuilds it when the key differs, so a population larger
-than the ``_aead`` bound does not rebuild the AES key schedule every
-decoder-epoch. A slot open bypasses ``_open``: a chip's DERIVE is seen once,
-so memoising it would only push an ECM out of the shared memo. A slot caches
-a key schedule, never an outcome; a failed open raises ``CryptoError`` on
-every call. Each context costs about 2.4 KiB (cryptography 48.0.0), so a
-slot holds one, however many keys its holder has filed.
+The ``_aead`` memo serves keys many parties share: the group and ECM keys
+of each CA system, the PKE wrap keys, and every key the simulated adversary
+wraps under. A party that uses its own key every time instead holds an
+``AeadSlot``: the CA client for the long-term-key wrap in
+``decoder.derive_msg``, each chip's protocol receiver state for the unwrap
+in ``phase2_receive``, and both ends of each receiver's channel key, the
+head-end's slot per provisioned receiver and the client's ``channel_slot``,
+for the per-receiver EMMs. A de-authorization re-ships the ECM key to every
+remaining subscriber, one EMM under each one's channel key, so a burst
+names N distinct keys in a row; an 8-entry LRU over them misses on every
+key once N > 8 and evicts the shared keys on the way. A slot keeps the
+context of the last key used through it and rebuilds it only when the key
+differs, so no population size rebuilds the AES key schedule per use. A
+slot open bypasses ``_open``: a chip's DERIVE and a client's per-receiver
+EMM are each seen once, so memoising them would only push an ECM out of the
+shared memo. A slot caches a key schedule, never an outcome; a failed open
+raises ``CryptoError`` on every call. Each context costs about 2.4 KiB
+(cryptography 48.0.0), so a slot holds one, however many keys its holder
+has filed.
 """
 
 from __future__ import annotations

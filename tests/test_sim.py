@@ -1,5 +1,8 @@
 """Scenario runner: parsing, determinism, shipped scenarios, adversary model."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from cwbind import sim
 from cwbind.encoding import encode_id
 from cwbind.kinds import BIND, CERT
 from cwbind.sim import (
+    EpochRow,
     Event,
     ScenarioConfig,
     compute_verdicts,
@@ -255,6 +259,62 @@ def test_verdicts_recomputable_from_rows():
     assert violations == report.authenticity_violations
 
 
+def _verdicts_by_decoder(rows):
+    """``compute_verdicts`` as a loop over each decoder of each row."""
+    violations = 0
+    implicit = True
+    for row in rows:
+        for decoder_id, outcome in row.outcomes.items():
+            if outcome == "K" and decoder_id not in row.authorized:
+                violations += 1
+                implicit = False
+            if (decoder_id in row.authorized and decoder_id not in row.interfered
+                    and outcome != "K"):
+                implicit = False
+    return implicit, violations
+
+
+@st.composite
+def _rows(draw):
+    ids = draw(st.lists(st.integers(0, 2**64 - 2), min_size=1, max_size=6, unique=True))
+    subset = st.frozensets(st.sampled_from(ids))
+    rows = []
+    for epoch in range(draw(st.integers(0, 8))):
+        # "-": the row has no outcome for that decoder
+        drawn = {i: draw(st.sampled_from("KRX-")) for i in ids}
+        outcomes = {i: outcome for i, outcome in drawn.items() if outcome != "-"}
+        rows.append(EpochRow(epoch, draw(subset), draw(subset), outcomes))
+    return rows
+
+
+@given(_rows(), st.integers(0, 8))
+def test_verdicts_by_set_algebra_match_the_per_decoder_loop(rows, recovery_epoch):
+    assert compute_verdicts(rows) == _verdicts_by_decoder(rows)
+    tail = [row for row in rows if row.epoch >= recovery_epoch]
+    assert compute_verdicts(tail) == _verdicts_by_decoder(tail)
+
+
+def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):
+    # an event-free epoch cannot change authorization, so its row shares the
+    # previous row's set; every row matches the head-end's set at the tick
+    at_tick = []
+    tick = sim.hemod.epoch_tick
+
+    def recording_tick(headend, content):
+        at_tick.append({int.from_bytes(rid, "big")
+                        for ca in headend.ca_systems for rid in ca.authorized})
+        return tick(headend, content)
+
+    monkeypatch.setattr(sim.hemod, "epoch_tick", recording_tick)
+    report = run_scenario(load_scenario(SCENARIO_DIR / "multi-ca.scn"))
+    assert [row.authorized for row in report.rows] == at_tick
+    event_epochs = {event.epoch for event in load_scenario(SCENARIO_DIR / "multi-ca.scn").events}
+    quiet = [epoch for epoch in range(1, len(report.rows)) if epoch not in event_epochs]
+    assert quiet
+    for epoch in quiet:
+        assert report.rows[epoch].authorized is report.rows[epoch - 1].authorized
+
+
 def test_frame_capture_decodes_and_is_stable():
     config = parse_scenario(MINI)
     report_a, world_a = run_world(config, capture_frames=True)
@@ -350,6 +410,45 @@ def test_replay_closure_every_class_every_other_decoder(monkeypatch):
     # replays never produce an unauthorized derivation anywhere
     for row in report.rows:
         assert row.outcomes[2] in ("K", "R")
+
+
+def test_replayed_ecm_is_the_source_systems_latest_and_filed_once_per_system(monkeypatch):
+    text = """
+scenario ecm-replay
+seed 9
+epochs 5
+ca 0 bind
+ca 1 cert
+decoder 1 ca 0
+decoder 2 ca 0
+decoder 3 ca 1
+at 0 authorize 0 1
+at 0 authorize 0 2
+at 0 authorize 1 3
+at 2 replay 1 2 ecm
+at 3 replay 3 1 ecm
+"""
+    frames, replayed = [], []
+    tick, process_ecm = sim.hemod.epoch_tick, sim.client_process_ecm
+
+    def recording_tick(headend, content):
+        frames.append(tick(headend, content))
+        return frames[-1]
+
+    def recording_process_ecm(client, ecm):  # sim calls it only to replay
+        replayed.append((frames[-1].epoch, client.receiver_id, ecm))
+        return process_ecm(client, ecm)
+
+    monkeypatch.setattr(sim.hemod, "epoch_tick", recording_tick)
+    monkeypatch.setattr(sim, "client_process_ecm", recording_process_ecm)
+    report, world = run_world(parse_scenario(text))
+    assert replayed == [(2, encode_id(2), frames[2].ecms[0]),
+                        (3, encode_id(1), frames[3].ecms[1])]
+    assert report.authenticity_violations == 0
+    assert report.rows[2].outcomes[2] == "K"  # the replay repeats its own system's ECM
+    ecm_keys = [key for cls, key in world.adversary.captured if cls == "ecm"]
+    assert sorted(ecm_keys) == [0, 1]
+    assert world.adversary.captured[("ecm", 1)] is frames[-1].ecms[1]
 
 
 def test_compromised_control_word_alone_gains_nothing():
@@ -469,3 +568,25 @@ def test_broadcast_emm_bytes_identical_for_all_receivers():
     broadcast = [emm for emm in frame.emms if emm.is_broadcast()]
     assert broadcast, "rotation should announce over broadcast"
     assert report.rows[2].outcomes == {1: "K", 2: "K"}
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2718281828"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
+    # set and dict iteration order varies with PYTHONHASHSEED; every report
+    # must come out byte for byte the same under any of them
+    program = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from cwbind.sim import load_scenario, run_scenario\n"
+        "for path in sys.argv[1:]:\n"
+        "    sys.stdout.write(run_scenario(load_scenario(Path(path))).to_text())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", program, *map(str, SHIPPED)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    expected = "".join((SCENARIO_DIR / "expected" / f"{p.stem}.report").read_text()
+                       for p in SHIPPED)
+    assert len(SHIPPED) == 9
+    assert out == expected

@@ -22,6 +22,7 @@ from cwbind.encoding import encode_id
 from cwbind.errors import CryptoError, CwbindError
 from cwbind.sim import build_world, load_scenario, parse_scenario, run_scenario
 from cwbind.suite import AeadSlot, CipherSuite
+from cwbind.wire import Emm, emm_aad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SUITE = CipherSuite()
@@ -161,9 +162,9 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
     frame, content = _tick(world)
     assert process_frame(decoder, frame).descrambled == content
     twin = copy.deepcopy(decoder)
-    slots = [decoder.client.ltk_slot, decoder.chip.receiver.ltk_slot,
-             twin.client.ltk_slot, twin.chip.receiver.ltk_slot]
-    assert len({id(slot) for slot in slots}) == 4
+    slots = [decoder.client.ltk_slot, decoder.client.channel_slot, decoder.chip.receiver.ltk_slot,
+             twin.client.ltk_slot, twin.client.channel_slot, twin.chip.receiver.ltk_slot]
+    assert len({id(slot) for slot in slots}) == 6
 
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
@@ -201,3 +202,112 @@ def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monke
     built = sum(n for key, n in _CountingContexts.built.items() if key in long_term_keys)
     assert delivered
     assert built <= 2 * len(delivered), (built, len(delivered))
+
+
+# ---------------------------------------------------------------------------
+# channel keys: one slot at each end of every provisioned receiver
+# ---------------------------------------------------------------------------
+
+CHURN = """
+scenario channel-slots
+seed 12
+epochs 13
+ca 0 bind
+ca 1 cert
+{decoders}
+rotate-auth 0 every 2 count 9
+rotate-auth 1 every 3 count 10
+at 5 swap-client 3
+at 7 swap-client 14
+"""
+
+
+def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch):
+    # de-authorizations re-ship the ECM key to ~10 receivers per system in
+    # one burst: more distinct channel keys than the shared memo holds
+    decoders = "\n".join(f"decoder {i} ca {i // 13}" for i in range(26))
+    config = parse_scenario(CHURN.format(decoders=decoders))
+    monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
+    monkeypatch.setattr(_CountingContexts, "built", Counter())
+    suitemod._aead.cache_clear()
+    suitemod._open.cache_clear()
+    provisioned, per_receiver, opened = [], Counter(), set()
+    provision, queue, memo_open = hemod.provision_receiver, hemod._queue, suitemod._open
+
+    def recording_provision(headend, ca_index, receiver_id, channel_key):
+        provisioned.append(channel_key)
+        provision(headend, ca_index, receiver_id, channel_key)
+
+    def recording_queue(ca, kind, body, addressee=hemod.BROADCAST_ADDR):
+        emm = queue(ca, kind, body, addressee)
+        if addressee != hemod.BROADCAST_ADDR:
+            per_receiver[ca.receiver_channels[addressee][0]] += 1
+        return emm
+
+    def recording_open(key, nonce, body, aad):
+        opened.add(key)
+        return memo_open(key, nonce, body, aad)
+
+    monkeypatch.setattr(hemod, "provision_receiver", recording_provision)
+    monkeypatch.setattr(hemod, "_queue", recording_queue)
+    monkeypatch.setattr(suitemod, "_open", recording_open)
+    report = run_scenario(config)
+    assert report.implicit_key_auth and report.authenticity_violations == 0
+    assert len(provisioned) == len(set(provisioned)) == 28  # two swaps re-provision
+    # most keys carry several EMMs each, so a rebuild per use would show
+    assert sum(per_receiver.values()) > 3 * len(provisioned)
+    for key in provisioned:
+        assert _CountingContexts.built[key] <= 2, _CountingContexts.built[key]
+    assert not opened & set(provisioned)  # per-receiver opens bypass ``_open``
+
+
+def _enrolled(kind: str):
+    """A world past its first frame, decoder 1 authorized, with the
+    entitlement EMM the head-end then queued for it."""
+    world, decoder = _world(kind)
+    frame, content = _tick(world)
+    assert process_frame(decoder, frame).descrambled == content
+    hemod.authorize(world.headend, 0, 1, True)
+    return world, decoder, world.headend.ca_systems[0].pending_emms[-1]
+
+
+_FLIP_WORLDS: dict = {}
+
+
+@given(st.sampled_from(["bind", "cert", "legacy"]), st.integers(0, 255), st.integers(1, 255))
+def test_per_receiver_emm_with_any_byte_flipped_fails_on_every_call(kind, index, mask):
+    if kind not in _FLIP_WORLDS:
+        _FLIP_WORLDS[kind] = _enrolled(kind)
+    world, decoder, emm = _FLIP_WORLDS[kind]
+    client = decoder.client
+    changed = bytearray(emm.payload)
+    changed[index % len(changed)] ^= mask
+    bad = Emm(emm.ca_system_id, emm.kind, emm.addressee, bytes(changed))
+    aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
+    for _ in range(2):
+        with pytest.raises(CryptoError):
+            decmod.client_process_emm(client, bad)
+        with pytest.raises(CryptoError):
+            SUITE.sym_decrypt(client.channel_key, bad.payload, aad, slot=client.channel_slot)
+    assert decmod.client_process_emm(client, emm) == []
+    assert client.entitled and client.ecm_key == world.headend.ca_systems[0].ecm_key
+
+
+@pytest.mark.parametrize("kind", ["bind", "cert", "legacy"])
+def test_after_swap_client_only_the_new_channel_key_opens(kind):
+    world, decoder, old_emm = _enrolled(kind)
+    receiver_id = encode_id(1)
+    new_key = world.master.child("slot-swap").read(SUITE.secret_bytes)
+    decmod.swap_client(decoder, new_key)
+    hemod.provision_receiver(world.headend, 0, receiver_id, new_key)
+    hemod.enroll_receiver(world.headend, 0, receiver_id)
+    hemod.authorize(world.headend, 0, receiver_id, True)
+    for _ in range(2):
+        with pytest.raises(CryptoError):
+            decmod.client_process_emm(decoder.client, old_emm)
+    # the frame carries the old entitlement first, then the new enrollment
+    # and entitlement: the old one is refused and the new ones open
+    frame, content = _tick(world)
+    result = process_frame(decoder, frame)
+    assert result.descrambled == content
+    assert len(result.errors) == 1 and result.errors[0].startswith("emm:")
