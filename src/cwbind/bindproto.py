@@ -58,7 +58,7 @@ class BindReceiverState:
     receiver_id: bytes
     enc_keypair: KeyPair
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)
-    active_pk_set: tuple[bytes, ...] = ()
+    active_pk_set: tuple[bytes, ...] = ()  # sorted, as the derivation takes it
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
@@ -125,6 +125,8 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     has been installed, otherwise the singleton of the delivering sender's
     key (the single-sender deployment). The delivering key must be in the
     set either way, and the random value must have the secret's length.
+    The active set is stored sorted (``decoder.chip_process`` sorts it), so
+    the derivation takes it as it is.
     """
     ltk = recv.ltk_by_sender.get(sender_pk)
     if ltk is None:
@@ -135,4 +137,4 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     pk_set = recv.active_pk_set if recv.active_pk_set else (sender_pk,)
     if sender_pk not in pk_set:
         raise ProtocolError("delivering sender key is not in the active key set")
-    return bound_secret(tuple(sorted(pk_set)), rand, recv.suite.secret_bits)
+    return bound_secret(pk_set, rand, recv.suite.secret_bits)

@@ -168,7 +168,9 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     """Turn one EMM into chip channel messages.
 
     Messages for other systems or other addressees produce nothing; a
-    protection failure on a message meant for this client raises.
+    protection failure on a message meant for this client raises, and so
+    does an authentic one carrying a key not of the suite's secret length,
+    before any state changes.
     """
     if emm.ca_system_id != client.ca_system_id:
         return []
@@ -178,14 +180,20 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
 
     if per_receiver:
-        body = client.suite.sym_decrypt(client.channel_key, emm.payload, aad=aad,
-                                        slot=client.channel_slot)
+        suite = client.suite
+        body = suite.sym_decrypt(client.channel_key, emm.payload, aad=aad,
+                                 slot=client.channel_slot)
         if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
+            if entitled and len(ecm_key) != suite.secret_bytes:
+                raise ProtocolError(f"ECM key is not {suite.secret_bytes} bytes")
             client.entitled = entitled
             client.ecm_key = ecm_key if entitled else None
             return []
         blob, ltk_copy, group_key, announce = parse_enroll_body(body)
+        if len(group_key) != suite.secret_bytes or (
+                client.kind.proto is not None and len(ltk_copy) != suite.secret_bytes):
+            raise ProtocolError(f"enrollment carries a key that is not {suite.secret_bytes} bytes")
         client.group_key = group_key
         if client.kind.proto is None:
             return []

@@ -33,6 +33,7 @@ per provisioned receiver, and opened through its client's own (``suite``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import bindproto, certproto
@@ -201,9 +202,13 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
     return out
 
 
-def _queue_entitlement(ca: CaSystem, receiver_id: bytes, entitled: bool) -> None:
+def _queue_entitlements(ca: CaSystem, receiver_ids: Iterable[bytes],
+                        entitled: bool = True) -> None:
+    """Queue one entitlement EMM per receiver, in the given order; the
+    body, which carries the current ECM key or withdraws it, is built once."""
     body = build_entitlement_body(entitled, ca.ecm_key if entitled else b"")
-    _queue(ca, EmmKind.PER_RECEIVER_ENTITLEMENT, body, receiver_id)
+    for receiver_id in receiver_ids:
+        _queue(ca, EmmKind.PER_RECEIVER_ENTITLEMENT, body, receiver_id)
 
 
 def authorize(headend: HeadendState, ca_index: int,
@@ -212,7 +217,8 @@ def authorize(headend: HeadendState, ca_index: int,
 
     De-authorizing rotates the ECM key and re-delivers it to the remaining
     authorized receivers, so the key shared by entitled clients always
-    matches the authorized set exactly.
+    matches the authorized set exactly. That burst builds the entitlement
+    body once and seals it under each receiver's channel key.
     """
     ca = headend.ca_systems[ca_index]
     receiver_id = encode_id(receiver_id)
@@ -222,14 +228,12 @@ def authorize(headend: HeadendState, ca_index: int,
         # always queue the delivery: re-authorizing a receiver whose client
         # was re-personalized must re-ship the current key
         ca.authorized.add(receiver_id)
-        _queue_entitlement(ca, receiver_id, True)
-    else:
-        if receiver_id in ca.authorized:
-            ca.authorized.discard(receiver_id)
-            ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
-            _queue_entitlement(ca, receiver_id, False)
-            for other in sorted(ca.authorized):
-                _queue_entitlement(ca, other, True)
+        _queue_entitlements(ca, (receiver_id,))
+    elif receiver_id in ca.authorized:
+        ca.authorized.discard(receiver_id)
+        ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
+        _queue_entitlements(ca, (receiver_id,), entitled=False)
+        _queue_entitlements(ca, sorted(ca.authorized))
 
 
 def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
@@ -243,7 +247,8 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     The ECM key is rotated too: a sender-key compromise is assumed to have
     exposed the CA system's channel material. ``withhold`` suppresses the
     per-receiver re-keying EMMs for the named receivers (test hook for
-    demonstrating that stale material stops working).
+    demonstrating that stale material stops working). The re-keying burst
+    builds the entitlement body once for all receivers.
     """
     ca = headend.ca_systems[ca_index]
     withhold = withhold or set()
@@ -265,8 +270,7 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
     for receiver_id in sorted(ca.enrolled - withhold):
         enroll_receiver(headend, ca_index, receiver_id)
-    for receiver_id in sorted(ca.authorized - withhold):
-        _queue_entitlement(ca, receiver_id, True)
+    _queue_entitlements(ca, sorted(ca.authorized - withhold))
     return ca.pending_emms[before:]
 
 

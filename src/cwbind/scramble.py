@@ -5,11 +5,16 @@ cannot be reproduced here, so content protection is modeled with AES-CTR
 keyed by the control word, with the counter block derived from the epoch.
 Scramble and descramble are the same keystream XOR.
 
-The keystream is a pure function of (control word, epoch, length), so it is
-computed once per (control word, epoch) and kept in a small bounded cache:
-the head-end's scrambler fills it and every descrambler holding that epoch's
-control word reuses it. Like the real thing, descrambling stays
-unauthenticated: under a wrong key (or epoch) it misses the cache, computes
+Two bounded memos share the work every decoder of a frame would otherwise
+repeat. The keystream is a pure function of (control word, epoch, length),
+so ``_keystream`` (32 entries) computes it once per (control word, epoch):
+an honest epoch sets up exactly one ``Cipher``. The output is a pure
+function of (control word, epoch, data), so ``scramble`` (32 entries)
+keeps it under exactly that key: the first authorized decoder computes the
+epoch's plaintext and every later one gets the stored bytes. A hit hashes
+no content anew: every decoder passes the frame's one content object, and a
+bytes object computes its hash once. Like the real thing, descrambling stays
+unauthenticated: under a wrong key or epoch it misses both memos, computes
 its own keystream and yields garbage rather than an error.
 """
 
@@ -34,11 +39,11 @@ def _keystream(control_word: bytes, epoch: int, length: int) -> int:
     return int.from_bytes(enc.update(bytes(length)) + enc.finalize(), "big")
 
 
+@lru_cache(maxsize=32)
 def scramble(control_word: bytes, epoch: int, data: bytes) -> bytes:
     length = len(data)
     keystream = _keystream(control_word, epoch, length)
     return (int.from_bytes(data, "big") ^ keystream).to_bytes(length, "big")
 
 
-def descramble(control_word: bytes, epoch: int, data: bytes) -> bytes:
-    return scramble(control_word, epoch, data)
+descramble = scramble  # the same keystream XOR, and the same output memo

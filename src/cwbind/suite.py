@@ -25,10 +25,15 @@ Every entitled decoder of a CA system opens the same ECM under the same key,
 and every certificate chip checks the same certificate and revocation list,
 so three results are memoised, each in one ``functools.lru_cache`` of a fixed
 size that no option or variable changes: the ``AESGCM`` context per key
-(``_aead``, 8 entries), the plaintext of each successful AES-GCM open keyed
-by (key, nonce, body, associated data) (``_open``, 32 entries, shared by
-``decrypt`` and ``check_tag``), and each successful Ed25519 verification
-keyed by (public key, signature, message) (``_verify``, 64 entries). A memo
+(``_aead``, 8 entries), the plaintext of each successful AES-GCM open
+(``_open``, 32 entries, shared by ``decrypt`` and ``check_tag``), and each
+successful Ed25519 verification keyed by (public key, signature, message)
+(``_verify``, 64 entries). ``_open`` is keyed by (key, nonce || body,
+associated data): ``decrypt`` passes the ciphertext object as it arrived,
+which every client of an ECM shares, so a hit slices nothing and hashes no
+bytes anew (a bytes object computes its hash once); ``check_tag`` passes
+nonce || tag and associated data || body. The key stays injective because
+the nonce has a fixed length. A memo
 entry exists only for inputs that already passed the full check. A failure
 raises out of the cached function, so it is never cached: a wrong key,
 nonce, tag, body, associated data or signature is checked again on every
@@ -183,9 +188,10 @@ def _aead(key: bytes) -> AESGCM:
 
 
 @lru_cache(maxsize=32)
-def _open(key: bytes, nonce: bytes, body: bytes, aad: bytes) -> bytes:
-    """AES-GCM open; raises ``InvalidTag`` (uncached) on any mismatch."""
-    return _aead(key).decrypt(nonce, body, aad)
+def _open(key: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+    """AES-GCM open of ``nonce || body``; raises ``InvalidTag`` (uncached)
+    on any mismatch."""
+    return _aead(key).decrypt(ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:], aad)
 
 
 @lru_cache(maxsize=64)
@@ -247,11 +253,11 @@ class AesGcmSym:
                 slot: AeadSlot | None = None) -> bytes:
         if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
             raise CryptoError("ciphertext too short")
-        nonce, body = ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:]
         try:
             if slot is None:
-                return _open(key, nonce, body, aad)
-            return slot.context(key).decrypt(nonce, body, aad)
+                return _open(key, ciphertext, aad)
+            return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
+                                             ciphertext[GCM_NONCE_LEN:], aad)
         except InvalidTag as exc:
             raise CryptoError("authenticated decryption failed") from exc
 
@@ -266,10 +272,8 @@ class AesGcmSym:
         if len(sealed) < trailer:
             raise CryptoError("sealed blob too short")
         body = sealed[:-trailer]
-        nonce = sealed[-trailer:-GCM_TAG_LEN]
-        tag = sealed[-GCM_TAG_LEN:]
         try:
-            _open(key, nonce, tag, aad + body)
+            _open(key, sealed[-trailer:], aad + body)  # nonce || tag
         except InvalidTag as exc:
             raise CryptoError("integrity check failed") from exc
         return body

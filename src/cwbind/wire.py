@@ -52,18 +52,20 @@ layouts above without encoding it, for byte accounting.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 
-from .encoding import BROADCAST_ADDR, Reader, lp, u16, u32, u8
+from .encoding import BROADCAST_ADDR, U32, Reader, lp, u16, u32, u8
 from .errors import WireError
 
 EMM_MAGIC = b"EM"
 ECM_MAGIC = b"EC"
 FRAME_MAGIC = b"BF"
 WIRE_VERSION = 1
+_EMM_HEADER = struct.Struct(">2sBHB")  # magic, version, ca_system_id, kind
 
 
 class EmmKind(IntEnum):
@@ -151,7 +153,7 @@ class BroadcastFrame:
 
 def emm_aad(ca_system_id: int, kind: EmmKind, addressee: bytes) -> bytes:
     """The fixed EMM header, bound as associated data by payload protection."""
-    return EMM_MAGIC + u8(WIRE_VERSION) + u16(ca_system_id) + u8(int(kind)) + addressee
+    return _EMM_HEADER.pack(EMM_MAGIC, WIRE_VERSION, ca_system_id, kind) + addressee
 
 
 def ecm_aad(ca_system_id: int, epoch: int) -> bytes:
@@ -263,16 +265,26 @@ def build_entitlement_body(entitled: bool, ecm_key: bytes = b"") -> bytes:
 
 
 def parse_entitlement_body(body: bytes) -> tuple[bool, bytes]:
-    r = Reader(body)
-    flag = r.take_u8()
+    """Read ``build_entitlement_body``'s layout in one pass; raises only
+    ``WireError``, with ``Reader``'s messages and offsets."""
+    end = len(body)
+    if not end:
+        raise WireError("truncated input: wanted 1 bytes at offset 0, have 0")
+    flag = body[0]
     if flag == 0:
-        r.done()
+        if end != 1:
+            raise WireError(f"{end - 1} trailing bytes at offset 1")
         return False, b""
     if flag != 1:
         raise WireError(f"bad entitlement flag {flag} at offset 0")
-    key = r.take_lp()
-    r.done()
-    return True, key
+    if end < 5:
+        raise WireError(f"truncated input: wanted 4 bytes at offset 1, have {end - 1}")
+    size = U32.unpack_from(body, 1)[0]
+    if size > end - 5:
+        raise WireError(f"truncated input: wanted {size} bytes at offset 5, have {end - 5}")
+    if size != end - 5:
+        raise WireError(f"{end - 5 - size} trailing bytes at offset {5 + size}")
+    return True, body[5:]
 
 
 def build_pk_set_body(pk_set: tuple[bytes, ...]) -> bytes:

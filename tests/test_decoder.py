@@ -28,7 +28,15 @@ from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
 from cwbind.kinds import BIND, LEGACY
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
-from cwbind.wire import BROADCAST_KINDS, BroadcastFrame, Emm, EmmKind, build_pk_set_body
+from cwbind.wire import (
+    BROADCAST_KINDS,
+    BroadcastFrame,
+    Emm,
+    EmmKind,
+    build_enroll_body,
+    build_entitlement_body,
+    build_pk_set_body,
+)
 
 
 @pytest.fixture
@@ -291,6 +299,48 @@ def test_malformed_sender_key_set_refused_before_any_state_change(pipeline, malf
     assert descramble(d.chip, handle, frame.scrambled_content) == content
 
 
+_BIND_CHIP: list = []
+
+
+@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=6, unique=True),
+       st.randoms(use_true_random=False))
+def test_installed_sender_key_set_is_stored_sorted(pks, order):
+    # the derivation takes the stored set as it is, so every order the
+    # update arrives in must leave it sorted
+    if not _BIND_CHIP:
+        from cwbind.suite import CipherSuite
+
+        _BIND_CHIP.append(make_decoder(CipherSuite(), "bind", 0, 1, Drbg.from_int(0x50),
+                                       b"\x00" * 16).chip)
+    (chip,) = _BIND_CHIP
+    order.shuffle(pks)
+    chip_process(chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(tuple(pks))))
+    assert chip.receiver.active_pk_set == tuple(sorted(pks))
+
+
+def test_every_writer_of_the_active_key_set_sorts_it():
+    # ``phase2_receive`` relies on the stored set being sorted; the only
+    # code that sets it is the chip's PK_SET_UPDATE handler, which sorts
+    import ast
+    from pathlib import Path
+
+    import cwbind
+
+    writers = []
+    for path in sorted(Path(cwbind.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "active_pk_set"
+                       for t in targets):
+                    writers.append((path.name, ast.unparse(node.value)))
+            elif isinstance(node, ast.Call):
+                named = [kw.arg for kw in node.keywords]
+                args = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                assert "active_pk_set" not in named + args, (path.name, ast.unparse(node))
+    assert writers == [("decoder.py", "tuple(sorted(pks))")]
+
+
 @pytest.mark.parametrize("rand_len", [0, 15, 17])
 def test_wrapped_random_value_of_wrong_length_is_a_protocol_rejection(pipeline, suite, rand_len):
     d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
@@ -444,6 +494,44 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
 # ---------------------------------------------------------------------------
 # words and keys of the wrong length
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("decoder_id, carried", [
+    (1, "ecm-key"), (2, "ecm-key"), (3, "ecm-key"),
+    (1, "group-key"), (2, "group-key"), (3, "group-key"),
+    (1, "ltk-copy"), (2, "ltk-copy"),
+])
+def test_authentic_emm_key_of_wrong_length_is_refused_before_any_state_change(pipeline, decoder_id,
+                                                                              carried):
+    # a 5-byte key in an EMM sealed under the receiver's own channel key
+    # must be a rejection that leaves the client as it was, not a key that
+    # later fails inside AES (the ECM, or the broadcast EMM after it)
+    headend, decoders, _, _ = pipeline
+    d = decoders[decoder_id]
+    ca = headend.ca_systems[d.ca_index]
+    content = b"\x33" * 32
+    assert process_frame(d, hemod.epoch_tick(headend, content)).descrambled == content
+    short = b"\x05" * 5
+    if carried == "ecm-key":
+        kind, body = EmmKind.PER_RECEIVER_ENTITLEMENT, build_entitlement_body(True, short)
+        error = "emm:ECM key is not 16 bytes"
+    else:
+        ltk = ca.sender.ltk_store[d.decoder_id] if ca.sender else b""
+        group, ltk = (short, ltk) if carried == "group-key" else (ca.group_key, short)
+        announce = hemod._announce_bytes(ca) if ca.sender else b""
+        kind, body = EmmKind.PER_RECEIVER_ENROLL, build_enroll_body(b"", ltk, group, announce)
+        error = "emm:enrollment carries a key that is not 16 bytes"
+    hemod._queue(ca, kind, body, d.decoder_id)
+    ignored = EmmKind.BROADCAST_CERT if d.client.kind.binds else EmmKind.PK_SET_UPDATE
+    hemod._queue(ca, ignored, b"\x00")  # opened under the group key, then ignored
+    before = copy.deepcopy(d.client)
+    frame = hemod.epoch_tick(headend, content)
+    with pytest.raises(ProtocolError, match="is not 16 bytes"):
+        client_process_emm(copy.deepcopy(d.client), frame.emms_for(d.ca_index, d.decoder_id)[0])
+    result = process_frame(d, frame)
+    assert result.errors == [error]
+    assert result.descrambled == content
+    assert d.client == before
 
 
 def test_raw_control_word_of_wrong_length_gets_no_handle(suite):

@@ -220,7 +220,8 @@ def _lru_caches():
 def test_every_lru_cache_has_a_small_fixed_bound():
     caches = dict(_lru_caches())
     assert {"cwbind.suite._aead", "cwbind.suite._open", "cwbind.suite._verify",
-            "cwbind.binding.bound_secret", "cwbind.scramble._keystream"} <= set(caches)
+            "cwbind.binding.bound_secret", "cwbind.scramble._keystream",
+            "cwbind.scramble.scramble"} <= set(caches)
     for name, cached in caches.items():
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and 0 < maxsize <= 64, (name, maxsize)

@@ -1,4 +1,5 @@
-"""Content scrambler: the shared keystream cache against a direct AES-CTR."""
+"""Content scrambler: the shared keystream and output caches against a
+direct AES-CTR."""
 
 import hashlib
 from pathlib import Path
@@ -43,6 +44,7 @@ def test_scramble_matches_direct_aes_ctr(control_word, epoch, data, others):
 def test_differing_entry_never_reuses_cached_keystream(change):
     control_word, epoch, data = b"\x11" * 16, 9, b"\x5a" * 64
     _keystream.cache_clear()
+    scramble.cache_clear()
     scramble(control_word, epoch, data)
     if change == "control_word":
         control_word = b"\x12" + control_word[1:]
@@ -53,6 +55,26 @@ def test_differing_entry_never_reuses_cached_keystream(change):
     misses = _keystream.cache_info().misses
     assert scramble(control_word, epoch, data) == _reference(control_word, epoch, data)
     assert _keystream.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("change", ["control_word", "epoch", "data"])
+def test_differing_entry_never_reuses_cached_output(change):
+    control_word, epoch, data = b"\x21" * 16, 4, b"\x6b" * 64
+    scramble.cache_clear()
+    first = scramble(control_word, epoch, data)
+    hits = scramble.cache_info().hits
+    assert scramble(control_word, epoch, data) is first  # stored bytes, handed out again
+    assert scramble.cache_info().hits == hits + 1
+    if change == "control_word":
+        control_word = control_word[:-1] + b"\x22"
+    elif change == "epoch":
+        epoch += 1
+    else:
+        data = data[:-1] + b"\x6c"  # same length: only the output memo tells them apart
+    misses = scramble.cache_info().misses
+    out = scramble(control_word, epoch, data)
+    assert scramble.cache_info().misses == misses + 1
+    assert out == _reference(control_word, epoch, data) and out != first
 
 
 def test_wrong_control_word_after_right_one_cached_yields_garbage(suite):
@@ -80,6 +102,7 @@ def test_honest_world_sets_up_one_keystream_per_epoch(monkeypatch, name):
     counting = _CountingCipher()
     monkeypatch.setattr("cwbind.scramble.Cipher", counting)
     _keystream.cache_clear()
+    scramble.cache_clear()
     config = load_scenario(SCENARIO_DIR / f"{name}.scn")
     report = run_scenario(config)
     assert report.to_text() == (SCENARIO_DIR / "expected" / f"{name}.report").read_text()

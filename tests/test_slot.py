@@ -244,9 +244,9 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
             per_receiver[ca.receiver_channels[addressee][0]] += 1
         return emm
 
-    def recording_open(key, nonce, body, aad):
+    def recording_open(key, ciphertext, aad):
         opened.add(key)
-        return memo_open(key, nonce, body, aad)
+        return memo_open(key, ciphertext, aad)
 
     monkeypatch.setattr(hemod, "provision_receiver", recording_provision)
     monkeypatch.setattr(hemod, "_queue", recording_queue)

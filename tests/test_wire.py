@@ -5,12 +5,14 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwbind.encoding import BROADCAST_ADDR, Reader, encode_id
+from cwbind.encoding import BROADCAST_ADDR, Reader, encode_id, u8, u16
 from cwbind.errors import CryptoError, WireError
 from cwbind.wire import (
+    EMM_MAGIC,
+    WIRE_VERSION,
     BroadcastFrame,
     Ecm,
     Emm,
@@ -193,6 +195,76 @@ def test_enroll_body_round_trip():
 def test_entitlement_body_round_trip():
     assert parse_entitlement_body(build_entitlement_body(True, b"\x05" * 16)) == (True, b"\x05" * 16)
     assert parse_entitlement_body(build_entitlement_body(False)) == (False, b"")
+
+
+def _reference_parse_entitlement_body(body: bytes) -> tuple[bool, bytes]:
+    """The entitlement body read field by field with ``Reader``."""
+    r = Reader(body)
+    flag = r.take_u8()
+    if flag == 0:
+        r.done()
+        return False, b""
+    if flag != 1:
+        raise WireError(f"bad entitlement flag {flag} at offset 0")
+    key = r.take_lp()
+    r.done()
+    return True, key
+
+
+@st.composite
+def _entitlement_bodies(draw) -> bytes:
+    """Arbitrary bytes, or a flag, a length prefix near the size of the
+    bytes after it (or any u32) and those bytes, often cut anywhere."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    flag = draw(st.sampled_from([0, 1, 2, 255]))
+    length = draw(st.integers(0, 24) | st.integers(0, 0xFFFFFFFF))
+    body = bytes([flag]) + struct.pack(">I", length) + draw(st.binary(max_size=24))
+    if draw(st.booleans()):
+        body = body[: draw(st.integers(0, len(body)))]
+    return body
+
+
+@settings(max_examples=300)
+@given(_entitlement_bodies())
+@example(b"")
+@example(b"\x00\x00")
+@example(b"\x01\x00\x00\x00\x02ab")
+@example(b"\x01\x00\x00\x00\x02abc")
+@example(b"\x01\x00\x00\x00\x02a")
+@example(b"\x01\x00\x00")
+@example(b"\x07")
+def test_entitlement_body_parse_matches_a_reader_reference(body):
+    try:
+        expected = _reference_parse_entitlement_body(body)
+    except WireError as exc:
+        with pytest.raises(WireError) as exc_info:
+            parse_entitlement_body(body)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert parse_entitlement_body(body) == expected
+
+
+def _reference_emm_aad(ca_system_id: int, kind: EmmKind, addressee: bytes) -> bytes:
+    """The fixed EMM header as the concatenation of its fields."""
+    return EMM_MAGIC + u8(WIRE_VERSION) + u16(ca_system_id) + u8(int(kind)) + addressee
+
+
+@settings(max_examples=200)
+@given(ca=st.integers(0, 0xFFFF) | st.integers(-(2**70), 2**70),
+       kind=st.sampled_from(list(EmmKind)), addressee=st.binary(min_size=8, max_size=8))
+@example(ca=0xFFFF, kind=EmmKind.CRL_UPDATE, addressee=BROADCAST_ADDR)
+@example(ca=0x10000, kind=EmmKind.BROADCAST_SENDER_PK, addressee=BROADCAST_ADDR)
+@example(ca=-1, kind=EmmKind.PER_RECEIVER_ENROLL, addressee=b"\x00" * 8)
+def test_emm_aad_is_the_concatenation_of_its_fields(ca, kind, addressee):
+    try:
+        expected = _reference_emm_aad(ca, kind, addressee)
+    except struct.error as exc:
+        with pytest.raises(struct.error) as exc_info:
+            emm_aad(ca, kind, addressee)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert emm_aad(ca, kind, addressee) == expected
 
 
 def test_pk_set_body_round_trip():
