@@ -31,7 +31,7 @@ from .encoding import id_as_int
 from .errors import CryptoError, CwbindError
 from .binding import second_preimage_strength
 from .sim import load_scenario, run_world
-from .suite import CipherSuite, Drbg, SuiteConfig
+from .suite import CipherSuite, Drbg
 from .ttp import Certificate, TtpState, export_directory, rotate, ttp_init
 from .vectors import generate_vectors, vectors_json
 from .wire import decode_ecm, decode_emm, decode_frame
@@ -53,10 +53,9 @@ def _default_seed(explicit: int | None) -> int | None:
 
 def _ttp_to_json(ttp: TtpState) -> str:
     state = {
-        "config": vars(ttp.suite.config).copy(),
+        "secret_bits": ttp.suite.secret_bits,
         "public_key": ttp.keypair.public_key.hex(),
         "private_key": ttp.keypair.private_key.hex(),
-        "scheme": ttp.keypair.scheme,
         "generation": ttp.generation,
         "receivers": {str(id_as_int(k)): v.hex() for k, v in ttp.receiver_registry.items()},
         "senders": {str(id_as_int(k)): v.hex() for k, v in ttp.sender_registry.items()},
@@ -68,28 +67,45 @@ def _ttp_to_json(ttp: TtpState) -> str:
     return json.dumps(state, indent=2, sort_keys=True) + "\n"
 
 
+def _uint(value, bits: int = 32) -> int:
+    if type(value) is not int or not 0 <= value < 1 << bits:
+        raise ValueError(f"{value!r} is not an unsigned {bits}-bit integer")
+    return value
+
+
+def _registry(entries: dict) -> dict[bytes, bytes]:
+    return {int(k).to_bytes(8, "big"): bytes.fromhex(v) for k, v in entries.items()}
+
+
 def _ttp_from_json(text: str) -> TtpState:
+    """Rebuild the authority; a missing, mistyped or malformed field is
+    refused with one ``CwbindError`` that names it."""
     state = json.loads(text)
-    suite = CipherSuite(SuiteConfig(**state["config"]))
-    keypair = suite.load_sig_keypair(bytes.fromhex(state["private_key"]))
-    stored = (state["scheme"], bytes.fromhex(state["public_key"]))
-    if (keypair.scheme, keypair.public_key) != stored:
+    if type(state) is not dict:
+        raise CwbindError("ttp state is not a JSON object")
+
+    def read(name: str, kind: type, convert):
+        value = state.get(name)
+        if type(value) is not kind:
+            raise CwbindError(f"ttp state field {name!r} is missing or not a JSON {kind.__name__}")
+        try:
+            return convert(value)
+        except (CwbindError, TypeError, ValueError, OverflowError) as exc:
+            raise CwbindError(f"ttp state field {name!r} is malformed: {exc}") from exc
+
+    suite = read("secret_bits", int, CipherSuite)
+    keypair = read("private_key", str, lambda v: suite.load_sig_keypair(bytes.fromhex(v)))
+    if keypair.public_key != read("public_key", str, bytes.fromhex):
         raise CryptoError("ttp state public key does not match its private key")
-    ttp = TtpState(
-        suite=suite,
-        keypair=keypair,
-        generation=state["generation"],
-        next_serial=state["next_serial"],
-    )
-    ttp.receiver_registry = {
-        int(k).to_bytes(8, "big"): bytes.fromhex(v) for k, v in state["receivers"].items()
-    }
-    ttp.sender_registry = {
-        int(k).to_bytes(8, "big"): bytes.fromhex(v) for k, v in state["senders"].items()
-    }
-    ttp.issued_certs = [Certificate.from_bytes(bytes.fromhex(c)) for c in state["certs"]]
-    ttp.revoked_serials = set(state["revoked"])
-    ttp.prior_pks = [(gen, bytes.fromhex(pk)) for gen, pk in state["prior_pks"]]
+    ttp = TtpState(suite=suite, keypair=keypair, generation=read("generation", int, _uint),
+                   next_serial=read("next_serial", int, lambda v: _uint(v, 64)))
+    ttp.receiver_registry = read("receivers", dict, _registry)
+    ttp.sender_registry = read("senders", dict, _registry)
+    ttp.issued_certs = read("certs", list,
+                            lambda v: [Certificate.from_bytes(bytes.fromhex(c)) for c in v])
+    ttp.revoked_serials = read("revoked", list, lambda v: {_uint(s, 64) for s in v})
+    ttp.prior_pks = read("prior_pks", list,
+                         lambda v: [(_uint(gen), bytes.fromhex(pk)) for gen, pk in v])
     return ttp
 
 

@@ -52,7 +52,7 @@ from .encoding import U32, Reader, encode_id, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind, ca_kind
 from .scramble import descramble as _descramble_bytes
-from .suite import AeadSlot, CipherSuite, Drbg, SignedMessage
+from .suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
 from .wire import (
     BROADCAST_KINDS,
@@ -315,9 +315,8 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
             raise ProtocolError("empty sender key set")
         # the set must be one the binding can derive from, or the next
         # DERIVE would fail outside the protocol checks
-        key_len = recv.suite.sig_public_key_len
-        if any(len(pk) != key_len for pk in pks):
-            raise ProtocolError(f"sender key set holds a key that is not {key_len} bytes")
+        if any(len(pk) != PUBLIC_KEY_LEN for pk in pks):
+            raise ProtocolError(f"sender key set holds a key that is not {PUBLIC_KEY_LEN} bytes")
         if len(set(pks)) != len(pks):
             raise ProtocolError("sender key set repeats a key")
         recv.active_pk_set = tuple(sorted(pks))

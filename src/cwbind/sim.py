@@ -94,7 +94,7 @@ from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
 from .phase1 import seal_blob
-from .suite import CipherSuite, Drbg, KeyPair, SignedMessage, SuiteConfig
+from .suite import VALID_SECRET_BITS, CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
@@ -169,6 +169,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
+        if self.secret_bits not in VALID_SECRET_BITS:
+            raise ValueError(
+                f"secret-bits must be one of {VALID_SECRET_BITS}, got {self.secret_bits}")
         if self.content_bytes < 16:
             raise ValueError(f"content-bytes must be at least 16, got {self.content_bytes}")
         if not self.ca_kinds:
@@ -491,7 +494,7 @@ class World:
 
 def build_world(config: ScenarioConfig, capture_frames: bool = False) -> World:
     config.validate()
-    suite = CipherSuite(SuiteConfig(secret_bits=config.secret_bits))
+    suite = CipherSuite(config.secret_bits)
     master = Drbg(hashlib.sha512(b"cwbind/scenario/" + str(config.seed).encode()).digest())
     ttp = ttpmod.ttp_init(suite, master.child("ttp"))
 

@@ -1,21 +1,24 @@
-"""Pluggable cryptographic primitives with one deterministic default suite.
+"""The cipher suite: Ed25519, X25519-hybrid encryption and AES-GCM, fixed.
 
-The suite bundles four primitive slots, each resolved from a registry by a
-string scheme id:
+``CipherSuite(secret_bits)`` implements the three primitives itself; the
+length of the control words and symmetric keys (128, 192 or 256 bits) is its
+only parameter:
 
-  * public-key encryption  -- default ``x25519-hybrid``: X25519 key agreement
-    wrapping the payload with authenticated AES-GCM, so plaintexts of any
+  * public-key encryption -- X25519 key agreement wrapping the payload with
+    authenticated AES-GCM under a 32-byte wrap key, so plaintexts of any
     length fit and decryption under a wrong private key fails detectably.
-  * signatures             -- default ``ed25519``: signature with appendix;
-    the signed message travels with the signature and ``verify_recover``
-    returns it after verification.
-  * symmetric encryption   -- default ``aesgcm``: AES-GCM with the nonce
+  * signatures            -- Ed25519, a signature with appendix: the signed
+    message travels with the signature and ``verify_recover`` returns it
+    after verification.
+  * symmetric encryption  -- AES-GCM with the nonce
     SHA-512("cwbind/sym-nonce" | lp(key) | lp(aad) | lp(plaintext))[:12],
     built in one join; ``tests/vectors/suite.json`` pins these bytes. Seeded
     runs are byte-identical; every value the protocols encrypt is fresh
     random material, so nonce determinism never repeats a (key, nonce) pair
     with two plaintexts.
-  * hash                   -- default ``sha512``.
+
+SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
+called from ``hashlib`` directly.
 
 All randomness is drawn from a Drbg, a hash-counter generator: two runs from
 equal seeds produce byte-identical output. Production-grade entropy is a
@@ -26,18 +29,18 @@ and every certificate chip checks the same certificate and revocation list,
 so three results are memoised, each in one ``functools.lru_cache`` of a fixed
 size that no option or variable changes: the ``AESGCM`` context per key
 (``_aead``, 8 entries), the plaintext of each successful AES-GCM open
-(``_open``, 32 entries, shared by ``decrypt`` and ``check_tag``), and each
+(``_open``, 32 entries, shared by ``_decrypt`` and ``open_sealed``), and each
 successful Ed25519 verification keyed by (public key, signature, message)
 (``_verify``, 64 entries). ``_open`` is keyed by (key, nonce || body,
-associated data): ``decrypt`` passes the ciphertext object as it arrived,
+associated data): ``_decrypt`` passes the ciphertext object as it arrived,
 which every client of an ECM shares, so a hit slices nothing and hashes no
-bytes anew (a bytes object computes its hash once); ``check_tag`` passes
+bytes anew (a bytes object computes its hash once); ``open_sealed`` passes
 nonce || tag and associated data || body. The key stays injective because
-the nonce has a fixed length. A memo
-entry exists only for inputs that already passed the full check. A failure
-raises out of the cached function, so it is never cached: a wrong key,
-nonce, tag, body, associated data or signature is checked again on every
-call and raises ``CryptoError`` each time.
+the nonce has a fixed length. A memo entry exists only for inputs that
+already passed the full check. A failure raises out of the cached function,
+so it is never cached: a wrong key, nonce, tag, body, associated data or
+signature is checked again on every call and raises ``CryptoError`` each
+time.
 
 The ``_aead`` memo serves keys many parties share: the group and ECM keys
 of each CA system, the PKE wrap keys, and every key the simulated adversary
@@ -86,6 +89,7 @@ _RAW_PUB = serialization.PublicFormat.Raw
 
 GCM_NONCE_LEN = 12
 GCM_TAG_LEN = 16
+PUBLIC_KEY_LEN = 32  # Ed25519 and X25519 alike
 
 VALID_SECRET_BITS = (128, 192, 256)
 
@@ -124,10 +128,9 @@ class Drbg:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A key pair; ``loaded`` is ``private_key`` as the scheme loaded it
+    """A key pair; ``loaded`` is ``private_key`` as the suite loaded it
     when it built the pair, so signing and decryption never parse it again."""
 
-    scheme: str
     public_key: bytes
     private_key: bytes = field(repr=False)
     loaded: Ed25519PrivateKey | X25519PrivateKey = field(repr=False, compare=False)
@@ -201,29 +204,104 @@ def _verify(public_key: bytes, signature: bytes, message: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# default scheme implementations
+# AES-GCM and key helpers; the wrap key of PKE skips the secret-length check
 # ---------------------------------------------------------------------------
 
 
-class Ed25519Sig:
-    """Signature with appendix over raw 32-byte Ed25519 keys."""
+def _nonce(key: bytes, aad: bytes, plaintext: bytes) -> bytes:
+    material = b"".join((b"cwbind/sym-nonce", U32.pack(len(key)), key, U32.pack(len(aad)),
+                         aad, U32.pack(len(plaintext)), plaintext))
+    return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
 
-    name = "ed25519"
-    public_key_len = 32
 
-    def load(self, private_key: bytes) -> KeyPair:
-        sk = Ed25519PrivateKey.from_private_bytes(private_key)
-        pk = sk.public_key().public_bytes(_RAW, _RAW_PUB)
-        return KeyPair(scheme=self.name, public_key=pk, private_key=private_key, loaded=sk)
+def _encrypt(key: bytes, plaintext: bytes, aad: bytes, slot: AeadSlot | None = None) -> bytes:
+    """AES-GCM under the deterministic nonce: ``nonce || body``."""
+    nonce = _nonce(key, aad, plaintext)
+    aead = _aead(key) if slot is None else slot.context(key)
+    return nonce + aead.encrypt(nonce, plaintext, aad)
 
-    def keygen(self, rng: Drbg) -> KeyPair:
-        return self.load(rng.read(32))
+
+def _decrypt(key: bytes, ciphertext: bytes, aad: bytes, slot: AeadSlot | None = None) -> bytes:
+    if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
+        raise CryptoError("ciphertext too short")
+    try:
+        if slot is None:
+            return _open(key, ciphertext, aad)
+        return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
+                                         ciphertext[GCM_NONCE_LEN:], aad)
+    except InvalidTag as exc:
+        raise CryptoError("authenticated decryption failed") from exc
+
+
+def _wrap_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
+    """The PKE payload key; it binds the ephemeral and recipient public keys."""
+    material = b"cwbind/hybrid-wrap" + lp(shared) + lp(eph_pub) + lp(recipient_pub)
+    return hashlib.sha512(material).digest()[:32]
+
+
+def _pair(private_cls: type, private_key: bytes) -> KeyPair:
+    sk = private_cls.from_private_bytes(private_key)
+    return KeyPair(sk.public_key().public_bytes(_RAW, _RAW_PUB), private_key, sk)
+
+
+class CipherSuite:
+    """The fixed suite; ``secret_bits`` is the length of every control word
+    and symmetric key. A PKE ciphertext is the ephemeral public key, then
+    AES-GCM under the 32-byte wrap key with both public keys as associated
+    data, so a bit flip anywhere in it is rejected."""
+
+    def __init__(self, secret_bits: int = 128):
+        if secret_bits not in VALID_SECRET_BITS:
+            raise ValueError(f"secret_bits must be one of {VALID_SECRET_BITS}, got {secret_bits}")
+        self.secret_bits = secret_bits
+        self.secret_bytes = secret_bits // 8
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CipherSuite) and self.secret_bits == other.secret_bits
+
+    def __hash__(self) -> int:
+        return hash(self.secret_bits)
+
+    def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
+        if purpose == "pke":
+            pair = _pair(X25519PrivateKey, rng.read(32))
+            probe = b"\x5a" * 16
+            if self.pke_decrypt(pair, self.pke_encrypt(pair.public_key, probe, rng)) != probe:
+                raise CryptoError("fresh pke key pair failed its self-test")
+        elif purpose == "sig":
+            pair = _pair(Ed25519PrivateKey, rng.read(32))
+            if self.verify_recover(pair.public_key, self.sign(pair, b"self-test")) != b"self-test":
+                raise CryptoError("fresh sig key pair failed its self-test")
+        else:
+            raise ValueError(f"unknown keygen purpose: {purpose!r}")
+        return pair
+
+    def load_sig_keypair(self, private_key: bytes) -> KeyPair:
+        """Rebuild a stored signature key pair from its private half."""
+        return _pair(Ed25519PrivateKey, private_key)
+
+    def pke_encrypt(self, public_key: bytes, plaintext: bytes, rng: Drbg) -> bytes:
+        eph = X25519PrivateKey.from_private_bytes(rng.read(32))
+        eph_pub = eph.public_key().public_bytes(_RAW, _RAW_PUB)
+        shared = eph.exchange(X25519PublicKey.from_public_bytes(public_key))
+        wrap = _wrap_key(shared, eph_pub, public_key)
+        return eph_pub + _encrypt(wrap, plaintext, eph_pub + public_key)
+
+    def pke_decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
+        if len(ciphertext) < PUBLIC_KEY_LEN:
+            raise CryptoError("hybrid ciphertext too short")
+        eph_pub, body = ciphertext[:PUBLIC_KEY_LEN], ciphertext[PUBLIC_KEY_LEN:]
+        try:
+            shared = pair.loaded.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        except ValueError as exc:
+            raise CryptoError("invalid ephemeral public key") from exc
+        wrap = _wrap_key(shared, eph_pub, pair.public_key)
+        return _decrypt(wrap, body, eph_pub + pair.public_key)
 
     def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
         if not message:
             raise ValueError("refusing to sign an empty message")
-        sig = pair.loaded.sign(message)
-        return SignedMessage(message=message, signature=sig)
+        return SignedMessage(message=message, signature=pair.loaded.sign(message))
 
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
         try:
@@ -232,42 +310,27 @@ class Ed25519Sig:
             raise CryptoError("signature verification failed") from exc
         return sm.message
 
+    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
+                    slot: AeadSlot | None = None) -> bytes:
+        """Encrypt under ``key``, through the holder's ``slot`` when given."""
+        if len(key) != self.secret_bytes:
+            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
+        return _encrypt(key, plaintext, aad, slot)
 
-class AesGcmSym:
-    """AES-GCM with a deterministic nonce derived from (key, aad, plaintext)."""
+    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
+                    slot: AeadSlot | None = None) -> bytes:
+        """Decrypt under ``key``, through the holder's ``slot`` when given."""
+        if len(key) != self.secret_bytes:
+            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
+        return _decrypt(key, ciphertext, aad, slot)
 
-    name = "aesgcm"
+    def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
+        """Integrity-only protection for broadcast payloads: the clear body,
+        then nonce and tag."""
+        nonce = _nonce(key, aad, body)
+        return body + nonce + _aead(key).encrypt(nonce, b"", aad + body)
 
-    def _nonce(self, key: bytes, aad: bytes, plaintext: bytes) -> bytes:
-        material = b"".join((b"cwbind/sym-nonce", U32.pack(len(key)), key, U32.pack(len(aad)),
-                             aad, U32.pack(len(plaintext)), plaintext))
-        return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
-
-    def encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
-                slot: AeadSlot | None = None) -> bytes:
-        nonce = self._nonce(key, aad, plaintext)
-        aead = _aead(key) if slot is None else slot.context(key)
-        return nonce + aead.encrypt(nonce, plaintext, aad)
-
-    def decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
-                slot: AeadSlot | None = None) -> bytes:
-        if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
-            raise CryptoError("ciphertext too short")
-        try:
-            if slot is None:
-                return _open(key, ciphertext, aad)
-            return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
-                                             ciphertext[GCM_NONCE_LEN:], aad)
-        except InvalidTag as exc:
-            raise CryptoError("authenticated decryption failed") from exc
-
-    def tag_only(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
-        """Integrity-only seal: cleartext body followed by nonce and tag."""
-        nonce = self._nonce(key, aad, body)
-        tag = _aead(key).encrypt(nonce, b"", aad + body)
-        return body + nonce + tag
-
-    def check_tag(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
+    def open_sealed(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         trailer = GCM_NONCE_LEN + GCM_TAG_LEN
         if len(sealed) < trailer:
             raise CryptoError("sealed blob too short")
@@ -277,180 +340,3 @@ class AesGcmSym:
         except InvalidTag as exc:
             raise CryptoError("integrity check failed") from exc
         return body
-
-
-class X25519HybridPke:
-    """X25519 key agreement + AES-GCM payload wrap.
-
-    Ciphertext layout: 32-byte ephemeral public key, then the symmetric
-    ciphertext. The wrap key binds the ephemeral and recipient public keys,
-    and they are also authenticated as associated data, so any bit flip
-    anywhere in the ciphertext is rejected.
-    """
-
-    name = "x25519-hybrid"
-    public_key_len = 32
-
-    def __init__(self, sym: AesGcmSym):
-        self._sym = sym
-
-    def load(self, private_key: bytes) -> KeyPair:
-        sk = X25519PrivateKey.from_private_bytes(private_key)
-        pk = sk.public_key().public_bytes(_RAW, _RAW_PUB)
-        return KeyPair(scheme=self.name, public_key=pk, private_key=private_key, loaded=sk)
-
-    def keygen(self, rng: Drbg) -> KeyPair:
-        return self.load(rng.read(32))
-
-    def _wrap_key(self, shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
-        material = b"cwbind/hybrid-wrap" + lp(shared) + lp(eph_pub) + lp(recipient_pub)
-        return hashlib.sha512(material).digest()[:32]
-
-    def encrypt(self, public_key: bytes, plaintext: bytes, rng: Drbg) -> bytes:
-        eph = X25519PrivateKey.from_private_bytes(rng.read(32))
-        eph_pub = eph.public_key().public_bytes(_RAW, _RAW_PUB)
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(public_key))
-        wrap = self._wrap_key(shared, eph_pub, public_key)
-        body = self._sym.encrypt(wrap, plaintext, aad=eph_pub + public_key)
-        return eph_pub + body
-
-    def decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
-        if len(ciphertext) < self.public_key_len:
-            raise CryptoError("hybrid ciphertext too short")
-        eph_pub = ciphertext[: self.public_key_len]
-        body = ciphertext[self.public_key_len :]
-        try:
-            shared = pair.loaded.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        except ValueError as exc:
-            raise CryptoError("invalid ephemeral public key") from exc
-        wrap = self._wrap_key(shared, eph_pub, pair.public_key)
-        return self._sym.decrypt(wrap, body, aad=eph_pub + pair.public_key)
-
-
-def _sha512(data: bytes) -> bytes:
-    return hashlib.sha512(data).digest()
-
-
-# ---------------------------------------------------------------------------
-# registries and suite resolution
-# ---------------------------------------------------------------------------
-
-_DEFAULT_SYM = AesGcmSym()
-
-PKE_SCHEMES = {"x25519-hybrid": X25519HybridPke(_DEFAULT_SYM)}
-SIG_SCHEMES = {"ed25519": Ed25519Sig()}
-SYM_SCHEMES = {"aesgcm": _DEFAULT_SYM}
-HASH_SCHEMES = {"sha512": _sha512}
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    pke_scheme: str = "x25519-hybrid"
-    sig_scheme: str = "ed25519"
-    sym_scheme: str = "aesgcm"
-    hash_scheme: str = "sha512"
-    secret_bits: int = 128
-
-    def __post_init__(self):
-        for registry, name in (
-            (PKE_SCHEMES, self.pke_scheme),
-            (SIG_SCHEMES, self.sig_scheme),
-            (SYM_SCHEMES, self.sym_scheme),
-            (HASH_SCHEMES, self.hash_scheme),
-        ):
-            if name not in registry:
-                raise ValueError(f"unregistered scheme id: {name!r}")
-        if self.secret_bits not in VALID_SECRET_BITS:
-            raise ValueError(
-                f"secret_bits must be one of {VALID_SECRET_BITS}, got {self.secret_bits}"
-            )
-
-    @property
-    def secret_bytes(self) -> int:
-        return self.secret_bits // 8
-
-
-class CipherSuite:
-    """SuiteConfig resolved against the registries, ready to use; the
-    config's ``secret_bits`` and ``secret_bytes`` are read once, at build.
-
-    Two suites compare equal when their configs do; the resolved scheme
-    objects are interchangeable by construction.
-    """
-
-    def __init__(self, config: SuiteConfig | None = None):
-        self.config = config or SuiteConfig()
-        self._pke = PKE_SCHEMES[self.config.pke_scheme]
-        self._sig = SIG_SCHEMES[self.config.sig_scheme]
-        self._sym = SYM_SCHEMES[self.config.sym_scheme]
-        self._hash = HASH_SCHEMES[self.config.hash_scheme]
-        self.secret_bits = self.config.secret_bits
-        self.secret_bytes = self.config.secret_bytes
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CipherSuite) and self.config == other.config
-
-    def __hash__(self) -> int:
-        return hash(self.config)
-
-    @property
-    def sig_public_key_len(self) -> int:
-        return self._sig.public_key_len
-
-    def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
-        if purpose == "pke":
-            pair = self._pke.keygen(rng)
-            probe = b"\x5a" * 16
-            if self.pke_decrypt(pair, self.pke_encrypt(pair.public_key, probe, rng)) != probe:
-                raise CryptoError("fresh pke key pair failed its self-test")
-        elif purpose == "sig":
-            pair = self._sig.keygen(rng)
-            if self.verify_recover(pair.public_key, self.sign(pair, b"self-test")) != b"self-test":
-                raise CryptoError("fresh sig key pair failed its self-test")
-        else:
-            raise ValueError(f"unknown keygen purpose: {purpose!r}")
-        return pair
-
-    def load_sig_keypair(self, private_key: bytes) -> KeyPair:
-        """Rebuild a stored signature key pair from its private half."""
-        return self._sig.load(private_key)
-
-    def pke_encrypt(self, public_key: bytes, plaintext: bytes, rng: Drbg) -> bytes:
-        return self._pke.encrypt(public_key, plaintext, rng)
-
-    def pke_decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
-        return self._pke.decrypt(pair, ciphertext)
-
-    def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
-        return self._sig.sign(pair, message)
-
-    def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
-        return self._sig.verify_recover(public_key, sm)
-
-    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
-                    slot: AeadSlot | None = None) -> bytes:
-        """Encrypt under ``key``, through the holder's ``slot`` when given."""
-        if len(key) != self.secret_bytes:
-            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
-        return self._sym.encrypt(key, plaintext, aad, slot)
-
-    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
-                    slot: AeadSlot | None = None) -> bytes:
-        """Decrypt under ``key``, through the holder's ``slot`` when given."""
-        if len(key) != self.secret_bytes:
-            raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
-        return self._sym.decrypt(key, ciphertext, aad, slot)
-
-    def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
-        """Integrity-only protection for broadcast payloads (body stays clear)."""
-        return self._sym.tag_only(key, body, aad)
-
-    def open_sealed(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        return self._sym.check_tag(key, sealed, aad)
-
-    def hash(self, data: bytes) -> bytes:
-        return self._hash(data)
-
-
-def default_suite() -> CipherSuite:
-    return CipherSuite(SuiteConfig())

@@ -8,12 +8,13 @@ platform shows up as a diff against these files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .binding import BindingInput, derive_secret, encode_binding_input, second_preimage_strength
 from .encoding import BROADCAST_ADDR, encode_id
 from .scramble import scramble
-from .suite import Drbg, default_suite
+from .suite import CipherSuite, Drbg
 from .wire import (
     Ecm,
     Emm,
@@ -25,9 +26,14 @@ from .wire import (
 )
 
 
+# the algorithms the suite fixes, named as ``suite.json`` has always named them
+SUITE_CONFIG = {"hash_scheme": "sha512", "pke_scheme": "x25519-hybrid", "secret_bits": 128,
+                "sig_scheme": "ed25519", "sym_scheme": "aesgcm"}
+
+
 def suite_vectors() -> dict:
-    suite = default_suite()
-    out: dict = {"config": vars(suite.config).copy()}
+    suite = CipherSuite()
+    out: dict = {"config": dict(SUITE_CONFIG)}
 
     out["drbg_seed00_64B"] = Drbg(b"\x00" * 8).read(64).hex()
     out["drbg_child_label_a_32B"] = Drbg(b"\x00" * 8).child("a").read(32).hex()
@@ -48,8 +54,8 @@ def suite_vectors() -> dict:
     out["seal_k0f_body8"] = suite.seal(key, b"leafless", aad=b"hdr").hex()
     out["scramble_k0f_epoch3"] = scramble(key, 3, b"sixteen byte msg").hex()
 
-    out["sha512_empty"] = suite.hash(b"").hex()
-    out["sha512_abc"] = suite.hash(b"abc").hex()
+    out["sha512_empty"] = hashlib.sha512(b"").hexdigest()
+    out["sha512_abc"] = hashlib.sha512(b"abc").hexdigest()
     return out
 
 
@@ -79,7 +85,7 @@ def kdf_vectors() -> dict:
 
 
 def wire_vectors() -> dict:
-    suite = default_suite()
+    suite = CipherSuite()
     group_key = bytes(range(16))
     channel_key = bytes(range(16, 32))
     ecm_key = bytes(range(32, 48))

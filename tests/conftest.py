@@ -1,11 +1,11 @@
 import pytest
 
-from cwbind.suite import CipherSuite, Drbg, SuiteConfig
+from cwbind.suite import CipherSuite, Drbg
 
 
 @pytest.fixture
 def suite() -> CipherSuite:
-    return CipherSuite(SuiteConfig())
+    return CipherSuite()
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from cwbind.decoder import ChipChannelMsg, ChipMsgKind, chip_process, process_fr
 from cwbind.encoding import encode_id
 from cwbind.errors import CwbindError
 from cwbind.sim import compute_verdicts, load_scenario, run_scenario, run_world
-from cwbind.suite import CipherSuite, Drbg, SuiteConfig
+from cwbind.suite import CipherSuite, Drbg
 from cwbind.ttp import Certificate, verify_certificate
 from cwbind.vectors import generate_vectors, vectors_json
 from cwbind.wire import decode_ecm, decode_emm, encode_ecm, encode_emm, EmmKind
@@ -63,7 +63,7 @@ def test_criterion_01_strength_formula_grid():
 
 
 def test_criterion_02_key_length_anchor():
-    suite = CipherSuite(SuiteConfig())
+    suite = CipherSuite()
     assert suite.secret_bits == 128
     assert suite.secret_bytes == 16
 

@@ -1,5 +1,6 @@
 """Command line: subcommands, exit codes, stable outputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -136,6 +137,94 @@ def test_ttp_state_with_mismatched_key_halves_refused(tmp_path, capsys):
     assert main(["ttp", "export", "--state", str(state), "--out", str(directory)]) != 0
     assert not directory.exists()
     assert "does not match" in capsys.readouterr().err
+
+
+STATE_FIELDS = ("secret_bits", "public_key", "private_key", "generation", "receivers",
+                "senders", "certs", "revoked", "prior_pks", "next_serial")
+
+# ``ttp init --seed 5`` as written while the suite still carried scheme ids
+OLD_FORMAT_STATE = """{
+  "certs": [],
+  "config": {
+    "hash_scheme": "sha512",
+    "pke_scheme": "x25519-hybrid",
+    "secret_bits": 128,
+    "sig_scheme": "ed25519",
+    "sym_scheme": "aesgcm"
+  },
+  "generation": 1,
+  "next_serial": 1,
+  "prior_pks": [],
+  "private_key": "b6575785a7c63ac18c86bf2fc8a076570c133d0d52c18889b4767110a8921f83",
+  "public_key": "46f52d32739c05c5e141b210ccda83f4a4c8ef15a2af40917fd95a04a440690e",
+  "receivers": {},
+  "revoked": [],
+  "scheme": "ed25519",
+  "senders": {}
+}
+"""
+
+
+def test_ttp_directory_bytes_are_pinned(tmp_path):
+    # the state file format may change; the authority it stores may not
+    state, directory = tmp_path / "authority.json", tmp_path / "directory.bin"
+    assert main(["ttp", "init", "--state", str(state), "--seed", "5"]) == 0
+    assert main(["ttp", "rotate", "--state", str(state)]) == 0
+    assert main(["ttp", "export", "--state", str(state), "--out", str(directory)]) == 0
+    assert hashlib.sha256(directory.read_bytes()).hexdigest() == (
+        "3df2027dda4742643091b06f85b1594726d5541f43a9912def1006bfab93335d")
+
+
+def _edited_state(tmp_path, edit) -> Path:
+    state = tmp_path / "authority.json"
+    assert main(["ttp", "init", "--state", str(state), "--seed", "5"]) == 0
+    data = json.loads(state.read_text())
+    edit(data)
+    state.write_text(json.dumps(data))
+    return state
+
+
+def _assert_refused(tmp_path, state: Path, capsys, field: str) -> None:
+    """Both readers of the state file exit 1 with an error naming ``field``
+    and write nothing."""
+    before = state.read_bytes()
+    directory = tmp_path / "directory.bin"
+    capsys.readouterr()
+    for command in (["ttp", "export", "--state", str(state), "--out", str(directory)],
+                    ["ttp", "rotate", "--state", str(state)]):
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and repr(field) in captured.err
+        assert captured.out == ""
+    assert not directory.exists()
+    assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", STATE_FIELDS)
+def test_ttp_state_missing_field_refused(tmp_path, capsys, field):
+    # a missing field used to escape as a bare KeyError
+    state = _edited_state(tmp_path, lambda data: data.pop(field))
+    _assert_refused(tmp_path, state, capsys, field)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("secret_bits", "128"), ("secret_bits", True), ("secret_bits", 96), ("generation", 1.0),
+    ("private_key", 5), ("public_key", "not hex"), ("receivers", []), ("senders", {"x": "00"}),
+    ("certs", ["00"]), ("revoked", ["3"]), ("prior_pks", [[1]]), ("next_serial", None),
+    # out of range for the directory's u32 fields: these escaped export as a bare struct.error
+    ("generation", -1), ("prior_pks", [[2**32, "00"]]),
+])
+def test_ttp_state_malformed_field_refused(tmp_path, capsys, field, value):
+    state = _edited_state(tmp_path, lambda data: data.update({field: value}))
+    _assert_refused(tmp_path, state, capsys, field)
+
+
+def test_ttp_state_in_the_old_format_refused(tmp_path, capsys):
+    # it carries ``config`` and ``scheme`` and no ``secret_bits``; an unknown
+    # ``config`` key used to escape as a bare TypeError
+    state = tmp_path / "authority.json"
+    state.write_text(OLD_FORMAT_STATE)
+    _assert_refused(tmp_path, state, capsys, "secret_bits")
 
 
 def test_wire_decode_truncated_names_offset(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,14 @@ def test_content_shorter_than_one_aes_block_rejected(content_bytes):
     report = run_scenario(parse_scenario(text + "content-bytes 16\n"))
     assert [row.outcomes[2] for row in report.rows] == ["R"] * 3
     assert report.authenticity_violations == 0
+
+
+@pytest.mark.parametrize("bits", [0, 64, 96, 255, 512])
+def test_unsupported_secret_bits_rejected_at_parse(bits):
+    # 96 used to parse, and the run then failed in build_world
+    message = rf"secret-bits must be one of \(128, 192, 256\), got {bits}$"
+    with pytest.raises(ValueError, match=message):
+        parse_scenario(MINI + f"secret-bits {bits}\n")
 
 
 @pytest.mark.parametrize("every, count", [(0, 1), (-1, 1), (2, 0), (2, -2)])
@@ -336,6 +345,22 @@ def test_shipped_scenario_matches_expected_report(path):
     report = run_scenario(load_scenario(path))
     expected = (SCENARIO_DIR / "expected" / f"{path.stem}.report").read_text()
     assert report.to_text() == expected
+
+
+@pytest.mark.parametrize("bits", [192, 256])
+@pytest.mark.parametrize("stem", ["multi-ca", "recovery-bind", "recovery-cert"])
+def test_wider_secrets_keep_the_shipped_outcomes_and_verdicts(stem, bits):
+    # PKE wraps under a 32-byte key at every size, so at 192 bits a wrap
+    # through the length-checked sym_encrypt would fail the keygen self-test
+    config = replace(load_scenario(SCENARIO_DIR / f"{stem}.scn"), secret_bits=bits)
+    lines = run_scenario(config).to_text().splitlines()
+    expected = (SCENARIO_DIR / "expected" / f"{stem}.report").read_text().splitlines()
+
+    def outcomes_and_verdicts(text_lines):
+        return [line for line in text_lines if line.startswith(("epoch ", "verdict "))]
+
+    assert f"secret-bits {bits}" in lines
+    assert outcomes_and_verdicts(lines) == outcomes_and_verdicts(expected)
 
 
 def _interpose_on_everyone(chip_filter_for):

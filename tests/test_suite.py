@@ -12,19 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwbind.errors import CryptoError, CwbindError
-from cwbind.suite import CipherSuite, Drbg, SignedMessage, SuiteConfig
+from cwbind.suite import CipherSuite, Drbg, SignedMessage
 
 VECTORS = json.loads((Path(__file__).parent / "vectors" / "suite.json").read_text())
-
-# independent reference for the published SHA-512 test vectors (FIPS 180)
-SHA512_EMPTY = (
-    "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
-    "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
-)
-SHA512_ABC = (
-    "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-    "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
-)
 
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
@@ -295,22 +285,6 @@ def test_seal_protects_integrity_only(suite):
 
 
 # ---------------------------------------------------------------------------
-# hash
-# ---------------------------------------------------------------------------
-
-
-def test_sha512_standard_vectors(suite):
-    assert suite.hash(b"").hex() == SHA512_EMPTY
-    assert suite.hash(b"abc").hex() == SHA512_ABC
-    assert hashlib.sha512(b"").hexdigest() == SHA512_EMPTY  # oracle agrees
-
-
-def test_hash_distinct_inputs_distinct_digests(suite, rng):
-    m = rng.read(32)
-    assert suite.hash(m) != suite.hash(m + b"\x00")
-
-
-# ---------------------------------------------------------------------------
 # laws: round trips and tamper rejection at scale
 # ---------------------------------------------------------------------------
 
@@ -369,7 +343,7 @@ def test_tamper_law_64_sampled_bit_positions(suite, layer):
 @settings(max_examples=60)
 @given(message=st.binary(min_size=0, max_size=200), aad=st.binary(max_size=32))
 def test_sym_round_trip_property(message, aad):
-    suite = CipherSuite(SuiteConfig())
+    suite = CipherSuite()
     key = b"\x42" * 16
     assert suite.sym_decrypt(key, suite.sym_encrypt(key, message, aad), aad) == message
 
@@ -377,26 +351,25 @@ def test_sym_round_trip_property(message, aad):
 @settings(max_examples=40)
 @given(message=st.binary(min_size=1, max_size=200))
 def test_sign_round_trip_property(message):
-    suite = CipherSuite(SuiteConfig())
+    suite = CipherSuite()
     pair = suite.keygen("sig", Drbg.from_int(77))
     assert suite.verify_recover(pair.public_key, suite.sign(pair, message)) == message
 
 
 # ---------------------------------------------------------------------------
-# config validation and golden vectors
+# secret length and golden vectors
 # ---------------------------------------------------------------------------
 
 
-def test_suite_config_rejects_unknown_ids():
-    with pytest.raises(ValueError):
-        SuiteConfig(pke_scheme="rsa-oaep")
-    with pytest.raises(ValueError):
-        SuiteConfig(secret_bits=96)
+def test_cipher_suite_rejects_unsupported_secret_bits():
+    for bits in (0, 96, 127, 512):
+        with pytest.raises(ValueError, match=f"got {bits}"):
+            CipherSuite(bits)
 
 
 @pytest.mark.parametrize("bits", [128, 192, 256])
 def test_valid_secret_lengths(bits):
-    assert CipherSuite(SuiteConfig(secret_bits=bits)).secret_bytes == bits // 8
+    assert CipherSuite(bits).secret_bytes == bits // 8
 
 
 def test_frozen_suite_vectors_stable():
