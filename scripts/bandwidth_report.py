@@ -12,14 +12,14 @@ toward broadcast: those bytes move inside each decoder.
 
 from pathlib import Path
 
-from cwbind.sim import load_scenario, run_scenario
+from cwbind.sim import load_scenario, run_world
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def main() -> None:
     reports = {
-        stem: run_scenario(load_scenario(SCENARIOS / f"{stem}.scn"))
+        stem: run_world(load_scenario(SCENARIOS / f"{stem}.scn"))[0]
         for stem in ("baseline-cert", "baseline-bind")
     }
     rows = [

@@ -15,13 +15,13 @@ certificates forever, so the entire decoder population is replaced.
 
 from pathlib import Path
 
-from cwbind.sim import load_scenario, run_scenario
+from cwbind.sim import load_scenario, run_world
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def summarize(stem: str) -> None:
-    report = run_scenario(load_scenario(SCENARIOS / f"{stem}.scn"))
+    report = run_world(load_scenario(SCENARIOS / f"{stem}.scn"))[0]
     probe_rows = [row for row in report.rows if 8 in row.interfered]
     probe_fail = sum(1 for row in probe_rows if row.outcomes[8] != "K")
     post = [row for row in report.rows if row.epoch >= 60]

@@ -90,6 +90,8 @@ def second_preimage_strength(n_bits: int, max_input_len_bits: int) -> int:
     Exact integer arithmetic: floor(512 - log2(L / 2^10)) equals
     512 + 10 - ceil(log2(L)), and ceil(log2(L)) is (L-1).bit_length().
     """
+    if not 1 <= n_bits <= HASH_OUTPUT_BITS:
+        raise ValueError(f"output length must be 1..{HASH_OUTPUT_BITS} bits, got {n_bits}")
     if max_input_len_bits < 2**_LOG2_BASE_LEN:
         raise ValueError(f"maximum input length must be at least 2^{_LOG2_BASE_LEN} bits")
     log_term = HASH_OUTPUT_BITS + _LOG2_BASE_LEN - (max_input_len_bits - 1).bit_length()

@@ -76,10 +76,9 @@ def receiver_init(suite: CipherSuite, receiver_id: bytes | int, rng: Drbg) -> Bi
     )
 
 
-def refresh_sender_key(sender: SenderState, rng: Drbg) -> bytes:
-    """Generate a new sender key pair; returns the new public key."""
+def refresh_sender_key(sender: SenderState, rng: Drbg) -> None:
+    """Generate a new sender key pair."""
     sender.sig_keypair = sender.suite.keygen("sig", rng)
-    return sender.sig_keypair.public_key
 
 
 def phase1_send(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> BindBundle:

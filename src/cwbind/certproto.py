@@ -79,11 +79,10 @@ def receiver_init(suite: CipherSuite, receiver_id: bytes | int,
     )
 
 
-def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> Certificate:
+def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> None:
     """Generate a new sender key pair and obtain a fresh certificate."""
     sender.sig_keypair = sender.suite.keygen("sig", rng)
     sender.sender_cert = certify_sender(ttp, sender.sender_id, sender.sig_keypair.public_key)
-    return sender.sender_cert
 
 
 def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) -> CertBundle:

@@ -7,21 +7,21 @@ Subcommands::
     cwbind ttp rotate --state FILE [--seed N]
     cwbind ttp export --state FILE --out FILE
     cwbind kdf strength --n BITS --max-len BITS
-    cwbind kdf strength --table
     cwbind wire decode <file>
     cwbind vectors emit [--out DIR]
 
 Exit codes: 0 success, 1 operational failure (bad scenario, undecodable
-file), 2 usage error. ``CWBIND_SEED`` supplies a default seed when neither
-``--seed`` nor the scenario file provides one to override. Scripts and CI
-are the intended users; there is no interactive mode.
+file, out-of-range value), 2 usage error. ``run --seed`` overrides the
+scenario file's seed; ``ttp init`` defaults to seed 0 and ``ttp rotate`` to
+the authority's generation. ``--frames`` writes each broadcast frame as a
+4-byte big-endian length and its encoding. Scripts and CI are the intended
+users; there is no interactive mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,15 +35,6 @@ from .suite import CipherSuite, Drbg
 from .ttp import Certificate, TtpState, export_directory, rotate, ttp_init
 from .vectors import generate_vectors, vectors_json
 from .wire import decode_ecm, decode_emm, decode_frame
-
-SEED_ENV = "CWBIND_SEED"
-
-
-def _default_seed(explicit: int | None) -> int | None:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +107,8 @@ def _ttp_from_json(text: str) -> TtpState:
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    seed = _default_seed(args.seed)
-    if seed is not None:
-        config = replace(config, seed=seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     report, world = run_world(config, capture_frames=args.frames is not None)
     text = report.to_text()
     if args.out:
@@ -134,41 +124,23 @@ def _cmd_run(args) -> int:
 def _cmd_ttp(args) -> int:
     state_path = Path(args.state)
     if args.ttp_cmd == "init":
-        seed = _default_seed(args.seed)
-        if seed is None:
-            seed = 0
-        ttp = ttp_init(CipherSuite(), Drbg.from_int(seed).child("ttp"))
+        ttp = ttp_init(CipherSuite(), Drbg.from_int(args.seed or 0).child("ttp"))
         state_path.write_text(_ttp_to_json(ttp))
         print(f"authority generation {ttp.generation}, key {ttp.keypair.public_key.hex()}")
         return 0
     ttp = _ttp_from_json(state_path.read_text())
     if args.ttp_cmd == "rotate":
-        seed = _default_seed(args.seed)
-        if seed is None:
-            seed = ttp.generation
+        seed = ttp.generation if args.seed is None else args.seed
         rotate(ttp, Drbg.from_int(seed).child(f"ttp-rotate-{ttp.generation}"))
         state_path.write_text(_ttp_to_json(ttp))
         print(f"authority generation {ttp.generation}, key {ttp.keypair.public_key.hex()}")
         return 0
-    if args.ttp_cmd == "export":
-        Path(args.out).write_bytes(export_directory(ttp))
-        print(f"directory for generation {ttp.generation} written to {args.out}")
-        return 0
-    raise AssertionError(args.ttp_cmd)
+    Path(args.out).write_bytes(export_directory(ttp))  # ttp export
+    print(f"directory for generation {ttp.generation} written to {args.out}")
+    return 0
 
 
 def _cmd_kdf_strength(args) -> int:
-    if args.table:
-        lengths = [2**e for e in (10, 13, 20, 30, 40)]
-        header = "n/bits " + " ".join(f"L=2^{e}".rjust(8) for e in (10, 13, 20, 30, 40))
-        print(header)
-        for n in (128, 192, 256, 511):
-            row = [str(second_preimage_strength(n, length)).rjust(8) for length in lengths]
-            print(f"{n:>6} " + " ".join(row))
-        return 0
-    if args.n is None or args.max_len is None:
-        print("kdf strength requires --n and --max-len (or --table)", file=sys.stderr)
-        return 2
     print(second_preimage_strength(args.n, args.max_len))
     return 0
 
@@ -253,9 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kdf = sub.add_parser("kdf", help="binding-derivation utilities")
     kdf_sub = p_kdf.add_subparsers(dest="kdf_cmd", required=True)
     p_strength = kdf_sub.add_parser("strength")
-    p_strength.add_argument("--n", type=int)
-    p_strength.add_argument("--max-len", type=int, dest="max_len")
-    p_strength.add_argument("--table", action="store_true")
+    p_strength.add_argument("--n", type=int, required=True)
+    p_strength.add_argument("--max-len", type=int, dest="max_len", required=True)
     p_strength.set_defaults(handler=_cmd_kdf_strength)
 
     p_wire = sub.add_parser("wire", help="wire message utilities")

@@ -77,7 +77,7 @@ class HeadendState:
     suite: CipherSuite
     rng: Drbg
     ca_systems: list[CaSystem]
-    ttp: TtpState | None = None  # certifies and revokes certificate systems' sender keys
+    ttp: TtpState  # certifies and revokes certificate systems' sender keys
     epoch: int = 0
     pk_set: tuple[bytes, ...] = ()
     scrambler_key: bytes | None = field(default=None, repr=False)
@@ -98,7 +98,7 @@ def _announce_bytes(ca: CaSystem) -> bytes:
     return ca.sender.sig_keypair.public_key
 
 
-def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAST_ADDR) -> Emm:
+def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAST_ADDR) -> None:
     """Protect ``body`` as its kind requires (``cwbind.wire``) and queue the EMM."""
     aad = emm_aad(ca.index, kind, addressee)
     if kind in BROADCAST_KINDS:
@@ -106,9 +106,7 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
     else:
         channel_key, slot = ca.receiver_channels[addressee]
         payload = ca.suite.sym_encrypt(channel_key, body, aad=aad, slot=slot)
-    emm = Emm(ca.index, kind, addressee, payload)
-    ca.pending_emms.append(emm)
-    return emm
+    ca.pending_emms.append(Emm(ca.index, kind, addressee, payload))
 
 
 def _queue_announcement(ca: CaSystem) -> None:
@@ -130,7 +128,7 @@ def _queue_pk_set_updates(headend: HeadendState, systems: list[CaSystem]) -> Non
 
 
 def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
-                 ttp: TtpState | None, directory: Directory | None) -> HeadendState:
+                 ttp: TtpState, directory: Directory) -> HeadendState:
     """Build the CA systems. Certificate systems need the authority to issue
     their sender certificates, and the head-end keeps it to re-certify them
     on rotation; binding systems involve no authority call."""
@@ -139,12 +137,8 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
         kind = ca_kind(name)
         sender = None
         if kind.certified:
-            if ttp is None or directory is None:
-                raise ProtocolError("certificate CA system requires the authority")
             sender = certproto.sender_init(suite, index + 1, rng, ttp, directory)
         elif kind.proto is not None:
-            if directory is None:
-                raise ProtocolError("binding CA system requires a directory snapshot")
             sender = bindproto.sender_init(suite, index + 1, rng, directory)
         ca = CaSystem(index=index, kind=kind, suite=suite, sender=sender)
         ca.group_key = rng.read(suite.secret_bytes)
@@ -173,8 +167,7 @@ def refresh_directory(headend: HeadendState, directory: Directory) -> None:
             ca.sender.directory = directory
 
 
-def enroll_receiver(headend: HeadendState, ca_index: int,
-                    receiver_id: bytes | int) -> list[Emm]:
+def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes | int) -> None:
     """Run phase 1 for one receiver, against the directory snapshot the
     sender holds, and queue its enrollment EMM.
 
@@ -194,12 +187,11 @@ def enroll_receiver(headend: HeadendState, ca_index: int,
         body = build_enroll_body(bundle.signed_blob.to_bytes(), ca.sender.ltk_store[receiver_id],
                                  ca.group_key, _announce_bytes(ca))
 
-    out = [_queue(ca, EmmKind.PER_RECEIVER_ENROLL, body, receiver_id)]
+    _queue(ca, EmmKind.PER_RECEIVER_ENROLL, body, receiver_id)
     ca.enrolled.add(receiver_id)
     # interoperating deployments: the fresh client needs the co-senders' keys,
     # and any set broadcast that predated its enrollment was unverifiable
     _queue_pk_set_updates(headend, [ca])
-    return out
 
 
 def _queue_entitlements(ca: CaSystem, receiver_ids: Iterable[bytes],
@@ -236,8 +228,7 @@ def authorize(headend: HeadendState, ca_index: int,
         _queue_entitlements(ca, sorted(ca.authorized))
 
 
-def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
-                      withhold: set[bytes] | None = None) -> list[Emm]:
+def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg) -> None:
     """Replace one CA system's sender key pair and re-run phase 1.
 
     Certificate systems additionally have the head-end's authority revoke
@@ -245,16 +236,13 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
     authority at all. Phase 1 runs against the directory snapshot the
     sender already holds (``refresh_directory``).
     The ECM key is rotated too: a sender-key compromise is assumed to have
-    exposed the CA system's channel material. ``withhold`` suppresses the
-    per-receiver re-keying EMMs for the named receivers (test hook for
-    demonstrating that stale material stops working). The re-keying burst
-    builds the entitlement body once for all receivers.
+    exposed the CA system's channel material. Every enrolled receiver is
+    re-enrolled, and the re-keying burst builds the entitlement body once
+    for all authorized receivers.
     """
     ca = headend.ca_systems[ca_index]
-    withhold = withhold or set()
     if ca.kind.proto is None:
         raise ProtocolError("legacy CA system has no sender key")
-    before = len(ca.pending_emms)
 
     if ca.kind.certified:
         old_serial = ca.sender.sender_cert.serial
@@ -268,10 +256,9 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg,
 
     _queue_announcement(ca)
     ca.ecm_key = headend.rng.read(headend.suite.secret_bytes)
-    for receiver_id in sorted(ca.enrolled - withhold):
+    for receiver_id in sorted(ca.enrolled):
         enroll_receiver(headend, ca_index, receiver_id)
-    _queue_entitlements(ca, sorted(ca.authorized - withhold))
-    return ca.pending_emms[before:]
+    _queue_entitlements(ca, sorted(ca.authorized))
 
 
 def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:

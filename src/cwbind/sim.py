@@ -43,16 +43,17 @@ Tamper actions flip a bit inside the target's protected payload (the
 cryptographic rejection path); arbitrary-position flips, including headers,
 are exercised by the message-level tamper harness in the test suite.
 
-The adversary captures every genuine message it can see (broadcast frames
-and the chip channels) and keeps the latest of each class per decoder for
-replay. It interposes on a decoder's chip channel only in an epoch where it
+The adversary captures every broadcast message, and the chip messages of
+each replay source (a decoder that a scheduled ``replay`` of class
+``chip-derive`` or ``chip-load-ltk`` reads from), and keeps the latest of
+each class per decoder for replay. It interposes on a replay source's chip
+channel in every epoch, and on any other decoder's only in an epoch where it
 acts on that decoder (an epoch with a one-shot tamper, replay or inject-cw,
-or a probed decoder); every decoder's own chip messages are captured either
-way. ``compromise control-word`` models ongoing extraction from an
-authorized decoder: it survives client swaps and chip replacement, because
-extraction is assumed cheap and repeatable; recovery targets key material,
-not the extraction capability. ``compromise`` of sender keys and the
-authority key takes a snapshot: material rotated afterwards is not leaked.
+or a probed decoder). ``compromise control-word`` models ongoing extraction
+from an authorized decoder: it survives client swaps and chip replacement,
+because extraction is assumed cheap and repeatable; recovery targets key
+material, not the extraction capability. ``compromise`` of sender keys and
+the authority key takes a snapshot: material rotated afterwards is not leaked.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -106,8 +107,9 @@ from .wire import (
     encode_frame,
 )
 
-TAMPER_CLASSES = ("ecm", "emm-broadcast", "emm-receiver", "chip-derive", "chip-load-ltk")
-REPLAY_CLASSES = ("chip-derive", "chip-load-ltk", "emm-receiver", "ecm")
+CHIP_CLASSES = ("chip-derive", "chip-load-ltk")
+TAMPER_CLASSES = ("ecm", "emm-broadcast", "emm-receiver") + CHIP_CLASSES
+REPLAY_CLASSES = CHIP_CLASSES + ("emm-receiver", "ecm")
 
 # each action's argument shape in the module docstring's terms; "int", or a
 # tuple of the accepted words. ``compromise`` is keyed with its target.
@@ -353,12 +355,7 @@ class EpochRow:
 
 @dataclass
 class RunReport:
-    scenario: str
-    seed: int
-    epochs: int
-    secret_bits: int
-    ca_kinds: list[str]
-    decoder_ids: list[int]
+    config: ScenarioConfig
     rows: list[EpochRow]
     ledger: BandwidthLedger
     implicit_key_auth: bool
@@ -371,18 +368,20 @@ class RunReport:
         def csv(ids) -> str:
             return ",".join(str(i) for i in sorted(ids)) if ids else "-"
 
+        config = self.config
+        decoder_ids = sorted(spec.decoder_id for spec in config.decoders)
         lines = [
             "cwbind-report 1",
-            f"scenario {self.scenario}",
-            f"seed {self.seed}",
-            f"epochs {self.epochs}",
-            f"secret-bits {self.secret_bits}",
+            f"scenario {config.name}",
+            f"seed {config.seed}",
+            f"epochs {config.epochs}",
+            f"secret-bits {config.secret_bits}",
         ]
-        for index, kind in enumerate(self.ca_kinds):
+        for index, kind in enumerate(config.ca_kinds):
             lines.append(f"ca {index} {kind}")
-        lines.append("decoders " + " ".join(str(i) for i in self.decoder_ids))
+        lines.append("decoders " + " ".join(str(i) for i in decoder_ids))
         for row in self.rows:
-            outcomes = " ".join(f"{i}={row.outcomes[i]}" for i in self.decoder_ids)
+            outcomes = " ".join(f"{i}={row.outcomes[i]}" for i in decoder_ids)
             lines.append(
                 f"epoch {row.epoch} auth {csv(row.authorized)} "
                 f"interfered {csv(row.interfered)} outcomes {outcomes}"
@@ -475,6 +474,8 @@ class World:
     _ids_by_ca: dict[int, list[bytes]] = field(init=False, repr=False)
     # delivery order: (id, id as an integer, decoder), in id order
     _delivery: list[tuple[bytes, int, Decoder]] = field(init=False, repr=False)
+    # decoders a scheduled chip-class replay reads from (see module docstring)
+    replay_sources: frozenset[bytes] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ids_by_ca = {}
@@ -482,17 +483,22 @@ class World:
         for decoder_id, decoder in sorted(self.decoders.items()):
             self._ids_by_ca.setdefault(decoder.ca_index, []).append(decoder_id)
             self._delivery.append((decoder_id, id_as_int(decoder_id), decoder))
+        self.replay_sources = frozenset(
+            encode_id(int(ev.args[0])) for ev in self.config.events
+            if ev.verb == "replay" and ev.args[2] in CHIP_CLASSES)
 
     def decoder_ids_by_ca(self) -> dict[int, list[bytes]]:
         """Decoder ids per CA system, in id order; shared, so read only."""
         return self._ids_by_ca
 
-    def refresh_directory(self) -> None:
+    def rotate_ttp(self) -> None:
+        """Rotate the authority key pair and hand every sender the new directory."""
+        ttpmod.rotate(self.ttp, self.master.child(f"ttp-rotate-{self.ttp.generation}"))
         self.directory = ttpmod.parse_directory(self.suite, ttpmod.export_directory(self.ttp))
         hemod.refresh_directory(self.headend, self.directory)
 
 
-def build_world(config: ScenarioConfig, capture_frames: bool = False) -> World:
+def build_world(config: ScenarioConfig) -> World:
     config.validate()
     suite = CipherSuite(config.secret_bits)
     master = Drbg(hashlib.sha512(b"cwbind/scenario/" + str(config.seed).encode()).digest())
@@ -521,14 +527,11 @@ def build_world(config: ScenarioConfig, capture_frames: bool = False) -> World:
         hemod.provision_receiver(headend, spec.ca_index, decoder_id, channel_keys[decoder_id])
         hemod.enroll_receiver(headend, spec.ca_index, decoder_id)
 
-    world = World(
+    return World(
         config=config, suite=suite, master=master, ttp=ttp, directory=directory,
         headend=headend, decoders=decoders,
         adversary=AdversaryState(rng=master.child("adversary")),
     )
-    if capture_frames:
-        world.frames = []
-    return world
 
 
 # ---------------------------------------------------------------------------
@@ -573,14 +576,14 @@ def _do_recover(world: World, epoch: int) -> None:
         _do_swap_client(world, decoder_id, enroll=False)
     world.adversary.client_taps.clear()
 
-    ttpmod.rotate(world.ttp, world.master.child(f"ttp-rotate-{world.ttp.generation}"))
-    world.refresh_directory()
+    world.rotate_ttp()
 
     # certificate chips hold the retired trust anchor; replace them
-    for decoder_id, decoder in sorted(world.decoders.items()):
-        kind, old = decoder.chip.kind, decoder.chip.receiver
-        if kind.certified and old.authority_pk != world.ttp.keypair.public_key:
-            decoder.chip = ChipState(kind, old.suite, certproto.CertReceiverState(
+    for ca in world.headend.ca_systems:
+        for decoder_id in world.decoder_ids_by_ca().get(ca.index, []) if ca.kind.certified else []:
+            decoder = world.decoders[decoder_id]
+            old = decoder.chip.receiver
+            decoder.chip = ChipState(ca.kind, old.suite, certproto.CertReceiverState(
                 old.suite, old.receiver_id, world.ttp.keypair.public_key, old.enc_keypair))
             _do_swap_client(world, decoder_id, enroll=False)
             world.decoders_replaced += 1
@@ -592,7 +595,7 @@ def _do_recover(world: World, epoch: int) -> None:
     world.recovery_epoch = epoch
 
 
-def adversary_step(world: World, event: Event) -> World:
+def adversary_step(world: World, event: Event) -> None:
     """Apply one adversary action to the world (state-changing actions act
     immediately; message-level actions are queued for this epoch's delivery)."""
     adv = world.adversary
@@ -617,7 +620,6 @@ def adversary_step(world: World, event: Event) -> World:
         world.epoch_one_shots.append(event)
     else:
         raise ValueError(f"not an adversary action: {event.verb}")
-    return world
 
 
 def _apply_event(world: World, event: Event, epoch: int) -> None:
@@ -628,8 +630,7 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
     elif event.verb == "enroll":
         hemod.enroll_receiver(world.headend, int(event.args[0]), encode_id(int(event.args[1])))
     elif event.verb == "rotate-ttp":
-        ttpmod.rotate(world.ttp, world.master.child(f"ttp-rotate-{world.ttp.generation}"))
-        world.refresh_directory()
+        world.rotate_ttp()
     elif event.verb == "rotate-sender":
         ca_index = int(event.args[0])
         hemod.rotate_sender_key(world.headend, ca_index,
@@ -770,23 +771,24 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
 
 def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
     """Build the chip-channel interposition for one decoder this epoch, or
-    return ``None`` when the adversary does not act on it: no one-shot event
-    this epoch and no probe on the decoder. The interposer captures the
-    decoder's own chip messages before it alters them; without one,
-    ``run_world`` captures them itself, so every decoder's messages are
-    captured either way."""
+    return ``None`` when the adversary neither acts on it (no one-shot event
+    this epoch and no probe on the decoder) nor reads it (not a replay
+    source). The interposer captures a replay source's own chip messages
+    before it alters them."""
     adv = world.adversary
     one_shots = world.epoch_one_shots
     decoder_id = decoder.decoder_id
-    if not one_shots and decoder_id not in adv.probes:
+    source = decoder_id in world.replay_sources
+    if not one_shots and not source and decoder_id not in adv.probes:
         return None
 
     def chip_filter(msgs: list[ChipChannelMsg]) -> list[ChipChannelMsg]:
-        adv.capture_chip_msgs(decoder_id, msgs)
+        if source:
+            adv.capture_chip_msgs(decoder_id, msgs)
         out = list(msgs)
 
         for event in one_shots:
-            if event.verb == "tamper" and event.args[0] in ("chip-derive", "chip-load-ltk"):
+            if event.verb == "tamper" and event.args[0] in CHIP_CLASSES:
                 wanted = (WORD_KINDS if event.args[0] == "chip-derive"
                           else (ChipMsgKind.LOAD_LTK,))
                 bit = int(event.args[1])
@@ -863,9 +865,12 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
                 adv.known_cw = secret
             break
 
-
+    """Build and run a world; ``capture_frames`` keeps frame encodings in ``world.frames``."""
 def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[RunReport, World]:
-    world = build_world(config, capture_frames=capture_frames)
+    """Build and run a world; ``capture_frames`` keeps each frame's encoding in ``world.frames``."""
+    world = build_world(config)
+    if capture_frames:
+        world.frames = []
     content_rng = world.master.child("content")
     events_by_epoch: dict[int, list[Event]] = {}
     for event in config.events:
@@ -890,19 +895,16 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         _update_adversary_ecm_knowledge(world, frame)
 
         if authorized is None or epoch in events_by_epoch:  # only events change it
-            systems = world.headend.ca_systems
-            authorized = frozenset(id_as_int(decoder_id)
-                                   for ca_index, ids in world.decoder_ids_by_ca().items()
-                                   for decoder_id in ids if decoder_id in systems[ca_index].authorized)
+            authorized = frozenset(id_as_int(decoder_id) for ca in world.headend.ca_systems
+                                   for decoder_id in ca.authorized)
 
         adv = world.adversary
-        quiet = not world.epoch_one_shots and not adv.probes  # no decoder is acted on
+        # no decoder is acted on or read from
+        quiet = not (world.epoch_one_shots or adv.probes or world.replay_sources)
         outcomes: dict[int, str] = {}
         for decoder_id, int_id, decoder in world._delivery:
             chip_filter = None if quiet else _chip_filter_for(world, decoder, epoch)
             result = process_frame(decoder, frame, chip_filter=chip_filter)
-            if chip_filter is None:  # delivered as the client built them
-                adv.capture_chip_msgs(decoder_id, result.chip_msgs)
             for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
                 world.ledger.chip_channel += 5 + len(msg.payload)
             if result.descrambled == content:
@@ -923,13 +925,7 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
             outcomes=outcomes,
         ))
 
-    report = _build_report(world)
-    return report, world
-
-
-def run_scenario(config: ScenarioConfig, capture_frames: bool = False) -> RunReport:
-    report, _ = run_world(config, capture_frames=capture_frames)
-    return report
+    return _build_report(world), world
 
 
 def compute_verdicts(rows: list[EpochRow]) -> tuple[bool, int]:
@@ -959,12 +955,7 @@ def _build_report(world: World) -> RunReport:
         tail_implicit, tail_violations = compute_verdicts(tail)
         recovery_success = tail_implicit and tail_violations == 0
     return RunReport(
-        scenario=world.config.name,
-        seed=world.config.seed,
-        epochs=world.config.epochs,
-        secret_bits=world.config.secret_bits,
-        ca_kinds=list(world.config.ca_kinds),
-        decoder_ids=sorted(spec.decoder_id for spec in world.config.decoders),
+        config=world.config,
         rows=world.rows,
         ledger=world.ledger,
         implicit_key_auth=implicit,

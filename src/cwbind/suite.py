@@ -104,6 +104,8 @@ class Drbg:
 
     @classmethod
     def from_int(cls, seed: int) -> "Drbg":
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} outside 0..2**64-1")
         return cls(u64(seed))
 
     def read(self, n: int) -> bytes:

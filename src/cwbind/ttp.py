@@ -170,12 +170,11 @@ def certify_sender(ttp: TtpState, sender_id: bytes | int, sender_pk: bytes) -> C
     return _issue(ttp, sender_id, ROLE_SENDER, sender_pk)
 
 
-def revoke(ttp: TtpState, serial: int) -> set[int]:
+def revoke(ttp: TtpState, serial: int) -> None:
     ttp._count("revoke")
     if not any(cert.serial == serial for cert in ttp.issued_certs):
         raise ProtocolError(f"cannot revoke unknown serial {serial}")
     ttp.revoked_serials.add(serial)
-    return set(ttp.revoked_serials)
 
 
 def rotate(ttp: TtpState, rng: Drbg) -> None:

@@ -17,7 +17,7 @@ from cwbind.binding import second_preimage_strength
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind, chip_process, process_frame
 from cwbind.encoding import encode_id
 from cwbind.errors import CwbindError
-from cwbind.sim import compute_verdicts, load_scenario, run_scenario, run_world
+from cwbind.sim import compute_verdicts, load_scenario, run_world
 from cwbind.suite import CipherSuite, Drbg
 from cwbind.ttp import Certificate, verify_certificate
 from cwbind.vectors import generate_vectors, vectors_json
@@ -85,7 +85,7 @@ def test_criterion_03_honest_end_to_end(stem):
     started = time.monotonic()
     config = load_scenario(SCENARIOS / f"{stem}.scn")
     assert config.epochs == 100 and len(config.decoders) == 8
-    report = run_scenario(config)
+    report = run_world(config)[0]
     for row in report.rows:
         for decoder_id, outcome in row.outcomes.items():
             if decoder_id in row.authorized:
@@ -102,7 +102,7 @@ def test_criterion_03_honest_end_to_end(stem):
 
 def test_criterion_04_implicit_key_authentication_all_scenarios():
     for path in sorted(SCENARIOS.glob("*.scn")):
-        report = run_scenario(load_scenario(path))
+        report = run_world(load_scenario(path))[0]
         implicit, violations = compute_verdicts(report.rows)
         assert implicit, path.stem
         assert violations == 0, path.stem
@@ -239,7 +239,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
 
 
 def test_criterion_06_redistribution_resistance():
-    report = run_scenario(load_scenario(SCENARIOS / "redistribution.scn"))
+    report = run_world(load_scenario(SCENARIOS / "redistribution.scn"))[0]
     target_outcomes = [row.outcomes[2] for row in report.rows]
     assert all(code != "K" for code in target_outcomes)
     # the adversary acted with a known control word and the compliant chip
@@ -251,7 +251,7 @@ def test_criterion_06_redistribution_resistance():
 
 
 def test_criterion_07_cross_sender_binding():
-    report = run_scenario(load_scenario(SCENARIOS / "rogue-sender.scn"))
+    report = run_world(load_scenario(SCENARIOS / "rogue-sender.scn"))[0]
     probed = [row for row in report.rows if 3 in row.interfered]
     assert len(probed) == 100
     mismatches = sum(1 for row in probed if row.outcomes[3] != "K")
@@ -261,8 +261,8 @@ def test_criterion_07_cross_sender_binding():
 
 
 def test_criterion_08_recovery_contrast():
-    bind_report = run_scenario(load_scenario(SCENARIOS / "recovery-bind.scn"))
-    cert_report = run_scenario(load_scenario(SCENARIOS / "recovery-cert.scn"))
+    bind_report = run_world(load_scenario(SCENARIOS / "recovery-bind.scn"))[0]
+    cert_report = run_world(load_scenario(SCENARIOS / "recovery-cert.scn"))[0]
 
     assert bind_report.decoders_replaced == 0
     assert bind_report.recovery_success
@@ -278,8 +278,8 @@ def test_criterion_08_recovery_contrast():
 
 
 def test_criterion_09_bandwidth_parity():
-    cert_report = run_scenario(load_scenario(SCENARIOS / "baseline-cert.scn"))
-    bind_report = run_scenario(load_scenario(SCENARIOS / "baseline-bind.scn"))
+    cert_report = run_world(load_scenario(SCENARIOS / "baseline-cert.scn"))[0]
+    bind_report = run_world(load_scenario(SCENARIOS / "baseline-bind.scn"))[0]
     assert cert_report.ledger.ecm == bind_report.ledger.ecm
     assert bind_report.ledger.emm_broadcast <= cert_report.ledger.emm_broadcast
     _ok(
@@ -291,10 +291,10 @@ def test_criterion_09_bandwidth_parity():
 
 def test_criterion_10_determinism_and_golden_vectors():
     config = load_scenario(SCENARIOS / "baseline-bind.scn")
-    assert run_scenario(config).to_text() == run_scenario(config).to_text()
+    assert run_world(config)[0].to_text() == run_world(config)[0].to_text()
     for path in sorted(SCENARIOS.glob("*.scn")):
         expected = (SCENARIOS / "expected" / f"{path.stem}.report").read_text()
-        assert run_scenario(load_scenario(path)).to_text() == expected, path.stem
+        assert run_world(load_scenario(path))[0].to_text() == expected, path.stem
     for name, entries in generate_vectors().items():
         assert vectors_json(entries) == (VECTORS / f"{name}.json").read_text(), name
     _ok("10 determinism-and-golden-vectors")

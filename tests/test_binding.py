@@ -166,6 +166,15 @@ def test_strength_rejects_tiny_inputs():
         second_preimage_strength(128, 2**10 - 1)
 
 
+@pytest.mark.parametrize("n", [0, -5, 513, 1000])
+def test_strength_rejects_output_lengths_outside_the_digest(n):
+    # 1000 used to give 511 and -5 to give -5
+    with pytest.raises(ValueError, match="output length"):
+        second_preimage_strength(n, 2**20)
+    assert second_preimage_strength(1, 2**20) == 1
+    assert second_preimage_strength(512, 2**10) == 512
+
+
 @settings(max_examples=300)
 @given(
     n=st.integers(min_value=1, max_value=512),

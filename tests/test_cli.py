@@ -1,5 +1,6 @@
 """Command line: subcommands, exit codes, stable outputs."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from cwbind.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "cwbind"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 VECTOR_DIR = Path(__file__).resolve().parent / "vectors"
 
@@ -17,14 +19,19 @@ def test_kdf_strength_prints_value(capsys):
     assert capsys.readouterr().out.strip() == "128"
 
 
-def test_kdf_strength_table(capsys):
-    assert main(["kdf", "strength", "--table"]) == 0
-    out = capsys.readouterr().out
-    assert "511" in out and "509" in out
+def test_kdf_strength_requires_args():
+    for argv in ([], ["--n", "128"], ["--max-len", "1048576"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["kdf", "strength", *argv])
+        assert exc_info.value.code == 2
 
 
-def test_kdf_strength_requires_args(capsys):
-    assert main(["kdf", "strength"]) == 2
+@pytest.mark.parametrize("n", ["0", "-5", "513", "1000"])
+def test_kdf_strength_output_length_outside_the_digest_fails(capsys, n):
+    # --n 1000 used to print 511 and --n -5 to print -5
+    assert main(["kdf", "strength", "--n", n, "--max-len", "1048576"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_run_twice_identical_report_files(tmp_path):
@@ -42,11 +49,18 @@ def test_run_seed_override_changes_seed_line(tmp_path):
     assert "seed 99" in out.read_text()
 
 
-def test_run_env_seed_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("CWBIND_SEED", "55")
-    out = tmp_path / "r.report"
-    assert main(["run", str(SCENARIO_DIR / "client-swap.scn"), "--out", str(out)]) == 0
-    assert "seed 55" in out.read_text()
+def test_no_module_reads_the_environment():
+    # every setting comes from the command line or the scenario file, so no
+    # hidden seed or other knob can change a run from outside them
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, node.lineno) for alias in node.names if alias.name in names]
+    assert found == []
 
 
 def test_run_missing_scenario_fails(capsys):
@@ -123,6 +137,22 @@ def test_ttp_lifecycle(tmp_path, capsys):
     assert main(["ttp", "export", "--state", str(state), "--out", str(directory)]) == 0
     assert main(["wire", "decode", str(directory)]) == 0
     assert "generation=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_ttp_seed_outside_u64_fails_cleanly(tmp_path, capsys, seed):
+    # both used to escape as a bare struct.error traceback
+    state = tmp_path / "authority.json"
+    assert main(["ttp", "init", "--state", str(state), "--seed", seed]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not state.exists()
+    assert main(["ttp", "init", "--state", str(state), "--seed", "5"]) == 0
+    before = state.read_bytes()
+    capsys.readouterr()
+    assert main(["ttp", "rotate", "--state", str(state), "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert state.read_bytes() == before
 
 
 def test_ttp_state_with_mismatched_key_halves_refused(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Head-end orchestration: epoch ticks, enrollment, authorization, rotation."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -189,9 +190,13 @@ def test_sender_rotation_cuts_off_withheld_decoder(suite):
     setup_frame = hemod.epoch_tick(headend, b"before")
     for decoder_id in (1, 2):
         decmod.process_frame(decoders[decoder_id][0], setup_frame)
-    hemod.rotate_sender_key(headend, 0, master.child("rot"), withhold={encode_id(2)})
+    hemod.rotate_sender_key(headend, 0, master.child("rot"))
     content = b"\x32" * 32
     frame = hemod.epoch_tick(headend, content)
+    # drop decoder 2's re-keying EMMs from the frame: its stale material stops working
+    kept = tuple(emm for emm in frame.emms if emm.addressee != encode_id(2))
+    assert len(kept) < len(frame.emms)
+    frame = replace(frame, emms=kept)
     assert decmod.process_frame(decoders[1][0], frame).descrambled == content
     r2 = decmod.process_frame(decoders[2][0], frame)
     assert r2.descrambled != content and r2.errors

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import cwbind
 from cwbind import binding, suite as suitemod
 from cwbind.errors import CryptoError
-from cwbind.sim import load_scenario, run_scenario
+from cwbind.sim import load_scenario, run_world
 from cwbind.suite import CipherSuite, SignedMessage
 from cwbind.wire import ECM_MAGIC, ecm_aad
 
@@ -173,7 +173,7 @@ def test_each_ecm_is_opened_once_per_system_and_epoch(monkeypatch):
     suitemod._aead.cache_clear()
     suitemod._open.cache_clear()
     config = load_scenario(SCENARIO_DIR / "baseline-bind.scn")
-    report = run_scenario(config)
+    report = run_world(config)[0]
     assert report.to_text() == _expected_report("baseline-bind")
     # every epoch several entitled decoders read their system's one ECM
     assert all(sum(o == "K" for o in row.outcomes.values()) >= 2 for row in report.rows)
@@ -202,7 +202,7 @@ def test_each_distinct_signature_is_verified_once(monkeypatch):
     monkeypatch.setattr(suitemod, "Ed25519PublicKey", _CountingEd25519PublicKey)
     monkeypatch.setattr(_CountingEd25519PublicKey, "verified", Counter())
     suitemod._verify.cache_clear()
-    report = run_scenario(load_scenario(SCENARIO_DIR / "baseline-cert.scn"))
+    report = run_world(load_scenario(SCENARIO_DIR / "baseline-cert.scn"))[0]
     assert report.to_text() == _expected_report("baseline-cert")
     verified = _CountingEd25519PublicKey.verified
     assert verified and set(verified.values()) == {1}

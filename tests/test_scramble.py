@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cwbind.decoder import ChipState, ControlWordHandle, descramble
 from cwbind.kinds import LEGACY
 from cwbind.scramble import _keystream, scramble
-from cwbind.sim import load_scenario, run_scenario
+from cwbind.sim import load_scenario, run_world
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -104,7 +104,7 @@ def test_honest_world_sets_up_one_keystream_per_epoch(monkeypatch, name):
     _keystream.cache_clear()
     scramble.cache_clear()
     config = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    report = run_scenario(config)
+    report = run_world(config)[0]
     assert report.to_text() == (SCENARIO_DIR / "expected" / f"{name}.report").read_text()
     assert counting.setups == config.epochs
 
@@ -112,7 +112,7 @@ def test_honest_world_sets_up_one_keystream_per_epoch(monkeypatch, name):
 def test_cache_state_across_worlds_never_reaches_a_report():
     # the second pass meets every module-level memo (keystream, AEAD contexts
     # and opens, signature checks, bound secrets) warm from other worlds
-    first = {path.stem: run_scenario(load_scenario(path)).to_text() for path in SHIPPED}
-    second = {path.stem: run_scenario(load_scenario(path)).to_text() for path in reversed(SHIPPED)}
+    first = {path.stem: run_world(load_scenario(path))[0].to_text() for path in SHIPPED}
+    second = {path.stem: run_world(load_scenario(path))[0].to_text() for path in reversed(SHIPPED)}
     assert len(first) == 9
     assert second == first

@@ -20,7 +20,6 @@ from cwbind.sim import (
     compute_verdicts,
     load_scenario,
     parse_scenario,
-    run_scenario,
     run_world,
 )
 from cwbind.wire import decode_frame
@@ -97,7 +96,7 @@ def test_content_shorter_than_one_aes_block_rejected(content_bytes):
     text = (MINI + "at 0 forge-sender 0 2\n").replace("epochs 6", "epochs 3")
     with pytest.raises(ValueError, match=f"content-bytes must be at least 16, got {content_bytes}"):
         parse_scenario(text + f"content-bytes {content_bytes}\n")
-    report = run_scenario(parse_scenario(text + "content-bytes 16\n"))
+    report = run_world(parse_scenario(text + "content-bytes 16\n"))[0]
     assert [row.outcomes[2] for row in report.rows] == ["R"] * 3
     assert report.authenticity_violations == 0
 
@@ -128,9 +127,9 @@ def test_quiet_epochs_build_no_chip_filter(monkeypatch):
         return chip_filter_for(world, decoder, epoch)
 
     monkeypatch.setattr(sim, "_chip_filter_for", counting)
-    quiet = run_scenario(parse_scenario(MINI))
+    quiet = run_world(parse_scenario(MINI))[0]
     assert calls == []
-    tampered = run_scenario(parse_scenario(MINI + "at 3 tamper chip-derive 7\n"))
+    tampered = run_world(parse_scenario(MINI + "at 3 tamper chip-derive 7\n"))[0]
     assert calls == [3, 3]
     assert quiet.rows[3].outcomes[1] == "K" and tampered.rows[3].outcomes[1] == "R"
 
@@ -230,7 +229,7 @@ def test_two_sender_rotations_in_one_epoch_draw_two_key_pairs():
 def test_rotate_auth_expansion_changes_set_each_window():
     text = MINI.replace("at 0 authorize 0 1", "rotate-auth 0 every 2 count 1")
     config = parse_scenario(text)
-    report = run_scenario(config)
+    report = run_world(config)[0]
     sets = [row.authorized for row in report.rows]
     assert sets[0] != sets[2] != sets[4]
     assert all(len(s) == 1 for s in sets)
@@ -242,27 +241,27 @@ def test_rotate_auth_expansion_changes_set_each_window():
 
 
 def test_identical_config_identical_report_bytes():
-    a = run_scenario(parse_scenario(MINI)).to_text()
-    b = run_scenario(parse_scenario(MINI)).to_text()
+    a = run_world(parse_scenario(MINI))[0].to_text()
+    b = run_world(parse_scenario(MINI))[0].to_text()
     assert a == b
 
 
 def test_different_seed_different_transcript():
-    a = run_scenario(parse_scenario(MINI))
-    b = run_scenario(parse_scenario(MINI.replace("seed 3", "seed 4")))
+    a = run_world(parse_scenario(MINI))[0]
+    b = run_world(parse_scenario(MINI.replace("seed 3", "seed 4")))[0]
     assert a.to_text() != b.to_text()  # ledger bytes match, content differs
     assert a.rows[0].outcomes == b.rows[0].outcomes
 
 
 def test_outcome_codes_follow_authorization():
-    report = run_scenario(parse_scenario(MINI))
+    report = run_world(parse_scenario(MINI))[0]
     for row in report.rows:
         assert row.outcomes[1] == "K"
         assert row.outcomes[2] == "X"
 
 
 def test_verdicts_recomputable_from_rows():
-    report = run_scenario(parse_scenario(MINI))
+    report = run_world(parse_scenario(MINI))[0]
     implicit, violations = compute_verdicts(report.rows)
     assert implicit == report.implicit_key_auth
     assert violations == report.authenticity_violations
@@ -315,7 +314,7 @@ def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):
         return tick(headend, content)
 
     monkeypatch.setattr(sim.hemod, "epoch_tick", recording_tick)
-    report = run_scenario(load_scenario(SCENARIO_DIR / "multi-ca.scn"))
+    report = run_world(load_scenario(SCENARIO_DIR / "multi-ca.scn"))[0]
     assert [row.authorized for row in report.rows] == at_tick
     event_epochs = {event.epoch for event in load_scenario(SCENARIO_DIR / "multi-ca.scn").events}
     quiet = [epoch for epoch in range(1, len(report.rows)) if epoch not in event_epochs]
@@ -342,7 +341,7 @@ def test_frame_capture_decodes_and_is_stable():
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
 def test_shipped_scenario_matches_expected_report(path):
-    report = run_scenario(load_scenario(path))
+    report = run_world(load_scenario(path))[0]
     expected = (SCENARIO_DIR / "expected" / f"{path.stem}.report").read_text()
     assert report.to_text() == expected
 
@@ -353,7 +352,7 @@ def test_wider_secrets_keep_the_shipped_outcomes_and_verdicts(stem, bits):
     # PKE wraps under a 32-byte key at every size, so at 192 bits a wrap
     # through the length-checked sym_encrypt would fail the keygen self-test
     config = replace(load_scenario(SCENARIO_DIR / f"{stem}.scn"), secret_bits=bits)
-    lines = run_scenario(config).to_text().splitlines()
+    lines = run_world(config)[0].to_text().splitlines()
     expected = (SCENARIO_DIR / "expected" / f"{stem}.report").read_text().splitlines()
 
     def outcomes_and_verdicts(text_lines):
@@ -363,35 +362,74 @@ def test_wider_secrets_keep_the_shipped_outcomes_and_verdicts(stem, bits):
     assert outcomes_and_verdicts(lines) == outcomes_and_verdicts(expected)
 
 
-def _interpose_on_everyone(chip_filter_for):
-    """``_chip_filter_for`` giving every decoder an interposer: where the
-    adversary does not act, one that only captures and passes the list on."""
-    def interposed(world, decoder, epoch):
-        chip_filter = chip_filter_for(world, decoder, epoch)
-        if chip_filter is not None:
-            return chip_filter
-
-        def capture_only(msgs):
-            world.adversary.capture_chip_msgs(decoder.decoder_id, msgs)
-            return list(msgs)
-        return capture_only
-    return interposed
-
-
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
 def test_uninterposed_decoders_are_captured_as_if_interposed(path, monkeypatch):
+    # the adversary keeps exactly the replay sources' chip messages, and the
+    # ones it keeps are those an interposer on every decoder in every epoch sees
     config = load_scenario(path)
     report, world = run_world(config)
-    monkeypatch.setattr(sim, "_chip_filter_for", _interpose_on_everyone(sim._chip_filter_for))
+    sources = {encode_id(int(ev.args[0])) for ev in config.events
+               if ev.verb == "replay" and ev.args[2] in ("chip-derive", "chip-load-ltk")}
+    assert world.replay_sources == sources
+
+    everyone = sim.AdversaryState(rng=None)
+    process_frame = sim.process_frame
+
+    def interposed(decoder, frame, chip_filter=None):
+        def capture_all(msgs):
+            everyone.capture_chip_msgs(decoder.decoder_id, msgs)
+            return list(msgs) if chip_filter is None else chip_filter(msgs)
+        return process_frame(decoder, frame, chip_filter=capture_all)
+
+    monkeypatch.setattr(sim, "process_frame", interposed)
     interposed_report, interposed_world = run_world(config)
     assert report.to_text() == interposed_report.to_text()
     assert world.adversary.captured == interposed_world.adversary.captured
-    assert any(cls == "chip-derive" for cls, _ in world.adversary.captured)
+    chip = {key: msg for key, msg in world.adversary.captured.items()
+            if key[0] in ("chip-derive", "chip-load-ltk")}
+    assert chip == {key: msg for key, msg in everyone.captured.items() if key[1] in sources}
+    assert {decoder_id for _, decoder_id in chip} == sources
+    assert {cls for cls, _ in chip} == ({"chip-derive", "chip-load-ltk"} if sources else set())
+
+
+ROTATE_TTP = """
+scenario rotate-ttp
+seed 3
+epochs 8
+ca 0 bind
+ca 1 cert
+decoder 1 ca 0
+decoder 2 ca 0
+decoder 3 ca 1
+decoder 4 ca 1
+at 0 authorize 0 1
+at 0 authorize 0 2
+at 0 authorize 1 3
+at 0 authorize 1 4
+at 2 rotate-ttp
+at 4 rotate-sender 0
+at 4 rotate-sender 1
+"""
+
+
+def test_rotate_ttp_strands_certificate_chips_at_the_next_sender_rotation():
+    # the authority rotates outside ``recover``: nothing changes until the
+    # certificate sender re-keys under the new authority key, which the
+    # certificate chips' installed anchor cannot verify; binding chips never
+    # consult the authority
+    report, world = run_world(parse_scenario(ROTATE_TTP))
+    for row in report.rows:
+        expected = "K" if row.epoch < 4 else "R"
+        assert row.outcomes == {1: "K", 2: "K", 3: expected, 4: expected}, row.epoch
+    assert report.authenticity_violations == 0
+    assert report.decoders_replaced == 0
+    assert world.ttp.generation == world.directory.generation == 2
+    assert all(ca.sender.directory is world.directory for ca in world.headend.ca_systems)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
 def test_shipped_scenario_key_authentication(path):
-    report = run_scenario(load_scenario(path))
+    report = run_world(load_scenario(path))[0]
     assert report.implicit_key_auth
     assert report.authenticity_violations == 0
 
@@ -403,7 +441,7 @@ def test_shipped_scenario_key_authentication(path):
 
 def test_ecm_tamper_rejects_all_compliant_decoders_that_epoch():
     text = MINI + "at 0 authorize 0 2\nat 3 tamper ecm 5\n"
-    report = run_scenario(parse_scenario(text))
+    report = run_world(parse_scenario(text))[0]
     assert report.rows[3].outcomes == {1: "R", 2: "R"}
     assert report.rows[4].outcomes == {1: "K", 2: "K"}  # one-shot only
 
@@ -426,7 +464,7 @@ def test_replay_closure_every_class_every_other_decoder(monkeypatch):
         return step(world, event)
 
     monkeypatch.setattr(sim, "adversary_step", recording_step)
-    report = run_scenario(parse_scenario("".join(lines)))
+    report = run_world(parse_scenario("".join(lines)))[0]
     for cls in ("chip-derive", "chip-load-ltk"):
         assert (cls, encode_id(1)) in held[cls]
     _, violations = compute_verdicts(report.rows)
@@ -478,7 +516,7 @@ at 3 replay 3 1 ecm
 
 def test_compromised_control_word_alone_gains_nothing():
     text = MINI + "at 1 compromise control-word 1\nat 2 inject-cw 2\nat 3 pirate-probe 2\n"
-    report = run_scenario(parse_scenario(text))
+    report = run_world(parse_scenario(text))[0]
     for row in report.rows:
         assert row.outcomes[2] != "K"
     assert report.authenticity_violations == 0
@@ -569,14 +607,14 @@ at 0 authorize 0 1
 at 2 compromise control-word 1
 at 3 inject-cw 2
 """
-    report = run_scenario(parse_scenario(text))
+    report = run_world(parse_scenario(text))[0]
     assert report.rows[3].outcomes[2] == "K"  # unauthorized derivation
     assert report.authenticity_violations >= 1
     assert not report.implicit_key_auth
 
 
 def test_bandwidth_ledger_chip_channel_excluded_from_broadcast():
-    report = run_scenario(parse_scenario(MINI))
+    report = run_world(parse_scenario(MINI))[0]
     ledger = report.ledger
     assert ledger.chip_channel > 0
     assert ledger.broadcast_total() == (
@@ -602,9 +640,9 @@ def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
     program = (
         "import sys\n"
         "from pathlib import Path\n"
-        "from cwbind.sim import load_scenario, run_scenario\n"
+        "from cwbind.sim import load_scenario, run_world\n"
         "for path in sys.argv[1:]:\n"
-        "    sys.stdout.write(run_scenario(load_scenario(Path(path))).to_text())\n"
+        "    sys.stdout.write(run_world(load_scenario(Path(path)))[0].to_text())\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,

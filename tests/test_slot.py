@@ -20,7 +20,7 @@ from cwbind.decoder import (
 )
 from cwbind.encoding import encode_id
 from cwbind.errors import CryptoError, CwbindError
-from cwbind.sim import build_world, load_scenario, parse_scenario, run_scenario
+from cwbind.sim import build_world, load_scenario, parse_scenario, run_world
 from cwbind.suite import AeadSlot, CipherSuite
 from cwbind.wire import Emm, emm_aad
 
@@ -195,7 +195,7 @@ def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monke
 
     monkeypatch.setattr(decmod, "client_process_emm", recording)
     config = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    report = run_scenario(config)
+    report = run_world(config)[0]
     assert report.to_text() == (SCENARIO_DIR / "expected" / f"{name}.report").read_text()
     assert sum(o == "K" for row in report.rows for o in row.outcomes.values()) > 4 * len(delivered)
     long_term_keys = {ltk for _, ltk in delivered}
@@ -251,7 +251,7 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
     monkeypatch.setattr(hemod, "provision_receiver", recording_provision)
     monkeypatch.setattr(hemod, "_queue", recording_queue)
     monkeypatch.setattr(suitemod, "_open", recording_open)
-    report = run_scenario(config)
+    report = run_world(config)[0]
     assert report.implicit_key_auth and report.authenticity_violations == 0
     assert len(provisioned) == len(set(provisioned)) == 28  # two swaps re-provision
     # most keys carry several EMMs each, so a rebuild per use would show

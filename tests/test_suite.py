@@ -41,6 +41,18 @@ def test_drbg_same_seed_same_stream():
     assert [a.read(n) for n in (1, 7, 64, 3)] == [b.read(n) for n in (1, 7, 64, 3)]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+def test_drbg_from_int_refuses_a_seed_outside_u64(seed):
+    # used to escape as a bare struct.error
+    with pytest.raises(ValueError, match="outside"):
+        Drbg.from_int(seed)
+
+
+def test_drbg_from_int_takes_the_whole_u64_range():
+    assert Drbg.from_int(0).seed == bytes(8)
+    assert Drbg.from_int(2**64 - 1).seed == b"\xff" * 8
+
+
 def test_drbg_refuses_a_negative_read():
     # read(-5) used to return b"" like read(0)
     rng = Drbg(b"x")

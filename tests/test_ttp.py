@@ -86,10 +86,13 @@ def test_certify_sender_rotation_allows_new_key(suite, ttp, rng):
 
 def test_revoke_membership_and_idempotence(suite, ttp, rng):
     cert = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
-    assert cert.serial in revoke(ttp, cert.serial)
-    assert cert.serial in revoke(ttp, cert.serial)  # idempotent
+    revoke(ttp, cert.serial)
+    assert ttp.revoked_serials == {cert.serial}
+    revoke(ttp, cert.serial)  # idempotent
+    assert ttp.revoked_serials == {cert.serial}
     with pytest.raises(ProtocolError):
         revoke(ttp, 424242)
+    assert ttp.revoked_serials == {cert.serial}
 
 
 def test_rotate_reissues_receivers_and_keeps_their_keys(suite, ttp, rng):
