@@ -130,10 +130,10 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     ltk = recv.ltk_by_sender.get(sender_pk)
     if ltk is None:
         raise ProtocolError("no long-term key stored under this sender key")
-    rand = recv.suite.sym_decrypt(ltk, ciphertext, aad=context, slot=recv.ltk_slot)
+    rand = recv.suite.sym_decrypt(ltk, ciphertext, context, recv.ltk_slot)
     if len(rand) != recv.suite.secret_bytes:
         raise ProtocolError("random value does not have the derived secret's length")
-    pk_set = recv.active_pk_set if recv.active_pk_set else (sender_pk,)
+    pk_set = recv.active_pk_set or (sender_pk,)
     if sender_pk not in pk_set:
         raise ProtocolError("delivering sender key is not in the active key set")
     return bound_secret(pk_set, rand, recv.suite.secret_bits)

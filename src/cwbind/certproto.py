@@ -106,4 +106,4 @@ def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes = 
     authentication failure raises CryptoError."""
     if recv.ltk is None:
         raise ProtocolError("no long-term key established")
-    return recv.suite.sym_decrypt(recv.ltk, ciphertext, aad=context, slot=recv.ltk_slot)
+    return recv.suite.sym_decrypt(recv.ltk, ciphertext, context, recv.ltk_slot)

@@ -18,7 +18,8 @@ Chip channel message (``u8 kind | lp(payload)``)::
 
 ``derive_msg`` and ``load_cw_msg`` build DERIVE and LOAD_CW; LOAD_LTK
 carries ``CertBundle.to_bytes`` or ``BindBundle.to_bytes``. DERIVE and LOAD_CW
-are parsed in one pass that, like ``Reader``, raises only ``WireError``. A
+are parsed in one pass that, like ``Reader``, raises only ``WireError``;
+a DERIVE's first four bytes are the epoch label its wrap authenticates. A
 chip issues a handle only for a control word of the suite's secret length.
 
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
@@ -43,6 +44,7 @@ stored long-term key (re-enrollment after rotation).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -75,6 +77,11 @@ class ChipMsgKind(IntEnum):
 
 
 WORD_KINDS = frozenset((ChipMsgKind.DERIVE, ChipMsgKind.LOAD_CW))  # a derivation attempt
+# bound once for the per-decoder path: an enum member loaded through its class costs a lookup
+_DERIVE = ChipMsgKind.DERIVE
+_LOAD_CW = ChipMsgKind.LOAD_CW
+_ENTITLEMENT = EmmKind.PER_RECEIVER_ENTITLEMENT
+_WORD_HEADER = struct.Struct(">II")  # a DERIVE or LOAD_CW payload's epoch and first length
 
 
 class ChipChannelMsg(NamedTuple):
@@ -106,15 +113,16 @@ def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
     certificate chips (``sender_pk`` None) hold one long-term key. ``slot``
     is the wrapping client's own context for ``ltk``."""
     label = U32.pack(epoch)
-    named = b"" if sender_pk is None else U32.pack(len(sender_pk)) + sender_pk
-    wrapped = suite.sym_encrypt(ltk, secret, aad=label, slot=slot)
-    return ChipChannelMsg(ChipMsgKind.DERIVE, label + named + U32.pack(len(wrapped)) + wrapped)
+    wrapped = suite.sym_encrypt(ltk, secret, label, slot)
+    if sender_pk is None:
+        return ChipChannelMsg(_DERIVE, label + U32.pack(len(wrapped)) + wrapped)
+    return ChipChannelMsg(_DERIVE, b"".join((label, U32.pack(len(sender_pk)), sender_pk,
+                                             U32.pack(len(wrapped)), wrapped)))
 
 
 def load_cw_msg(epoch: int, control_word: bytes) -> ChipChannelMsg:
     """LOAD_CW: a raw control word, which only a legacy chip accepts."""
-    payload = U32.pack(epoch) + U32.pack(len(control_word)) + control_word
-    return ChipChannelMsg(ChipMsgKind.LOAD_CW, payload)
+    return ChipChannelMsg(_LOAD_CW, _WORD_HEADER.pack(epoch, len(control_word)) + control_word)
 
 
 class ControlWordHandle:
@@ -172,18 +180,18 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     does an authentic one carrying a key not of the suite's secret length,
     before any state changes.
     """
-    if emm.ca_system_id != client.ca_system_id:
+    ca_system_id, kind, addressee, payload = emm
+    if ca_system_id != client.ca_system_id:
         return []
-    per_receiver = emm.kind not in BROADCAST_KINDS
-    if per_receiver and emm.addressee != client.receiver_id:
+    per_receiver = kind not in BROADCAST_KINDS
+    if per_receiver and addressee != client.receiver_id:
         return []
-    aad = emm_aad(emm.ca_system_id, emm.kind, emm.addressee)
+    aad = emm_aad(ca_system_id, kind, addressee)
 
     if per_receiver:
         suite = client.suite
-        body = suite.sym_decrypt(client.channel_key, emm.payload, aad=aad,
-                                 slot=client.channel_slot)
-        if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT:
+        body = suite.sym_decrypt(client.channel_key, payload, aad, client.channel_slot)
+        if kind == _ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
             if entitled and len(ecm_key) != suite.secret_bytes:
                 raise ProtocolError(f"ECM key is not {suite.secret_bytes} bytes")
@@ -208,12 +216,12 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
     # broadcast kinds: ignorable until the group key arrives with enrollment
     if client.group_key is None:
         return []
-    body = client.suite.open_sealed(client.group_key, emm.payload, aad=aad)
-    if emm.kind not in client.kind.acts_on:
+    body = client.suite.open_sealed(client.group_key, payload, aad)
+    if kind not in client.kind.acts_on:
         return []
-    if emm.kind == EmmKind.CRL_UPDATE:
+    if kind == EmmKind.CRL_UPDATE:
         return [ChipChannelMsg(ChipMsgKind.CRL_UPDATE, body)]
-    if emm.kind == EmmKind.PK_SET_UPDATE:
+    if kind == EmmKind.PK_SET_UPDATE:
         client.co_sender_pks = parse_pk_set_body(body)
     else:  # the announcement: certificate bytes, or the raw sender public key
         client.announce = body
@@ -230,7 +238,7 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
         return None
     if not client.entitled or client.ecm_key is None:
         return None
-    secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, aad=ecm.aad)
+    secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, ecm.aad)
     if client.kind.proto is None:
         return load_cw_msg(ecm.epoch, secret)
     ltk = client.ltk_by_sender.get(client.announce)
@@ -255,26 +263,31 @@ class ChipState:
 
 def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
     """Read a ``derive_msg`` or ``load_cw_msg`` payload in one pass: the
-    epoch, the sender key when ``named``, then the wrapped or raw word."""
+    epoch, the sender key when ``named``, then the wrapped or raw word.
+    Errors name the offsets and lengths ``Reader`` would."""
     end = len(payload)
-    if end < 4:
-        raise WireError(f"truncated input: wanted 4 bytes at offset 0, have {end}")
-    sender_pk = word = None
-    offset = 4
-    for _ in range(2 if named else 1):  # a named payload's first field is the sender key
-        if end - offset < 4:
-            raise WireError(
-                f"truncated input: wanted 4 bytes at offset {offset}, have {end - offset}")
-        size = U32.unpack_from(payload, offset)[0]
-        offset += 4
-        if size > end - offset:
-            raise WireError(
-                f"truncated input: wanted {size} bytes at offset {offset}, have {end - offset}")
-        sender_pk, word = word, payload[offset:offset + size]
-        offset += size
-    if offset != end:
-        raise WireError(f"{end - offset} trailing bytes at offset {offset}")
-    return U32.unpack_from(payload)[0], sender_pk, word
+    if end < 8:  # both layouts have a length at offset 4
+        at = 0 if end < 4 else 4
+        raise WireError(f"truncated input: wanted 4 bytes at offset {at}, have {end - at}")
+    epoch, size = _WORD_HEADER.unpack_from(payload)
+    offset = 8 + size
+    if offset > end:
+        raise WireError(f"truncated input: wanted {size} bytes at offset 8, have {end - 8}")
+    if not named:
+        if offset != end:
+            raise WireError(f"{end - offset} trailing bytes at offset {offset}")
+        return epoch, None, payload[8:]
+    if end - offset < 4:
+        raise WireError(
+            f"truncated input: wanted 4 bytes at offset {offset}, have {end - offset}")
+    start = offset + 4
+    word_size = U32.unpack_from(payload, offset)[0]
+    if word_size > end - start:
+        raise WireError(
+            f"truncated input: wanted {word_size} bytes at offset {start}, have {end - start}")
+    if start + word_size != end:
+        raise WireError(f"{end - start - word_size} trailing bytes at offset {start + word_size}")
+    return epoch, payload[8:offset], payload[start:]
 
 
 def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | None:
@@ -287,19 +300,21 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     """
     kind, recv = chip.kind, chip.receiver
     # a compliant chip's DERIVE first: every authorized decoder-epoch carries one
-    if msg.kind == ChipMsgKind.DERIVE and kind.proto is not None:
-        epoch, sender_pk, wrapped = _split_word_msg(msg.payload, named=kind.binds)
-        # the epoch label is authenticated inside the wrap: a relabeled
-        # delivery fails before it can move the epoch watermark
+    if msg.kind == _DERIVE and kind.proto is not None:
+        payload = msg.payload
+        epoch, sender_pk, wrapped = _split_word_msg(payload, kind.binds)
+        # the epoch label (the payload's first four bytes) is authenticated
+        # inside the wrap: a relabeled delivery fails before it can move the
+        # epoch watermark
         if kind.binds:
-            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, U32.pack(epoch))
+            control_word = bindproto.phase2_receive(recv, sender_pk, wrapped, payload[:4])
         else:
-            control_word = certproto.phase2_receive(recv, wrapped, U32.pack(epoch))
+            control_word = certproto.phase2_receive(recv, wrapped, payload[:4])
     elif kind.proto is None:
-        if msg.kind != ChipMsgKind.LOAD_CW:
+        if msg.kind != _LOAD_CW:
             raise ProtocolError("legacy chip only accepts raw control words")
-        epoch, _, control_word = _split_word_msg(msg.payload, named=False)
-    elif msg.kind == ChipMsgKind.LOAD_CW:
+        epoch, _, control_word = _split_word_msg(msg.payload, False)
+    elif msg.kind == _LOAD_CW:
         raise ProtocolError("raw control word is not an accepted message kind")
     elif msg.kind == ChipMsgKind.LOAD_LTK:
         bundle_type = bindproto.BindBundle if kind.binds else certproto.CertBundle
@@ -328,7 +343,8 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     # outside the protocol checks
     if len(control_word) != chip.suite.secret_bytes:
         raise ProtocolError(f"control word is not {chip.suite.secret_bytes} bytes")
-    chip.current_epoch = max(chip.current_epoch, epoch)
+    if epoch > chip.current_epoch:
+        chip.current_epoch = epoch
     return ControlWordHandle(epoch, control_word)
 
 
@@ -388,7 +404,7 @@ def swap_client(decoder: Decoder, new_channel_key: bytes) -> None:
                                    new_channel_key)
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameResult:
     """What one decoder did with one frame."""
 
@@ -417,7 +433,7 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     client = decoder.client
     for emm in frame.emms_for(client.ca_system_id, client.receiver_id):
         try:
-            msgs.extend(client_process_emm(client, emm))
+            msgs += client_process_emm(client, emm)
         except CwbindError as exc:  # a protocol rejection is an outcome; a bug is not
             errors.append(f"emm:{exc}")
     for ecm in frame.ecms_for(client.ca_system_id):
@@ -431,13 +447,14 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     if chip_filter is not None:
         msgs = chip_filter(msgs)
 
+    chip = decoder.chip
     handle = None
     derive_attempted = False
     for msg in msgs:
         if msg.kind in WORD_KINDS:
             derive_attempted = True
         try:
-            result = chip_process(decoder.chip, msg)
+            result = chip_process(chip, msg)
         except CwbindError as exc:
             errors.append(f"chip:{exc}")
             continue
@@ -447,7 +464,7 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     descrambled = None
     if handle is not None:
         try:
-            descrambled = descramble(decoder.chip, handle, frame.scrambled_content)
+            descrambled = descramble(chip, handle, frame.scrambled_content)
         except CwbindError as exc:
             errors.append(f"descramble:{exc}")
     return FrameResult(msgs, descrambled, errors, derive_attempted)

@@ -102,10 +102,10 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
     """Protect ``body`` as its kind requires (``cwbind.wire``) and queue the EMM."""
     aad = emm_aad(ca.index, kind, addressee)
     if kind in BROADCAST_KINDS:
-        payload = ca.suite.seal(ca.group_key, body, aad=aad)
+        payload = ca.suite.seal(ca.group_key, body, aad)
     else:
         channel_key, slot = ca.receiver_channels[addressee]
-        payload = ca.suite.sym_encrypt(channel_key, body, aad=aad, slot=slot)
+        payload = ca.suite.sym_encrypt(channel_key, body, aad, slot)
     ca.pending_emms.append(Emm(ca.index, kind, addressee, payload))
 
 
@@ -199,8 +199,9 @@ def _queue_entitlements(ca: CaSystem, receiver_ids: Iterable[bytes],
     """Queue one entitlement EMM per receiver, in the given order; the
     body, which carries the current ECM key or withdraws it, is built once."""
     body = build_entitlement_body(entitled, ca.ecm_key if entitled else b"")
+    kind = EmmKind.PER_RECEIVER_ENTITLEMENT
     for receiver_id in receiver_ids:
-        _queue(ca, EmmKind.PER_RECEIVER_ENTITLEMENT, body, receiver_id)
+        _queue(ca, kind, body, receiver_id)
 
 
 def authorize(headend: HeadendState, ca_index: int,
@@ -279,22 +280,16 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
         control_word = headend.rng.read(suite.secret_bytes)
     headend.scrambler_key = control_word
 
+    epoch = headend.epoch
     ecms = []
-    for ca in headend.ca_systems:
-        secret = rand if ca.kind.binds else control_word
-        protected = suite.sym_encrypt(ca.ecm_key, secret, aad=ecm_aad(ca.index, headend.epoch))
-        ecms.append(Ecm(ca.index, headend.epoch, protected))
-
     emms: list[Emm] = []
     for ca in headend.ca_systems:
-        emms.extend(ca.pending_emms)
+        secret = rand if ca.kind.binds else control_word
+        protected = suite.sym_encrypt(ca.ecm_key, secret, ecm_aad(ca.index, epoch))
+        ecms.append(Ecm(ca.index, epoch, protected))
+        emms += ca.pending_emms
         ca.pending_emms = []
 
-    frame = BroadcastFrame(
-        epoch=headend.epoch,
-        scrambled_content=scramble(control_word, headend.epoch, content),
-        ecms=tuple(ecms),
-        emms=tuple(emms),
-    )
-    headend.epoch += 1
+    frame = BroadcastFrame(epoch, scramble(control_word, epoch, content), tuple(ecms), tuple(emms))
+    headend.epoch = epoch + 1
     return frame

@@ -23,7 +23,9 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import CTR
 
 from .encoding import u64
 
@@ -35,7 +37,7 @@ def _counter_block(epoch: int) -> bytes:
 @lru_cache(maxsize=32)
 def _keystream(control_word: bytes, epoch: int, length: int) -> int:
     """AES-CTR over ``length`` zero bytes, as a big-endian integer."""
-    enc = Cipher(algorithms.AES(control_word), modes.CTR(_counter_block(epoch))).encryptor()
+    enc = Cipher(AES(control_word), CTR(_counter_block(epoch))).encryptor()
     return int.from_bytes(enc.update(bytes(length)) + enc.finalize(), "big")
 
 

@@ -865,7 +865,7 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
                 adv.known_cw = secret
             break
 
-    """Build and run a world; ``capture_frames`` keeps frame encodings in ``world.frames``."""
+
 def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[RunReport, World]:
     """Build and run a world; ``capture_frames`` keeps each frame's encoding in ``world.frames``."""
     world = build_world(config)
@@ -899,14 +899,16 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
                                    for decoder_id in ca.authorized)
 
         adv = world.adversary
+        cw_taps = adv.cw_taps
         # no decoder is acted on or read from
         quiet = not (world.epoch_one_shots or adv.probes or world.replay_sources)
         outcomes: dict[int, str] = {}
+        chip_bytes = 0
         for decoder_id, int_id, decoder in world._delivery:
             chip_filter = None if quiet else _chip_filter_for(world, decoder, epoch)
-            result = process_frame(decoder, frame, chip_filter=chip_filter)
+            result = process_frame(decoder, frame, chip_filter)
             for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
-                world.ledger.chip_channel += 5 + len(msg.payload)
+                chip_bytes += 5 + len(msg.payload)
             if result.descrambled == content:
                 outcome = OUTCOME_DERIVED
             elif result.errors or result.derive_attempted:
@@ -914,9 +916,11 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
             else:
                 outcome = OUTCOME_EXCLUDED
             outcomes[int_id] = outcome
-            if decoder_id in adv.cw_taps and outcome == OUTCOME_DERIVED:
-                # live extraction: the tap reads the word as the chip derives it
+            if cw_taps and decoder_id in cw_taps and outcome == OUTCOME_DERIVED:
+                # live extraction: the tap reads the word as the chip derives
+                # it, in time for a probe of a later decoder this epoch
                 adv.known_cw = world.headend.scrambler_key
+        world.ledger.chip_channel += chip_bytes
 
         world.rows.append(EpochRow(
             epoch=epoch,

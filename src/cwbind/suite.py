@@ -17,6 +17,9 @@ only parameter:
     random material, so nonce determinism never repeats a (key, nonce) pair
     with two plaintexts.
 
+``keygen`` returns a key pair only after its self-test (a PKE round trip, or
+a signature that verifies); any failure raises ``CryptoError`` naming it.
+
 SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
 called from ``hashlib`` directly.
 
@@ -89,6 +92,7 @@ _RAW_PUB = serialization.PublicFormat.Raw
 
 GCM_NONCE_LEN = 12
 GCM_TAG_LEN = 16
+_TRAILER = GCM_NONCE_LEN + GCM_TAG_LEN  # the overhead of one AES-GCM output
 PUBLIC_KEY_LEN = 32  # Ed25519 and X25519 alike
 
 VALID_SECRET_BITS = (128, 192, 256)
@@ -216,15 +220,8 @@ def _nonce(key: bytes, aad: bytes, plaintext: bytes) -> bytes:
     return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
 
 
-def _encrypt(key: bytes, plaintext: bytes, aad: bytes, slot: AeadSlot | None = None) -> bytes:
-    """AES-GCM under the deterministic nonce: ``nonce || body``."""
-    nonce = _nonce(key, aad, plaintext)
-    aead = _aead(key) if slot is None else slot.context(key)
-    return nonce + aead.encrypt(nonce, plaintext, aad)
-
-
-def _decrypt(key: bytes, ciphertext: bytes, aad: bytes, slot: AeadSlot | None = None) -> bytes:
-    if len(ciphertext) < GCM_NONCE_LEN + GCM_TAG_LEN:
+def _decrypt(key: bytes, ciphertext: bytes, aad: bytes, slot: AeadSlot | None) -> bytes:
+    if len(ciphertext) < _TRAILER:
         raise CryptoError("ciphertext too short")
     try:
         if slot is None:
@@ -265,17 +262,22 @@ class CipherSuite:
         return hash(self.secret_bits)
 
     def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
-        if purpose == "pke":
-            pair = _pair(X25519PrivateKey, rng.read(32))
-            probe = b"\x5a" * 16
-            if self.pke_decrypt(pair, self.pke_encrypt(pair.public_key, probe, rng)) != probe:
-                raise CryptoError("fresh pke key pair failed its self-test")
-        elif purpose == "sig":
-            pair = _pair(Ed25519PrivateKey, rng.read(32))
-            if self.verify_recover(pair.public_key, self.sign(pair, b"self-test")) != b"self-test":
-                raise CryptoError("fresh sig key pair failed its self-test")
-        else:
+        if purpose not in ("pke", "sig"):
             raise ValueError(f"unknown keygen purpose: {purpose!r}")
+        try:
+            if purpose == "pke":
+                pair = _pair(X25519PrivateKey, rng.read(32))
+                probe = b"\x5a" * 16
+                ciphertext = self.pke_encrypt(pair.public_key, probe, rng)
+                passed = self.pke_decrypt(pair, ciphertext) == probe
+            else:
+                pair = _pair(Ed25519PrivateKey, rng.read(32))
+                passed = self.verify_recover(pair.public_key,
+                                             self.sign(pair, b"self-test")) == b"self-test"
+        except CryptoError:
+            passed = False
+        if not passed:
+            raise CryptoError(f"fresh {purpose} key pair failed its self-test")
         return pair
 
     def load_sig_keypair(self, private_key: bytes) -> KeyPair:
@@ -287,7 +289,9 @@ class CipherSuite:
         eph_pub = eph.public_key().public_bytes(_RAW, _RAW_PUB)
         shared = eph.exchange(X25519PublicKey.from_public_bytes(public_key))
         wrap = _wrap_key(shared, eph_pub, public_key)
-        return eph_pub + _encrypt(wrap, plaintext, eph_pub + public_key)
+        aad = eph_pub + public_key
+        nonce = _nonce(wrap, aad, plaintext)
+        return eph_pub + nonce + _aead(wrap).encrypt(nonce, plaintext, aad)
 
     def pke_decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
         if len(ciphertext) < PUBLIC_KEY_LEN:
@@ -298,7 +302,7 @@ class CipherSuite:
         except ValueError as exc:
             raise CryptoError("invalid ephemeral public key") from exc
         wrap = _wrap_key(shared, eph_pub, pair.public_key)
-        return _decrypt(wrap, body, eph_pub + pair.public_key)
+        return _decrypt(wrap, body, eph_pub + pair.public_key, None)
 
     def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
         if not message:
@@ -314,10 +318,13 @@ class CipherSuite:
 
     def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
                     slot: AeadSlot | None = None) -> bytes:
-        """Encrypt under ``key``, through the holder's ``slot`` when given."""
+        """AES-GCM under the deterministic nonce, ``nonce || body``, through
+        the holder's ``slot`` when given."""
         if len(key) != self.secret_bytes:
             raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
-        return _encrypt(key, plaintext, aad, slot)
+        nonce = _nonce(key, aad, plaintext)
+        aead = _aead(key) if slot is None else slot.context(key)
+        return nonce + aead.encrypt(nonce, plaintext, aad)
 
     def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
                     slot: AeadSlot | None = None) -> bytes:
@@ -333,12 +340,11 @@ class CipherSuite:
         return body + nonce + _aead(key).encrypt(nonce, b"", aad + body)
 
     def open_sealed(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        trailer = GCM_NONCE_LEN + GCM_TAG_LEN
-        if len(sealed) < trailer:
+        if len(sealed) < _TRAILER:
             raise CryptoError("sealed blob too short")
-        body = sealed[:-trailer]
+        body = sealed[:-_TRAILER]
         try:
-            _open(key, sealed[-trailer:], aad + body)  # nonce || tag
+            _open(key, sealed[-_TRAILER:], aad + body)  # nonce || tag
         except InvalidTag as exc:
             raise CryptoError("integrity check failed") from exc
         return body

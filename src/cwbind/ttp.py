@@ -126,10 +126,6 @@ class TtpState:
     def _count(self, op: str) -> None:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
 
-    @property
-    def total_calls(self) -> int:
-        return sum(self.op_counts.values())
-
 
 def ttp_init(suite: CipherSuite, rng: Drbg) -> TtpState:
     return TtpState(suite=suite, keypair=suite.keygen("sig", rng))

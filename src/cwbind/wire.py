@@ -48,6 +48,10 @@ does not grow with the messages meant for others
 
 ``emm_size`` and ``ecm_size`` give an encoded message's length from the
 layouts above without encoding it, for byte accounting.
+
+An ``Emm`` is an immutable value tuple, like ``decoder.ChipChannelMsg``,
+equal only to an EMM with the same fields and never to an ``Ecm``; unlike a
+frozen record it is built without a per-field ``__setattr__``.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 from .encoding import BROADCAST_ADDR, U32, Reader, lp, u16, u32, u8
 from .errors import WireError
@@ -66,6 +71,7 @@ ECM_MAGIC = b"EC"
 FRAME_MAGIC = b"BF"
 WIRE_VERSION = 1
 _EMM_HEADER = struct.Struct(">2sBHB")  # magic, version, ca_system_id, kind
+_ECM_HEADER = struct.Struct(">2sBHI")  # magic, version, ca_system_id, epoch
 
 
 class EmmKind(IntEnum):
@@ -82,8 +88,7 @@ BROADCAST_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Emm:
+class Emm(NamedTuple):
     ca_system_id: int
     kind: EmmKind
     addressee: bytes  # 8-byte receiver id, or BROADCAST_ADDR
@@ -118,9 +123,8 @@ class BroadcastFrame:
         ``ca_system_id`` whatever their addressee, per-receiver kinds under
         ``(ca_system_id, addressee)``."""
         routes: dict[int | tuple[int, bytes], list[int]] = {}
-        for position, emm in enumerate(self.emms):
-            key = (emm.ca_system_id if emm.kind in BROADCAST_KINDS
-                   else (emm.ca_system_id, emm.addressee))
+        for position, (ca_system_id, kind, addressee, _) in enumerate(self.emms):
+            key = ca_system_id if kind in BROADCAST_KINDS else (ca_system_id, addressee)
             routes.setdefault(key, []).append(position)
         return routes
 
@@ -158,7 +162,7 @@ def emm_aad(ca_system_id: int, kind: EmmKind, addressee: bytes) -> bytes:
 
 def ecm_aad(ca_system_id: int, epoch: int) -> bytes:
     """The fixed ECM header, bound as associated data by payload protection."""
-    return ECM_MAGIC + u8(WIRE_VERSION) + u16(ca_system_id) + u32(epoch)
+    return _ECM_HEADER.pack(ECM_MAGIC, WIRE_VERSION, ca_system_id, epoch)
 
 
 def encode_emm(emm: Emm) -> bytes:

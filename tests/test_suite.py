@@ -113,6 +113,24 @@ def test_keygen_sig_pair_passes_self_test(suite, rng):
     assert suite.verify_recover(pair.public_key, sm) == b"round trip"
 
 
+def test_keygen_sig_self_test_rejects_a_corrupted_signature(suite, rng, monkeypatch):
+    real_sign = CipherSuite.sign
+
+    def corrupted_sign(self, pair, message):
+        sm = real_sign(self, pair, message)
+        return SignedMessage(sm.message, bytes([sm.signature[0] ^ 1]) + sm.signature[1:])
+
+    monkeypatch.setattr(CipherSuite, "sign", corrupted_sign)
+    with pytest.raises(CryptoError, match="fresh sig key pair failed its self-test"):
+        suite.keygen("sig", rng)
+
+
+def test_keygen_pke_self_test_rejects_a_wrong_round_trip(suite, rng, monkeypatch):
+    monkeypatch.setattr(CipherSuite, "pke_decrypt", lambda self, pair, ciphertext: b"\x00" * 16)
+    with pytest.raises(CryptoError, match="fresh pke key pair failed its self-test"):
+        suite.keygen("pke", rng)
+
+
 def test_keygen_unknown_purpose(suite, rng):
     with pytest.raises(ValueError):
         suite.keygen("kex", rng)

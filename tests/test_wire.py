@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwbind.encoding import BROADCAST_ADDR, Reader, encode_id, u8, u16
+from cwbind.encoding import BROADCAST_ADDR, Reader, encode_id, lp, u8, u16, u32
 from cwbind.errors import CryptoError, WireError
 from cwbind.wire import (
+    ECM_MAGIC,
     EMM_MAGIC,
     WIRE_VERSION,
     BroadcastFrame,
@@ -265,6 +266,57 @@ def test_emm_aad_is_the_concatenation_of_its_fields(ca, kind, addressee):
         assert str(exc_info.value) == str(exc)
     else:
         assert emm_aad(ca, kind, addressee) == expected
+
+
+def _reference_ecm_aad(ca_system_id: int, epoch: int) -> bytes:
+    """The fixed ECM header as the concatenation of its fields."""
+    return ECM_MAGIC + u8(WIRE_VERSION) + u16(ca_system_id) + u32(epoch)
+
+
+@settings(max_examples=200)
+@given(ca=st.integers(0, 0xFFFF) | st.integers(-(2**70), 2**70),
+       epoch=st.integers(0, 2**32 - 1) | st.integers(-(2**70), 2**70))
+@example(ca=0xFFFF, epoch=2**32 - 1)
+@example(ca=0x10000, epoch=0)
+@example(ca=0, epoch=2**32)
+@example(ca=-1, epoch=-1)
+def test_ecm_aad_is_the_concatenation_of_its_fields(ca, epoch):
+    try:
+        expected = _reference_ecm_aad(ca, epoch)
+    except struct.error as exc:
+        with pytest.raises(struct.error) as exc_info:
+            ecm_aad(ca, epoch)
+        assert str(exc_info.value) == str(exc)
+    else:
+        assert ecm_aad(ca, epoch) == expected
+
+
+# ---------------------------------------------------------------------------
+# Emm stays an immutable value
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["ca_system_id", "kind", "addressee", "payload"])
+def test_emm_fields_cannot_be_assigned(field):
+    emm = Emm(0, EmmKind.PER_RECEIVER_ENTITLEMENT, encode_id(1), b"\x01")
+    with pytest.raises(AttributeError):
+        setattr(emm, field, b"\x02")
+    assert emm == Emm(0, EmmKind.PER_RECEIVER_ENTITLEMENT, encode_id(1), b"\x01")
+
+
+@settings(max_examples=100, deadline=None)
+@given(ca=st.integers(0, 0xFFFF), kind=st.sampled_from(list(EmmKind)),
+       addressee=st.binary(min_size=8, max_size=8), payload=st.binary(max_size=200))
+def test_emm_is_a_value_that_round_trips(ca, kind, addressee, payload):
+    emm = Emm(ca, kind, addressee, payload)
+    twin = Emm(ca, kind, bytes(addressee), bytes(payload))
+    assert emm == twin and hash(emm) == hash(twin) and len({emm, twin}) == 1
+    assert emm != Emm(ca, kind, addressee, payload + b"\x00")
+    decoded = decode_emm(encode_emm(emm))
+    assert decoded == emm and type(decoded.kind) is EmmKind
+    assert encode_emm(emm) == emm_aad(ca, kind, addressee) + lp(payload)
+    ecm = Ecm(ca, int(kind), payload)
+    assert emm != ecm and ecm != emm and not emm == ecm
 
 
 def test_pk_set_body_round_trip():
