@@ -30,11 +30,12 @@ Client and chip are one record each for every kind. Both hold their
 ``cwbind.kinds.CaKind``, the one place that says how kinds differ; the chip
 also holds its protocol's receiver state (``None`` on a legacy chip).
 
-The CA client and each chip's receiver state hold an ``AeadSlot``, their
-own AES-GCM context for the long-term key they wrap or unwrap under every
-epoch. The client holds a second one, ``channel_slot``, for its channel
-key, which opens every EMM addressed to it. A fresh client or receiver
-state starts with empty slots.
+The CA client and each chip's receiver state hold an ``AeadSlot`` on the
+AES-GCM context of the long-term key they wrap or unwrap under every epoch;
+client and chip name the same key, so they share one context. The client
+holds a second slot, ``channel_slot``, for its channel key, which opens
+every EMM addressed to it and shares its context with the head-end's slot.
+A fresh client or receiver state starts with empty slots.
 
 The CA client is replaceable while the chip stays: swapping in a freshly
 personalized client models a downloaded client update after a client-side

@@ -28,7 +28,8 @@ entitlement delivers the ECM key. The ECM key rotates whenever a receiver is
 de-authorized, so possession of the current key always coincides with the
 authorized set. Compliant and legacy ECMs are both emitted every epoch.
 Each per-receiver EMM is sealed through an ``AeadSlot`` the head-end keeps
-per provisioned receiver, and opened through its client's own (``suite``).
+per provisioned receiver, and opened through its client's own; both slots
+share the key's one context (``suite``).
 """
 
 from __future__ import annotations
@@ -285,8 +286,8 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
     emms: list[Emm] = []
     for ca in headend.ca_systems:
         secret = rand if ca.kind.binds else control_word
-        protected = suite.sym_encrypt(ca.ecm_key, secret, ecm_aad(ca.index, epoch))
-        ecms.append(Ecm(ca.index, epoch, protected))
+        aad = ecm_aad(ca.index, epoch)
+        ecms.append(Ecm(ca.index, epoch, suite.sym_encrypt(ca.ecm_key, secret, aad), aad))
         emms += ca.pending_emms
         ca.pending_emms = []
 

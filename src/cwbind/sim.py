@@ -72,8 +72,10 @@ decoder whose messages were not interfered with lands on ``K``.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from . import bindproto, certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
@@ -345,12 +347,16 @@ class BandwidthLedger:
         return self.ecm + self.emm_broadcast + self.emm_receiver + self.content
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EpochRow:
+    """One epoch's report row. Rows share the parts that equal the previous
+    row's (``run_world``), so each is read-only: frozen sets, outcomes as a
+    ``MappingProxyType``."""
+
     epoch: int
     authorized: frozenset[int]
     interfered: frozenset[int]
-    outcomes: dict[int, str]
+    outcomes: Mapping[int, str]
 
 
 @dataclass
@@ -876,7 +882,10 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
     for event in config.events:
         events_by_epoch.setdefault(event.epoch, []).append(event)
 
-    authorized: frozenset[int] | None = None  # shared by the rows of event-free epochs
+    int_ids = {decoder_id: int_id for decoder_id, int_id, _ in world._delivery}
+    authorized: frozenset[int] | None = None
+    interfered: frozenset[int] = frozenset()
+    outcomes_row: Mapping[int, str] | None = None
     for epoch in range(config.epochs):
         world.epoch_interfered = set()
         world.epoch_one_shots = []
@@ -895,8 +904,9 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         _update_adversary_ecm_knowledge(world, frame)
 
         if authorized is None or epoch in events_by_epoch:  # only events change it
-            authorized = frozenset(id_as_int(decoder_id) for ca in world.headend.ca_systems
-                                   for decoder_id in ca.authorized)
+            now = frozenset(int_ids[decoder_id] for ca in world.headend.ca_systems
+                            for decoder_id in ca.authorized)
+            authorized = authorized if now == authorized else now
 
         adv = world.adversary
         cw_taps = adv.cw_taps
@@ -921,13 +931,12 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
                 # it, in time for a probe of a later decoder this epoch
                 adv.known_cw = world.headend.scrambler_key
         world.ledger.chip_channel += chip_bytes
+        if outcomes != outcomes_row:
+            outcomes_row = MappingProxyType(outcomes)
+        now = frozenset(int_ids[decoder_id] for decoder_id in world.epoch_interfered)
+        interfered = interfered if now == interfered else now
 
-        world.rows.append(EpochRow(
-            epoch=epoch,
-            authorized=authorized,
-            interfered=frozenset(id_as_int(d) for d in world.epoch_interfered),
-            outcomes=outcomes,
-        ))
+        world.rows.append(EpochRow(epoch, authorized, interfered, outcomes_row))
 
     return _build_report(world), world
 

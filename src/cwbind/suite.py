@@ -56,21 +56,24 @@ for the per-receiver EMMs. A de-authorization re-ships the ECM key to every
 remaining subscriber, one EMM under each one's channel key, so a burst
 names N distinct keys in a row; an 8-entry LRU over them misses on every
 key once N > 8 and evicts the shared keys on the way. A slot keeps the
-context of the last key used through it and rebuilds it only when the key
+context of the last key used through it and changes it only when the key
 differs, so no population size rebuilds the AES key schedule per use. A
 slot open bypasses ``_open``: a chip's DERIVE and a client's per-receiver
 EMM are each seen once, so memoising them would only push an ECM out of the
 shared memo. A slot caches a key schedule, never an outcome; a failed open
-raises ``CryptoError`` on every call. Each context costs about 2.4 KiB
-(cryptography 48.0.0), so a slot holds one, however many keys its holder
-has filed.
+raises ``CryptoError`` on every call. Slots and ``_aead`` draw contexts
+from one table of weak references (``_live``), so the slots naming a key
+share its one context: client and chip for a long-term key, head-end and
+client for a channel key. A context (about 2.4 KiB, cryptography 48.0.0) is
+freed when its last holder moves on; the table holds none and has no size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import serialization
@@ -165,22 +168,40 @@ class SignedMessage:
 # ---------------------------------------------------------------------------
 
 
-class AeadSlot:
-    """The AES-GCM context of the last key one holder used through it.
+class _Context:
+    """An ``AESGCM`` context's methods, held where a weak reference can name them."""
 
-    Its repr shows no key, and a deep copy is an empty slot, since an
-    ``AESGCM`` context cannot be copied.
-    """
+    __slots__ = ("encrypt", "decrypt", "__weakref__")
+
+
+# key -> weak reference to its live context, whose death pops the entry (C-level)
+_live: dict[bytes, weakref.ref] = {}
+
+
+def _context(key: bytes) -> _Context:
+    """The live context of ``key``, built only if no holder has one."""
+    ref = _live.get(key)
+    context = None if ref is None else ref()
+    if context is None:
+        aead, context = AESGCM(key), _Context()
+        context.encrypt, context.decrypt = aead.encrypt, aead.decrypt
+        _live[key] = weakref.ref(context, partial(_live.pop, key))
+    return context
+
+
+class AeadSlot:
+    """One holder's hold on the shared AES-GCM context of the last key it
+    used. Its repr shows no key, and a deep copy is an empty slot."""
 
     __slots__ = ("_key", "_context")
 
     def __init__(self) -> None:
         self._key: bytes | None = None
-        self._context: AESGCM | None = None
+        self._context: _Context | None = None
 
-    def context(self, key: bytes) -> AESGCM:
+    def context(self, key: bytes) -> _Context:
         if key != self._key:
-            self._context = AESGCM(key)
+            self._context = _context(key)
             self._key = key
         return self._context
 
@@ -191,9 +212,7 @@ class AeadSlot:
         return AeadSlot()
 
 
-@lru_cache(maxsize=8)
-def _aead(key: bytes) -> AESGCM:
-    return AESGCM(key)
+_aead = lru_cache(maxsize=8)(_context)
 
 
 @lru_cache(maxsize=32)

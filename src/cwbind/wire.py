@@ -42,7 +42,7 @@ Frames flow one way; no field exists for receiver responses. Every decoder
 receives the whole frame, but its CA client acts only on its own system's
 broadcast-kind EMMs (whatever their addressee) and on the per-receiver EMMs
 addressed to it, and on its own system's ECM. A frame routes its EMMs and
-ECMs to those recipients once, on first use, so a decoder's work on a frame
+ECMs to those recipients once, when built, so a decoder's work on a frame
 does not grow with the messages meant for others
 (``BroadcastFrame.emms_for``, ``BroadcastFrame.ecms_for``).
 
@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from typing import NamedTuple
 
 from .encoding import BROADCAST_ADDR, U32, Reader, lp, u16, u32, u8
@@ -100,14 +99,17 @@ class Emm(NamedTuple):
 
 @dataclass(frozen=True)
 class Ecm:
+    """``aad`` is the fixed header (``ecm_aad``): the head-end hands over the
+    one it encrypted under, and any other construction packs it here."""
+
     ca_system_id: int
     epoch: int
     protected_secret: bytes
+    aad: bytes = field(default=b"", repr=False, compare=False)
 
-    @cached_property
-    def aad(self) -> bytes:
-        """The fixed header (``ecm_aad``), built once however many read it."""
-        return ecm_aad(self.ca_system_id, self.epoch)
+    def __post_init__(self) -> None:
+        if not self.aad:
+            object.__setattr__(self, "aad", ecm_aad(self.ca_system_id, self.epoch))
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,22 @@ class BroadcastFrame:
     scrambled_content: bytes
     ecms: tuple[Ecm, ...]
     emms: tuple[Emm, ...]
+    # EMM frame positions: broadcast kinds under the bare ``ca_system_id``
+    # whatever their addressee, per-receiver kinds under (id, addressee)
+    _emm_routes: dict[int | tuple[int, bytes], list[int]] = field(
+        init=False, repr=False, compare=False)
+    _ecm_routes: dict[int, list[Ecm]] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _emm_routes(self) -> dict[int | tuple[int, bytes], list[int]]:
-        """Frame positions of the EMMs: broadcast kinds under the bare
-        ``ca_system_id`` whatever their addressee, per-receiver kinds under
-        ``(ca_system_id, addressee)``."""
-        routes: dict[int | tuple[int, bytes], list[int]] = {}
+    def __post_init__(self) -> None:
+        emm_routes: dict[int | tuple[int, bytes], list[int]] = {}
         for position, (ca_system_id, kind, addressee, _) in enumerate(self.emms):
             key = ca_system_id if kind in BROADCAST_KINDS else (ca_system_id, addressee)
-            routes.setdefault(key, []).append(position)
-        return routes
+            emm_routes.setdefault(key, []).append(position)
+        ecm_routes: dict[int, list[Ecm]] = {}
+        for ecm in self.ecms:
+            ecm_routes.setdefault(ecm.ca_system_id, []).append(ecm)
+        object.__setattr__(self, "_emm_routes", emm_routes)
+        object.__setattr__(self, "_ecm_routes", ecm_routes)
 
     def emms_for(self, ca_system_id: int, receiver_id: bytes) -> Sequence[Emm]:
         """The EMMs a CA client of ``ca_system_id`` with ``receiver_id`` acts
@@ -142,13 +149,6 @@ class BroadcastFrame:
         positions = sorted(shared + own) if shared and own else shared or own
         emms = self.emms
         return [emms[i] for i in positions]
-
-    @cached_property
-    def _ecm_routes(self) -> dict[int, list[Ecm]]:
-        routes: dict[int, list[Ecm]] = {}
-        for ecm in self.ecms:
-            routes.setdefault(ecm.ca_system_id, []).append(ecm)
-        return routes
 
     def ecms_for(self, ca_system_id: int) -> Sequence[Ecm]:
         """The ECMs a CA client of ``ca_system_id`` acts on, in frame order."""

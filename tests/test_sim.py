@@ -1,10 +1,13 @@
 """Scenario runner: parsing, determinism, shipped scenarios, adversary model."""
 
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -300,6 +303,69 @@ def test_verdicts_by_set_algebra_match_the_per_decoder_loop(rows, recovery_epoch
     assert compute_verdicts(rows) == _verdicts_by_decoder(rows)
     tail = [row for row in rows if row.epoch >= recovery_epoch]
     assert compute_verdicts(tail) == _verdicts_by_decoder(tail)
+
+
+def _share(rows):
+    """The rows as ``run_world`` keeps them: a part equal to the previous
+    row's is that row's object, and outcomes are read-only."""
+    shared: list[EpochRow] = []
+    for row in rows:
+        parts = (row.authorized, row.interfered, MappingProxyType(dict(row.outcomes)))
+        if shared:
+            last = shared[-1]
+            parts = tuple(old if new == old else new for new, old in
+                          zip(parts, (last.authorized, last.interfered, last.outcomes)))
+        shared.append(EpochRow(row.epoch, *parts))
+    return shared
+
+
+@given(_rows(), st.lists(st.integers(1, 3), max_size=8), st.integers(0, 16))
+def test_verdicts_are_the_same_on_shared_and_unshared_rows(rows, repeats, recovery_epoch):
+    # repeating drawn rows gives runs of equal rows, as quiet epochs do
+    repeated = [row for row, n in zip(rows, itertools.chain(repeats, itertools.repeat(1)))
+                for _ in range(n)]
+    unshared = [EpochRow(epoch, frozenset(list(row.authorized)), frozenset(list(row.interfered)),
+                         dict(row.outcomes)) for epoch, row in enumerate(repeated)]
+    shared = _share(unshared)
+    assert compute_verdicts(shared) == compute_verdicts(unshared) == _verdicts_by_decoder(unshared)
+    tail = slice(recovery_epoch, None)
+    assert compute_verdicts(shared[tail]) == compute_verdicts(unshared[tail])
+
+
+SHARED_ROWS = """
+scenario shared-rows
+seed 5
+epochs 8
+ca 0 bind
+decoder 1001 ca 0
+decoder 1002 ca 0
+decoder 1003 ca 0
+at 0 authorize 0 1001
+at 0 authorize 0 1002
+at 3 deauthorize 0 1002
+at 5 tamper ecm 3
+"""
+
+
+def test_equal_consecutive_rows_share_read_only_parts():
+    report, world = run_world(parse_scenario(SHARED_ROWS))
+    rows = report.rows
+    for name in ("authorized", "interfered", "outcomes"):
+        changes = 0
+        for last, row in zip(rows, rows[1:]):
+            if getattr(row, name) == getattr(last, name):
+                assert getattr(row, name) is getattr(last, name), (name, row.epoch)
+            else:
+                changes += 1
+        assert 0 < changes < len(rows) - 1, name  # both cases occur
+    with pytest.raises(TypeError):
+        rows[1].outcomes[1001] = "K"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[1].outcomes = {}
+    # ids are the world's own integers, not one copy per row
+    own = {id(int_id) for _, int_id, _ in world._delivery}
+    for row in rows:
+        assert {id(d) for part in (row.authorized, row.interfered, row.outcomes) for d in part} <= own
 
 
 def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):

@@ -1,7 +1,10 @@
 """Per-holder AES-GCM contexts (``suite.AeadSlot``): a slot caches a key
-schedule and never an outcome, whatever keys go through it and in what order."""
+schedule and never an outcome, whatever keys go through it and in what order;
+slots that name one key share its one context, which lives as long as one of
+them holds it."""
 
 import copy
+import gc
 from collections import Counter
 from pathlib import Path
 
@@ -162,9 +165,11 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
     frame, content = _tick(world)
     assert process_frame(decoder, frame).descrambled == content
     twin = copy.deepcopy(decoder)
-    slots = [decoder.client.ltk_slot, decoder.client.channel_slot, decoder.chip.receiver.ltk_slot,
-             twin.client.ltk_slot, twin.client.channel_slot, twin.chip.receiver.ltk_slot]
+    twin_slots = [twin.client.ltk_slot, twin.client.channel_slot, twin.chip.receiver.ltk_slot]
+    slots = [decoder.client.ltk_slot, decoder.client.channel_slot,
+             decoder.chip.receiver.ltk_slot] + twin_slots
     assert len({id(slot) for slot in slots}) == 6
+    assert all(slot._key is None and slot._context is None for slot in twin_slots)
 
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
@@ -173,14 +178,17 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
         result = process_frame(decoder, frame)
         assert result.descrambled == content
         assert process_frame(twin, frame) == result
-    # the original's slots are warm; the twin's client and chip build one each
-    assert _CountingContexts.built[_current_ltk(decoder)] == 2
+    # the original still holds the long-term key, so the twin's client and
+    # chip take its context and build none
+    assert _CountingContexts.built[_current_ltk(decoder)] == 0
+    assert twin.client.ltk_slot._context is decoder.client.ltk_slot._context
+    assert twin.chip.receiver.ltk_slot._context is decoder.chip.receiver.ltk_slot._context
 
 
 @pytest.mark.parametrize("name", ["baseline-bind", "baseline-cert"])
 def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monkeypatch):
-    # each delivered long-term key gets one context in the client's slot and
-    # one in the chip's, however many epochs it then wraps and unwraps
+    # each delivered long-term key gets one context, shared by the client's
+    # slot and the chip's, however many epochs it then wraps and unwraps
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
     suitemod._aead.cache_clear()
@@ -199,9 +207,8 @@ def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monke
     assert report.to_text() == (SCENARIO_DIR / "expected" / f"{name}.report").read_text()
     assert sum(o == "K" for row in report.rows for o in row.outcomes.values()) > 4 * len(delivered)
     long_term_keys = {ltk for _, ltk in delivered}
-    built = sum(n for key, n in _CountingContexts.built.items() if key in long_term_keys)
     assert delivered
-    assert built <= 2 * len(delivered), (built, len(delivered))
+    assert {_CountingContexts.built[ltk] for ltk in long_term_keys} == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +263,57 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
     assert len(provisioned) == len(set(provisioned)) == 28  # two swaps re-provision
     # most keys carry several EMMs each, so a rebuild per use would show
     assert sum(per_receiver.values()) > 3 * len(provisioned)
-    for key in provisioned:
-        assert _CountingContexts.built[key] <= 2, _CountingContexts.built[key]
+    for key in provisioned:  # one context, shared by the head-end and the client
+        assert _CountingContexts.built[key] == 1, _CountingContexts.built[key]
     assert not opened & set(provisioned)  # per-receiver opens bypass ``_open``
+
+
+def test_contexts_are_freed_with_the_world():
+    # the live-context table refers to contexts weakly: once the world that
+    # held them is dropped (and the shared ``_aead`` memo cleared), none of
+    # its contexts is left
+    gc.collect()
+    suitemod._aead.cache_clear()
+    before = set(suitemod._live.keys())
+    report, world = run_world(load_scenario(SCENARIO_DIR / "multi-ca.scn"))
+    held = set(suitemod._live.keys()) - before
+    channel_keys = {key for ca in world.headend.ca_systems
+                    for key, _ in ca.receiver_channels.values()}
+    assert channel_keys <= held
+    del report, world
+    gc.collect()
+    suitemod._aead.cache_clear()
+    assert not set(suitemod._live.keys()) - before
+
+
+def _shared_slots(kind: str, pair: str):
+    """Two holders' slots on one key, and a blob sealed under it through the
+    first: the client's and chip's on the long-term key, or the head-end's
+    and client's on the channel key."""
+    world, decoder = _world(kind)
+    frame, content = _tick(world)
+    assert process_frame(decoder, frame).descrambled == content
+    if pair == "long-term":
+        key, first, second = (_current_ltk(decoder), decoder.client.ltk_slot,
+                              decoder.chip.receiver.ltk_slot)
+    else:
+        key, first = world.headend.ca_systems[0].receiver_channels[decoder.client.receiver_id]
+        second = decoder.client.channel_slot
+    return key, first, second, SUITE.sym_encrypt(key, b"shared", b"aad", slot=first)
+
+
+@pytest.mark.parametrize("kind", ["bind", "cert"])
+@pytest.mark.parametrize("pair", ["long-term", "channel"])
+def test_a_failed_open_through_a_shared_context_fails_on_every_call(kind, pair):
+    key, first, second, blob = _shared_slots(kind, pair)
+    assert first.context(key) is second.context(key)
+    bad = blob[:-1] + bytes([blob[-1] ^ 1])
+    for _ in range(2):
+        for slot in (first, second, second, first):
+            with pytest.raises(CryptoError):
+                SUITE.sym_decrypt(key, bad, b"aad", slot=slot)
+    for slot in (first, second):
+        assert SUITE.sym_decrypt(key, blob, b"aad", slot=slot) == b"shared"
 
 
 def _enrolled(kind: str):

@@ -68,7 +68,8 @@ def test_frame_round_trip():
     payload=st.binary(max_size=128),
 )
 def test_ecm_round_trip_property(ca, epoch, payload):
-    assert decode_ecm(encode_ecm(Ecm(ca, epoch, payload))) == Ecm(ca, epoch, payload)
+    decoded = decode_ecm(encode_ecm(Ecm(ca, epoch, payload)))
+    assert decoded == Ecm(ca, epoch, payload) and decoded.aad == ecm_aad(ca, epoch)
 
 
 @settings(max_examples=80)
