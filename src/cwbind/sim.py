@@ -43,17 +43,19 @@ Tamper actions flip a bit inside the target's protected payload (the
 cryptographic rejection path); arbitrary-position flips, including headers,
 are exercised by the message-level tamper harness in the test suite.
 
-The adversary captures every broadcast message, and the chip messages of
-each replay source (a decoder that a scheduled ``replay`` of class
-``chip-derive`` or ``chip-load-ltk`` reads from), and keeps the latest of
-each class per decoder for replay. It interposes on a replay source's chip
+The adversary keeps the latest message of each class a scheduled ``replay``
+reads: per-receiver EMMs by addressee and ECMs by CA system when a replay of
+that class is scheduled, and the chip messages of each replay source (a
+decoder that a scheduled ``replay`` of class ``chip-derive`` or
+``chip-load-ltk`` reads from). It interposes on a replay source's chip
 channel in every epoch, and on any other decoder's only in an epoch where it
 acts on that decoder (an epoch with a one-shot tamper, replay or inject-cw,
 or a probed decoder). ``compromise control-word`` models ongoing extraction
 from an authorized decoder: it survives client swaps and chip replacement,
 because extraction is assumed cheap and repeatable; recovery targets key
 material, not the extraction capability. ``compromise`` of sender keys and
-the authority key takes a snapshot: material rotated afterwards is not leaked.
+the authority key takes a snapshot: material rotated afterwards is not
+leaked.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -72,10 +74,10 @@ decoder whose messages were not interfered with lands on ``K``.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, Set
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from types import MappingProxyType
 
 from . import bindproto, certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
@@ -347,15 +349,79 @@ class BandwidthLedger:
         return self.ecm + self.emm_broadcast + self.emm_receiver + self.content
 
 
+class Outcomes(Mapping):
+    """Read-only outcome per decoder id: byte ``n`` of ``codes`` is the code
+    of ``ids[n]``, and ``at`` maps an id to its ``n``."""
+
+    __slots__ = ("_ids", "_at", "_codes")
+
+    def __init__(self, ids: tuple[int, ...], at: dict[int, int], codes: bytes):
+        self._ids, self._at, self._codes = ids, at, codes
+
+    def __getitem__(self, decoder_id: int) -> str:
+        return chr(self._codes[self._at[decoder_id]])
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"Outcomes({dict(self.items())})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping._ids, self._mapping._codes.decode())
+
+
+_BIT = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit as a ``compress`` selector
+
+
+class IdSet(Set):
+    """Read-only, hashable set of decoder ids: bit ``n`` of ``mask`` stands
+    for ``ids[n]``, and ``at`` maps an id to its ``n``."""
+
+    __slots__ = ("_ids", "_at", "_mask")
+
+    def __init__(self, ids: tuple[int, ...], at: dict[int, int], mask: int):
+        self._ids, self._at, self._mask = ids, at, mask
+
+    def __contains__(self, decoder_id) -> bool:
+        n = self._at.get(decoder_id)
+        return n is not None and bool(self._mask >> n & 1)
+
+    def __iter__(self):  # the mask's binary digits, lowest first
+        return compress(self._ids, bin(self._mask)[:1:-1].encode().translate(_BIT))
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"IdSet({set(self)})"
+
+
 @dataclass(frozen=True, slots=True)
 class EpochRow:
-    """One epoch's report row. Rows share the parts that equal the previous
-    row's (``run_world``), so each is read-only: frozen sets, outcomes as a
-    ``MappingProxyType``."""
+    """One epoch's report row. In a row of ``run_world`` the outcomes are one
+    code byte per decoder (``Outcomes``) and each set is a bitmask
+    (``IdSet``), over the world's one tuple of ids in delivery order; a part
+    equal to the previous row's is that row's object, so each is read-only."""
 
     epoch: int
-    authorized: frozenset[int]
-    interfered: frozenset[int]
+    authorized: Set[int]
+    interfered: Set[int]
     outcomes: Mapping[int, str]
 
 
@@ -387,7 +453,7 @@ class RunReport:
             lines.append(f"ca {index} {kind}")
         lines.append("decoders " + " ".join(str(i) for i in decoder_ids))
         for row in self.rows:
-            outcomes = " ".join(f"{i}={row.outcomes[i]}" for i in decoder_ids)
+            outcomes = " ".join(f"{i}={outcome}" for i, outcome in sorted(row.outcomes.items()))
             lines.append(
                 f"epoch {row.epoch} auth {csv(row.authorized)} "
                 f"interfered {csv(row.interfered)} outcomes {outcomes}"
@@ -435,6 +501,7 @@ class AdversaryState:
     captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
     probes: dict[bytes, tuple[str, int]] = field(default_factory=dict)  # id -> (type, ca)
     minted_serial: int = 0x7F000000
+    replay_classes: frozenset[str] = frozenset()  # the classes a scheduled replay reads
 
     def capture_chip_msgs(self, decoder_id: bytes, msgs: list[ChipChannelMsg]) -> None:
         for msg in msgs:
@@ -444,11 +511,13 @@ class AdversaryState:
                 self.captured[("chip-load-ltk", decoder_id)] = msg
 
     def capture_frame(self, frame: BroadcastFrame) -> None:
-        for emm in frame.emms:
-            if not emm.is_broadcast():
-                self.captured[("emm-receiver", emm.addressee)] = emm
-        for ecm in frame.ecms:
-            self.captured[("ecm", ecm.ca_system_id)] = ecm
+        if "emm-receiver" in self.replay_classes:
+            for emm in frame.emms:
+                if not emm.is_broadcast():
+                    self.captured[("emm-receiver", emm.addressee)] = emm
+        if "ecm" in self.replay_classes:
+            for ecm in frame.ecms:
+                self.captured[("ecm", ecm.ca_system_id)] = ecm
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +605,8 @@ def build_world(config: ScenarioConfig) -> World:
     return World(
         config=config, suite=suite, master=master, ttp=ttp, directory=directory,
         headend=headend, decoders=decoders,
-        adversary=AdversaryState(rng=master.child("adversary")),
+        adversary=AdversaryState(rng=master.child("adversary"), replay_classes=frozenset(
+            ev.args[2] for ev in config.events if ev.verb == "replay")),
     )
 
 
@@ -882,10 +952,12 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
     for event in config.events:
         events_by_epoch.setdefault(event.epoch, []).append(event)
 
-    int_ids = {decoder_id: int_id for decoder_id, int_id, _ in world._delivery}
-    authorized: frozenset[int] | None = None
-    interfered: frozenset[int] = frozenset()
-    outcomes_row: Mapping[int, str] | None = None
+    # every row's parts are laid out over the world's own int ids, in delivery order
+    ids = tuple(int_id for _, int_id, _ in world._delivery)
+    at = {int_id: n for n, int_id in enumerate(ids)}
+    position = {decoder_id: n for n, (decoder_id, _, _) in enumerate(world._delivery)}
+    authorized = interfered = IdSet(ids, at, 0)
+    outcomes_row = Outcomes(ids, at, b"")
     for epoch in range(config.epochs):
         world.epoch_interfered = set()
         world.epoch_one_shots = []
@@ -903,18 +975,19 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         world.adversary.capture_frame(frame)
         _update_adversary_ecm_knowledge(world, frame)
 
-        if authorized is None or epoch in events_by_epoch:  # only events change it
-            now = frozenset(int_ids[decoder_id] for ca in world.headend.ca_systems
-                            for decoder_id in ca.authorized)
-            authorized = authorized if now == authorized else now
+        if epoch == 0 or epoch in events_by_epoch:  # only events change it
+            mask = sum(1 << position[decoder_id] for ca in world.headend.ca_systems
+                       for decoder_id in ca.authorized)
+            if mask != authorized._mask:
+                authorized = IdSet(ids, at, mask)
 
         adv = world.adversary
         cw_taps = adv.cw_taps
         # no decoder is acted on or read from
         quiet = not (world.epoch_one_shots or adv.probes or world.replay_sources)
-        outcomes: dict[int, str] = {}
+        outcomes: list[str] = []
         chip_bytes = 0
-        for decoder_id, int_id, decoder in world._delivery:
+        for decoder_id, _, decoder in world._delivery:
             chip_filter = None if quiet else _chip_filter_for(world, decoder, epoch)
             result = process_frame(decoder, frame, chip_filter)
             for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
@@ -925,16 +998,18 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
                 outcome = OUTCOME_REJECTED
             else:
                 outcome = OUTCOME_EXCLUDED
-            outcomes[int_id] = outcome
+            outcomes.append(outcome)
             if cw_taps and decoder_id in cw_taps and outcome == OUTCOME_DERIVED:
                 # live extraction: the tap reads the word as the chip derives
                 # it, in time for a probe of a later decoder this epoch
                 adv.known_cw = world.headend.scrambler_key
         world.ledger.chip_channel += chip_bytes
-        if outcomes != outcomes_row:
-            outcomes_row = MappingProxyType(outcomes)
-        now = frozenset(int_ids[decoder_id] for decoder_id in world.epoch_interfered)
-        interfered = interfered if now == interfered else now
+        codes = "".join(outcomes).encode()
+        if codes != outcomes_row._codes:
+            outcomes_row = Outcomes(ids, at, codes)
+        mask = sum(1 << position[decoder_id] for decoder_id in world.epoch_interfered)
+        if mask != interfered._mask:
+            interfered = IdSet(ids, at, mask)
 
         world.rows.append(EpochRow(epoch, authorized, interfered, outcomes_row))
 
@@ -947,16 +1022,23 @@ def compute_verdicts(rows: list[EpochRow]) -> tuple[bool, int]:
     A violation is an unauthorized decoder landing on ``K``. Implicit key
     authentication additionally requires every authorized decoder whose
     messages were untouched that epoch to land on ``K``. A decoder with no
-    outcome in a row counts for neither.
+    outcome in a row counts for neither. Rows share parts (``run_world``), so
+    each distinct combination of part objects is judged once.
     """
     violations = 0
     implicit = True
-    for row in rows:
-        derived = {d for d, outcome in row.outcomes.items() if outcome == OUTCOME_DERIVED}
-        stray = len(derived - row.authorized)
+    judged: dict[tuple[int, int, int], tuple[int, bool]] = {}
+    for row in rows:  # the rows keep every part alive, so no id is reused
+        key = (id(row.outcomes), id(row.authorized), id(row.interfered))
+        if key not in judged:  # each part is walked once, by its own iterator
+            authorized = frozenset(row.authorized)
+            derived = {d for d, outcome in row.outcomes.items() if outcome == OUTCOME_DERIVED}
+            stray = len(derived - authorized)
+            judged[key] = stray, not stray and (
+                authorized - frozenset(row.interfered)).intersection(row.outcomes) <= derived
+        stray, holds = judged[key]
         violations += stray
-        if stray or not (row.authorized - row.interfered) & row.outcomes.keys() <= derived:
-            implicit = False
+        implicit = implicit and holds
     return implicit, violations
 
 

@@ -46,26 +46,29 @@ signature is checked again on every call and raises ``CryptoError`` each
 time.
 
 The ``_aead`` memo serves keys many parties share: the group and ECM keys
-of each CA system, the PKE wrap keys, and every key the simulated adversary
-wraps under. A party that uses its own key every time instead holds an
-``AeadSlot``: the CA client for the long-term-key wrap in
-``decoder.derive_msg``, each chip's protocol receiver state for the unwrap
-in ``phase2_receive``, and both ends of each receiver's channel key, the
-head-end's slot per provisioned receiver and the client's ``channel_slot``,
-for the per-receiver EMMs. A de-authorization re-ships the ECM key to every
-remaining subscriber, one EMM under each one's channel key, so a burst
-names N distinct keys in a row; an 8-entry LRU over them misses on every
-key once N > 8 and evicts the shared keys on the way. A slot keeps the
-context of the last key used through it and changes it only when the key
-differs, so no population size rebuilds the AES key schedule per use. A
-slot open bypasses ``_open``: a chip's DERIVE and a client's per-receiver
-EMM are each seen once, so memoising them would only push an ECM out of the
-shared memo. A slot caches a key schedule, never an outcome; a failed open
-raises ``CryptoError`` on every call. Slots and ``_aead`` draw contexts
-from one table of weak references (``_live``), so the slots naming a key
-share its one context: client and chip for a long-term key, head-end and
-client for a channel key. A context (about 2.4 KiB, cryptography 48.0.0) is
-freed when its last holder moves on; the table holds none and has no size.
+of each CA system, and every key the simulated adversary wraps under. A PKE
+wrap key is used once at each end, so ``pke_encrypt`` and ``pke_decrypt``
+each build a context for that call alone and open without ``_open``: in the
+memos it would only evict keys that come back. A party that uses its own
+key every time instead holds an ``AeadSlot``: the CA client for the
+long-term-key wrap in ``decoder.derive_msg``, each chip's protocol receiver
+state for the unwrap in ``phase2_receive``, and both ends of each
+receiver's channel key, the head-end's slot per provisioned receiver and
+the client's ``channel_slot``, for the per-receiver EMMs. A
+de-authorization re-ships the ECM key to every remaining subscriber, one
+EMM under each one's channel key, so a burst names N distinct keys in a
+row; an 8-entry LRU over them misses on every key once N > 8 and evicts the
+shared keys on the way. A slot keeps the context of the last key used
+through it and changes it only when the key differs, so no population size
+rebuilds the AES key schedule per use. A slot open bypasses ``_open``: a
+chip's DERIVE and a client's per-receiver EMM are each seen once, so
+memoising them would only push an ECM out of the shared memo. A slot caches
+a key schedule, never an outcome; a failed open raises ``CryptoError`` on
+every call. Slots and ``_aead`` draw contexts from one table of weak
+references (``_live``), so the slots naming a key share its one context:
+client and chip for a long-term key, head-end and client for a channel key.
+A context (about 2.4 KiB, cryptography 48.0.0) is freed when its last
+holder moves on; the table holds none and has no size.
 """
 
 from __future__ import annotations
@@ -310,7 +313,7 @@ class CipherSuite:
         wrap = _wrap_key(shared, eph_pub, public_key)
         aad = eph_pub + public_key
         nonce = _nonce(wrap, aad, plaintext)
-        return eph_pub + nonce + _aead(wrap).encrypt(nonce, plaintext, aad)
+        return eph_pub + nonce + AESGCM(wrap).encrypt(nonce, plaintext, aad)
 
     def pke_decrypt(self, pair: KeyPair, ciphertext: bytes) -> bytes:
         if len(ciphertext) < PUBLIC_KEY_LEN:
@@ -321,7 +324,13 @@ class CipherSuite:
         except ValueError as exc:
             raise CryptoError("invalid ephemeral public key") from exc
         wrap = _wrap_key(shared, eph_pub, pair.public_key)
-        return _decrypt(wrap, body, eph_pub + pair.public_key, None)
+        if len(body) < _TRAILER:
+            raise CryptoError("ciphertext too short")
+        try:
+            return AESGCM(wrap).decrypt(body[:GCM_NONCE_LEN], body[GCM_NONCE_LEN:],
+                                        eph_pub + pair.public_key)
+        except InvalidTag as exc:
+            raise CryptoError("authenticated decryption failed") from exc
 
     def sign(self, pair: KeyPair, message: bytes) -> SignedMessage:
         if not message:

@@ -1,10 +1,13 @@
 """Scenario runner: parsing, determinism, shipped scenarios, adversary model."""
 
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
@@ -387,6 +390,166 @@ def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):
     assert quiet
     for epoch in quiet:
         assert report.rows[epoch].authorized is report.rows[epoch - 1].authorized
+
+
+PROBED = """
+scenario probed-rows
+seed 6
+epochs 16
+ca 0 bind
+ca 1 cert
+decoder 1001 ca 0
+decoder 1002 ca 0
+decoder 1003 ca 0
+decoder 1004 ca 0
+decoder 1005 ca 1
+decoder 1006 ca 1
+decoder 1007 ca 1
+decoder 1008 ca 1
+at 0 authorize 0 1001
+at 0 authorize 0 1002
+at 0 authorize 1 1005
+at 0 authorize 1 1006
+at 3 compromise control-word 1001
+at 3 compromise ttp-key
+at 3 compromise sender-keys 0
+at 3 compromise sender-keys 1
+at 4 pirate-probe 1003
+at 4 pirate-probe 1007
+at 6 tamper ecm 5
+at 7 tamper emm-receiver 3
+at 8 deauthorize 0 1002
+at 9 recover
+at 12 forge-sender 0 1004
+"""
+
+
+def test_compact_rows_read_like_a_dict_and_frozensets():
+    report, world = run_world(parse_scenario(PROBED))
+    ids = [int_id for _, int_id, _ in world._delivery]
+    assert ids == sorted(ids) and len(ids) == 8
+    own = {id(int_id) for int_id in ids}  # ids above 256, so identity means something
+    for row in report.rows:
+        outcomes = {i: row.outcomes[i] for i in ids}
+        assert list(row.outcomes) == list(row.outcomes.keys()) == ids
+        assert len(row.outcomes) == len(ids)
+        assert list(row.outcomes.items()) == list(outcomes.items())
+        assert list(row.outcomes.values()) == list(outcomes.values())
+        assert row.outcomes == outcomes and outcomes == row.outcomes
+        assert row.outcomes.items() == outcomes.items()
+        assert row.outcomes != {**outcomes, ids[0]: "?"}
+        assert 7 not in row.outcomes and row.outcomes.get(7) is None
+        with pytest.raises(KeyError):
+            row.outcomes[7]
+        with pytest.raises(TypeError):
+            row.outcomes[ids[0]] = "K"
+        for part in (row.authorized, row.interfered):
+            plain = frozenset(i for i in ids if i in part)
+            assert list(part) == sorted(plain) and len(part) == len(plain)
+            assert part == plain and plain == part and part == set(plain)
+            assert part != plain | {7} and 7 not in part
+            assert hash(part) == hash(plain) and len({part, plain}) == 1
+            with pytest.raises(AttributeError):
+                part.add(ids[0])
+        authorized, interfered = frozenset(row.authorized), frozenset(row.interfered)
+        assert row.authorized - row.interfered == authorized - interfered
+        assert row.authorized & row.interfered == authorized & interfered
+        assert row.authorized | row.interfered == authorized | interfered
+        assert row.authorized <= frozenset(ids) and row.authorized.isdisjoint({7})
+        assert {id(d) for part in (row.authorized, row.interfered, row.outcomes) for d in part} <= own
+    # the run exercises every code and a changing interfered column
+    assert {code for row in report.rows for code in row.outcomes.values()} == set("KRX")
+    assert len({row.interfered for row in report.rows}) > 2
+
+
+def test_verdicts_on_compact_rows_match_the_per_decoder_loop():
+    report, world = run_world(parse_scenario(PROBED))
+    rows = report.rows
+    plain = [EpochRow(row.epoch, frozenset(row.authorized), frozenset(row.interfered),
+                      dict(row.outcomes)) for row in rows]
+    assert report.authenticity_violations > 0  # probes land during the compromise
+    assert world.recovery_epoch == 9
+    for start in range(len(rows)):  # the whole run, the recovery tail and every other tail
+        assert (compute_verdicts(rows[start:]) == compute_verdicts(plain[start:])
+                == _verdicts_by_decoder(rows[start:]))
+    assert compute_verdicts(rows) == (report.implicit_key_auth, report.authenticity_violations)
+
+
+def test_verdicts_walk_each_distinct_part_once_without_lookups(monkeypatch):
+    rows = run_world(parse_scenario(PROBED))[0].rows
+    expected = compute_verdicts(rows)
+    walks = Counter()
+
+    def forbidden(self, decoder_id):
+        raise AssertionError("a per-decoder lookup")
+
+    def counting(original):
+        def walk(self):
+            walks[id(self)] += 1
+            return original(self)
+        return walk
+
+    for cls, name in ((sim.Outcomes, "items"), (sim.IdSet, "__iter__")):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    monkeypatch.setattr(sim.Outcomes, "__getitem__", forbidden)
+    monkeypatch.setattr(sim.IdSet, "__contains__", forbidden)
+    assert compute_verdicts(rows) == expected
+    combinations = {(id(row.outcomes), id(row.authorized), id(row.interfered)) for row in rows}
+    assert set(walks) <= {part for parts in combinations for part in parts}
+    assert len(combinations) < len(rows)
+    assert sum(walks.values()) <= 3 * len(combinations)  # one walk per part of each at most
+
+
+CHURN_ROWS = "\n".join(
+    ["scenario churn-rows", "seed 8", "epochs 40", "ca 0 bind", "ca 1 cert",
+     "rotate-auth 0 every 4 count 40", "rotate-auth 1 every 4 count 40"]
+    + [f"decoder {i} ca {i // 64}" for i in range(128)]) + "\n"
+
+
+def test_row_storage_is_a_few_bytes_per_decoder_per_distinct_row():
+    # a dict of outcomes and two frozensets per distinct row took ~100 B per
+    # decoder here; one code byte per decoder and two bitmasks take a few
+    config = parse_scenario(CHURN_ROWS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = run_world(config)[0].rows
+        distinct = len({(id(r.outcomes), id(r.authorized), id(r.interfered)) for r in rows})
+        layout = rows[0].outcomes._ids, rows[0].outcomes._at  # the world's, not a row's
+        gc.collect()
+        with_rows = tracemalloc.get_traced_memory()[0]
+        rows.clear()
+        gc.collect()
+        freed = with_rows - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert distinct >= 10
+    assert layout and 0 < freed / distinct / len(config.decoders) < 8
+
+
+@pytest.mark.parametrize("scheduled", [(), ("chip-derive",), ("emm-receiver",), ("ecm",),
+                                       ("chip-load-ltk", "emm-receiver", "ecm")])
+def test_frame_messages_are_captured_only_for_a_scheduled_replay(scheduled, monkeypatch):
+    text = MINI + "at 0 authorize 0 2\nat 2 rotate-sender 0\n" + "".join(
+        f"at 4 replay 1 2 {cls}\n" for cls in scheduled)
+    report, world = run_world(parse_scenario(text))
+    captured = world.adversary.captured
+    assert {cls for cls, _ in captured} - set(sim.CHIP_CLASSES) == set(scheduled) - set(
+        sim.CHIP_CLASSES)
+    # capturing every frame message, as every run once did, changes no report
+    build = sim.build_world
+
+    def capturing_everything(config):
+        world = build(config)
+        world.adversary.replay_classes = frozenset(sim.REPLAY_CLASSES)
+        return world
+
+    monkeypatch.setattr(sim, "build_world", capturing_everything)
+    everything_report, everything = run_world(parse_scenario(text))
+    assert everything_report.to_text() == report.to_text()
+    assert {"emm-receiver", "ecm"} <= {cls for cls, _ in everything.adversary.captured}
+    assert captured == {key: msg for key, msg in everything.adversary.captured.items()
+                        if key[0] in scheduled or key[0] in sim.CHIP_CLASSES}
 
 
 def test_frame_capture_decodes_and_is_stable():

@@ -366,3 +366,74 @@ def test_after_swap_client_only_the_new_channel_key_opens(kind):
     result = process_frame(decoder, frame)
     assert result.descrambled == content
     assert len(result.errors) == 1 and result.errors[0].startswith("emm:")
+
+
+# ---------------------------------------------------------------------------
+# PKE wrap keys: one use at each end, outside the shared memos
+# ---------------------------------------------------------------------------
+
+def _rekey_shaped() -> str:
+    """Two systems of 8 decoders: compromise, recovery, probes, replays and a
+    sender rotation on each."""
+    lines = ["scenario rekey-shaped", "seed 4", "epochs 30", "ca 0 bind", "ca 1 cert"]
+    lines += [f"decoder {i} ca {i // 8}" for i in range(16)]
+    for ca in (0, 1):
+        first = 8 * ca
+        lines += [f"at 0 authorize {ca} {first + j}" for j in range(5)]
+        lines += [f"at 5 compromise control-word {first}", f"at 5 compromise ca-client {first + 1}",
+                  f"at 5 compromise sender-keys {ca}", f"at 11 pirate-probe {first + 5}",
+                  f"at 11 forge-sender {ca} {first + 6}",
+                  f"at 15 replay {first} {first + 7} chip-derive", f"at 20 rotate-sender {ca}",
+                  f"at 25 replay {first + 1} {first + 7} ecm"]
+    return "\n".join(lines + ["at 5 compromise ttp-key", "at 10 recover"]) + "\n"
+
+
+def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
+    # a key that an 8-entry memo of secret-length keys would still hold is
+    # never built again: PKE wrap keys (32 bytes) no longer pass through it
+    monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
+    monkeypatch.setattr(_CountingContexts, "built", Counter())
+    suitemod._aead.cache_clear()
+    suitemod._open.cache_clear()
+    built, lengths, recent, rebuilt = _CountingContexts.built, set(), {}, []
+    aead, memo_open = suitemod._aead, suitemod._open
+
+    def recording_aead(key):
+        lengths.add(len(key))
+        before = built[key]
+        context = aead(key)
+        if len(key) == SUITE.secret_bytes:  # the secret-length keys, least recent first
+            if key in recent and built[key] != before:
+                rebuilt.append(key)
+            recent.pop(key, None)
+            recent[key] = None
+            if len(recent) > 8:
+                del recent[next(iter(recent))]
+        return context
+
+    def recording_open(key, ciphertext, aad):
+        lengths.add(len(key))
+        return memo_open(key, ciphertext, aad)
+
+    monkeypatch.setattr(suitemod, "_aead", recording_aead)
+    monkeypatch.setattr(suitemod, "_open", recording_open)
+    report = run_world(parse_scenario(_rekey_shaped()))[0]
+    assert report.implicit_key_auth and report.recovery_success
+    assert lengths == {SUITE.secret_bytes}
+    assert len(recent) == 8 and not rebuilt
+    wraps = [n for key, n in built.items() if len(key) == 32]
+    assert wraps and max(wraps) <= 2  # at most once at each end
+
+
+@given(st.integers(0, 200), st.integers(1, 255))
+def test_a_tampered_pke_ciphertext_fails_on_every_call(index, mask):
+    rng = suitemod.Drbg(b"pke-tamper")
+    pair = SUITE.keygen("pke", rng)
+    blob = SUITE.pke_encrypt(pair.public_key, b"long-term key 16", rng)
+    changed = bytearray(blob)
+    changed[index % len(changed)] ^= mask
+    for bad in (bytes(changed), blob[:index % len(blob)]):
+        for _ in range(2):
+            with pytest.raises(CryptoError):
+                SUITE.pke_decrypt(pair, bad)
+    assert SUITE.pke_decrypt(pair, blob) == b"long-term key 16"
