@@ -1,14 +1,20 @@
 """Certificate-authenticated key transport (the pre-existing protocol shape).
 
-Receivers are initialized with the authority public key and their own
-decryption private key. Phase 1 transports a fresh long-term key to each
-receiver under the sender's *certified* signature key; phase 2 wraps each
-epoch secret under the long-term key for the authorized receivers.
+Receivers are initialized with a trust anchor, the authority generation
+and public key, and their own decryption private key. Phase 1 transports a
+fresh long-term key to each receiver under the sender's *certified*
+signature key; phase 2 wraps each epoch secret under the long-term key for
+the authorized receivers.
 
-Receiver-side checks in phase 1, in order: the sender certificate verifies
-under the installed authority key, names a sender role, and is not on the
-known revocation list; the signed blob verifies under the certified sender
-key; this receiver is the intended recipient; the long-term key decrypts.
+Receiver-side checks in phase 1, in order: the sender certificate is of the
+anchor's generation, verifies under the anchor's key, names a sender role,
+and is not on the known revocation list; the signed blob verifies under the
+certified sender key; this receiver is the intended recipient; the
+long-term key decrypts. The generation check costs no signature work and
+rejects nothing the key would accept: the authority signs only under its
+current generation and changes key and generation together
+(``ttp.rotate``), so a certificate the anchor's key verifies carries the
+anchor's generation.
 A failure at any point aborts and leaves the receiver state unchanged.
 The blob itself, and phase 2's wrap, are the ones both shapes share
 (``cwbind.phase1``).
@@ -53,7 +59,9 @@ class CertSenderState(SenderState):
 class CertReceiverState:
     suite: CipherSuite
     receiver_id: bytes
-    authority_pk: bytes  # installed at initialization, immutable thereafter
+    # the trust anchor: installed at initialization, immutable thereafter
+    authority_generation: int
+    authority_pk: bytes
     enc_keypair: KeyPair
     ltk: bytes | None = field(default=None, repr=False)
     known_revoked: set[int] = field(default_factory=set)
@@ -69,11 +77,12 @@ def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
     return CertSenderState(suite, sender_id, pair, directory, sender_cert=cert)
 
 
-def receiver_init(suite: CipherSuite, receiver_id: bytes | int,
+def receiver_init(suite: CipherSuite, receiver_id: bytes | int, authority_generation: int,
                   authority_pk: bytes, rng: Drbg) -> CertReceiverState:
     return CertReceiverState(
         suite=suite,
         receiver_id=encode_id(receiver_id),
+        authority_generation=authority_generation,
         authority_pk=authority_pk,
         enc_keypair=suite.keygen("pke", rng),
     )
@@ -93,12 +102,15 @@ def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) ->
 
 def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
     """Run all receiver checks, then commit the long-term key."""
-    verify_certificate(recv.suite, bundle.sender_cert, recv.authority_pk)
-    if bundle.sender_cert.subject_role != ROLE_SENDER:
+    cert = bundle.sender_cert
+    if cert.generation != recv.authority_generation:
+        raise ProtocolError("sender certificate is not of the installed authority generation")
+    verify_certificate(recv.suite, cert, recv.authority_pk)
+    if cert.subject_role != ROLE_SENDER:
         raise ProtocolError("certificate subject is not a sender")
-    if bundle.sender_cert.serial in recv.known_revoked:
+    if cert.serial in recv.known_revoked:
         raise ProtocolError("sender certificate is revoked")
-    recv.ltk = open_blob(recv, bundle.sender_cert.subject_pk, bundle.signed_blob)
+    recv.ltk = open_blob(recv, cert.subject_pk, bundle.signed_blob)
 
 
 def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes = b"") -> bytes:

@@ -378,16 +378,24 @@ class Decoder:
 
 def make_decoder(suite: CipherSuite, protocol: str, ca_index: int,
                  decoder_id: bytes | int, rng: Drbg, channel_key: bytes,
+                 authority_generation: int | None = None,
                  authority_pk: bytes | None = None) -> Decoder:
     """Manufacture a decoder: generate the chip key pair (if any) and
-    personalize the CA client with its provisioning key."""
+    personalize the CA client with its provisioning key.
+
+    A certificate chip is bound for life to one trust anchor, the authority
+    generation and public key given here: it accepts only sender
+    certificates of that generation signed by that key, so after the
+    authority rotates it must be replaced. Other chips ignore both."""
     decoder_id = encode_id(decoder_id)
     kind = ca_kind(protocol)
     chip = ChipState(kind, suite)
     if kind.certified:
-        if authority_pk is None:
-            raise ValueError("certificate-protocol chips are initialized with the authority key")
-        chip.receiver = certproto.receiver_init(suite, decoder_id, authority_pk, rng)
+        if authority_generation is None or authority_pk is None:
+            raise ValueError("certificate-protocol chips are initialized with the authority "
+                             "generation and key")
+        chip.receiver = certproto.receiver_init(suite, decoder_id, authority_generation,
+                                                authority_pk, rng)
     elif kind.proto is not None:
         chip.receiver = bindproto.receiver_init(suite, decoder_id, rng)
     client = CaClientState(suite, ca_index, decoder_id, kind, channel_key)

@@ -60,9 +60,10 @@ leaked.
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
 rotate and re-certify every sender, re-enroll and re-entitle everyone.
-Certificate-protocol chips cannot validate anything issued under the new
-authority key, so they are replaced (fresh trust anchor, counted in the
-report); binding-protocol chips are untouched.
+Certificate-protocol chips are bound to one authority generation and key and
+cannot validate anything issued under the new ones, so they are replaced
+(a fresh trust anchor of the new generation, counted in the report);
+binding-protocol chips are untouched.
 
 Outcome codes per decoder per epoch: ``K`` descrambled the epoch's content,
 ``R`` attempted or errored but did not, ``X`` no attempt (not entitled).
@@ -99,7 +100,7 @@ from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
 from .phase1 import seal_blob
-from .suite import VALID_SECRET_BITS, CipherSuite, Drbg, KeyPair, SignedMessage
+from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
@@ -500,6 +501,9 @@ class AdversaryState:
     # (class, decoder id), or ("ecm", CA system id): one ECM per system
     captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
     probes: dict[bytes, tuple[str, int]] = field(default_factory=dict)  # id -> (type, ca)
+    # the adversary's own context for the key it wraps under at each probed
+    # decoder, held as a CA client holds its long-term key's
+    probe_slots: dict[bytes, AeadSlot] = field(default_factory=dict)
     minted_serial: int = 0x7F000000
     replay_classes: frozenset[str] = frozenset()  # the classes a scheduled replay reads
 
@@ -587,7 +591,7 @@ def build_world(config: ScenarioConfig) -> World:
         decoder = make_decoder(
             suite, config.ca_kinds[spec.ca_index], spec.ca_index, decoder_id,
             master.child(f"chip-{spec.decoder_id}"), channel_key,
-            authority_pk=ttp.keypair.public_key,
+            authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key,
         )
         decoders[decoder_id] = decoder
         channel_keys[decoder_id] = channel_key
@@ -660,7 +664,8 @@ def _do_recover(world: World, epoch: int) -> None:
             decoder = world.decoders[decoder_id]
             old = decoder.chip.receiver
             decoder.chip = ChipState(ca.kind, old.suite, certproto.CertReceiverState(
-                old.suite, old.receiver_id, world.ttp.keypair.public_key, old.enc_keypair))
+                old.suite, old.receiver_id, world.ttp.generation, world.ttp.keypair.public_key,
+                old.enc_keypair))
             _do_swap_client(world, decoder_id, enroll=False)
             world.decoders_replaced += 1
 
@@ -690,8 +695,11 @@ def adversary_step(world: World, event: Event) -> None:
     elif event.verb == "pirate-probe":
         decoder_id = encode_id(int(event.args[0]))
         adv.probes[decoder_id] = ("pirate", world.decoders[decoder_id].ca_index)
+        adv.probe_slots.setdefault(decoder_id, AeadSlot())
     elif event.verb == "forge-sender":
-        adv.probes[encode_id(int(event.args[1]))] = ("forge", int(event.args[0]))
+        decoder_id = encode_id(int(event.args[1]))
+        adv.probes[decoder_id] = ("forge", int(event.args[0]))
+        adv.probe_slots.setdefault(decoder_id, AeadSlot())
     elif event.verb in ("tamper", "replay", "inject-cw"):
         world.epoch_one_shots.append(event)
     else:
@@ -732,20 +740,23 @@ def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
 
 
 def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: SignedMessage,
-                          ltk: bytes, epoch: int, rand: bytes) -> list[ChipChannelMsg]:
+                          ltk: bytes, epoch: int, rand: bytes,
+                          slot: AeadSlot) -> list[ChipChannelMsg]:
     """A binding chip's full message set under one sender key: file the
-    long-term key, make the key the whole set, derive from ``rand``."""
+    long-term key, make the key the whole set, derive from ``rand``,
+    wrapping through the adversary's ``slot`` for this decoder."""
     return [
         ChipChannelMsg(ChipMsgKind.LOAD_LTK, bindproto.BindBundle(sender_pk, blob).to_bytes()),
         ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))),
-        derive_msg(suite, ltk, epoch, rand, sender_pk),
+        derive_msg(suite, ltk, epoch, rand, sender_pk, slot),
     ]
 
 
-def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage,
-                          ltk: bytes, epoch: int, secret: bytes) -> list[ChipChannelMsg]:
+def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage, ltk: bytes,
+                          epoch: int, secret: bytes, slot: AeadSlot) -> list[ChipChannelMsg]:
     """A certificate chip's message set under a sender certificate for
-    ``rogue``, forged with the stolen authority key."""
+    ``rogue``, forged with the stolen authority key; the DERIVE is wrapped
+    through the adversary's ``slot`` for this decoder."""
     adv = world.adversary
     generation, keypair = adv.authority_key
     adv.minted_serial += 1
@@ -754,7 +765,7 @@ def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage,
     cert = Certificate(adv.minted_serial, encode_id(0xAD), ROLE_SENDER, rogue.public_key,
                        generation, world.suite.sign(keypair, payload))
     return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, certproto.CertBundle(cert, blob).to_bytes()),
-            derive_msg(world.suite, ltk, epoch, secret)]
+            derive_msg(world.suite, ltk, epoch, secret, None, slot)]
 
 
 def _probe_msgs(world: World, decoder: Decoder, epoch: int,
@@ -764,6 +775,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     suite = world.suite
     probe_type, ca_index = probe
     kind = decoder.chip.kind
+    slot = adv.probe_slots[decoder.decoder_id]
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
     raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
 
@@ -777,10 +789,10 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         rand = rng.read(suite.secret_bytes)
         blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
         if kind.binds:
-            return _bind_load_and_derive(suite, rogue.public_key, blob, ltk, epoch, rand)
+            return _bind_load_and_derive(suite, rogue.public_key, blob, ltk, epoch, rand, slot)
         if adv.authority_key is not None:  # a certificate chip
             secret = adv.known_cw if adv.known_cw is not None else rand
-            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, secret)
+            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, secret, slot)
         return []
 
     # pirate probe: use whatever was compromised
@@ -790,11 +802,11 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
             rogue = suite.keygen("sig", rng)
             ltk = rng.read(suite.secret_bytes)
             blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
-            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, adv.known_cw)
+            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, adv.known_cw, slot)
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
-                return [derive_msg(suite, stolen_ltk, epoch, adv.known_cw)]
+                return [derive_msg(suite, stolen_ltk, epoch, adv.known_cw, None, slot)]
         return raw_cw
 
     if snapshot is not None:  # a binding chip
@@ -802,7 +814,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
         rand_guess = adv.known_rand.get(ca_index) or rng.read(suite.secret_bytes)
         return _bind_load_and_derive(suite, snapshot.sig_keypair.public_key, blob, ltk,
-                                     epoch, rand_guess)
+                                     epoch, rand_guess, slot)
     return raw_cw
 
 

@@ -19,6 +19,8 @@ only parameter:
 
 ``keygen`` returns a key pair only after its self-test (a PKE round trip, or
 a signature that verifies); any failure raises ``CryptoError`` naming it.
+The self-test signature is verified directly, outside the ``_verify`` memo
+below, since it is never checked again.
 
 SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
 called from ``hashlib`` directly.
@@ -46,15 +48,17 @@ signature is checked again on every call and raises ``CryptoError`` each
 time.
 
 The ``_aead`` memo serves keys many parties share: the group and ECM keys
-of each CA system, and every key the simulated adversary wraps under. A PKE
-wrap key is used once at each end, so ``pke_encrypt`` and ``pke_decrypt``
-each build a context for that call alone and open without ``_open``: in the
-memos it would only evict keys that come back. A party that uses its own
-key every time instead holds an ``AeadSlot``: the CA client for the
-long-term-key wrap in ``decoder.derive_msg``, each chip's protocol receiver
-state for the unwrap in ``phase2_receive``, and both ends of each
-receiver's channel key, the head-end's slot per provisioned receiver and
-the client's ``channel_slot``, for the per-receiver EMMs. A
+of each CA system. A PKE wrap key is used once at each end, so
+``pke_encrypt`` and ``pke_decrypt`` each build a context for that call
+alone and open without ``_open``: in the memos it would only evict keys
+that come back. A party that uses its own key every time instead holds an
+``AeadSlot``: the CA client for the long-term-key wrap in
+``decoder.derive_msg``, each chip's protocol receiver state for the unwrap
+in ``phase2_receive``, both ends of each receiver's channel key (the
+head-end's slot per provisioned receiver and the client's
+``channel_slot``) for the per-receiver EMMs, and the simulated adversary's
+slot per probed decoder (``sim.AdversaryState.probe_slots``) for the key
+its DERIVE wraps under, most often a fresh one each epoch. A
 de-authorization re-ships the ECM key to every remaining subscriber, one
 EMM under each one's channel key, so a burst names N distinct keys in a
 row; an 8-entry LRU over them misses on every key once N > 8 and evicts the
@@ -293,10 +297,13 @@ class CipherSuite:
                 ciphertext = self.pke_encrypt(pair.public_key, probe, rng)
                 passed = self.pke_decrypt(pair, ciphertext) == probe
             else:
+                # verified outside ``_verify``: this signature is never checked again
                 pair = _pair(Ed25519PrivateKey, rng.read(32))
-                passed = self.verify_recover(pair.public_key,
-                                             self.sign(pair, b"self-test")) == b"self-test"
-        except CryptoError:
+                sm = self.sign(pair, b"self-test")
+                Ed25519PublicKey.from_public_bytes(pair.public_key).verify(sm.signature,
+                                                                           sm.message)
+                passed = sm.message == b"self-test"
+        except (CryptoError, InvalidSignature):
             passed = False
         if not passed:
             raise CryptoError(f"fresh {purpose} key pair failed its self-test")

@@ -118,7 +118,8 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
 
     rng = Drbg.from_int(0xACCE)
     ttp = ttp_init(suite, rng.child("ttp"))
-    recv = certproto.receiver_init(suite, 1, ttp.keypair.public_key, rng.child("r1"))
+    recv = certproto.receiver_init(suite, 1, ttp.generation, ttp.keypair.public_key,
+                                   rng.child("r1"))
     brecv = bindproto.receiver_init(suite, 2, rng.child("r2"))
     register_receiver(ttp, 1, recv.enc_keypair.public_key)
     register_receiver(ttp, 2, brecv.enc_keypair.public_key)

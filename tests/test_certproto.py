@@ -4,10 +4,20 @@ import copy
 
 import pytest
 
-from cwbind import certproto
+from cwbind import certproto, suite as suitemod
 from cwbind.errors import CryptoError, CwbindError, ProtocolError
+from cwbind.phase1 import seal_blob
 from cwbind.suite import Drbg, SignedMessage
-from cwbind.ttp import export_directory, parse_directory, register_receiver, revoke, ttp_init
+from cwbind.ttp import (
+    ROLE_SENDER,
+    Certificate,
+    export_directory,
+    parse_directory,
+    register_receiver,
+    revoke,
+    rotate,
+    ttp_init,
+)
 
 
 @pytest.fixture
@@ -17,7 +27,8 @@ def world(suite):
     ttp = ttp_init(suite, rng.child("ttp"))
     receivers = {}
     for i in (1, 2, 3):
-        recv = certproto.receiver_init(suite, i, ttp.keypair.public_key, rng.child(f"r{i}"))
+        recv = certproto.receiver_init(suite, i, ttp.generation, ttp.keypair.public_key,
+                                       rng.child(f"r{i}"))
         register_receiver(ttp, i, recv.enc_keypair.public_key)
         receivers[i] = recv
     directory = parse_directory(suite, export_directory(ttp))
@@ -80,6 +91,8 @@ def test_rogue_authority_cert_aborts(world, suite):
     rogue_sender = certproto.sender_init(suite, 100, Drbg.from_int(667), rogue_ttp,
                                          rogue_directory)
     bundle = certproto.phase1_send(rogue_sender, 1, rng)
+    # the generation check cannot tell this authority from the installed one
+    assert bundle.sender_cert.generation == receivers[1].authority_generation
     before = copy.deepcopy(receivers[1])
     with pytest.raises(CryptoError):
         certproto.phase1_receive(receivers[1], bundle)
@@ -213,3 +226,100 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
         with pytest.raises((CryptoError, ProtocolError)):
             certproto.phase2_receive(receivers[1], bytes(tampered))
 
+
+
+# ---------------------------------------------------------------------------
+# the trust anchor: one authority generation and its key
+# ---------------------------------------------------------------------------
+
+_REAL_PUBLIC_KEY = suitemod.Ed25519PublicKey
+
+
+class _CountingVerifier:
+    """Stand-in for ``Ed25519PublicKey`` that counts every verification."""
+
+    calls = 0
+
+    def __init__(self, key):
+        self._key = key
+
+    @classmethod
+    def from_public_bytes(cls, data):
+        return cls(_REAL_PUBLIC_KEY.from_public_bytes(data))
+
+    def verify(self, signature, message):
+        type(self).calls += 1
+        self._key.verify(signature, message)
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    monkeypatch.setattr(suitemod, "Ed25519PublicKey", _CountingVerifier)
+    monkeypatch.setattr(_CountingVerifier, "calls", 0)
+    suitemod._verify.cache_clear()  # a memo hit would hide a verification
+    return _CountingVerifier
+
+
+def _minted_bundle(suite, signer, generation, recv, rng):
+    """A sender certificate for a fresh key pair, signed by ``signer`` with
+    ``generation``, and a blob from that key delivering a known key to ``recv``."""
+    sender = suite.keygen("sig", rng.child("minted-sender"))
+    payload = Certificate.signed_payload(0x7F000001, (0xAD).to_bytes(8, "big"), ROLE_SENDER,
+                                         sender.public_key, generation)
+    cert = Certificate(0x7F000001, (0xAD).to_bytes(8, "big"), ROLE_SENDER, sender.public_key,
+                       generation, suite.sign(signer, payload))
+    ltk = rng.read(suite.secret_bytes)
+    blob = seal_blob(suite, sender, recv.receiver_id, recv.enc_keypair.public_key, ltk, rng)
+    return certproto.CertBundle(cert, blob), ltk
+
+
+@pytest.mark.parametrize("source", ["rotated-ttp", "retired-key"])
+def test_certificate_of_another_generation_is_rejected_before_verification(
+        world, suite, verifications, source):
+    ttp, sender, receivers, rng = world
+    retired = ttp.keypair
+    rotate(ttp, rng.child("rotate"))
+    directory = parse_directory(suite, export_directory(ttp))
+    if source == "rotated-ttp":
+        # the chip still holds generation 1; the authority now certifies under 2
+        recv = receivers[1]
+        rotated_sender = certproto.sender_init(suite, 101, rng.child("sender-2"), ttp, directory)
+        bundle = certproto.phase1_send(rotated_sender, 1, rng)
+    else:
+        # a chip replaced with the new anchor; the certificate is minted
+        # with the retired key under its own generation
+        old = receivers[1]
+        recv = certproto.CertReceiverState(suite, old.receiver_id, ttp.generation,
+                                           ttp.keypair.public_key, old.enc_keypair)
+        bundle, _ = _minted_bundle(suite, retired, 1, recv, rng)
+    assert bundle.sender_cert.generation != recv.authority_generation
+    before = copy.deepcopy(recv)
+    verifications.calls = 0
+    with pytest.raises(ProtocolError, match="generation"):
+        certproto.phase1_receive(recv, bundle)
+    assert verifications.calls == 0
+    assert recv == before
+
+
+@pytest.mark.parametrize("generation", ["anchor", "other"])
+@pytest.mark.parametrize("signed_by", ["anchor", "other"])
+def test_only_the_anchor_key_and_generation_together_are_accepted(
+        world, suite, verifications, signed_by, generation):
+    ttp, sender, receivers, rng = world
+    recv = receivers[1]
+    other_key = suite.keygen("sig", rng.child("other-authority"))
+    signer = ttp.keypair if signed_by == "anchor" else other_key
+    gen = recv.authority_generation + (0 if generation == "anchor" else 1)
+    bundle, ltk = _minted_bundle(suite, signer, gen, recv, rng)
+    before = copy.deepcopy(recv)
+    verifications.calls = 0
+    if (signed_by, generation) == ("anchor", "anchor"):
+        certproto.phase1_receive(recv, bundle)
+        assert recv.ltk == ltk
+        assert verifications.calls == 2  # the certificate, then the blob
+        return
+    expected = CryptoError if generation == "anchor" else ProtocolError
+    with pytest.raises(expected):
+        certproto.phase1_receive(recv, bundle)
+    assert verifications.calls == (1 if generation == "anchor" else 0)
+    assert recv == before

@@ -50,6 +50,7 @@ def pipeline(suite):
         channel_key = master.child(f"prov-{decoder_id}").read(16)
         d = make_decoder(suite, kinds[ca_index], ca_index, decoder_id,
                          master.child(f"chip-{decoder_id}"), channel_key,
+                         authority_generation=ttp.generation,
                          authority_pk=ttp.keypair.public_key if kinds[ca_index] == "cert" else None)
         decoders[decoder_id] = d
         if d.chip_public_key() is not None:
@@ -556,7 +557,7 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
     master = Drbg.from_int(0x5B)
     ttp = ttp_init(suite, master.child("ttp"))
     d = make_decoder(suite, kind, 0, 1, master.child("chip"), b"\x00" * 16,
-                     authority_pk=ttp.keypair.public_key)
+                     authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key)
     rogue = suite.keygen("sig", master.child("rogue"))
     key_ct = suite.pke_encrypt(d.chip_public_key(), b"\x05" * 5, master.child("wrap"))
     blob = suite.sign(rogue, encode_id(1) + lp(key_ct))
@@ -593,6 +594,7 @@ class _Rogue:
         self.cert = certify_sender(self.ttp, 0xAD, self.pair.public_key)
         self.decoders = {
             kind: make_decoder(suite, kind, 0, 1, master.child(f"chip-{kind}"), b"\x00" * 16,
+                               authority_generation=self.ttp.generation,
                                authority_pk=self.ttp.keypair.public_key)
             for kind in ("bind", "cert", "legacy")
         }

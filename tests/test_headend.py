@@ -24,6 +24,7 @@ def build_world(suite, kinds, decoder_plan, seed=1234):
         d = decmod.make_decoder(
             suite, protocol, ca_index, decoder_id, master.child(f"chip-{decoder_id}"),
             channel_key,
+            authority_generation=ttp.generation,
             authority_pk=ttp.keypair.public_key if protocol == "cert" else None,
         )
         decoders[decoder_id] = (d, channel_key)

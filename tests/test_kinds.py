@@ -50,7 +50,7 @@ def test_decoder_deepcopy_keeps_the_kind_record(suite, name):
     master = Drbg.from_int(0x7D)
     authority_pk = suite.keygen("sig", master.child("ttp")).public_key
     decoder = make_decoder(suite, name, 0, 1, master.child("chip"), b"\x00" * 16,
-                           authority_pk=authority_pk)
+                           authority_generation=1, authority_pk=authority_pk)
     copied = copy.deepcopy(decoder)
     assert copied.chip.kind is decoder.chip.kind is decoder.client.kind is ca_kind(name)
     assert copied.client.kind is ca_kind(name)

@@ -13,11 +13,13 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from cryptography.exceptions import InvalidSignature
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cwbind import sim
+from cwbind import certproto, sim, suite as suitemod
 from cwbind.encoding import encode_id
+from cwbind.errors import CwbindError
 from cwbind.kinds import BIND, CERT
 from cwbind.sim import (
     EpochRow,
@@ -819,7 +821,64 @@ at 5 recover
     for decoder in world.decoders.values():
         assert decoder.chip.kind is CERT
         assert decoder.chip.receiver.authority_pk == world.ttp.keypair.public_key
+        assert decoder.chip.receiver.authority_generation == world.ttp.generation == 2
     assert all(row.outcomes[1] == "K" for row in report.rows if row.epoch >= 5)
+
+
+class _CountingVerifier:
+    """Stand-in for ``Ed25519PublicKey`` that counts verifications by outcome."""
+
+    real = suitemod.Ed25519PublicKey
+    outcomes: Counter = Counter()
+
+    def __init__(self, key):
+        self._key = key
+
+    @classmethod
+    def from_public_bytes(cls, data):
+        return cls(cls.real.from_public_bytes(data))
+
+    def verify(self, signature, message):
+        try:
+            self._key.verify(signature, message)
+        except InvalidSignature:
+            type(self).outcomes["fail"] += 1
+            raise
+        type(self).outcomes["pass"] += 1
+
+
+def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(monkeypatch):
+    # after recovery the adversary keeps minting sender certificates with
+    # the retired authority key; the replaced chips refuse every one on its
+    # generation, so no verification fails anywhere in the run
+    text = "\n".join(
+        ["scenario retired-anchor", "seed 12", "epochs 12", "ca 0 cert", "ca 1 bind"]
+        + [f"decoder {i} ca {i // 6}" for i in range(12)]
+        + [f"at 0 authorize {i // 6} {i}" for i in (0, 1, 2, 6, 7, 8)]
+        + ["at 3 compromise control-word 0", "at 3 compromise ttp-key",
+           "at 3 compromise sender-keys 0", "at 3 compromise sender-keys 1", "at 5 recover",
+           "at 6 pirate-probe 4", "at 6 forge-sender 0 5", "at 6 forge-sender 1 11",
+           "at 6 pirate-probe 10"]) + "\n"
+    monkeypatch.setattr(suitemod, "Ed25519PublicKey", _CountingVerifier)
+    monkeypatch.setattr(_CountingVerifier, "outcomes", Counter())
+    refused = Counter()
+    real_receive = certproto.phase1_receive
+
+    def counting_receive(recv, bundle):
+        try:
+            real_receive(recv, bundle)
+        except CwbindError as exc:
+            refused[str(exc)] += 1
+            raise
+
+    monkeypatch.setattr(certproto, "phase1_receive", counting_receive)
+    report, world = run_world(parse_scenario(text))
+    assert report.implicit_key_auth and report.recovery_success
+    assert report.authenticity_violations == 0 and report.decoders_replaced == 6
+    # two probed cert decoders, six epochs each, one minted certificate apiece
+    assert refused == {"sender certificate is not of the installed authority generation": 12}
+    assert _CountingVerifier.outcomes["pass"] > 0
+    assert _CountingVerifier.outcomes["fail"] == 0
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():

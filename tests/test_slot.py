@@ -13,7 +13,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cwbind import decoder as decmod, headend as hemod, suite as suitemod
+from cwbind import decoder as decmod, headend as hemod, sim as simmod, suite as suitemod
 from cwbind.decoder import (
     chip_process,
     client_process_ecm,
@@ -423,6 +423,34 @@ def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
     assert len(recent) == 8 and not rebuilt
     wraps = [n for key, n in built.items() if len(key) == 32]
     assert wraps and max(wraps) <= 2  # at most once at each end
+
+
+def test_probe_keys_never_reach_the_memo(monkeypatch):
+    # the adversary wraps each probe's DERIVE through its own slot for that
+    # decoder, as a client does, so no probe key passes through (and evicts
+    # a shared key from) the 8-entry memo; a chip that files the key takes
+    # the adversary's context instead of building one
+    monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
+    monkeypatch.setattr(_CountingContexts, "built", Counter())
+    suitemod._aead.cache_clear()
+    aead, memo_keys, probe_keys = suitemod._aead, set(), set()
+
+    def recording_aead(key):
+        memo_keys.add(key)
+        return aead(key)
+
+    def recording_derive(suite, ltk, *args):
+        probe_keys.add(ltk)
+        return derive_msg(suite, ltk, *args)
+
+    monkeypatch.setattr(suitemod, "_aead", recording_aead)
+    monkeypatch.setattr(simmod, "derive_msg", recording_derive)  # the adversary's only
+    report, world = run_world(parse_scenario(_rekey_shaped()))
+    assert report.implicit_key_auth and report.recovery_success
+    assert set(world.adversary.probe_slots) == set(world.adversary.probes)
+    # four probed decoders, a fresh key each in epochs 11-29
+    assert len(probe_keys) == 4 * 19 and probe_keys.isdisjoint(memo_keys)
+    assert all(_CountingContexts.built[key] == 1 for key in probe_keys)
 
 
 @given(st.integers(0, 200), st.integers(1, 255))

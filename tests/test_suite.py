@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwbind.errors import CryptoError, CwbindError
-from cwbind.suite import CipherSuite, Drbg, SignedMessage
+from cwbind.suite import CipherSuite, Drbg, SignedMessage, _verify
 
 VECTORS = json.loads((Path(__file__).parent / "vectors" / "suite.json").read_text())
 
@@ -123,6 +123,13 @@ def test_keygen_sig_self_test_rejects_a_corrupted_signature(suite, rng, monkeypa
     monkeypatch.setattr(CipherSuite, "sign", corrupted_sign)
     with pytest.raises(CryptoError, match="fresh sig key pair failed its self-test"):
         suite.keygen("sig", rng)
+
+
+def test_keygen_sig_self_test_leaves_the_verify_memo_alone(suite, rng):
+    # the self-test signature is never checked again, so it takes no memo entry
+    _verify.cache_clear()
+    suite.keygen("sig", rng)
+    assert _verify.cache_info().currsize == 0
 
 
 def test_keygen_pke_self_test_rejects_a_wrong_round_trip(suite, rng, monkeypatch):
