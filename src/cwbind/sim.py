@@ -55,7 +55,10 @@ from an authorized decoder: it survives client swaps and chip replacement,
 because extraction is assumed cheap and repeatable; recovery targets key
 material, not the extraction capability. ``compromise`` of sender keys and
 the authority key takes a snapshot: material rotated afterwards is not
-leaked.
+leaked. A forge probe's, or a certificate pirate probe's, rogue signing
+key is loaded from the probe's draws with ``CipherSuite.load_sig_keypair``:
+only honest key pairs pay ``keygen``'s self-test, and the pair and every
+later draw are the ones ``keygen`` would give.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -784,7 +787,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
 
     if probe_type == "forge":
         # rogue sender with its own keys: full message set, own randomness
-        rogue = suite.keygen("sig", rng)
+        rogue = suite.load_sig_keypair(rng.read(32))
         ltk = rng.read(suite.secret_bytes)
         rand = rng.read(suite.secret_bytes)
         blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
@@ -799,7 +802,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     snapshot = adv.sender_snapshots.get(ca_index)
     if kind.certified:
         if adv.authority_key is not None and adv.known_cw is not None:
-            rogue = suite.keygen("sig", rng)
+            rogue = suite.load_sig_keypair(rng.read(32))
             ltk = rng.read(suite.secret_bytes)
             blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
             return _cert_load_and_derive(world, rogue, blob, ltk, epoch, adv.known_cw, slot)

@@ -20,7 +20,11 @@ only parameter:
 ``keygen`` returns a key pair only after its self-test (a PKE round trip, or
 a signature that verifies); any failure raises ``CryptoError`` naming it.
 The self-test signature is verified directly, outside the ``_verify`` memo
-below, since it is never checked again.
+below, since it is never checked again. Honest parties (the authority,
+senders, receivers) draw their keys through ``keygen``. The simulated
+adversary's forged signing keys are attack inputs no one relies on, so
+``sim`` loads them with ``load_sig_keypair(rng.read(32))``: the same pair
+from the same bytes without the test, which draws nothing from ``rng``.
 
 SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
 called from ``hashlib`` directly.

@@ -877,8 +877,49 @@ def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(m
     assert report.authenticity_violations == 0 and report.decoders_replaced == 6
     # two probed cert decoders, six epochs each, one minted certificate apiece
     assert refused == {"sender certificate is not of the installed authority generation": 12}
+    # the probes still inject a full forged set into the unentitled cert
+    # decoders (``X`` would mean nothing was delivered), and each is refused
+    assert [report.rows[e].outcomes[d] for e in range(6, 12) for d in (4, 5)] == ["R"] * 12
     assert _CountingVerifier.outcomes["pass"] > 0
     assert _CountingVerifier.outcomes["fail"] == 0
+
+
+def test_only_honest_signature_keys_pay_the_keygen_self_test(monkeypatch):
+    # the authority and every sender draw self-tested keys; the adversary's
+    # forged signing keys are loaded from its probe draws, one per forge
+    # probe-epoch and one per certificate pirate probe-epoch
+    text = "\n".join(
+        ["scenario probe-keys", "seed 21", "epochs 8", "ca 0 cert", "ca 1 bind"]
+        + [f"decoder {i} ca {i // 6}" for i in range(12)]
+        + [f"at 0 authorize {i // 6} {i}" for i in (0, 1, 6, 7)]
+        + ["at 2 compromise control-word 0", "at 2 compromise ttp-key",
+           "at 2 compromise sender-keys 1", "at 3 pirate-probe 4", "at 3 forge-sender 0 5",
+           "at 3 pirate-probe 10", "at 3 forge-sender 1 11", "at 5 recover"]) + "\n"
+    keygens: list[tuple[str, str, str]] = []
+    loads: list[str] = []
+    real_keygen = suitemod.CipherSuite.keygen
+    real_load = suitemod.CipherSuite.load_sig_keypair
+
+    def recording_keygen(self, purpose, rng):
+        caller = sys._getframe(1)
+        keygens.append((purpose, caller.f_globals["__name__"], caller.f_code.co_name))
+        return real_keygen(self, purpose, rng)
+
+    def recording_load(self, private_key):
+        loads.append(sys._getframe(1).f_code.co_name)
+        return real_load(self, private_key)
+
+    monkeypatch.setattr(suitemod.CipherSuite, "keygen", recording_keygen)
+    monkeypatch.setattr(suitemod.CipherSuite, "load_sig_keypair", recording_load)
+    assert run_world(parse_scenario(text))[0].recovery_success
+    sig_keygens = [(module, func) for purpose, module, func in keygens if purpose == "sig"]
+    assert {module for module, _ in sig_keygens} <= {"cwbind.ttp", "cwbind.certproto",
+                                                     "cwbind.bindproto"}
+    assert all(func != "_probe_msgs" for _, func in sig_keygens)
+    # the authority and two senders at setup, all three again at recover
+    assert len(sig_keygens) == 6
+    # epochs 3-7: forge on both kinds plus the certificate pirate probe
+    assert loads == ["_probe_msgs"] * (3 * 5)
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():

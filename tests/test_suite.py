@@ -150,6 +150,20 @@ def test_load_sig_keypair_rebuilds_the_generated_pair(suite, rng):
     assert suite.verify_recover(pair.public_key, suite.sign(loaded, b"m")) == b"m"
 
 
+@settings(max_examples=40)
+@given(seed=st.binary(max_size=32))
+def test_load_sig_keypair_of_a_drbg_read_is_the_keygen_pair_and_draw(seed):
+    # the simulated adversary loads its forged signing keys this way, so its
+    # keys, and every draw after them, match a self-tested keygen's
+    suite = CipherSuite()
+    generated_rng, loaded_rng = Drbg(seed), Drbg(seed)
+    generated = suite.keygen("sig", generated_rng)
+    loaded = suite.load_sig_keypair(loaded_rng.read(32))
+    assert (loaded.public_key, loaded.private_key) == (generated.public_key,
+                                                       generated.private_key)
+    assert loaded_rng.read(64) == generated_rng.read(64)
+
+
 class _CountingLoads:
     """Stand-in for a private-key class that records every raw key it loads."""
 
