@@ -22,14 +22,14 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def summarize(stem: str) -> None:
     report = run_world(load_scenario(SCENARIOS / f"{stem}.scn"))[0]
-    probe_rows = [row for row in report.rows if 8 in row.interfered]
-    probe_fail = sum(1 for row in probe_rows if row.outcomes[8] != "K")
-    post = [row for row in report.rows if row.epoch >= 60]
+    rows = [(row.epoch, *report.decode(row)) for row in report.rows]
+    probe_rows = [outcomes for _, _, interfered, outcomes in rows if 8 in interfered]
+    probe_fail = sum(1 for outcomes in probe_rows if outcomes[8] != "K")
     honest_post = all(
-        row.outcomes[d] == "K"
-        for row in post
-        for d in row.authorized
-        if d not in row.interfered
+        outcomes[d] == "K"
+        for epoch, authorized, interfered, outcomes in rows
+        if epoch >= 60
+        for d in authorized - interfered
     )
     print(f"{stem}:")
     print(f"  decoders replaced:        {report.decoders_replaced}")

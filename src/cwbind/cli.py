@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    cwbind run <scenario.scn> [--seed N] [--out FILE] [--frames FILE]
+    cwbind run <scenario.scn> [--seed N] [--out FILE]
     cwbind ttp init --state FILE [--seed N]
     cwbind ttp rotate --state FILE [--seed N]
     cwbind ttp export --state FILE --out FILE
@@ -13,9 +13,8 @@ Subcommands::
 Exit codes: 0 success, 1 operational failure (bad scenario, undecodable
 file, out-of-range value), 2 usage error. ``run --seed`` overrides the
 scenario file's seed; ``ttp init`` defaults to seed 0 and ``ttp rotate`` to
-the authority's generation. ``--frames`` writes each broadcast frame as a
-4-byte big-endian length and its encoding. Scripts and CI are the intended
-users; there is no interactive mode.
+the authority's generation. Scripts and CI are the intended users; there is
+no interactive mode.
 """
 
 from __future__ import annotations
@@ -109,15 +108,11 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report, world = run_world(config, capture_frames=args.frames is not None)
-    text = report.to_text()
+    text = run_world(config)[0].to_text()
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if args.frames:
-        blob = b"".join(len(f).to_bytes(4, "big") + f for f in world.frames)
-        Path(args.frames).write_bytes(blob)
     return 0
 
 
@@ -207,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", help="write the report here instead of stdout")
-    p_run.add_argument("--frames", help="capture broadcast frames to this file")
     p_run.set_defaults(handler=_cmd_run)
 
     p_ttp = sub.add_parser("ttp", help="manage an authority state file")

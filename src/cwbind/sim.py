@@ -78,9 +78,7 @@ decoder whose messages were not interfered with lands on ``K``.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import ItemsView, Mapping, Set
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 
 from . import bindproto, certproto, headend as hemod, ttp as ttpmod
@@ -353,85 +351,24 @@ class BandwidthLedger:
         return self.ecm + self.emm_broadcast + self.emm_receiver + self.content
 
 
-class Outcomes(Mapping):
-    """Read-only outcome per decoder id: byte ``n`` of ``codes`` is the code
-    of ``ids[n]``, and ``at`` maps an id to its ``n``."""
-
-    __slots__ = ("_ids", "_at", "_codes")
-
-    def __init__(self, ids: tuple[int, ...], at: dict[int, int], codes: bytes):
-        self._ids, self._at, self._codes = ids, at, codes
-
-    def __getitem__(self, decoder_id: int) -> str:
-        return chr(self._codes[self._at[decoder_id]])
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def __repr__(self) -> str:
-        return f"Outcomes({dict(self.items())})"
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping._ids, self._mapping._codes.decode())
-
-
-_BIT = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit as a ``compress`` selector
-
-
-class IdSet(Set):
-    """Read-only, hashable set of decoder ids: bit ``n`` of ``mask`` stands
-    for ``ids[n]``, and ``at`` maps an id to its ``n``."""
-
-    __slots__ = ("_ids", "_at", "_mask")
-
-    def __init__(self, ids: tuple[int, ...], at: dict[int, int], mask: int):
-        self._ids, self._at, self._mask = ids, at, mask
-
-    def __contains__(self, decoder_id) -> bool:
-        n = self._at.get(decoder_id)
-        return n is not None and bool(self._mask >> n & 1)
-
-    def __iter__(self):  # the mask's binary digits, lowest first
-        return compress(self._ids, bin(self._mask)[:1:-1].encode().translate(_BIT))
-
-    def __len__(self) -> int:
-        return self._mask.bit_count()
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))
-
-    @classmethod
-    def _from_iterable(cls, iterable) -> frozenset:
-        return frozenset(iterable)
-
-    def __repr__(self) -> str:
-        return f"IdSet({set(self)})"
-
-
 @dataclass(frozen=True, slots=True)
 class EpochRow:
-    """One epoch's report row. In a row of ``run_world`` the outcomes are one
-    code byte per decoder (``Outcomes``) and each set is a bitmask
-    (``IdSet``), over the world's one tuple of ids in delivery order; a part
-    equal to the previous row's is that row's object, so each is read-only."""
+    """One epoch's report row over the run's decoder ids in ascending order
+    (``RunReport.ids``, also the delivery order): byte ``n`` of ``outcomes``
+    is the code of the ``n``-th decoder, and bit ``n`` of ``authorized`` and
+    of ``interfered`` says whether that decoder is in the set.
+    ``RunReport.decode`` reads a row back by id."""
 
     epoch: int
-    authorized: Set[int]
-    interfered: Set[int]
-    outcomes: Mapping[int, str]
+    authorized: int
+    interfered: int
+    outcomes: bytes
 
 
 @dataclass
 class RunReport:
     config: ScenarioConfig
+    ids: tuple[int, ...]  # every decoder id, ascending: the order of a row's bytes and bits
     rows: list[EpochRow]
     ledger: BandwidthLedger
     implicit_key_auth: bool
@@ -440,12 +377,19 @@ class RunReport:
     recovery_success: bool | None
     decoders_replaced: int
 
+    def decode(self, row: EpochRow) -> tuple[frozenset[int], frozenset[int], dict[int, str]]:
+        """A row's authorized ids, interfered ids and outcome code by id."""
+        def members(mask: int) -> frozenset[int]:  # binary digits, lowest first
+            return frozenset(i for i, digit in zip(self.ids, bin(mask)[:1:-1]) if digit == "1")
+
+        return (members(row.authorized), members(row.interfered),
+                dict(zip(self.ids, row.outcomes.decode())))
+
     def to_text(self) -> str:
         def csv(ids) -> str:
             return ",".join(str(i) for i in sorted(ids)) if ids else "-"
 
         config = self.config
-        decoder_ids = sorted(spec.decoder_id for spec in config.decoders)
         lines = [
             "cwbind-report 1",
             f"scenario {config.name}",
@@ -455,12 +399,13 @@ class RunReport:
         ]
         for index, kind in enumerate(config.ca_kinds):
             lines.append(f"ca {index} {kind}")
-        lines.append("decoders " + " ".join(str(i) for i in decoder_ids))
+        lines.append("decoders " + " ".join(str(i) for i in self.ids))
         for row in self.rows:
-            outcomes = " ".join(f"{i}={outcome}" for i, outcome in sorted(row.outcomes.items()))
+            authorized, interfered, codes = self.decode(row)
+            outcomes = " ".join(f"{i}={outcome}" for i, outcome in codes.items())
             lines.append(
-                f"epoch {row.epoch} auth {csv(row.authorized)} "
-                f"interfered {csv(row.interfered)} outcomes {outcomes}"
+                f"epoch {row.epoch} auth {csv(authorized)} "
+                f"interfered {csv(interfered)} outcomes {outcomes}"
             )
         lines.append(f"bandwidth ecm {self.ledger.ecm}")
         lines.append(f"bandwidth emm-broadcast {self.ledger.emm_broadcast}")
@@ -967,12 +912,9 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
     for event in config.events:
         events_by_epoch.setdefault(event.epoch, []).append(event)
 
-    # every row's parts are laid out over the world's own int ids, in delivery order
-    ids = tuple(int_id for _, int_id, _ in world._delivery)
-    at = {int_id: n for n, int_id in enumerate(ids)}
+    # bit n of a row's masks stands for the n-th decoder delivered
     position = {decoder_id: n for n, (decoder_id, _, _) in enumerate(world._delivery)}
-    authorized = interfered = IdSet(ids, at, 0)
-    outcomes_row = Outcomes(ids, at, b"")
+    authorized = 0
     for epoch in range(config.epochs):
         world.epoch_interfered = set()
         world.epoch_one_shots = []
@@ -991,10 +933,8 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
         _update_adversary_ecm_knowledge(world, frame)
 
         if epoch == 0 or epoch in events_by_epoch:  # only events change it
-            mask = sum(1 << position[decoder_id] for ca in world.headend.ca_systems
-                       for decoder_id in ca.authorized)
-            if mask != authorized._mask:
-                authorized = IdSet(ids, at, mask)
+            authorized = sum(1 << position[decoder_id] for ca in world.headend.ca_systems
+                             for decoder_id in ca.authorized)
 
         adv = world.adversary
         cw_taps = adv.cw_taps
@@ -1019,16 +959,14 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
                 # it, in time for a probe of a later decoder this epoch
                 adv.known_cw = world.headend.scrambler_key
         world.ledger.chip_channel += chip_bytes
-        codes = "".join(outcomes).encode()
-        if codes != outcomes_row._codes:
-            outcomes_row = Outcomes(ids, at, codes)
-        mask = sum(1 << position[decoder_id] for decoder_id in world.epoch_interfered)
-        if mask != interfered._mask:
-            interfered = IdSet(ids, at, mask)
-
-        world.rows.append(EpochRow(epoch, authorized, interfered, outcomes_row))
+        interfered = sum(1 << position[decoder_id] for decoder_id in world.epoch_interfered)
+        world.rows.append(EpochRow(epoch, authorized, interfered, "".join(outcomes).encode()))
 
     return _build_report(world), world
+
+
+# an outcome row's codes as binary digits, 1 for ``K``
+_DERIVED_DIGITS = bytes.maketrans(b"KRX", b"100")
 
 
 def compute_verdicts(rows: list[EpochRow]) -> tuple[bool, int]:
@@ -1036,24 +974,17 @@ def compute_verdicts(rows: list[EpochRow]) -> tuple[bool, int]:
 
     A violation is an unauthorized decoder landing on ``K``. Implicit key
     authentication additionally requires every authorized decoder whose
-    messages were untouched that epoch to land on ``K``. A decoder with no
-    outcome in a row counts for neither. Rows share parts (``run_world``), so
-    each distinct combination of part objects is judged once.
+    messages were untouched that epoch to land on ``K``. Each row is judged
+    as bitmasks: its ``K`` codes become one mask (the leading ``0`` keeps a
+    row of no decoders a valid number) to compare with its two sets.
     """
     violations = 0
     implicit = True
-    judged: dict[tuple[int, int, int], tuple[int, bool]] = {}
-    for row in rows:  # the rows keep every part alive, so no id is reused
-        key = (id(row.outcomes), id(row.authorized), id(row.interfered))
-        if key not in judged:  # each part is walked once, by its own iterator
-            authorized = frozenset(row.authorized)
-            derived = {d for d, outcome in row.outcomes.items() if outcome == OUTCOME_DERIVED}
-            stray = len(derived - authorized)
-            judged[key] = stray, not stray and (
-                authorized - frozenset(row.interfered)).intersection(row.outcomes) <= derived
-        stray, holds = judged[key]
+    for row in rows:
+        derived = int(b"0" + row.outcomes.translate(_DERIVED_DIGITS)[::-1], 2)
+        stray = (derived & ~row.authorized).bit_count()
         violations += stray
-        implicit = implicit and holds
+        implicit = implicit and not stray and not row.authorized & ~row.interfered & ~derived
     return implicit, violations
 
 
@@ -1066,6 +997,7 @@ def _build_report(world: World) -> RunReport:
         recovery_success = tail_implicit and tail_violations == 0
     return RunReport(
         config=world.config,
+        ids=tuple(int_id for _, int_id, _ in world._delivery),
         rows=world.rows,
         ledger=world.ledger,
         implicit_key_auth=implicit,

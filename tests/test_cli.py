@@ -104,20 +104,6 @@ def test_run_rejects_degenerate_schedule_or_content(tmp_path, capsys, line):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_run_frame_capture(tmp_path):
-    frames = tmp_path / "run.frames"
-    assert main(["run", str(SCENARIO_DIR / "client-swap.scn"), "--out",
-                 str(tmp_path / "r"), "--frames", str(frames)]) == 0
-    blob = frames.read_bytes()
-    count = 0
-    offset = 0
-    while offset < len(blob):
-        length = int.from_bytes(blob[offset : offset + 4], "big")
-        offset += 4 + length
-        count += 1
-    assert count == 40  # one frame per epoch
-
-
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["definitely-not-a-command"])

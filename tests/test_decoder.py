@@ -282,17 +282,18 @@ def _enrolled_bind_decoder_and_next_derive(pipeline, content):
     return d, client_process_ecm(d.client, ecm), frame
 
 
-@pytest.mark.parametrize("malformed", ["duplicate", "unequal-lengths", "empty-key"])
+@pytest.mark.parametrize("malformed", ["duplicate", "unequal-lengths", "empty-key", "no-keys"])
 def test_malformed_sender_key_set_refused_before_any_state_change(pipeline, malformed):
     content = b"after the malformed set"
     d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, content)
     (pk,) = d.chip.receiver.active_pk_set
-    bad = {
-        "duplicate": (pk, pk),
-        "unequal-lengths": (pk, b"\x01" * (len(pk) + 1)),
-        "empty-key": (pk, b""),
+    bad, message = {
+        "duplicate": ((pk, pk), "sender key set repeats a key"),
+        "unequal-lengths": ((pk, b"\x01" * (len(pk) + 1)), "holds a key that is not 32 bytes"),
+        "empty-key": ((pk, b""), "holds a key that is not 32 bytes"),
+        "no-keys": ((), "empty sender key set"),
     }[malformed]
-    with pytest.raises(CwbindError):
+    with pytest.raises(ProtocolError, match=message):
         chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(bad)))
     assert d.chip.receiver.active_pk_set == (pk,)
     handle = chip_process(d.chip, derive)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ("bandwidth_report.py", "recovery_contrast.py", "strength_table.py")
+SCRIPTS = ("bandwidth_report.py", "count_lines.py", "recovery_contrast.py", "strength_table.py")
 
 
 @functools.cache  # both recovery tests read one run
@@ -50,3 +50,13 @@ def test_recovery_contrast_reports_the_headline_claim():
     assert sections["recovery-cert"]["decoders replaced"] == "8"
     for name in ("recovery-bind", "recovery-cert"):
         assert sections[name]["pirate probes rejected"] == "39/39"
+
+
+def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Doc\nstring."""\n\n# comment\nx = """not a\ndocstring"""\n\n\n'
+        'def f():\n    """Doc."""\n    return x  # trailing\n')
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "count_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{tmp_path.name}: 11 lines, 4 code lines\n"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -105,7 +103,7 @@ def test_content_shorter_than_one_aes_block_rejected(content_bytes):
     with pytest.raises(ValueError, match=f"content-bytes must be at least 16, got {content_bytes}"):
         parse_scenario(text + f"content-bytes {content_bytes}\n")
     report = run_world(parse_scenario(text + "content-bytes 16\n"))[0]
-    assert [row.outcomes[2] for row in report.rows] == ["R"] * 3
+    assert [outcomes[2] for outcomes in _outcomes(report)] == ["R"] * 3
     assert report.authenticity_violations == 0
 
 
@@ -139,7 +137,7 @@ def test_quiet_epochs_build_no_chip_filter(monkeypatch):
     assert calls == []
     tampered = run_world(parse_scenario(MINI + "at 3 tamper chip-derive 7\n"))[0]
     assert calls == [3, 3]
-    assert quiet.rows[3].outcomes[1] == "K" and tampered.rows[3].outcomes[1] == "R"
+    assert _outcomes(quiet)[3][1] == "K" and _outcomes(tampered)[3][1] == "R"
 
 
 TWO_CA = """
@@ -238,7 +236,7 @@ def test_rotate_auth_expansion_changes_set_each_window():
     text = MINI.replace("at 0 authorize 0 1", "rotate-auth 0 every 2 count 1")
     config = parse_scenario(text)
     report = run_world(config)[0]
-    sets = [row.authorized for row in report.rows]
+    sets = [report.decode(row)[0] for row in report.rows]
     assert sets[0] != sets[2] != sets[4]
     assert all(len(s) == 1 for s in sets)
 
@@ -258,14 +256,31 @@ def test_different_seed_different_transcript():
     a = run_world(parse_scenario(MINI))[0]
     b = run_world(parse_scenario(MINI.replace("seed 3", "seed 4")))[0]
     assert a.to_text() != b.to_text()  # ledger bytes match, content differs
-    assert a.rows[0].outcomes == b.rows[0].outcomes
+    assert _outcomes(a)[0] == _outcomes(b)[0] == {1: "K", 2: "X"}
 
 
 def test_outcome_codes_follow_authorization():
     report = run_world(parse_scenario(MINI))[0]
-    for row in report.rows:
-        assert row.outcomes[1] == "K"
-        assert row.outcomes[2] == "X"
+    for outcomes in _outcomes(report):
+        assert outcomes[1] == "K"
+        assert outcomes[2] == "X"
+
+
+def test_a_run_with_no_decoders_reports_empty_rows_and_passes():
+    report = run_world(parse_scenario("scenario empty\nseed 1\nepochs 3\nca 0 bind\n"))[0]
+    assert report.ids == () and [row.outcomes for row in report.rows] == [b""] * 3
+    assert compute_verdicts(report.rows) == (True, 0)
+    assert report.to_text() == "".join(line + "\n" for line in [
+        "cwbind-report 1", "scenario empty", "seed 1", "epochs 3", "secret-bits 128",
+        "ca 0 bind", "decoders ",
+        "epoch 0 auth - interfered - outcomes ",
+        "epoch 1 auth - interfered - outcomes ",
+        "epoch 2 auth - interfered - outcomes ",
+        "bandwidth ecm 171", "bandwidth emm-broadcast 78", "bandwidth emm-receiver 0",
+        "bandwidth content 192", "bandwidth chip-channel 0",
+        "verdict implicit-key-auth pass", "verdict authenticity-violations 0",
+        "verdict authenticity pass", "verdict recovery-success n/a",
+        "verdict decoders-replaced 0"])
 
 
 def test_verdicts_recomputable_from_rows():
@@ -275,107 +290,57 @@ def test_verdicts_recomputable_from_rows():
     assert violations == report.authenticity_violations
 
 
-def _verdicts_by_decoder(rows):
-    """``compute_verdicts`` as a loop over each decoder of each row."""
+def _outcomes(report):
+    """Each row's outcome code by decoder id."""
+    return [report.decode(row)[2] for row in report.rows]
+
+
+def _row(epoch, ids, authorized, interfered, outcomes):
+    """The ``EpochRow`` of these plain parts over ``ids`` in ascending order:
+    byte and bit ``n`` stand for ``ids[n]``."""
+    def mask(members):
+        return sum(1 << n for n, decoder_id in enumerate(ids) if decoder_id in members)
+
+    codes = "".join(outcomes[decoder_id] for decoder_id in ids).encode()
+    return EpochRow(epoch, mask(authorized), mask(interfered), codes)
+
+
+def _verdicts_by_decoder(plain_rows):
+    """``compute_verdicts`` as a loop over each decoder of each row, on rows
+    read as (authorized ids, interfered ids, outcome code by id)."""
     violations = 0
     implicit = True
-    for row in rows:
-        for decoder_id, outcome in row.outcomes.items():
-            if outcome == "K" and decoder_id not in row.authorized:
+    for authorized, interfered, outcomes in plain_rows:
+        for decoder_id, outcome in outcomes.items():
+            if outcome == "K" and decoder_id not in authorized:
                 violations += 1
                 implicit = False
-            if (decoder_id in row.authorized and decoder_id not in row.interfered
-                    and outcome != "K"):
+            if decoder_id in authorized and decoder_id not in interfered and outcome != "K":
                 implicit = False
     return implicit, violations
 
 
 @st.composite
-def _rows(draw):
-    ids = draw(st.lists(st.integers(0, 2**64 - 2), min_size=1, max_size=6, unique=True))
-    subset = st.frozensets(st.sampled_from(ids))
-    rows = []
-    for epoch in range(draw(st.integers(0, 8))):
-        # "-": the row has no outcome for that decoder
-        drawn = {i: draw(st.sampled_from("KRX-")) for i in ids}
-        outcomes = {i: outcome for i, outcome in drawn.items() if outcome != "-"}
-        rows.append(EpochRow(epoch, draw(subset), draw(subset), outcomes))
-    return rows
+def _plain_rows(draw):
+    ids = sorted(draw(st.lists(st.integers(0, 2**64 - 2), max_size=6, unique=True)))
+    subset = st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    rows = [(draw(subset), draw(subset), {i: draw(st.sampled_from("KRX")) for i in ids})
+            for _ in range(draw(st.integers(0, 8)))]
+    return ids, rows
 
 
-@given(_rows(), st.integers(0, 8))
-def test_verdicts_by_set_algebra_match_the_per_decoder_loop(rows, recovery_epoch):
-    assert compute_verdicts(rows) == _verdicts_by_decoder(rows)
-    tail = [row for row in rows if row.epoch >= recovery_epoch]
-    assert compute_verdicts(tail) == _verdicts_by_decoder(tail)
-
-
-def _share(rows):
-    """The rows as ``run_world`` keeps them: a part equal to the previous
-    row's is that row's object, and outcomes are read-only."""
-    shared: list[EpochRow] = []
-    for row in rows:
-        parts = (row.authorized, row.interfered, MappingProxyType(dict(row.outcomes)))
-        if shared:
-            last = shared[-1]
-            parts = tuple(old if new == old else new for new, old in
-                          zip(parts, (last.authorized, last.interfered, last.outcomes)))
-        shared.append(EpochRow(row.epoch, *parts))
-    return shared
-
-
-@given(_rows(), st.lists(st.integers(1, 3), max_size=8), st.integers(0, 16))
-def test_verdicts_are_the_same_on_shared_and_unshared_rows(rows, repeats, recovery_epoch):
-    # repeating drawn rows gives runs of equal rows, as quiet epochs do
-    repeated = [row for row, n in zip(rows, itertools.chain(repeats, itertools.repeat(1)))
-                for _ in range(n)]
-    unshared = [EpochRow(epoch, frozenset(list(row.authorized)), frozenset(list(row.interfered)),
-                         dict(row.outcomes)) for epoch, row in enumerate(repeated)]
-    shared = _share(unshared)
-    assert compute_verdicts(shared) == compute_verdicts(unshared) == _verdicts_by_decoder(unshared)
+@given(_plain_rows(), st.integers(0, 8))
+def test_verdicts_by_set_algebra_match_the_per_decoder_loop(drawn, recovery_epoch):
+    ids, plain = drawn
+    rows = [_row(epoch, ids, *parts) for epoch, parts in enumerate(plain)]
+    assert compute_verdicts(rows) == _verdicts_by_decoder(plain)
     tail = slice(recovery_epoch, None)
-    assert compute_verdicts(shared[tail]) == compute_verdicts(unshared[tail])
-
-
-SHARED_ROWS = """
-scenario shared-rows
-seed 5
-epochs 8
-ca 0 bind
-decoder 1001 ca 0
-decoder 1002 ca 0
-decoder 1003 ca 0
-at 0 authorize 0 1001
-at 0 authorize 0 1002
-at 3 deauthorize 0 1002
-at 5 tamper ecm 3
-"""
-
-
-def test_equal_consecutive_rows_share_read_only_parts():
-    report, world = run_world(parse_scenario(SHARED_ROWS))
-    rows = report.rows
-    for name in ("authorized", "interfered", "outcomes"):
-        changes = 0
-        for last, row in zip(rows, rows[1:]):
-            if getattr(row, name) == getattr(last, name):
-                assert getattr(row, name) is getattr(last, name), (name, row.epoch)
-            else:
-                changes += 1
-        assert 0 < changes < len(rows) - 1, name  # both cases occur
-    with pytest.raises(TypeError):
-        rows[1].outcomes[1001] = "K"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rows[1].outcomes = {}
-    # ids are the world's own integers, not one copy per row
-    own = {id(int_id) for _, int_id, _ in world._delivery}
-    for row in rows:
-        assert {id(d) for part in (row.authorized, row.interfered, row.outcomes) for d in part} <= own
+    assert compute_verdicts(rows[tail]) == _verdicts_by_decoder(plain[tail])
 
 
 def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):
-    # an event-free epoch cannot change authorization, so its row shares the
-    # previous row's set; every row matches the head-end's set at the tick
+    # every row matches the head-end's set at the tick; an event-free epoch
+    # cannot change authorization, so its row keeps the previous row's mask
     at_tick = []
     tick = sim.hemod.epoch_tick
 
@@ -386,12 +351,14 @@ def test_authorized_column_is_rebuilt_only_after_events(monkeypatch):
 
     monkeypatch.setattr(sim.hemod, "epoch_tick", recording_tick)
     report = run_world(load_scenario(SCENARIO_DIR / "multi-ca.scn"))[0]
-    assert [row.authorized for row in report.rows] == at_tick
-    event_epochs = {event.epoch for event in load_scenario(SCENARIO_DIR / "multi-ca.scn").events}
-    quiet = [epoch for epoch in range(1, len(report.rows)) if epoch not in event_epochs]
-    assert quiet
-    for epoch in quiet:
-        assert report.rows[epoch].authorized is report.rows[epoch - 1].authorized
+    assert [report.decode(row)[0] for row in report.rows] == at_tick
+    # masks of decoders 8 and 9 are above 256, so no two equal ones are one
+    # object unless the row kept it
+    rows = run_world(parse_scenario("scenario quiet\nseed 2\nepochs 6\nca 0 bind\n" + "".join(
+        f"decoder {i} ca 0\n" for i in range(10)) + "at 0 authorize 0 9\nat 3 authorize 0 8\n"))[0].rows
+    for epoch in (1, 2, 4, 5):
+        assert rows[epoch].authorized is rows[epoch - 1].authorized
+    assert [row.authorized for row in rows] == [1 << 9] * 3 + [3 << 8] * 3
 
 
 PROBED = """
@@ -426,80 +393,23 @@ at 12 forge-sender 0 1004
 """
 
 
-def test_compact_rows_read_like_a_dict_and_frozensets():
-    report, world = run_world(parse_scenario(PROBED))
-    ids = [int_id for _, int_id, _ in world._delivery]
-    assert ids == sorted(ids) and len(ids) == 8
-    own = {id(int_id) for int_id in ids}  # ids above 256, so identity means something
-    for row in report.rows:
-        outcomes = {i: row.outcomes[i] for i in ids}
-        assert list(row.outcomes) == list(row.outcomes.keys()) == ids
-        assert len(row.outcomes) == len(ids)
-        assert list(row.outcomes.items()) == list(outcomes.items())
-        assert list(row.outcomes.values()) == list(outcomes.values())
-        assert row.outcomes == outcomes and outcomes == row.outcomes
-        assert row.outcomes.items() == outcomes.items()
-        assert row.outcomes != {**outcomes, ids[0]: "?"}
-        assert 7 not in row.outcomes and row.outcomes.get(7) is None
-        with pytest.raises(KeyError):
-            row.outcomes[7]
-        with pytest.raises(TypeError):
-            row.outcomes[ids[0]] = "K"
-        for part in (row.authorized, row.interfered):
-            plain = frozenset(i for i in ids if i in part)
-            assert list(part) == sorted(plain) and len(part) == len(plain)
-            assert part == plain and plain == part and part == set(plain)
-            assert part != plain | {7} and 7 not in part
-            assert hash(part) == hash(plain) and len({part, plain}) == 1
-            with pytest.raises(AttributeError):
-                part.add(ids[0])
-        authorized, interfered = frozenset(row.authorized), frozenset(row.interfered)
-        assert row.authorized - row.interfered == authorized - interfered
-        assert row.authorized & row.interfered == authorized & interfered
-        assert row.authorized | row.interfered == authorized | interfered
-        assert row.authorized <= frozenset(ids) and row.authorized.isdisjoint({7})
-        assert {id(d) for part in (row.authorized, row.interfered, row.outcomes) for d in part} <= own
-    # the run exercises every code and a changing interfered column
-    assert {code for row in report.rows for code in row.outcomes.values()} == set("KRX")
-    assert len({row.interfered for row in report.rows}) > 2
-
-
 def test_verdicts_on_compact_rows_match_the_per_decoder_loop():
     report, world = run_world(parse_scenario(PROBED))
     rows = report.rows
-    plain = [EpochRow(row.epoch, frozenset(row.authorized), frozenset(row.interfered),
-                      dict(row.outcomes)) for row in rows]
+    assert report.ids == tuple(sorted(spec.decoder_id for spec in world.config.decoders))
+    plain = [report.decode(row) for row in rows]
+    # the rows are the plain parts laid out over the report's ids
+    assert [_row(row.epoch, report.ids, *parts) for row, parts in zip(rows, plain)] == rows
     assert report.authenticity_violations > 0  # probes land during the compromise
     assert world.recovery_epoch == 9
     for start in range(len(rows)):  # the whole run, the recovery tail and every other tail
-        assert (compute_verdicts(rows[start:]) == compute_verdicts(plain[start:])
-                == _verdicts_by_decoder(rows[start:]))
+        assert compute_verdicts(rows[start:]) == _verdicts_by_decoder(plain[start:])
     assert compute_verdicts(rows) == (report.implicit_key_auth, report.authenticity_violations)
-
-
-def test_verdicts_walk_each_distinct_part_once_without_lookups(monkeypatch):
-    rows = run_world(parse_scenario(PROBED))[0].rows
-    expected = compute_verdicts(rows)
-    walks = Counter()
-
-    def forbidden(self, decoder_id):
-        raise AssertionError("a per-decoder lookup")
-
-    def counting(original):
-        def walk(self):
-            walks[id(self)] += 1
-            return original(self)
-        return walk
-
-    for cls, name in ((sim.Outcomes, "items"), (sim.IdSet, "__iter__")):
-        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
-    monkeypatch.setattr(sim.Outcomes, "__getitem__", forbidden)
-    monkeypatch.setattr(sim.IdSet, "__contains__", forbidden)
-    assert compute_verdicts(rows) == expected
-    combinations = {(id(row.outcomes), id(row.authorized), id(row.interfered)) for row in rows}
-    assert set(walks) <= {part for parts in combinations for part in parts}
-    assert len(combinations) < len(rows)
-    assert sum(walks.values()) <= 3 * len(combinations)  # one walk per part of each at most
+    # the run exercises every code and a changing interfered column
+    assert {code for _, _, outcomes in plain for code in outcomes.values()} == set("KRX")
+    assert len({interfered for _, interfered, _ in plain}) > 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[1].outcomes = b""
 
 
 CHURN_ROWS = "\n".join(
@@ -509,15 +419,15 @@ CHURN_ROWS = "\n".join(
 
 
 def test_row_storage_is_a_few_bytes_per_decoder_per_distinct_row():
-    # a dict of outcomes and two frozensets per distinct row took ~100 B per
-    # decoder here; one code byte per decoder and two bitmasks take a few
+    # a dict of outcomes and two frozensets per row took ~100 B per decoder
+    # here; one code byte per decoder and two bitmasks take a few, with no
+    # row sharing another's parts
     config = parse_scenario(CHURN_ROWS)
     gc.collect()
     tracemalloc.start()
     try:
         rows = run_world(config)[0].rows
-        distinct = len({(id(r.outcomes), id(r.authorized), id(r.interfered)) for r in rows})
-        layout = rows[0].outcomes._ids, rows[0].outcomes._at  # the world's, not a row's
+        count = len(rows)
         gc.collect()
         with_rows = tracemalloc.get_traced_memory()[0]
         rows.clear()
@@ -525,8 +435,8 @@ def test_row_storage_is_a_few_bytes_per_decoder_per_distinct_row():
         freed = with_rows - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert distinct >= 10
-    assert layout and 0 < freed / distinct / len(config.decoders) < 8
+    assert count == config.epochs
+    assert 0 < freed / count / len(config.decoders) < 8
 
 
 @pytest.mark.parametrize("scheduled", [(), ("chip-derive",), ("emm-receiver",), ("ecm",),
@@ -649,9 +559,9 @@ def test_rotate_ttp_strands_certificate_chips_at_the_next_sender_rotation():
     # certificate chips' installed anchor cannot verify; binding chips never
     # consult the authority
     report, world = run_world(parse_scenario(ROTATE_TTP))
-    for row in report.rows:
-        expected = "K" if row.epoch < 4 else "R"
-        assert row.outcomes == {1: "K", 2: "K", 3: expected, 4: expected}, row.epoch
+    for epoch, outcomes in enumerate(_outcomes(report)):
+        expected = "K" if epoch < 4 else "R"
+        assert outcomes == {1: "K", 2: "K", 3: expected, 4: expected}, epoch
     assert report.authenticity_violations == 0
     assert report.decoders_replaced == 0
     assert world.ttp.generation == world.directory.generation == 2
@@ -673,8 +583,7 @@ def test_shipped_scenario_key_authentication(path):
 def test_ecm_tamper_rejects_all_compliant_decoders_that_epoch():
     text = MINI + "at 0 authorize 0 2\nat 3 tamper ecm 5\n"
     report = run_world(parse_scenario(text))[0]
-    assert report.rows[3].outcomes == {1: "R", 2: "R"}
-    assert report.rows[4].outcomes == {1: "K", 2: "K"}  # one-shot only
+    assert _outcomes(report)[3:5] == [{1: "R", 2: "R"}, {1: "K", 2: "K"}]  # one-shot only
 
 
 def test_replay_closure_every_class_every_other_decoder(monkeypatch):
@@ -702,8 +611,8 @@ def test_replay_closure_every_class_every_other_decoder(monkeypatch):
     assert violations == 0
     # decoder 2 is authorized and still derives its own word every epoch;
     # replays never produce an unauthorized derivation anywhere
-    for row in report.rows:
-        assert row.outcomes[2] in ("K", "R")
+    for outcomes in _outcomes(report):
+        assert outcomes[2] in ("K", "R")
 
 
 def test_replayed_ecm_is_the_source_systems_latest_and_filed_once_per_system(monkeypatch):
@@ -739,7 +648,7 @@ at 3 replay 3 1 ecm
     assert replayed == [(2, encode_id(2), frames[2].ecms[0]),
                         (3, encode_id(1), frames[3].ecms[1])]
     assert report.authenticity_violations == 0
-    assert report.rows[2].outcomes[2] == "K"  # the replay repeats its own system's ECM
+    assert _outcomes(report)[2][2] == "K"  # the replay repeats its own system's ECM
     ecm_keys = [key for cls, key in world.adversary.captured if cls == "ecm"]
     assert sorted(ecm_keys) == [0, 1]
     assert world.adversary.captured[("ecm", 1)] is frames[-1].ecms[1]
@@ -748,8 +657,8 @@ at 3 replay 3 1 ecm
 def test_compromised_control_word_alone_gains_nothing():
     text = MINI + "at 1 compromise control-word 1\nat 2 inject-cw 2\nat 3 pirate-probe 2\n"
     report = run_world(parse_scenario(text))[0]
-    for row in report.rows:
-        assert row.outcomes[2] != "K"
+    for outcomes in _outcomes(report):
+        assert outcomes[2] != "K"
     assert report.authenticity_violations == 0
 
 
@@ -774,8 +683,8 @@ at 10 recover
 """
     for kind, expected_replaced in (("bind", 0), ("cert", 2)):
         report, world = run_world(parse_scenario(template.format(kind=kind)))
-        window = [row.outcomes[2] for row in report.rows if 5 <= row.epoch < 10]
-        post = [row.outcomes[2] for row in report.rows if row.epoch >= 10]
+        codes = [outcomes[2] for outcomes in _outcomes(report)]
+        window, post = codes[5:10], codes[10:]
         assert "K" in window, kind  # the breach is real while keys are live
         assert all(code != "K" for code in post), kind
         assert report.recovery_success
@@ -801,7 +710,7 @@ at 5 recover
     for decoder in world.decoders.values():
         assert decoder.chip.kind is BIND
     assert report.decoders_replaced == 0
-    assert all(row.outcomes[1] == "K" for row in report.rows)
+    assert all(outcomes[1] == "K" for outcomes in _outcomes(report))
 
 
 def test_recovery_replaces_cert_chips_with_new_anchor():
@@ -822,7 +731,7 @@ at 5 recover
         assert decoder.chip.kind is CERT
         assert decoder.chip.receiver.authority_pk == world.ttp.keypair.public_key
         assert decoder.chip.receiver.authority_generation == world.ttp.generation == 2
-    assert all(row.outcomes[1] == "K" for row in report.rows if row.epoch >= 5)
+    assert all(outcomes[1] == "K" for outcomes in _outcomes(report)[5:])
 
 
 class _CountingVerifier:
@@ -879,7 +788,7 @@ def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(m
     assert refused == {"sender certificate is not of the installed authority generation": 12}
     # the probes still inject a full forged set into the unentitled cert
     # decoders (``X`` would mean nothing was delivered), and each is refused
-    assert [report.rows[e].outcomes[d] for e in range(6, 12) for d in (4, 5)] == ["R"] * 12
+    assert [outcomes[d] for outcomes in _outcomes(report)[6:12] for d in (4, 5)] == ["R"] * 12
     assert _CountingVerifier.outcomes["pass"] > 0
     assert _CountingVerifier.outcomes["fail"] == 0
 
@@ -937,7 +846,7 @@ at 2 compromise control-word 1
 at 3 inject-cw 2
 """
     report = run_world(parse_scenario(text))[0]
-    assert report.rows[3].outcomes[2] == "K"  # unauthorized derivation
+    assert _outcomes(report)[3][2] == "K"  # unauthorized derivation
     assert report.authenticity_violations >= 1
     assert not report.implicit_key_auth
 
@@ -959,7 +868,7 @@ def test_broadcast_emm_bytes_identical_for_all_receivers():
     frame = decode_frame(world.frames[2])
     broadcast = [emm for emm in frame.emms if emm.is_broadcast()]
     assert broadcast, "rotation should announce over broadcast"
-    assert report.rows[2].outcomes == {1: "K", 2: "K"}
+    assert _outcomes(report)[2] == {1: "K", 2: "K"}
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "2718281828"])

@@ -324,6 +324,20 @@ def test_sym_golden_vector_matches_reference_composition(suite):
     assert expected.hex() == VECTORS["sym_ciphertext_k0f_p20"]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda suite, pair: suite.sym_decrypt(bytes(16), bytes(5)), "ciphertext too short"),
+    (lambda suite, pair: suite.pke_decrypt(pair, bytes(2)), "hybrid ciphertext too short"),
+    (lambda suite, pair: suite.pke_decrypt(pair, bytes(32 + 28)), "invalid ephemeral public key"),
+    (lambda suite, pair: suite.open_sealed(bytes(16), bytes(5)), "sealed blob too short"),
+], ids=["sym-short", "pke-short", "pke-zero-ephemeral", "sealed-short"])
+def test_malformed_ciphertext_refused_by_its_own_check(suite, rng, call, message):
+    # each refusal names its own check: without it the input falls through
+    # to a later check, or to an error that is not a CwbindError
+    pair = suite.keygen("pke", rng)
+    with pytest.raises(CryptoError, match=f"^{message}$"):
+        call(suite, pair)
+
+
 def test_seal_protects_integrity_only(suite):
     key = bytes(16)
     sealed = suite.seal(key, b"public body", aad=b"hdr")

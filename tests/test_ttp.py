@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from cwbind.errors import CryptoError, ProtocolError
+from cwbind.errors import CryptoError, ProtocolError, WireError
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
     Certificate,
@@ -223,6 +223,15 @@ def test_directory_signature_checked(suite, ttp, rng):
     blob = bytearray(export_directory(ttp))
     blob[-1] ^= 1
     with pytest.raises(CryptoError):
+        parse_directory(suite, bytes(blob))
+
+
+def test_directory_of_another_version_rejected(suite, ttp):
+    # the version byte is outside the signed message, so only its own check
+    # refuses it
+    blob = bytearray(export_directory(ttp))
+    blob[2] = 2
+    with pytest.raises(WireError, match="^unsupported directory version 2 at offset 2$"):
         parse_directory(suite, bytes(blob))
 
 

@@ -149,6 +149,13 @@ def test_bad_magic_and_version():
         decode_ecm(good[:2] + b"\x09" + good[3:])
 
 
+def test_frame_of_another_version_rejected():
+    blob = bytearray(encode_frame(BroadcastFrame(0, b"", (), ())))
+    blob[2] = WIRE_VERSION + 1  # after the two magic bytes
+    with pytest.raises(WireError, match=f"^unsupported frame version {WIRE_VERSION + 1} at offset 2$"):
+        decode_frame(bytes(blob))
+
+
 def test_unknown_emm_kind_rejected():
     blob = bytearray(encode_emm(Emm(1, EmmKind.CRL_UPDATE, BROADCAST_ADDR, b"")))
     blob[5] = 200  # kind byte
