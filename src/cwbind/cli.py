@@ -8,7 +8,6 @@ Subcommands::
     cwbind ttp export --state FILE --out FILE
     cwbind kdf strength --n BITS --max-len BITS
     cwbind wire decode <file>
-    cwbind vectors emit [--out DIR]
 
 Exit codes: 0 success, 1 operational failure (bad scenario, undecodable
 file, out-of-range value), 2 usage error. ``run --seed`` overrides the
@@ -32,7 +31,6 @@ from .binding import second_preimage_strength
 from .sim import load_scenario, run_world
 from .suite import CipherSuite, Drbg
 from .ttp import Certificate, TtpState, export_directory, rotate, ttp_init
-from .vectors import generate_vectors, vectors_json
 from .wire import decode_ecm, decode_emm, decode_frame
 
 
@@ -183,16 +181,6 @@ def _cmd_wire_decode(args) -> int:
     return 0
 
 
-def _cmd_vectors_emit(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, entries in generate_vectors().items():
-        path = out_dir / f"{name}.json"
-        path.write_text(vectors_json(entries))
-        print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cwbind", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"cwbind {__version__}")
@@ -228,12 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decode = wire_sub.add_parser("decode")
     p_decode.add_argument("file")
     p_decode.set_defaults(handler=_cmd_wire_decode)
-
-    p_vec = sub.add_parser("vectors", help="golden vector utilities")
-    vec_sub = p_vec.add_subparsers(dest="vectors_cmd", required=True)
-    p_emit = vec_sub.add_parser("emit")
-    p_emit.add_argument("--out", default="vectors")
-    p_emit.set_defaults(handler=_cmd_vectors_emit)
 
     return parser
 

@@ -30,9 +30,10 @@ Actions, with the argument shapes ``ACTION_ARGS`` checks::
 
 Every ``<ca>`` and decoder (``<src>`` and ``<dst>`` too) must be declared;
 a ``<ca-decoder>`` must be on the CA system just named, and a ``<sender-ca>``
-must be one whose kind has a sender key (not legacy). Counts are exact.
-Content is at least one AES block (16 bytes), so a wrong control word
-reproduces it with probability at most 2^-128. ``rotate-auth`` W, C > 0.
+must be one whose kind has a sender key (not legacy). Counts are exact, and a
+directive line holds exactly the fields shown. Content is at least one AES
+block (16 bytes), so a wrong control word reproduces it with probability at
+most 2^-128. ``rotate-auth`` W, C > 0.
 
 All decoders are provisioned, registered, and enrolled before epoch 0;
 events fire before that epoch's tick. Delivery order is decoder id order.
@@ -110,7 +111,6 @@ from .wire import (
     build_pk_set_body,
     ecm_size,
     emm_size,
-    encode_frame,
 )
 
 CHIP_CLASSES = ("chip-derive", "chip-load-ltk")
@@ -137,6 +137,10 @@ ACTION_ARGS: dict[str, tuple] = {
     "pirate-probe": ("decoder",),
     "forge-sender": ("ca", "decoder"),
 }
+
+# the fields after each directive's word; an ``at`` line is checked per action
+_FIELDS = {"scenario": 1, "seed": 1, "epochs": 1, "secret-bits": 1, "content-bytes": 1,
+           "ca": 2, "decoder": 3, "rotate-auth": 5}
 
 BROADCAST_ID = id_as_int(BROADCAST_ADDR)
 
@@ -268,6 +272,8 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
         fields = line.split()
         try:
             head = fields[0]
+            if len(fields) - 1 != _FIELDS.get(head, len(fields) - 1):
+                raise ValueError(f"{head} takes {_FIELDS[head]} field(s), got {len(fields) - 1}")
             if head == "scenario":
                 name = fields[1]
             elif head == "seed":
@@ -493,7 +499,6 @@ class World:
     decoders_replaced: int = 0
     swap_counts: dict[bytes, int] = field(default_factory=dict)
     rekey_labels: dict[str, int] = field(default_factory=dict)  # uses per seed label
-    frames: list[bytes] | None = None
     # per-epoch scratch, reset each tick
     epoch_interfered: set[bytes] = field(default_factory=set)
     epoch_one_shots: list[Event] = field(default_factory=list)
@@ -902,11 +907,9 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
             break
 
 
-def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[RunReport, World]:
-    """Build and run a world; ``capture_frames`` keeps each frame's encoding in ``world.frames``."""
+def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
+    """Build and run a world: the report, and the world as the last epoch left it."""
     world = build_world(config)
-    if capture_frames:
-        world.frames = []
     content_rng = world.master.child("content")
     events_by_epoch: dict[int, list[Event]] = {}
     for event in config.events:
@@ -927,8 +930,6 @@ def run_world(config: ScenarioConfig, capture_frames: bool = False) -> tuple[Run
             if event.verb == "tamper":
                 frame = _tamper_frame(world, frame, event)
         world.ledger.add_frame(frame)
-        if world.frames is not None:
-            world.frames.append(encode_frame(frame))
         world.adversary.capture_frame(frame)
         _update_adversary_ecm_knowledge(world, frame)
 

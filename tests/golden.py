@@ -1,9 +1,11 @@
-"""Golden vector generation.
+"""Golden vector generation (test support, not part of the package).
 
 Produces byte-exact regression vectors for the primitive suite, the binding
 derivation, and the wire codecs, keyed by fixed seeds. The checked-in copies
 under ``tests/vectors/`` freeze the formats: any byte-level drift on any
-platform shows up as a diff against these files.
+platform shows up as a diff against these files. Acceptance criterion 10
+compares each file with ``vectors_json`` of its entries, byte for byte; a
+deliberate format change writes that text to the file in its own change.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .binding import BindingInput, derive_secret, encode_binding_input, second_preimage_strength
-from .encoding import BROADCAST_ADDR, encode_id
-from .scramble import scramble
-from .suite import CipherSuite, Drbg
-from .wire import (
+from cwbind.binding import BindingInput, derive_secret, encode_binding_input, second_preimage_strength
+from cwbind.encoding import BROADCAST_ADDR, encode_id
+from cwbind.scramble import scramble
+from cwbind.suite import CipherSuite, Drbg
+from cwbind.wire import (
     Ecm,
     Emm,
     EmmKind,

@@ -20,8 +20,8 @@ from cwbind.errors import CwbindError
 from cwbind.sim import compute_verdicts, load_scenario, run_world
 from cwbind.suite import CipherSuite, Drbg
 from cwbind.ttp import Certificate, verify_certificate
-from cwbind.vectors import generate_vectors, vectors_json
 from cwbind.wire import decode_ecm, decode_emm, encode_ecm, encode_emm, EmmKind
+from golden import generate_vectors, vectors_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -62,17 +62,16 @@ def test_criterion_01_strength_formula_grid():
     _ok("1 strength-formula-reproduction")
 
 
-def test_criterion_02_key_length_anchor():
+def test_criterion_02_key_length_anchor(frames):
     suite = CipherSuite()
     assert suite.secret_bits == 128
     assert suite.secret_bytes == 16
 
     # drive one epoch end to end and measure the ECM's secret field
-    report, world = run_world(load_scenario(SCENARIOS / "client-swap.scn"),
-                              capture_frames=True)
+    report, world = run_world(load_scenario(SCENARIOS / "client-swap.scn"))
     from cwbind.wire import decode_frame, ecm_aad
 
-    frame = decode_frame(world.frames[0])
+    frame = decode_frame(frames[0])
     ecm = frame.ecms[0]
     secret = world.suite.sym_decrypt(world.headend.ca_systems[0].ecm_key,
                                      ecm.protected_secret, ecm_aad(ecm.ca_system_id, ecm.epoch))

@@ -235,9 +235,3 @@ def test_hidden_rand_prediction_proxy():
             hits += 1
     # Binomial(200000, 2^-16) has mean ~3; 13 is a ~1e-6 tail bound
     assert hits <= 13
-
-
-def test_frozen_kdf_vectors_stable():
-    from cwbind.vectors import kdf_vectors
-
-    assert kdf_vectors() == VECTORS

@@ -116,7 +116,7 @@ def test_receiver_role_check(world, suite):
     bundle = certproto.phase1_send(sender, 1, rng)
     receiver_cert = next(c for c in ttp.issued_certs if c.subject_role == "receiver")
     forged = certproto.CertBundle(sender_cert=receiver_cert, signed_blob=bundle.signed_blob)
-    with pytest.raises((ProtocolError, CryptoError)):
+    with pytest.raises(ProtocolError, match="^certificate subject is not a sender$"):
         certproto.phase1_receive(receivers[1], forged)
 
 

@@ -174,6 +174,30 @@ def test_raw_control_word_rejected_by_compliant_chips(pipeline):
             chip_process(decoders[decoder_id].chip, inject)
 
 
+def test_legacy_chip_refuses_a_derive_message(pipeline):
+    headend, decoders, master, directory = pipeline
+    frame = hemod.epoch_tick(headend, b"c")
+    derive = next(m for m in process_frame(decoders[1], frame).chip_msgs
+                  if m.kind == ChipMsgKind.DERIVE)
+    with pytest.raises(ProtocolError, match="^legacy chip only accepts raw control words$"):
+        chip_process(decoders[3].chip, derive)
+
+
+def test_entitled_client_without_a_long_term_key_sends_no_derive(pipeline):
+    # the entitlement arrived but the enrollment did not: the client knows
+    # the ECM key and no sender key, so it has nothing to wrap the secret in
+    headend, decoders, master, directory = pipeline
+    frame = hemod.epoch_tick(headend, b"c")
+    client = decoders[1].client
+    for emm in frame.emms:
+        if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT and emm.addressee == encode_id(1):
+            client_process_emm(client, emm)
+    assert client.entitled and client.announce is None
+    with pytest.raises(ProtocolError,
+                       match="^client holds no long-term key for the current sender key$"):
+        client_process_ecm(client, frame.ecms[0])
+
+
 def test_legacy_chip_accepts_raw_control_word(pipeline):
     # the contrast: a legacy chip takes the injected word and descrambles
     headend, decoders, master, directory = pipeline

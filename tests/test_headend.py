@@ -96,8 +96,8 @@ def test_zero_authorized_receivers_still_emits_frame(suite):
 
 def test_enroll_requires_provisioning_and_unrevoked_cert(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["cert"], [(1, 0)])
-    with pytest.raises(ProtocolError):
-        hemod.enroll_receiver(headend, 0, encode_id(99))  # not provisioned
+    with pytest.raises(ProtocolError, match="^receiver 99 not provisioned$"):
+        hemod.enroll_receiver(headend, 0, encode_id(99))
     hemod.provision_receiver(headend, 0, encode_id(99), b"\x00" * 16)
     with pytest.raises(ProtocolError):
         hemod.enroll_receiver(headend, 0, encode_id(99))  # not registered
@@ -106,6 +106,22 @@ def test_enroll_requires_provisioning_and_unrevoked_cert(suite):
     hemod.refresh_directory(headend, parse_directory(suite, export_directory(ttp)))
     with pytest.raises(ProtocolError):
         hemod.enroll_receiver(headend, 0, encode_id(1))
+
+
+def test_authorizing_an_unenrolled_receiver_is_refused(suite):
+    # provisioned, never enrolled: no entitlement may be queued for it
+    master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
+    with pytest.raises(ProtocolError,
+                       match="^cannot change authorization of an unenrolled receiver$"):
+        hemod.authorize(headend, 0, 1, True)
+    assert not headend.ca_systems[0].authorized
+
+
+def test_epoch_tick_without_a_ca_system_is_refused(suite):
+    master, ttp, directory, headend, decoders = build_world(suite, [], [])
+    with pytest.raises(ProtocolError, match="^head-end has no CA system configured$"):
+        hemod.epoch_tick(headend, b"c")
+    assert headend.epoch == 0
 
 
 def test_enrollment_never_leaks_long_term_key_bytes(suite):

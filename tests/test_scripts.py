@@ -1,6 +1,9 @@
-"""Experiment scripts: each one the README lists runs to completion."""
+"""Experiment scripts: each one the README lists runs to completion, except
+``check_mutants.py``, whose bare run is the whole mutation sweep; its
+raise-site walker is tested here on a small module instead."""
 
 import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# not check_mutants.py: a bare run runs tier-1 once per raise site in the package
 SCRIPTS = ("bandwidth_report.py", "count_lines.py", "recovery_contrast.py", "strength_table.py")
 
 
@@ -60,3 +64,32 @@ def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{tmp_path.name}: 11 lines, 4 code lines\n"
+
+
+def test_check_mutants_walks_each_package_error_raise(tmp_path):
+    spec = importlib.util.spec_from_file_location("check_mutants",
+                                                  ROOT / "scripts" / "check_mutants.py")
+    check_mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_mutants)
+    names = check_mutants.error_names(
+        "class CwbindError(Exception): pass\nclass WireError(CwbindError): pass\n"
+        "class Short(WireError): pass\nclass Other(Exception): pass\n")
+    assert names == {"CwbindError", "WireError", "Short"}
+    source = ('def f(x):\n'
+              '    if x: raise Short("short")  # guard\n'
+              '    if x is None:\n'
+              '        raise WireError(\n'
+              '            f"no {x}")\n'
+              '    raise Other("not ours")\n'
+              'def g():\n'
+              '    try:\n'
+              '        f(1)\n'
+              '    except Short:\n'
+              '        raise\n'
+              '    raise CwbindError\n')
+    sites = check_mutants.raise_sites(source, names)
+    assert [(site.lineno, check_mutants.message(site)) for site in sites] == [
+        (2, "short"), (4, "f'no {x}'"), (12, "CwbindError")]
+    first, second, _ = (check_mutants.without(source, site).splitlines() for site in sites)
+    assert first[1] == "    if x: pass  # guard"
+    assert second[3:5] == ["        pass", ""] and len(second) == len(source.splitlines())

@@ -122,6 +122,19 @@ def test_rotate_auth_needs_positive_window_and_count(every, count):
         parse_scenario(MINI + f"rotate-auth 0 every {every} count {count}\n")
 
 
+@pytest.mark.parametrize("line, words", [
+    ("scenario mini extra", 1), ("seed 1 2", 1), ("epochs 3 junk", 1), ("secret-bits", 1),
+    ("content-bytes 32 32", 1), ("ca 0 bind extra", 2), ("decoder 1 ca 0 more", 3),
+    ("decoder 1 ca", 3), ("rotate-auth 0 every 2 count 1 x", 5),
+])
+def test_directive_with_a_wrong_field_count_rejected(line, words):
+    # trailing words used to be dropped without a word
+    head, *rest = line.split()
+    message = rf"^scenario line 9: {head} takes {words} field\(s\), got {len(rest)}$"
+    with pytest.raises(ValueError, match=message):
+        parse_scenario(MINI + line + "\n")
+
+
 def test_quiet_epochs_build_no_chip_filter(monkeypatch):
     # no one-shot event and no probe: no decoder is interposed, and the
     # per-decoder hook is not even asked; a tamper epoch asks it for each one
@@ -464,13 +477,13 @@ def test_frame_messages_are_captured_only_for_a_scheduled_replay(scheduled, monk
                         if key[0] in scheduled or key[0] in sim.CHIP_CLASSES}
 
 
-def test_frame_capture_decodes_and_is_stable():
+def test_frame_capture_decodes_and_is_stable(frames):
     config = parse_scenario(MINI)
-    report_a, world_a = run_world(config, capture_frames=True)
-    report_b, world_b = run_world(config, capture_frames=True)
-    assert world_a.frames == world_b.frames
-    assert len(world_a.frames) == config.epochs
-    for epoch, blob in enumerate(world_a.frames):
+    run_world(config)
+    run_world(config)
+    assert len(frames) == 2 * config.epochs
+    assert frames[:config.epochs] == frames[config.epochs:]
+    for epoch, blob in enumerate(frames[:config.epochs]):
         frame = decode_frame(blob)
         assert frame.epoch == epoch
 
@@ -860,12 +873,12 @@ def test_bandwidth_ledger_chip_channel_excluded_from_broadcast():
     )
 
 
-def test_broadcast_emm_bytes_identical_for_all_receivers():
+def test_broadcast_emm_bytes_identical_for_all_receivers(frames):
     # a broadcast EMM is one message for everyone: delivery adds nothing per
     # decoder, and both decoders act on the same bytes
     config = parse_scenario(MINI + "at 0 authorize 0 2\nat 2 rotate-sender 0\n")
-    report, world = run_world(config, capture_frames=True)
-    frame = decode_frame(world.frames[2])
+    report = run_world(config)[0]
+    frame = decode_frame(frames[2])
     broadcast = [emm for emm in frame.emms if emm.is_broadcast()]
     assert broadcast, "rotation should announce over broadcast"
     assert _outcomes(report)[2] == {1: "K", 2: "K"}

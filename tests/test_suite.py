@@ -435,9 +435,3 @@ def test_cipher_suite_rejects_unsupported_secret_bits():
 @pytest.mark.parametrize("bits", [128, 192, 256])
 def test_valid_secret_lengths(bits):
     assert CipherSuite(bits).secret_bytes == bits // 8
-
-
-def test_frozen_suite_vectors_stable():
-    from cwbind.vectors import suite_vectors
-
-    assert suite_vectors() == VECTORS

@@ -242,6 +242,16 @@ def test_directory_under_wrong_trusted_key_rejected(suite, ttp, rng):
         parse_directory(suite, blob, trusted_authority_pk=other.keypair.public_key)
 
 
+def test_directory_embedding_another_authority_key_rejected(suite, ttp):
+    # signed by the trusted authority, but naming another one's key inside
+    other = ttp_init(suite, Drbg.from_int(99))
+    body = SignedMessage.from_bytes(export_directory(ttp)[3:]).message
+    blob = b"TD\x01" + suite.sign(other.keypair, body).to_bytes()
+    with pytest.raises(CryptoError,
+                       match="^directory embeds a different authority key than trusted$"):
+        parse_directory(suite, blob, trusted_authority_pk=other.keypair.public_key)
+
+
 def test_signed_revocation_list_round_trip(suite, ttp, rng):
     cert = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
     revoke(ttp, cert.serial)

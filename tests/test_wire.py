@@ -387,12 +387,6 @@ def test_emm_golden_vector_matches_reference_composition():
     assert (header + lp4(sealed)).hex() == VECTORS["emm_broadcast_sender_pk"]
 
 
-def test_frozen_wire_vectors_stable():
-    from cwbind.vectors import wire_vectors
-
-    assert wire_vectors() == VECTORS
-
-
 def test_wire_vector_bytes_decode():
     emm = decode_emm(bytes.fromhex(VECTORS["emm_broadcast_sender_pk"]))
     assert emm.kind == EmmKind.BROADCAST_SENDER_PK and emm.is_broadcast()
