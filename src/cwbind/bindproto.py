@@ -12,8 +12,10 @@ The derivation is what protects message authenticity: a forger using any
 other key pair can make a receiver complete the protocol, but the receiver
 then derives a secret bound to the forger's key, never the honest sender's.
 Nothing here requires the public key distribution itself to be protected.
-The signed blob and the phase 2 wrap are the ones both shapes share
-(``cwbind.phase1``).
+The phase 1 bundle, whose announcement here is the bare key, is the one
+both shapes share (``cwbind.phase1``). The head-end draws each epoch's
+random value (``headend.epoch_tick``); the CA client wraps it for its chip
+(``decoder.derive_msg``).
 
 Senders that interoperate on one epoch secret necessarily trust each other
 already (they share the secret); this module does not model trust between
@@ -25,30 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .binding import bound_secret
-from .encoding import Reader, encode_id, lp
+from .encoding import encode_id
 from .errors import ProtocolError
-from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
-from .suite import AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
+from .phase1 import Bundle, SenderState, open_blob, seal_ltk
+from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
 from .ttp import Directory
-
-
-@dataclass(frozen=True)
-class BindBundle:
-    """Phase 1 message set: bare sender public key plus the signed key blob."""
-
-    sender_pk: bytes
-    signed_blob: SignedMessage
-
-    def to_bytes(self) -> bytes:
-        return lp(self.sender_pk) + lp(self.signed_blob.to_bytes())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BindBundle":
-        r = Reader(data)
-        sender_pk = r.take_lp()
-        blob = SignedMessage.from_bytes(r.take_lp())
-        r.done()
-        return cls(sender_pk, blob)
 
 
 @dataclass
@@ -81,13 +64,13 @@ def refresh_sender_key(sender: SenderState, rng: Drbg) -> None:
     sender.sig_keypair = sender.suite.keygen("sig", rng)
 
 
-def phase1_send(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> BindBundle:
-    """Produce the phase 1 bundle for one receiver and remember the new key."""
-    blob = seal_ltk(sender, receiver_id, rng)
-    return BindBundle(sender_pk=sender.sig_keypair.public_key, signed_blob=blob)
+def phase1_send(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> Bundle:
+    """Produce the phase 1 bundle for one receiver, announcing the bare
+    sender public key, and remember the new key."""
+    return Bundle(sender.sig_keypair.public_key, seal_ltk(sender, receiver_id, rng))
 
 
-def phase1_receive(recv: BindReceiverState, bundle: BindBundle) -> None:
+def phase1_receive(recv: BindReceiverState, bundle: Bundle) -> None:
     """Verify under the delivered key and file the long-term key under it.
 
     Filing under the verifying key is load-bearing: a bundle re-signed by an
@@ -96,20 +79,7 @@ def phase1_receive(recv: BindReceiverState, bundle: BindBundle) -> None:
     A second delivery for the same sender key overwrites the stored key,
     which is how re-enrollment after a sender key change works.
     """
-    recv.ltk_by_sender[bundle.sender_pk] = open_blob(recv, bundle.sender_pk, bundle.signed_blob)
-
-
-def shared_epoch_secret(pk_set: tuple[bytes, ...], rng: Drbg,
-                        n_bits: int) -> tuple[bytes, bytes]:
-    """Draw the secret random value and derive the epoch secret from it.
-
-    This is the head-end's shared step: one random value per epoch, one
-    derived secret, identical for every interoperating sender. The random
-    value has the same length as the derived secret.
-    """
-    rand = rng.read(n_bits // 8)
-    secret = bound_secret(tuple(sorted(pk_set)), rand, n_bits)
-    return rand, secret
+    recv.ltk_by_sender[bundle.announce] = open_blob(recv, bundle.announce, bundle.signed_blob)
 
 
 def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,

@@ -6,48 +6,30 @@ fresh long-term key to each receiver under the sender's *certified*
 signature key; phase 2 wraps each epoch secret under the long-term key for
 the authorized receivers.
 
-Receiver-side checks in phase 1, in order: the sender certificate is of the
-anchor's generation, verifies under the anchor's key, names a sender role,
-and is not on the known revocation list; the signed blob verifies under the
-certified sender key; this receiver is the intended recipient; the
-long-term key decrypts. The generation check costs no signature work and
-rejects nothing the key would accept: the authority signs only under its
-current generation and changes key and generation together
-(``ttp.rotate``), so a certificate the anchor's key verifies carries the
-anchor's generation.
+Receiver-side checks in phase 1, in order: the announcement parses as a
+certificate, which is of the anchor's generation, verifies under the
+anchor's key, names a sender role, and is not on the known revocation list;
+the signed blob verifies under the certified sender key; this receiver is
+the intended recipient; the long-term key decrypts. The generation check
+costs no signature work and rejects nothing the key would accept: the
+authority signs only under its current generation and changes key and
+generation together (``ttp.rotate``), so a certificate the anchor's key
+verifies carries the anchor's generation.
 A failure at any point aborts and leaves the receiver state unchanged.
-The blob itself, and phase 2's wrap, are the ones both shapes share
-(``cwbind.phase1``).
+The phase 1 bundle, whose announcement here is the certificate, is the one
+both shapes share (``cwbind.phase1``); the CA client wraps each epoch secret
+for its chip (``decoder.derive_msg``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import Reader, encode_id, lp
+from .encoding import encode_id
 from .errors import ProtocolError
-from .phase1 import SenderState, open_blob, phase2_send, seal_ltk  # noqa: F401 (re-export)
-from .suite import AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
+from .phase1 import Bundle, SenderState, open_blob, seal_ltk
+from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
 from .ttp import Certificate, Directory, ROLE_SENDER, TtpState, certify_sender, verify_certificate
-
-
-@dataclass(frozen=True)
-class CertBundle:
-    """Phase 1 message set: sender certificate plus the signed key blob."""
-
-    sender_cert: Certificate
-    signed_blob: SignedMessage
-
-    def to_bytes(self) -> bytes:
-        return lp(self.sender_cert.to_bytes()) + lp(self.signed_blob.to_bytes())
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CertBundle":
-        r = Reader(data)
-        cert = Certificate.from_bytes(r.take_lp())
-        blob = SignedMessage.from_bytes(r.take_lp())
-        r.done()
-        return cls(cert, blob)
 
 
 @dataclass
@@ -94,15 +76,16 @@ def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> Non
     sender.sender_cert = certify_sender(ttp, sender.sender_id, sender.sig_keypair.public_key)
 
 
-def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) -> CertBundle:
-    """Produce the phase 1 bundle for one receiver and remember the new key."""
-    return CertBundle(sender_cert=sender.sender_cert,
-                      signed_blob=seal_ltk(sender, receiver_id, rng))
+def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) -> Bundle:
+    """Produce the phase 1 bundle for one receiver, announcing the sender
+    certificate, and remember the new key."""
+    return Bundle(sender.sender_cert.to_bytes(), seal_ltk(sender, receiver_id, rng))
 
 
-def phase1_receive(recv: CertReceiverState, bundle: CertBundle) -> None:
-    """Run all receiver checks, then commit the long-term key."""
-    cert = bundle.sender_cert
+def phase1_receive(recv: CertReceiverState, bundle: Bundle) -> None:
+    """Parse the announcement as a certificate, run all receiver checks,
+    then commit the long-term key."""
+    cert = Certificate.from_bytes(bundle.announce)
     if cert.generation != recv.authority_generation:
         raise ProtocolError("sender certificate is not of the installed authority generation")
     verify_certificate(recv.suite, cert, recv.authority_pk)

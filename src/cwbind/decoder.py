@@ -9,7 +9,7 @@ that the descrambler alone consumes.
 
 Chip channel message (``u8 kind | lp(payload)``)::
 
-    1 LOAD_LTK       phase 1 bundle bytes (protocol-specific layout)
+    1 LOAD_LTK       phase 1 bundle: lp(announcement) | lp(signed blob)
     2 DERIVE         cert: u32 epoch | lp(wrapped control word)
                      bind: u32 epoch | lp(sender pk) | lp(wrapped random value)
     3 PK_SET_UPDATE  u16 n, n*lp(pk)          (bind chips only)
@@ -17,7 +17,8 @@ Chip channel message (``u8 kind | lp(payload)``)::
     5 LOAD_CW        u32 epoch | lp(raw control word)
 
 ``derive_msg`` and ``load_cw_msg`` build DERIVE and LOAD_CW; LOAD_LTK
-carries ``CertBundle.to_bytes`` or ``BindBundle.to_bytes``. DERIVE and LOAD_CW
+carries ``phase1.Bundle.to_bytes`` for either kind, whose announcement is the
+sender certificate or the bare sender key. DERIVE and LOAD_CW
 are parsed in one pass that, like ``Reader``, raises only ``WireError``;
 a DERIVE's first four bytes are the epoch label its wrap authenticates. A
 chip issues a handle only for a control word of the suite's secret length.
@@ -54,6 +55,7 @@ from . import bindproto, certproto
 from .encoding import U32, Reader, encode_id, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind, ca_kind
+from .phase1 import Bundle
 from .scramble import descramble as _descramble_bytes
 from .suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
@@ -208,8 +210,7 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
             return []
         client.announce = announce
         client.ltk_by_sender[announce] = ltk_copy
-        # the bundle layout: lp(certificate or sender pk) | lp(signed blob)
-        msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, lp(announce) + lp(blob))]
+        msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(announce, blob).to_bytes())]
         if client.kind.binds:
             msgs.extend(_pk_set_msg_if_changed(client))
         return msgs
@@ -318,8 +319,7 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     elif msg.kind == _LOAD_CW:
         raise ProtocolError("raw control word is not an accepted message kind")
     elif msg.kind == ChipMsgKind.LOAD_LTK:
-        bundle_type = bindproto.BindBundle if kind.binds else certproto.CertBundle
-        kind.proto.phase1_receive(recv, bundle_type.from_bytes(msg.payload))
+        kind.proto.phase1_receive(recv, Bundle.from_bytes(msg.payload))
         return None
     elif msg.kind == ChipMsgKind.CRL_UPDATE and EmmKind.CRL_UPDATE in kind.acts_on:
         crl = SignedMessage.from_bytes(msg.payload)

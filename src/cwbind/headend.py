@@ -38,6 +38,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import bindproto, certproto
+from .binding import bound_secret
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
 from .kinds import CaKind, ca_kind
@@ -80,7 +81,7 @@ class HeadendState:
     ca_systems: list[CaSystem]
     ttp: TtpState  # certifies and revokes certificate systems' sender keys
     epoch: int = 0
-    pk_set: tuple[bytes, ...] = ()
+    pk_set: tuple[bytes, ...] = ()  # every binding sender's key, sorted
     scrambler_key: bytes | None = field(default=None, repr=False)
 
 
@@ -90,13 +91,6 @@ def _bind_pk_set(headend: HeadendState) -> tuple[bytes, ...]:
         for ca in headend.ca_systems
         if ca.kind.binds
     ))
-
-
-def _announce_bytes(ca: CaSystem) -> bytes:
-    """A sender's announcement: its certificate, or its bare public key."""
-    if ca.kind.certified:
-        return ca.sender.sender_cert.to_bytes()
-    return ca.sender.sig_keypair.public_key
 
 
 def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAST_ADDR) -> None:
@@ -111,8 +105,11 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
 
 
 def _queue_announcement(ca: CaSystem) -> None:
-    if ca.kind.announce is not None:
-        _queue(ca, ca.kind.announce, _announce_bytes(ca))
+    """Broadcast the sender's announcement: its certificate, or its bare public key."""
+    if ca.kind.certified:
+        _queue(ca, ca.kind.announce, ca.sender.sender_cert.to_bytes())
+    elif ca.kind.announce is not None:
+        _queue(ca, ca.kind.announce, ca.sender.sig_keypair.public_key)
 
 
 def _queue_pk_set_updates(headend: HeadendState, systems: list[CaSystem]) -> None:
@@ -185,8 +182,8 @@ def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes | i
         body = build_enroll_body(b"", b"", ca.group_key, b"")
     else:
         bundle = ca.kind.proto.phase1_send(ca.sender, receiver_id, headend.rng)
-        body = build_enroll_body(bundle.signed_blob.to_bytes(), ca.sender.ltk_store[receiver_id],
-                                 ca.group_key, _announce_bytes(ca))
+        body = build_enroll_body(bundle.signed_blob, ca.sender.ltk_store[receiver_id],
+                                 ca.group_key, bundle.announce)
 
     _queue(ca, EmmKind.PER_RECEIVER_ENROLL, body, receiver_id)
     ca.enrolled.add(receiver_id)
@@ -275,8 +272,10 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
     suite = headend.suite
     rand: bytes | None = None
     if headend.pk_set:
-        rand, control_word = bindproto.shared_epoch_secret(headend.pk_set, headend.rng,
-                                                           suite.secret_bits)
+        # one random value per epoch, of the secret's length, bound to the
+        # sorted key set of every binding sender
+        rand = headend.rng.read(suite.secret_bytes)
+        control_word = bound_secret(headend.pk_set, rand, suite.secret_bits)
     else:
         control_word = headend.rng.read(suite.secret_bytes)
     headend.scrambler_key = control_word

@@ -1,5 +1,5 @@
-"""The key delivery both protocol shapes share: phase 1's signed blob and
-phase 2's per-receiver wrap.
+"""Phase 1, the key delivery both protocol shapes share: the bundle and its
+signed blob.
 
 Both shapes deliver each receiver's long-term key the same way. The sender
 looks the receiver up in its directory snapshot, refuses a revoked one,
@@ -10,8 +10,11 @@ only in how the receiver decides to trust the signing key, and that stays
 in the protocol modules: ``certproto`` checks a certificate, ``bindproto``
 files the key under the public key that verified it.
 
-Signed blob layout (injective): 8-byte recipient id, then the
-length-prefixed public-key ciphertext of the long-term key.
+Bundle layout (``Bundle.to_bytes``): lp(announcement) | lp(signed blob). The
+announcement is the sender's certificate bytes or its bare public key, the
+same bytes the head-end broadcasts as the sender announcement. Signed blob
+layout (injective): 8-byte recipient id, then the length-prefixed public-key
+ciphertext of the long-term key, signed (``SignedMessage``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,25 @@ from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Directory
 
 
+@dataclass(frozen=True)
+class Bundle:
+    """Phase 1 message set: the sender announcement plus the signed key blob,
+    both as the bytes they travel as."""
+
+    announce: bytes
+    signed_blob: bytes
+
+    def to_bytes(self) -> bytes:
+        return lp(self.announce) + lp(self.signed_blob)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Bundle":
+        r = Reader(data)
+        bundle = cls(r.take_lp(), r.take_lp())
+        r.done()
+        return bundle
+
+
 @dataclass
 class SenderState:
     suite: CipherSuite
@@ -34,13 +56,13 @@ class SenderState:
 
 
 def seal_blob(suite: CipherSuite, sig_keypair: KeyPair, receiver_id: bytes,
-              receiver_pk: bytes, ltk: bytes, rng: Drbg) -> SignedMessage:
+              receiver_pk: bytes, ltk: bytes, rng: Drbg) -> bytes:
     """Encrypt ``ltk`` to ``receiver_pk`` and sign it with the recipient id."""
     key_ct = suite.pke_encrypt(receiver_pk, ltk, rng)
-    return suite.sign(sig_keypair, receiver_id + lp(key_ct))
+    return suite.sign(sig_keypair, receiver_id + lp(key_ct)).to_bytes()
 
 
-def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> SignedMessage:
+def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> bytes:
     """Deliver a fresh long-term key to a listed, unrevoked receiver and
     remember it for phase 2."""
     receiver_id = encode_id(receiver_id)
@@ -56,14 +78,14 @@ def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> Signed
     return blob
 
 
-def open_blob(recv, signer_pk: bytes, blob: SignedMessage) -> bytes:
+def open_blob(recv, signer_pk: bytes, blob: bytes) -> bytes:
     """The long-term key a blob signed under ``signer_pk`` delivers to ``recv``.
 
     ``recv`` is either protocol's receiver state. A key of any length other
     than the suite's secret length is refused here, before anything is
     filed, since no later step could use it.
     """
-    r = Reader(recv.suite.verify_recover(signer_pk, blob))
+    r = Reader(recv.suite.verify_recover(signer_pk, SignedMessage.from_bytes(blob)))
     intended = r.take(8)
     key_ct = r.take_lp()
     r.done()
@@ -73,18 +95,3 @@ def open_blob(recv, signer_pk: bytes, blob: SignedMessage) -> bytes:
     if len(ltk) != recv.suite.secret_bytes:
         raise ProtocolError(f"long-term key is not {recv.suite.secret_bytes} bytes")
     return ltk
-
-
-def phase2_send(sender: SenderState, receiver_id: bytes | int, secret: bytes,
-                context: bytes = b"") -> bytes:
-    """Wrap one epoch's secret (the binding shape's random value) for one
-    authorized receiver under its long-term key.
-
-    ``context`` is authenticated alongside the secret; the transport mapping
-    uses it to bind the epoch number so relabeled deliveries are rejected.
-    """
-    receiver_id = encode_id(receiver_id)
-    ltk = sender.ltk_store.get(receiver_id)
-    if ltk is None:
-        raise ProtocolError("receiver has no long-term key (phase 1 not run)")
-    return sender.suite.sym_encrypt(ltk, secret, aad=context)

@@ -82,7 +82,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bindproto, certproto, headend as hemod, ttp as ttpmod
+from . import certproto, headend as hemod, ttp as ttpmod
 from .binding import bound_secret
 from .decoder import (
     WORD_KINDS,
@@ -101,8 +101,8 @@ from .decoder import (
 from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
-from .phase1 import seal_blob
-from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair, SignedMessage
+from .phase1 import Bundle, seal_blob
+from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
@@ -301,6 +301,9 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                     raise ValueError(f"rotate-auth every {every} count {count}: both must be > 0")
                 rotate_auth.append((int(fields[1]), every, count))
             elif head == "at":
+                if len(fields) < 3:
+                    raise ValueError(
+                        f"at takes an epoch and an action, got {len(fields) - 1} field(s)")
                 events.append(Event(int(fields[1]), fields[2], tuple(fields[3:])))
             else:
                 raise ValueError(f"unknown directive {head!r}")
@@ -686,26 +689,26 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 
 
 def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
-                   ltk: bytes, rng: Drbg) -> SignedMessage:
+                   ltk: bytes, rng: Drbg) -> bytes:
     """Phase-1 signed blob delivering an adversary-chosen long-term key."""
     receiver_pk = world.directory.receiver_cert(decoder_id).subject_pk
     return seal_blob(world.suite, sig_pair, decoder_id, receiver_pk, ltk, rng)
 
 
-def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: SignedMessage,
+def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: bytes,
                           ltk: bytes, epoch: int, rand: bytes,
                           slot: AeadSlot) -> list[ChipChannelMsg]:
     """A binding chip's full message set under one sender key: file the
     long-term key, make the key the whole set, derive from ``rand``,
     wrapping through the adversary's ``slot`` for this decoder."""
     return [
-        ChipChannelMsg(ChipMsgKind.LOAD_LTK, bindproto.BindBundle(sender_pk, blob).to_bytes()),
+        ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(sender_pk, blob).to_bytes()),
         ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))),
         derive_msg(suite, ltk, epoch, rand, sender_pk, slot),
     ]
 
 
-def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage, ltk: bytes,
+def _cert_load_and_derive(world: World, rogue: KeyPair, blob: bytes, ltk: bytes,
                           epoch: int, secret: bytes, slot: AeadSlot) -> list[ChipChannelMsg]:
     """A certificate chip's message set under a sender certificate for
     ``rogue``, forged with the stolen authority key; the DERIVE is wrapped
@@ -713,11 +716,9 @@ def _cert_load_and_derive(world: World, rogue: KeyPair, blob: SignedMessage, ltk
     adv = world.adversary
     generation, keypair = adv.authority_key
     adv.minted_serial += 1
-    payload = Certificate.signed_payload(adv.minted_serial, encode_id(0xAD), ROLE_SENDER,
-                                         rogue.public_key, generation)
-    cert = Certificate(adv.minted_serial, encode_id(0xAD), ROLE_SENDER, rogue.public_key,
-                       generation, world.suite.sign(keypair, payload))
-    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, certproto.CertBundle(cert, blob).to_bytes()),
+    cert = Certificate.issue(world.suite, keypair, adv.minted_serial, encode_id(0xAD),
+                             ROLE_SENDER, rogue.public_key, generation)
+    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(cert.to_bytes(), blob).to_bytes()),
             derive_msg(world.suite, ltk, epoch, secret, None, slot)]
 
 

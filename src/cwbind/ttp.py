@@ -57,6 +57,13 @@ class Certificate:
             + u32(generation)
         )
 
+    @classmethod
+    def issue(cls, suite: CipherSuite, keypair: KeyPair, serial: int, subject_id: bytes,
+              role: str, subject_pk: bytes, generation: int) -> "Certificate":
+        """A certificate over these fields, signed under the authority ``keypair``."""
+        payload = cls.signed_payload(serial, subject_id, role, subject_pk, generation)
+        return cls(serial, subject_id, role, subject_pk, generation, suite.sign(keypair, payload))
+
     def to_bytes(self) -> bytes:
         return self.signature.to_bytes()
 
@@ -132,17 +139,8 @@ def ttp_init(suite: CipherSuite, rng: Drbg) -> TtpState:
 
 
 def _issue(ttp: TtpState, subject_id: bytes, role: str, subject_pk: bytes) -> Certificate:
-    payload = Certificate.signed_payload(
-        ttp.next_serial, subject_id, role, subject_pk, ttp.generation
-    )
-    cert = Certificate(
-        serial=ttp.next_serial,
-        subject_id=subject_id,
-        subject_role=role,
-        subject_pk=subject_pk,
-        generation=ttp.generation,
-        signature=ttp.suite.sign(ttp.keypair, payload),
-    )
+    cert = Certificate.issue(ttp.suite, ttp.keypair, ttp.next_serial, subject_id, role,
+                             subject_pk, ttp.generation)
     ttp.next_serial += 1
     ttp.issued_certs.append(cert)
     return cert

@@ -115,7 +115,7 @@ def test_criterion_04_implicit_key_authentication_all_scenarios():
 def test_criterion_05_message_authenticity_bit_tampering(suite):
     # >= 64 sampled bit positions in each message class; every flip must be
     # rejected or yield a mismatched secret -- never an unauthorized descramble
-    from cwbind.suite import SignedMessage
+    from cwbind.phase1 import Bundle
     from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
 
     rng = Drbg.from_int(0xACCE)
@@ -133,7 +133,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
 
     # class 1: certificate
     bundle = certproto.phase1_send(csender, 1, rng)
-    cert_bytes = bundle.sender_cert.to_bytes()
+    cert_bytes = bundle.announce
     count = 0
     for bit in _sampled_bits(cert_bytes):
         try:
@@ -144,13 +144,11 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     rejected["certificate"] = (count, len(_sampled_bits(cert_bytes)))
 
     # class 2: signed bundle (delivery blob)
-    blob_bytes = bundle.signed_blob.to_bytes()
+    blob_bytes = bundle.signed_blob
     count = 0
     for bit in _sampled_bits(blob_bytes):
         try:
-            forged = certproto.CertBundle(
-                bundle.sender_cert, SignedMessage.from_bytes(_flip(blob_bytes, bit)))
-            certproto.phase1_receive(recv, forged)
+            certproto.phase1_receive(recv, Bundle(cert_bytes, _flip(blob_bytes, bit)))
         except CwbindError:
             count += 1
     rejected["signed-bundle"] = (count, len(_sampled_bits(blob_bytes)))

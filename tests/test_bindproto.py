@@ -6,8 +6,11 @@ import hashlib
 
 import pytest
 
-from cwbind import bindproto
+from cwbind import bindproto, headend as hemod
+from cwbind.binding import bound_secret
+from cwbind.encoding import encode_id, u32
 from cwbind.errors import CryptoError, ProtocolError
+from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
 
@@ -24,6 +27,15 @@ def world(suite):
     directory = parse_directory(suite, export_directory(ttp))
     sender = bindproto.sender_init(suite, 100, rng.child("sender"), directory)
     return ttp, sender, receivers, rng.child("run")
+
+
+LABEL = u32(0)  # the epoch label a DERIVE for epoch 0 authenticates
+
+
+def _wrap(sender, receiver_id, rand):
+    """Phase 2 as the CA client sends it (``decoder.derive_msg``): ``rand``
+    under the receiver's long-term key, with the epoch label authenticated."""
+    return sender.suite.sym_encrypt(sender.ltk_store[encode_id(receiver_id)], rand, LABEL)
 
 
 def test_receiver_state_holds_no_authority_key(world):
@@ -94,34 +106,38 @@ def test_resigned_bundle_files_under_interloper_key(world, suite):
     key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, ltk, rng)
     blob = suite.sign(interloper,
                       recv.receiver_id + len(key_ct).to_bytes(4, "big") + key_ct)
-    bundle = bindproto.BindBundle(sender_pk=interloper.public_key, signed_blob=blob)
-    bindproto.phase1_receive(recv, bundle)
+    bindproto.phase1_receive(recv, Bundle(interloper.public_key, blob.to_bytes()))
 
     assert interloper.public_key in recv.ltk_by_sender
     assert honest_pk not in recv.ltk_by_sender
-    rand, _ = bindproto.shared_epoch_secret((honest_pk,), rng, 128)
-    wrapped = suite.sym_encrypt(ltk, rand)
+    wrapped = suite.sym_encrypt(ltk, rng.read(16), LABEL)
     with pytest.raises(ProtocolError):
-        bindproto.phase2_receive(recv, honest_pk, wrapped)
+        bindproto.phase2_receive(recv, honest_pk, wrapped, LABEL)
 
 
 def test_bundle_signature_must_match_carried_pk(world, suite):
     _, sender, receivers, rng = world
     bundle = bindproto.phase1_send(sender, 1, rng)
     other = suite.keygen("sig", rng)
-    forged = bindproto.BindBundle(sender_pk=other.public_key, signed_blob=bundle.signed_blob)
+    forged = Bundle(other.public_key, bundle.signed_blob)
     before = copy.deepcopy(receivers[1])
     with pytest.raises(CryptoError):
         bindproto.phase1_receive(receivers[1], forged)
     assert receivers[1] == before
 
 
-def test_shared_epoch_secret_matches_sha512_oracle(world, suite):
-    _, sender, _, rng = world
-    pk = sender.sig_keypair.public_key
-    rand, secret = bindproto.shared_epoch_secret((pk,), rng, 128)
-    assert len(rand) == 16 and len(secret) == 16
-    assert secret == hashlib.sha512(rand + pk).digest()[:16]
+def test_epoch_tick_bind_secret_matches_sha512_oracle(world, suite):
+    # the head-end's control word is the SHA-512 prefix of the random value
+    # its bind ECM carries and the one binding sender's key
+    ttp, _, _, rng = world
+    directory = parse_directory(suite, export_directory(ttp))
+    headend = hemod.headend_init(suite, ["bind"], rng.child("headend"), ttp, directory)
+    ca = headend.ca_systems[0]
+    pk = ca.sender.sig_keypair.public_key
+    ecm = hemod.epoch_tick(headend, b"\x00" * 32).ecms[0]
+    rand = suite.sym_decrypt(ca.ecm_key, ecm.protected_secret, ecm.aad)
+    assert len(rand) == 16 and len(headend.scrambler_key) == 16
+    assert headend.scrambler_key == hashlib.sha512(rand + pk).digest()[:16]
 
 
 def test_same_rand_different_key_set_different_secret(world, suite):
@@ -141,26 +157,24 @@ def test_phase2_round_trip_single_sender(world):
     _, sender, receivers, rng = world
     bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
     pk = sender.sig_keypair.public_key
-    rand, secret = bindproto.shared_epoch_secret((pk,), rng, 128)
-    ct = bindproto.phase2_send(sender, 1, rand)
-    assert bindproto.phase2_receive(receivers[1], pk, ct) == secret
+    rand = rng.read(16)
+    ct = _wrap(sender, 1, rand)
+    assert bindproto.phase2_receive(receivers[1], pk, ct, LABEL) == bound_secret((pk,), rand, 128)
 
 
 def test_phase2_tampered_ciphertext_rejected(world):
     _, sender, receivers, rng = world
     bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
     pk = sender.sig_keypair.public_key
-    rand, _ = bindproto.shared_epoch_secret((pk,), rng, 128)
-    ct = bytearray(bindproto.phase2_send(sender, 1, rand))
+    ct = bytearray(_wrap(sender, 1, rng.read(16)))
     ct[0] ^= 0x80
     with pytest.raises(CryptoError):
-        bindproto.phase2_receive(receivers[1], pk, bytes(ct))
+        bindproto.phase2_receive(receivers[1], pk, bytes(ct), LABEL)
 
 
 def test_phase2_unknown_receiver_and_unknown_sender_key(world):
+    # receiver 3 never ran phase 1: it holds no long-term key under the sender key
     _, sender, receivers, rng = world
-    with pytest.raises(ProtocolError):
-        bindproto.phase2_send(sender, 3, b"\x00" * 16)
     with pytest.raises(ProtocolError):
         bindproto.phase2_receive(receivers[3], sender.sig_keypair.public_key, b"\x00" * 44)
 
@@ -170,7 +184,7 @@ def test_phase2_per_receiver_ciphertexts_distinct(world):
     for i in (1, 2):
         bindproto.phase1_receive(receivers[i], bindproto.phase1_send(sender, i, rng))
     rand = rng.read(16)
-    assert bindproto.phase2_send(sender, 1, rand) != bindproto.phase2_send(sender, 2, rand)
+    assert _wrap(sender, 1, rand) != _wrap(sender, 2, rand)
 
 
 def test_active_set_gates_delivering_key(world, suite):
@@ -179,10 +193,9 @@ def test_active_set_gates_delivering_key(world, suite):
     pk = sender.sig_keypair.public_key
     other = suite.keygen("sig", rng).public_key
     receivers[1].active_pk_set = (other,) if other < pk else (other,)
-    rand, _ = bindproto.shared_epoch_secret((pk,), rng, 128)
-    ct = bindproto.phase2_send(sender, 1, rand)
+    ct = _wrap(sender, 1, rng.read(16))
     with pytest.raises(ProtocolError):
-        bindproto.phase2_receive(receivers[1], pk, ct)
+        bindproto.phase2_receive(receivers[1], pk, ct, LABEL)
 
 
 def test_multi_sender_set_derivation(world, suite):
@@ -192,9 +205,9 @@ def test_multi_sender_set_derivation(world, suite):
     co_sender = suite.keygen("sig", rng).public_key
     pk_set = tuple(sorted((pk, co_sender)))
     receivers[1].active_pk_set = pk_set
-    rand, secret = bindproto.shared_epoch_secret(pk_set, rng, 128)
-    ct = bindproto.phase2_send(sender, 1, rand)
-    assert bindproto.phase2_receive(receivers[1], pk, ct) == secret
+    rand = rng.read(16)
+    ct = _wrap(sender, 1, rand)
+    assert bindproto.phase2_receive(receivers[1], pk, ct, LABEL) == bound_secret(pk_set, rand, 128)
 
 
 def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
@@ -208,15 +221,14 @@ def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
     directory = sender.directory
     for trial in range(100):
         trial_rng = rng.child(f"rogue-{trial}")
-        rand, honest_secret = bindproto.shared_epoch_secret((honest_pk,), trial_rng, 128)
+        honest_secret = bound_secret((honest_pk,), trial_rng.read(16), 128)
         rogue = bindproto.sender_init(suite, 0xBAD, trial_rng, directory)
         rogue_bundle = bindproto.phase1_send(rogue, 2, trial_rng)
         bindproto.phase1_receive(recv, rogue_bundle)
         rogue_pk = rogue.sig_keypair.public_key
         recv.active_pk_set = (rogue_pk,)
         rogue_rand = trial_rng.read(16)
-        derived = bindproto.phase2_receive(recv, rogue_pk,
-                                           bindproto.phase2_send(rogue, 2, rogue_rand))
+        derived = bindproto.phase2_receive(recv, rogue_pk, _wrap(rogue, 2, rogue_rand), LABEL)
         assert derived != honest_secret
         recv.active_pk_set = ()
 

@@ -5,8 +5,9 @@ import copy
 import pytest
 
 from cwbind import certproto, suite as suitemod
+from cwbind.encoding import encode_id, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError
-from cwbind.phase1 import seal_blob
+from cwbind.phase1 import Bundle, seal_blob
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
     ROLE_SENDER,
@@ -36,6 +37,15 @@ def world(suite):
     return ttp, sender, receivers, rng.child("run")
 
 
+LABEL = u32(0)  # the epoch label a DERIVE for epoch 0 authenticates
+
+
+def _wrap(sender, receiver_id, secret, label=LABEL):
+    """Phase 2 as the CA client sends it (``decoder.derive_msg``): ``secret``
+    under the receiver's long-term key, with the epoch label authenticated."""
+    return sender.suite.sym_encrypt(sender.ltk_store[encode_id(receiver_id)], secret, label)
+
+
 def test_honest_phase1_establishes_matching_keys(world):
     ttp, sender, receivers, rng = world
     bundle = certproto.phase1_send(sender, 1, rng)
@@ -46,7 +56,8 @@ def test_honest_phase1_establishes_matching_keys(world):
 def test_bundle_signed_blob_verifies_under_sender_key(world, suite):
     ttp, sender, receivers, rng = world
     bundle = certproto.phase1_send(sender, 1, rng)
-    suite.verify_recover(sender.sig_keypair.public_key, bundle.signed_blob)
+    blob = SignedMessage.from_bytes(bundle.signed_blob)
+    suite.verify_recover(sender.sig_keypair.public_key, blob)
 
 
 def test_phase1_fresh_ltk_each_run(world):
@@ -92,7 +103,7 @@ def test_rogue_authority_cert_aborts(world, suite):
                                          rogue_directory)
     bundle = certproto.phase1_send(rogue_sender, 1, rng)
     # the generation check cannot tell this authority from the installed one
-    assert bundle.sender_cert.generation == receivers[1].authority_generation
+    assert Certificate.from_bytes(bundle.announce).generation == receivers[1].authority_generation
     before = copy.deepcopy(receivers[1])
     with pytest.raises(CryptoError):
         certproto.phase1_receive(receivers[1], bundle)
@@ -115,7 +126,7 @@ def test_receiver_role_check(world, suite):
     ttp, sender, receivers, rng = world
     bundle = certproto.phase1_send(sender, 1, rng)
     receiver_cert = next(c for c in ttp.issued_certs if c.subject_role == "receiver")
-    forged = certproto.CertBundle(sender_cert=receiver_cert, signed_blob=bundle.signed_blob)
+    forged = Bundle(receiver_cert.to_bytes(), bundle.signed_blob)
     with pytest.raises(ProtocolError, match="^certificate subject is not a sender$"):
         certproto.phase1_receive(receivers[1], forged)
 
@@ -127,11 +138,9 @@ def test_phase2_round_trip_and_authorization_shape(world):
     secret = rng.read(16)
     derived = {}
     for i in (1, 2):
-        derived[i] = certproto.phase2_receive(receivers[i], certproto.phase2_send(sender, i, secret))
+        derived[i] = certproto.phase2_receive(receivers[i], _wrap(sender, i, secret), LABEL)
     assert derived == {1: secret, 2: secret}
-    # receiver 3 never ran phase 1: the sender cannot even address it
-    with pytest.raises(ProtocolError):
-        certproto.phase2_send(sender, 3, secret)
+    # receiver 3 never ran phase 1: it holds no key to unwrap under
     with pytest.raises(ProtocolError):
         certproto.phase2_receive(receivers[3], b"\x00" * 44)
 
@@ -141,34 +150,34 @@ def test_phase2_ciphertexts_differ_per_receiver(world):
     for i in (1, 2):
         certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
     secret = b"\x77" * 16
-    assert certproto.phase2_send(sender, 1, secret) != certproto.phase2_send(sender, 2, secret)
+    assert _wrap(sender, 1, secret) != _wrap(sender, 2, secret)
 
 
 def test_phase2_tampered_ciphertext_rejected(world):
     ttp, sender, receivers, rng = world
     certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, 1, rng))
-    ct = bytearray(certproto.phase2_send(sender, 1, b"\x55" * 16))
+    ct = bytearray(_wrap(sender, 1, b"\x55" * 16))
     ct[-1] ^= 1
     with pytest.raises(CryptoError):
-        certproto.phase2_receive(receivers[1], bytes(ct))
+        certproto.phase2_receive(receivers[1], bytes(ct), LABEL)
 
 
 def test_phase2_cross_receiver_ciphertext_rejected(world):
     ttp, sender, receivers, rng = world
     for i in (1, 2):
         certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
-    ct_for_2 = certproto.phase2_send(sender, 2, b"\x66" * 16)
+    ct_for_2 = _wrap(sender, 2, b"\x66" * 16)
     with pytest.raises(CryptoError):
-        certproto.phase2_receive(receivers[1], ct_for_2)
+        certproto.phase2_receive(receivers[1], ct_for_2, LABEL)
 
 
 def test_phase2_context_binding(world):
     ttp, sender, receivers, rng = world
     certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, 1, rng))
-    ct = certproto.phase2_send(sender, 1, b"\x44" * 16, context=b"epoch-9")
-    assert certproto.phase2_receive(receivers[1], ct, context=b"epoch-9") == b"\x44" * 16
+    ct = _wrap(sender, 1, b"\x44" * 16, label=u32(9))
+    assert certproto.phase2_receive(receivers[1], ct, u32(9)) == b"\x44" * 16
     with pytest.raises(CryptoError):
-        certproto.phase2_receive(receivers[1], ct, context=b"epoch-8")
+        certproto.phase2_receive(receivers[1], ct, u32(8))
 
 
 def test_implicit_key_authentication_set_equality(world):
@@ -179,12 +188,12 @@ def test_implicit_key_authentication_set_equality(world):
         certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
     for authorized in [(1,), (1, 2), (2, 3), (1, 2, 3)]:
         secret = rng.read(16)
-        cts = {i: certproto.phase2_send(sender, i, secret) for i in authorized}
+        cts = {i: _wrap(sender, i, secret) for i in authorized}
         derived = set()
         for i in (1, 2, 3):
             for ct in cts.values():
                 try:
-                    if certproto.phase2_receive(receivers[i], ct) == secret:
+                    if certproto.phase2_receive(receivers[i], ct, LABEL) == secret:
                         derived.add(i)
                 except CryptoError:
                     pass
@@ -198,15 +207,11 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
     bundle = certproto.phase1_send(sender, 1, rng)
     certproto.phase1_receive(receivers[1], bundle)
     secret = rng.read(16)
-    ct = certproto.phase2_send(sender, 1, secret)
+    ct = _wrap(sender, 1, secret)
 
-    cert_bytes = bundle.sender_cert.to_bytes()
-    blob_bytes = bundle.signed_blob.to_bytes()
     for blob, rebuild in (
-        (cert_bytes, lambda b: certproto.CertBundle(
-            certproto.Certificate.from_bytes(b), bundle.signed_blob)),
-        (blob_bytes, lambda b: certproto.CertBundle(
-            bundle.sender_cert, SignedMessage.from_bytes(b))),
+        (bundle.announce, lambda b: Bundle(b, bundle.signed_blob)),
+        (bundle.signed_blob, lambda b: Bundle(bundle.announce, b)),
     ):
         for i in range(64):
             bit = (i * len(blob) * 8) // 64
@@ -215,7 +220,7 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
             try:
                 forged = rebuild(bytes(tampered))
                 certproto.phase1_receive(receivers[3], forged)
-                derived = certproto.phase2_receive(receivers[3], ct)
+                derived = certproto.phase2_receive(receivers[3], ct, LABEL)
             except CwbindError:
                 continue
             assert derived != secret
@@ -224,7 +229,7 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
         tampered = bytearray(ct)
         tampered[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises((CryptoError, ProtocolError)):
-            certproto.phase2_receive(receivers[1], bytes(tampered))
+            certproto.phase2_receive(receivers[1], bytes(tampered), LABEL)
 
 
 
@@ -264,13 +269,11 @@ def _minted_bundle(suite, signer, generation, recv, rng):
     """A sender certificate for a fresh key pair, signed by ``signer`` with
     ``generation``, and a blob from that key delivering a known key to ``recv``."""
     sender = suite.keygen("sig", rng.child("minted-sender"))
-    payload = Certificate.signed_payload(0x7F000001, (0xAD).to_bytes(8, "big"), ROLE_SENDER,
-                                         sender.public_key, generation)
-    cert = Certificate(0x7F000001, (0xAD).to_bytes(8, "big"), ROLE_SENDER, sender.public_key,
-                       generation, suite.sign(signer, payload))
+    cert = Certificate.issue(suite, signer, 0x7F000001, encode_id(0xAD), ROLE_SENDER,
+                             sender.public_key, generation)
     ltk = rng.read(suite.secret_bytes)
     blob = seal_blob(suite, sender, recv.receiver_id, recv.enc_keypair.public_key, ltk, rng)
-    return certproto.CertBundle(cert, blob), ltk
+    return Bundle(cert.to_bytes(), blob), ltk
 
 
 @pytest.mark.parametrize("source", ["rotated-ttp", "retired-key"])
@@ -292,7 +295,7 @@ def test_certificate_of_another_generation_is_rejected_before_verification(
         recv = certproto.CertReceiverState(suite, old.receiver_id, ttp.generation,
                                            ttp.keypair.public_key, old.enc_keypair)
         bundle, _ = _minted_bundle(suite, retired, 1, recv, rng)
-    assert bundle.sender_cert.generation != recv.authority_generation
+    assert Certificate.from_bytes(bundle.announce).generation != recv.authority_generation
     before = copy.deepcopy(recv)
     verifications.calls = 0
     with pytest.raises(ProtocolError, match="generation"):

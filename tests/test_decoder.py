@@ -26,6 +26,7 @@ from cwbind.decoder import (
 from cwbind.encoding import BROADCAST_ADDR, encode_id, lp, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
 from cwbind.kinds import BIND, LEGACY
+from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
 from cwbind.wire import (
@@ -544,7 +545,7 @@ def test_authentic_emm_key_of_wrong_length_is_refused_before_any_state_change(pi
     else:
         ltk = ca.sender.ltk_store[d.decoder_id] if ca.sender else b""
         group, ltk = (short, ltk) if carried == "group-key" else (ca.group_key, short)
-        announce = hemod._announce_bytes(ca) if ca.sender else b""
+        announce = d.client.announce if ca.sender else b""
         kind, body = EmmKind.PER_RECEIVER_ENROLL, build_enroll_body(b"", ltk, group, announce)
         error = "emm:enrollment carries a key that is not 16 bytes"
     hemod._queue(ca, kind, body, d.decoder_id)
@@ -575,8 +576,6 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
     # an adversary with only its own key pair (and, for a certificate chip,
     # the stolen authority key) delivers a 5-byte long-term key, then a
     # DERIVE under it: both must be rejections that leave the chip as it was
-    from cwbind.bindproto import BindBundle
-    from cwbind.certproto import CertBundle
     from cwbind.ttp import certify_sender
 
     master = Drbg.from_int(0x5B)
@@ -585,12 +584,12 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
                      authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key)
     rogue = suite.keygen("sig", master.child("rogue"))
     key_ct = suite.pke_encrypt(d.chip_public_key(), b"\x05" * 5, master.child("wrap"))
-    blob = suite.sign(rogue, encode_id(1) + lp(key_ct))
+    blob = suite.sign(rogue, encode_id(1) + lp(key_ct)).to_bytes()
     if kind == "bind":
-        bundle = BindBundle(rogue.public_key, blob)
+        bundle = Bundle(rogue.public_key, blob)
         named = lp(rogue.public_key)
     else:
-        bundle = CertBundle(certify_sender(ttp, 0xAD, rogue.public_key), blob)
+        bundle = Bundle(certify_sender(ttp, 0xAD, rogue.public_key).to_bytes(), blob)
         named = b""
     load = ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())
     derive = ChipChannelMsg(ChipMsgKind.DERIVE, u32(0) + named + lp(b"\x00" * 44))
@@ -626,16 +625,13 @@ class _Rogue:
 
     def encode(self, kind, spec) -> bytes:
         """The chip message a spec describes, built with the adversary's keys."""
-        from cwbind.bindproto import BindBundle
-        from cwbind.certproto import CertBundle
-
         suite, what = self.suite, spec[0]
         if what == "load-ltk":
             chip_pk = self.decoders["cert" if kind == "cert" else "bind"].chip_public_key()
             key_ct = suite.pke_encrypt(chip_pk, spec[1], Drbg.from_int(7))
-            blob = suite.sign(self.pair, encode_id(1) + lp(key_ct))
-            bundle = (CertBundle(self.cert, blob) if kind == "cert"
-                      else BindBundle(self.pair.public_key, blob))
+            blob = suite.sign(self.pair, encode_id(1) + lp(key_ct)).to_bytes()
+            announce = self.cert.to_bytes() if kind == "cert" else self.pair.public_key
+            bundle = Bundle(announce, blob)
             return ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes()).encode()
         if what == "derive":
             _, epoch, ltk, secret = spec
@@ -657,6 +653,21 @@ class _Rogue:
 @functools.lru_cache(maxsize=1)
 def _rogue() -> _Rogue:
     return _Rogue()
+
+
+def test_certificate_chip_refuses_an_announcement_that_is_no_certificate():
+    # a certificate chip parses the bundle's announcement as a certificate
+    # in its phase 1: a bind bundle's bare sender key is refused as wire
+    # input, and the long-term key the chip holds stays
+    rogue = _rogue()
+    chip = copy.deepcopy(rogue.decoders["cert"].chip)
+    load = ChipChannelMsg.decode(rogue.encode("cert", ("load-ltk", b"\x01" * 16)))
+    assert chip_process(chip, load) is None and chip.receiver.ltk == b"\x01" * 16
+    blob = Bundle.from_bytes(load.payload).signed_blob
+    bare = ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(rogue.pair.public_key, blob).to_bytes())
+    with pytest.raises(WireError):
+        chip_process(chip, bare)
+    assert chip.receiver.ltk == b"\x01" * 16
 
 
 _sized = st.sampled_from([0, 5, 15, 16, 17, 32]).flatmap(

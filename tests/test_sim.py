@@ -122,15 +122,20 @@ def test_rotate_auth_needs_positive_window_and_count(every, count):
         parse_scenario(MINI + f"rotate-auth 0 every {every} count {count}\n")
 
 
-@pytest.mark.parametrize("line, words", [
+@pytest.mark.parametrize("line, shape", [
     ("scenario mini extra", 1), ("seed 1 2", 1), ("epochs 3 junk", 1), ("secret-bits", 1),
     ("content-bytes 32 32", 1), ("ca 0 bind extra", 2), ("decoder 1 ca 0 more", 3),
     ("decoder 1 ca", 3), ("rotate-auth 0 every 2 count 1 x", 5),
+    ("at 3", "an epoch and an action"), ("at", "an epoch and an action"),
 ])
-def test_directive_with_a_wrong_field_count_rejected(line, words):
-    # trailing words used to be dropped without a word
+def test_directive_with_a_wrong_field_count_rejected(line, shape):
+    # trailing words used to be dropped without a word, and an at line
+    # without an action failed as a bare IndexError
     head, *rest = line.split()
-    message = rf"^scenario line 9: {head} takes {words} field\(s\), got {len(rest)}$"
+    if isinstance(shape, int):
+        message = rf"^scenario line 9: {head} takes {shape} field\(s\), got {len(rest)}$"
+    else:
+        message = rf"^scenario line 9: {head} takes {shape}, got {len(rest)} field\(s\)$"
     with pytest.raises(ValueError, match=message):
         parse_scenario(MINI + line + "\n")
 
