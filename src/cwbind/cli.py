@@ -30,7 +30,7 @@ from .errors import CryptoError, CwbindError
 from .binding import second_preimage_strength
 from .sim import load_scenario, run_world
 from .suite import CipherSuite, Drbg
-from .ttp import Certificate, TtpState, export_directory, rotate, ttp_init
+from .ttp import Certificate, TtpState, export_directory, parse_directory, rotate, ttp_init
 from .wire import decode_ecm, decode_emm, decode_frame
 
 
@@ -165,8 +165,6 @@ def _cmd_wire_decode(args) -> int:
         for emm in frame.emms:
             _print_emm(emm)
     elif magic == b"TD":
-        from .ttp import parse_directory
-
         directory = parse_directory(CipherSuite(), data)
         print(f"directory generation={directory.generation} "
               f"authority-key={directory.authority_pk.hex()}")

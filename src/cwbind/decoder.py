@@ -18,10 +18,10 @@ Chip channel message (``u8 kind | lp(payload)``)::
 
 ``derive_msg`` and ``load_cw_msg`` build DERIVE and LOAD_CW; LOAD_LTK
 carries ``phase1.Bundle.to_bytes`` for either kind, whose announcement is the
-sender certificate or the bare sender key. DERIVE and LOAD_CW
-are parsed in one pass that, like ``Reader``, raises only ``WireError``;
-a DERIVE's first four bytes are the epoch label its wrap authenticates. A
-chip issues a handle only for a control word of the suite's secret length.
+sender certificate or the bare sender key. DERIVE and LOAD_CW are split in
+one pass, and ``Reader`` rejects whatever that pass does not accept; a
+DERIVE's first four bytes are the epoch label its wrap authenticates. A chip
+issues a handle only for a control word of the suite's secret length.
 
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
@@ -155,7 +155,6 @@ class CaClientState:
     channel_key: bytes = field(repr=False)
     group_key: bytes | None = field(default=None, repr=False)
     ecm_key: bytes | None = field(default=None, repr=False)
-    entitled: bool = False
     announce: bytes | None = None  # current sender certificate bytes, or bare key
     co_sender_pks: tuple[bytes, ...] = ()
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # by announce
@@ -198,7 +197,6 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
             entitled, ecm_key = parse_entitlement_body(body)
             if entitled and len(ecm_key) != suite.secret_bytes:
                 raise ProtocolError(f"ECM key is not {suite.secret_bytes} bytes")
-            client.entitled = entitled
             client.ecm_key = ecm_key if entitled else None
             return []
         blob, ltk_copy, group_key, announce = parse_enroll_body(body)
@@ -238,7 +236,7 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
     """
     if ecm.ca_system_id != client.ca_system_id:
         return None
-    if not client.entitled or client.ecm_key is None:
+    if client.ecm_key is None:
         return None
     secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, ecm.aad)
     if client.kind.proto is None:
@@ -266,30 +264,22 @@ class ChipState:
 def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
     """Read a ``derive_msg`` or ``load_cw_msg`` payload in one pass: the
     epoch, the sender key when ``named``, then the wrapped or raw word.
-    Errors name the offsets and lengths ``Reader`` would."""
+    ``Reader`` rejects what that pass refuses, with its own messages."""
     end = len(payload)
-    if end < 8:  # both layouts have a length at offset 4
-        at = 0 if end < 4 else 4
-        raise WireError(f"truncated input: wanted 4 bytes at offset {at}, have {end - at}")
-    epoch, size = _WORD_HEADER.unpack_from(payload)
-    offset = 8 + size
-    if offset > end:
-        raise WireError(f"truncated input: wanted {size} bytes at offset 8, have {end - 8}")
-    if not named:
-        if offset != end:
-            raise WireError(f"{end - offset} trailing bytes at offset {offset}")
-        return epoch, None, payload[8:]
-    if end - offset < 4:
-        raise WireError(
-            f"truncated input: wanted 4 bytes at offset {offset}, have {end - offset}")
-    start = offset + 4
-    word_size = U32.unpack_from(payload, offset)[0]
-    if word_size > end - start:
-        raise WireError(
-            f"truncated input: wanted {word_size} bytes at offset {start}, have {end - start}")
-    if start + word_size != end:
-        raise WireError(f"{end - start - word_size} trailing bytes at offset {start + word_size}")
-    return epoch, payload[8:offset], payload[start:]
+    if end >= 8:  # both layouts have a length at offset 4
+        epoch, size = _WORD_HEADER.unpack_from(payload)
+        offset = 8 + size
+        if not named:
+            if offset == end:
+                return epoch, None, payload[8:]
+        elif offset + 4 <= end and offset + 4 + U32.unpack_from(payload, offset)[0] == end:
+            return epoch, payload[8:offset], payload[offset + 4:]
+    r = Reader(payload)
+    r.take(4)
+    r.take_lp()
+    if named:
+        r.take_lp()
+    r.done()
 
 
 def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | None:

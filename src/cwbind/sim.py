@@ -159,6 +159,7 @@ class Event:
     epoch: int
     verb: str
     args: tuple[str, ...]
+    line: int = field(default=0, compare=False, repr=False)  # its scenario line, if parsed
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,14 @@ class ScenarioConfig:
             if not 0 <= spec.ca_index < len(kinds):
                 raise ValueError(f"decoder {spec.decoder_id} references missing ca {spec.ca_index}")
         for ev in self.events:
-            if not 0 <= ev.epoch < self.epochs:
-                raise ValueError(f"event at epoch {ev.epoch} outside run")
-            _check_action(ev, kinds, ca_of)
+            try:
+                if not 0 <= ev.epoch < self.epochs:
+                    raise ValueError(f"event at epoch {ev.epoch} outside run")
+                _check_action(ev, kinds, ca_of)
+            except ValueError as exc:
+                if not ev.line:
+                    raise
+                raise ValueError(f"scenario line {ev.line}: {exc}") from None
 
 
 def _check_action(ev: Event, kinds: list[CaKind], ca_of: dict[int, int]) -> None:
@@ -288,7 +294,7 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                 index = int(fields[1])
                 if index != len(ca_kinds):
                     raise ValueError(f"ca systems must be declared in order, got {index}")
-                ca_kinds.append(fields[2])
+                ca_kinds.append(ca_kind(fields[2]).name)
             elif head == "decoder":
                 if fields[2] != "ca":
                     raise ValueError("expected 'decoder <id> ca <index>'")
@@ -304,7 +310,7 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                 if len(fields) < 3:
                     raise ValueError(
                         f"at takes an epoch and an action, got {len(fields) - 1} field(s)")
-                events.append(Event(int(fields[1]), fields[2], tuple(fields[3:])))
+                events.append(Event(int(fields[1]), fields[2], tuple(fields[3:]), lineno))
             else:
                 raise ValueError(f"unknown directive {head!r}")
         except (IndexError, ValueError) as exc:
@@ -457,10 +463,9 @@ class AdversaryState:
     known_rand: dict[int, bytes] = field(default_factory=dict)  # per bind ca
     # (class, decoder id), or ("ecm", CA system id): one ECM per system
     captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
-    probes: dict[bytes, tuple[str, int]] = field(default_factory=dict)  # id -> (type, ca)
-    # the adversary's own context for the key it wraps under at each probed
-    # decoder, held as a CA client holds its long-term key's
-    probe_slots: dict[bytes, AeadSlot] = field(default_factory=dict)
+    # id -> (type, ca, slot): the adversary's own context for the key it wraps
+    # under at that decoder, held as a CA client holds its long-term key's
+    probes: dict[bytes, tuple[str, int, AeadSlot]] = field(default_factory=dict)
     minted_serial: int = 0x7F000000
     replay_classes: frozenset[str] = frozenset()  # the classes a scheduled replay reads
 
@@ -650,12 +655,10 @@ def adversary_step(world: World, event: Event) -> None:
             adv.authority_key = (world.ttp.generation, world.ttp.keypair)
     elif event.verb == "pirate-probe":
         decoder_id = encode_id(int(event.args[0]))
-        adv.probes[decoder_id] = ("pirate", world.decoders[decoder_id].ca_index)
-        adv.probe_slots.setdefault(decoder_id, AeadSlot())
+        adv.probes[decoder_id] = ("pirate", world.decoders[decoder_id].ca_index, AeadSlot())
     elif event.verb == "forge-sender":
         decoder_id = encode_id(int(event.args[1]))
-        adv.probes[decoder_id] = ("forge", int(event.args[0]))
-        adv.probe_slots.setdefault(decoder_id, AeadSlot())
+        adv.probes[decoder_id] = ("forge", int(event.args[0]), AeadSlot())
     elif event.verb in ("tamper", "replay", "inject-cw"):
         world.epoch_one_shots.append(event)
     else:
@@ -723,13 +726,12 @@ def _cert_load_and_derive(world: World, rogue: KeyPair, blob: bytes, ltk: bytes,
 
 
 def _probe_msgs(world: World, decoder: Decoder, epoch: int,
-                probe: tuple[str, int]) -> list[ChipChannelMsg]:
+                probe: tuple[str, int, AeadSlot]) -> list[ChipChannelMsg]:
     """Best-effort pirate message set for one decoder, from current knowledge."""
     adv = world.adversary
     suite = world.suite
-    probe_type, ca_index = probe
+    probe_type, ca_index, slot = probe
     kind = decoder.chip.kind
-    slot = adv.probe_slots[decoder.decoder_id]
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
     raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
 

@@ -38,18 +38,17 @@ and every certificate chip checks the same certificate and revocation list,
 so three results are memoised, each in one ``functools.lru_cache`` of a fixed
 size that no option or variable changes: the ``AESGCM`` context per key
 (``_aead``, 8 entries), the plaintext of each successful AES-GCM open
-(``_open``, 32 entries, shared by ``_decrypt`` and ``open_sealed``), and each
-successful Ed25519 verification keyed by (public key, signature, message)
+(``_open``, 32 entries, shared by ``sym_decrypt`` and ``open_sealed``), and
+each successful Ed25519 verification keyed by (public key, signature, message)
 (``_verify``, 64 entries). ``_open`` is keyed by (key, nonce || body,
-associated data): ``_decrypt`` passes the ciphertext object as it arrived,
+associated data): ``sym_decrypt`` passes the ciphertext object as it arrived,
 which every client of an ECM shares, so a hit slices nothing and hashes no
 bytes anew (a bytes object computes its hash once); ``open_sealed`` passes
-nonce || tag and associated data || body. The key stays injective because
-the nonce has a fixed length. A memo entry exists only for inputs that
-already passed the full check. A failure raises out of the cached function,
-so it is never cached: a wrong key, nonce, tag, body, associated data or
-signature is checked again on every call and raises ``CryptoError`` each
-time.
+nonce || tag and associated data || body. The key stays injective because the
+nonce has a fixed length. A memo entry exists only for inputs that already
+passed the full check. A failure raises out of the cached function, so it is
+never cached: a wrong key, nonce, tag, body, associated data or signature is
+checked again on every call and raises ``CryptoError`` each time.
 
 The ``_aead`` memo serves keys many parties share: the group and ECM keys
 of each CA system. A PKE wrap key is used once at each end, so
@@ -61,7 +60,7 @@ that come back. A party that uses its own key every time instead holds an
 in ``phase2_receive``, both ends of each receiver's channel key (the
 head-end's slot per provisioned receiver and the client's
 ``channel_slot``) for the per-receiver EMMs, and the simulated adversary's
-slot per probed decoder (``sim.AdversaryState.probe_slots``) for the key
+slot per probed decoder (in ``sim.AdversaryState.probes``) for the key
 its DERIVE wraps under, most often a fresh one each epoch. A
 de-authorization re-ships the ECM key to every remaining subscriber, one
 EMM under each one's channel key, so a burst names N distinct keys in a
@@ -250,18 +249,6 @@ def _nonce(key: bytes, aad: bytes, plaintext: bytes) -> bytes:
     return hashlib.sha512(material).digest()[:GCM_NONCE_LEN]
 
 
-def _decrypt(key: bytes, ciphertext: bytes, aad: bytes, slot: AeadSlot | None) -> bytes:
-    if len(ciphertext) < _TRAILER:
-        raise CryptoError("ciphertext too short")
-    try:
-        if slot is None:
-            return _open(key, ciphertext, aad)
-        return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
-                                         ciphertext[GCM_NONCE_LEN:], aad)
-    except InvalidTag as exc:
-        raise CryptoError("authenticated decryption failed") from exc
-
-
 def _wrap_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     """The PKE payload key; it binds the ephemeral and recipient public keys."""
     material = b"cwbind/hybrid-wrap" + lp(shared) + lp(eph_pub) + lp(recipient_pub)
@@ -370,7 +357,15 @@ class CipherSuite:
         """Decrypt under ``key``, through the holder's ``slot`` when given."""
         if len(key) != self.secret_bytes:
             raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
-        return _decrypt(key, ciphertext, aad, slot)
+        if len(ciphertext) < _TRAILER:
+            raise CryptoError("ciphertext too short")
+        try:
+            if slot is None:
+                return _open(key, ciphertext, aad)
+            return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
+                                             ciphertext[GCM_NONCE_LEN:], aad)
+        except InvalidTag as exc:
+            raise CryptoError("authenticated decryption failed") from exc
 
     def seal(self, key: bytes, body: bytes, aad: bytes = b"") -> bytes:
         """Integrity-only protection for broadcast payloads: the clear body,

@@ -269,26 +269,20 @@ def build_entitlement_body(entitled: bool, ecm_key: bytes = b"") -> bytes:
 
 
 def parse_entitlement_body(body: bytes) -> tuple[bool, bytes]:
-    """Read ``build_entitlement_body``'s layout in one pass; raises only
-    ``WireError``, with ``Reader``'s messages and offsets."""
+    """Read ``build_entitlement_body``'s layout in one pass; ``Reader``
+    rejects what that pass refuses, with its own messages and offsets."""
     end = len(body)
-    if not end:
-        raise WireError("truncated input: wanted 1 bytes at offset 0, have 0")
-    flag = body[0]
-    if flag == 0:
-        if end != 1:
-            raise WireError(f"{end - 1} trailing bytes at offset 1")
+    if end >= 5 and body[0] == 1 and U32.unpack_from(body, 1)[0] == end - 5:
+        return True, body[5:]
+    if body == b"\x00":
         return False, b""
-    if flag != 1:
+    r = Reader(body)
+    flag = r.take_u8()
+    if flag == 1:
+        r.take_lp()
+    elif flag:
         raise WireError(f"bad entitlement flag {flag} at offset 0")
-    if end < 5:
-        raise WireError(f"truncated input: wanted 4 bytes at offset 1, have {end - 1}")
-    size = U32.unpack_from(body, 1)[0]
-    if size > end - 5:
-        raise WireError(f"truncated input: wanted {size} bytes at offset 5, have {end - 5}")
-    if size != end - 5:
-        raise WireError(f"{end - 5 - size} trailing bytes at offset {5 + size}")
-    return True, body[5:]
+    r.done()
 
 
 def build_pk_set_body(pk_set: tuple[bytes, ...]) -> bytes:

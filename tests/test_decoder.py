@@ -193,7 +193,7 @@ def test_entitled_client_without_a_long_term_key_sends_no_derive(pipeline):
     for emm in frame.emms:
         if emm.kind == EmmKind.PER_RECEIVER_ENTITLEMENT and emm.addressee == encode_id(1):
             client_process_emm(client, emm)
-    assert client.entitled and client.announce is None
+    assert client.ecm_key is not None and client.announce is None
     with pytest.raises(ProtocolError,
                        match="^client holds no long-term key for the current sender key$"):
         client_process_ecm(client, frame.ecms[0])

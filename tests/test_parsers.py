@@ -2,11 +2,13 @@
 or raises a ``CwbindError``; any other exception is a parser bug."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cwbind
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind
 from cwbind.encoding import encode_id
 from cwbind.errors import CwbindError
@@ -116,3 +118,12 @@ def test_mutated_encodings_raise_only_cwbind_errors(rnd):
                 parse(_mutated(data, rnd))
             except CwbindError:
                 pass
+
+
+def test_only_the_reader_words_truncation_and_trailing_bytes():
+    # the one-pass codecs hand every input they refuse to ``Reader``, so
+    # these two fault texts are written once, in ``encoding.py``
+    package = Path(cwbind.__file__).parent
+    writers = {path.name for path in package.glob("*.py")
+               if any(text in path.read_text() for text in ("truncated input", "trailing bytes"))}
+    assert writers == {"encoding.py"}

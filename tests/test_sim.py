@@ -140,6 +140,19 @@ def test_directive_with_a_wrong_field_count_rejected(line, shape):
         parse_scenario(MINI + line + "\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("at 1 bogus", "unknown action 'bogus'"),
+    ("at 9 inject-cw 1", "event at epoch 9 outside run"),
+    ("at 1 inject-cw 7", "event references unknown decoder 7"),
+    ("at 1 tamper ecm x", "invalid literal for int"),
+    ("ca 1 bogus", "unknown CA kind 'bogus'"),
+])
+def test_event_and_ca_kind_errors_name_the_line(line, message):
+    # the event checks run after parsing, so each parsed event carries its line
+    with pytest.raises(ValueError, match=f"^scenario line 6: {message}"):
+        parse_scenario("scenario x\nseed 1\nepochs 5\nca 0 bind\ndecoder 1 ca 0\n" + line + "\n")
+
+
 def test_quiet_epochs_build_no_chip_filter(monkeypatch):
     # no one-shot event and no probe: no decoder is interposed, and the
     # per-decoder hook is not even asked; a tamper epoch asks it for each one

@@ -346,7 +346,7 @@ def test_per_receiver_emm_with_any_byte_flipped_fails_on_every_call(kind, index,
         with pytest.raises(CryptoError):
             SUITE.sym_decrypt(client.channel_key, bad.payload, aad, slot=client.channel_slot)
     assert decmod.client_process_emm(client, emm) == []
-    assert client.entitled and client.ecm_key == world.headend.ca_systems[0].ecm_key
+    assert client.ecm_key is not None and client.ecm_key == world.headend.ca_systems[0].ecm_key
 
 
 @pytest.mark.parametrize("kind", ["bind", "cert", "legacy"])
@@ -448,7 +448,9 @@ def test_probe_keys_never_reach_the_memo(monkeypatch):
     monkeypatch.setattr(simmod, "derive_msg", recording_derive)  # the adversary's only
     report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
-    assert set(world.adversary.probe_slots) == set(world.adversary.probes)
+    slots = [slot for _, _, slot in world.adversary.probes.values()]
+    assert all(isinstance(slot, AeadSlot) for slot in slots)
+    assert len({id(slot) for slot in slots}) == len(slots) == 4
     # four probed decoders, a fresh key each in epochs 11-29
     assert len(probe_keys) == 4 * 19 and probe_keys.isdisjoint(memo_keys)
     assert all(_CountingContexts.built[key] == 1 for key in probe_keys)
