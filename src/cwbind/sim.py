@@ -239,15 +239,16 @@ def _check_action(ev: Event, kinds: list[CaKind], ca_of: dict[int, int]) -> None
             raise ValueError(f"{name}: decoder {arg} is not on ca {ca}")
 
 
-def _expand_rotate_auth(ca_index: int, every: int, count: int,
+def _expand_rotate_auth(line: int, ca_index: int, every: int, count: int,
                         decoders: list[DecoderSpec], epochs: int) -> list[Event]:
     """Rotating authorized subset: at each window start, the set becomes the
-    next ``count``-wide wrap-around slice of the system's decoders."""
+    next ``count``-wide wrap-around slice of the system's decoders. ``line``
+    is the ``rotate-auth`` line's number, for its errors."""
     ids = sorted(spec.decoder_id for spec in decoders if spec.ca_index == ca_index)
     if not ids:
-        raise ValueError(f"rotate-auth for ca {ca_index} with no decoders")
+        raise ValueError(f"scenario line {line}: rotate-auth for ca {ca_index} with no decoders")
     if count > len(ids):
-        raise ValueError("rotate-auth count exceeds decoder population")
+        raise ValueError(f"scenario line {line}: rotate-auth count exceeds decoder population")
     events: list[Event] = []
     previous: frozenset[int] = frozenset()
     for window, epoch in enumerate(range(0, epochs, every)):
@@ -269,7 +270,7 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
     ca_kinds: list[str] = []
     decoders: list[DecoderSpec] = []
     events: list[Event] = []
-    rotate_auth: list[tuple[int, int, int]] = []
+    rotate_auth: list[tuple[int, int, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -305,7 +306,7 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                 every, count = int(fields[3]), int(fields[5])
                 if every <= 0 or count <= 0:
                     raise ValueError(f"rotate-auth every {every} count {count}: both must be > 0")
-                rotate_auth.append((int(fields[1]), every, count))
+                rotate_auth.append((lineno, int(fields[1]), every, count))
             elif head == "at":
                 if len(fields) < 3:
                     raise ValueError(
@@ -318,8 +319,8 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
 
     if seed is None or epochs is None:
         raise ValueError("scenario must declare both seed and epochs")
-    for ca_index, every, count in rotate_auth:
-        events.extend(_expand_rotate_auth(ca_index, every, count, decoders, epochs))
+    for line, ca_index, every, count in rotate_auth:  # after every decoder is declared
+        events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders, epochs))
     events.sort(key=lambda ev: ev.epoch)  # stable: preserves file order per epoch
     config = ScenarioConfig(
         name=name, seed=seed, epochs=epochs, ca_kinds=ca_kinds,
@@ -996,9 +997,9 @@ def _build_report(world: World) -> RunReport:
     implicit, violations = compute_verdicts(world.rows)
     recovery_success: bool | None = None
     if world.recovery_epoch is not None:
+        # implicit key authentication already fails on any violation
         tail = [row for row in world.rows if row.epoch >= world.recovery_epoch]
-        tail_implicit, tail_violations = compute_verdicts(tail)
-        recovery_success = tail_implicit and tail_violations == 0
+        recovery_success = compute_verdicts(tail)[0]
     return RunReport(
         config=world.config,
         ids=tuple(int_id for _, int_id, _ in world._delivery),

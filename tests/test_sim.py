@@ -146,9 +146,12 @@ def test_directive_with_a_wrong_field_count_rejected(line, shape):
     ("at 1 inject-cw 7", "event references unknown decoder 7"),
     ("at 1 tamper ecm x", "invalid literal for int"),
     ("ca 1 bogus", "unknown CA kind 'bogus'"),
+    ("rotate-auth 3 every 2 count 1", "rotate-auth for ca 3 with no decoders"),
+    ("rotate-auth 0 every 2 count 4", "rotate-auth count exceeds decoder population"),
 ])
 def test_event_and_ca_kind_errors_name_the_line(line, message):
-    # the event checks run after parsing, so each parsed event carries its line
+    # the event checks and the rotate-auth expansion run after parsing, so
+    # each parsed event and each rotate-auth line carries its line number
     with pytest.raises(ValueError, match=f"^scenario line 6: {message}"):
         parse_scenario("scenario x\nseed 1\nepochs 5\nca 0 bind\ndecoder 1 ca 0\n" + line + "\n")
 
@@ -880,6 +883,27 @@ at 3 inject-cw 2
     assert _outcomes(report)[3][2] == "K"  # unauthorized derivation
     assert report.authenticity_violations >= 1
     assert not report.implicit_key_auth
+
+
+def test_recovery_verdict_counts_the_recover_epoch_itself():
+    # a word injected in the recover epoch reaches a legacy decoder that
+    # epoch; recovery is judged from that epoch on, not from the next one
+    text = """
+scenario recover-epoch
+seed 3
+epochs 8
+ca 0 legacy
+decoder 1 ca 0
+decoder 2 ca 0
+at 0 authorize 0 1
+at 2 compromise control-word 1
+at 4 recover
+at 4 inject-cw 2
+"""
+    report_text = run_world(parse_scenario(text))[0].to_text()
+    assert "epoch 4 auth 1 interfered 2 outcomes 1=K 2=K\n" in report_text
+    assert "epoch 5 auth 1 interfered - outcomes 1=K 2=X\n" in report_text
+    assert "verdict recovery-success fail\n" in report_text
 
 
 def test_bandwidth_ledger_chip_channel_excluded_from_broadcast():
