@@ -4,11 +4,12 @@ signed blob.
 Both shapes deliver each receiver's long-term key the same way. The sender
 looks the receiver up in its directory snapshot, refuses a revoked one,
 draws a fresh long-term key, encrypts it to the receiver's public key and
-signs the ciphertext together with the recipient id. The receiver verifies
-the blob, checks that it is the recipient and decrypts. The shapes differ
-only in how the receiver decides to trust the signing key, and that stays
-in the protocol modules: ``certproto`` checks a certificate, ``bindproto``
-files the key under the public key that verified it.
+signs the ciphertext together with the recipient id (``seal_ltk``, the one
+place a blob is sealed). The receiver verifies the blob, checks that it is
+the recipient and decrypts (``open_blob``). The shapes differ only in how
+the receiver decides to trust the signing key, and that stays in the
+protocol modules: ``certproto`` checks a certificate, ``bindproto`` files
+the key under the public key that verified it.
 
 Bundle layout (``Bundle.to_bytes``): lp(announcement) | lp(signed blob). The
 announcement is the sender's certificate bytes or its bare public key, the
@@ -55,13 +56,6 @@ class SenderState:
     ltk_store: dict[bytes, bytes] = field(default_factory=dict, repr=False)
 
 
-def seal_blob(suite: CipherSuite, sig_keypair: KeyPair, receiver_id: bytes,
-              receiver_pk: bytes, ltk: bytes, rng: Drbg) -> bytes:
-    """Encrypt ``ltk`` to ``receiver_pk`` and sign it with the recipient id."""
-    key_ct = suite.pke_encrypt(receiver_pk, ltk, rng)
-    return suite.sign(sig_keypair, receiver_id + lp(key_ct)).to_bytes()
-
-
 def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> bytes:
     """Deliver a fresh long-term key to a listed, unrevoked receiver and
     remember it for phase 2."""
@@ -72,10 +66,9 @@ def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> bytes:
     if receiver_cert.serial in sender.directory.revoked_serials:
         raise ProtocolError("receiver certificate is revoked")
     ltk = rng.read(sender.suite.secret_bytes)
-    blob = seal_blob(sender.suite, sender.sig_keypair, receiver_id, receiver_cert.subject_pk,
-                     ltk, rng)
+    key_ct = sender.suite.pke_encrypt(receiver_cert.subject_pk, ltk, rng)
     sender.ltk_store[receiver_id] = ltk
-    return blob
+    return sender.suite.sign(sender.sig_keypair, receiver_id + lp(key_ct)).to_bytes()
 
 
 def open_blob(recv, signer_pk: bytes, blob: bytes) -> bytes:

@@ -26,7 +26,7 @@ Actions, with the argument shapes ``ACTION_ARGS`` checks::
                                             | emm-receiver | ecm
     inject-cw <decoder>              one-shot raw control-word injection
     pirate-probe <decoder>           persistent best-effort pirate injection
-    forge-sender <ca> <decoder>      persistent rogue-sender message sets
+    forge-sender <ca> <ca-decoder>   persistent rogue-sender message sets
 
 Every ``<ca>`` and decoder (``<src>`` and ``<dst>`` too) must be declared;
 a ``<ca-decoder>`` must be on the CA system just named, and a ``<sender-ca>``
@@ -59,7 +59,10 @@ the authority key takes a snapshot: material rotated afterwards is not
 leaked. A forge probe's, or a certificate pirate probe's, rogue signing
 key is loaded from the probe's draws with ``CipherSuite.load_sig_keypair``:
 only honest key pairs pay ``keygen``'s self-test, and the pair and every
-later draw are the ones ``keygen`` would give.
+later draw are the ones ``keygen`` would give. Every forged set is sealed by
+the protocol's own ``phase1_send`` on a throwaway sender state around the
+rogue or stolen signing key (for a certificate chip, with a sender
+certificate minted with the stolen authority key).
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -101,7 +104,7 @@ from .decoder import (
 from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
-from .phase1 import Bundle, seal_blob
+from .phase1 import SenderState
 from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair
 from .ttp import Certificate, Directory, ROLE_SENDER
 from .wire import (
@@ -135,7 +138,7 @@ ACTION_ARGS: dict[str, tuple] = {
     "replay": ("decoder", "decoder", REPLAY_CLASSES),
     "inject-cw": ("decoder",),
     "pirate-probe": ("decoder",),
-    "forge-sender": ("ca", "decoder"),
+    "forge-sender": ("ca", "ca-decoder"),
 }
 
 # the fields after each directive's word; an ``at`` line is checked per action
@@ -143,6 +146,7 @@ _FIELDS = {"scenario": 1, "seed": 1, "epochs": 1, "secret-bits": 1, "content-byt
            "ca": 2, "decoder": 3, "rotate-auth": 5}
 
 BROADCAST_ID = id_as_int(BROADCAST_ADDR)
+_ROGUE_ID = encode_id(0xAD)  # the sender id on the adversary's forged sets
 
 OUTCOME_DERIVED = "K"
 OUTCOME_REJECTED = "R"
@@ -178,6 +182,9 @@ class ScenarioConfig:
     events: list[Event]
     secret_bits: int = 128
     content_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.epochs <= 0:
@@ -322,13 +329,11 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
     for line, ca_index, every, count in rotate_auth:  # after every decoder is declared
         events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders, epochs))
     events.sort(key=lambda ev: ev.epoch)  # stable: preserves file order per epoch
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name=name, seed=seed, epochs=epochs, ca_kinds=ca_kinds,
         decoders=decoders, events=events,
         secret_bits=secret_bits, content_bytes=content_bytes,
     )
-    config.validate()
-    return config
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -464,9 +469,9 @@ class AdversaryState:
     known_rand: dict[int, bytes] = field(default_factory=dict)  # per bind ca
     # (class, decoder id), or ("ecm", CA system id): one ECM per system
     captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
-    # id -> (type, ca, slot): the adversary's own context for the key it wraps
+    # id -> (verb, slot): the adversary's own context for the key it wraps
     # under at that decoder, held as a CA client holds its long-term key's
-    probes: dict[bytes, tuple[str, int, AeadSlot]] = field(default_factory=dict)
+    probes: dict[bytes, tuple[str, AeadSlot]] = field(default_factory=dict)
     minted_serial: int = 0x7F000000
     replay_classes: frozenset[str] = frozenset()  # the classes a scheduled replay reads
 
@@ -540,7 +545,6 @@ class World:
 
 
 def build_world(config: ScenarioConfig) -> World:
-    config.validate()
     suite = CipherSuite(config.secret_bits)
     master = Drbg(hashlib.sha512(b"cwbind/scenario/" + str(config.seed).encode()).digest())
     ttp = ttpmod.ttp_init(suite, master.child("ttp"))
@@ -654,12 +658,8 @@ def adversary_step(world: World, event: Event) -> None:
                 ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
         elif what == "ttp-key":
             adv.authority_key = (world.ttp.generation, world.ttp.keypair)
-    elif event.verb == "pirate-probe":
-        decoder_id = encode_id(int(event.args[0]))
-        adv.probes[decoder_id] = ("pirate", world.decoders[decoder_id].ca_index, AeadSlot())
-    elif event.verb == "forge-sender":
-        decoder_id = encode_id(int(event.args[1]))
-        adv.probes[decoder_id] = ("forge", int(event.args[0]), AeadSlot())
+    elif event.verb in ("pirate-probe", "forge-sender"):  # the decoder comes last
+        adv.probes[encode_id(int(event.args[-1]))] = (event.verb, AeadSlot())
     elif event.verb in ("tamper", "replay", "inject-cw"):
         world.epoch_one_shots.append(event)
     else:
@@ -692,46 +692,42 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_ltk_blob(world: World, sig_pair: KeyPair, decoder_id: bytes,
-                   ltk: bytes, rng: Drbg) -> bytes:
-    """Phase-1 signed blob delivering an adversary-chosen long-term key."""
-    receiver_pk = world.directory.receiver_cert(decoder_id).subject_pk
-    return seal_blob(world.suite, sig_pair, decoder_id, receiver_pk, ltk, rng)
-
-
-def _bind_load_and_derive(suite: CipherSuite, sender_pk: bytes, blob: bytes,
-                          ltk: bytes, epoch: int, rand: bytes,
-                          slot: AeadSlot) -> list[ChipChannelMsg]:
-    """A binding chip's full message set under one sender key: file the
-    long-term key, make the key the whole set, derive from ``rand``,
-    wrapping through the adversary's ``slot`` for this decoder."""
-    return [
-        ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(sender_pk, blob).to_bytes()),
-        ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))),
-        derive_msg(suite, ltk, epoch, rand, sender_pk, slot),
-    ]
-
-
-def _cert_load_and_derive(world: World, rogue: KeyPair, blob: bytes, ltk: bytes,
-                          epoch: int, secret: bytes, slot: AeadSlot) -> list[ChipChannelMsg]:
-    """A certificate chip's message set under a sender certificate for
-    ``rogue``, forged with the stolen authority key; the DERIVE is wrapped
-    through the adversary's ``slot`` for this decoder."""
+def _sealed_set(world: World, decoder: Decoder, sig_pair: KeyPair, epoch: int,
+                secret: bytes | None, rng: Drbg, slot: AeadSlot) -> list[ChipChannelMsg]:
+    """A full message set under ``sig_pair``: the LOAD_LTK bundle from the
+    chip kind's own ``phase1_send`` on a throwaway sender state, a binding
+    chip's key set of that one key, and a DERIVE of ``secret`` (a fresh
+    draw after the delivery when ``None``) wrapped through the adversary's
+    ``slot`` for this decoder. A certificate chip's sender state holds a
+    sender certificate minted with the stolen authority key."""
     adv = world.adversary
-    generation, keypair = adv.authority_key
-    adv.minted_serial += 1
-    cert = Certificate.issue(world.suite, keypair, adv.minted_serial, encode_id(0xAD),
-                             ROLE_SENDER, rogue.public_key, generation)
-    return [ChipChannelMsg(ChipMsgKind.LOAD_LTK, Bundle(cert.to_bytes(), blob).to_bytes()),
-            derive_msg(world.suite, ltk, epoch, secret, None, slot)]
+    kind = decoder.chip.kind
+    state = (world.suite, _ROGUE_ID, sig_pair, world.directory)
+    if kind.certified:
+        generation, keypair = adv.authority_key
+        adv.minted_serial += 1
+        cert = Certificate.issue(world.suite, keypair, adv.minted_serial, _ROGUE_ID,
+                                 ROLE_SENDER, sig_pair.public_key, generation)
+        sender = certproto.CertSenderState(*state, sender_cert=cert)
+    else:
+        sender = SenderState(*state)
+    bundle = kind.proto.phase1_send(sender, decoder.decoder_id, rng)
+    ltk = sender.ltk_store[decoder.decoder_id]
+    secret = secret or rng.read(world.suite.secret_bytes)
+    msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())]
+    sender_pk = None
+    if kind.binds:
+        sender_pk = sig_pair.public_key
+        msgs.append(ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))))
+    return msgs + [derive_msg(world.suite, ltk, epoch, secret, sender_pk, slot)]
 
 
 def _probe_msgs(world: World, decoder: Decoder, epoch: int,
-                probe: tuple[str, int, AeadSlot]) -> list[ChipChannelMsg]:
+                probe: tuple[str, AeadSlot]) -> list[ChipChannelMsg]:
     """Best-effort pirate message set for one decoder, from current knowledge."""
     adv = world.adversary
     suite = world.suite
-    probe_type, ca_index, slot = probe
+    verb, slot = probe
     kind = decoder.chip.kind
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
     raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
@@ -739,27 +735,21 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     if kind.proto is None:
         return raw_cw
 
-    if probe_type == "forge":
-        # rogue sender with its own keys: full message set, own randomness
+    if verb == "forge-sender":
+        # rogue sender with its own keys: full message set, own randomness;
+        # a certificate chip's set needs the stolen authority key
+        if kind.certified and adv.authority_key is None:
+            return []
         rogue = suite.load_sig_keypair(rng.read(32))
-        ltk = rng.read(suite.secret_bytes)
-        rand = rng.read(suite.secret_bytes)
-        blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
-        if kind.binds:
-            return _bind_load_and_derive(suite, rogue.public_key, blob, ltk, epoch, rand, slot)
-        if adv.authority_key is not None:  # a certificate chip
-            secret = adv.known_cw if adv.known_cw is not None else rand
-            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, secret, slot)
-        return []
+        return _sealed_set(world, decoder, rogue, epoch,
+                           adv.known_cw if kind.certified else None, rng, slot)
 
     # pirate probe: use whatever was compromised
-    snapshot = adv.sender_snapshots.get(ca_index)
+    snapshot = adv.sender_snapshots.get(decoder.ca_index)
     if kind.certified:
         if adv.authority_key is not None and adv.known_cw is not None:
             rogue = suite.load_sig_keypair(rng.read(32))
-            ltk = rng.read(suite.secret_bytes)
-            blob = _wrap_ltk_blob(world, rogue, decoder.decoder_id, ltk, rng)
-            return _cert_load_and_derive(world, rogue, blob, ltk, epoch, adv.known_cw, slot)
+            return _sealed_set(world, decoder, rogue, epoch, adv.known_cw, rng, slot)
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
@@ -767,11 +757,8 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
         return raw_cw
 
     if snapshot is not None:  # a binding chip
-        ltk = rng.read(suite.secret_bytes)
-        blob = _wrap_ltk_blob(world, snapshot.sig_keypair, decoder.decoder_id, ltk, rng)
-        rand_guess = adv.known_rand.get(ca_index) or rng.read(suite.secret_bytes)
-        return _bind_load_and_derive(suite, snapshot.sig_keypair.public_key, blob, ltk,
-                                     epoch, rand_guess, slot)
+        return _sealed_set(world, decoder, snapshot.sig_keypair, epoch,
+                           adv.known_rand.get(decoder.ca_index), rng, slot)
     return raw_cw
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cwbind import bindproto, certproto, headend as hemod
+from cwbind import bindproto, certproto, headend as hemod, sim
 from cwbind.binding import second_preimage_strength
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind, chip_process, process_frame
 from cwbind.encoding import encode_id
@@ -260,6 +260,26 @@ def test_criterion_07_cross_sender_binding():
     assert mismatches == 100
     assert report.authenticity_violations == 0
     _ok("7 cross-sender-binding (100/100 forged derivations mismatch)")
+
+
+def test_criterion_07_forged_sets_fail_on_the_binding_not_the_format(monkeypatch):
+    # a forged set the chip refused as malformed would also keep decoder 3
+    # off K; every epoch its chip must take the whole set without an error,
+    # derive and descramble, so each R comes from the rogue key's binding
+    results = []
+
+    def spying(decoder, frame, chip_filter=None):
+        result = process_frame(decoder, frame, chip_filter)
+        if decoder.decoder_id == encode_id(3):
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(sim, "process_frame", spying)
+    run_world(load_scenario(SCENARIOS / "rogue-sender.scn"))
+    assert len(results) == 100
+    assert all(not result.errors and result.derive_attempted
+               and result.descrambled is not None for result in results)
+    _ok("7 cross-sender-binding (100/100 forged sets accepted, bound to the rogue key)")
 
 
 def test_criterion_08_recovery_contrast():

@@ -7,7 +7,7 @@ import pytest
 from cwbind import certproto, suite as suitemod
 from cwbind.encoding import encode_id, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError
-from cwbind.phase1 import Bundle, seal_blob
+from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
     ROLE_SENDER,
@@ -265,15 +265,17 @@ def verifications(monkeypatch):
     return _CountingVerifier
 
 
-def _minted_bundle(suite, signer, generation, recv, rng):
+def _minted_bundle(honest, signer, generation, recv, rng):
     """A sender certificate for a fresh key pair, signed by ``signer`` with
-    ``generation``, and a blob from that key delivering a known key to ``recv``."""
-    sender = suite.keygen("sig", rng.child("minted-sender"))
+    ``generation``, and the bundle ``certproto.phase1_send`` seals under it
+    for ``recv`` from ``honest``'s directory, with the key it delivers."""
+    suite = honest.suite
+    pair = suite.keygen("sig", rng.child("minted-sender"))
     cert = Certificate.issue(suite, signer, 0x7F000001, encode_id(0xAD), ROLE_SENDER,
-                             sender.public_key, generation)
-    ltk = rng.read(suite.secret_bytes)
-    blob = seal_blob(suite, sender, recv.receiver_id, recv.enc_keypair.public_key, ltk, rng)
-    return Bundle(cert.to_bytes(), blob), ltk
+                             pair.public_key, generation)
+    minted = certproto.CertSenderState(suite, encode_id(0xAD), pair, honest.directory,
+                                       sender_cert=cert)
+    return certproto.phase1_send(minted, recv.receiver_id, rng), minted.ltk_store[recv.receiver_id]
 
 
 @pytest.mark.parametrize("source", ["rotated-ttp", "retired-key"])
@@ -294,7 +296,7 @@ def test_certificate_of_another_generation_is_rejected_before_verification(
         old = receivers[1]
         recv = certproto.CertReceiverState(suite, old.receiver_id, ttp.generation,
                                            ttp.keypair.public_key, old.enc_keypair)
-        bundle, _ = _minted_bundle(suite, retired, 1, recv, rng)
+        bundle, _ = _minted_bundle(sender, retired, 1, recv, rng)
     assert Certificate.from_bytes(bundle.announce).generation != recv.authority_generation
     before = copy.deepcopy(recv)
     verifications.calls = 0
@@ -313,7 +315,7 @@ def test_only_the_anchor_key_and_generation_together_are_accepted(
     other_key = suite.keygen("sig", rng.child("other-authority"))
     signer = ttp.keypair if signed_by == "anchor" else other_key
     gen = recv.authority_generation + (0 if generation == "anchor" else 1)
-    bundle, ltk = _minted_bundle(suite, signer, gen, recv, rng)
+    bundle, ltk = _minted_bundle(sender, signer, gen, recv, rng)
     before = copy.deepcopy(recv)
     verifications.calls = 0
     if (signed_by, generation) == ("anchor", "anchor"):

@@ -86,6 +86,12 @@ def test_invalid_configs_rejected(mutation):
         mutation(config).validate()
 
 
+def test_a_copied_config_is_validated():
+    # ``cli run --seed`` copies the parsed config with dataclasses.replace
+    with pytest.raises(ValueError, match="^epochs must be positive$"):
+        replace(parse_scenario(MINI), epochs=0)
+
+
 @pytest.mark.parametrize("decoder_id", ["-1", str(2**64), str(2**64 - 1)],
                          ids=["negative", "over-8-bytes", "broadcast-address"])
 def test_decoder_id_outside_the_id_space_rejected(decoder_id):
@@ -202,6 +208,13 @@ def test_action_with_bad_arguments_rejected(action):
     # each of these passed or crashed validation, or raised mid-run
     with pytest.raises(ValueError):
         parse_scenario(TWO_CA + f"at 1 {action}\n")
+
+
+def test_forge_sender_decoder_must_be_on_the_named_ca():
+    # the CA argument was checked as any declared CA, then ignored
+    with pytest.raises(ValueError,
+                       match="^scenario line 9: forge-sender: decoder 1 is not on ca 1$"):
+        parse_scenario(TWO_CA + "at 0 forge-sender 1 1\n")
 
 
 def _cut(text: str, epochs: int = 6) -> str:

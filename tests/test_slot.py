@@ -448,7 +448,7 @@ def test_probe_keys_never_reach_the_memo(monkeypatch):
     monkeypatch.setattr(simmod, "derive_msg", recording_derive)  # the adversary's only
     report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
-    slots = [slot for _, _, slot in world.adversary.probes.values()]
+    slots = [slot for _, slot in world.adversary.probes.values()]
     assert all(isinstance(slot, AeadSlot) for slot in slots)
     assert len({id(slot) for slot in slots}) == len(slots) == 4
     # four probed decoders, a fresh key each in epochs 11-29
