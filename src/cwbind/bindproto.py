@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .binding import bound_secret
-from .encoding import encode_id
 from .errors import ProtocolError
 from .phase1 import Bundle, SenderState, open_blob, seal_ltk
 from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
@@ -45,16 +44,15 @@ class BindReceiverState:
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
-def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
-                directory: Directory) -> SenderState:
+def sender_init(suite: CipherSuite, rng: Drbg, directory: Directory) -> SenderState:
     """Generate the sender key pair. No authority interaction happens here."""
-    return SenderState(suite, encode_id(sender_id), suite.keygen("sig", rng), directory)
+    return SenderState(suite, suite.keygen("sig", rng), directory)
 
 
-def receiver_init(suite: CipherSuite, receiver_id: bytes | int, rng: Drbg) -> BindReceiverState:
+def receiver_init(suite: CipherSuite, receiver_id: bytes, rng: Drbg) -> BindReceiverState:
     return BindReceiverState(
         suite=suite,
-        receiver_id=encode_id(receiver_id),
+        receiver_id=receiver_id,
         enc_keypair=suite.keygen("pke", rng),
     )
 
@@ -64,7 +62,7 @@ def refresh_sender_key(sender: SenderState, rng: Drbg) -> None:
     sender.sig_keypair = sender.suite.keygen("sig", rng)
 
 
-def phase1_send(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> Bundle:
+def phase1_send(sender: SenderState, receiver_id: bytes, rng: Drbg) -> Bundle:
     """Produce the phase 1 bundle for one receiver, announcing the bare
     sender public key, and remember the new key."""
     return Bundle(sender.sig_keypair.public_key, seal_ltk(sender, receiver_id, rng))
@@ -83,7 +81,7 @@ def phase1_receive(recv: BindReceiverState, bundle: Bundle) -> None:
 
 
 def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
-                   context: bytes = b"") -> bytes:
+                   context: bytes) -> bytes:
     """Unwrap the random value and derive the epoch secret bound to the keys.
 
     The unwrap goes through the receiver's own ``ltk_slot``, which holds the

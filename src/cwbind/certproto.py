@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import encode_id
 from .errors import ProtocolError
 from .phase1 import Bundle, SenderState, open_blob, seal_ltk
 from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
@@ -34,6 +33,7 @@ from .ttp import Certificate, Directory, ROLE_SENDER, TtpState, certify_sender, 
 
 @dataclass
 class CertSenderState(SenderState):
+    sender_id: bytes = field(kw_only=True)  # the subject of every certificate it obtains
     sender_cert: Certificate = field(kw_only=True)
 
 
@@ -50,20 +50,19 @@ class CertReceiverState:
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
-def sender_init(suite: CipherSuite, sender_id: bytes | int, rng: Drbg,
+def sender_init(suite: CipherSuite, sender_id: bytes, rng: Drbg,
                 ttp: TtpState, directory: Directory) -> CertSenderState:
     """Generate the sender signature key pair and obtain its certificate."""
-    sender_id = encode_id(sender_id)
     pair = suite.keygen("sig", rng)
     cert = certify_sender(ttp, sender_id, pair.public_key)
-    return CertSenderState(suite, sender_id, pair, directory, sender_cert=cert)
+    return CertSenderState(suite, pair, directory, sender_id=sender_id, sender_cert=cert)
 
 
-def receiver_init(suite: CipherSuite, receiver_id: bytes | int, authority_generation: int,
+def receiver_init(suite: CipherSuite, receiver_id: bytes, authority_generation: int,
                   authority_pk: bytes, rng: Drbg) -> CertReceiverState:
     return CertReceiverState(
         suite=suite,
-        receiver_id=encode_id(receiver_id),
+        receiver_id=receiver_id,
         authority_generation=authority_generation,
         authority_pk=authority_pk,
         enc_keypair=suite.keygen("pke", rng),
@@ -76,7 +75,7 @@ def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> Non
     sender.sender_cert = certify_sender(ttp, sender.sender_id, sender.sig_keypair.public_key)
 
 
-def phase1_send(sender: CertSenderState, receiver_id: bytes | int, rng: Drbg) -> Bundle:
+def phase1_send(sender: CertSenderState, receiver_id: bytes, rng: Drbg) -> Bundle:
     """Produce the phase 1 bundle for one receiver, announcing the sender
     certificate, and remember the new key."""
     return Bundle(sender.sender_cert.to_bytes(), seal_ltk(sender, receiver_id, rng))
@@ -96,7 +95,7 @@ def phase1_receive(recv: CertReceiverState, bundle: Bundle) -> None:
     recv.ltk = open_blob(recv, cert.subject_pk, bundle.signed_blob)
 
 
-def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes = b"") -> bytes:
+def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes) -> bytes:
     """Unwrap the epoch secret through the receiver's own ``ltk_slot``;
     authentication failure raises CryptoError."""
     if recv.ltk is None:

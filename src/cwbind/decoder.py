@@ -52,7 +52,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from . import bindproto, certproto
-from .encoding import U32, Reader, encode_id, lp, u8
+from .encoding import U32, Reader, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind, ca_kind
 from .phase1 import Bundle
@@ -110,7 +110,7 @@ class ChipChannelMsg(NamedTuple):
 
 
 def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
-               sender_pk: bytes | None = None, slot: AeadSlot | None = None) -> ChipChannelMsg:
+               sender_pk: bytes | None, slot: AeadSlot | None) -> ChipChannelMsg:
     """DERIVE: ``secret`` wrapped under ``ltk`` with the epoch label
     authenticated. Binding chips are told the sender key it was filed under;
     certificate chips (``sender_pk`` None) hold one long-term key. ``slot``
@@ -366,24 +366,21 @@ class Decoder:
         return self.chip.receiver.enc_keypair.public_key
 
 
-def make_decoder(suite: CipherSuite, protocol: str, ca_index: int,
-                 decoder_id: bytes | int, rng: Drbg, channel_key: bytes,
-                 authority_generation: int | None = None,
-                 authority_pk: bytes | None = None) -> Decoder:
+def make_decoder(suite: CipherSuite, protocol: str, ca_index: int, decoder_id: bytes,
+                 rng: Drbg, channel_key: bytes, authority_generation: int,
+                 authority_pk: bytes) -> Decoder:
     """Manufacture a decoder: generate the chip key pair (if any) and
     personalize the CA client with its provisioning key.
 
-    A certificate chip is bound for life to one trust anchor, the authority
-    generation and public key given here: it accepts only sender
-    certificates of that generation signed by that key, so after the
-    authority rotates it must be replaced. Other chips ignore both."""
-    decoder_id = encode_id(decoder_id)
+    ``decoder_id`` is the decoder's 8-byte id (``encoding.encode_id``). The
+    trust anchor, the authority generation and public key, is the current
+    one at manufacture; a certificate chip is bound to it for life: it
+    accepts only sender certificates of that generation signed by that key,
+    so after the authority rotates it must be replaced. Other chips ignore
+    both."""
     kind = ca_kind(protocol)
     chip = ChipState(kind, suite)
     if kind.certified:
-        if authority_generation is None or authority_pk is None:
-            raise ValueError("certificate-protocol chips are initialized with the authority "
-                             "generation and key")
         chip.receiver = certproto.receiver_init(suite, decoder_id, authority_generation,
                                                 authority_pk, rng)
     elif kind.proto is not None:
@@ -413,7 +410,7 @@ class FrameResult:
     derive_attempted: bool
 
 
-def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
+def process_frame(decoder: Decoder, frame, chip_filter) -> FrameResult:
     """Feed a broadcast frame through client and chip.
 
     The client sees only the EMMs and ECMs the frame routes to it
@@ -423,9 +420,9 @@ def process_frame(decoder: Decoder, frame, chip_filter=None) -> FrameResult:
     unread, so the work per decoder does not grow with the messages meant
     for other decoders or systems.
 
-    ``chip_filter``, when given, receives the chip channel message list and
-    returns the list actually delivered: this is the observable, attackable
-    channel between the two halves.
+    ``chip_filter``, unless ``None``, receives the chip channel message list
+    and returns the list actually delivered: this is the observable,
+    attackable channel between the two halves.
     """
     msgs: list[ChipChannelMsg] = []
     errors: list[str] = []

@@ -135,9 +135,9 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
         kind = ca_kind(name)
         sender = None
         if kind.certified:
-            sender = certproto.sender_init(suite, index + 1, rng, ttp, directory)
+            sender = certproto.sender_init(suite, encode_id(index + 1), rng, ttp, directory)
         elif kind.proto is not None:
-            sender = bindproto.sender_init(suite, index + 1, rng, directory)
+            sender = bindproto.sender_init(suite, rng, directory)
         ca = CaSystem(index=index, kind=kind, suite=suite, sender=sender)
         ca.group_key = rng.read(suite.secret_bytes)
         ca.ecm_key = rng.read(suite.secret_bytes)
@@ -151,11 +151,11 @@ def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
 
 
 def provision_receiver(headend: HeadendState, ca_index: int,
-                       receiver_id: bytes | int, channel_key: bytes) -> None:
+                       receiver_id: bytes, channel_key: bytes) -> None:
     """Factory step: share the per-receiver CA channel key with the system,
     with an empty slot for it (a re-provisioned receiver's too)."""
     ca = headend.ca_systems[ca_index]
-    ca.receiver_channels[encode_id(receiver_id)] = (channel_key, AeadSlot())
+    ca.receiver_channels[receiver_id] = (channel_key, AeadSlot())
 
 
 def refresh_directory(headend: HeadendState, directory: Directory) -> None:
@@ -165,7 +165,7 @@ def refresh_directory(headend: HeadendState, directory: Directory) -> None:
             ca.sender.directory = directory
 
 
-def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes | int) -> None:
+def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes) -> None:
     """Run phase 1 for one receiver, against the directory snapshot the
     sender holds, and queue its enrollment EMM.
 
@@ -174,7 +174,6 @@ def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes | i
     announcement, all protected under the receiver's provisioning key.
     """
     ca = headend.ca_systems[ca_index]
-    receiver_id = encode_id(receiver_id)
     if receiver_id not in ca.receiver_channels:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not provisioned")
 
@@ -203,7 +202,7 @@ def _queue_entitlements(ca: CaSystem, receiver_ids: Iterable[bytes],
 
 
 def authorize(headend: HeadendState, ca_index: int,
-              receiver_id: bytes | int, entitled: bool) -> None:
+              receiver_id: bytes, entitled: bool) -> None:
     """Update the authorized set and deliver or withdraw the ECM key.
 
     De-authorizing rotates the ECM key and re-delivers it to the remaining
@@ -212,7 +211,6 @@ def authorize(headend: HeadendState, ca_index: int,
     body once and seals it under each receiver's channel key.
     """
     ca = headend.ca_systems[ca_index]
-    receiver_id = encode_id(receiver_id)
     if receiver_id not in ca.enrolled:
         raise ProtocolError("cannot change authorization of an unenrolled receiver")
     if entitled:

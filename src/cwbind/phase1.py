@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import Reader, encode_id, lp
+from .encoding import Reader, lp
 from .errors import ProtocolError
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
 from .ttp import Directory
@@ -49,17 +49,21 @@ class Bundle:
 
 @dataclass
 class SenderState:
+    """What a sender of either shape holds: its signing key pair, the
+    directory it looks receivers up in and the long-term key it last sealed
+    to each receiver. A certificate sender also holds its id and certificate
+    (``certproto.CertSenderState``); a binding sender is known by its key
+    alone."""
+
     suite: CipherSuite
-    sender_id: bytes
     sig_keypair: KeyPair
     directory: Directory  # public snapshot; the head-end pushes each new one
     ltk_store: dict[bytes, bytes] = field(default_factory=dict, repr=False)
 
 
-def seal_ltk(sender: SenderState, receiver_id: bytes | int, rng: Drbg) -> bytes:
+def seal_ltk(sender: SenderState, receiver_id: bytes, rng: Drbg) -> bytes:
     """Deliver a fresh long-term key to a listed, unrevoked receiver and
     remember it for phase 2."""
-    receiver_id = encode_id(receiver_id)
     receiver_cert = sender.directory.receiver_cert(receiver_id)
     if receiver_cert is None:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not in directory")

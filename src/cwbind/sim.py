@@ -174,6 +174,12 @@ class DecoderSpec:
 
 @dataclass
 class ScenarioConfig:
+    """A scenario as the module docstring describes it, checked when it is
+    built (a ``dataclasses.replace`` copy too): a bad value raises
+    ``ValueError``, naming the scenario line of a parsed event. Decoder ids
+    stay integers here: the simulator encodes an id (``encode_id``) where it
+    reads one, and hands only the 8-byte form to the protocol code."""
+
     name: str
     seed: int
     epochs: int
@@ -184,9 +190,6 @@ class ScenarioConfig:
     content_bytes: int = 64
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.secret_bits not in VALID_SECRET_BITS:
@@ -550,7 +553,6 @@ def build_world(config: ScenarioConfig) -> World:
     ttp = ttpmod.ttp_init(suite, master.child("ttp"))
 
     decoders: dict[bytes, Decoder] = {}
-    channel_keys: dict[bytes, bytes] = {}
     for spec in config.decoders:
         decoder_id = encode_id(spec.decoder_id)
         channel_key = master.child(f"provision-{spec.decoder_id}").read(suite.secret_bytes)
@@ -560,17 +562,15 @@ def build_world(config: ScenarioConfig) -> World:
             authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key,
         )
         decoders[decoder_id] = decoder
-        channel_keys[decoder_id] = channel_key
         if decoder.chip_public_key() is not None:
             ttpmod.register_receiver(ttp, decoder_id, decoder.chip_public_key())
 
     directory = ttpmod.parse_directory(suite, ttpmod.export_directory(ttp))
     headend = hemod.headend_init(suite, list(config.ca_kinds), master.child("headend"),
                                  ttp, directory)
-    for spec in config.decoders:
-        decoder_id = encode_id(spec.decoder_id)
-        hemod.provision_receiver(headend, spec.ca_index, decoder_id, channel_keys[decoder_id])
-        hemod.enroll_receiver(headend, spec.ca_index, decoder_id)
+    for decoder_id, decoder in decoders.items():  # in scenario order
+        hemod.provision_receiver(headend, decoder.ca_index, decoder_id, decoder.client.channel_key)
+        hemod.enroll_receiver(headend, decoder.ca_index, decoder_id)
 
     return World(
         config=config, suite=suite, master=master, ttp=ttp, directory=directory,
@@ -702,15 +702,15 @@ def _sealed_set(world: World, decoder: Decoder, sig_pair: KeyPair, epoch: int,
     sender certificate minted with the stolen authority key."""
     adv = world.adversary
     kind = decoder.chip.kind
-    state = (world.suite, _ROGUE_ID, sig_pair, world.directory)
     if kind.certified:
         generation, keypair = adv.authority_key
         adv.minted_serial += 1
         cert = Certificate.issue(world.suite, keypair, adv.minted_serial, _ROGUE_ID,
                                  ROLE_SENDER, sig_pair.public_key, generation)
-        sender = certproto.CertSenderState(*state, sender_cert=cert)
+        sender = certproto.CertSenderState(world.suite, sig_pair, world.directory,
+                                           sender_id=_ROGUE_ID, sender_cert=cert)
     else:
-        sender = SenderState(*state)
+        sender = SenderState(world.suite, sig_pair, world.directory)
     bundle = kind.proto.phase1_send(sender, decoder.decoder_id, rng)
     ltk = sender.ltk_store[decoder.decoder_id]
     secret = secret or rng.read(world.suite.secret_bytes)
@@ -768,8 +768,6 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
 
 
 def _flip_payload_bit(payload: bytes, bit: int) -> bytes:
-    if not payload:
-        return payload
     bit %= len(payload) * 8
     out = bytearray(payload)
     out[bit // 8] ^= 1 << (bit % 8)

@@ -146,18 +146,16 @@ def _issue(ttp: TtpState, subject_id: bytes, role: str, subject_pk: bytes) -> Ce
     return cert
 
 
-def register_receiver(ttp: TtpState, receiver_id: bytes | int, receiver_pk: bytes) -> Certificate:
+def register_receiver(ttp: TtpState, receiver_id: bytes, receiver_pk: bytes) -> Certificate:
     ttp._count("register_receiver")
-    receiver_id = encode_id(receiver_id)
     if receiver_id in ttp.receiver_registry:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} already registered")
     ttp.receiver_registry[receiver_id] = receiver_pk
     return _issue(ttp, receiver_id, ROLE_RECEIVER, receiver_pk)
 
 
-def certify_sender(ttp: TtpState, sender_id: bytes | int, sender_pk: bytes) -> Certificate:
+def certify_sender(ttp: TtpState, sender_id: bytes, sender_pk: bytes) -> Certificate:
     ttp._count("certify_sender")
-    sender_id = encode_id(sender_id)
     if ttp.sender_registry.get(sender_id) == sender_pk:
         raise ProtocolError("sender already certified for this key")
     ttp.sender_registry[sender_id] = sender_pk

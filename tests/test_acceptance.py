@@ -120,19 +120,19 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
 
     rng = Drbg.from_int(0xACCE)
     ttp = ttp_init(suite, rng.child("ttp"))
-    recv = certproto.receiver_init(suite, 1, ttp.generation, ttp.keypair.public_key,
+    recv = certproto.receiver_init(suite, encode_id(1), ttp.generation, ttp.keypair.public_key,
                                    rng.child("r1"))
-    brecv = bindproto.receiver_init(suite, 2, rng.child("r2"))
-    register_receiver(ttp, 1, recv.enc_keypair.public_key)
-    register_receiver(ttp, 2, brecv.enc_keypair.public_key)
+    brecv = bindproto.receiver_init(suite, encode_id(2), rng.child("r2"))
+    register_receiver(ttp, encode_id(1), recv.enc_keypair.public_key)
+    register_receiver(ttp, encode_id(2), brecv.enc_keypair.public_key)
     directory = parse_directory(suite, export_directory(ttp))
-    csender = certproto.sender_init(suite, 10, rng.child("cs"), ttp, directory)
-    bsender = bindproto.sender_init(suite, 11, rng.child("bs"), directory)
+    csender = certproto.sender_init(suite, encode_id(10), rng.child("cs"), ttp, directory)
+    bsender = bindproto.sender_init(suite, rng.child("bs"), directory)
 
     rejected = {}
 
     # class 1: certificate
-    bundle = certproto.phase1_send(csender, 1, rng)
+    bundle = certproto.phase1_send(csender, encode_id(1), rng)
     cert_bytes = bundle.announce
     count = 0
     for bit in _sampled_bits(cert_bytes):
@@ -159,8 +159,9 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     from cwbind.decoder import make_decoder
 
     channel_key = master.child("prov").read(16)
-    decoder = make_decoder(suite, "bind", 0, 5, master.child("chip"), channel_key)
-    register_receiver(ttp2, 5, decoder.chip_public_key())
+    decoder = make_decoder(suite, "bind", 0, encode_id(5), master.child("chip"), channel_key,
+                           ttp2.generation, ttp2.keypair.public_key)
+    register_receiver(ttp2, encode_id(5), decoder.chip_public_key())
     directory2 = parse_directory(suite, export_directory(ttp2))
     headend = hemod.headend_init(suite, ["bind"], master.child("he"), ttp2, directory2)
     hemod.provision_receiver(headend, 0, encode_id(5), channel_key)
@@ -168,7 +169,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     hemod.authorize(headend, 0, encode_id(5), True)
     content = b"\x5a" * 48
     frame = hemod.epoch_tick(headend, content)
-    result = process_frame(decoder, frame)
+    result = process_frame(decoder, frame, None)
     assert result.descrambled == content  # honest path works before tampering
 
     # class 3: sender key broadcast EMM. A flip is harmless if it raises or
@@ -193,7 +194,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
         assert msgs == [] and decoder.client == before, f"emm bit {bit} took effect"
         count += 1
     rejected["pk-broadcast"] = (count, len(_sampled_bits(emm_bytes)))
-    process_frame(decoder, frame2)  # let the decoder catch back up
+    process_frame(decoder, frame2, None)  # let the decoder catch back up
 
     # class 4: ECM, same no-effect standard
     from cwbind.decoder import client_process_ecm
@@ -213,7 +214,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     rejected["ecm"] = (count, len(_sampled_bits(ecm_bytes)))
 
     # class 5: chip-channel derive message
-    genuine = process_frame(decoder, frame3)
+    genuine = process_frame(decoder, frame3, None)
     assert genuine.descrambled == content
     derive = next(m for m in genuine.chip_msgs if m.kind == ChipMsgKind.DERIVE)
     derive_bytes = derive.encode()
@@ -268,7 +269,7 @@ def test_criterion_07_forged_sets_fail_on_the_binding_not_the_format(monkeypatch
     # derive and descramble, so each R comes from the rogue key's binding
     results = []
 
-    def spying(decoder, frame, chip_filter=None):
+    def spying(decoder, frame, chip_filter):
         result = process_frame(decoder, frame, chip_filter)
         if decoder.decoder_id == encode_id(3):
             results.append(result)

@@ -21,11 +21,11 @@ def world(suite):
     ttp = ttp_init(suite, rng.child("ttp"))
     receivers = {}
     for i in (1, 2, 3):
-        recv = bindproto.receiver_init(suite, i, rng.child(f"r{i}"))
-        register_receiver(ttp, i, recv.enc_keypair.public_key)
+        recv = bindproto.receiver_init(suite, encode_id(i), rng.child(f"r{i}"))
+        register_receiver(ttp, encode_id(i), recv.enc_keypair.public_key)
         receivers[i] = recv
     directory = parse_directory(suite, export_directory(ttp))
-    sender = bindproto.sender_init(suite, 100, rng.child("sender"), directory)
+    sender = bindproto.sender_init(suite, rng.child("sender"), directory)
     return ttp, sender, receivers, rng.child("run")
 
 
@@ -62,7 +62,7 @@ def test_sender_init_makes_no_authority_calls(world, suite):
     ttp, _, _, rng = world
     calls_before = dict(ttp.op_counts)
     directory = parse_directory(suite, export_directory(ttp))
-    bindproto.sender_init(suite, 200, rng, directory)
+    bindproto.sender_init(suite, rng, directory)
     calls_after = dict(ttp.op_counts)
     calls_after["export_directory"] -= 1  # the public snapshot we took ourselves
     assert calls_after == calls_before
@@ -70,7 +70,7 @@ def test_sender_init_makes_no_authority_calls(world, suite):
 
 def test_honest_phase1_files_key_under_sender_pk(world):
     _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, 1, rng)
+    bundle = bindproto.phase1_send(sender, encode_id(1), rng)
     bindproto.phase1_receive(receivers[1], bundle)
     stored = receivers[1].ltk_by_sender[sender.sig_keypair.public_key]
     assert stored == sender.ltk_store[(1).to_bytes(8, "big")]
@@ -78,15 +78,15 @@ def test_honest_phase1_files_key_under_sender_pk(world):
 
 def test_phase1_fresh_ltk_per_call(world):
     _, sender, receivers, rng = world
-    bindproto.phase1_send(sender, 1, rng)
+    bindproto.phase1_send(sender, encode_id(1), rng)
     first = sender.ltk_store[(1).to_bytes(8, "big")]
-    bindproto.phase1_send(sender, 1, rng)
+    bindproto.phase1_send(sender, encode_id(1), rng)
     assert sender.ltk_store[(1).to_bytes(8, "big")] != first
 
 
 def test_wrong_recipient_aborts_unchanged(world):
     _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, 2, rng)
+    bundle = bindproto.phase1_send(sender, encode_id(2), rng)
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
         bindproto.phase1_receive(receivers[1], bundle)
@@ -117,7 +117,7 @@ def test_resigned_bundle_files_under_interloper_key(world, suite):
 
 def test_bundle_signature_must_match_carried_pk(world, suite):
     _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, 1, rng)
+    bundle = bindproto.phase1_send(sender, encode_id(1), rng)
     other = suite.keygen("sig", rng)
     forged = Bundle(other.public_key, bundle.signed_blob)
     before = copy.deepcopy(receivers[1])
@@ -155,7 +155,7 @@ def test_same_rand_different_key_set_different_secret(world, suite):
 
 def test_phase2_round_trip_single_sender(world):
     _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     rand = rng.read(16)
     ct = _wrap(sender, 1, rand)
@@ -164,7 +164,7 @@ def test_phase2_round_trip_single_sender(world):
 
 def test_phase2_tampered_ciphertext_rejected(world):
     _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     ct = bytearray(_wrap(sender, 1, rng.read(16)))
     ct[0] ^= 0x80
@@ -176,20 +176,20 @@ def test_phase2_unknown_receiver_and_unknown_sender_key(world):
     # receiver 3 never ran phase 1: it holds no long-term key under the sender key
     _, sender, receivers, rng = world
     with pytest.raises(ProtocolError):
-        bindproto.phase2_receive(receivers[3], sender.sig_keypair.public_key, b"\x00" * 44)
+        bindproto.phase2_receive(receivers[3], sender.sig_keypair.public_key, b"\x00" * 44, LABEL)
 
 
 def test_phase2_per_receiver_ciphertexts_distinct(world):
     _, sender, receivers, rng = world
     for i in (1, 2):
-        bindproto.phase1_receive(receivers[i], bindproto.phase1_send(sender, i, rng))
+        bindproto.phase1_receive(receivers[i], bindproto.phase1_send(sender, encode_id(i), rng))
     rand = rng.read(16)
     assert _wrap(sender, 1, rand) != _wrap(sender, 2, rand)
 
 
 def test_active_set_gates_delivering_key(world, suite):
     _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     other = suite.keygen("sig", rng).public_key
     receivers[1].active_pk_set = (other,) if other < pk else (other,)
@@ -200,7 +200,7 @@ def test_active_set_gates_delivering_key(world, suite):
 
 def test_multi_sender_set_derivation(world, suite):
     _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     co_sender = suite.keygen("sig", rng).public_key
     pk_set = tuple(sorted((pk, co_sender)))
@@ -215,15 +215,15 @@ def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
     # the rogue's protocol but the derived secret never equals the honest one
     _, sender, receivers, rng = world
     recv = receivers[2]
-    bindproto.phase1_receive(recv, bindproto.phase1_send(sender, 2, rng))
+    bindproto.phase1_receive(recv, bindproto.phase1_send(sender, encode_id(2), rng))
     honest_pk = sender.sig_keypair.public_key
 
     directory = sender.directory
     for trial in range(100):
         trial_rng = rng.child(f"rogue-{trial}")
         honest_secret = bound_secret((honest_pk,), trial_rng.read(16), 128)
-        rogue = bindproto.sender_init(suite, 0xBAD, trial_rng, directory)
-        rogue_bundle = bindproto.phase1_send(rogue, 2, trial_rng)
+        rogue = bindproto.sender_init(suite, trial_rng, directory)
+        rogue_bundle = bindproto.phase1_send(rogue, encode_id(2), trial_rng)
         bindproto.phase1_receive(recv, rogue_bundle)
         rogue_pk = rogue.sig_keypair.public_key
         recv.active_pk_set = (rogue_pk,)
@@ -235,8 +235,8 @@ def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
 
 def test_reenrollment_overwrites_stored_key(world):
     _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     first = receivers[1].ltk_by_sender[pk]
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, 1, rng))
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
     assert receivers[1].ltk_by_sender[pk] != first

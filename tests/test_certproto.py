@@ -28,12 +28,12 @@ def world(suite):
     ttp = ttp_init(suite, rng.child("ttp"))
     receivers = {}
     for i in (1, 2, 3):
-        recv = certproto.receiver_init(suite, i, ttp.generation, ttp.keypair.public_key,
+        recv = certproto.receiver_init(suite, encode_id(i), ttp.generation, ttp.keypair.public_key,
                                        rng.child(f"r{i}"))
-        register_receiver(ttp, i, recv.enc_keypair.public_key)
+        register_receiver(ttp, encode_id(i), recv.enc_keypair.public_key)
         receivers[i] = recv
     directory = parse_directory(suite, export_directory(ttp))
-    sender = certproto.sender_init(suite, 100, rng.child("sender"), ttp, directory)
+    sender = certproto.sender_init(suite, encode_id(100), rng.child("sender"), ttp, directory)
     return ttp, sender, receivers, rng.child("run")
 
 
@@ -48,30 +48,30 @@ def _wrap(sender, receiver_id, secret, label=LABEL):
 
 def test_honest_phase1_establishes_matching_keys(world):
     ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, 1, rng)
+    bundle = certproto.phase1_send(sender, encode_id(1), rng)
     certproto.phase1_receive(receivers[1], bundle)
     assert receivers[1].ltk == sender.ltk_store[(1).to_bytes(8, "big")]
 
 
 def test_bundle_signed_blob_verifies_under_sender_key(world, suite):
     ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, 1, rng)
+    bundle = certproto.phase1_send(sender, encode_id(1), rng)
     blob = SignedMessage.from_bytes(bundle.signed_blob)
     suite.verify_recover(sender.sig_keypair.public_key, blob)
 
 
 def test_phase1_fresh_ltk_each_run(world):
     ttp, sender, receivers, rng = world
-    certproto.phase1_send(sender, 1, rng)
+    certproto.phase1_send(sender, encode_id(1), rng)
     first = sender.ltk_store[(1).to_bytes(8, "big")]
-    certproto.phase1_send(sender, 1, rng)
+    certproto.phase1_send(sender, encode_id(1), rng)
     assert sender.ltk_store[(1).to_bytes(8, "big")] != first
 
 
 def test_phase1_unknown_receiver(world):
     ttp, sender, receivers, rng = world
     with pytest.raises(ProtocolError):
-        certproto.phase1_send(sender, 42, rng)
+        certproto.phase1_send(sender, encode_id(42), rng)
 
 
 def test_phase1_revoked_receiver_cert(world, suite):
@@ -80,12 +80,12 @@ def test_phase1_revoked_receiver_cert(world, suite):
     revoke(ttp, serial)
     sender.directory = parse_directory(suite, export_directory(ttp))
     with pytest.raises(ProtocolError):
-        certproto.phase1_send(sender, 2, rng)
+        certproto.phase1_send(sender, encode_id(2), rng)
 
 
 def test_wrong_recipient_aborts_with_state_unchanged(world):
     ttp, sender, receivers, rng = world
-    bundle_for_3 = certproto.phase1_send(sender, 3, rng)
+    bundle_for_3 = certproto.phase1_send(sender, encode_id(3), rng)
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
         certproto.phase1_receive(receivers[1], bundle_for_3)
@@ -97,11 +97,11 @@ def test_rogue_authority_cert_aborts(world, suite):
     ttp, sender, receivers, rng = world
     rogue_ttp = ttp_init(suite, Drbg.from_int(666))
     for i, recv in receivers.items():
-        register_receiver(rogue_ttp, i, recv.enc_keypair.public_key)
+        register_receiver(rogue_ttp, encode_id(i), recv.enc_keypair.public_key)
     rogue_directory = parse_directory(suite, export_directory(rogue_ttp))
-    rogue_sender = certproto.sender_init(suite, 100, Drbg.from_int(667), rogue_ttp,
+    rogue_sender = certproto.sender_init(suite, encode_id(100), Drbg.from_int(667), rogue_ttp,
                                          rogue_directory)
-    bundle = certproto.phase1_send(rogue_sender, 1, rng)
+    bundle = certproto.phase1_send(rogue_sender, encode_id(1), rng)
     # the generation check cannot tell this authority from the installed one
     assert Certificate.from_bytes(bundle.announce).generation == receivers[1].authority_generation
     before = copy.deepcopy(receivers[1])
@@ -112,7 +112,7 @@ def test_rogue_authority_cert_aborts(world, suite):
 
 def test_receiver_side_revocation_check(world):
     ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, 1, rng)
+    bundle = certproto.phase1_send(sender, encode_id(1), rng)
     receivers[1].known_revoked = {sender.sender_cert.serial}
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
@@ -124,7 +124,7 @@ def test_receiver_role_check(world, suite):
     # a receiver certificate in the sender slot is rejected even though it
     # verifies under the authority key
     ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, 1, rng)
+    bundle = certproto.phase1_send(sender, encode_id(1), rng)
     receiver_cert = next(c for c in ttp.issued_certs if c.subject_role == "receiver")
     forged = Bundle(receiver_cert.to_bytes(), bundle.signed_blob)
     with pytest.raises(ProtocolError, match="^certificate subject is not a sender$"):
@@ -134,7 +134,7 @@ def test_receiver_role_check(world, suite):
 def test_phase2_round_trip_and_authorization_shape(world):
     ttp, sender, receivers, rng = world
     for i in (1, 2):  # authorized set
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
+        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
     secret = rng.read(16)
     derived = {}
     for i in (1, 2):
@@ -142,20 +142,20 @@ def test_phase2_round_trip_and_authorization_shape(world):
     assert derived == {1: secret, 2: secret}
     # receiver 3 never ran phase 1: it holds no key to unwrap under
     with pytest.raises(ProtocolError):
-        certproto.phase2_receive(receivers[3], b"\x00" * 44)
+        certproto.phase2_receive(receivers[3], b"\x00" * 44, LABEL)
 
 
 def test_phase2_ciphertexts_differ_per_receiver(world):
     ttp, sender, receivers, rng = world
     for i in (1, 2):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
+        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
     secret = b"\x77" * 16
     assert _wrap(sender, 1, secret) != _wrap(sender, 2, secret)
 
 
 def test_phase2_tampered_ciphertext_rejected(world):
     ttp, sender, receivers, rng = world
-    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, 1, rng))
+    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, encode_id(1), rng))
     ct = bytearray(_wrap(sender, 1, b"\x55" * 16))
     ct[-1] ^= 1
     with pytest.raises(CryptoError):
@@ -165,7 +165,7 @@ def test_phase2_tampered_ciphertext_rejected(world):
 def test_phase2_cross_receiver_ciphertext_rejected(world):
     ttp, sender, receivers, rng = world
     for i in (1, 2):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
+        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
     ct_for_2 = _wrap(sender, 2, b"\x66" * 16)
     with pytest.raises(CryptoError):
         certproto.phase2_receive(receivers[1], ct_for_2, LABEL)
@@ -173,7 +173,7 @@ def test_phase2_cross_receiver_ciphertext_rejected(world):
 
 def test_phase2_context_binding(world):
     ttp, sender, receivers, rng = world
-    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, 1, rng))
+    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, encode_id(1), rng))
     ct = _wrap(sender, 1, b"\x44" * 16, label=u32(9))
     assert certproto.phase2_receive(receivers[1], ct, u32(9)) == b"\x44" * 16
     with pytest.raises(CryptoError):
@@ -185,7 +185,7 @@ def test_implicit_key_authentication_set_equality(world):
     # sender ran phase 2 for, across a changing authorized subset
     ttp, sender, receivers, rng = world
     for i in (1, 2, 3):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, i, rng))
+        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
     for authorized in [(1,), (1, 2), (2, 3), (1, 2, 3)]:
         secret = rng.read(16)
         cts = {i: _wrap(sender, i, secret) for i in authorized}
@@ -204,7 +204,7 @@ def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
     # sampled single-bit tampering over the three message classes; receiver 3
     # is not authorized and must never end up with the sender's secret
     ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, 1, rng)
+    bundle = certproto.phase1_send(sender, encode_id(1), rng)
     certproto.phase1_receive(receivers[1], bundle)
     secret = rng.read(16)
     ct = _wrap(sender, 1, secret)
@@ -273,7 +273,7 @@ def _minted_bundle(honest, signer, generation, recv, rng):
     pair = suite.keygen("sig", rng.child("minted-sender"))
     cert = Certificate.issue(suite, signer, 0x7F000001, encode_id(0xAD), ROLE_SENDER,
                              pair.public_key, generation)
-    minted = certproto.CertSenderState(suite, encode_id(0xAD), pair, honest.directory,
+    minted = certproto.CertSenderState(suite, pair, honest.directory, sender_id=encode_id(0xAD),
                                        sender_cert=cert)
     return certproto.phase1_send(minted, recv.receiver_id, rng), minted.ltk_store[recv.receiver_id]
 
@@ -288,8 +288,9 @@ def test_certificate_of_another_generation_is_rejected_before_verification(
     if source == "rotated-ttp":
         # the chip still holds generation 1; the authority now certifies under 2
         recv = receivers[1]
-        rotated_sender = certproto.sender_init(suite, 101, rng.child("sender-2"), ttp, directory)
-        bundle = certproto.phase1_send(rotated_sender, 1, rng)
+        rotated_sender = certproto.sender_init(suite, encode_id(101), rng.child("sender-2"), ttp,
+                                               directory)
+        bundle = certproto.phase1_send(rotated_sender, encode_id(1), rng)
     else:
         # a chip replaced with the new anchor; the certificate is minted
         # with the retired key under its own generation

@@ -39,6 +39,8 @@ from cwbind.wire import (
     build_pk_set_body,
 )
 
+NO_ANCHOR = (0, b"")  # a trust anchor for chips that ignore it (bind, legacy)
+
 
 @pytest.fixture
 def pipeline(suite):
@@ -49,20 +51,20 @@ def pipeline(suite):
     decoders = {}
     for decoder_id, ca_index in [(1, 0), (2, 1), (3, 2), (4, 0)]:
         channel_key = master.child(f"prov-{decoder_id}").read(16)
-        d = make_decoder(suite, kinds[ca_index], ca_index, decoder_id,
+        d = make_decoder(suite, kinds[ca_index], ca_index, encode_id(decoder_id),
                          master.child(f"chip-{decoder_id}"), channel_key,
                          authority_generation=ttp.generation,
-                         authority_pk=ttp.keypair.public_key if kinds[ca_index] == "cert" else None)
+                         authority_pk=ttp.keypair.public_key)
         decoders[decoder_id] = d
         if d.chip_public_key() is not None:
-            register_receiver(ttp, decoder_id, d.chip_public_key())
+            register_receiver(ttp, d.decoder_id, d.chip_public_key())
     directory = parse_directory(suite, export_directory(ttp))
     headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
     for decoder_id, d in decoders.items():
-        hemod.provision_receiver(headend, d.ca_index, decoder_id,
+        hemod.provision_receiver(headend, d.ca_index, d.decoder_id,
                                  master.child(f"prov-{decoder_id}").read(16))
-        hemod.enroll_receiver(headend, d.ca_index, decoder_id)
-        hemod.authorize(headend, d.ca_index, decoder_id, True)
+        hemod.enroll_receiver(headend, d.ca_index, d.decoder_id)
+        hemod.authorize(headend, d.ca_index, d.decoder_id, True)
     return headend, decoders, master, directory
 
 
@@ -103,7 +105,7 @@ def test_entitled_client_derive_message_carries_broadcast_secret(pipeline, suite
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"c")
     d = decoders[1]
-    result = process_frame(d, frame)
+    result = process_frame(d, frame, None)
     derive = next(m for m in result.chip_msgs if m.kind == ChipMsgKind.DERIVE)
     from cwbind.encoding import Reader
 
@@ -125,7 +127,7 @@ def test_non_protocol_error_propagates_unscored(pipeline):
     frame = hemod.epoch_tick(headend, b"c")
     with mock.patch.object(decmod, "chip_process", side_effect=TypeError("bug")):
         with pytest.raises(TypeError):
-            process_frame(decoders[1], frame)
+            process_frame(decoders[1], frame, None)
 
 
 def test_unentitled_client_emits_nothing(pipeline):
@@ -133,22 +135,22 @@ def test_unentitled_client_emits_nothing(pipeline):
     hemod.authorize(headend, 0, encode_id(4), False)
     frame = hemod.epoch_tick(headend, b"c")
     d = decoders[4]
-    result = process_frame(d, frame)
+    result = process_frame(d, frame, None)
     assert not result.derive_attempted and result.descrambled is None
 
 
 def test_derive_messages_differ_across_decoders(pipeline):
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"c")
-    r1 = process_frame(decoders[1], frame)
-    r4 = process_frame(decoders[4], frame)
+    r1 = process_frame(decoders[1], frame, None)
+    r4 = process_frame(decoders[4], frame, None)
     d1 = next(m for m in r1.chip_msgs if m.kind == ChipMsgKind.DERIVE)
     d4 = next(m for m in r4.chip_msgs if m.kind == ChipMsgKind.DERIVE)
     assert d1.payload != d4.payload
 
 
 def test_derive_before_enrollment_rejected(suite):
-    d = make_decoder(suite, "bind", 0, 9, Drbg.from_int(9), b"\x00" * 16)
+    d = make_decoder(suite, "bind", 0, encode_id(9), Drbg.from_int(9), b"\x00" * 16, *NO_ANCHOR)
     msg = ChipChannelMsg(ChipMsgKind.DERIVE, u32(0) + lp(b"\x01" * 32) + lp(b"\x02" * 44))
     with pytest.raises(ProtocolError):
         chip_process(d.chip, msg)
@@ -157,7 +159,7 @@ def test_derive_before_enrollment_rejected(suite):
 def test_replayed_derive_message_rejected_at_other_chip(pipeline):
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"c")
-    r1 = process_frame(decoders[1], frame)
+    r1 = process_frame(decoders[1], frame, None)
     derive = next(m for m in r1.chip_msgs if m.kind == ChipMsgKind.DERIVE)
     with pytest.raises((CryptoError, ProtocolError)):
         chip_process(decoders[4].chip, derive)  # wrong long-term key
@@ -167,7 +169,7 @@ def test_raw_control_word_rejected_by_compliant_chips(pipeline):
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"content")
     for decoder_id in (1, 2):
-        process_frame(decoders[decoder_id], frame)
+        process_frame(decoders[decoder_id], frame, None)
     known_cw = headend.scrambler_key  # adversary knows the value
     inject = ChipChannelMsg(ChipMsgKind.LOAD_CW, u32(frame.epoch) + lp(known_cw))
     for decoder_id in (1, 2):
@@ -178,7 +180,7 @@ def test_raw_control_word_rejected_by_compliant_chips(pipeline):
 def test_legacy_chip_refuses_a_derive_message(pipeline):
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"c")
-    derive = next(m for m in process_frame(decoders[1], frame).chip_msgs
+    derive = next(m for m in process_frame(decoders[1], frame, None).chip_msgs
                   if m.kind == ChipMsgKind.DERIVE)
     with pytest.raises(ProtocolError, match="^legacy chip only accepts raw control words$"):
         chip_process(decoders[3].chip, derive)
@@ -213,7 +215,7 @@ def test_stale_handle_refused(pipeline):
     headend, decoders, master, directory = pipeline
     frame1 = hemod.epoch_tick(headend, b"first")
     d = decoders[4]
-    process_frame(d, frame1)  # enrollment and entitlement arrive here
+    process_frame(d, frame1, None)  # enrollment and entitlement arrive here
     # re-drive the next frame manually to hold onto the handle
     frame2 = hemod.epoch_tick(headend, b"second")
     msgs = []
@@ -249,7 +251,7 @@ def test_secret_isolation_in_reprs(pipeline):
     frame = hemod.epoch_tick(headend, b"c")
     secrets = [headend.scrambler_key]
     for d in decoders.values():
-        result = process_frame(d, frame)
+        result = process_frame(d, frame, None)
         if d.chip.receiver is not None:
             recv = d.chip.receiver
             secrets.append(recv.enc_keypair.private_key)
@@ -269,7 +271,7 @@ def test_handle_repr_hides_key(pipeline):
     content = b"\x10" * 16
     frame = hemod.epoch_tick(headend, content)
     d = decoders[3]
-    result = process_frame(d, frame)
+    result = process_frame(d, frame, None)
     assert result.descrambled == content
     from cwbind.decoder import ControlWordHandle
 
@@ -282,7 +284,7 @@ def test_chip_state_unchanged_on_failed_messages(pipeline):
 
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"c")
-    process_frame(decoders[1], frame)
+    process_frame(decoders[1], frame, None)
     chip = decoders[1].chip
     before = copy.deepcopy(chip)
     for msg in (
@@ -301,7 +303,7 @@ def _enrolled_bind_decoder_and_next_derive(pipeline, content):
     the following frame, not yet delivered to the chip."""
     headend, decoders, master, directory = pipeline
     d = decoders[1]
-    process_frame(d, hemod.epoch_tick(headend, b"enroll"))
+    process_frame(d, hemod.epoch_tick(headend, b"enroll"), None)
     frame = hemod.epoch_tick(headend, content)
     (ecm,) = frame.ecms_for(d.ca_index)
     return d, client_process_ecm(d.client, ecm), frame
@@ -337,8 +339,8 @@ def test_installed_sender_key_set_is_stored_sorted(pks, order):
     if not _BIND_CHIP:
         from cwbind.suite import CipherSuite
 
-        _BIND_CHIP.append(make_decoder(CipherSuite(), "bind", 0, 1, Drbg.from_int(0x50),
-                                       b"\x00" * 16).chip)
+        _BIND_CHIP.append(make_decoder(CipherSuite(), "bind", 0, encode_id(1),
+                                       Drbg.from_int(0x50), b"\x00" * 16, *NO_ANCHOR).chip)
     (chip,) = _BIND_CHIP
     order.shuffle(pks)
     chip_process(chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(tuple(pks))))
@@ -383,7 +385,7 @@ def test_wrapped_random_value_of_wrong_length_is_a_protocol_rejection(pipeline, 
 def test_client_swap_keeps_chip_and_restores_service(pipeline, suite):
     headend, decoders, master, directory = pipeline
     frame = hemod.epoch_tick(headend, b"pre-swap")
-    assert process_frame(decoders[1], frame).descrambled == b"pre-swap"
+    assert process_frame(decoders[1], frame, None).descrambled == b"pre-swap"
     d = decoders[1]
     chip_before = d.chip
 
@@ -397,7 +399,7 @@ def test_client_swap_keeps_chip_and_restores_service(pipeline, suite):
     hemod.authorize(headend, 0, encode_id(1), True)
     content = b"post-swap content"
     frame = hemod.epoch_tick(headend, content)
-    assert process_frame(d, frame).descrambled == content
+    assert process_frame(d, frame, None).descrambled == content
     assert d.chip is chip_before
 
 
@@ -439,7 +441,7 @@ def _emms_handed_to_client(decoder, frame):
     handed = []
     with mock.patch.object(decmod, "client_process_emm",
                            side_effect=lambda client, emm: handed.append(emm) or []):
-        process_frame(decoder, frame)
+        process_frame(decoder, frame, None)
     return handed
 
 
@@ -479,11 +481,11 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
     decoders = {}
     for n in range(1, 65):
         ca_index = n % 2
-        d = make_decoder(suite, kinds[ca_index], ca_index, n, master.child(f"chip-{n}"),
-                         master.child(f"prov-{n}").read(16))
+        d = make_decoder(suite, kinds[ca_index], ca_index, encode_id(n),
+                         master.child(f"chip-{n}"), master.child(f"prov-{n}").read(16), *NO_ANCHOR)
         decoders[d.decoder_id] = d
         if d.chip_public_key() is not None:
-            register_receiver(ttp, n, d.chip_public_key())
+            register_receiver(ttp, d.decoder_id, d.chip_public_key())
     directory = parse_directory(suite, export_directory(ttp))
     headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
     for decoder_id, d in decoders.items():
@@ -492,7 +494,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
         hemod.authorize(headend, d.ca_index, decoder_id, True)
     setup = hemod.epoch_tick(headend, b"setup")
     for d in decoders.values():
-        assert process_frame(d, setup).descrambled == b"setup"
+        assert process_frame(d, setup, None).descrambled == b"setup"
 
     dropped = {encode_id(1), encode_id(2)}
     for decoder_id in dropped:
@@ -507,7 +509,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
                            side_effect=lambda client, emm: calls.append(emm) or real(client, emm)):
         for decoder_id, d in decoders.items():
             calls.clear()
-            result = process_frame(d, frame)
+            result = process_frame(d, frame, None)
             shared = sum(e.ca_system_id == d.ca_index and e.kind in BROADCAST_KINDS
                          for e in frame.emms)
             own = sum(e.ca_system_id == d.ca_index and e.addressee == decoder_id
@@ -537,7 +539,7 @@ def test_authentic_emm_key_of_wrong_length_is_refused_before_any_state_change(pi
     d = decoders[decoder_id]
     ca = headend.ca_systems[d.ca_index]
     content = b"\x33" * 32
-    assert process_frame(d, hemod.epoch_tick(headend, content)).descrambled == content
+    assert process_frame(d, hemod.epoch_tick(headend, content), None).descrambled == content
     short = b"\x05" * 5
     if carried == "ecm-key":
         kind, body = EmmKind.PER_RECEIVER_ENTITLEMENT, build_entitlement_body(True, short)
@@ -555,7 +557,7 @@ def test_authentic_emm_key_of_wrong_length_is_refused_before_any_state_change(pi
     frame = hemod.epoch_tick(headend, content)
     with pytest.raises(ProtocolError, match="is not 16 bytes"):
         client_process_emm(copy.deepcopy(d.client), frame.emms_for(d.ca_index, d.decoder_id)[0])
-    result = process_frame(d, frame)
+    result = process_frame(d, frame, None)
     assert result.errors == [error]
     assert result.descrambled == content
     assert d.client == before
@@ -580,7 +582,7 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
 
     master = Drbg.from_int(0x5B)
     ttp = ttp_init(suite, master.child("ttp"))
-    d = make_decoder(suite, kind, 0, 1, master.child("chip"), b"\x00" * 16,
+    d = make_decoder(suite, kind, 0, encode_id(1), master.child("chip"), b"\x00" * 16,
                      authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key)
     rogue = suite.keygen("sig", master.child("rogue"))
     key_ct = suite.pke_encrypt(d.chip_public_key(), b"\x05" * 5, master.child("wrap"))
@@ -589,7 +591,7 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
         bundle = Bundle(rogue.public_key, blob)
         named = lp(rogue.public_key)
     else:
-        bundle = Bundle(certify_sender(ttp, 0xAD, rogue.public_key).to_bytes(), blob)
+        bundle = Bundle(certify_sender(ttp, encode_id(0xAD), rogue.public_key).to_bytes(), blob)
         named = b""
     load = ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())
     derive = ChipChannelMsg(ChipMsgKind.DERIVE, u32(0) + named + lp(b"\x00" * 44))
@@ -615,10 +617,10 @@ class _Rogue:
         self.suite = suite
         self.ttp = ttp_init(suite, master.child("ttp"))
         self.pair = suite.keygen("sig", master.child("rogue"))
-        self.cert = certify_sender(self.ttp, 0xAD, self.pair.public_key)
+        self.cert = certify_sender(self.ttp, encode_id(0xAD), self.pair.public_key)
         self.decoders = {
-            kind: make_decoder(suite, kind, 0, 1, master.child(f"chip-{kind}"), b"\x00" * 16,
-                               authority_generation=self.ttp.generation,
+            kind: make_decoder(suite, kind, 0, encode_id(1), master.child(f"chip-{kind}"),
+                               b"\x00" * 16, authority_generation=self.ttp.generation,
                                authority_pk=self.ttp.keypair.public_key)
             for kind in ("bind", "cert", "legacy")
         }

@@ -22,26 +22,26 @@ def build_world(suite, kinds, decoder_plan, seed=1234):
         protocol = kinds[ca_index]
         channel_key = master.child(f"prov-{decoder_id}").read(suite.secret_bytes)
         d = decmod.make_decoder(
-            suite, protocol, ca_index, decoder_id, master.child(f"chip-{decoder_id}"),
+            suite, protocol, ca_index, encode_id(decoder_id), master.child(f"chip-{decoder_id}"),
             channel_key,
             authority_generation=ttp.generation,
-            authority_pk=ttp.keypair.public_key if protocol == "cert" else None,
+            authority_pk=ttp.keypair.public_key,
         )
         decoders[decoder_id] = (d, channel_key)
         if d.chip_public_key() is not None:
-            register_receiver(ttp, decoder_id, d.chip_public_key())
+            register_receiver(ttp, d.decoder_id, d.chip_public_key())
     directory = parse_directory(suite, export_directory(ttp))
     headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
-    for decoder_id, (d, channel_key) in decoders.items():
-        hemod.provision_receiver(headend, d.ca_index, decoder_id, channel_key)
+    for d, channel_key in decoders.values():
+        hemod.provision_receiver(headend, d.ca_index, d.decoder_id, channel_key)
     return master, ttp, directory, headend, decoders
 
 
 def enroll_and_authorize(headend, decoders, ids):
     for decoder_id in ids:
         d, _ = decoders[decoder_id]
-        hemod.enroll_receiver(headend, d.ca_index, decoder_id)
-        hemod.authorize(headend, d.ca_index, decoder_id, True)
+        hemod.enroll_receiver(headend, d.ca_index, d.decoder_id)
+        hemod.authorize(headend, d.ca_index, d.decoder_id, True)
 
 
 def test_epoch_secret_matches_independent_derivation(suite):
@@ -80,7 +80,7 @@ def test_mixed_families_recover_identical_content(suite):
     frame = hemod.epoch_tick(headend, content)
     for decoder_id in (1, 2, 3):
         d, _ = decoders[decoder_id]
-        result = decmod.process_frame(d, frame)
+        result = decmod.process_frame(d, frame, None)
         assert result.descrambled == content, (decoder_id, result.errors)
 
 
@@ -90,7 +90,7 @@ def test_zero_authorized_receivers_still_emits_frame(suite):
     frame = hemod.epoch_tick(headend, b"c")
     assert len(frame.ecms) == 1
     d, _ = decoders[1]
-    result = decmod.process_frame(d, frame)
+    result = decmod.process_frame(d, frame, None)
     assert result.descrambled is None and not result.derive_attempted
 
 
@@ -113,7 +113,7 @@ def test_authorizing_an_unenrolled_receiver_is_refused(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
     with pytest.raises(ProtocolError,
                        match="^cannot change authorization of an unenrolled receiver$"):
-        hemod.authorize(headend, 0, 1, True)
+        hemod.authorize(headend, 0, encode_id(1), True)
     assert not headend.ca_systems[0].authorized
 
 
@@ -146,21 +146,21 @@ def test_deauthorize_rotates_entitlement_key(suite):
     assert headend.ca_systems[0].ecm_key != key_before
     content = b"\x99" * 32
     frame = hemod.epoch_tick(headend, content)
-    assert decmod.process_frame(decoders[1][0], frame).descrambled == content
-    r2 = decmod.process_frame(decoders[2][0], frame)
+    assert decmod.process_frame(decoders[1][0], frame, None).descrambled == content
+    r2 = decmod.process_frame(decoders[2][0], frame, None)
     assert r2.descrambled is None and not r2.derive_attempted
 
 
 def test_reauthorization_restores_derivation(suite):
     master, ttp, directory, headend, decoders = build_world(suite, ["bind"], [(1, 0)])
     enroll_and_authorize(headend, decoders, [1])
-    decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"setup"))
+    decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"setup"), None)
     hemod.authorize(headend, 0, encode_id(1), False)
-    decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"a"))
+    decmod.process_frame(decoders[1][0], hemod.epoch_tick(headend, b"a"), None)
     hemod.authorize(headend, 0, encode_id(1), True)
     content = b"\x12" * 32
     frame = hemod.epoch_tick(headend, content)
-    assert decmod.process_frame(decoders[1][0], frame).descrambled == content
+    assert decmod.process_frame(decoders[1][0], frame, None).descrambled == content
 
 
 def test_authorization_change_does_not_touch_other_chip_bytes(suite):
@@ -174,7 +174,7 @@ def test_authorization_change_does_not_touch_other_chip_bytes(suite):
         if with_second:
             hemod.authorize(headend, 0, encode_id(2), True)
         frame = hemod.epoch_tick(headend, b"content!")
-        result = decmod.process_frame(decoders[1][0], frame)
+        result = decmod.process_frame(decoders[1][0], frame, None)
         return frame, [m.encode() for m in result.chip_msgs]
 
     frame_a, chip_a = run(False)
@@ -192,12 +192,12 @@ def test_sender_rotation_keeps_honest_decoders_working(suite):
     enroll_and_authorize(headend, decoders, [1, 2])
     setup_frame = hemod.epoch_tick(headend, b"before")
     for decoder_id in (1, 2):
-        decmod.process_frame(decoders[decoder_id][0], setup_frame)
+        decmod.process_frame(decoders[decoder_id][0], setup_frame, None)
     hemod.rotate_sender_key(headend, 0, master.child("rot"))
     content = b"\x31" * 32
     frame = hemod.epoch_tick(headend, content)
     for decoder_id in (1, 2):
-        assert decmod.process_frame(decoders[decoder_id][0], frame).descrambled == content
+        assert decmod.process_frame(decoders[decoder_id][0], frame, None).descrambled == content
 
 
 def test_sender_rotation_cuts_off_withheld_decoder(suite):
@@ -206,7 +206,7 @@ def test_sender_rotation_cuts_off_withheld_decoder(suite):
     enroll_and_authorize(headend, decoders, [1, 2])
     setup_frame = hemod.epoch_tick(headend, b"before")
     for decoder_id in (1, 2):
-        decmod.process_frame(decoders[decoder_id][0], setup_frame)
+        decmod.process_frame(decoders[decoder_id][0], setup_frame, None)
     hemod.rotate_sender_key(headend, 0, master.child("rot"))
     content = b"\x32" * 32
     frame = hemod.epoch_tick(headend, content)
@@ -214,8 +214,8 @@ def test_sender_rotation_cuts_off_withheld_decoder(suite):
     kept = tuple(emm for emm in frame.emms if emm.addressee != encode_id(2))
     assert len(kept) < len(frame.emms)
     frame = replace(frame, emms=kept)
-    assert decmod.process_frame(decoders[1][0], frame).descrambled == content
-    r2 = decmod.process_frame(decoders[2][0], frame)
+    assert decmod.process_frame(decoders[1][0], frame, None).descrambled == content
+    r2 = decmod.process_frame(decoders[2][0], frame, None)
     assert r2.descrambled != content and r2.errors
 
 

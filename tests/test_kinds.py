@@ -9,6 +9,7 @@ import pytest
 
 from cwbind import bindproto, certproto
 from cwbind.decoder import make_decoder
+from cwbind.encoding import encode_id
 from cwbind.kinds import BIND, CA_KINDS, CERT, LEGACY, ca_kind
 from cwbind.suite import Drbg
 from cwbind.wire import BROADCAST_KINDS, EmmKind
@@ -49,7 +50,7 @@ def test_no_isinstance_test_names_a_chip_class():
 def test_decoder_deepcopy_keeps_the_kind_record(suite, name):
     master = Drbg.from_int(0x7D)
     authority_pk = suite.keygen("sig", master.child("ttp")).public_key
-    decoder = make_decoder(suite, name, 0, 1, master.child("chip"), b"\x00" * 16,
+    decoder = make_decoder(suite, name, 0, encode_id(1), master.child("chip"), b"\x00" * 16,
                            authority_generation=1, authority_pk=authority_pk)
     copied = copy.deepcopy(decoder)
     assert copied.chip.kind is decoder.chip.kind is decoder.client.kind is ca_kind(name)

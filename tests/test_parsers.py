@@ -1,7 +1,9 @@
 """Every byte-level entry point, fed mutated valid encodings, either parses
 or raises a ``CwbindError``; any other exception is a parser bug."""
 
+import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -51,11 +53,11 @@ def _valid_encodings() -> dict[str, tuple]:
     sender = suite.keygen("sig", rng)
     receiver = suite.keygen("pke", rng)
     ttp = ttp_init(suite, rng)
-    register_receiver(ttp, 7, receiver.public_key)
-    certify_sender(ttp, 9, sender.public_key)
+    register_receiver(ttp, encode_id(7), receiver.public_key)
+    certify_sender(ttp, encode_id(9), sender.public_key)
     revoke(ttp, 1)
     rotate(ttp, rng)  # a directory with a prior key, certificates and a revocation
-    cert = certify_sender(ttp, 9, sender.public_key)
+    cert = certify_sender(ttp, encode_id(9), sender.public_key)
     blob = suite.sign(sender, b"wrapped long-term key")
     cert_bundle = Bundle(cert.to_bytes(), blob.to_bytes()).to_bytes()
     bind_bundle = Bundle(sender.public_key, blob.to_bytes()).to_bytes()
@@ -127,3 +129,18 @@ def test_only_the_reader_words_truncation_and_trailing_bytes():
     writers = {path.name for path in package.glob("*.py")
                if any(text in path.read_text() for text in ("truncated input", "trailing bytes"))}
     assert writers == {"encoding.py"}
+
+
+def test_only_encode_id_takes_an_id_as_bytes_or_int():
+    # every party is named by its 8-byte id, so no parameter may also take
+    # an int and re-encode it; ``encode_id`` is the one converter
+    package = Path(cwbind.__file__).parent
+    mixed = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                mixed += [f"{path.stem}.{node.name}({param.arg})" for param in params
+                          if param.annotation is not None and {"bytes", "int"}
+                          <= set(re.findall(r"\w+", ast.unparse(param.annotation)))]
+    assert mixed == ["encoding.encode_id(identity)"]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cwbind import certproto, sim, suite as suitemod
 from cwbind.encoding import encode_id
-from cwbind.errors import CwbindError
+from cwbind.errors import CryptoError, CwbindError
 from cwbind.kinds import BIND, CERT
 from cwbind.sim import (
     EpochRow,
@@ -83,7 +83,7 @@ def test_parse_errors_name_the_line():
 def test_invalid_configs_rejected(mutation):
     config = parse_scenario(MINI)
     with pytest.raises(ValueError):
-        mutation(config).validate()
+        mutation(config)
 
 
 def test_a_copied_config_is_validated():
@@ -917,6 +917,64 @@ at 4 inject-cw 2
     assert "epoch 4 auth 1 interfered 2 outcomes 1=K 2=K\n" in report_text
     assert "epoch 5 auth 1 interfered - outcomes 1=K 2=X\n" in report_text
     assert "verdict recovery-success fail\n" in report_text
+
+
+BRANCH_WORLD = """
+scenario adversary-branch
+seed 3
+epochs {epochs}
+ca 0 {kind}
+decoder 1 ca 0
+decoder 2 ca 0
+at 0 authorize 0 1
+"""
+
+
+@pytest.mark.parametrize("kind, epochs, events, rows, verdicts, swallowed", [
+    # a legacy chip takes the raw word a pirate probe sends
+    ("legacy", 5, ["at 1 compromise control-word 1", "at 2 pirate-probe 2"],
+     {e: "auth 1 interfered 2 outcomes 1=K 2=K" for e in (2, 3, 4)},
+     ["authenticity-violations 3"], []),
+    # a forge at a certificate chip needs the authority key: nothing is sent
+    ("cert", 5, ["at 1 compromise control-word 1", "at 2 forge-sender 0 2"],
+     {e: "auth 1 interfered 2 outcomes 1=K 2=X" for e in (2, 3, 4)},
+     ["implicit-key-auth pass", "authenticity-violations 0"], []),
+    # a certificate pirate wraps the known word under the stolen long-term key
+    ("cert", 5, ["at 1 compromise control-word 1", "at 1 compromise sender-keys 0",
+                 "at 2 pirate-probe 2"],
+     {e: "auth 1 interfered 2 outcomes 1=K 2=K" for e in (2, 3, 4)},
+     ["authenticity-violations 3"], []),
+    # a flipped per-receiver EMM interferes with its addressee alone
+    ("bind", 5, ["at 2 authorize 0 2", "at 2 tamper emm-receiver 5"],
+     {2: "auth 1,2 interfered 2 outcomes 1=K 2=R"}, [], []),
+    # the withdrawal is flipped, so decoder 2 keeps the retired ECM key, and
+    # the ECM replayed to it fails to open under that key
+    ("bind", 6, ["at 0 authorize 0 2", "at 3 deauthorize 0 2", "at 3 tamper emm-receiver 5",
+                 "at 3 replay 1 2 ecm"],
+     {3: "auth 1 interfered 2 outcomes 1=K 2=R", 4: "auth 1 interfered - outcomes 1=K 2=R",
+      5: "auth 1 interfered - outcomes 1=K 2=R"}, [], [CryptoError]),
+], ids=["legacy-probe-raw-word", "cert-forge-without-authority-key",
+        "cert-probe-stolen-long-term-key", "tampered-entitlement", "replay-under-retired-key"])
+def test_adversary_branches_no_shipped_scenario_reaches(kind, epochs, events, rows, verdicts,
+                                                        swallowed, monkeypatch):
+    raised = []
+    process_ecm = sim.client_process_ecm
+
+    def recording_process_ecm(client, ecm):  # sim calls it only to replay
+        try:
+            return process_ecm(client, ecm)
+        except CwbindError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(sim, "client_process_ecm", recording_process_ecm)
+    text = BRANCH_WORLD.format(epochs=epochs, kind=kind) + "\n".join(events) + "\n"
+    lines = run_world(parse_scenario(text))[0].to_text().splitlines()
+    for epoch, row in rows.items():
+        assert f"epoch {epoch} {row}" in lines
+    for verdict in verdicts:
+        assert f"verdict {verdict}" in lines
+    assert raised == swallowed  # the run went on: the replay's rejection was swallowed
 
 
 def test_bandwidth_ledger_chip_channel_excluded_from_broadcast():

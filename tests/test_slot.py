@@ -99,7 +99,7 @@ decoder 2 ca 0
 def _world(kind: str):
     world = build_world(parse_scenario(WORLD.format(kind=kind)))
     for decoder_id in (1, 2):
-        hemod.authorize(world.headend, 0, decoder_id, True)
+        hemod.authorize(world.headend, 0, encode_id(decoder_id), True)
     return world, world.decoders[encode_id(1)]
 
 
@@ -117,11 +117,11 @@ def test_after_rotation_only_the_new_long_term_key_derives(kind):
     world, decoder = _world(kind)
     for _ in range(2):
         frame, content = _tick(world)
-        assert process_frame(decoder, frame).descrambled == content
+        assert process_frame(decoder, frame, None).descrambled == content
     old_ltk, old_announce = _current_ltk(decoder), decoder.client.announce
     hemod.rotate_sender_key(world.headend, 0, world.master.child("slot-rotate"))
     frame, content = _tick(world)  # re-enrolls: both slots move to the new key
-    assert process_frame(decoder, frame).descrambled == content
+    assert process_frame(decoder, frame, None).descrambled == content
     new_ltk = _current_ltk(decoder)
     assert new_ltk != old_ltk
 
@@ -129,8 +129,8 @@ def test_after_rotation_only_the_new_long_term_key_derives(kind):
     ecm = frame.ecms[0]
     secret = SUITE.sym_decrypt(decoder.client.ecm_key, ecm.protected_secret, aad=ecm.aad)
     sender_pk = decoder.client.announce if kind == "bind" else None
-    old = derive_msg(SUITE, old_ltk, ecm.epoch, secret, sender_pk)
-    new = derive_msg(SUITE, new_ltk, ecm.epoch, secret, sender_pk)
+    old = derive_msg(SUITE, old_ltk, ecm.epoch, secret, sender_pk, None)
+    new = derive_msg(SUITE, new_ltk, ecm.epoch, secret, sender_pk, None)
     assert client_process_ecm(decoder.client, ecm) == new  # the client's slot wrap
     for _ in range(2):
         with pytest.raises(CryptoError):
@@ -138,7 +138,7 @@ def test_after_rotation_only_the_new_long_term_key_derives(kind):
         if kind == "bind":  # the old key is still filed under the retired sender key
             with pytest.raises(CwbindError):
                 chip_process(decoder.chip, derive_msg(SUITE, old_ltk, ecm.epoch, secret,
-                                                      old_announce))
+                                                      old_announce, None))
         handle = chip_process(decoder.chip, new)
         assert descramble(decoder.chip, handle, frame.scrambled_content) == content
 
@@ -163,7 +163,7 @@ class _CountingContexts:
 def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkeypatch):
     world, decoder = _world(kind)
     frame, content = _tick(world)
-    assert process_frame(decoder, frame).descrambled == content
+    assert process_frame(decoder, frame, None).descrambled == content
     twin = copy.deepcopy(decoder)
     twin_slots = [twin.client.ltk_slot, twin.client.channel_slot, twin.chip.receiver.ltk_slot]
     slots = [decoder.client.ltk_slot, decoder.client.channel_slot,
@@ -175,9 +175,9 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
     monkeypatch.setattr(_CountingContexts, "built", Counter())
     for _ in range(3):
         frame, content = _tick(world)
-        result = process_frame(decoder, frame)
+        result = process_frame(decoder, frame, None)
         assert result.descrambled == content
-        assert process_frame(twin, frame) == result
+        assert process_frame(twin, frame, None) == result
     # the original still holds the long-term key, so the twin's client and
     # chip take its context and build none
     assert _CountingContexts.built[_current_ltk(decoder)] == 0
@@ -293,7 +293,7 @@ def _shared_slots(kind: str, pair: str):
     and client's on the channel key."""
     world, decoder = _world(kind)
     frame, content = _tick(world)
-    assert process_frame(decoder, frame).descrambled == content
+    assert process_frame(decoder, frame, None).descrambled == content
     if pair == "long-term":
         key, first, second = (_current_ltk(decoder), decoder.client.ltk_slot,
                               decoder.chip.receiver.ltk_slot)
@@ -322,8 +322,8 @@ def _enrolled(kind: str):
     entitlement EMM the head-end then queued for it."""
     world, decoder = _world(kind)
     frame, content = _tick(world)
-    assert process_frame(decoder, frame).descrambled == content
-    hemod.authorize(world.headend, 0, 1, True)
+    assert process_frame(decoder, frame, None).descrambled == content
+    hemod.authorize(world.headend, 0, encode_id(1), True)
     return world, decoder, world.headend.ca_systems[0].pending_emms[-1]
 
 
@@ -364,7 +364,7 @@ def test_after_swap_client_only_the_new_channel_key_opens(kind):
     # the frame carries the old entitlement first, then the new enrollment
     # and entitlement: the old one is refused and the new ones open
     frame, content = _tick(world)
-    result = process_frame(decoder, frame)
+    result = process_frame(decoder, frame, None)
     assert result.descrambled == content
     assert len(result.errors) == 1 and result.errors[0].startswith("emm:")
 

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from cwbind.encoding import encode_id
 from cwbind.errors import CryptoError, ProtocolError, WireError
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
@@ -42,7 +43,7 @@ def test_init_distinct_seeds_distinct_keys(suite):
 
 def test_register_receiver_issues_verifiable_cert(suite, ttp, rng):
     pk = suite.keygen("pke", rng).public_key
-    cert = register_receiver(ttp, 7, pk)
+    cert = register_receiver(ttp, encode_id(7), pk)
     verify_certificate(suite, cert, ttp.keypair.public_key)
     assert cert.subject_pk == pk
     assert cert.subject_role == "receiver"
@@ -50,14 +51,14 @@ def test_register_receiver_issues_verifiable_cert(suite, ttp, rng):
 
 def test_register_duplicate_id_rejected(suite, ttp, rng):
     pk = suite.keygen("pke", rng).public_key
-    register_receiver(ttp, 7, pk)
+    register_receiver(ttp, encode_id(7), pk)
     with pytest.raises(ProtocolError):
-        register_receiver(ttp, 7, pk)
+        register_receiver(ttp, encode_id(7), pk)
 
 
 def test_cert_round_trips_to_registered_pk(suite, ttp, rng):
     pk = suite.keygen("pke", rng).public_key
-    cert = register_receiver(ttp, 9, pk)
+    cert = register_receiver(ttp, encode_id(9), pk)
     # byte comparison against the registry through serialization
     reparsed = Certificate.from_bytes(cert.to_bytes())
     verify_certificate(suite, reparsed, ttp.keypair.public_key)
@@ -67,8 +68,9 @@ def test_cert_round_trips_to_registered_pk(suite, ttp, rng):
 def test_serials_unique_across_issuance(suite, ttp, rng):
     serials = set()
     for i in range(5):
-        serials.add(register_receiver(ttp, i, suite.keygen("pke", rng).public_key).serial)
-    serials.add(certify_sender(ttp, 100, suite.keygen("sig", rng).public_key).serial)
+        pk = suite.keygen("pke", rng).public_key
+        serials.add(register_receiver(ttp, encode_id(i), pk).serial)
+    serials.add(certify_sender(ttp, encode_id(100), suite.keygen("sig", rng).public_key).serial)
     rotate(ttp, rng)
     serials.update(cert.serial for cert in ttp.issued_certs)
     assert len(serials) == len(ttp.issued_certs)
@@ -77,15 +79,15 @@ def test_serials_unique_across_issuance(suite, ttp, rng):
 def test_certify_sender_rotation_allows_new_key(suite, ttp, rng):
     pk1 = suite.keygen("sig", rng).public_key
     pk2 = suite.keygen("sig", rng).public_key
-    certify_sender(ttp, 5, pk1)
+    certify_sender(ttp, encode_id(5), pk1)
     with pytest.raises(ProtocolError):
-        certify_sender(ttp, 5, pk1)  # identical key re-certification
-    cert = certify_sender(ttp, 5, pk2)  # key rotation
+        certify_sender(ttp, encode_id(5), pk1)  # identical key re-certification
+    cert = certify_sender(ttp, encode_id(5), pk2)  # key rotation
     assert cert.subject_pk == pk2
 
 
 def test_revoke_membership_and_idempotence(suite, ttp, rng):
-    cert = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
+    cert = register_receiver(ttp, encode_id(1), suite.keygen("pke", rng).public_key)
     revoke(ttp, cert.serial)
     assert ttp.revoked_serials == {cert.serial}
     revoke(ttp, cert.serial)  # idempotent
@@ -99,7 +101,7 @@ def test_rotate_reissues_receivers_and_keeps_their_keys(suite, ttp, rng):
     pks = {}
     for i in range(3):
         pk = suite.keygen("pke", rng).public_key
-        register_receiver(ttp, i, pk)
+        register_receiver(ttp, encode_id(i), pk)
         pks[(i).to_bytes(8, "big")] = pk
     rotate(ttp, rng)
     assert ttp.generation == 2
@@ -111,14 +113,14 @@ def test_rotate_reissues_receivers_and_keeps_their_keys(suite, ttp, rng):
 
 
 def test_old_sender_cert_fails_under_new_authority_key(suite, ttp, rng):
-    cert = certify_sender(ttp, 2, suite.keygen("sig", rng).public_key)
+    cert = certify_sender(ttp, encode_id(2), suite.keygen("sig", rng).public_key)
     rotate(ttp, rng)
     with pytest.raises(CryptoError):
         verify_certificate(suite, cert, ttp.keypair.public_key)
 
 
 def test_cross_generation_receiver_cert_fails_after_rotate(suite, ttp, rng):
-    cert = register_receiver(ttp, 3, suite.keygen("pke", rng).public_key)
+    cert = register_receiver(ttp, encode_id(3), suite.keygen("pke", rng).public_key)
     rotate(ttp, rng)
     with pytest.raises(CryptoError):
         verify_certificate(suite, cert, ttp.keypair.public_key)
@@ -129,7 +131,7 @@ def test_cross_generation_receiver_cert_fails_after_rotate(suite, ttp, rng):
 
 
 def test_certificate_field_tampering_detected(suite, ttp, rng):
-    cert = register_receiver(ttp, 6, suite.keygen("pke", rng).public_key)
+    cert = register_receiver(ttp, encode_id(6), suite.keygen("pke", rng).public_key)
     for tampered in (
         Certificate(cert.serial + 1, cert.subject_id, cert.subject_role,
                     cert.subject_pk, cert.generation, cert.signature),
@@ -151,7 +153,7 @@ def test_no_receiver_private_key_reachable_from_state(suite, rng):
     # confirm the receiver's private bytes appear nowhere
     ttp = ttp_init(suite, Drbg.from_int(2))
     pair = suite.keygen("pke", rng)
-    register_receiver(ttp, 11, pair.public_key)
+    register_receiver(ttp, encode_id(11), pair.public_key)
     rotate(ttp, rng)
 
     seen = set()
@@ -178,8 +180,8 @@ def test_no_receiver_private_key_reachable_from_state(suite, rng):
 
 
 def test_directory_export_parse_round_trip(suite, ttp, rng):
-    register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
-    certify_sender(ttp, 2, suite.keygen("sig", rng).public_key)
+    register_receiver(ttp, encode_id(1), suite.keygen("pke", rng).public_key)
+    certify_sender(ttp, encode_id(2), suite.keygen("sig", rng).public_key)
     revoke(ttp, ttp.issued_certs[0].serial)
     blob = export_directory(ttp)
     directory = parse_directory(suite, blob, trusted_authority_pk=ttp.keypair.public_key)
@@ -194,9 +196,11 @@ def test_directory_export_bytes_are_pinned(suite):
     master = Drbg.from_int(0xD1)
     ttp = ttp_init(suite, master.child("ttp"))
     for n in range(1, 65):
-        register_receiver(ttp, n, suite.keygen("pke", master.child(f"chip-{n}")).public_key)
+        pk = suite.keygen("pke", master.child(f"chip-{n}")).public_key
+        register_receiver(ttp, encode_id(n), pk)
     for n in (101, 102):
-        certify_sender(ttp, n, suite.keygen("sig", master.child(f"sender-{n}")).public_key)
+        pk = suite.keygen("sig", master.child(f"sender-{n}")).public_key
+        certify_sender(ttp, encode_id(n), pk)
     revoke(ttp, ttp.issued_certs[3].serial)
     rotate(ttp, master.child("rotate"))
     for index in (7, 30, 64):
@@ -208,9 +212,9 @@ def test_directory_export_bytes_are_pinned(suite):
 
 
 def test_directory_receiver_cert_lookup(suite, ttp, rng):
-    first = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
-    sender = certify_sender(ttp, 2, suite.keygen("sig", rng).public_key)
-    later = register_receiver(ttp_init(suite, Drbg.from_int(2)), 1,
+    first = register_receiver(ttp, encode_id(1), suite.keygen("pke", rng).public_key)
+    sender = certify_sender(ttp, encode_id(2), suite.keygen("sig", rng).public_key)
+    later = register_receiver(ttp_init(suite, Drbg.from_int(2)), encode_id(1),
                               suite.keygen("pke", rng).public_key)
     directory = Directory(1, ttp.keypair.public_key, (), (first, sender, later), frozenset())
     assert directory.receiver_cert(first.subject_id) is first  # first listed wins
@@ -219,7 +223,7 @@ def test_directory_receiver_cert_lookup(suite, ttp, rng):
 
 
 def test_directory_signature_checked(suite, ttp, rng):
-    register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
+    register_receiver(ttp, encode_id(1), suite.keygen("pke", rng).public_key)
     blob = bytearray(export_directory(ttp))
     blob[-1] ^= 1
     with pytest.raises(CryptoError):
@@ -253,7 +257,7 @@ def test_directory_embedding_another_authority_key_rejected(suite, ttp):
 
 
 def test_signed_revocation_list_round_trip(suite, ttp, rng):
-    cert = register_receiver(ttp, 1, suite.keygen("pke", rng).public_key)
+    cert = register_receiver(ttp, encode_id(1), suite.keygen("pke", rng).public_key)
     revoke(ttp, cert.serial)
     sm = signed_revocation_list(ttp)
     assert parse_revocation_list(suite, sm, ttp.keypair.public_key) == {cert.serial}

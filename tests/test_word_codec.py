@@ -42,7 +42,7 @@ def _outcome(split, payload: bytes, named: bool):
 
 def _real_payload(epoch: int, sender_pk: bytes | None, secret: bytes, derive: bool) -> bytes:
     if derive:
-        return derive_msg(SUITE, b"\x11" * 16, epoch, secret, sender_pk).payload
+        return derive_msg(SUITE, b"\x11" * 16, epoch, secret, sender_pk, None).payload
     return load_cw_msg(epoch, secret).payload
 
 
