@@ -44,9 +44,9 @@ class BindReceiverState:
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
-def sender_init(suite: CipherSuite, rng: Drbg, directory: Directory) -> SenderState:
+def sender_init(suite: CipherSuite, rng: Drbg) -> SenderState:
     """Generate the sender key pair. No authority interaction happens here."""
-    return SenderState(suite, suite.keygen("sig", rng), directory)
+    return SenderState(suite, suite.keygen("sig", rng))
 
 
 def receiver_init(suite: CipherSuite, receiver_id: bytes, rng: Drbg) -> BindReceiverState:
@@ -62,10 +62,11 @@ def refresh_sender_key(sender: SenderState, rng: Drbg) -> None:
     sender.sig_keypair = sender.suite.keygen("sig", rng)
 
 
-def phase1_send(sender: SenderState, receiver_id: bytes, rng: Drbg) -> Bundle:
-    """Produce the phase 1 bundle for one receiver, announcing the bare
-    sender public key, and remember the new key."""
-    return Bundle(sender.sig_keypair.public_key, seal_ltk(sender, receiver_id, rng))
+def phase1_send(sender: SenderState, directory: Directory, receiver_id: bytes,
+                rng: Drbg) -> Bundle:
+    """Produce the phase 1 bundle for one receiver ``directory`` lists,
+    announcing the bare sender public key, and remember the new key."""
+    return Bundle(sender.sig_keypair.public_key, seal_ltk(sender, directory, receiver_id, rng))
 
 
 def phase1_receive(recv: BindReceiverState, bundle: Bundle) -> None:

@@ -51,11 +51,11 @@ class CertReceiverState:
 
 
 def sender_init(suite: CipherSuite, sender_id: bytes, rng: Drbg,
-                ttp: TtpState, directory: Directory) -> CertSenderState:
+                ttp: TtpState) -> CertSenderState:
     """Generate the sender signature key pair and obtain its certificate."""
     pair = suite.keygen("sig", rng)
     cert = certify_sender(ttp, sender_id, pair.public_key)
-    return CertSenderState(suite, pair, directory, sender_id=sender_id, sender_cert=cert)
+    return CertSenderState(suite, pair, sender_id=sender_id, sender_cert=cert)
 
 
 def receiver_init(suite: CipherSuite, receiver_id: bytes, authority_generation: int,
@@ -75,10 +75,11 @@ def refresh_sender_key(sender: CertSenderState, rng: Drbg, ttp: TtpState) -> Non
     sender.sender_cert = certify_sender(ttp, sender.sender_id, sender.sig_keypair.public_key)
 
 
-def phase1_send(sender: CertSenderState, receiver_id: bytes, rng: Drbg) -> Bundle:
-    """Produce the phase 1 bundle for one receiver, announcing the sender
-    certificate, and remember the new key."""
-    return Bundle(sender.sender_cert.to_bytes(), seal_ltk(sender, receiver_id, rng))
+def phase1_send(sender: CertSenderState, directory: Directory, receiver_id: bytes,
+                rng: Drbg) -> Bundle:
+    """Produce the phase 1 bundle for one receiver ``directory`` lists,
+    announcing the sender certificate, and remember the new key."""
+    return Bundle(sender.sender_cert.to_bytes(), seal_ltk(sender, directory, receiver_id, rng))
 
 
 def phase1_receive(recv: CertReceiverState, bundle: Bundle) -> None:

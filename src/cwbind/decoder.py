@@ -54,7 +54,7 @@ from typing import NamedTuple
 from . import bindproto, certproto
 from .encoding import U32, Reader, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
-from .kinds import CaKind, ca_kind
+from .kinds import CaKind
 from .phase1 import Bundle
 from .scramble import descramble as _descramble_bytes
 from .suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, Drbg, SignedMessage
@@ -366,11 +366,11 @@ class Decoder:
         return self.chip.receiver.enc_keypair.public_key
 
 
-def make_decoder(suite: CipherSuite, protocol: str, ca_index: int, decoder_id: bytes,
+def make_decoder(suite: CipherSuite, kind: CaKind, ca_index: int, decoder_id: bytes,
                  rng: Drbg, channel_key: bytes, authority_generation: int,
                  authority_pk: bytes) -> Decoder:
-    """Manufacture a decoder: generate the chip key pair (if any) and
-    personalize the CA client with its provisioning key.
+    """Manufacture a decoder of the ``kind`` record: generate the chip key
+    pair (if any) and personalize the CA client with its provisioning key.
 
     ``decoder_id`` is the decoder's 8-byte id (``encoding.encode_id``). The
     trust anchor, the authority generation and public key, is the current
@@ -378,7 +378,6 @@ def make_decoder(suite: CipherSuite, protocol: str, ca_index: int, decoder_id: b
     accepts only sender certificates of that generation signed by that key,
     so after the authority rotates it must be replaced. Other chips ignore
     both."""
-    kind = ca_kind(protocol)
     chip = ChipState(kind, suite)
     if kind.certified:
         chip.receiver = certproto.receiver_init(suite, decoder_id, authority_generation,

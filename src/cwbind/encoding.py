@@ -37,12 +37,8 @@ def lp(data: bytes) -> bytes:
     return U32.pack(len(data)) + data
 
 
-def encode_id(identity: int | bytes) -> bytes:
+def encode_id(identity: int) -> bytes:
     """Canonical 8-byte big-endian identity."""
-    if isinstance(identity, bytes):
-        if len(identity) != 8:
-            raise ValueError(f"identity must be 8 bytes, got {len(identity)}")
-        return identity
     return struct.pack(">Q", identity)
 
 

@@ -30,6 +30,9 @@ authorized set. Compliant and legacy ECMs are both emitted every epoch.
 Each per-receiver EMM is sealed through an ``AeadSlot`` the head-end keeps
 per provisioned receiver, and opened through its client's own; both slots
 share the key's one context (``suite``).
+
+The head-end holds the authority (``ttp``) and the one current copy of its
+public directory; each phase 1 delivery is handed that directory.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from . import bindproto, certproto
 from .binding import bound_secret
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
-from .kinds import CaKind, ca_kind
+from .kinds import CaKind
 from .phase1 import SenderState
 from .scramble import scramble
 from .suite import AeadSlot, CipherSuite, Drbg
@@ -80,6 +83,7 @@ class HeadendState:
     rng: Drbg
     ca_systems: list[CaSystem]
     ttp: TtpState  # certifies and revokes certificate systems' sender keys
+    directory: Directory  # the authority's current public directory
     epoch: int = 0
     pk_set: tuple[bytes, ...] = ()  # every binding sender's key, sorted
     scrambler_key: bytes | None = field(default=None, repr=False)
@@ -125,24 +129,25 @@ def _queue_pk_set_updates(headend: HeadendState, systems: list[CaSystem]) -> Non
             _queue(ca, EmmKind.PK_SET_UPDATE, build_pk_set_body(headend.pk_set))
 
 
-def headend_init(suite: CipherSuite, kinds: list[str], rng: Drbg,
+def headend_init(suite: CipherSuite, kinds: list[CaKind], rng: Drbg,
                  ttp: TtpState, directory: Directory) -> HeadendState:
-    """Build the CA systems. Certificate systems need the authority to issue
-    their sender certificates, and the head-end keeps it to re-certify them
-    on rotation; binding systems involve no authority call."""
+    """Build one CA system per kind record. Certificate systems need the
+    authority to issue their sender certificates, and the head-end keeps it,
+    with its ``directory``, to re-certify them on rotation and to look
+    receivers up; binding systems involve no authority call."""
     systems: list[CaSystem] = []
-    for index, name in enumerate(kinds):
-        kind = ca_kind(name)
+    for index, kind in enumerate(kinds):
         sender = None
         if kind.certified:
-            sender = certproto.sender_init(suite, encode_id(index + 1), rng, ttp, directory)
+            sender = certproto.sender_init(suite, encode_id(index + 1), rng, ttp)
         elif kind.proto is not None:
-            sender = bindproto.sender_init(suite, rng, directory)
+            sender = bindproto.sender_init(suite, rng)
         ca = CaSystem(index=index, kind=kind, suite=suite, sender=sender)
         ca.group_key = rng.read(suite.secret_bytes)
         ca.ecm_key = rng.read(suite.secret_bytes)
         systems.append(ca)
-    headend = HeadendState(suite=suite, rng=rng, ca_systems=systems, ttp=ttp)
+    headend = HeadendState(suite=suite, rng=rng, ca_systems=systems, ttp=ttp,
+                           directory=directory)
     headend.pk_set = _bind_pk_set(headend)
     for ca in systems:
         _queue_announcement(ca)
@@ -158,16 +163,9 @@ def provision_receiver(headend: HeadendState, ca_index: int,
     ca.receiver_channels[receiver_id] = (channel_key, AeadSlot())
 
 
-def refresh_directory(headend: HeadendState, directory: Directory) -> None:
-    """Hand every sender the authority's latest directory snapshot."""
-    for ca in headend.ca_systems:
-        if ca.sender is not None:
-            ca.sender.directory = directory
-
-
 def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes) -> None:
-    """Run phase 1 for one receiver, against the directory snapshot the
-    sender holds, and queue its enrollment EMM.
+    """Run phase 1 for one receiver, against the head-end's current
+    directory, and queue its enrollment EMM.
 
     The enrollment payload carries the signed blob, the long-term key copy
     for the client, the broadcast group key, and the current sender
@@ -180,7 +178,8 @@ def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes) ->
     if ca.kind.proto is None:
         body = build_enroll_body(b"", b"", ca.group_key, b"")
     else:
-        bundle = ca.kind.proto.phase1_send(ca.sender, receiver_id, headend.rng)
+        bundle = ca.kind.proto.phase1_send(ca.sender, headend.directory, receiver_id,
+                                           headend.rng)
         body = build_enroll_body(bundle.signed_blob, ca.sender.ltk_store[receiver_id],
                                  ca.group_key, bundle.announce)
 
@@ -230,8 +229,7 @@ def rotate_sender_key(headend: HeadendState, ca_index: int, rng: Drbg) -> None:
 
     Certificate systems additionally have the head-end's authority revoke
     the old certificate and issue a fresh one; binding systems touch no
-    authority at all. Phase 1 runs against the directory snapshot the
-    sender already holds (``refresh_directory``).
+    authority at all. Phase 1 runs against the head-end's current directory.
     The ECM key is rotated too: a sender-key compromise is assumed to have
     exposed the CA system's channel material. Every enrolled receiver is
     re-enrolled, and the re-keying burst builds the entitlement body once

@@ -2,7 +2,8 @@
 signed blob.
 
 Both shapes deliver each receiver's long-term key the same way. The sender
-looks the receiver up in its directory snapshot, refuses a revoked one,
+looks the receiver up in the authority's directory, which its caller holds
+and hands it (the head-end keeps the one current copy), refuses a revoked one,
 draws a fresh long-term key, encrypts it to the receiver's public key and
 signs the ciphertext together with the recipient id (``seal_ltk``, the one
 place a blob is sealed). The receiver verifies the blob, checks that it is
@@ -49,25 +50,25 @@ class Bundle:
 
 @dataclass
 class SenderState:
-    """What a sender of either shape holds: its signing key pair, the
-    directory it looks receivers up in and the long-term key it last sealed
-    to each receiver. A certificate sender also holds its id and certificate
-    (``certproto.CertSenderState``); a binding sender is known by its key
-    alone."""
+    """What a sender of either shape holds: its signing key pair and the
+    long-term key it last sealed to each receiver. A certificate sender also
+    holds its id and certificate (``certproto.CertSenderState``); a binding
+    sender is known by its key alone. The directory it looks receivers up in
+    is not its own: each phase 1 call is handed it."""
 
     suite: CipherSuite
     sig_keypair: KeyPair
-    directory: Directory  # public snapshot; the head-end pushes each new one
     ltk_store: dict[bytes, bytes] = field(default_factory=dict, repr=False)
 
 
-def seal_ltk(sender: SenderState, receiver_id: bytes, rng: Drbg) -> bytes:
-    """Deliver a fresh long-term key to a listed, unrevoked receiver and
-    remember it for phase 2."""
-    receiver_cert = sender.directory.receiver_cert(receiver_id)
+def seal_ltk(sender: SenderState, directory: Directory, receiver_id: bytes,
+             rng: Drbg) -> bytes:
+    """Deliver a fresh long-term key to a receiver ``directory`` lists and
+    has not revoked, and remember it for phase 2."""
+    receiver_cert = directory.receiver_cert(receiver_id)
     if receiver_cert is None:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} not in directory")
-    if receiver_cert.serial in sender.directory.revoked_serials:
+    if receiver_cert.serial in directory.revoked_serials:
         raise ProtocolError("receiver certificate is revoked")
     ltk = rng.read(sender.suite.secret_bytes)
     key_ct = sender.suite.pke_encrypt(receiver_cert.subject_pk, ltk, rng)

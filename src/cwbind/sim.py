@@ -106,7 +106,7 @@ from .errors import CwbindError
 from .kinds import CaKind, ca_kind
 from .phase1 import SenderState
 from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair
-from .ttp import Certificate, Directory, ROLE_SENDER
+from .ttp import Certificate, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
     Ecm,
@@ -141,9 +141,11 @@ ACTION_ARGS: dict[str, tuple] = {
     "forge-sender": ("ca", "ca-decoder"),
 }
 
+# each one-value directive: the ``ScenarioConfig`` field it sets, and its type
+_SCALARS = {"scenario": ("name", str), "seed": ("seed", int), "epochs": ("epochs", int),
+            "secret-bits": ("secret_bits", int), "content-bytes": ("content_bytes", int)}
 # the fields after each directive's word; an ``at`` line is checked per action
-_FIELDS = {"scenario": 1, "seed": 1, "epochs": 1, "secret-bits": 1, "content-bytes": 1,
-           "ca": 2, "decoder": 3, "rotate-auth": 5}
+_FIELDS = dict.fromkeys(_SCALARS, 1) | {"ca": 2, "decoder": 3, "rotate-auth": 5}
 
 BROADCAST_ID = id_as_int(BROADCAST_ADDR)
 _ROGUE_ID = encode_id(0xAD)  # the sender id on the adversary's forged sets
@@ -176,8 +178,11 @@ class DecoderSpec:
 class ScenarioConfig:
     """A scenario as the module docstring describes it, checked when it is
     built (a ``dataclasses.replace`` copy too): a bad value raises
-    ``ValueError``, naming the scenario line of a parsed event. Decoder ids
-    stay integers here: the simulator encodes an id (``encode_id``) where it
+    ``ValueError``, naming the scenario line of a parsed event. The defaults
+    below are the only ones: ``parse_scenario`` passes a directive only when
+    the file has it. Each kind name is resolved once, into ``kinds``, the
+    records the head-end and decoders are built from. Decoder ids stay
+    integers here: the simulator encodes an id (``encode_id``) where it
     reads one, and hands only the 8-byte form to the protocol code."""
 
     name: str
@@ -188,6 +193,7 @@ class ScenarioConfig:
     events: list[Event]
     secret_bits: int = 128
     content_bytes: int = 64
+    kinds: list[CaKind] = field(init=False, repr=False, compare=False)  # one per ca_kinds name
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -199,7 +205,7 @@ class ScenarioConfig:
             raise ValueError(f"content-bytes must be at least 16, got {self.content_bytes}")
         if not self.ca_kinds:
             raise ValueError("at least one CA system is required")
-        kinds = [ca_kind(name) for name in self.ca_kinds]
+        self.kinds = kinds = [ca_kind(name) for name in self.ca_kinds]
         ca_of = {spec.decoder_id: spec.ca_index for spec in self.decoders}
         if len(ca_of) != len(self.decoders):
             raise ValueError("decoder ids must be unique")
@@ -272,11 +278,7 @@ def _expand_rotate_auth(line: int, ca_index: int, every: int, count: int,
 
 
 def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
-    name = name_hint
-    seed: int | None = None
-    epochs: int | None = None
-    secret_bits = 128
-    content_bytes = 64
+    scalars: dict[str, str | int] = {"name": name_hint}
     ca_kinds: list[str] = []
     decoders: list[DecoderSpec] = []
     events: list[Event] = []
@@ -291,16 +293,9 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
             head = fields[0]
             if len(fields) - 1 != _FIELDS.get(head, len(fields) - 1):
                 raise ValueError(f"{head} takes {_FIELDS[head]} field(s), got {len(fields) - 1}")
-            if head == "scenario":
-                name = fields[1]
-            elif head == "seed":
-                seed = int(fields[1])
-            elif head == "epochs":
-                epochs = int(fields[1])
-            elif head == "secret-bits":
-                secret_bits = int(fields[1])
-            elif head == "content-bytes":
-                content_bytes = int(fields[1])
+            if head in _SCALARS:
+                key, convert = _SCALARS[head]
+                scalars[key] = convert(fields[1])
             elif head == "ca":
                 index = int(fields[1])
                 if index != len(ca_kinds):
@@ -327,16 +322,13 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
         except (IndexError, ValueError) as exc:
             raise ValueError(f"scenario line {lineno}: {exc}") from None
 
-    if seed is None or epochs is None:
+    if "seed" not in scalars or "epochs" not in scalars:
         raise ValueError("scenario must declare both seed and epochs")
     for line, ca_index, every, count in rotate_auth:  # after every decoder is declared
-        events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders, epochs))
+        events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders,
+                                          scalars["epochs"]))
     events.sort(key=lambda ev: ev.epoch)  # stable: preserves file order per epoch
-    return ScenarioConfig(
-        name=name, seed=seed, epochs=epochs, ca_kinds=ca_kinds,
-        decoders=decoders, events=events,
-        secret_bits=secret_bits, content_bytes=content_bytes,
-    )
+    return ScenarioConfig(ca_kinds=ca_kinds, decoders=decoders, events=events, **scalars)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -476,7 +468,10 @@ class AdversaryState:
     # under at that decoder, held as a CA client holds its long-term key's
     probes: dict[bytes, tuple[str, AeadSlot]] = field(default_factory=dict)
     minted_serial: int = 0x7F000000
-    replay_classes: frozenset[str] = frozenset()  # the classes a scheduled replay reads
+    # the replay schedule: the classes a scheduled replay reads, and the
+    # decoders a chip-class replay reads from (see module docstring)
+    replay_classes: frozenset[str] = frozenset()
+    replay_sources: frozenset[bytes] = frozenset()
 
     def capture_chip_msgs(self, decoder_id: bytes, msgs: list[ChipChannelMsg]) -> None:
         for msg in msgs:
@@ -505,8 +500,6 @@ class World:
     config: ScenarioConfig
     suite: CipherSuite
     master: Drbg
-    ttp: ttpmod.TtpState
-    directory: Directory
     headend: hemod.HeadendState
     decoders: dict[bytes, Decoder]
     adversary: AdversaryState
@@ -523,8 +516,6 @@ class World:
     _ids_by_ca: dict[int, list[bytes]] = field(init=False, repr=False)
     # delivery order: (id, id as an integer, decoder), in id order
     _delivery: list[tuple[bytes, int, Decoder]] = field(init=False, repr=False)
-    # decoders a scheduled chip-class replay reads from (see module docstring)
-    replay_sources: frozenset[bytes] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._ids_by_ca = {}
@@ -532,19 +523,17 @@ class World:
         for decoder_id, decoder in sorted(self.decoders.items()):
             self._ids_by_ca.setdefault(decoder.ca_index, []).append(decoder_id)
             self._delivery.append((decoder_id, id_as_int(decoder_id), decoder))
-        self.replay_sources = frozenset(
-            encode_id(int(ev.args[0])) for ev in self.config.events
-            if ev.verb == "replay" and ev.args[2] in CHIP_CLASSES)
 
     def decoder_ids_by_ca(self) -> dict[int, list[bytes]]:
         """Decoder ids per CA system, in id order; shared, so read only."""
         return self._ids_by_ca
 
     def rotate_ttp(self) -> None:
-        """Rotate the authority key pair and hand every sender the new directory."""
-        ttpmod.rotate(self.ttp, self.master.child(f"ttp-rotate-{self.ttp.generation}"))
-        self.directory = ttpmod.parse_directory(self.suite, ttpmod.export_directory(self.ttp))
-        hemod.refresh_directory(self.headend, self.directory)
+        """Rotate the head-end's authority key pair and store the new
+        directory on the head-end, where every later phase 1 reads it."""
+        ttp = self.headend.ttp
+        ttpmod.rotate(ttp, self.master.child(f"ttp-rotate-{ttp.generation}"))
+        self.headend.directory = ttpmod.parse_directory(self.suite, ttpmod.export_directory(ttp))
 
 
 def build_world(config: ScenarioConfig) -> World:
@@ -557,7 +546,7 @@ def build_world(config: ScenarioConfig) -> World:
         decoder_id = encode_id(spec.decoder_id)
         channel_key = master.child(f"provision-{spec.decoder_id}").read(suite.secret_bytes)
         decoder = make_decoder(
-            suite, config.ca_kinds[spec.ca_index], spec.ca_index, decoder_id,
+            suite, config.kinds[spec.ca_index], spec.ca_index, decoder_id,
             master.child(f"chip-{spec.decoder_id}"), channel_key,
             authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key,
         )
@@ -566,18 +555,18 @@ def build_world(config: ScenarioConfig) -> World:
             ttpmod.register_receiver(ttp, decoder_id, decoder.chip_public_key())
 
     directory = ttpmod.parse_directory(suite, ttpmod.export_directory(ttp))
-    headend = hemod.headend_init(suite, list(config.ca_kinds), master.child("headend"),
-                                 ttp, directory)
+    headend = hemod.headend_init(suite, config.kinds, master.child("headend"), ttp, directory)
     for decoder_id, decoder in decoders.items():  # in scenario order
         hemod.provision_receiver(headend, decoder.ca_index, decoder_id, decoder.client.channel_key)
         hemod.enroll_receiver(headend, decoder.ca_index, decoder_id)
 
-    return World(
-        config=config, suite=suite, master=master, ttp=ttp, directory=directory,
-        headend=headend, decoders=decoders,
-        adversary=AdversaryState(rng=master.child("adversary"), replay_classes=frozenset(
-            ev.args[2] for ev in config.events if ev.verb == "replay")),
-    )
+    replays = [ev.args for ev in config.events if ev.verb == "replay"]
+    adversary = AdversaryState(
+        rng=master.child("adversary"), replay_classes=frozenset(cls for _, _, cls in replays),
+        replay_sources=frozenset(encode_id(int(src)) for src, _, cls in replays
+                                 if cls in CHIP_CLASSES))
+    return World(config=config, suite=suite, master=master, headend=headend,
+                 decoders=decoders, adversary=adversary)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +619,8 @@ def _do_recover(world: World, epoch: int) -> None:
             decoder = world.decoders[decoder_id]
             old = decoder.chip.receiver
             decoder.chip = ChipState(ca.kind, old.suite, certproto.CertReceiverState(
-                old.suite, old.receiver_id, world.ttp.generation, world.ttp.keypair.public_key,
-                old.enc_keypair))
+                old.suite, old.receiver_id, world.headend.ttp.generation,
+                world.headend.ttp.keypair.public_key, old.enc_keypair))
             _do_swap_client(world, decoder_id, enroll=False)
             world.decoders_replaced += 1
 
@@ -657,7 +646,7 @@ def adversary_step(world: World, event: Event) -> None:
             adv.sender_snapshots[ca.index] = SenderSnapshot(
                 ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
         elif what == "ttp-key":
-            adv.authority_key = (world.ttp.generation, world.ttp.keypair)
+            adv.authority_key = (world.headend.ttp.generation, world.headend.ttp.keypair)
     elif event.verb in ("pirate-probe", "forge-sender"):  # the decoder comes last
         adv.probes[encode_id(int(event.args[-1]))] = (event.verb, AeadSlot())
     elif event.verb in ("tamper", "replay", "inject-cw"):
@@ -695,11 +684,12 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 def _sealed_set(world: World, decoder: Decoder, sig_pair: KeyPair, epoch: int,
                 secret: bytes | None, rng: Drbg, slot: AeadSlot) -> list[ChipChannelMsg]:
     """A full message set under ``sig_pair``: the LOAD_LTK bundle from the
-    chip kind's own ``phase1_send`` on a throwaway sender state, a binding
-    chip's key set of that one key, and a DERIVE of ``secret`` (a fresh
-    draw after the delivery when ``None``) wrapped through the adversary's
-    ``slot`` for this decoder. A certificate chip's sender state holds a
-    sender certificate minted with the stolen authority key."""
+    chip kind's own ``phase1_send`` on a throwaway sender state, against the
+    head-end's directory, a binding chip's key set of that one key, and a
+    DERIVE of ``secret`` (a fresh draw after the delivery when ``None``)
+    wrapped through the adversary's ``slot`` for this decoder. A certificate
+    chip's sender state holds a sender certificate minted with the stolen
+    authority key."""
     adv = world.adversary
     kind = decoder.chip.kind
     if kind.certified:
@@ -707,11 +697,11 @@ def _sealed_set(world: World, decoder: Decoder, sig_pair: KeyPair, epoch: int,
         adv.minted_serial += 1
         cert = Certificate.issue(world.suite, keypair, adv.minted_serial, _ROGUE_ID,
                                  ROLE_SENDER, sig_pair.public_key, generation)
-        sender = certproto.CertSenderState(world.suite, sig_pair, world.directory,
-                                           sender_id=_ROGUE_ID, sender_cert=cert)
+        sender = certproto.CertSenderState(world.suite, sig_pair, sender_id=_ROGUE_ID,
+                                           sender_cert=cert)
     else:
-        sender = SenderState(world.suite, sig_pair, world.directory)
-    bundle = kind.proto.phase1_send(sender, decoder.decoder_id, rng)
+        sender = SenderState(world.suite, sig_pair)
+    bundle = kind.proto.phase1_send(sender, world.headend.directory, decoder.decoder_id, rng)
     ltk = sender.ltk_store[decoder.decoder_id]
     secret = secret or rng.read(world.suite.secret_bytes)
     msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())]
@@ -808,7 +798,7 @@ def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
     adv = world.adversary
     one_shots = world.epoch_one_shots
     decoder_id = decoder.decoder_id
-    source = decoder_id in world.replay_sources
+    source = decoder_id in adv.replay_sources
     if not one_shots and not source and decoder_id not in adv.probes:
         return None
 
@@ -929,7 +919,7 @@ def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
         adv = world.adversary
         cw_taps = adv.cw_taps
         # no decoder is acted on or read from
-        quiet = not (world.epoch_one_shots or adv.probes or world.replay_sources)
+        quiet = not (world.epoch_one_shots or adv.probes or adv.replay_sources)
         outcomes: list[str] = []
         chip_bytes = 0
         for decoder_id, _, decoder in world._delivery:

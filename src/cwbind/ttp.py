@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .encoding import Reader, encode_id, lp, u16, u32, u64, u8
-from .errors import CryptoError, ProtocolError, WireError
+from .encoding import Reader, lp, u16, u32, u64, u8
+from .errors import ProtocolError, WireError
 from .suite import CipherSuite, Drbg, KeyPair, SignedMessage
 
 ROLE_SENDER = "sender"
@@ -49,9 +49,12 @@ class Certificate:
     @staticmethod
     def signed_payload(serial: int, subject_id: bytes, subject_role: str,
                        subject_pk: bytes, generation: int) -> bytes:
+        """The signed fields; ``subject_id`` is an 8-byte id (ValueError otherwise)."""
+        if len(subject_id) != 8:
+            raise ValueError(f"subject id must be 8 bytes, got {len(subject_id)}")
         return (
             u64(serial)
-            + encode_id(subject_id)
+            + subject_id
             + u8(_ROLE_CODE[subject_role])
             + lp(subject_pk)
             + u32(generation)
@@ -150,16 +153,18 @@ def register_receiver(ttp: TtpState, receiver_id: bytes, receiver_pk: bytes) -> 
     ttp._count("register_receiver")
     if receiver_id in ttp.receiver_registry:
         raise ProtocolError(f"receiver {int.from_bytes(receiver_id, 'big')} already registered")
+    cert = _issue(ttp, receiver_id, ROLE_RECEIVER, receiver_pk)  # refuses a bad id first
     ttp.receiver_registry[receiver_id] = receiver_pk
-    return _issue(ttp, receiver_id, ROLE_RECEIVER, receiver_pk)
+    return cert
 
 
 def certify_sender(ttp: TtpState, sender_id: bytes, sender_pk: bytes) -> Certificate:
     ttp._count("certify_sender")
     if ttp.sender_registry.get(sender_id) == sender_pk:
         raise ProtocolError("sender already certified for this key")
+    cert = _issue(ttp, sender_id, ROLE_SENDER, sender_pk)
     ttp.sender_registry[sender_id] = sender_pk
-    return _issue(ttp, sender_id, ROLE_SENDER, sender_pk)
+    return cert
 
 
 def revoke(ttp: TtpState, serial: int) -> None:
@@ -205,14 +210,10 @@ def export_directory(ttp: TtpState) -> bytes:
     return b"TD" + u8(1) + ttp.suite.sign(ttp.keypair, body).to_bytes()
 
 
-def parse_directory(suite: CipherSuite, data: bytes,
-                    trusted_authority_pk: bytes | None = None) -> Directory:
-    """Parse an exported directory, optionally verifying its signature.
-
-    When ``trusted_authority_pk`` is given the export signature is checked
-    against it; otherwise the embedded authority key is used (trust on first
-    use, as when a head-end receives the key over the modeled secure channel).
-    """
+def parse_directory(suite: CipherSuite, data: bytes) -> Directory:
+    """Parse an exported directory and check its signature under the
+    authority key it embeds (trust on first use, as when a head-end receives
+    the key over the modeled secure channel)."""
     r = Reader(data)
     r.expect(b"TD", "directory magic")
     version = r.take_u8()
@@ -229,10 +230,7 @@ def parse_directory(suite: CipherSuite, data: bytes,
     revoked = frozenset(br.take_u64() for _ in range(br.take_u32()))
     br.done()
 
-    check_pk = trusted_authority_pk if trusted_authority_pk is not None else authority_pk
-    suite.verify_recover(check_pk, sm)
-    if trusted_authority_pk is not None and authority_pk != trusted_authority_pk:
-        raise CryptoError("directory embeds a different authority key than trusted")
+    suite.verify_recover(authority_pk, sm)
     return Directory(generation, authority_pk, prior, certs, revoked)
 
 

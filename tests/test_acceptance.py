@@ -17,6 +17,7 @@ from cwbind.binding import second_preimage_strength
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind, chip_process, process_frame
 from cwbind.encoding import encode_id
 from cwbind.errors import CwbindError
+from cwbind.kinds import BIND
 from cwbind.sim import compute_verdicts, load_scenario, run_world
 from cwbind.suite import CipherSuite, Drbg
 from cwbind.ttp import Certificate, verify_certificate
@@ -126,13 +127,13 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     register_receiver(ttp, encode_id(1), recv.enc_keypair.public_key)
     register_receiver(ttp, encode_id(2), brecv.enc_keypair.public_key)
     directory = parse_directory(suite, export_directory(ttp))
-    csender = certproto.sender_init(suite, encode_id(10), rng.child("cs"), ttp, directory)
-    bsender = bindproto.sender_init(suite, rng.child("bs"), directory)
+    csender = certproto.sender_init(suite, encode_id(10), rng.child("cs"), ttp)
+    bsender = bindproto.sender_init(suite, rng.child("bs"))
 
     rejected = {}
 
     # class 1: certificate
-    bundle = certproto.phase1_send(csender, encode_id(1), rng)
+    bundle = certproto.phase1_send(csender, directory, encode_id(1), rng)
     cert_bytes = bundle.announce
     count = 0
     for bit in _sampled_bits(cert_bytes):
@@ -159,11 +160,11 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     from cwbind.decoder import make_decoder
 
     channel_key = master.child("prov").read(16)
-    decoder = make_decoder(suite, "bind", 0, encode_id(5), master.child("chip"), channel_key,
+    decoder = make_decoder(suite, BIND, 0, encode_id(5), master.child("chip"), channel_key,
                            ttp2.generation, ttp2.keypair.public_key)
     register_receiver(ttp2, encode_id(5), decoder.chip_public_key())
     directory2 = parse_directory(suite, export_directory(ttp2))
-    headend = hemod.headend_init(suite, ["bind"], master.child("he"), ttp2, directory2)
+    headend = hemod.headend_init(suite, [BIND], master.child("he"), ttp2, directory2)
     hemod.provision_receiver(headend, 0, encode_id(5), channel_key)
     hemod.enroll_receiver(headend, 0, encode_id(5))
     hemod.authorize(headend, 0, encode_id(5), True)

@@ -10,6 +10,7 @@ from cwbind import bindproto, headend as hemod
 from cwbind.binding import bound_secret
 from cwbind.encoding import encode_id, u32
 from cwbind.errors import CryptoError, ProtocolError
+from cwbind.kinds import BIND
 from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
@@ -25,8 +26,8 @@ def world(suite):
         register_receiver(ttp, encode_id(i), recv.enc_keypair.public_key)
         receivers[i] = recv
     directory = parse_directory(suite, export_directory(ttp))
-    sender = bindproto.sender_init(suite, rng.child("sender"), directory)
-    return ttp, sender, receivers, rng.child("run")
+    sender = bindproto.sender_init(suite, rng.child("sender"))
+    return ttp, sender, directory, receivers, rng.child("run")
 
 
 LABEL = u32(0)  # the epoch label a DERIVE for epoch 0 authenticates
@@ -40,7 +41,7 @@ def _wrap(sender, receiver_id, rand):
 
 def test_receiver_state_holds_no_authority_key(world):
     # structural: nothing in the state names an authority key
-    _, _, receivers, _ = world
+    _, _, _, receivers, _ = world
     fields = set(vars(receivers[1]))
     assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
                       "ltk_slot"}
@@ -59,34 +60,32 @@ def test_module_never_touches_the_authority():
 
 
 def test_sender_init_makes_no_authority_calls(world, suite):
-    ttp, _, _, rng = world
+    ttp, _, _, _, rng = world
     calls_before = dict(ttp.op_counts)
-    directory = parse_directory(suite, export_directory(ttp))
-    bindproto.sender_init(suite, rng, directory)
+    bindproto.sender_init(suite, rng)
     calls_after = dict(ttp.op_counts)
-    calls_after["export_directory"] -= 1  # the public snapshot we took ourselves
     assert calls_after == calls_before
 
 
 def test_honest_phase1_files_key_under_sender_pk(world):
-    _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, encode_id(1), rng)
+    _, sender, directory, receivers, rng = world
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
     bindproto.phase1_receive(receivers[1], bundle)
     stored = receivers[1].ltk_by_sender[sender.sig_keypair.public_key]
     assert stored == sender.ltk_store[(1).to_bytes(8, "big")]
 
 
 def test_phase1_fresh_ltk_per_call(world):
-    _, sender, receivers, rng = world
-    bindproto.phase1_send(sender, encode_id(1), rng)
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_send(sender, directory, encode_id(1), rng)
     first = sender.ltk_store[(1).to_bytes(8, "big")]
-    bindproto.phase1_send(sender, encode_id(1), rng)
+    bindproto.phase1_send(sender, directory, encode_id(1), rng)
     assert sender.ltk_store[(1).to_bytes(8, "big")] != first
 
 
 def test_wrong_recipient_aborts_unchanged(world):
-    _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, encode_id(2), rng)
+    _, sender, directory, receivers, rng = world
+    bundle = bindproto.phase1_send(sender, directory, encode_id(2), rng)
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
         bindproto.phase1_receive(receivers[1], bundle)
@@ -97,7 +96,7 @@ def test_resigned_bundle_files_under_interloper_key(world, suite):
     # an interloper re-wraps the key delivery under its own key pair: the
     # receiver accepts it but files the key under the interloper's key, so a
     # derivation naming the honest sender's key cannot use it
-    _, sender, receivers, rng = world
+    _, sender, _, receivers, rng = world
     honest_pk = sender.sig_keypair.public_key
     interloper = suite.keygen("sig", rng)
     recv = receivers[1]
@@ -116,8 +115,8 @@ def test_resigned_bundle_files_under_interloper_key(world, suite):
 
 
 def test_bundle_signature_must_match_carried_pk(world, suite):
-    _, sender, receivers, rng = world
-    bundle = bindproto.phase1_send(sender, encode_id(1), rng)
+    _, sender, directory, receivers, rng = world
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
     other = suite.keygen("sig", rng)
     forged = Bundle(other.public_key, bundle.signed_blob)
     before = copy.deepcopy(receivers[1])
@@ -129,9 +128,9 @@ def test_bundle_signature_must_match_carried_pk(world, suite):
 def test_epoch_tick_bind_secret_matches_sha512_oracle(world, suite):
     # the head-end's control word is the SHA-512 prefix of the random value
     # its bind ECM carries and the one binding sender's key
-    ttp, _, _, rng = world
+    ttp, _, _, _, rng = world
     directory = parse_directory(suite, export_directory(ttp))
-    headend = hemod.headend_init(suite, ["bind"], rng.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, [BIND], rng.child("headend"), ttp, directory)
     ca = headend.ca_systems[0]
     pk = ca.sender.sig_keypair.public_key
     ecm = hemod.epoch_tick(headend, b"\x00" * 32).ecms[0]
@@ -141,7 +140,7 @@ def test_epoch_tick_bind_secret_matches_sha512_oracle(world, suite):
 
 
 def test_same_rand_different_key_set_different_secret(world, suite):
-    _, sender, _, rng = world
+    _, sender, _, _, rng = world
     from cwbind.binding import BindingInput, derive_secret
 
     pk1 = sender.sig_keypair.public_key
@@ -154,8 +153,9 @@ def test_same_rand_different_key_set_different_secret(world, suite):
 
 
 def test_phase2_round_trip_single_sender(world):
-    _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     rand = rng.read(16)
     ct = _wrap(sender, 1, rand)
@@ -163,8 +163,9 @@ def test_phase2_round_trip_single_sender(world):
 
 
 def test_phase2_tampered_ciphertext_rejected(world):
-    _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     ct = bytearray(_wrap(sender, 1, rng.read(16)))
     ct[0] ^= 0x80
@@ -174,22 +175,24 @@ def test_phase2_tampered_ciphertext_rejected(world):
 
 def test_phase2_unknown_receiver_and_unknown_sender_key(world):
     # receiver 3 never ran phase 1: it holds no long-term key under the sender key
-    _, sender, receivers, rng = world
+    _, sender, _, receivers, rng = world
     with pytest.raises(ProtocolError):
         bindproto.phase2_receive(receivers[3], sender.sig_keypair.public_key, b"\x00" * 44, LABEL)
 
 
 def test_phase2_per_receiver_ciphertexts_distinct(world):
-    _, sender, receivers, rng = world
+    _, sender, directory, receivers, rng = world
     for i in (1, 2):
-        bindproto.phase1_receive(receivers[i], bindproto.phase1_send(sender, encode_id(i), rng))
+        bindproto.phase1_receive(receivers[i],
+                                 bindproto.phase1_send(sender, directory, encode_id(i), rng))
     rand = rng.read(16)
     assert _wrap(sender, 1, rand) != _wrap(sender, 2, rand)
 
 
 def test_active_set_gates_delivering_key(world, suite):
-    _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     other = suite.keygen("sig", rng).public_key
     receivers[1].active_pk_set = (other,) if other < pk else (other,)
@@ -199,8 +202,9 @@ def test_active_set_gates_delivering_key(world, suite):
 
 
 def test_multi_sender_set_derivation(world, suite):
-    _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     co_sender = suite.keygen("sig", rng).public_key
     pk_set = tuple(sorted((pk, co_sender)))
@@ -213,17 +217,16 @@ def test_multi_sender_set_derivation(world, suite):
 def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
     # 100 seeded trials of the cross-sender forgery: the receiver completes
     # the rogue's protocol but the derived secret never equals the honest one
-    _, sender, receivers, rng = world
+    _, sender, directory, receivers, rng = world
     recv = receivers[2]
-    bindproto.phase1_receive(recv, bindproto.phase1_send(sender, encode_id(2), rng))
+    bindproto.phase1_receive(recv, bindproto.phase1_send(sender, directory, encode_id(2), rng))
     honest_pk = sender.sig_keypair.public_key
 
-    directory = sender.directory
     for trial in range(100):
         trial_rng = rng.child(f"rogue-{trial}")
         honest_secret = bound_secret((honest_pk,), trial_rng.read(16), 128)
-        rogue = bindproto.sender_init(suite, trial_rng, directory)
-        rogue_bundle = bindproto.phase1_send(rogue, encode_id(2), trial_rng)
+        rogue = bindproto.sender_init(suite, trial_rng)
+        rogue_bundle = bindproto.phase1_send(rogue, directory, encode_id(2), trial_rng)
         bindproto.phase1_receive(recv, rogue_bundle)
         rogue_pk = rogue.sig_keypair.public_key
         recv.active_pk_set = (rogue_pk,)
@@ -234,9 +237,11 @@ def test_rogue_sender_full_message_set_never_yields_honest_secret(world, suite):
 
 
 def test_reenrollment_overwrites_stored_key(world):
-    _, sender, receivers, rng = world
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    _, sender, directory, receivers, rng = world
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     pk = sender.sig_keypair.public_key
     first = receivers[1].ltk_by_sender[pk]
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, encode_id(1), rng))
+    bindproto.phase1_receive(receivers[1],
+                             bindproto.phase1_send(sender, directory, encode_id(1), rng))
     assert receivers[1].ltk_by_sender[pk] != first

@@ -23,7 +23,7 @@ from cwbind.ttp import (
 
 @pytest.fixture
 def world(suite):
-    """Authority, sender, three initialized receivers."""
+    """Authority, sender, its directory, three initialized receivers."""
     rng = Drbg.from_int(0xBEEF)
     ttp = ttp_init(suite, rng.child("ttp"))
     receivers = {}
@@ -33,8 +33,8 @@ def world(suite):
         register_receiver(ttp, encode_id(i), recv.enc_keypair.public_key)
         receivers[i] = recv
     directory = parse_directory(suite, export_directory(ttp))
-    sender = certproto.sender_init(suite, encode_id(100), rng.child("sender"), ttp, directory)
-    return ttp, sender, receivers, rng.child("run")
+    sender = certproto.sender_init(suite, encode_id(100), rng.child("sender"), ttp)
+    return ttp, sender, directory, receivers, rng.child("run")
 
 
 LABEL = u32(0)  # the epoch label a DERIVE for epoch 0 authenticates
@@ -47,45 +47,45 @@ def _wrap(sender, receiver_id, secret, label=LABEL):
 
 
 def test_honest_phase1_establishes_matching_keys(world):
-    ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
     certproto.phase1_receive(receivers[1], bundle)
     assert receivers[1].ltk == sender.ltk_store[(1).to_bytes(8, "big")]
 
 
 def test_bundle_signed_blob_verifies_under_sender_key(world, suite):
-    ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
     blob = SignedMessage.from_bytes(bundle.signed_blob)
     suite.verify_recover(sender.sig_keypair.public_key, blob)
 
 
 def test_phase1_fresh_ltk_each_run(world):
-    ttp, sender, receivers, rng = world
-    certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    certproto.phase1_send(sender, directory, encode_id(1), rng)
     first = sender.ltk_store[(1).to_bytes(8, "big")]
-    certproto.phase1_send(sender, encode_id(1), rng)
+    certproto.phase1_send(sender, directory, encode_id(1), rng)
     assert sender.ltk_store[(1).to_bytes(8, "big")] != first
 
 
 def test_phase1_unknown_receiver(world):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     with pytest.raises(ProtocolError):
-        certproto.phase1_send(sender, encode_id(42), rng)
+        certproto.phase1_send(sender, directory, encode_id(42), rng)
 
 
 def test_phase1_revoked_receiver_cert(world, suite):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     serial = next(c.serial for c in ttp.issued_certs if c.subject_id == (2).to_bytes(8, "big"))
     revoke(ttp, serial)
-    sender.directory = parse_directory(suite, export_directory(ttp))
+    directory = parse_directory(suite, export_directory(ttp))
     with pytest.raises(ProtocolError):
-        certproto.phase1_send(sender, encode_id(2), rng)
+        certproto.phase1_send(sender, directory, encode_id(2), rng)
 
 
 def test_wrong_recipient_aborts_with_state_unchanged(world):
-    ttp, sender, receivers, rng = world
-    bundle_for_3 = certproto.phase1_send(sender, encode_id(3), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle_for_3 = certproto.phase1_send(sender, directory, encode_id(3), rng)
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
         certproto.phase1_receive(receivers[1], bundle_for_3)
@@ -94,14 +94,13 @@ def test_wrong_recipient_aborts_with_state_unchanged(world):
 
 def test_rogue_authority_cert_aborts(world, suite):
     # a full run against a sender certified by a different "authority"
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     rogue_ttp = ttp_init(suite, Drbg.from_int(666))
     for i, recv in receivers.items():
         register_receiver(rogue_ttp, encode_id(i), recv.enc_keypair.public_key)
     rogue_directory = parse_directory(suite, export_directory(rogue_ttp))
-    rogue_sender = certproto.sender_init(suite, encode_id(100), Drbg.from_int(667), rogue_ttp,
-                                         rogue_directory)
-    bundle = certproto.phase1_send(rogue_sender, encode_id(1), rng)
+    rogue_sender = certproto.sender_init(suite, encode_id(100), Drbg.from_int(667), rogue_ttp)
+    bundle = certproto.phase1_send(rogue_sender, rogue_directory, encode_id(1), rng)
     # the generation check cannot tell this authority from the installed one
     assert Certificate.from_bytes(bundle.announce).generation == receivers[1].authority_generation
     before = copy.deepcopy(receivers[1])
@@ -111,8 +110,8 @@ def test_rogue_authority_cert_aborts(world, suite):
 
 
 def test_receiver_side_revocation_check(world):
-    ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
     receivers[1].known_revoked = {sender.sender_cert.serial}
     before = copy.deepcopy(receivers[1])
     with pytest.raises(ProtocolError):
@@ -123,8 +122,8 @@ def test_receiver_side_revocation_check(world):
 def test_receiver_role_check(world, suite):
     # a receiver certificate in the sender slot is rejected even though it
     # verifies under the authority key
-    ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
     receiver_cert = next(c for c in ttp.issued_certs if c.subject_role == "receiver")
     forged = Bundle(receiver_cert.to_bytes(), bundle.signed_blob)
     with pytest.raises(ProtocolError, match="^certificate subject is not a sender$"):
@@ -132,9 +131,10 @@ def test_receiver_role_check(world, suite):
 
 
 def test_phase2_round_trip_and_authorization_shape(world):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     for i in (1, 2):  # authorized set
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
+        certproto.phase1_receive(receivers[i],
+                                 certproto.phase1_send(sender, directory, encode_id(i), rng))
     secret = rng.read(16)
     derived = {}
     for i in (1, 2):
@@ -146,16 +146,18 @@ def test_phase2_round_trip_and_authorization_shape(world):
 
 
 def test_phase2_ciphertexts_differ_per_receiver(world):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     for i in (1, 2):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
+        certproto.phase1_receive(receivers[i],
+                                 certproto.phase1_send(sender, directory, encode_id(i), rng))
     secret = b"\x77" * 16
     assert _wrap(sender, 1, secret) != _wrap(sender, 2, secret)
 
 
 def test_phase2_tampered_ciphertext_rejected(world):
-    ttp, sender, receivers, rng = world
-    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, encode_id(1), rng))
+    ttp, sender, directory, receivers, rng = world
+    certproto.phase1_receive(receivers[1],
+                             certproto.phase1_send(sender, directory, encode_id(1), rng))
     ct = bytearray(_wrap(sender, 1, b"\x55" * 16))
     ct[-1] ^= 1
     with pytest.raises(CryptoError):
@@ -163,17 +165,19 @@ def test_phase2_tampered_ciphertext_rejected(world):
 
 
 def test_phase2_cross_receiver_ciphertext_rejected(world):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     for i in (1, 2):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
+        certproto.phase1_receive(receivers[i],
+                                 certproto.phase1_send(sender, directory, encode_id(i), rng))
     ct_for_2 = _wrap(sender, 2, b"\x66" * 16)
     with pytest.raises(CryptoError):
         certproto.phase2_receive(receivers[1], ct_for_2, LABEL)
 
 
 def test_phase2_context_binding(world):
-    ttp, sender, receivers, rng = world
-    certproto.phase1_receive(receivers[1], certproto.phase1_send(sender, encode_id(1), rng))
+    ttp, sender, directory, receivers, rng = world
+    certproto.phase1_receive(receivers[1],
+                             certproto.phase1_send(sender, directory, encode_id(1), rng))
     ct = _wrap(sender, 1, b"\x44" * 16, label=u32(9))
     assert certproto.phase2_receive(receivers[1], ct, u32(9)) == b"\x44" * 16
     with pytest.raises(CryptoError):
@@ -183,9 +187,10 @@ def test_phase2_context_binding(world):
 def test_implicit_key_authentication_set_equality(world):
     # the set of receivers that can produce the secret equals the set the
     # sender ran phase 2 for, across a changing authorized subset
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     for i in (1, 2, 3):
-        certproto.phase1_receive(receivers[i], certproto.phase1_send(sender, encode_id(i), rng))
+        certproto.phase1_receive(receivers[i],
+                                 certproto.phase1_send(sender, directory, encode_id(i), rng))
     for authorized in [(1,), (1, 2), (2, 3), (1, 2, 3)]:
         secret = rng.read(16)
         cts = {i: _wrap(sender, i, secret) for i in authorized}
@@ -203,8 +208,8 @@ def test_implicit_key_authentication_set_equality(world):
 def test_message_tampering_never_yields_secret_at_nonauthorized(world, suite):
     # sampled single-bit tampering over the three message classes; receiver 3
     # is not authorized and must never end up with the sender's secret
-    ttp, sender, receivers, rng = world
-    bundle = certproto.phase1_send(sender, encode_id(1), rng)
+    ttp, sender, directory, receivers, rng = world
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
     certproto.phase1_receive(receivers[1], bundle)
     secret = rng.read(16)
     ct = _wrap(sender, 1, secret)
@@ -265,39 +270,38 @@ def verifications(monkeypatch):
     return _CountingVerifier
 
 
-def _minted_bundle(honest, signer, generation, recv, rng):
+def _minted_bundle(honest, directory, signer, generation, recv, rng):
     """A sender certificate for a fresh key pair, signed by ``signer`` with
     ``generation``, and the bundle ``certproto.phase1_send`` seals under it
-    for ``recv`` from ``honest``'s directory, with the key it delivers."""
+    for ``recv`` from ``directory``, with the key it delivers."""
     suite = honest.suite
     pair = suite.keygen("sig", rng.child("minted-sender"))
     cert = Certificate.issue(suite, signer, 0x7F000001, encode_id(0xAD), ROLE_SENDER,
                              pair.public_key, generation)
-    minted = certproto.CertSenderState(suite, pair, honest.directory, sender_id=encode_id(0xAD),
-                                       sender_cert=cert)
-    return certproto.phase1_send(minted, recv.receiver_id, rng), minted.ltk_store[recv.receiver_id]
+    minted = certproto.CertSenderState(suite, pair, sender_id=encode_id(0xAD), sender_cert=cert)
+    bundle = certproto.phase1_send(minted, directory, recv.receiver_id, rng)
+    return bundle, minted.ltk_store[recv.receiver_id]
 
 
 @pytest.mark.parametrize("source", ["rotated-ttp", "retired-key"])
 def test_certificate_of_another_generation_is_rejected_before_verification(
         world, suite, verifications, source):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     retired = ttp.keypair
     rotate(ttp, rng.child("rotate"))
-    directory = parse_directory(suite, export_directory(ttp))
+    rotated_directory = parse_directory(suite, export_directory(ttp))
     if source == "rotated-ttp":
         # the chip still holds generation 1; the authority now certifies under 2
         recv = receivers[1]
-        rotated_sender = certproto.sender_init(suite, encode_id(101), rng.child("sender-2"), ttp,
-                                               directory)
-        bundle = certproto.phase1_send(rotated_sender, encode_id(1), rng)
+        rotated_sender = certproto.sender_init(suite, encode_id(101), rng.child("sender-2"), ttp)
+        bundle = certproto.phase1_send(rotated_sender, rotated_directory, encode_id(1), rng)
     else:
         # a chip replaced with the new anchor; the certificate is minted
         # with the retired key under its own generation
         old = receivers[1]
         recv = certproto.CertReceiverState(suite, old.receiver_id, ttp.generation,
                                            ttp.keypair.public_key, old.enc_keypair)
-        bundle, _ = _minted_bundle(sender, retired, 1, recv, rng)
+        bundle, _ = _minted_bundle(sender, directory, retired, 1, recv, rng)
     assert Certificate.from_bytes(bundle.announce).generation != recv.authority_generation
     before = copy.deepcopy(recv)
     verifications.calls = 0
@@ -311,12 +315,12 @@ def test_certificate_of_another_generation_is_rejected_before_verification(
 @pytest.mark.parametrize("signed_by", ["anchor", "other"])
 def test_only_the_anchor_key_and_generation_together_are_accepted(
         world, suite, verifications, signed_by, generation):
-    ttp, sender, receivers, rng = world
+    ttp, sender, directory, receivers, rng = world
     recv = receivers[1]
     other_key = suite.keygen("sig", rng.child("other-authority"))
     signer = ttp.keypair if signed_by == "anchor" else other_key
     gen = recv.authority_generation + (0 if generation == "anchor" else 1)
-    bundle, ltk = _minted_bundle(sender, signer, gen, recv, rng)
+    bundle, ltk = _minted_bundle(sender, directory, signer, gen, recv, rng)
     before = copy.deepcopy(recv)
     verifications.calls = 0
     if (signed_by, generation) == ("anchor", "anchor"):

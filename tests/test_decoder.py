@@ -25,7 +25,7 @@ from cwbind.decoder import (
 )
 from cwbind.encoding import BROADCAST_ADDR, encode_id, lp, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
-from cwbind.kinds import BIND, LEGACY
+from cwbind.kinds import BIND, CA_KINDS, CERT, LEGACY
 from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
@@ -47,7 +47,7 @@ def pipeline(suite):
     """One bind + one cert + one legacy decoder behind a mixed head-end."""
     master = Drbg.from_int(0xD0)
     ttp = ttp_init(suite, master.child("ttp"))
-    kinds = ["bind", "cert", "legacy"]
+    kinds = [BIND, CERT, LEGACY]
     decoders = {}
     for decoder_id, ca_index in [(1, 0), (2, 1), (3, 2), (4, 0)]:
         channel_key = master.child(f"prov-{decoder_id}").read(16)
@@ -150,7 +150,7 @@ def test_derive_messages_differ_across_decoders(pipeline):
 
 
 def test_derive_before_enrollment_rejected(suite):
-    d = make_decoder(suite, "bind", 0, encode_id(9), Drbg.from_int(9), b"\x00" * 16, *NO_ANCHOR)
+    d = make_decoder(suite, BIND, 0, encode_id(9), Drbg.from_int(9), b"\x00" * 16, *NO_ANCHOR)
     msg = ChipChannelMsg(ChipMsgKind.DERIVE, u32(0) + lp(b"\x01" * 32) + lp(b"\x02" * 44))
     with pytest.raises(ProtocolError):
         chip_process(d.chip, msg)
@@ -339,7 +339,7 @@ def test_installed_sender_key_set_is_stored_sorted(pks, order):
     if not _BIND_CHIP:
         from cwbind.suite import CipherSuite
 
-        _BIND_CHIP.append(make_decoder(CipherSuite(), "bind", 0, encode_id(1),
+        _BIND_CHIP.append(make_decoder(CipherSuite(), BIND, 0, encode_id(1),
                                        Drbg.from_int(0x50), b"\x00" * 16, *NO_ANCHOR).chip)
     (chip,) = _BIND_CHIP
     order.shuffle(pks)
@@ -477,7 +477,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
     # next frame carry an entitlement EMM for every remaining decoder
     master = Drbg.from_int(0x64)
     ttp = ttp_init(suite, master.child("ttp"))
-    kinds = ["bind", "legacy"]
+    kinds = [BIND, LEGACY]
     decoders = {}
     for n in range(1, 65):
         ca_index = n % 2
@@ -582,7 +582,7 @@ def test_long_term_key_of_wrong_length_is_refused_on_delivery(suite, kind):
 
     master = Drbg.from_int(0x5B)
     ttp = ttp_init(suite, master.child("ttp"))
-    d = make_decoder(suite, kind, 0, encode_id(1), master.child("chip"), b"\x00" * 16,
+    d = make_decoder(suite, CA_KINDS[kind], 0, encode_id(1), master.child("chip"), b"\x00" * 16,
                      authority_generation=ttp.generation, authority_pk=ttp.keypair.public_key)
     rogue = suite.keygen("sig", master.child("rogue"))
     key_ct = suite.pke_encrypt(d.chip_public_key(), b"\x05" * 5, master.child("wrap"))
@@ -619,10 +619,10 @@ class _Rogue:
         self.pair = suite.keygen("sig", master.child("rogue"))
         self.cert = certify_sender(self.ttp, encode_id(0xAD), self.pair.public_key)
         self.decoders = {
-            kind: make_decoder(suite, kind, 0, encode_id(1), master.child(f"chip-{kind}"),
+            name: make_decoder(suite, kind, 0, encode_id(1), master.child(f"chip-{name}"),
                                b"\x00" * 16, authority_generation=self.ttp.generation,
                                authority_pk=self.ttp.keypair.public_key)
-            for kind in ("bind", "cert", "legacy")
+            for name, kind in CA_KINDS.items()
         }
 
     def encode(self, kind, spec) -> bytes:

@@ -8,22 +8,23 @@ import pytest
 from cwbind import decoder as decmod, headend as hemod
 from cwbind.encoding import encode_id
 from cwbind.errors import ProtocolError
+from cwbind.kinds import CA_KINDS
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, revoke, ttp_init
 from cwbind.wire import encode_ecm, encode_emm
 
 
 def build_world(suite, kinds, decoder_plan, seed=1234):
-    """kinds: list of CA kinds; decoder_plan: list of (id, ca_index)."""
+    """kinds: list of CA kind names; decoder_plan: list of (id, ca_index)."""
+    kinds = [CA_KINDS[name] for name in kinds]
     master = Drbg.from_int(seed)
     ttp = ttp_init(suite, master.child("ttp"))
     decoders = {}
     for decoder_id, ca_index in decoder_plan:
-        protocol = kinds[ca_index]
         channel_key = master.child(f"prov-{decoder_id}").read(suite.secret_bytes)
         d = decmod.make_decoder(
-            suite, protocol, ca_index, encode_id(decoder_id), master.child(f"chip-{decoder_id}"),
-            channel_key,
+            suite, kinds[ca_index], ca_index, encode_id(decoder_id),
+            master.child(f"chip-{decoder_id}"), channel_key,
             authority_generation=ttp.generation,
             authority_pk=ttp.keypair.public_key,
         )
@@ -103,7 +104,7 @@ def test_enroll_requires_provisioning_and_unrevoked_cert(suite):
         hemod.enroll_receiver(headend, 0, encode_id(99))  # not registered
     serial = directory.receiver_cert(encode_id(1)).serial
     revoke(ttp, serial)
-    hemod.refresh_directory(headend, parse_directory(suite, export_directory(ttp)))
+    headend.directory = parse_directory(suite, export_directory(ttp))
     with pytest.raises(ProtocolError):
         hemod.enroll_receiver(headend, 0, encode_id(1))
 

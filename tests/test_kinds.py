@@ -33,6 +33,19 @@ def test_kind_names_are_literals_only_in_the_kind_module():
     assert found == []
 
 
+def test_only_the_scenario_resolves_a_kind_name():
+    # a scenario turns its kind names into records once; the head-end and
+    # the decoders are handed records and never look a name up
+    callers = {
+        name
+        for name, tree in _trees() if name != "kinds.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ca_kind"
+    }
+    assert callers == {"sim.py"}
+
+
 def test_no_isinstance_test_names_a_chip_class():
     found = []
     for name, tree in _trees():
@@ -50,8 +63,8 @@ def test_no_isinstance_test_names_a_chip_class():
 def test_decoder_deepcopy_keeps_the_kind_record(suite, name):
     master = Drbg.from_int(0x7D)
     authority_pk = suite.keygen("sig", master.child("ttp")).public_key
-    decoder = make_decoder(suite, name, 0, encode_id(1), master.child("chip"), b"\x00" * 16,
-                           authority_generation=1, authority_pk=authority_pk)
+    decoder = make_decoder(suite, ca_kind(name), 0, encode_id(1), master.child("chip"),
+                           b"\x00" * 16, authority_generation=1, authority_pk=authority_pk)
     copied = copy.deepcopy(decoder)
     assert copied.chip.kind is decoder.chip.kind is decoder.client.kind is ca_kind(name)
     assert copied.client.kind is ca_kind(name)

@@ -558,7 +558,7 @@ def test_uninterposed_decoders_are_captured_as_if_interposed(path, monkeypatch):
     report, world = run_world(config)
     sources = {encode_id(int(ev.args[0])) for ev in config.events
                if ev.verb == "replay" and ev.args[2] in ("chip-derive", "chip-load-ltk")}
-    assert world.replay_sources == sources
+    assert world.adversary.replay_sources == sources
 
     everyone = sim.AdversaryState(rng=None)
     process_frame = sim.process_frame
@@ -611,8 +611,7 @@ def test_rotate_ttp_strands_certificate_chips_at_the_next_sender_rotation():
         assert outcomes == {1: "K", 2: "K", 3: expected, 4: expected}, epoch
     assert report.authenticity_violations == 0
     assert report.decoders_replaced == 0
-    assert world.ttp.generation == world.directory.generation == 2
-    assert all(ca.sender.directory is world.directory for ca in world.headend.ca_systems)
+    assert world.headend.ttp.generation == world.headend.directory.generation == 2
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
@@ -776,8 +775,8 @@ at 5 recover
     assert report.decoders_replaced == 2
     for decoder in world.decoders.values():
         assert decoder.chip.kind is CERT
-        assert decoder.chip.receiver.authority_pk == world.ttp.keypair.public_key
-        assert decoder.chip.receiver.authority_generation == world.ttp.generation == 2
+        assert decoder.chip.receiver.authority_pk == world.headend.ttp.keypair.public_key
+        assert decoder.chip.receiver.authority_generation == world.headend.ttp.generation == 2
     assert all(outcomes[1] == "K" for outcomes in _outcomes(report)[5:])
 
 
