@@ -57,12 +57,14 @@ because extraction is assumed cheap and repeatable; recovery targets key
 material, not the extraction capability. ``compromise`` of sender keys and
 the authority key takes a snapshot: material rotated afterwards is not
 leaked. A forge probe's, or a certificate pirate probe's, rogue signing
-key is loaded from the probe's draws with ``CipherSuite.load_sig_keypair``:
-only honest key pairs pay ``keygen``'s self-test, and the pair and every
-later draw are the ones ``keygen`` would give. Every forged set is sealed by
-the protocol's own ``phase1_send`` on a throwaway sender state around the
-rogue or stolen signing key (for a certificate chip, with a sender
-certificate minted with the stolen authority key).
+key is loaded once, from its first forged set's draws, with
+``CipherSuite.load_sig_keypair``: only honest key pairs pay ``keygen``'s
+self-test. A forged load is sealed by the protocol's own ``phase1_send`` on
+a throwaway sender state around the rogue or stolen signing key (for a
+certificate chip, with a sender certificate minted with the stolen
+authority key), and rebuilt only when the adversary's knowledge changes:
+another signing key, stolen authority key or directory. Each probed epoch
+still sends it with a fresh DERIVE, so the chip runs every check.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -454,6 +456,21 @@ class SenderSnapshot:
 
 
 @dataclass
+class Probe:
+    """A probed decoder: the verb, the adversary's slot for the key its
+    DERIVE wraps under (held as a CA client holds its long-term key's), the
+    rogue key pair once drawn, and the forged load last built, with its
+    long-term key and what it was built from."""
+
+    verb: str
+    slot: AeadSlot = field(default_factory=AeadSlot)
+    rogue: KeyPair | None = None
+    load: list[ChipChannelMsg] = field(default_factory=list)
+    ltk: bytes = b""
+    basis: tuple = ()  # (signing public key, stolen authority key, directory)
+
+
+@dataclass
 class AdversaryState:
     rng: Drbg
     cw_taps: set[bytes] = field(default_factory=set)
@@ -464,9 +481,8 @@ class AdversaryState:
     known_rand: dict[int, bytes] = field(default_factory=dict)  # per bind ca
     # (class, decoder id), or ("ecm", CA system id): one ECM per system
     captured: dict[tuple[str, bytes | int], object] = field(default_factory=dict)
-    # id -> (verb, slot): the adversary's own context for the key it wraps
-    # under at that decoder, held as a CA client holds its long-term key's
-    probes: dict[bytes, tuple[str, AeadSlot]] = field(default_factory=dict)
+    # id -> probe: its forged load is rebuilt only when what it was built from changes
+    probes: dict[bytes, Probe] = field(default_factory=dict)
     minted_serial: int = 0x7F000000
     # the replay schedule: the classes a scheduled replay reads, and the
     # decoders a chip-class replay reads from (see module docstring)
@@ -648,7 +664,7 @@ def adversary_step(world: World, event: Event) -> None:
         elif what == "ttp-key":
             adv.authority_key = (world.headend.ttp.generation, world.headend.ttp.keypair)
     elif event.verb in ("pirate-probe", "forge-sender"):  # the decoder comes last
-        adv.probes[encode_id(int(event.args[-1]))] = (event.verb, AeadSlot())
+        adv.probes[encode_id(int(event.args[-1]))] = Probe(event.verb)
     elif event.verb in ("tamper", "replay", "inject-cw"):
         world.epoch_one_shots.append(event)
     else:
@@ -681,43 +697,45 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sealed_set(world: World, decoder: Decoder, sig_pair: KeyPair, epoch: int,
-                secret: bytes | None, rng: Drbg, slot: AeadSlot) -> list[ChipChannelMsg]:
-    """A full message set under ``sig_pair``: the LOAD_LTK bundle from the
-    chip kind's own ``phase1_send`` on a throwaway sender state, against the
-    head-end's directory, a binding chip's key set of that one key, and a
-    DERIVE of ``secret`` (a fresh draw after the delivery when ``None``)
-    wrapped through the adversary's ``slot`` for this decoder. A certificate
-    chip's sender state holds a sender certificate minted with the stolen
-    authority key."""
+def _sealed_set(world: World, decoder: Decoder, probe: Probe, sig_pair: KeyPair | None,
+                epoch: int, secret: bytes | None, rng: Drbg) -> list[ChipChannelMsg]:
+    """A full message set under ``sig_pair``, or the probe's rogue pair
+    (drawn first, on its first build): the probe's forged load, rebuilt
+    when its ``basis`` differs, and a DERIVE of ``secret`` (a fresh draw
+    after any build when ``None``) wrapped through the probe's slot."""
     adv = world.adversary
     kind = decoder.chip.kind
-    if kind.certified:
-        generation, keypair = adv.authority_key
-        adv.minted_serial += 1
-        cert = Certificate.issue(world.suite, keypair, adv.minted_serial, _ROGUE_ID,
-                                 ROLE_SENDER, sig_pair.public_key, generation)
-        sender = certproto.CertSenderState(world.suite, sig_pair, sender_id=_ROGUE_ID,
-                                           sender_cert=cert)
-    else:
-        sender = SenderState(world.suite, sig_pair)
-    bundle = kind.proto.phase1_send(sender, world.headend.directory, decoder.decoder_id, rng)
-    ltk = sender.ltk_store[decoder.decoder_id]
+    if sig_pair is None:
+        if probe.rogue is None:
+            probe.rogue = world.suite.load_sig_keypair(rng.read(32))
+        sig_pair = probe.rogue
+    basis = (sig_pair.public_key, adv.authority_key if kind.certified else None,
+             world.headend.directory)
+    if basis != probe.basis:
+        if kind.certified:
+            generation, keypair = adv.authority_key
+            adv.minted_serial += 1
+            cert = Certificate.issue(world.suite, keypair, adv.minted_serial, _ROGUE_ID,
+                                     ROLE_SENDER, sig_pair.public_key, generation)
+            sender = certproto.CertSenderState(world.suite, sig_pair, sender_id=_ROGUE_ID,
+                                               sender_cert=cert)
+        else:
+            sender = SenderState(world.suite, sig_pair)
+        bundle = kind.proto.phase1_send(sender, basis[2], decoder.decoder_id, rng)
+        probe.ltk = sender.ltk_store[decoder.decoder_id]
+        probe.load = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())]
+        if kind.binds:
+            probe.load.append(ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE,
+                                             build_pk_set_body((sig_pair.public_key,))))
+        probe.basis = basis
     secret = secret or rng.read(world.suite.secret_bytes)
-    msgs = [ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())]
-    sender_pk = None
-    if kind.binds:
-        sender_pk = sig_pair.public_key
-        msgs.append(ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((sender_pk,))))
-    return msgs + [derive_msg(world.suite, ltk, epoch, secret, sender_pk, slot)]
+    sender_pk = sig_pair.public_key if kind.binds else None
+    return probe.load + [derive_msg(world.suite, probe.ltk, epoch, secret, sender_pk, probe.slot)]
 
 
-def _probe_msgs(world: World, decoder: Decoder, epoch: int,
-                probe: tuple[str, AeadSlot]) -> list[ChipChannelMsg]:
+def _probe_msgs(world: World, decoder: Decoder, epoch: int, probe: Probe) -> list[ChipChannelMsg]:
     """Best-effort pirate message set for one decoder, from current knowledge."""
     adv = world.adversary
-    suite = world.suite
-    verb, slot = probe
     kind = decoder.chip.kind
     rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
     raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
@@ -725,30 +743,29 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int,
     if kind.proto is None:
         return raw_cw
 
-    if verb == "forge-sender":
+    if probe.verb == "forge-sender":
         # rogue sender with its own keys: full message set, own randomness;
         # a certificate chip's set needs the stolen authority key
         if kind.certified and adv.authority_key is None:
             return []
-        rogue = suite.load_sig_keypair(rng.read(32))
-        return _sealed_set(world, decoder, rogue, epoch,
-                           adv.known_cw if kind.certified else None, rng, slot)
+        return _sealed_set(world, decoder, probe, None, epoch,
+                           adv.known_cw if kind.certified else None, rng)
 
     # pirate probe: use whatever was compromised
     snapshot = adv.sender_snapshots.get(decoder.ca_index)
     if kind.certified:
         if adv.authority_key is not None and adv.known_cw is not None:
-            rogue = suite.load_sig_keypair(rng.read(32))
-            return _sealed_set(world, decoder, rogue, epoch, adv.known_cw, rng, slot)
+            return _sealed_set(world, decoder, probe, None, epoch, adv.known_cw, rng)
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
-                return [derive_msg(suite, stolen_ltk, epoch, adv.known_cw, None, slot)]
+                return [derive_msg(world.suite, stolen_ltk, epoch, adv.known_cw, None,
+                                   probe.slot)]
         return raw_cw
 
     if snapshot is not None:  # a binding chip
-        return _sealed_set(world, decoder, snapshot.sig_keypair, epoch,
-                           adv.known_rand.get(decoder.ca_index), rng, slot)
+        return _sealed_set(world, decoder, probe, snapshot.sig_keypair, epoch,
+                           adv.known_rand.get(decoder.ca_index), rng)
     return raw_cw
 
 

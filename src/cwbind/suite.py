@@ -61,7 +61,7 @@ in ``phase2_receive``, both ends of each receiver's channel key (the
 head-end's slot per provisioned receiver and the client's
 ``channel_slot``) for the per-receiver EMMs, and the simulated adversary's
 slot per probed decoder (in ``sim.AdversaryState.probes``) for the key
-its DERIVE wraps under, most often a fresh one each epoch. A
+its DERIVE wraps under, new only when the adversary rebuilds its load. A
 de-authorization re-ships the ECM key to every remaining subscriber, one
 EMM under each one's channel key, so a burst names N distinct keys in a
 row; an 8-entry LRU over them misses on every key once N > 8 and evicts the

@@ -15,20 +15,25 @@ from cryptography.exceptions import InvalidSignature
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cwbind import certproto, sim, suite as suitemod
+from cwbind import bindproto, certproto, sim, suite as suitemod
+from cwbind.decoder import ChipChannelMsg, ChipMsgKind, derive_msg
 from cwbind.encoding import encode_id
 from cwbind.errors import CryptoError, CwbindError
 from cwbind.kinds import BIND, CERT
+from cwbind.phase1 import Bundle, SenderState
 from cwbind.sim import (
     EpochRow,
     Event,
     ScenarioConfig,
+    build_world,
     compute_verdicts,
     load_scenario,
     parse_scenario,
     run_world,
 )
-from cwbind.wire import decode_frame
+from cwbind.suite import AeadSlot
+from cwbind.ttp import Certificate
+from cwbind.wire import build_pk_set_body, decode_frame
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -803,9 +808,10 @@ class _CountingVerifier:
 
 
 def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(monkeypatch):
-    # after recovery the adversary keeps minting sender certificates with
-    # the retired authority key; the replaced chips refuse every one on its
-    # generation, so no verification fails anywhere in the run
+    # after recovery the adversary holds sender certificates minted with
+    # the retired authority key and re-sends them every epoch; the replaced
+    # chips refuse every one on its generation, so no verification fails
+    # anywhere in the run
     text = "\n".join(
         ["scenario retired-anchor", "seed 12", "epochs 12", "ca 0 cert", "ca 1 bind"]
         + [f"decoder {i} ca {i // 6}" for i in range(12)]
@@ -830,10 +836,13 @@ def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(m
     report, world = run_world(parse_scenario(text))
     assert report.implicit_key_auth and report.recovery_success
     assert report.authenticity_violations == 0 and report.decoders_replaced == 6
-    # two probed cert decoders, six epochs each, one minted certificate apiece
+    # two probed cert decoders, six epochs each: each probe mints one
+    # certificate, on its first epoch, and every epoch's copy is refused
     assert refused == {"sender certificate is not of the installed authority generation": 12}
+    assert world.adversary.minted_serial == 0x7F000000 + 2
     # the probes still inject a full forged set into the unentitled cert
-    # decoders (``X`` would mean nothing was delivered), and each is refused
+    # decoders every epoch (``X`` would mean nothing was delivered), and
+    # each is refused
     assert [outcomes[d] for outcomes in _outcomes(report)[6:12] for d in (4, 5)] == ["R"] * 12
     assert _CountingVerifier.outcomes["pass"] > 0
     assert _CountingVerifier.outcomes["fail"] == 0
@@ -841,8 +850,8 @@ def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(m
 
 def test_only_honest_signature_keys_pay_the_keygen_self_test(monkeypatch):
     # the authority and every sender draw self-tested keys; the adversary's
-    # forged signing keys are loaded from its probe draws, one per forge
-    # probe-epoch and one per certificate pirate probe-epoch
+    # forged signing keys are loaded from its probe draws, once per forge
+    # probe and once per certificate pirate probe
     text = "\n".join(
         ["scenario probe-keys", "seed 21", "epochs 8", "ca 0 cert", "ca 1 bind"]
         + [f"decoder {i} ca {i // 6}" for i in range(12)]
@@ -870,11 +879,119 @@ def test_only_honest_signature_keys_pay_the_keygen_self_test(monkeypatch):
     sig_keygens = [(module, func) for purpose, module, func in keygens if purpose == "sig"]
     assert {module for module, _ in sig_keygens} <= {"cwbind.ttp", "cwbind.certproto",
                                                      "cwbind.bindproto"}
-    assert all(func != "_probe_msgs" for _, func in sig_keygens)
+    assert all(func not in ("_probe_msgs", "_sealed_set") for _, func in sig_keygens)
     # the authority and two senders at setup, all three again at recover
     assert len(sig_keygens) == 6
-    # epochs 3-7: forge on both kinds plus the certificate pirate probe
-    assert loads == ["_probe_msgs"] * (3 * 5)
+    # forge on both kinds plus the certificate pirate probe, each on its
+    # first epoch (3) only
+    assert loads == ["_sealed_set"] * 3
+
+
+# a certificate pirate probe (2), a certificate forge probe (3), a binding
+# pirate probe (6) and a binding forge probe (7), all from epoch 2, while
+# the adversary's knowledge changes at epochs 6, 8 and 10
+PROBE_WORLD = "\n".join(
+    ["scenario probe-loads", "seed 5", "epochs 12", "ca 0 cert", "ca 1 bind"]
+    + [f"decoder {i} ca {i // 4}" for i in range(8)]
+    + ["at 0 authorize 0 0", "at 0 authorize 1 4", "at 1 compromise control-word 0",
+       "at 1 compromise ttp-key", "at 1 compromise sender-keys 1", "at 2 pirate-probe 2",
+       "at 2 forge-sender 0 3", "at 2 pirate-probe 6", "at 2 forge-sender 1 7",
+       "at 4 rotate-sender 1", "at 6 compromise sender-keys 1", "at 8 rotate-ttp",
+       "at 10 compromise ttp-key"]) + "\n"
+PROBE_IDS = (2, 3, 6, 7)
+
+
+def _recorded_probes(monkeypatch) -> tuple[dict, object]:
+    """Run ``PROBE_WORLD``: each probe's messages by (decoder, epoch), and the world."""
+    sent: dict[tuple[int, int], list[ChipChannelMsg]] = {}
+    real = sim._probe_msgs
+
+    def recording(world, decoder, epoch, probe):
+        sent[int.from_bytes(decoder.decoder_id, "big"), epoch] = msgs = real(
+            world, decoder, epoch, probe)
+        return msgs
+
+    monkeypatch.setattr(sim, "_probe_msgs", recording)
+    return sent, run_world(parse_scenario(PROBE_WORLD))[1]
+
+
+def _load(msgs: list[ChipChannelMsg]) -> bytes:
+    [load] = [msg.payload for msg in msgs if msg.kind == ChipMsgKind.LOAD_LTK]
+    return load
+
+
+def _changes(sent: dict, decoder: int, value) -> list[int]:
+    """The epochs from 3 on where ``value`` of the decoder's probe messages
+    differs from the epoch before."""
+    return [epoch for epoch in range(3, 12)
+            if value(sent[decoder, epoch]) != value(sent[decoder, epoch - 1])]
+
+
+def test_every_probed_decoder_epoch_still_delivers_a_load(monkeypatch):
+    # the load is built once per knowledge state but sent every epoch, and
+    # the chip checks every copy; epoch 4's sender rotation also re-enrolls
+    # the binding decoders
+    calls: Counter = Counter()
+    epoch = [0]
+    real_process = sim.process_frame
+
+    def process_frame(decoder, frame, chip_filter):
+        epoch[0] = frame.epoch
+        return real_process(decoder, frame, chip_filter)
+
+    for module in (bindproto, certproto):
+        def receive(recv, bundle, real=module.phase1_receive):
+            calls[int.from_bytes(recv.receiver_id, "big"), epoch[0]] += 1
+            return real(recv, bundle)
+        monkeypatch.setattr(module, "phase1_receive", receive)
+    monkeypatch.setattr(sim, "process_frame", process_frame)
+    sent, _ = _recorded_probes(monkeypatch)
+    assert sorted(sent) == [(d, e) for d in PROBE_IDS for e in range(2, 12)]
+    assert {(d, e): calls[d, e] for d in PROBE_IDS for e in range(2, 12)} == {
+        (d, e): 2 if d > 3 and e == 4 else 1 for d in PROBE_IDS for e in range(2, 12)}
+
+
+def test_a_binding_pirate_probe_rebuilds_only_when_its_knowledge_changes(monkeypatch):
+    # the stolen sender key changes only when sender keys are compromised
+    # again after a rotation (epoch 6); the rotate-ttp at 8 replaces the
+    # directory, so the load is rebuilt, under the same key
+    sent, world = _recorded_probes(monkeypatch)
+    assert _changes(sent, 6, lambda msgs: Bundle.from_bytes(_load(msgs)).announce) == [6]
+    assert _changes(sent, 6, _load) == [6, 8]
+    assert Bundle.from_bytes(_load(sent[6, 11])).announce == (
+        world.headend.ca_systems[1].sender.sig_keypair.public_key)
+
+
+def test_a_certificate_forge_probe_rebuilds_after_rotate_ttp(monkeypatch):
+    # a new directory (epoch 8) and a newly stolen authority key (epoch 10)
+    # each make a new load with a newly minted certificate; in between the
+    # same load is re-sent
+    sent, world = _recorded_probes(monkeypatch)
+    assert _changes(sent, 3, _load) == [8, 10]
+    certs = [Certificate.from_bytes(Bundle.from_bytes(_load(sent[3, e])).announce)
+             for e in (2, 8, 10)]
+    assert [cert.generation for cert in certs] == [1, 1, 2]
+    assert len({cert.serial for cert in certs}) == 3
+    # three loads for each certificate probe, and no more certificates
+    assert world.adversary.minted_serial == 0x7F000000 + 6
+
+
+def test_a_probes_first_set_is_phase1_send_from_that_epochs_draws(monkeypatch):
+    # the binding forge probe's first epoch draws its rogue key, then the
+    # long-term key and ephemeral key through ``phase1_send``, then the secret
+    sent, world = _recorded_probes(monkeypatch)
+    rng = world.master.child("adversary").child("probe-7-2")
+    rogue = world.suite.load_sig_keypair(rng.read(32))
+    sender = SenderState(world.suite, rogue)
+    directory = build_world(parse_scenario(PROBE_WORLD)).headend.directory
+    bundle = bindproto.phase1_send(sender, directory, encode_id(7), rng)
+    secret = rng.read(world.suite.secret_bytes)
+    assert sent[7, 2] == [
+        ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes()),
+        ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((rogue.public_key,))),
+        derive_msg(world.suite, sender.ltk_store[encode_id(7)], 2, secret, rogue.public_key,
+                   AeadSlot())]
+    assert world.adversary.probes[encode_id(7)].rogue == rogue
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,10 +22,11 @@ from cwbind.decoder import (
     descramble,
     process_frame,
 )
-from cwbind.encoding import encode_id
+from cwbind.encoding import Reader, encode_id
 from cwbind.errors import CryptoError, CwbindError
 from cwbind.sim import build_world, load_scenario, parse_scenario, run_world
-from cwbind.suite import AeadSlot, CipherSuite
+from cwbind.phase1 import Bundle
+from cwbind.suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, SignedMessage
 from cwbind.wire import Emm, emm_aad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -389,6 +391,17 @@ def _rekey_shaped() -> str:
     return "\n".join(lines + ["at 5 compromise ttp-key", "at 10 recover"]) + "\n"
 
 
+def _forged_wrap_key(world, decoder_id: bytes) -> bytes:
+    """The PKE wrap key of the long-term key in a probe's forged load."""
+    bundle = Bundle.from_bytes(world.adversary.probes[decoder_id].load[0].payload)
+    blob = SignedMessage.from_bytes(bundle.signed_blob).message
+    key_ct = Reader(blob[8:]).take_lp()  # after the 8-byte recipient id
+    pair = world.decoders[decoder_id].chip.receiver.enc_keypair
+    eph_pub = key_ct[:PUBLIC_KEY_LEN]
+    shared = pair.loaded.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+    return suitemod._wrap_key(shared, eph_pub, pair.public_key)
+
+
 def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
     # a key that an 8-entry memo of secret-length keys would still hold is
     # never built again: PKE wrap keys (32 bytes) no longer pass through it
@@ -418,12 +431,17 @@ def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
 
     monkeypatch.setattr(suitemod, "_aead", recording_aead)
     monkeypatch.setattr(suitemod, "_open", recording_open)
-    report = run_world(parse_scenario(_rekey_shaped()))[0]
+    report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
     assert lengths == {SUITE.secret_bytes}
     assert len(recent) == 8 and not rebuilt
-    wraps = [n for key, n in built.items() if len(key) == 32]
+    forged = {_forged_wrap_key(world, encode_id(d)): d for d in (5, 6, 13, 14)}
+    wraps = [n for key, n in built.items() if len(key) == 32 and key not in forged]
     assert wraps and max(wraps) <= 2  # at most once at each end
+    # each probe seals its forged load once, in epoch 11; a bind chip opens
+    # the re-sent bundle in each of epochs 11-29, a replaced cert chip
+    # refuses it on its generation before decrypting
+    assert {d: built[key] for key, d in forged.items()} == {5: 20, 6: 20, 13: 1, 14: 1}
 
 
 def test_probe_keys_never_reach_the_memo(monkeypatch):
@@ -448,12 +466,24 @@ def test_probe_keys_never_reach_the_memo(monkeypatch):
     monkeypatch.setattr(simmod, "derive_msg", recording_derive)  # the adversary's only
     report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
-    slots = [slot for _, slot in world.adversary.probes.values()]
+    slots = [probe.slot for probe in world.adversary.probes.values()]
     assert all(isinstance(slot, AeadSlot) for slot in slots)
     assert len({id(slot) for slot in slots}) == len(slots) == 4
-    # four probed decoders, a fresh key each in epochs 11-29
-    assert len(probe_keys) == 4 * 19 and probe_keys.isdisjoint(memo_keys)
+    # four probed decoders, one key each: every probe builds its forged load
+    # once, in epoch 11, and wraps each epoch's DERIVE under its key
+    assert len(probe_keys) == 4 and probe_keys.isdisjoint(memo_keys)
     assert all(_CountingContexts.built[key] == 1 for key in probe_keys)
+
+
+def test_a_forge_probed_bind_chip_stores_one_forged_key():
+    # the chip files every verified load under its signing key and never
+    # drops one; the forge probe re-sends one load under one rogue key, so
+    # decoder 6 holds the keys of the three honest sender keys (setup,
+    # recover, rotate-sender) and the rogue key
+    world = run_world(parse_scenario(_rekey_shaped()))[1]
+    rogue = world.adversary.probes[encode_id(6)].rogue
+    stored = world.decoders[encode_id(6)].chip.receiver.ltk_by_sender
+    assert len(stored) == 4 and rogue.public_key in stored
 
 
 @given(st.integers(0, 200), st.integers(1, 255))
