@@ -42,6 +42,7 @@ class BindReceiverState:
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)
     active_pk_set: tuple[bytes, ...] = ()  # sorted, as the derivation takes it
     ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
+    last_open: tuple[bytes, ...] = field(default=(), repr=False, compare=False)
 
 
 def sender_init(suite: CipherSuite, rng: Drbg) -> SenderState:

@@ -48,7 +48,9 @@ nonce || tag and associated data || body. The key stays injective because the
 nonce has a fixed length. A memo entry exists only for inputs that already
 passed the full check. A failure raises out of the cached function, so it is
 never cached: a wrong key, nonce, tag, body, associated data or signature is
-checked again on every call and raises ``CryptoError`` each time.
+checked again on every call and raises ``CryptoError`` each time. A repeated
+key load never reaches ``_verify``: its chip takes it unopened
+(``phase1.open_blob``).
 
 The ``_aead`` memo serves keys many parties share: the group and ECM keys
 of each CA system. A PKE wrap key is used once at each end, so

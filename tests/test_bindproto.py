@@ -8,7 +8,7 @@ import pytest
 
 from cwbind import bindproto, headend as hemod
 from cwbind.binding import bound_secret
-from cwbind.encoding import encode_id, u32
+from cwbind.encoding import encode_id, lp, u32
 from cwbind.errors import CryptoError, ProtocolError
 from cwbind.kinds import BIND
 from cwbind.phase1 import Bundle
@@ -41,10 +41,15 @@ def _wrap(sender, receiver_id, rand):
 
 def test_receiver_state_holds_no_authority_key(world):
     # structural: nothing in the state names an authority key
-    _, _, _, receivers, _ = world
+    ttp, sender, directory, receivers, rng = world
     fields = set(vars(receivers[1]))
     assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
-                      "ltk_slot"}
+                      "ltk_slot", "last_open"}
+    # the remembered load holds what the sender sent, never the authority's key
+    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, directory,
+                                                                 encode_id(1), rng))
+    assert len(receivers[1].last_open) == 3
+    assert all(ttp.keypair.public_key not in part for part in receivers[1].last_open)
 
 
 def test_module_never_touches_the_authority():
@@ -245,3 +250,79 @@ def test_reenrollment_overwrites_stored_key(world):
     bindproto.phase1_receive(receivers[1],
                              bindproto.phase1_send(sender, directory, encode_id(1), rng))
     assert receivers[1].ltk_by_sender[pk] != first
+
+
+# ---------------------------------------------------------------------------
+# a repeated key load is taken without opening it again (``phase1.open_blob``)
+# ---------------------------------------------------------------------------
+
+def _copy(bundle: Bundle) -> Bundle:
+    """The same bundle in new byte objects, as a second delivery brings it."""
+    return Bundle.from_bytes(bundle.to_bytes())
+
+
+def test_a_byte_identical_repeat_is_taken_without_opening(world, opens):
+    _, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    bindproto.phase1_receive(recv, bundle)
+    assert opens == {pk: 1, "pke_decrypt": 1}
+    before, remembered = copy.deepcopy(recv), recv.last_open
+    opens.clear()
+    bindproto.phase1_receive(recv, _copy(bundle))
+    assert not opens
+    assert recv == before and recv.last_open == remembered
+
+
+@pytest.mark.parametrize("change", ["message-bit", "signature-bit", "signer"])
+def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, suite, opens, change):
+    _, sender, directory, receivers, rng = world
+    recv = receivers[1]
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    bindproto.phase1_receive(recv, bundle)
+    remembered = recv.last_open
+    if change == "signer":
+        changed = Bundle(suite.keygen("sig", rng).public_key, bundle.signed_blob)
+    else:
+        blob = bytearray(bundle.signed_blob)
+        blob[20 if change == "message-bit" else -1] ^= 1  # in the ephemeral key, or the signature
+        changed = Bundle(bundle.announce, bytes(blob))
+    for _ in range(2):
+        opens.clear()
+        with pytest.raises(CryptoError):
+            bindproto.phase1_receive(recv, changed)
+        assert opens == {changed.announce: 1}
+    assert recv.last_open == remembered
+
+
+def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
+    # a load that verifies and decrypts, to a key of the wrong length, fails
+    # the last check: on every try, and without replacing the record
+    _, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    bindproto.phase1_receive(recv, bundle)
+    remembered = recv.last_open
+    key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, rng.read(15), rng)
+    short = Bundle(pk, suite.sign(sender.sig_keypair, recv.receiver_id + lp(key_ct)).to_bytes())
+    for _ in range(2):
+        opens.clear()
+        with pytest.raises(ProtocolError, match="long-term key is not 16 bytes"):
+            bindproto.phase1_receive(recv, short)
+        assert opens == {pk: 1, "pke_decrypt": 1}
+    assert recv.last_open == remembered
+    opens.clear()
+    bindproto.phase1_receive(recv, _copy(bundle))
+    assert not opens
+
+
+def test_loads_a_b_a_open_a_twice(world, opens):
+    _, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    a = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    ltk_a = sender.ltk_store[encode_id(1)]
+    b = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    for bundle in (a, b, _copy(a)):
+        bindproto.phase1_receive(recv, bundle)
+    assert opens == {pk: 3, "pke_decrypt": 3}
+    assert recv.ltk_by_sender[pk] == ltk_a

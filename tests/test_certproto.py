@@ -4,9 +4,11 @@ import copy
 
 import pytest
 
-from cwbind import certproto, suite as suitemod
-from cwbind.encoding import encode_id, u32
+from cwbind import certproto, sim, suite as suitemod
+from cwbind.decoder import ChipChannelMsg, ChipMsgKind, ChipState, chip_process
+from cwbind.encoding import encode_id, lp, u32
 from cwbind.errors import CryptoError, CwbindError, ProtocolError
+from cwbind.kinds import CERT
 from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg, SignedMessage
 from cwbind.ttp import (
@@ -17,6 +19,7 @@ from cwbind.ttp import (
     register_receiver,
     revoke,
     rotate,
+    signed_revocation_list,
     ttp_init,
 )
 
@@ -333,3 +336,132 @@ def test_only_the_anchor_key_and_generation_together_are_accepted(
         certproto.phase1_receive(recv, bundle)
     assert verifications.calls == (1 if generation == "anchor" else 0)
     assert recv == before
+
+
+# ---------------------------------------------------------------------------
+# a repeated key load: its certificate is checked on every delivery, its blob
+# is taken without opening it again (``phase1.open_blob``)
+# ---------------------------------------------------------------------------
+
+def _copy(bundle: Bundle) -> Bundle:
+    """The same bundle in new byte objects, as a second delivery brings it."""
+    return Bundle.from_bytes(bundle.to_bytes())
+
+
+def test_a_byte_identical_repeat_checks_the_certificate_and_opens_nothing(world, opens):
+    ttp, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    certproto.phase1_receive(recv, bundle)
+    assert opens == {ttp.keypair.public_key: 1, pk: 1, "pke_decrypt": 1}
+    before, remembered = copy.deepcopy(recv), recv.last_open
+    opens.clear()
+    certproto.phase1_receive(recv, _copy(bundle))
+    assert opens == {ttp.keypair.public_key: 1}
+    assert recv == before and recv.last_open == remembered
+
+
+@pytest.mark.parametrize("change", ["message-bit", "signature-bit", "signer"])
+def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, opens, change):
+    ttp, sender, directory, receivers, rng = world
+    recv = receivers[1]
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    certproto.phase1_receive(recv, bundle)
+    remembered = recv.last_open
+    if change == "signer":  # the same blob under another certified sender
+        other = certproto.sender_init(sender.suite, encode_id(101), rng.child("other"), ttp)
+        changed, signer = Bundle(other.sender_cert.to_bytes(), bundle.signed_blob), other
+    else:
+        blob = bytearray(bundle.signed_blob)
+        blob[20 if change == "message-bit" else -1] ^= 1  # in the ephemeral key, or the signature
+        changed, signer = Bundle(bundle.announce, bytes(blob)), sender
+    for _ in range(2):
+        opens.clear()
+        with pytest.raises(CryptoError):
+            certproto.phase1_receive(recv, changed)
+        assert opens == {ttp.keypair.public_key: 1, signer.sig_keypair.public_key: 1}
+    assert recv.last_open == remembered
+
+
+def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
+    # a load that verifies and decrypts, to a key of the wrong length, fails
+    # the last check: on every try, and without replacing the record
+    ttp, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    certproto.phase1_receive(recv, bundle)
+    remembered, ltk = recv.last_open, recv.ltk
+    key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, rng.read(15), rng)
+    short = Bundle(bundle.announce,
+                   suite.sign(sender.sig_keypair, recv.receiver_id + lp(key_ct)).to_bytes())
+    for _ in range(2):
+        opens.clear()
+        with pytest.raises(ProtocolError, match="long-term key is not 16 bytes"):
+            certproto.phase1_receive(recv, short)
+        assert opens == {ttp.keypair.public_key: 1, pk: 1, "pke_decrypt": 1}
+    assert recv.last_open == remembered and recv.ltk == ltk
+    opens.clear()
+    certproto.phase1_receive(recv, _copy(bundle))
+    assert opens == {ttp.keypair.public_key: 1}
+
+
+def test_loads_a_b_a_open_a_twice(world, opens):
+    ttp, sender, directory, receivers, rng = world
+    recv, pk = receivers[1], sender.sig_keypair.public_key
+    a = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    ltk_a = sender.ltk_store[encode_id(1)]
+    b = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    for bundle in (a, b, _copy(a)):
+        certproto.phase1_receive(recv, bundle)
+    assert opens == {ttp.keypair.public_key: 3, pk: 3, "pke_decrypt": 3}
+    assert recv.ltk == ltk_a
+
+
+def test_a_repeat_is_refused_once_a_crl_update_revokes_its_sender(world):
+    ttp, sender, directory, receivers, rng = world
+    chip = ChipState(CERT, sender.suite, receivers[1])
+    load = certproto.phase1_send(sender, directory, encode_id(1), rng).to_bytes()
+    chip_process(chip, ChipChannelMsg(ChipMsgKind.LOAD_LTK, load))
+    ltk = chip.receiver.ltk
+    revoke(ttp, sender.sender_cert.serial)
+    chip_process(chip, ChipChannelMsg(ChipMsgKind.CRL_UPDATE,
+                                      signed_revocation_list(ttp).to_bytes()))
+    for _ in range(2):
+        with pytest.raises(ProtocolError, match="^sender certificate is revoked$"):
+            chip_process(chip, ChipChannelMsg(ChipMsgKind.LOAD_LTK, bytes(load)))
+    assert chip.receiver.ltk == ltk
+
+
+RECOVER_WORLD = """
+scenario recover-forgets
+seed 5
+epochs 5
+ca 0 cert
+decoder 1 ca 0
+decoder 2 ca 0
+at 0 authorize 0 1
+at 0 authorize 0 2
+at 1 compromise ttp-key
+at 3 recover
+"""
+
+
+def test_a_chip_replaced_by_recover_remembers_no_load(monkeypatch):
+    held, replaced = {}, {}  # each chip's receiver state and its record, then
+    real = sim._do_recover
+
+    def recording(world, epoch):
+        held.update((d, (dec.chip.receiver, dec.chip.receiver.last_open))
+                    for d, dec in world.decoders.items())
+        real(world, epoch)
+        replaced.update((d, (dec.chip.receiver, dec.chip.receiver.last_open))
+                        for d, dec in world.decoders.items())
+
+    monkeypatch.setattr(sim, "_do_recover", recording)
+    world = sim.run_world(sim.parse_scenario(RECOVER_WORLD))[1]
+    assert world.decoders_replaced == len(held) == 2
+    for d, (recv, record) in held.items():
+        assert len(record) == 3
+        assert replaced[d][0] is not recv and replaced[d][1] == ()
+        # the new chip then opens the re-keyed sender's load
+        assert world.decoders[d].chip.receiver.last_open[2] == world.decoders[d].chip.receiver.ltk

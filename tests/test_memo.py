@@ -167,6 +167,7 @@ def _expected_report(name: str) -> str:
     return (SCENARIO_DIR / "expected" / f"{name}.report").read_text()
 
 
+@pytest.mark.usefixtures("no_failed_world")
 def test_each_ecm_is_opened_once_per_system_and_epoch(monkeypatch):
     monkeypatch.setattr(suitemod, "AESGCM", _CountingAesGcm)
     monkeypatch.setattr(_CountingAesGcm, "opens", Counter())

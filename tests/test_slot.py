@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,6 +161,7 @@ class _CountingContexts:
         return self._inner.decrypt(nonce, data, aad)
 
 
+@pytest.mark.usefixtures("no_failed_world")
 @pytest.mark.parametrize("kind", ["bind", "cert"])
 def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkeypatch):
     world, decoder = _world(kind)
@@ -187,6 +188,7 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
     assert twin.chip.receiver.ltk_slot._context is decoder.chip.receiver.ltk_slot._context
 
 
+@pytest.mark.usefixtures("no_failed_world")
 @pytest.mark.parametrize("name", ["baseline-bind", "baseline-cert"])
 def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monkeypatch):
     # each delivered long-term key gets one context, shared by the client's
@@ -232,6 +234,7 @@ at 7 swap-client 14
 """
 
 
+@pytest.mark.usefixtures("no_failed_world")
 def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch):
     # de-authorizations re-ship the ECM key to ~10 receivers per system in
     # one burst: more distinct channel keys than the shared memo holds
@@ -271,6 +274,7 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
     assert not opened & set(provisioned)  # per-receiver opens bypass ``_open``
 
 
+@pytest.mark.usefixtures("no_failed_world")
 def test_contexts_are_freed_with_the_world():
     # the live-context table refers to contexts weakly: once the world that
     # held them is dropped (and the shared ``_aead`` memo cleared), none of
@@ -402,6 +406,7 @@ def _forged_wrap_key(world, decoder_id: bytes) -> bytes:
     return suitemod._wrap_key(shared, eph_pub, pair.public_key)
 
 
+@pytest.mark.usefixtures("no_failed_world")
 def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
     # a key that an 8-entry memo of secret-length keys would still hold is
     # never built again: PKE wrap keys (32 bytes) no longer pass through it
@@ -438,12 +443,15 @@ def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
     forged = {_forged_wrap_key(world, encode_id(d)): d for d in (5, 6, 13, 14)}
     wraps = [n for key, n in built.items() if len(key) == 32 and key not in forged]
     assert wraps and max(wraps) <= 2  # at most once at each end
-    # each probe seals its forged load once, in epoch 11; a bind chip opens
-    # the re-sent bundle in each of epochs 11-29, a replaced cert chip
-    # refuses it on its generation before decrypting
-    assert {d: built[key] for key, d in forged.items()} == {5: 20, 6: 20, 13: 1, 14: 1}
+    # each probe seals its forged load once, in epoch 11. A bind chip opens
+    # the re-sent bundle in epoch 11 and takes the byte-identical copies
+    # that follow without opening them; epoch 20's sender rotation delivers
+    # an honest load in between, so it opens the forged one once more. A
+    # replaced cert chip refuses it on its generation before decrypting.
+    assert {d: built[key] for key, d in forged.items()} == {5: 3, 6: 3, 13: 1, 14: 1}
 
 
+@pytest.mark.usefixtures("no_failed_world")
 def test_probe_keys_never_reach_the_memo(monkeypatch):
     # the adversary wraps each probe's DERIVE through its own slot for that
     # decoder, as a client does, so no probe key passes through (and evicts
@@ -484,6 +492,38 @@ def test_a_forge_probed_bind_chip_stores_one_forged_key():
     rogue = world.adversary.probes[encode_id(6)].rogue
     stored = world.decoders[encode_id(6)].chip.receiver.ltk_by_sender
     assert len(stored) == 4 and rogue.public_key in stored
+
+
+class _CountingExchanges:
+    """Stand-in for ``X25519PrivateKey`` that counts every exchange."""
+
+    exchanges = 0
+
+    def __init__(self, key):
+        self._key = key
+
+    @classmethod
+    def from_private_bytes(cls, data):
+        return cls(X25519PrivateKey.from_private_bytes(data))
+
+    def public_key(self):
+        return self._key.public_key()
+
+    def exchange(self, peer):
+        type(self).exchanges += 1
+        return self._key.exchange(peer)
+
+
+def test_a_rekey_shaped_world_makes_an_exact_number_of_x25519_exchanges(monkeypatch):
+    # key generation, every honest delivery and each probe's forged load
+    # cost exchanges; a chip takes a byte-identical copy of the load it last
+    # opened without one. Opening every copy again would add 34: the forged
+    # load re-sent to each of the two probed bind chips in 17 more epochs.
+    monkeypatch.setattr(suitemod, "X25519PrivateKey", _CountingExchanges)
+    monkeypatch.setattr(_CountingExchanges, "exchanges", 0)
+    report = run_world(parse_scenario(_rekey_shaped()))[0]
+    assert report.implicit_key_auth and report.recovery_success
+    assert _CountingExchanges.exchanges == 136
 
 
 @given(st.integers(0, 200), st.integers(1, 255))
