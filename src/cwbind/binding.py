@@ -18,19 +18,15 @@ That is a defense-in-depth observation about the hash, documented here; it is
 not a property this module enforces or tests beyond its statistical proxies.
 
 The head-end and every chip of an epoch derive the same secret from the same
-sorted key set and random value, so ``bound_secret`` memoises the derivation
-by (sorted keys, random value, output bits) in one ``functools.lru_cache`` of
-16 entries, a fixed size that no option or variable changes. The head-end's
-tick fills it and the chips reuse the entry. ``BindingInput`` is built and
-validated only on a miss; a rejected input raises, so it is never cached and
-is rejected again on every call.
+sorted key set and random value; a world's cipher suite memoises
+``bound_secret`` (``CipherSuite.bound_secret``, see ``cwbind.suite``), and
+``bound_secret`` itself computes afresh on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 HASH_OUTPUT_BITS = 512
 _LOG2_BASE_LEN = 10  # the calculator normalizes input length by 2**10 bits
@@ -78,9 +74,8 @@ def derive_secret(inp: BindingInput, n_bits: int) -> bytes:
     return digest[: n_bits // 8]
 
 
-@lru_cache(maxsize=16)
 def bound_secret(public_keys: tuple[bytes, ...], rand: bytes, n_bits: int) -> bytes:
-    """``derive_secret`` over the sorted ``public_keys`` and ``rand``, memoised."""
+    """``derive_secret`` over the sorted ``public_keys`` and ``rand``."""
     return derive_secret(BindingInput(public_keys, rand), n_bits)
 
 

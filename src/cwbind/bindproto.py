@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binding import bound_secret
 from .errors import ProtocolError
 from .phase1 import Bundle, SenderState, open_blob, seal_ltk
-from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
+from .suite import CipherSuite, Drbg, KeyPair
 from .ttp import Directory
 
 
@@ -41,7 +40,6 @@ class BindReceiverState:
     enc_keypair: KeyPair
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)
     active_pk_set: tuple[bytes, ...] = ()  # sorted, as the derivation takes it
-    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
     last_open: tuple[bytes, ...] = field(default=(), repr=False, compare=False)
 
 
@@ -86,10 +84,6 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
                    context: bytes) -> bytes:
     """Unwrap the random value and derive the epoch secret bound to the keys.
 
-    The unwrap goes through the receiver's own ``ltk_slot``, which holds the
-    context of the last long-term key used, whichever sender it is filed
-    under.
-
     The key set fed to the derivation is the receiver's active set when one
     has been installed, otherwise the singleton of the delivering sender's
     key (the single-sender deployment). The delivering key must be in the
@@ -100,10 +94,10 @@ def phase2_receive(recv: BindReceiverState, sender_pk: bytes, ciphertext: bytes,
     ltk = recv.ltk_by_sender.get(sender_pk)
     if ltk is None:
         raise ProtocolError("no long-term key stored under this sender key")
-    rand = recv.suite.sym_decrypt(ltk, ciphertext, context, recv.ltk_slot)
+    rand = recv.suite.sym_decrypt(ltk, ciphertext, context)
     if len(rand) != recv.suite.secret_bytes:
         raise ProtocolError("random value does not have the derived secret's length")
     pk_set = recv.active_pk_set or (sender_pk,)
     if sender_pk not in pk_set:
         raise ProtocolError("delivering sender key is not in the active key set")
-    return bound_secret(pk_set, rand, recv.suite.secret_bits)
+    return recv.suite.bound_secret(pk_set, rand, recv.suite.secret_bits)

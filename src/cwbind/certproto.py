@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import ProtocolError
 from .phase1 import Bundle, SenderState, open_blob, seal_ltk
-from .suite import AeadSlot, CipherSuite, Drbg, KeyPair
+from .suite import CipherSuite, Drbg, KeyPair
 from .ttp import Certificate, Directory, ROLE_SENDER, TtpState, certify_sender, verify_certificate
 
 
@@ -49,7 +49,6 @@ class CertReceiverState:
     enc_keypair: KeyPair
     ltk: bytes | None = field(default=None, repr=False)
     known_revoked: set[int] = field(default_factory=set)
-    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
     last_open: tuple[bytes, ...] = field(default=(), repr=False, compare=False)
 
 
@@ -100,8 +99,7 @@ def phase1_receive(recv: CertReceiverState, bundle: Bundle) -> None:
 
 
 def phase2_receive(recv: CertReceiverState, ciphertext: bytes, context: bytes) -> bytes:
-    """Unwrap the epoch secret through the receiver's own ``ltk_slot``;
-    authentication failure raises CryptoError."""
+    """Unwrap the epoch secret; authentication failure raises CryptoError."""
     if recv.ltk is None:
         raise ProtocolError("no long-term key established")
-    return recv.suite.sym_decrypt(recv.ltk, ciphertext, context, recv.ltk_slot)
+    return recv.suite.sym_decrypt(recv.ltk, ciphertext, context)

@@ -31,13 +31,6 @@ Client and chip are one record each for every kind. Both hold their
 ``cwbind.kinds.CaKind``, the one place that says how kinds differ; the chip
 also holds its protocol's receiver state (``None`` on a legacy chip).
 
-The CA client and each chip's receiver state hold an ``AeadSlot`` on the
-AES-GCM context of the long-term key they wrap or unwrap under every epoch;
-client and chip name the same key, so they share one context. The client
-holds a second slot, ``channel_slot``, for its channel key, which opens
-every EMM addressed to it and shares its context with the head-end's slot.
-A fresh client or receiver state starts with empty slots.
-
 The CA client is replaceable while the chip stays: swapping in a freshly
 personalized client models a downloaded client update after a client-side
 breach. A repeated phase 1 delivery for the same sender key overwrites the
@@ -56,8 +49,7 @@ from .encoding import U32, Reader, lp, u8
 from .errors import CwbindError, ProtocolError, WireError
 from .kinds import CaKind
 from .phase1 import Bundle
-from .scramble import descramble as _descramble_bytes
-from .suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, Drbg, SignedMessage
+from .suite import PUBLIC_KEY_LEN, CipherSuite, Drbg, SignedMessage
 from .ttp import parse_revocation_list
 from .wire import (
     BROADCAST_KINDS,
@@ -110,13 +102,12 @@ class ChipChannelMsg(NamedTuple):
 
 
 def derive_msg(suite: CipherSuite, ltk: bytes, epoch: int, secret: bytes,
-               sender_pk: bytes | None, slot: AeadSlot | None) -> ChipChannelMsg:
+               sender_pk: bytes | None) -> ChipChannelMsg:
     """DERIVE: ``secret`` wrapped under ``ltk`` with the epoch label
     authenticated. Binding chips are told the sender key it was filed under;
-    certificate chips (``sender_pk`` None) hold one long-term key. ``slot``
-    is the wrapping client's own context for ``ltk``."""
+    certificate chips (``sender_pk`` None) hold one long-term key."""
     label = U32.pack(epoch)
-    wrapped = suite.sym_encrypt(ltk, secret, label, slot)
+    wrapped = suite.sym_encrypt(ltk, secret, label)
     if sender_pk is None:
         return ChipChannelMsg(_DERIVE, label + U32.pack(len(wrapped)) + wrapped)
     return ChipChannelMsg(_DERIVE, b"".join((label, U32.pack(len(sender_pk)), sender_pk,
@@ -159,8 +150,6 @@ class CaClientState:
     co_sender_pks: tuple[bytes, ...] = ()
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)  # by announce
     last_pk_set_sent: tuple[bytes, ...] = ()
-    ltk_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
-    channel_slot: AeadSlot = field(default_factory=AeadSlot, repr=False, compare=False)
 
 
 def _pk_set_msg_if_changed(client: CaClientState) -> list[ChipChannelMsg]:
@@ -192,7 +181,7 @@ def client_process_emm(client: CaClientState, emm: Emm) -> list[ChipChannelMsg]:
 
     if per_receiver:
         suite = client.suite
-        body = suite.sym_decrypt(client.channel_key, payload, aad, client.channel_slot)
+        body = suite.sym_decrypt(client.channel_key, payload, aad)
         if kind == _ENTITLEMENT:
             entitled, ecm_key = parse_entitlement_body(body)
             if entitled and len(ecm_key) != suite.secret_bytes:
@@ -238,14 +227,14 @@ def client_process_ecm(client: CaClientState, ecm: Ecm) -> ChipChannelMsg | None
         return None
     if client.ecm_key is None:
         return None
-    secret = client.suite.sym_decrypt(client.ecm_key, ecm.protected_secret, ecm.aad)
+    secret = client.suite.sym_decrypt_shared(client.ecm_key, ecm.protected_secret, ecm.aad)
     if client.kind.proto is None:
         return load_cw_msg(ecm.epoch, secret)
     ltk = client.ltk_by_sender.get(client.announce)
     if ltk is None:  # also when no sender key is known yet (not enrolled)
         raise ProtocolError("client holds no long-term key for the current sender key")
     return derive_msg(client.suite, ltk, ecm.epoch, secret,
-                      client.announce if client.kind.binds else None, client.ltk_slot)
+                      client.announce if client.kind.binds else None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def descramble(chip: ChipState, handle: ControlWordHandle, scrambled: bytes) -> 
         raise ProtocolError(
             f"stale control word handle (epoch {handle.epoch}, chip at {chip.current_epoch})"
         )
-    return _descramble_bytes(handle._control_word, handle.epoch, scrambled)
+    return chip.suite.scramble(handle._control_word, handle.epoch, scrambled)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,6 @@ per-receiver key; enrollment delivers the broadcast group key under it, and
 entitlement delivers the ECM key. The ECM key rotates whenever a receiver is
 de-authorized, so possession of the current key always coincides with the
 authorized set. Compliant and legacy ECMs are both emitted every epoch.
-Each per-receiver EMM is sealed through an ``AeadSlot`` the head-end keeps
-per provisioned receiver, and opened through its client's own; both slots
-share the key's one context (``suite``).
 
 The head-end holds the authority (``ttp``) and the one current copy of its
 public directory; each phase 1 delivery is handed that directory.
@@ -41,13 +38,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import bindproto, certproto
-from .binding import bound_secret
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
 from .kinds import CaKind
 from .phase1 import SenderState
-from .scramble import scramble
-from .suite import AeadSlot, CipherSuite, Drbg
+from .suite import CipherSuite, Drbg
 from .ttp import Directory, TtpState, revoke, signed_revocation_list
 from .wire import (
     BROADCAST_KINDS,
@@ -70,8 +65,8 @@ class CaSystem:
     sender: SenderState | None  # a ``CertSenderState`` on certificate systems
     group_key: bytes = field(repr=False, default=b"")
     ecm_key: bytes = field(repr=False, default=b"")
-    # per provisioned receiver: its channel key and the slot that seals under it
-    receiver_channels: dict[bytes, tuple[bytes, AeadSlot]] = field(default_factory=dict, repr=False)
+    # per provisioned receiver: its channel key
+    receiver_channels: dict[bytes, bytes] = field(default_factory=dict, repr=False)
     enrolled: set[bytes] = field(default_factory=set)
     authorized: set[bytes] = field(default_factory=set)
     pending_emms: list[Emm] = field(default_factory=list)
@@ -103,8 +98,7 @@ def _queue(ca: CaSystem, kind: EmmKind, body: bytes, addressee: bytes = BROADCAS
     if kind in BROADCAST_KINDS:
         payload = ca.suite.seal(ca.group_key, body, aad)
     else:
-        channel_key, slot = ca.receiver_channels[addressee]
-        payload = ca.suite.sym_encrypt(channel_key, body, aad, slot)
+        payload = ca.suite.sym_encrypt(ca.receiver_channels[addressee], body, aad)
     ca.pending_emms.append(Emm(ca.index, kind, addressee, payload))
 
 
@@ -157,10 +151,8 @@ def headend_init(suite: CipherSuite, kinds: list[CaKind], rng: Drbg,
 
 def provision_receiver(headend: HeadendState, ca_index: int,
                        receiver_id: bytes, channel_key: bytes) -> None:
-    """Factory step: share the per-receiver CA channel key with the system,
-    with an empty slot for it (a re-provisioned receiver's too)."""
-    ca = headend.ca_systems[ca_index]
-    ca.receiver_channels[receiver_id] = (channel_key, AeadSlot())
+    """Factory step: share the per-receiver CA channel key with the system."""
+    headend.ca_systems[ca_index].receiver_channels[receiver_id] = channel_key
 
 
 def enroll_receiver(headend: HeadendState, ca_index: int, receiver_id: bytes) -> None:
@@ -271,7 +263,7 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
         # one random value per epoch, of the secret's length, bound to the
         # sorted key set of every binding sender
         rand = headend.rng.read(suite.secret_bytes)
-        control_word = bound_secret(headend.pk_set, rand, suite.secret_bits)
+        control_word = suite.bound_secret(headend.pk_set, rand, suite.secret_bits)
     else:
         control_word = headend.rng.read(suite.secret_bytes)
     headend.scrambler_key = control_word
@@ -286,6 +278,7 @@ def epoch_tick(headend: HeadendState, content: bytes) -> BroadcastFrame:
         emms += ca.pending_emms
         ca.pending_emms = []
 
-    frame = BroadcastFrame(epoch, scramble(control_word, epoch, content), tuple(ecms), tuple(emms))
+    frame = BroadcastFrame(epoch, suite.scramble(control_word, epoch, content), tuple(ecms),
+                           tuple(emms))
     headend.epoch = epoch + 1
     return frame

@@ -88,7 +88,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import certproto, headend as hemod, ttp as ttpmod
-from .binding import bound_secret
 from .decoder import (
     WORD_KINDS,
     ChipChannelMsg,
@@ -107,7 +106,7 @@ from .encoding import BROADCAST_ADDR, encode_id, id_as_int
 from .errors import CwbindError
 from .kinds import CaKind, ca_kind
 from .phase1 import SenderState
-from .suite import VALID_SECRET_BITS, AeadSlot, CipherSuite, Drbg, KeyPair
+from .suite import VALID_SECRET_BITS, CipherSuite, Drbg, KeyPair
 from .ttp import Certificate, ROLE_SENDER
 from .wire import (
     BroadcastFrame,
@@ -457,13 +456,11 @@ class SenderSnapshot:
 
 @dataclass
 class Probe:
-    """A probed decoder: the verb, the adversary's slot for the key its
-    DERIVE wraps under (held as a CA client holds its long-term key's), the
-    rogue key pair once drawn, and the forged load last built, with its
-    long-term key and what it was built from."""
+    """A probed decoder: the verb, the rogue key pair once drawn, and the
+    forged load last built, with its long-term key and what it was built
+    from."""
 
     verb: str
-    slot: AeadSlot = field(default_factory=AeadSlot)
     rogue: KeyPair | None = None
     load: list[ChipChannelMsg] = field(default_factory=list)
     ltk: bytes = b""
@@ -702,7 +699,7 @@ def _sealed_set(world: World, decoder: Decoder, probe: Probe, sig_pair: KeyPair 
     """A full message set under ``sig_pair``, or the probe's rogue pair
     (drawn first, on its first build): the probe's forged load, rebuilt
     when its ``basis`` differs, and a DERIVE of ``secret`` (a fresh draw
-    after any build when ``None``) wrapped through the probe's slot."""
+    after any build when ``None``) wrapped under the load's long-term key."""
     adv = world.adversary
     kind = decoder.chip.kind
     if sig_pair is None:
@@ -730,7 +727,7 @@ def _sealed_set(world: World, decoder: Decoder, probe: Probe, sig_pair: KeyPair 
         probe.basis = basis
     secret = secret or rng.read(world.suite.secret_bytes)
     sender_pk = sig_pair.public_key if kind.binds else None
-    return probe.load + [derive_msg(world.suite, probe.ltk, epoch, secret, sender_pk, probe.slot)]
+    return probe.load + [derive_msg(world.suite, probe.ltk, epoch, secret, sender_pk)]
 
 
 def _probe_msgs(world: World, decoder: Decoder, epoch: int, probe: Probe) -> list[ChipChannelMsg]:
@@ -759,8 +756,7 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int, probe: Probe) -> lis
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
-                return [derive_msg(world.suite, stolen_ltk, epoch, adv.known_cw, None,
-                                   probe.slot)]
+                return [derive_msg(world.suite, stolen_ltk, epoch, adv.known_cw, None)]
         return raw_cw
 
     if snapshot is not None:  # a binding chip
@@ -890,14 +886,15 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
     for ecm in frame.ecms:
         for key in keys_by_ca.get(ecm.ca_system_id, []):
             try:
-                secret = world.suite.sym_decrypt(key, ecm.protected_secret, aad=ecm.aad)
+                secret = world.suite.sym_decrypt_shared(key, ecm.protected_secret, ecm.aad)
             except CwbindError:  # stale key, nothing learned
                 continue
             ca = headend.ca_systems[ecm.ca_system_id]
             if ca.kind.binds:
                 adv.known_rand[ecm.ca_system_id] = secret
                 if headend.pk_set:
-                    adv.known_cw = bound_secret(headend.pk_set, secret, world.suite.secret_bits)
+                    adv.known_cw = world.suite.bound_secret(headend.pk_set, secret,
+                                                            world.suite.secret_bits)
             else:
                 adv.known_cw = secret
             break

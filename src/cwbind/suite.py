@@ -33,57 +33,60 @@ All randomness is drawn from a Drbg, a hash-counter generator: two runs from
 equal seeds produce byte-identical output. Production-grade entropy is a
 non-goal; reproducibility is the point.
 
-Every entitled decoder of a CA system opens the same ECM under the same key,
-and every certificate chip checks the same certificate and revocation list,
-so three results are memoised, each in one ``functools.lru_cache`` of a fixed
-size that no option or variable changes: the ``AESGCM`` context per key
-(``_aead``, 8 entries), the plaintext of each successful AES-GCM open
-(``_open``, 32 entries, shared by ``sym_decrypt`` and ``open_sealed``), and
-each successful Ed25519 verification keyed by (public key, signature, message)
-(``_verify``, 64 entries). ``_open`` is keyed by (key, nonce || body,
-associated data): ``sym_decrypt`` passes the ciphertext object as it arrived,
-which every client of an ECM shares, so a hit slices nothing and hashes no
-bytes anew (a bytes object computes its hash once); ``open_sealed`` passes
-nonce || tag and associated data || body. The key stays injective because the
-nonce has a fixed length. A memo entry exists only for inputs that already
-passed the full check. A failure raises out of the cached function, so it is
-never cached: a wrong key, nonce, tag, body, associated data or signature is
-checked again on every call and raises ``CryptoError`` each time. A repeated
-key load never reaches ``_verify``: its chip takes it unopened
-(``phase1.open_blob``).
+Memos. ``build_world`` makes one suite per world and hands it to every
+party, so the suite owns every memo that the world's parties share, and
+they are freed with the world; a deep copy of a party shares its world's
+suite (``__deepcopy__`` returns the suite itself). Each memo is a
+``functools.lru_cache`` of a fixed size that no option or variable changes,
+made in ``__init__``:
 
-The ``_aead`` memo serves keys many parties share: the group and ECM keys
-of each CA system. A PKE wrap key is used once at each end, so
-``pke_encrypt`` and ``pke_decrypt`` each build a context for that call
-alone and open without ``_open``: in the memos it would only evict keys
-that come back. A party that uses its own key every time instead holds an
-``AeadSlot``: the CA client for the long-term-key wrap in
-``decoder.derive_msg``, each chip's protocol receiver state for the unwrap
-in ``phase2_receive``, both ends of each receiver's channel key (the
-head-end's slot per provisioned receiver and the client's
-``channel_slot``) for the per-receiver EMMs, and the simulated adversary's
-slot per probed decoder (in ``sim.AdversaryState.probes``) for the key
-its DERIVE wraps under, new only when the adversary rebuilds its load. A
-de-authorization re-ships the ECM key to every remaining subscriber, one
-EMM under each one's channel key, so a burst names N distinct keys in a
-row; an 8-entry LRU over them misses on every key once N > 8 and evicts the
-shared keys on the way. A slot keeps the context of the last key used
-through it and changes it only when the key differs, so no population size
-rebuilds the AES key schedule per use. A slot open bypasses ``_open``: a
-chip's DERIVE and a client's per-receiver EMM are each seen once, so
-memoising them would only push an ECM out of the shared memo. A slot caches
-a key schedule, never an outcome; a failed open raises ``CryptoError`` on
-every call. Slots and ``_aead`` draw contexts from one table of weak
-references (``_live``), so the slots naming a key share its one context:
-client and chip for a long-term key, head-end and client for a channel key.
-A context (about 2.4 KiB, cryptography 48.0.0) is freed when its last
-holder moves on; the table holds none and has no size.
+  * ``_open`` (32 entries) -- the plaintext of each successful AES-GCM open
+    that many parties repeat: ``sym_decrypt_shared`` for an ECM, which every
+    entitled client of a CA system opens (and so does the adversary's read),
+    and ``open_sealed`` for a broadcast EMM, which every client of the
+    system opens. It is keyed by (key, nonce || body, associated data). An
+    ECM's ciphertext object is the one all its clients pass, so a hit slices
+    nothing and hashes no bytes anew (a bytes object computes its hash
+    once); ``open_sealed`` passes nonce || tag and associated data || body.
+    The key stays injective because the nonce has a fixed length.
+  * ``_verify`` (64) -- each successful Ed25519 verification, keyed by
+    (public key, signature, message): every certificate chip checks the
+    same certificate and revocation list.
+  * ``scramble`` (32) and its ``_keystream`` (32) -- the scrambler output
+    by (control word, epoch, data), and the keystream by (control word,
+    epoch, length). The head-end's scramble of an epoch sets up its one
+    AES-CTR, the first authorized decoder XORs with the stored keystream,
+    and every later one takes the stored bytes; a hit hashes no content
+    anew, since every decoder passes the frame's one content object.
+  * ``bound_secret`` (16) -- the binding by (sorted keys, random value,
+    output bits); the head-end's tick fills it and the epoch's chips reuse
+    the entry.
+
+A memo entry exists only for inputs that already passed the full check. A
+failure raises out of the cached function, so it is never cached: a wrong
+key, nonce, tag, body, associated data, signature or binding input is
+checked again on every call and raises each time. A descramble under a
+wrong control word misses both scrambler memos and yields garbage.
+
+The suite also keeps one ``AESGCM`` context per key (``_contexts``, a plain
+dict). A key's first use in the world builds it; every later
+``sym_encrypt``, ``sym_decrypt``, ``seal`` or ``_open`` miss under that key
+takes it, so no population size rebuilds a key schedule per use, and the
+CA client and chip (a long-term key), or the head-end and client (a channel
+key), use one context. The dict has no fixed size: it holds one context
+(about 2.4 KiB, cryptography 48.0.0) per distinct key the world used, 259,
+932 and 909 at the end of seed-1 ``steady-simulcrypt``, ``churn-512`` and
+``rekey-attack`` worlds. ``sym_decrypt`` opens what only one party sees, a
+DERIVE or a per-receiver EMM, so it bypasses ``_open``: memoising those
+would only push an ECM out. A PKE wrap key is used once at each end, so
+``pke_encrypt`` and ``pke_decrypt`` build a context for that call alone.
+A repeated key load never reaches ``_verify``: its chip takes it unopened
+(``phase1.open_blob``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -99,6 +102,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from . import binding, scramble
 from .encoding import U32, Reader, lp, u64
 from .errors import CryptoError
 
@@ -176,67 +180,25 @@ class SignedMessage:
 
 
 # ---------------------------------------------------------------------------
-# memoised primitives (successes only; see the module docstring)
+# the uncached primitives the memos wrap (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
-class _Context:
-    """An ``AESGCM`` context's methods, held where a weak reference can name them."""
-
-    __slots__ = ("encrypt", "decrypt", "__weakref__")
-
-
-# key -> weak reference to its live context, whose death pops the entry (C-level)
-_live: dict[bytes, weakref.ref] = {}
+def _new_context(contexts: dict[bytes, AESGCM], key: bytes) -> AESGCM:
+    """Build ``key``'s context and file it in ``contexts``. Callers look
+    the key up with ``contexts.get`` first, so a hit costs no Python call."""
+    contexts[key] = aead = AESGCM(key)
+    return aead
 
 
-def _context(key: bytes) -> _Context:
-    """The live context of ``key``, built only if no holder has one."""
-    ref = _live.get(key)
-    context = None if ref is None else ref()
-    if context is None:
-        aead, context = AESGCM(key), _Context()
-        context.encrypt, context.decrypt = aead.encrypt, aead.decrypt
-        _live[key] = weakref.ref(context, partial(_live.pop, key))
-    return context
+def _decrypt(contexts: dict[bytes, AESGCM], key: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+    """AES-GCM open of ``nonce || body``; raises ``InvalidTag`` on any mismatch."""
+    aead = contexts.get(key) or _new_context(contexts, key)
+    return aead.decrypt(ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:], aad)
 
 
-class AeadSlot:
-    """One holder's hold on the shared AES-GCM context of the last key it
-    used. Its repr shows no key, and a deep copy is an empty slot."""
-
-    __slots__ = ("_key", "_context")
-
-    def __init__(self) -> None:
-        self._key: bytes | None = None
-        self._context: _Context | None = None
-
-    def context(self, key: bytes) -> _Context:
-        if key != self._key:
-            self._context = _context(key)
-            self._key = key
-        return self._context
-
-    def __repr__(self) -> str:
-        return "AeadSlot()"
-
-    def __deepcopy__(self, memo) -> "AeadSlot":
-        return AeadSlot()
-
-
-_aead = lru_cache(maxsize=8)(_context)
-
-
-@lru_cache(maxsize=32)
-def _open(key: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-    """AES-GCM open of ``nonce || body``; raises ``InvalidTag`` (uncached)
-    on any mismatch."""
-    return _aead(key).decrypt(ciphertext[:GCM_NONCE_LEN], ciphertext[GCM_NONCE_LEN:], aad)
-
-
-@lru_cache(maxsize=64)
 def _verify(public_key: bytes, signature: bytes, message: bytes) -> None:
-    """Ed25519 verification; raises (uncached) unless the signature holds."""
+    """Ed25519 verification; raises unless the signature holds."""
     Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
 
 
@@ -266,19 +228,35 @@ class CipherSuite:
     """The fixed suite; ``secret_bits`` is the length of every control word
     and symmetric key. A PKE ciphertext is the ephemeral public key, then
     AES-GCM under the 32-byte wrap key with both public keys as associated
-    data, so a bit flip anywhere in it is rejected."""
+    data, so a bit flip anywhere in it is rejected. Each instance owns its
+    memos and contexts (see the module docstring), looked up in
+    ``scramble`` and ``binding`` when it is built; its repr shows no key."""
 
     def __init__(self, secret_bits: int = 128):
         if secret_bits not in VALID_SECRET_BITS:
             raise ValueError(f"secret_bits must be one of {VALID_SECRET_BITS}, got {secret_bits}")
         self.secret_bits = secret_bits
         self.secret_bytes = secret_bits // 8
+        self._contexts: dict[bytes, AESGCM] = {}
+        self._decrypt = partial(_decrypt, self._contexts)
+        self._open = lru_cache(maxsize=32)(self._decrypt)
+        self._verify = lru_cache(maxsize=64)(_verify)
+        self._keystream = lru_cache(maxsize=32)(scramble.keystream)
+        self.scramble = lru_cache(maxsize=32)(partial(scramble.scramble,
+                                                      keystream=self._keystream))
+        self.bound_secret = lru_cache(maxsize=16)(binding.bound_secret)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CipherSuite) and self.secret_bits == other.secret_bits
 
     def __hash__(self) -> int:
         return hash(self.secret_bits)
+
+    def __repr__(self) -> str:
+        return f"CipherSuite({self.secret_bits})"
+
+    def __deepcopy__(self, memo) -> "CipherSuite":
+        return self
 
     def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
         if purpose not in ("pke", "sig"):
@@ -339,33 +317,35 @@ class CipherSuite:
 
     def verify_recover(self, public_key: bytes, sm: SignedMessage) -> bytes:
         try:
-            _verify(public_key, sm.signature, sm.message)
+            self._verify(public_key, sm.signature, sm.message)
         except (InvalidSignature, ValueError) as exc:
             raise CryptoError("signature verification failed") from exc
         return sm.message
 
-    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"",
-                    slot: AeadSlot | None = None) -> bytes:
-        """AES-GCM under the deterministic nonce, ``nonce || body``, through
-        the holder's ``slot`` when given."""
+    def sym_encrypt(self, key: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+        """AES-GCM under the deterministic nonce, ``nonce || body``."""
         if len(key) != self.secret_bytes:
             raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
         nonce = _nonce(key, aad, plaintext)
-        aead = _aead(key) if slot is None else slot.context(key)
+        aead = self._contexts.get(key) or _new_context(self._contexts, key)
         return nonce + aead.encrypt(nonce, plaintext, aad)
 
-    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"",
-                    slot: AeadSlot | None = None) -> bytes:
-        """Decrypt under ``key``, through the holder's ``slot`` when given."""
+    def sym_decrypt(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
+        """Decrypt what one party alone opens (a DERIVE, a per-receiver
+        EMM) under ``key``, outside ``_open``."""
+        return self._sym_open(self._decrypt, key, ciphertext, aad)
+
+    def sym_decrypt_shared(self, key: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
+        """``sym_decrypt`` through ``_open``, for what many parties open: an ECM."""
+        return self._sym_open(self._open, key, ciphertext, aad)
+
+    def _sym_open(self, open_, key: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         if len(key) != self.secret_bytes:
             raise ValueError(f"symmetric key must be {self.secret_bytes} bytes, got {len(key)}")
         if len(ciphertext) < _TRAILER:
             raise CryptoError("ciphertext too short")
         try:
-            if slot is None:
-                return _open(key, ciphertext, aad)
-            return slot.context(key).decrypt(ciphertext[:GCM_NONCE_LEN],
-                                             ciphertext[GCM_NONCE_LEN:], aad)
+            return open_(key, ciphertext, aad)
         except InvalidTag as exc:
             raise CryptoError("authenticated decryption failed") from exc
 
@@ -373,14 +353,15 @@ class CipherSuite:
         """Integrity-only protection for broadcast payloads: the clear body,
         then nonce and tag."""
         nonce = _nonce(key, aad, body)
-        return body + nonce + _aead(key).encrypt(nonce, b"", aad + body)
+        aead = self._contexts.get(key) or _new_context(self._contexts, key)
+        return body + nonce + aead.encrypt(nonce, b"", aad + body)
 
     def open_sealed(self, key: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         if len(sealed) < _TRAILER:
             raise CryptoError("sealed blob too short")
         body = sealed[:-_TRAILER]
         try:
-            _open(key, sealed[-_TRAILER:], aad + body)  # nonce || tag
+            self._open(key, sealed[-_TRAILER:], aad + body)  # nonce || tag
         except InvalidTag as exc:
             raise CryptoError("integrity check failed") from exc
         return body

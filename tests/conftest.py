@@ -1,10 +1,8 @@
-import gc
-import sys
 from collections import Counter
 
 import pytest
 
-from cwbind import sim, suite as suitemod
+from cwbind import sim
 from cwbind.suite import CipherSuite, Drbg
 from cwbind.wire import encode_frame
 
@@ -21,40 +19,23 @@ def rng() -> Drbg:
 
 @pytest.fixture
 def opens(monkeypatch) -> Counter:
-    """The work of opening key loads, as it happens: Ed25519 checks (through
-    the ``_verify`` memo, hit or miss) by public key, and ``pke_decrypt``
-    calls under the key ``"pke_decrypt"``."""
+    """The work of opening key loads, as it happens: signature checks
+    (``verify_recover``, through the suite's ``_verify`` memo, hit or miss)
+    by public key, and ``pke_decrypt`` calls under the key ``"pke_decrypt"``."""
     calls: Counter = Counter()
-    verify, pke_decrypt = suitemod._verify, CipherSuite.pke_decrypt
+    verify_recover, pke_decrypt = CipherSuite.verify_recover, CipherSuite.pke_decrypt
 
-    def counting_verify(public_key, signature, message):
+    def counting_verify(suite, public_key, sm):
         calls[public_key] += 1
-        return verify(public_key, signature, message)
+        return verify_recover(suite, public_key, sm)
 
     def counting_decrypt(suite, pair, ciphertext):
         calls["pke_decrypt"] += 1
         return pke_decrypt(suite, pair, ciphertext)
 
-    monkeypatch.setattr(suitemod, "_verify", counting_verify)
+    monkeypatch.setattr(CipherSuite, "verify_recover", counting_verify)
     monkeypatch.setattr(CipherSuite, "pke_decrypt", counting_decrypt)
     return calls
-
-
-@pytest.fixture
-def no_failed_world():
-    """Free what the last failed test left alive, before a test that counts
-    the AES-GCM contexts built or reads ``suite._live``.
-
-    pytest keeps the last failure's traceback in ``sys.last_traceback``
-    (and ``last_type``, ``last_value``, ``last_exc``) into the next test.
-    Its frames keep that test's world alive through reference cycles, and
-    ``suite._live`` would hand its contexts to this test instead of
-    building them. ``gc.collect()`` alone frees nothing while they are kept.
-    """
-    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
-        if hasattr(sys, name):
-            delattr(sys, name)
-    gc.collect()
 
 
 @pytest.fixture

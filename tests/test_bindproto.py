@@ -44,7 +44,7 @@ def test_receiver_state_holds_no_authority_key(world):
     ttp, sender, directory, receivers, rng = world
     fields = set(vars(receivers[1]))
     assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
-                      "ltk_slot", "last_open"}
+                      "last_open"}
     # the remembered load holds what the sender sent, never the authority's key
     bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, directory,
                                                                  encode_id(1), rng))

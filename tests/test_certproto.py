@@ -269,7 +269,6 @@ class _CountingVerifier:
 def verifications(monkeypatch):
     monkeypatch.setattr(suitemod, "Ed25519PublicKey", _CountingVerifier)
     monkeypatch.setattr(_CountingVerifier, "calls", 0)
-    suitemod._verify.cache_clear()  # a memo hit would hide a verification
     return _CountingVerifier
 
 

@@ -1,9 +1,9 @@
 """Memoised primitives: agreement with direct references, failures never
-cached, shared per-system work done once per world state, fixed bounds."""
+cached, shared per-system work done once per world state, fixed bounds, and
+no memo outside a suite."""
 
+import ast
 import hashlib
-import importlib
-import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +14,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given
 from hypothesis import strategies as st
 
-import cwbind
 from cwbind import binding, suite as suitemod
 from cwbind.errors import CryptoError
 from cwbind.sim import load_scenario, run_world
@@ -22,7 +21,7 @@ from cwbind.suite import CipherSuite, SignedMessage
 from cwbind.wire import ECM_MAGIC, ecm_aad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-SUITE = CipherSuite()
+PACKAGE_DIR = Path(suitemod.__file__).resolve().parent
 
 keys = st.binary(min_size=16, max_size=16)
 others = st.lists(st.tuples(keys, st.binary(max_size=24), st.binary(max_size=12)), max_size=6)
@@ -47,44 +46,48 @@ def _raises_twice(call) -> None:
        st.sampled_from(["key", "nonce", "body", "tag", "aad"]), st.integers(0, 63))
 def test_memoised_sym_decrypt_matches_aesgcm_and_caches_no_failure(key, plaintext, aad, cached,
                                                                     target, index):
+    suite = CipherSuite()
     for other_key, other_plain, other_aad in cached:
-        SUITE.sym_decrypt(other_key, SUITE.sym_encrypt(other_key, other_plain, other_aad),
-                          other_aad)
-    blob = SUITE.sym_encrypt(key, plaintext, aad)
+        suite.sym_decrypt_shared(other_key, suite.sym_encrypt(other_key, other_plain, other_aad),
+                                 other_aad)
+    blob = suite.sym_encrypt(key, plaintext, aad)
     nonce, body, tag = blob[:12], blob[12:-16], blob[-16:]
     assert AESGCM(key).decrypt(nonce, body + tag, aad) == plaintext
-    assert SUITE.sym_decrypt(key, blob, aad) == plaintext
-    assert SUITE.sym_decrypt(key, blob, aad) == plaintext  # served from the memo
+    assert suite.sym_decrypt_shared(key, blob, aad) == plaintext
+    assert suite.sym_decrypt_shared(key, blob, aad) == plaintext  # served from the memo
+    assert suite.sym_decrypt(key, blob, aad) == plaintext  # past the memo
 
     parts = {"key": key, "nonce": nonce, "body": body, "tag": tag, "aad": aad}
     parts[target] = _flip(parts[target], index)
     bad_blob = parts["nonce"] + parts["body"] + parts["tag"]
     with pytest.raises(InvalidTag):
         AESGCM(parts["key"]).decrypt(parts["nonce"], parts["body"] + parts["tag"], parts["aad"])
-    _raises_twice(lambda: SUITE.sym_decrypt(parts["key"], bad_blob, parts["aad"]))
-    assert SUITE.sym_decrypt(key, blob, aad) == plaintext
+    _raises_twice(lambda: suite.sym_decrypt_shared(parts["key"], bad_blob, parts["aad"]))
+    _raises_twice(lambda: suite.sym_decrypt(parts["key"], bad_blob, parts["aad"]))
+    assert suite.sym_decrypt_shared(key, blob, aad) == plaintext
 
 
 @given(keys, st.binary(max_size=48), st.binary(max_size=24), others,
        st.sampled_from(["key", "body", "nonce", "tag", "aad"]), st.integers(0, 63))
 def test_memoised_open_sealed_matches_aesgcm_and_caches_no_failure(key, body, aad, cached,
                                                                     target, index):
+    suite = CipherSuite()
     for other_key, other_body, other_aad in cached:
-        SUITE.open_sealed(other_key, SUITE.seal(other_key, other_body, other_aad), other_aad)
-    sealed = SUITE.seal(key, body, aad)
+        suite.open_sealed(other_key, suite.seal(other_key, other_body, other_aad), other_aad)
+    sealed = suite.seal(key, body, aad)
     nonce, tag = sealed[-28:-16], sealed[-16:]
     assert sealed[:-28] == body
     assert AESGCM(key).decrypt(nonce, tag, aad + body) == b""
-    assert SUITE.open_sealed(key, sealed, aad) == body
-    assert SUITE.open_sealed(key, sealed, aad) == body  # served from the memo
+    assert suite.open_sealed(key, sealed, aad) == body
+    assert suite.open_sealed(key, sealed, aad) == body  # served from the memo
 
     parts = {"key": key, "body": body, "nonce": nonce, "tag": tag, "aad": aad}
     parts[target] = _flip(parts[target], index)
     bad = parts["body"] + parts["nonce"] + parts["tag"]
     with pytest.raises(InvalidTag):
         AESGCM(parts["key"]).decrypt(parts["nonce"], parts["tag"], parts["aad"] + parts["body"])
-    _raises_twice(lambda: SUITE.open_sealed(parts["key"], bad, parts["aad"]))
-    assert SUITE.open_sealed(key, sealed, aad) == body
+    _raises_twice(lambda: suite.open_sealed(parts["key"], bad, parts["aad"]))
+    assert suite.open_sealed(key, sealed, aad) == body
 
 
 seeds = st.binary(min_size=32, max_size=32)
@@ -95,26 +98,27 @@ messages = st.binary(min_size=1, max_size=64)
        st.sampled_from(["public_key", "signature", "message"]), st.integers(0, 63))
 def test_memoised_verify_recover_matches_ed25519_and_caches_no_failure(seed, message, cached,
                                                                         target, index):
+    suite = CipherSuite()
     for other_seed, other_message in cached:
-        pair = SUITE.load_sig_keypair(other_seed)
-        SUITE.verify_recover(pair.public_key, SUITE.sign(pair, other_message))
-    pair = SUITE.load_sig_keypair(seed)
-    sm = SUITE.sign(pair, message)
+        pair = suite.load_sig_keypair(other_seed)
+        suite.verify_recover(pair.public_key, suite.sign(pair, other_message))
+    pair = suite.load_sig_keypair(seed)
+    sm = suite.sign(pair, message)
     Ed25519PublicKey.from_public_bytes(pair.public_key).verify(sm.signature, sm.message)
-    assert SUITE.verify_recover(pair.public_key, sm) == message
-    assert SUITE.verify_recover(pair.public_key, sm) == message  # served from the memo
+    assert suite.verify_recover(pair.public_key, sm) == message
+    assert suite.verify_recover(pair.public_key, sm) == message  # served from the memo
 
     parts = {"public_key": pair.public_key, "signature": sm.signature, "message": message}
     if target == "public_key":
-        parts[target] = SUITE.load_sig_keypair(_flip(seed, index)).public_key  # a wrong key
+        parts[target] = suite.load_sig_keypair(_flip(seed, index)).public_key  # a wrong key
     else:
         parts[target] = _flip(parts[target], index)
     with pytest.raises(InvalidSignature):
         Ed25519PublicKey.from_public_bytes(parts["public_key"]).verify(parts["signature"],
                                                                        parts["message"])
     bad = SignedMessage(parts["message"], parts["signature"])
-    _raises_twice(lambda: SUITE.verify_recover(parts["public_key"], bad))
-    assert SUITE.verify_recover(pair.public_key, sm) == message
+    _raises_twice(lambda: suite.verify_recover(parts["public_key"], bad))
+    assert suite.verify_recover(pair.public_key, sm) == message
 
 
 key_sets = st.integers(1, 40).flatmap(
@@ -124,14 +128,16 @@ key_sets = st.integers(1, 40).flatmap(
 @given(key_sets, st.binary(min_size=1, max_size=32), st.sampled_from([128, 192, 256, 512]),
        st.lists(st.tuples(key_sets, st.binary(min_size=1, max_size=8)), max_size=6))
 def test_bound_secret_is_truncated_sha512_of_rand_and_sorted_keys(key_set, rand, n_bits, cached):
+    suite = CipherSuite()
     for other_keys, other_rand in cached:
-        binding.bound_secret(tuple(sorted(other_keys)), other_rand, 128)
+        suite.bound_secret(tuple(sorted(other_keys)), other_rand, 128)
     sorted_keys = tuple(sorted(key_set))
     expected = hashlib.sha512(rand + b"".join(sorted_keys)).digest()[: n_bits // 8]
-    assert binding.bound_secret(sorted_keys, rand, n_bits) == expected
-    hits = binding.bound_secret.cache_info().hits
-    assert binding.bound_secret(sorted_keys, rand, n_bits) == expected
-    assert binding.bound_secret.cache_info().hits == hits + 1
+    assert binding.bound_secret(sorted_keys, rand, n_bits) == expected  # uncached
+    assert suite.bound_secret(sorted_keys, rand, n_bits) == expected
+    hits = suite.bound_secret.cache_info().hits
+    assert suite.bound_secret(sorted_keys, rand, n_bits) == expected
+    assert suite.bound_secret.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("keys, rand", [
@@ -142,9 +148,11 @@ def test_bound_secret_is_truncated_sha512_of_rand_and_sorted_keys(key_set, rand,
     ((b"\x01" * 4,), b""),               # empty random value
 ])
 def test_bound_secret_rejects_invalid_input_on_every_call(keys, rand):
+    suite = CipherSuite()
     for _ in range(2):
         with pytest.raises(ValueError):
-            binding.bound_secret(keys, rand, 128)
+            suite.bound_secret(keys, rand, 128)
+    assert suite.bound_secret.cache_info().currsize == 0
 
 
 class _CountingAesGcm:
@@ -167,12 +175,9 @@ def _expected_report(name: str) -> str:
     return (SCENARIO_DIR / "expected" / f"{name}.report").read_text()
 
 
-@pytest.mark.usefixtures("no_failed_world")
 def test_each_ecm_is_opened_once_per_system_and_epoch(monkeypatch):
     monkeypatch.setattr(suitemod, "AESGCM", _CountingAesGcm)
     monkeypatch.setattr(_CountingAesGcm, "opens", Counter())
-    suitemod._aead.cache_clear()
-    suitemod._open.cache_clear()
     config = load_scenario(SCENARIO_DIR / "baseline-bind.scn")
     report = run_world(config)[0]
     assert report.to_text() == _expected_report("baseline-bind")
@@ -202,27 +207,53 @@ class _CountingEd25519PublicKey:
 def test_each_distinct_signature_is_verified_once(monkeypatch):
     monkeypatch.setattr(suitemod, "Ed25519PublicKey", _CountingEd25519PublicKey)
     monkeypatch.setattr(_CountingEd25519PublicKey, "verified", Counter())
-    suitemod._verify.cache_clear()
     report = run_world(load_scenario(SCENARIO_DIR / "baseline-cert.scn"))[0]
     assert report.to_text() == _expected_report("baseline-cert")
     verified = _CountingEd25519PublicKey.verified
     assert verified and set(verified.values()) == {1}
 
 
-def _lru_caches():
-    for info in pkgutil.walk_packages(cwbind.__path__, "cwbind."):
-        module = importlib.import_module(info.name)
-        for owner in [module, *(v for v in vars(module).values() if isinstance(v, type))]:
-            for name, value in vars(owner).items():
-                if hasattr(value, "cache_parameters"):
-                    yield f"{owner.__name__}.{name}", value
+_CACHE_NAMES = {"lru_cache", "cache"}
 
 
-def test_every_lru_cache_has_a_small_fixed_bound():
-    caches = dict(_lru_caches())
-    assert {"cwbind.suite._aead", "cwbind.suite._open", "cwbind.suite._verify",
-            "cwbind.binding.bound_secret", "cwbind.scramble._keystream",
-            "cwbind.scramble.scramble"} <= set(caches)
-    for name, cached in caches.items():
-        maxsize = cached.cache_parameters()["maxsize"]
-        assert maxsize is not None and 0 < maxsize <= 64, (name, maxsize)
+def _outside_functions(node: ast.AST):
+    """Every node under ``node`` that runs at module or class level: all but
+    function bodies (a function's decorators and defaults run there)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            outer = [*getattr(child, "decorator_list", ()), *child.args.defaults,
+                     *child.args.kw_defaults]
+            for expr in filter(None, outer):
+                yield from ast.walk(expr)
+        else:
+            yield child
+            yield from _outside_functions(child)
+
+
+def _caches_outside_functions(source: str) -> list[int]:
+    """Lines that name ``lru_cache`` or ``cache`` at module or class level."""
+    return sorted(node.lineno for node in _outside_functions(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id in _CACHE_NAMES
+                  or isinstance(node, ast.Attribute) and node.attr in _CACHE_NAMES)
+
+
+def test_no_module_or_class_level_cache():
+    # the walker finds each form a shared memo could take, and none inside a
+    # function body, where a suite builds its own
+    assert _caches_outside_functions(
+        "import functools\nfrom functools import lru_cache\n"
+        "@lru_cache(maxsize=4)\ndef f(x): return x\n"
+        "g = functools.cache(f)\n"
+        "class C:\n    @functools.lru_cache\n    def m(self): pass\n"
+        "    def __init__(self):\n        self.h = lru_cache(maxsize=2)(f)\n") == [3, 5, 7]
+    found = {path.name: _caches_outside_functions(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert "suite.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_each_suite_memo_has_its_fixed_bound():
+    memos = {name: memo.cache_parameters()["maxsize"]
+             for name, memo in vars(CipherSuite()).items() if hasattr(memo, "cache_parameters")}
+    assert memos == {"_open": 32, "_verify": 64, "_keystream": 32, "scramble": 32,
+                     "bound_secret": 16}

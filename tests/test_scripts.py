@@ -66,6 +66,22 @@ def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
     assert done.stdout == f"{tmp_path.name}: 11 lines, 4 code lines\n"
 
 
+def test_count_lines_fails_a_package_over_its_limit(tmp_path):
+    spec = importlib.util.spec_from_file_location("count_lines",
+                                                  ROOT / "scripts" / "count_lines.py")
+    count_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_lines)
+    assert count_lines.LIMIT == 3604
+    module = tmp_path / "m.py"
+    for lines, status in [(count_lines.LIMIT + 1, 1), (count_lines.LIMIT, 0)]:
+        module.write_text("x = 1\n" * lines)
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "count_lines.py"),
+                               str(tmp_path)], capture_output=True, text=True, timeout=60)
+        assert done.returncode == status, (lines, done.stderr)
+        assert done.stdout == f"{tmp_path.name}: {lines} lines, {lines} code lines\n"
+        assert ("exceed the limit of 3604" in done.stderr) == (status == 1)
+
+
 def test_check_mutants_walks_each_package_error_raise(tmp_path):
     spec = importlib.util.spec_from_file_location("check_mutants",
                                                   ROOT / "scripts" / "check_mutants.py")

@@ -31,7 +31,6 @@ from cwbind.sim import (
     parse_scenario,
     run_world,
 )
-from cwbind.suite import AeadSlot
 from cwbind.ttp import Certificate
 from cwbind.wire import build_pk_set_body, decode_frame
 
@@ -989,8 +988,7 @@ def test_a_probes_first_set_is_phase1_send_from_that_epochs_draws(monkeypatch):
     assert sent[7, 2] == [
         ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes()),
         ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((rogue.public_key,))),
-        derive_msg(world.suite, sender.ltk_store[encode_id(7)], 2, secret, rogue.public_key,
-                   AeadSlot())]
+        derive_msg(world.suite, sender.ltk_store[encode_id(7)], 2, secret, rogue.public_key)]
     assert world.adversary.probes[encode_id(7)].rogue == rogue
 
 

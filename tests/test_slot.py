@@ -1,10 +1,11 @@
-"""Per-holder AES-GCM contexts (``suite.AeadSlot``): a slot caches a key
-schedule and never an outcome, whatever keys go through it and in what order;
-slots that name one key share its one context, which lives as long as one of
-them holds it."""
+"""Per-world AES-GCM contexts (``CipherSuite._contexts``): a context caches a
+key schedule and never an outcome, whatever keys go through it and in what
+order; each key's context is built once per world, shared by every party
+that names the key, and freed with the world."""
 
 import copy
 import gc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -26,11 +27,10 @@ from cwbind.encoding import Reader, encode_id
 from cwbind.errors import CryptoError, CwbindError
 from cwbind.sim import build_world, load_scenario, parse_scenario, run_world
 from cwbind.phase1 import Bundle
-from cwbind.suite import PUBLIC_KEY_LEN, AeadSlot, CipherSuite, SignedMessage
+from cwbind.suite import PUBLIC_KEY_LEN, CipherSuite, Drbg, SignedMessage
 from cwbind.wire import Emm, emm_aad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-SUITE = CipherSuite()
 
 keys = st.binary(min_size=16, max_size=16)
 
@@ -39,30 +39,32 @@ keys = st.binary(min_size=16, max_size=16)
        st.lists(st.tuples(st.integers(0, 3), st.binary(min_size=1, max_size=32),
                           st.binary(max_size=16), st.integers(0, 31)),
                 min_size=1, max_size=12))
-def test_slot_agrees_with_a_fresh_context_per_call(key_set, ops):
+def test_contexts_agree_with_a_fresh_context_per_call(key_set, ops):
     # seals under 1-4 keys, each followed by the open of any earlier seal,
-    # so the slot's key changes in every order a sequence can give
-    slot = AeadSlot()
+    # so the keys a suite's contexts serve change in every order a sequence
+    # can give
+    suite = CipherSuite()
     sealed = []
     for key_index, plaintext, aad, reopen in ops:
         key = key_set[key_index % len(key_set)]
-        blob = SUITE.sym_encrypt(key, plaintext, aad, slot=slot)
+        blob = suite.sym_encrypt(key, plaintext, aad)
         nonce = blob[:12]
         assert blob[12:] == AESGCM(key).encrypt(nonce, plaintext, aad)
-        assert blob == SUITE.sym_encrypt(key, plaintext, aad)
+        assert blob == CipherSuite().sym_encrypt(key, plaintext, aad)
         sealed.append((key, blob, aad, plaintext))
         key, blob, aad, plaintext = sealed[reopen % len(sealed)]
         assert AESGCM(key).decrypt(blob[:12], blob[12:], aad) == plaintext
-        assert SUITE.sym_decrypt(key, blob, aad, slot=slot) == plaintext
+        assert suite.sym_decrypt(key, blob, aad) == plaintext
+    assert set(suite._contexts) == {key for key, _, _, _ in sealed}
 
 
 @given(keys, st.binary(min_size=1, max_size=48), st.binary(max_size=24),
        st.sampled_from(["key", "nonce", "body", "tag", "aad"]), st.integers(0, 63),
        st.integers(1, 255))
-def test_slot_never_caches_a_failure(key, plaintext, aad, target, index, mask):
-    slot = AeadSlot()
-    blob = SUITE.sym_encrypt(key, plaintext, aad, slot=slot)
-    assert SUITE.sym_decrypt(key, blob, aad, slot=slot) == plaintext
+def test_a_context_never_caches_a_failure(key, plaintext, aad, target, index, mask):
+    suite = CipherSuite()
+    blob = suite.sym_encrypt(key, plaintext, aad)
+    assert suite.sym_decrypt(key, blob, aad) == plaintext
     parts = {"key": key, "nonce": blob[:12], "body": blob[12:-16], "tag": blob[-16:],
              "aad": aad}
     changed = bytearray(parts[target] or b"\x00")
@@ -71,25 +73,16 @@ def test_slot_never_caches_a_failure(key, plaintext, aad, target, index, mask):
     bad_blob = parts["nonce"] + parts["body"] + parts["tag"]
     for _ in range(2):
         with pytest.raises(CryptoError):
-            SUITE.sym_decrypt(parts["key"], bad_blob, parts["aad"], slot=slot)
-    assert SUITE.sym_decrypt(key, blob, aad, slot=slot) == plaintext
-
-
-def test_slot_repr_and_deep_copy_hold_no_key():
-    slot = AeadSlot()
-    key = bytes(range(16))
-    SUITE.sym_encrypt(key, b"payload", slot=slot)
-    assert repr(slot) == "AeadSlot()" and key.hex() not in repr(slot)
-    twin = copy.deepcopy(slot)
-    assert twin is not slot and repr(twin) == "AeadSlot()"
+            suite.sym_decrypt(parts["key"], bad_blob, parts["aad"])
+    assert suite.sym_decrypt(key, blob, aad) == plaintext
 
 
 # ---------------------------------------------------------------------------
-# slots in the pipeline
+# contexts in the pipeline
 # ---------------------------------------------------------------------------
 
 WORLD = """
-scenario slots
+scenario contexts
 seed 11
 epochs 8
 ca 0 {kind}
@@ -121,26 +114,27 @@ def test_after_rotation_only_the_new_long_term_key_derives(kind):
         frame, content = _tick(world)
         assert process_frame(decoder, frame, None).descrambled == content
     old_ltk, old_announce = _current_ltk(decoder), decoder.client.announce
-    hemod.rotate_sender_key(world.headend, 0, world.master.child("slot-rotate"))
-    frame, content = _tick(world)  # re-enrolls: both slots move to the new key
+    hemod.rotate_sender_key(world.headend, 0, world.master.child("rotate"))
+    frame, content = _tick(world)  # re-enrolls: client and chip move to the new key
     assert process_frame(decoder, frame, None).descrambled == content
     new_ltk = _current_ltk(decoder)
     assert new_ltk != old_ltk
 
     frame, content = _tick(world)
     ecm = frame.ecms[0]
-    secret = SUITE.sym_decrypt(decoder.client.ecm_key, ecm.protected_secret, aad=ecm.aad)
+    suite = world.suite
+    secret = suite.sym_decrypt_shared(decoder.client.ecm_key, ecm.protected_secret, ecm.aad)
     sender_pk = decoder.client.announce if kind == "bind" else None
-    old = derive_msg(SUITE, old_ltk, ecm.epoch, secret, sender_pk, None)
-    new = derive_msg(SUITE, new_ltk, ecm.epoch, secret, sender_pk, None)
-    assert client_process_ecm(decoder.client, ecm) == new  # the client's slot wrap
+    old = derive_msg(suite, old_ltk, ecm.epoch, secret, sender_pk)
+    new = derive_msg(suite, new_ltk, ecm.epoch, secret, sender_pk)
+    assert client_process_ecm(decoder.client, ecm) == new
     for _ in range(2):
         with pytest.raises(CryptoError):
             chip_process(decoder.chip, old)
         if kind == "bind":  # the old key is still filed under the retired sender key
             with pytest.raises(CwbindError):
-                chip_process(decoder.chip, derive_msg(SUITE, old_ltk, ecm.epoch, secret,
-                                                      old_announce, None))
+                chip_process(decoder.chip, derive_msg(suite, old_ltk, ecm.epoch, secret,
+                                                      old_announce))
         handle = chip_process(decoder.chip, new)
         assert descramble(decoder.chip, handle, frame.scrambled_content) == content
 
@@ -161,18 +155,15 @@ class _CountingContexts:
         return self._inner.decrypt(nonce, data, aad)
 
 
-@pytest.mark.usefixtures("no_failed_world")
 @pytest.mark.parametrize("kind", ["bind", "cert"])
-def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkeypatch):
+def test_deep_copied_decoder_shares_the_suite_and_acts_alike(kind, monkeypatch):
     world, decoder = _world(kind)
     frame, content = _tick(world)
     assert process_frame(decoder, frame, None).descrambled == content
     twin = copy.deepcopy(decoder)
-    twin_slots = [twin.client.ltk_slot, twin.client.channel_slot, twin.chip.receiver.ltk_slot]
-    slots = [decoder.client.ltk_slot, decoder.client.channel_slot,
-             decoder.chip.receiver.ltk_slot] + twin_slots
-    assert len({id(slot) for slot in slots}) == 6
-    assert all(slot._key is None and slot._context is None for slot in twin_slots)
+    assert twin is not decoder and twin == decoder
+    assert twin.client is not decoder.client and twin.chip is not decoder.chip
+    assert twin.client.suite is twin.chip.suite is twin.chip.receiver.suite is world.suite
 
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
@@ -181,22 +172,37 @@ def test_deep_copied_decoder_starts_with_empty_slots_and_acts_alike(kind, monkey
         result = process_frame(decoder, frame, None)
         assert result.descrambled == content
         assert process_frame(twin, frame, None) == result
-    # the original still holds the long-term key, so the twin's client and
-    # chip take its context and build none
+    assert twin == decoder
+    # the world's suite already holds the long-term key's context, so the
+    # twin's client and chip take it and build none
     assert _CountingContexts.built[_current_ltk(decoder)] == 0
-    assert twin.client.ltk_slot._context is decoder.client.ltk_slot._context
-    assert twin.chip.receiver.ltk_slot._context is decoder.chip.receiver.ltk_slot._context
 
 
-@pytest.mark.usefixtures("no_failed_world")
+def _keys_through_open(monkeypatch) -> set[bytes]:
+    """The key of every open through ``_open`` by each suite built from now on."""
+    opened: set[bytes] = set()
+    init = CipherSuite.__init__
+
+    def recording_init(suite, *args):
+        init(suite, *args)
+        memo_open = suite._open
+
+        def recording_open(key, ciphertext, aad):
+            opened.add(key)
+            return memo_open(key, ciphertext, aad)
+
+        suite._open = recording_open
+
+    monkeypatch.setattr(CipherSuite, "__init__", recording_init)
+    return opened
+
+
 @pytest.mark.parametrize("name", ["baseline-bind", "baseline-cert"])
 def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monkeypatch):
-    # each delivered long-term key gets one context, shared by the client's
-    # slot and the chip's, however many epochs it then wraps and unwraps
+    # each delivered long-term key gets one context in its world, shared by
+    # the client and the chip, however many epochs it then wraps and unwraps
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
-    suitemod._aead.cache_clear()
-    suitemod._open.cache_clear()
     delivered = set()
     client_process_emm = decmod.client_process_emm
 
@@ -217,11 +223,11 @@ def test_long_term_key_contexts_are_built_per_delivery_not_per_epoch(name, monke
 
 
 # ---------------------------------------------------------------------------
-# channel keys: one slot at each end of every provisioned receiver
+# channel keys: one context for both ends of every provisioned receiver
 # ---------------------------------------------------------------------------
 
 CHURN = """
-scenario channel-slots
+scenario channel-contexts
 seed 12
 epochs 13
 ca 0 bind
@@ -234,18 +240,16 @@ at 7 swap-client 14
 """
 
 
-@pytest.mark.usefixtures("no_failed_world")
 def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch):
     # de-authorizations re-ship the ECM key to ~10 receivers per system in
-    # one burst: more distinct channel keys than the shared memo holds
+    # one burst: more distinct channel keys than ``_open`` holds entries
     decoders = "\n".join(f"decoder {i} ca {i // 13}" for i in range(26))
     config = parse_scenario(CHURN.format(decoders=decoders))
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
-    suitemod._aead.cache_clear()
-    suitemod._open.cache_clear()
-    provisioned, per_receiver, opened = [], Counter(), set()
-    provision, queue, memo_open = hemod.provision_receiver, hemod._queue, suitemod._open
+    opened = _keys_through_open(monkeypatch)
+    provisioned, per_receiver = [], Counter()
+    provision, queue = hemod.provision_receiver, hemod._queue
 
     def recording_provision(headend, ca_index, receiver_id, channel_key):
         provisioned.append(channel_key)
@@ -254,16 +258,11 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
     def recording_queue(ca, kind, body, addressee=hemod.BROADCAST_ADDR):
         emm = queue(ca, kind, body, addressee)
         if addressee != hemod.BROADCAST_ADDR:
-            per_receiver[ca.receiver_channels[addressee][0]] += 1
+            per_receiver[ca.receiver_channels[addressee]] += 1
         return emm
-
-    def recording_open(key, ciphertext, aad):
-        opened.add(key)
-        return memo_open(key, ciphertext, aad)
 
     monkeypatch.setattr(hemod, "provision_receiver", recording_provision)
     monkeypatch.setattr(hemod, "_queue", recording_queue)
-    monkeypatch.setattr(suitemod, "_open", recording_open)
     report = run_world(config)[0]
     assert report.implicit_key_auth and report.authenticity_violations == 0
     assert len(provisioned) == len(set(provisioned)) == 28  # two swaps re-provision
@@ -274,53 +273,49 @@ def test_channel_key_contexts_are_built_per_provisioning_at_each_end(monkeypatch
     assert not opened & set(provisioned)  # per-receiver opens bypass ``_open``
 
 
-@pytest.mark.usefixtures("no_failed_world")
 def test_contexts_are_freed_with_the_world():
-    # the live-context table refers to contexts weakly: once the world that
-    # held them is dropped (and the shared ``_aead`` memo cleared), none of
-    # its contexts is left
-    gc.collect()
-    suitemod._aead.cache_clear()
-    before = set(suitemod._live.keys())
+    # the world's suite holds its contexts and memos, and nothing outside
+    # the world holds the suite
     report, world = run_world(load_scenario(SCENARIO_DIR / "multi-ca.scn"))
-    held = set(suitemod._live.keys()) - before
-    channel_keys = {key for ca in world.headend.ca_systems
-                    for key, _ in ca.receiver_channels.values()}
-    assert channel_keys <= held
+    channel_keys = {key for ca in world.headend.ca_systems for key in ca.receiver_channels.values()}
+    assert channel_keys <= set(world.suite._contexts)
+    suite = weakref.ref(world.suite)
     del report, world
     gc.collect()
-    suitemod._aead.cache_clear()
-    assert not set(suitemod._live.keys()) - before
+    assert suite() is None
 
 
-def _shared_slots(kind: str, pair: str):
-    """Two holders' slots on one key, and a blob sealed under it through the
-    first: the client's and chip's on the long-term key, or the head-end's
-    and client's on the channel key."""
+def _shared_key(kind: str, pair: str):
+    """A world's suite, a key two parties share in it, and a blob sealed
+    under that key: the client's and chip's long-term key, or the head-end's
+    and client's channel key."""
     world, decoder = _world(kind)
     frame, content = _tick(world)
     assert process_frame(decoder, frame, None).descrambled == content
+    suite = world.suite
+    assert decoder.client.suite is decoder.chip.receiver.suite is world.headend.suite is suite
     if pair == "long-term":
-        key, first, second = (_current_ltk(decoder), decoder.client.ltk_slot,
-                              decoder.chip.receiver.ltk_slot)
+        key = _current_ltk(decoder)
     else:
-        key, first = world.headend.ca_systems[0].receiver_channels[decoder.client.receiver_id]
-        second = decoder.client.channel_slot
-    return key, first, second, SUITE.sym_encrypt(key, b"shared", b"aad", slot=first)
+        key = world.headend.ca_systems[0].receiver_channels[decoder.client.receiver_id]
+    assert key in suite._contexts  # built when the world first used the key
+    return suite, key, suite.sym_encrypt(key, b"shared", b"aad")
 
 
 @pytest.mark.parametrize("kind", ["bind", "cert"])
 @pytest.mark.parametrize("pair", ["long-term", "channel"])
 def test_a_failed_open_through_a_shared_context_fails_on_every_call(kind, pair):
-    key, first, second, blob = _shared_slots(kind, pair)
-    assert first.context(key) is second.context(key)
+    suite, key, blob = _shared_key(kind, pair)
+    context = suite._contexts[key]
     bad = blob[:-1] + bytes([blob[-1] ^ 1])
+    opens = (suite.sym_decrypt, suite.sym_decrypt_shared)
     for _ in range(2):
-        for slot in (first, second, second, first):
+        for open_ in opens:
             with pytest.raises(CryptoError):
-                SUITE.sym_decrypt(key, bad, b"aad", slot=slot)
-    for slot in (first, second):
-        assert SUITE.sym_decrypt(key, blob, b"aad", slot=slot) == b"shared"
+                open_(key, bad, b"aad")
+    for open_ in opens:
+        assert open_(key, blob, b"aad") == b"shared"
+    assert suite._contexts[key] is context
 
 
 def _enrolled(kind: str):
@@ -350,7 +345,7 @@ def test_per_receiver_emm_with_any_byte_flipped_fails_on_every_call(kind, index,
         with pytest.raises(CryptoError):
             decmod.client_process_emm(client, bad)
         with pytest.raises(CryptoError):
-            SUITE.sym_decrypt(client.channel_key, bad.payload, aad, slot=client.channel_slot)
+            client.suite.sym_decrypt(client.channel_key, bad.payload, aad)
     assert decmod.client_process_emm(client, emm) == []
     assert client.ecm_key is not None and client.ecm_key == world.headend.ca_systems[0].ecm_key
 
@@ -359,7 +354,7 @@ def test_per_receiver_emm_with_any_byte_flipped_fails_on_every_call(kind, index,
 def test_after_swap_client_only_the_new_channel_key_opens(kind):
     world, decoder, old_emm = _enrolled(kind)
     receiver_id = encode_id(1)
-    new_key = world.master.child("slot-swap").read(SUITE.secret_bytes)
+    new_key = world.master.child("swap").read(world.suite.secret_bytes)
     decmod.swap_client(decoder, new_key)
     hemod.provision_receiver(world.headend, 0, receiver_id, new_key)
     hemod.enroll_receiver(world.headend, 0, receiver_id)
@@ -376,7 +371,7 @@ def test_after_swap_client_only_the_new_channel_key_opens(kind):
 
 
 # ---------------------------------------------------------------------------
-# PKE wrap keys: one use at each end, outside the shared memos
+# PKE wrap keys: one use at each end, outside the world's contexts and memos
 # ---------------------------------------------------------------------------
 
 def _rekey_shaped() -> str:
@@ -406,40 +401,17 @@ def _forged_wrap_key(world, decoder_id: bytes) -> bytes:
     return suitemod._wrap_key(shared, eph_pub, pair.public_key)
 
 
-@pytest.mark.usefixtures("no_failed_world")
 def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
-    # a key that an 8-entry memo of secret-length keys would still hold is
-    # never built again: PKE wrap keys (32 bytes) no longer pass through it
+    # PKE wrap keys (32 bytes) never enter the world's contexts or ``_open``,
+    # and no key of the secret's length has its context built twice
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
-    suitemod._aead.cache_clear()
-    suitemod._open.cache_clear()
-    built, lengths, recent, rebuilt = _CountingContexts.built, set(), {}, []
-    aead, memo_open = suitemod._aead, suitemod._open
-
-    def recording_aead(key):
-        lengths.add(len(key))
-        before = built[key]
-        context = aead(key)
-        if len(key) == SUITE.secret_bytes:  # the secret-length keys, least recent first
-            if key in recent and built[key] != before:
-                rebuilt.append(key)
-            recent.pop(key, None)
-            recent[key] = None
-            if len(recent) > 8:
-                del recent[next(iter(recent))]
-        return context
-
-    def recording_open(key, ciphertext, aad):
-        lengths.add(len(key))
-        return memo_open(key, ciphertext, aad)
-
-    monkeypatch.setattr(suitemod, "_aead", recording_aead)
-    monkeypatch.setattr(suitemod, "_open", recording_open)
+    opened = _keys_through_open(monkeypatch)
     report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
-    assert lengths == {SUITE.secret_bytes}
-    assert len(recent) == 8 and not rebuilt
+    secret_bytes, built = world.suite.secret_bytes, _CountingContexts.built
+    assert opened and {len(key) for key in opened | set(world.suite._contexts)} == {secret_bytes}
+    assert {n for key, n in built.items() if len(key) == secret_bytes} == {1}
     forged = {_forged_wrap_key(world, encode_id(d)): d for d in (5, 6, 13, 14)}
     wraps = [n for key, n in built.items() if len(key) == 32 and key not in forged]
     assert wraps and max(wraps) <= 2  # at most once at each end
@@ -451,35 +423,25 @@ def test_wrap_keys_never_evict_a_shared_key_from_the_memo(monkeypatch):
     assert {d: built[key] for key, d in forged.items()} == {5: 3, 6: 3, 13: 1, 14: 1}
 
 
-@pytest.mark.usefixtures("no_failed_world")
 def test_probe_keys_never_reach_the_memo(monkeypatch):
-    # the adversary wraps each probe's DERIVE through its own slot for that
-    # decoder, as a client does, so no probe key passes through (and evicts
-    # a shared key from) the 8-entry memo; a chip that files the key takes
-    # the adversary's context instead of building one
+    # the chip opens each probe's DERIVE past ``_open``, as it opens a
+    # client's, so no probe key takes (and evicts an ECM from) its entries;
+    # the adversary's wrap and the chip's unwrap share the key's one context
     monkeypatch.setattr(suitemod, "AESGCM", _CountingContexts)
     monkeypatch.setattr(_CountingContexts, "built", Counter())
-    suitemod._aead.cache_clear()
-    aead, memo_keys, probe_keys = suitemod._aead, set(), set()
-
-    def recording_aead(key):
-        memo_keys.add(key)
-        return aead(key)
+    opened, probe_keys = _keys_through_open(monkeypatch), set()
 
     def recording_derive(suite, ltk, *args):
         probe_keys.add(ltk)
         return derive_msg(suite, ltk, *args)
 
-    monkeypatch.setattr(suitemod, "_aead", recording_aead)
     monkeypatch.setattr(simmod, "derive_msg", recording_derive)  # the adversary's only
     report, world = run_world(parse_scenario(_rekey_shaped()))
     assert report.implicit_key_auth and report.recovery_success
-    slots = [probe.slot for probe in world.adversary.probes.values()]
-    assert all(isinstance(slot, AeadSlot) for slot in slots)
-    assert len({id(slot) for slot in slots}) == len(slots) == 4
     # four probed decoders, one key each: every probe builds its forged load
     # once, in epoch 11, and wraps each epoch's DERIVE under its key
-    assert len(probe_keys) == 4 and probe_keys.isdisjoint(memo_keys)
+    assert len(probe_keys) == 4 and opened and probe_keys.isdisjoint(opened)
+    assert probe_keys <= set(world.suite._contexts)
     assert all(_CountingContexts.built[key] == 1 for key in probe_keys)
 
 
@@ -528,13 +490,13 @@ def test_a_rekey_shaped_world_makes_an_exact_number_of_x25519_exchanges(monkeypa
 
 @given(st.integers(0, 200), st.integers(1, 255))
 def test_a_tampered_pke_ciphertext_fails_on_every_call(index, mask):
-    rng = suitemod.Drbg(b"pke-tamper")
-    pair = SUITE.keygen("pke", rng)
-    blob = SUITE.pke_encrypt(pair.public_key, b"long-term key 16", rng)
+    suite, rng = CipherSuite(), Drbg(b"pke-tamper")
+    pair = suite.keygen("pke", rng)
+    blob = suite.pke_encrypt(pair.public_key, b"long-term key 16", rng)
     changed = bytearray(blob)
     changed[index % len(changed)] ^= mask
     for bad in (bytes(changed), blob[:index % len(blob)]):
         for _ in range(2):
             with pytest.raises(CryptoError):
-                SUITE.pke_decrypt(pair, bad)
-    assert SUITE.pke_decrypt(pair, blob) == b"long-term key 16"
+                suite.pke_decrypt(pair, bad)
+    assert suite.pke_decrypt(pair, blob) == b"long-term key 16"

@@ -1,5 +1,6 @@
 """Primitive suite: determinism, round trips, tamper rejection, golden vectors."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwbind.errors import CryptoError, CwbindError
-from cwbind.suite import CipherSuite, Drbg, SignedMessage, _verify
+from cwbind.suite import CipherSuite, Drbg, SignedMessage
 
 VECTORS = json.loads((Path(__file__).parent / "vectors" / "suite.json").read_text())
 
@@ -127,9 +128,8 @@ def test_keygen_sig_self_test_rejects_a_corrupted_signature(suite, rng, monkeypa
 
 def test_keygen_sig_self_test_leaves_the_verify_memo_alone(suite, rng):
     # the self-test signature is never checked again, so it takes no memo entry
-    _verify.cache_clear()
     suite.keygen("sig", rng)
-    assert _verify.cache_info().currsize == 0
+    assert suite._verify.cache_info().currsize == 0
 
 
 def test_keygen_pke_self_test_rejects_a_wrong_round_trip(suite, rng, monkeypatch):
@@ -326,10 +326,11 @@ def test_sym_golden_vector_matches_reference_composition(suite):
 
 @pytest.mark.parametrize("call, message", [
     (lambda suite, pair: suite.sym_decrypt(bytes(16), bytes(5)), "ciphertext too short"),
+    (lambda suite, pair: suite.sym_decrypt_shared(bytes(16), bytes(5)), "ciphertext too short"),
     (lambda suite, pair: suite.pke_decrypt(pair, bytes(2)), "hybrid ciphertext too short"),
     (lambda suite, pair: suite.pke_decrypt(pair, bytes(32 + 28)), "invalid ephemeral public key"),
     (lambda suite, pair: suite.open_sealed(bytes(16), bytes(5)), "sealed blob too short"),
-], ids=["sym-short", "pke-short", "pke-zero-ephemeral", "sealed-short"])
+], ids=["sym-short", "sym-shared-short", "pke-short", "pke-zero-ephemeral", "sealed-short"])
 def test_malformed_ciphertext_refused_by_its_own_check(suite, rng, call, message):
     # each refusal names its own check: without it the input falls through
     # to a later check, or to an error that is not a CwbindError
@@ -435,3 +436,14 @@ def test_cipher_suite_rejects_unsupported_secret_bits():
 @pytest.mark.parametrize("bits", [128, 192, 256])
 def test_valid_secret_lengths(bits):
     assert CipherSuite(bits).secret_bytes == bits // 8
+
+
+def test_suite_repr_holds_no_key_and_a_deep_copy_is_the_suite(suite):
+    # a party's deep copy shares its world's suite: memos and contexts
+    # belong to the world, and a context cannot be copied
+    key = bytes(range(16))
+    blob = suite.sym_encrypt(key, b"payload")
+    assert suite.sym_decrypt_shared(key, blob) == b"payload"
+    assert repr(suite) == "CipherSuite(128)" and key.hex() not in repr(suite)
+    assert copy.deepcopy(suite) is suite
+    assert copy.deepcopy({"suite": suite})["suite"] is suite

@@ -17,7 +17,7 @@ from cwbind.decoder import (
 )
 from cwbind.encoding import Reader, lp, u32
 from cwbind.errors import WireError
-from cwbind.suite import AeadSlot, CipherSuite, _nonce
+from cwbind.suite import CipherSuite, _nonce
 
 SUITE = CipherSuite()
 
@@ -42,7 +42,7 @@ def _outcome(split, payload: bytes, named: bool):
 
 def _real_payload(epoch: int, sender_pk: bytes | None, secret: bytes, derive: bool) -> bytes:
     if derive:
-        return derive_msg(SUITE, b"\x11" * 16, epoch, secret, sender_pk, None).payload
+        return derive_msg(SUITE, b"\x11" * 16, epoch, secret, sender_pk).payload
     return load_cw_msg(epoch, secret).payload
 
 
@@ -88,10 +88,9 @@ def test_one_pass_split_agrees_with_reader(payload, named):
     sender_pk=st.none() | st.binary(max_size=40),
     secret=st.binary(max_size=40),
     ltk=st.binary(min_size=16, max_size=16),
-    use_slot=st.booleans(),
 )
-def test_derive_and_load_cw_payloads_are_the_lp_layout(epoch, sender_pk, secret, ltk, use_slot):
-    msg = derive_msg(SUITE, ltk, epoch, secret, sender_pk, AeadSlot() if use_slot else None)
+def test_derive_and_load_cw_payloads_are_the_lp_layout(epoch, sender_pk, secret, ltk):
+    msg = derive_msg(SUITE, ltk, epoch, secret, sender_pk)
     wrapped = SUITE.sym_encrypt(ltk, secret, aad=u32(epoch))
     named = b"" if sender_pk is None else lp(sender_pk)
     assert msg.kind == ChipMsgKind.DERIVE
