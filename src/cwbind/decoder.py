@@ -23,6 +23,14 @@ one pass, and ``Reader`` rejects whatever that pass does not accept; a
 DERIVE's first four bytes are the epoch label its wrap authenticates. A chip
 issues a handle only for a control word of the suite's secret length.
 
+A bind chip takes a byte-identical repeat of the ``PK_SET_UPDATE`` that set
+its active key set without parsing or checking it again, as a head-end's
+EMM cycle or a re-sent probe brings: those bytes alone decide the set, which
+is already installed. Any other payload is checked in full every time, and
+only an accepted one replaces the remembered payload. The repeat rule skips
+nothing else: a DERIVE is unwrapped and checked against the set on every
+copy, and a LOAD_LTK follows ``phase1.open_blob``'s own rule.
+
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
 a control word's value never lets an adversary feed it to them.
@@ -305,6 +313,8 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
         recv.known_revoked = parse_revocation_list(recv.suite, crl, recv.authority_pk)
         return None
     elif msg.kind == ChipMsgKind.PK_SET_UPDATE and EmmKind.PK_SET_UPDATE in kind.acts_on:
+        if msg.payload == recv.last_pk_set_update:  # the set it already holds
+            return None
         pks = parse_pk_set_body(msg.payload)
         if not pks:
             raise ProtocolError("empty sender key set")
@@ -315,6 +325,7 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
         if len(set(pks)) != len(pks):
             raise ProtocolError("sender key set repeats a key")
         recv.active_pk_set = tuple(sorted(pks))
+        recv.last_pk_set_update = msg.payload
         return None
     else:
         raise ProtocolError(f"{kind.name} chip rejects message kind {msg.kind.name}")

@@ -64,7 +64,9 @@ a throwaway sender state around the rogue or stolen signing key (for a
 certificate chip, with a sender certificate minted with the stolen
 authority key), and rebuilt only when the adversary's knowledge changes:
 another signing key, stolen authority key or directory. Each probed epoch
-still sends it with a fresh DERIVE, so the chip runs every check.
+still sends it with a fresh DERIVE, so the chip runs every check. A probe's
+draws for an epoch come from one child of the adversary's generator, derived
+only in an epoch that draws.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -695,20 +697,30 @@ def _apply_event(world: World, event: Event, epoch: int) -> None:
 
 
 def _sealed_set(world: World, decoder: Decoder, probe: Probe, sig_pair: KeyPair | None,
-                epoch: int, secret: bytes | None, rng: Drbg) -> list[ChipChannelMsg]:
+                epoch: int, secret: bytes | None) -> list[ChipChannelMsg]:
     """A full message set under ``sig_pair``, or the probe's rogue pair
     (drawn first, on its first build): the probe's forged load, rebuilt
     when its ``basis`` differs, and a DERIVE of ``secret`` (a fresh draw
-    after any build when ``None``) wrapped under the load's long-term key."""
+    after any build when ``None``) wrapped under the load's long-term key.
+
+    Every draw comes from the epoch's one child ``probe-<id>-<epoch>`` of
+    the adversary's generator, in that order; the child is derived only
+    when a draw is made, which leaves every drawn byte as it is."""
     adv = world.adversary
     kind = decoder.chip.kind
+    label = f"probe-{id_as_int(decoder.decoder_id)}-{epoch}"
+    rng = None
     if sig_pair is None:
         if probe.rogue is None:
+            rng = adv.rng.child(label)
             probe.rogue = world.suite.load_sig_keypair(rng.read(32))
         sig_pair = probe.rogue
     basis = (sig_pair.public_key, adv.authority_key if kind.certified else None,
              world.headend.directory)
-    if basis != probe.basis:
+    rebuild = basis != probe.basis
+    if rng is None and (rebuild or not secret):
+        rng = adv.rng.child(label)
+    if rebuild:
         if kind.certified:
             generation, keypair = adv.authority_key
             adv.minted_serial += 1
@@ -734,35 +746,28 @@ def _probe_msgs(world: World, decoder: Decoder, epoch: int, probe: Probe) -> lis
     """Best-effort pirate message set for one decoder, from current knowledge."""
     adv = world.adversary
     kind = decoder.chip.kind
-    rng = adv.rng.child(f"probe-{id_as_int(decoder.decoder_id)}-{epoch}")
-    raw_cw = [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
-
-    if kind.proto is None:
-        return raw_cw
-
-    if probe.verb == "forge-sender":
+    if kind.proto is not None and probe.verb == "forge-sender":
         # rogue sender with its own keys: full message set, own randomness;
         # a certificate chip's set needs the stolen authority key
         if kind.certified and adv.authority_key is None:
             return []
         return _sealed_set(world, decoder, probe, None, epoch,
-                           adv.known_cw if kind.certified else None, rng)
+                           adv.known_cw if kind.certified else None)
 
     # pirate probe: use whatever was compromised
     snapshot = adv.sender_snapshots.get(decoder.ca_index)
     if kind.certified:
         if adv.authority_key is not None and adv.known_cw is not None:
-            return _sealed_set(world, decoder, probe, None, epoch, adv.known_cw, rng)
+            return _sealed_set(world, decoder, probe, None, epoch, adv.known_cw)
         if snapshot is not None and adv.known_cw is not None:
             stolen_ltk = snapshot.ltk_store.get(decoder.decoder_id)
             if stolen_ltk is not None:
                 return [derive_msg(world.suite, stolen_ltk, epoch, adv.known_cw, None)]
-        return raw_cw
-
-    if snapshot is not None:  # a binding chip
+    elif kind.proto is not None and snapshot is not None:  # a binding chip
         return _sealed_set(world, decoder, probe, snapshot.sig_keypair, epoch,
-                           adv.known_rand.get(decoder.ca_index), rng)
-    return raw_cw
+                           adv.known_rand.get(decoder.ca_index))
+    # a legacy chip, or nothing better known: the raw control word
+    return [] if adv.known_cw is None else [load_cw_msg(epoch, adv.known_cw)]
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +808,14 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
 
 
 def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
-    """Build the chip-channel interposition for one decoder this epoch, or
-    return ``None`` when the adversary neither acts on it (no one-shot event
-    this epoch and no probe on the decoder) nor reads it (not a replay
-    source). The interposer captures a replay source's own chip messages
-    before it alters them."""
+    """Build the chip-channel interposition for one decoder this epoch.
+    ``run_world`` asks for it only for a decoder the adversary may act on
+    or read this epoch. The interposer captures a replay source's own chip
+    messages before it alters them."""
     adv = world.adversary
     one_shots = world.epoch_one_shots
     decoder_id = decoder.decoder_id
     source = decoder_id in adv.replay_sources
-    if not one_shots and not source and decoder_id not in adv.probes:
-        return None
 
     def chip_filter(msgs: list[ChipChannelMsg]) -> list[ChipChannelMsg]:
         if source:
@@ -901,7 +903,11 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
 
 
 def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
-    """Build and run a world: the report, and the world as the last epoch left it."""
+    """Build and run a world: the report, and the world as the last epoch left it.
+
+    Each epoch decides once which decoders' chip channels the adversary
+    interposes on: every decoder in an epoch with a one-shot event, else
+    the probed decoders and the chip-class replay sources."""
     world = build_world(config)
     content_rng = world.master.child("content")
     events_by_epoch: dict[int, list[Event]] = {}
@@ -932,12 +938,16 @@ def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
 
         adv = world.adversary
         cw_taps = adv.cw_taps
-        # no decoder is acted on or read from
-        quiet = not (world.epoch_one_shots or adv.probes or adv.replay_sources)
+        # the decoders the adversary may act on or read this epoch: any of
+        # them in an epoch with a one-shot event, else the probed decoders
+        # and the chip-class replay sources
+        interposed = (world.decoders if world.epoch_one_shots
+                      else adv.replay_sources.union(adv.probes))
         outcomes: list[str] = []
         chip_bytes = 0
         for decoder_id, _, decoder in world._delivery:
-            chip_filter = None if quiet else _chip_filter_for(world, decoder, epoch)
+            chip_filter = (_chip_filter_for(world, decoder, epoch)
+                           if decoder_id in interposed else None)
             result = process_frame(decoder, frame, chip_filter)
             for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
                 chip_bytes += 5 + len(msg.payload)

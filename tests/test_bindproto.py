@@ -12,8 +12,10 @@ from cwbind.encoding import encode_id, lp, u32
 from cwbind.errors import CryptoError, ProtocolError
 from cwbind.kinds import BIND
 from cwbind.phase1 import Bundle
+from cwbind.sim import build_world, parse_scenario, run_world
 from cwbind.suite import Drbg
 from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
+from cwbind.wire import parse_pk_set_body
 
 
 @pytest.fixture
@@ -30,6 +32,20 @@ def world(suite):
     return ttp, sender, directory, receivers, rng.child("run")
 
 
+NO_AUTHORITY_KEY = """
+scenario no-authority-key
+seed 7
+epochs 6
+ca 0 bind
+decoder 1 ca 0
+decoder 2 ca 0
+at 0 authorize 0 1
+at 1 compromise ttp-key
+at 2 forge-sender 0 2
+at 3 rotate-ttp
+at 4 rotate-sender 0
+"""
+
 LABEL = u32(0)  # the epoch label a DERIVE for epoch 0 authenticates
 
 
@@ -44,12 +60,24 @@ def test_receiver_state_holds_no_authority_key(world):
     ttp, sender, directory, receivers, rng = world
     fields = set(vars(receivers[1]))
     assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
-                      "last_open"}
+                      "last_open", "last_pk_set_update"}
     # the remembered load holds what the sender sent, never the authority's key
     bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, directory,
                                                                  encode_id(1), rng))
     assert len(receivers[1].last_open) == 3
     assert all(ttp.keypair.public_key not in part for part in receivers[1].last_open)
+    # nor does the remembered key-set update after a run: an honest set on
+    # decoder 1, a forged one on decoder 2, across two authority generations
+    config = parse_scenario(NO_AUTHORITY_KEY)
+    authority_keys = {build_world(config).headend.ttp.keypair.public_key}
+    world = run_world(config)[1]
+    authority_keys.add(world.headend.ttp.keypair.public_key)
+    assert len(authority_keys) == 2
+    for decoder in world.decoders.values():
+        recv = decoder.chip.receiver
+        assert recv.last_pk_set_update is not None
+        assert tuple(sorted(parse_pk_set_body(recv.last_pk_set_update))) == recv.active_pk_set
+        assert all(key not in recv.last_pk_set_update for key in authority_keys)
 
 
 def test_module_never_touches_the_authority():

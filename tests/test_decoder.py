@@ -370,6 +370,112 @@ def test_every_writer_of_the_active_key_set_sorts_it():
     assert writers == [("decoder.py", "tuple(sorted(pks))")]
 
 
+# ---------------------------------------------------------------------------
+# a repeated key-set update is taken without parsing it again
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pk_set_parses(monkeypatch) -> list[bytes]:
+    """The payloads ``parse_pk_set_body`` is handed in ``decoder``, in order."""
+    calls: list[bytes] = []
+    real = decmod.parse_pk_set_body
+
+    def counting(body):
+        calls.append(body)
+        return real(body)
+
+    monkeypatch.setattr(decmod, "parse_pk_set_body", counting)
+    return calls
+
+
+def _pk_set_msg(*pks: bytes) -> ChipChannelMsg:
+    return ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body(pks))
+
+
+def test_a_byte_identical_key_set_repeat_is_not_parsed(pipeline, pk_set_parses):
+    d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"after the repeat")
+    recv = d.chip.receiver
+    (pk,) = recv.active_pk_set
+    assert recv.last_pk_set_update == build_pk_set_body((pk,))
+    before, remembered = copy.deepcopy(d.chip), recv.last_pk_set_update
+    pk_set_parses.clear()
+    repeat = _pk_set_msg(pk)
+    assert repeat.payload is not remembered  # equal bytes in a new object
+    assert chip_process(d.chip, repeat) is None
+    assert pk_set_parses == []
+    assert d.chip == before and recv.last_pk_set_update == remembered
+    assert descramble(d.chip, chip_process(d.chip, derive), frame.scrambled_content) == (
+        b"after the repeat")
+
+
+def test_a_key_set_update_that_differs_is_checked_on_every_try(pipeline, pk_set_parses):
+    d, _, _ = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
+    recv = d.chip.receiver
+    (pk,) = recv.active_pk_set
+    honest = recv.last_pk_set_update
+    one_bit = bytearray(honest)
+    one_bit[-1] ^= 1  # in the key, so the set still parses
+    pk_set_parses.clear()
+    chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, bytes(one_bit)))
+    assert pk_set_parses == [bytes(one_bit)]
+    assert recv.active_pk_set == (bytes(one_bit[-32:]),)
+    assert recv.last_pk_set_update == bytes(one_bit)
+    malformed = _pk_set_msg(pk, pk)
+    for _ in range(2):
+        pk_set_parses.clear()
+        with pytest.raises(ProtocolError, match="sender key set repeats a key"):
+            chip_process(d.chip, malformed)
+        assert pk_set_parses == [malformed.payload]
+
+
+@pytest.mark.parametrize("refused", [
+    build_pk_set_body((b"\x01" * 32, b"\x01" * 32)),  # fails a check after parsing
+    build_pk_set_body((b"\x01" * 32,))[:-1],  # fails to parse
+], ids=["repeats-a-key", "truncated"])
+def test_a_refused_key_set_update_keeps_the_set_and_the_record(pipeline, refused):
+    d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"kept")
+    recv = d.chip.receiver
+    pk_set, remembered = recv.active_pk_set, recv.last_pk_set_update
+    with pytest.raises((ProtocolError, WireError)):
+        chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, refused))
+    assert recv.active_pk_set == pk_set and recv.last_pk_set_update == remembered
+    assert descramble(d.chip, chip_process(d.chip, derive), frame.scrambled_content) == b"kept"
+
+
+def test_key_set_updates_a_b_a_parse_three_times(pipeline, pk_set_parses):
+    d, _, _ = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
+    recv = d.chip.receiver
+    (pk,) = recv.active_pk_set
+    a, b = _pk_set_msg(pk, b"\x01" * 32), _pk_set_msg(b"\x02" * 32)
+    pk_set_parses.clear()
+    for msg in (a, b, a):
+        chip_process(d.chip, msg)
+    assert pk_set_parses == [a.payload, b.payload, a.payload]
+    assert recv.active_pk_set == tuple(sorted((pk, b"\x01" * 32)))
+    assert recv.last_pk_set_update == a.payload
+
+
+def test_a_sender_rotation_replaces_a_probes_key_set_record(pipeline, pk_set_parses):
+    # a probe's rogue set holds the chip until the head-end's rotation sends
+    # a new honest set; the probe's next copy is then checked again
+    headend, decoders, master, directory = pipeline
+    d, _, _ = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
+    recv = d.chip.receiver
+    rogue = _pk_set_msg(b"\x0a" * 32)
+    chip_process(d.chip, rogue)
+    assert recv.last_pk_set_update == rogue.payload
+    hemod.rotate_sender_key(headend, 0, master.child("rotate"))
+    frame = hemod.epoch_tick(headend, b"rotated")
+    assert process_frame(d, frame, None).descrambled == b"rotated"
+    honest = headend.ca_systems[0].sender.sig_keypair.public_key
+    assert recv.active_pk_set == (honest,)
+    assert recv.last_pk_set_update == build_pk_set_body((honest,))
+    pk_set_parses.clear()
+    chip_process(d.chip, rogue)
+    assert pk_set_parses == [rogue.payload] and recv.active_pk_set == (b"\x0a" * 32,)
+
+
 @pytest.mark.parametrize("rand_len", [0, 15, 17])
 def test_wrapped_random_value_of_wrong_length_is_a_protocol_rejection(pipeline, suite, rand_len):
     d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")

@@ -33,6 +33,7 @@ from cwbind.sim import (
 )
 from cwbind.ttp import Certificate
 from cwbind.wire import build_pk_set_body, decode_frame
+from test_slot import _rekey_shaped
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -990,6 +991,63 @@ def test_a_probes_first_set_is_phase1_send_from_that_epochs_draws(monkeypatch):
         ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, build_pk_set_body((rogue.public_key,))),
         derive_msg(world.suite, sender.ltk_store[encode_id(7)], 2, secret, rogue.public_key)]
     assert world.adversary.probes[encode_id(7)].rogue == rogue
+
+
+def test_a_probe_derives_its_epochs_draws_only_when_it_draws(monkeypatch):
+    # a probe's child ``probe-<id>-<epoch>`` is derived only in an epoch that
+    # draws from it. A build draws (epoch 2 for all four, with the rogue key
+    # of 2, 3 and 7; 6 for probe 6, the newly stolen sender key; 8 for all,
+    # the new directory; 10 for 2 and 3, the newly stolen authority key),
+    # and so does a secret the adversary does not know (every epoch of the
+    # binding forge probe 7); 2, 3 and 6 know theirs. The other 21 of the
+    # 40 probed decoder-epochs derive nothing.
+    labels = []
+    child = suitemod.Drbg.child
+
+    def recording(rng, label):
+        if isinstance(label, str) and label.startswith("probe-"):
+            labels.append(label)
+        return child(rng, label)
+
+    monkeypatch.setattr(suitemod.Drbg, "child", recording)
+    run_world(parse_scenario(PROBE_WORLD))
+    assert len(labels) == 19
+    assert sorted(labels) == sorted(
+        [f"probe-{d}-{e}" for d in (2, 3) for e in (2, 8, 10)]
+        + [f"probe-6-{e}" for e in (2, 6, 8)] + [f"probe-7-{e}" for e in range(2, 12)])
+
+
+ONE_SHOTS = ("tamper", "replay", "inject-cw")
+
+
+@pytest.mark.parametrize("text", [PROBE_WORLD, _rekey_shaped()],
+                         ids=["probe-world", "rekey-shaped"])
+def test_chip_filters_are_built_only_where_the_adversary_acts_or_reads(text, monkeypatch):
+    # an epoch with a one-shot event interposes on every decoder; any other
+    # asks for the probed decoders and the chip-class replay sources only
+    asked: Counter = Counter()
+    chip_filter_for = sim._chip_filter_for
+
+    def counting(world, decoder, epoch):
+        asked[epoch, int.from_bytes(decoder.decoder_id, "big")] += 1
+        return chip_filter_for(world, decoder, epoch)
+
+    monkeypatch.setattr(sim, "_chip_filter_for", counting)
+    config = parse_scenario(text)
+    run_world(config)
+    everyone = {spec.decoder_id for spec in config.decoders}
+    sources = {int(ev.args[0]) for ev in config.events
+               if ev.verb == "replay" and ev.args[2] in sim.CHIP_CLASSES}
+    expected: Counter = Counter()
+    for epoch in range(config.epochs):
+        if any(ev.epoch == epoch and ev.verb in ONE_SHOTS for ev in config.events):
+            expected.update((epoch, d) for d in everyone)
+        else:
+            expected.update((epoch, d) for d in sources | {
+                int(ev.args[-1]) for ev in config.events
+                if ev.verb in ("pirate-probe", "forge-sender") and ev.epoch <= epoch})
+    assert asked == expected
+    assert sum(expected.values()) < len(everyone) * config.epochs
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():
