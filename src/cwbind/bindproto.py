@@ -40,10 +40,6 @@ class BindReceiverState:
     enc_keypair: KeyPair
     ltk_by_sender: dict[bytes, bytes] = field(default_factory=dict, repr=False)
     active_pk_set: tuple[bytes, ...] = ()  # sorted, as the derivation takes it
-    last_open: tuple[bytes, ...] = field(default=(), repr=False, compare=False)
-    # the PK_SET_UPDATE payload that set ``active_pk_set``, written only once
-    # it passed every check (``decoder.chip_process``)
-    last_pk_set_update: bytes | None = field(default=None, repr=False, compare=False)
 
 
 def sender_init(suite: CipherSuite, rng: Drbg) -> SenderState:

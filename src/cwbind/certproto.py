@@ -10,9 +10,7 @@ Receiver-side checks in phase 1, in order: the announcement parses as a
 certificate, which is of the anchor's generation, verifies under the
 anchor's key, names a sender role, and is not on the known revocation list;
 the signed blob verifies under the certified sender key; this receiver is
-the intended recipient; the long-term key decrypts. The certificate checks
-run on every delivery; the last three are skipped for a byte-identical
-repeat of the last blob opened (``phase1.open_blob``). The generation check
+the intended recipient; the long-term key decrypts. The generation check
 costs no signature work and rejects nothing the key would accept: the
 authority signs only under its current generation and changes key and
 generation together (``ttp.rotate``), so a certificate the anchor's key
@@ -49,7 +47,6 @@ class CertReceiverState:
     enc_keypair: KeyPair
     ltk: bytes | None = field(default=None, repr=False)
     known_revoked: set[int] = field(default_factory=set)
-    last_open: tuple[bytes, ...] = field(default=(), repr=False, compare=False)
 
 
 def sender_init(suite: CipherSuite, sender_id: bytes, rng: Drbg,

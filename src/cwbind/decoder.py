@@ -23,13 +23,13 @@ one pass, and ``Reader`` rejects whatever that pass does not accept; a
 DERIVE's first four bytes are the epoch label its wrap authenticates. A chip
 issues a handle only for a control word of the suite's secret length.
 
-A bind chip takes a byte-identical repeat of the ``PK_SET_UPDATE`` that set
-its active key set without parsing or checking it again, as a head-end's
-EMM cycle or a re-sent probe brings: those bytes alone decide the set, which
-is already installed. Any other payload is checked in full every time, and
-only an accepted one replaces the remembered payload. The repeat rule skips
-nothing else: a DERIVE is unwrapped and checked against the set on every
-copy, and a LOAD_LTK follows ``phase1.open_blob``'s own rule.
+The chip takes a byte-identical repeat of the last LOAD_LTK or
+PK_SET_UPDATE it accepted without running it again, as an EMM cycle or a
+re-sent probe brings (``ChipState``, written once the step returned). A
+load's outcome rests on its bytes, the chip's fixed key pair and, on a
+certificate chip, the immutable anchor and the revocation list, so an
+accepted CRL_UPDATE forgets the load. Any other payload is checked in full,
+a refused one keeps the record, and every DERIVE is checked.
 
 LOAD_CW is the legacy channel: legacy chips accept it unchecked, which is
 exactly their weakness. Compliant chips reject the kind outright, so knowing
@@ -256,6 +256,9 @@ class ChipState:
     suite: CipherSuite
     receiver: certproto.CertReceiverState | bindproto.BindReceiverState | None = None
     current_epoch: int = -1
+    # the last accepted LOAD_LTK and PK_SET_UPDATE payloads (the repeat rule)
+    last_load: bytes | None = field(default=None, repr=False, compare=False)
+    last_pk_set: bytes | None = field(default=None, repr=False, compare=False)
 
 
 def _split_word_msg(payload: bytes, named: bool) -> tuple[int, bytes | None, bytes]:
@@ -306,14 +309,17 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
     elif msg.kind == _LOAD_CW:
         raise ProtocolError("raw control word is not an accepted message kind")
     elif msg.kind == ChipMsgKind.LOAD_LTK:
-        kind.proto.phase1_receive(recv, Bundle.from_bytes(msg.payload))
+        if msg.payload != chip.last_load:
+            kind.proto.phase1_receive(recv, Bundle.from_bytes(msg.payload))
+            chip.last_load = msg.payload
         return None
     elif msg.kind == ChipMsgKind.CRL_UPDATE and EmmKind.CRL_UPDATE in kind.acts_on:
         crl = SignedMessage.from_bytes(msg.payload)
         recv.known_revoked = parse_revocation_list(recv.suite, crl, recv.authority_pk)
+        chip.last_load = None  # a new list may revoke the load's sender
         return None
     elif msg.kind == ChipMsgKind.PK_SET_UPDATE and EmmKind.PK_SET_UPDATE in kind.acts_on:
-        if msg.payload == recv.last_pk_set_update:  # the set it already holds
+        if msg.payload == chip.last_pk_set:
             return None
         pks = parse_pk_set_body(msg.payload)
         if not pks:
@@ -325,7 +331,7 @@ def chip_process(chip: ChipState, msg: ChipChannelMsg) -> ControlWordHandle | No
         if len(set(pks)) != len(pks):
             raise ProtocolError("sender key set repeats a key")
         recv.active_pk_set = tuple(sorted(pks))
-        recv.last_pk_set_update = msg.payload
+        chip.last_pk_set = msg.payload
         return None
     else:
         raise ProtocolError(f"{kind.name} chip rejects message kind {msg.kind.name}")

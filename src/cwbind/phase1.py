@@ -7,12 +7,10 @@ and hands it (the head-end keeps the one current copy), refuses a revoked one,
 draws a fresh long-term key, encrypts it to the receiver's public key and
 signs the ciphertext together with the recipient id (``seal_ltk``, the one
 place a blob is sealed). The receiver verifies the blob, checks that it is
-the recipient and decrypts (``open_blob``); a byte-identical repeat of the
-last blob it opened, as an EMM cycle or a re-sent probe brings, is not
-opened again. The shapes differ only in how the receiver decides to trust
-the signing key, and that stays in the protocol modules, checked on every
-copy: ``certproto`` checks a certificate, ``bindproto`` files the key under
-the verifying key.
+the recipient and decrypts (``open_blob``). The shapes differ only in how
+the receiver decides to trust the signing key, and that stays in the
+protocol modules: ``certproto`` checks a certificate, ``bindproto`` files
+the key under the verifying key.
 
 Bundle layout (``Bundle.to_bytes``): lp(announcement) | lp(signed blob). The
 announcement is the sender's certificate bytes or its bare public key, the
@@ -83,14 +81,8 @@ def open_blob(recv, signer_pk: bytes, blob: bytes) -> bytes:
 
     ``recv`` is either protocol's receiver state. A key of any length other
     than the suite's secret length is refused here, before anything is
-    filed, since no later step could use it. The last ``(signer_pk, blob)``
-    opened, handed again byte for byte, returns the key kept in
-    ``recv.last_open`` without verifying or decrypting twice: those bytes
-    and the receiver's fixed id and key pair decide the outcome. The record
-    is written only after every check here has passed.
+    filed, since no later step could use it.
     """
-    if recv.last_open[:2] == (signer_pk, blob):
-        return recv.last_open[2]
     r = Reader(recv.suite.verify_recover(signer_pk, SignedMessage.from_bytes(blob)))
     intended = r.take(8)
     key_ct = r.take_lp()
@@ -100,5 +92,4 @@ def open_blob(recv, signer_pk: bytes, blob: bytes) -> bytes:
     ltk = recv.suite.pke_decrypt(recv.enc_keypair, key_ct)
     if len(ltk) != recv.suite.secret_bytes:
         raise ProtocolError(f"long-term key is not {recv.suite.secret_bytes} bytes")
-    recv.last_open = (signer_pk, blob, ltk)
     return ltk

@@ -81,7 +81,7 @@ DERIVE or a per-receiver EMM, so it bypasses ``_open``: memoising those
 would only push an ECM out. A PKE wrap key is used once at each end, so
 ``pke_encrypt`` and ``pke_decrypt`` build a context for that call alone.
 A repeated key load never reaches ``_verify``: its chip takes it unopened
-(``phase1.open_blob``).
+(``decoder.ChipState``).
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
-from .encoding import BROADCAST_ADDR, U32, Reader, lp, u16, u32, u8
+from .encoding import U32, Reader, lp, u16, u32, u8
 from .errors import WireError
 
 EMM_MAGIC = b"EM"
@@ -90,11 +90,11 @@ BROADCAST_KINDS = frozenset(
 class Emm(NamedTuple):
     ca_system_id: int
     kind: EmmKind
-    addressee: bytes  # 8-byte receiver id, or BROADCAST_ADDR
+    addressee: bytes  # 8-byte receiver id, or ``encoding.BROADCAST_ADDR``
     payload: bytes
 
-    def is_broadcast(self) -> bool:
-        return self.addressee == BROADCAST_ADDR
+    def is_broadcast(self) -> bool:  # by kind, whatever the addressee, as frames route it
+        return self.kind in BROADCAST_KINDS
 
 
 @dataclass(frozen=True)

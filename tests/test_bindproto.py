@@ -8,6 +8,7 @@ import pytest
 
 from cwbind import bindproto, headend as hemod
 from cwbind.binding import bound_secret
+from cwbind.decoder import ChipChannelMsg, ChipMsgKind, ChipState, chip_process
 from cwbind.encoding import encode_id, lp, u32
 from cwbind.errors import CryptoError, ProtocolError
 from cwbind.kinds import BIND
@@ -55,29 +56,24 @@ def _wrap(sender, receiver_id, rand):
     return sender.suite.sym_encrypt(sender.ltk_store[encode_id(receiver_id)], rand, LABEL)
 
 
-def test_receiver_state_holds_no_authority_key(world):
-    # structural: nothing in the state names an authority key
-    ttp, sender, directory, receivers, rng = world
-    fields = set(vars(receivers[1]))
-    assert fields == {"suite", "receiver_id", "enc_keypair", "ltk_by_sender", "active_pk_set",
-                      "last_open", "last_pk_set_update"}
-    # the remembered load holds what the sender sent, never the authority's key
-    bindproto.phase1_receive(receivers[1], bindproto.phase1_send(sender, directory,
-                                                                 encode_id(1), rng))
-    assert len(receivers[1].last_open) == 3
-    assert all(ttp.keypair.public_key not in part for part in receivers[1].last_open)
-    # nor does the remembered key-set update after a run: an honest set on
-    # decoder 1, a forged one on decoder 2, across two authority generations
+def test_receiver_state_holds_no_authority_key():
+    # structural: nothing in a chip's receiver state names an authority key,
+    # nor do the chip's records of what it accepted after a run: an honest
+    # set on decoder 1, a forged one on decoder 2, across two authority
+    # generations
     config = parse_scenario(NO_AUTHORITY_KEY)
     authority_keys = {build_world(config).headend.ttp.keypair.public_key}
     world = run_world(config)[1]
     authority_keys.add(world.headend.ttp.keypair.public_key)
     assert len(authority_keys) == 2
     for decoder in world.decoders.values():
-        recv = decoder.chip.receiver
-        assert recv.last_pk_set_update is not None
-        assert tuple(sorted(parse_pk_set_body(recv.last_pk_set_update))) == recv.active_pk_set
-        assert all(key not in recv.last_pk_set_update for key in authority_keys)
+        chip = decoder.chip
+        assert set(vars(chip.receiver)) == {"suite", "receiver_id", "enc_keypair",
+                                            "ltk_by_sender", "active_pk_set"}
+        assert chip.last_load is not None and chip.last_pk_set is not None
+        assert tuple(sorted(parse_pk_set_body(chip.last_pk_set))) == chip.receiver.active_pk_set
+        assert all(key not in record for key in authority_keys
+                   for record in (chip.last_load, chip.last_pk_set))
 
 
 def test_module_never_touches_the_authority():
@@ -281,34 +277,44 @@ def test_reenrollment_overwrites_stored_key(world):
 
 
 # ---------------------------------------------------------------------------
-# a repeated key load is taken without opening it again (``phase1.open_blob``)
+# a repeated key load: the protocol step opens every bundle it is handed; the
+# chip takes a byte-identical copy of the last load it accepted without
+# running the step again (``decoder.ChipState``)
 # ---------------------------------------------------------------------------
 
-def _copy(bundle: Bundle) -> Bundle:
-    """The same bundle in new byte objects, as a second delivery brings it."""
-    return Bundle.from_bytes(bundle.to_bytes())
+def _load(bundle: Bundle) -> ChipChannelMsg:
+    """The bundle as a chip receives it, in new byte objects on each call."""
+    return ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())
+
+
+def test_phase1_receive_opens_a_repeated_bundle_again(world, opens):
+    _, sender, directory, receivers, rng = world
+    bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
+    for _ in range(2):
+        bindproto.phase1_receive(receivers[1], bundle)
+    assert opens == {sender.sig_keypair.public_key: 2, "pke_decrypt": 2}
 
 
 def test_a_byte_identical_repeat_is_taken_without_opening(world, opens):
     _, sender, directory, receivers, rng = world
-    recv, pk = receivers[1], sender.sig_keypair.public_key
+    chip, pk = ChipState(BIND, sender.suite, receivers[1]), sender.sig_keypair.public_key
     bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
-    bindproto.phase1_receive(recv, bundle)
+    chip_process(chip, _load(bundle))
     assert opens == {pk: 1, "pke_decrypt": 1}
-    before, remembered = copy.deepcopy(recv), recv.last_open
+    before, remembered = copy.deepcopy(chip), chip.last_load
     opens.clear()
-    bindproto.phase1_receive(recv, _copy(bundle))
+    chip_process(chip, _load(bundle))
     assert not opens
-    assert recv == before and recv.last_open == remembered
+    assert chip == before and chip.last_load == remembered == bundle.to_bytes()
 
 
 @pytest.mark.parametrize("change", ["message-bit", "signature-bit", "signer"])
 def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, suite, opens, change):
     _, sender, directory, receivers, rng = world
-    recv = receivers[1]
+    chip = ChipState(BIND, suite, receivers[1])
     bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
-    bindproto.phase1_receive(recv, bundle)
-    remembered = recv.last_open
+    chip_process(chip, _load(bundle))
+    remembered = chip.last_load
     if change == "signer":
         changed = Bundle(suite.keygen("sig", rng).public_key, bundle.signed_blob)
     else:
@@ -318,9 +324,9 @@ def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, suite,
     for _ in range(2):
         opens.clear()
         with pytest.raises(CryptoError):
-            bindproto.phase1_receive(recv, changed)
+            chip_process(chip, _load(changed))
         assert opens == {changed.announce: 1}
-    assert recv.last_open == remembered
+    assert chip.last_load == remembered
 
 
 def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
@@ -328,29 +334,30 @@ def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
     # the last check: on every try, and without replacing the record
     _, sender, directory, receivers, rng = world
     recv, pk = receivers[1], sender.sig_keypair.public_key
+    chip = ChipState(BIND, suite, recv)
     bundle = bindproto.phase1_send(sender, directory, encode_id(1), rng)
-    bindproto.phase1_receive(recv, bundle)
-    remembered = recv.last_open
+    chip_process(chip, _load(bundle))
+    remembered = chip.last_load
     key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, rng.read(15), rng)
     short = Bundle(pk, suite.sign(sender.sig_keypair, recv.receiver_id + lp(key_ct)).to_bytes())
     for _ in range(2):
         opens.clear()
         with pytest.raises(ProtocolError, match="long-term key is not 16 bytes"):
-            bindproto.phase1_receive(recv, short)
+            chip_process(chip, _load(short))
         assert opens == {pk: 1, "pke_decrypt": 1}
-    assert recv.last_open == remembered
+    assert chip.last_load == remembered
     opens.clear()
-    bindproto.phase1_receive(recv, _copy(bundle))
+    chip_process(chip, _load(bundle))
     assert not opens
 
 
 def test_loads_a_b_a_open_a_twice(world, opens):
     _, sender, directory, receivers, rng = world
-    recv, pk = receivers[1], sender.sig_keypair.public_key
+    chip, pk = ChipState(BIND, sender.suite, receivers[1]), sender.sig_keypair.public_key
     a = bindproto.phase1_send(sender, directory, encode_id(1), rng)
     ltk_a = sender.ltk_store[encode_id(1)]
     b = bindproto.phase1_send(sender, directory, encode_id(1), rng)
-    for bundle in (a, b, _copy(a)):
-        bindproto.phase1_receive(recv, bundle)
+    for bundle in (a, b, a):
+        chip_process(chip, _load(bundle))
     assert opens == {pk: 3, "pke_decrypt": 3}
-    assert recv.ltk_by_sender[pk] == ltk_a
+    assert chip.receiver.ltk_by_sender[pk] == ltk_a

@@ -338,35 +338,45 @@ def test_only_the_anchor_key_and_generation_together_are_accepted(
 
 
 # ---------------------------------------------------------------------------
-# a repeated key load: its certificate is checked on every delivery, its blob
-# is taken without opening it again (``phase1.open_blob``)
+# a repeated key load: the protocol step checks every bundle it is handed;
+# the chip takes a byte-identical copy of the last load it accepted without
+# running the step again (``decoder.ChipState``)
 # ---------------------------------------------------------------------------
 
-def _copy(bundle: Bundle) -> Bundle:
-    """The same bundle in new byte objects, as a second delivery brings it."""
-    return Bundle.from_bytes(bundle.to_bytes())
+def _load(bundle: Bundle) -> ChipChannelMsg:
+    """The bundle as a chip receives it, in new byte objects on each call."""
+    return ChipChannelMsg(ChipMsgKind.LOAD_LTK, bundle.to_bytes())
 
 
-def test_a_byte_identical_repeat_checks_the_certificate_and_opens_nothing(world, opens):
+def test_phase1_receive_checks_and_opens_a_repeated_bundle_again(world, opens):
     ttp, sender, directory, receivers, rng = world
-    recv, pk = receivers[1], sender.sig_keypair.public_key
     bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
-    certproto.phase1_receive(recv, bundle)
+    for _ in range(2):
+        certproto.phase1_receive(receivers[1], bundle)
+    assert opens == {ttp.keypair.public_key: 2, sender.sig_keypair.public_key: 2,
+                     "pke_decrypt": 2}
+
+
+def test_a_byte_identical_repeat_is_taken_without_checking_or_opening(world, opens):
+    ttp, sender, directory, receivers, rng = world
+    chip, pk = ChipState(CERT, sender.suite, receivers[1]), sender.sig_keypair.public_key
+    bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
+    chip_process(chip, _load(bundle))
     assert opens == {ttp.keypair.public_key: 1, pk: 1, "pke_decrypt": 1}
-    before, remembered = copy.deepcopy(recv), recv.last_open
+    before, remembered = copy.deepcopy(chip), chip.last_load
     opens.clear()
-    certproto.phase1_receive(recv, _copy(bundle))
-    assert opens == {ttp.keypair.public_key: 1}
-    assert recv == before and recv.last_open == remembered
+    chip_process(chip, _load(bundle))
+    assert not opens
+    assert chip == before and chip.last_load == remembered == bundle.to_bytes()
 
 
 @pytest.mark.parametrize("change", ["message-bit", "signature-bit", "signer"])
 def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, opens, change):
     ttp, sender, directory, receivers, rng = world
-    recv = receivers[1]
+    chip = ChipState(CERT, sender.suite, receivers[1])
     bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
-    certproto.phase1_receive(recv, bundle)
-    remembered = recv.last_open
+    chip_process(chip, _load(bundle))
+    remembered = chip.last_load
     if change == "signer":  # the same blob under another certified sender
         other = certproto.sender_init(sender.suite, encode_id(101), rng.child("other"), ttp)
         changed, signer = Bundle(other.sender_cert.to_bytes(), bundle.signed_blob), other
@@ -377,9 +387,9 @@ def test_a_load_that_differs_from_the_last_is_checked_on_every_try(world, opens,
     for _ in range(2):
         opens.clear()
         with pytest.raises(CryptoError):
-            certproto.phase1_receive(recv, changed)
+            chip_process(chip, _load(changed))
         assert opens == {ttp.keypair.public_key: 1, signer.sig_keypair.public_key: 1}
-    assert recv.last_open == remembered
+    assert chip.last_load == remembered
 
 
 def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
@@ -387,33 +397,34 @@ def test_a_failed_open_leaves_the_remembered_load(world, suite, opens):
     # the last check: on every try, and without replacing the record
     ttp, sender, directory, receivers, rng = world
     recv, pk = receivers[1], sender.sig_keypair.public_key
+    chip = ChipState(CERT, suite, recv)
     bundle = certproto.phase1_send(sender, directory, encode_id(1), rng)
-    certproto.phase1_receive(recv, bundle)
-    remembered, ltk = recv.last_open, recv.ltk
+    chip_process(chip, _load(bundle))
+    remembered, ltk = chip.last_load, recv.ltk
     key_ct = suite.pke_encrypt(recv.enc_keypair.public_key, rng.read(15), rng)
     short = Bundle(bundle.announce,
                    suite.sign(sender.sig_keypair, recv.receiver_id + lp(key_ct)).to_bytes())
     for _ in range(2):
         opens.clear()
         with pytest.raises(ProtocolError, match="long-term key is not 16 bytes"):
-            certproto.phase1_receive(recv, short)
+            chip_process(chip, _load(short))
         assert opens == {ttp.keypair.public_key: 1, pk: 1, "pke_decrypt": 1}
-    assert recv.last_open == remembered and recv.ltk == ltk
+    assert chip.last_load == remembered and recv.ltk == ltk
     opens.clear()
-    certproto.phase1_receive(recv, _copy(bundle))
-    assert opens == {ttp.keypair.public_key: 1}
+    chip_process(chip, _load(bundle))
+    assert not opens
 
 
 def test_loads_a_b_a_open_a_twice(world, opens):
     ttp, sender, directory, receivers, rng = world
-    recv, pk = receivers[1], sender.sig_keypair.public_key
+    chip, pk = ChipState(CERT, sender.suite, receivers[1]), sender.sig_keypair.public_key
     a = certproto.phase1_send(sender, directory, encode_id(1), rng)
     ltk_a = sender.ltk_store[encode_id(1)]
     b = certproto.phase1_send(sender, directory, encode_id(1), rng)
-    for bundle in (a, b, _copy(a)):
-        certproto.phase1_receive(recv, bundle)
+    for bundle in (a, b, a):
+        chip_process(chip, _load(bundle))
     assert opens == {ttp.keypair.public_key: 3, pk: 3, "pke_decrypt": 3}
-    assert recv.ltk == ltk_a
+    assert chip.receiver.ltk == ltk_a
 
 
 def test_a_repeat_is_refused_once_a_crl_update_revokes_its_sender(world):
@@ -446,21 +457,20 @@ at 3 recover
 
 
 def test_a_chip_replaced_by_recover_remembers_no_load(monkeypatch):
-    held, replaced = {}, {}  # each chip's receiver state and its record, then
+    held, replaced = {}, {}  # each chip and its record, then
     real = sim._do_recover
 
     def recording(world, epoch):
-        held.update((d, (dec.chip.receiver, dec.chip.receiver.last_open))
-                    for d, dec in world.decoders.items())
+        held.update((d, (dec.chip, dec.chip.last_load)) for d, dec in world.decoders.items())
         real(world, epoch)
-        replaced.update((d, (dec.chip.receiver, dec.chip.receiver.last_open))
-                        for d, dec in world.decoders.items())
+        replaced.update((d, (dec.chip, dec.chip.last_load)) for d, dec in world.decoders.items())
 
     monkeypatch.setattr(sim, "_do_recover", recording)
     world = sim.run_world(sim.parse_scenario(RECOVER_WORLD))[1]
     assert world.decoders_replaced == len(held) == 2
-    for d, (recv, record) in held.items():
-        assert len(record) == 3
-        assert replaced[d][0] is not recv and replaced[d][1] == ()
-        # the new chip then opens the re-keyed sender's load
-        assert world.decoders[d].chip.receiver.last_open[2] == world.decoders[d].chip.receiver.ltk
+    sender_cert = world.headend.ca_systems[0].sender.sender_cert.to_bytes()
+    for d, (chip, record) in held.items():
+        assert record is not None
+        assert replaced[d][0] is not chip and replaced[d][1] is None
+        # the new chip then takes the re-keyed sender's load
+        assert Bundle.from_bytes(world.decoders[d].chip.last_load).announce == sender_cert

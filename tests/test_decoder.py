@@ -371,8 +371,24 @@ def test_every_writer_of_the_active_key_set_sorts_it():
 
 
 # ---------------------------------------------------------------------------
-# a repeated key-set update is taken without parsing it again
+# the chip's repeat rule (``ChipState``): a repeated key-set update is taken
+# without parsing it again; ``test_bindproto`` and ``test_certproto`` run
+# the same cases on repeated key loads
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, msg_kind", [
+    (BIND, ChipMsgKind.LOAD_LTK), (BIND, ChipMsgKind.PK_SET_UPDATE), (CERT, ChipMsgKind.LOAD_LTK),
+], ids=["bind-load", "bind-key-set", "cert-load"])
+def test_an_empty_payload_on_a_fresh_chip_is_refused(suite, kind, msg_kind):
+    # a fresh chip remembers nothing, so no payload, the empty one
+    # included, counts as a repeat
+    chip = make_decoder(suite, kind, 0, encode_id(1), Drbg.from_int(0x51), b"\x00" * 16,
+                        *NO_ANCHOR).chip
+    for _ in range(2):
+        with pytest.raises(WireError):
+            chip_process(chip, ChipChannelMsg(msg_kind, b""))
+    assert chip.last_load is None and chip.last_pk_set is None
 
 
 @pytest.fixture
@@ -397,14 +413,14 @@ def test_a_byte_identical_key_set_repeat_is_not_parsed(pipeline, pk_set_parses):
     d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"after the repeat")
     recv = d.chip.receiver
     (pk,) = recv.active_pk_set
-    assert recv.last_pk_set_update == build_pk_set_body((pk,))
-    before, remembered = copy.deepcopy(d.chip), recv.last_pk_set_update
+    assert d.chip.last_pk_set == build_pk_set_body((pk,))
+    before, remembered = copy.deepcopy(d.chip), d.chip.last_pk_set
     pk_set_parses.clear()
     repeat = _pk_set_msg(pk)
     assert repeat.payload is not remembered  # equal bytes in a new object
     assert chip_process(d.chip, repeat) is None
     assert pk_set_parses == []
-    assert d.chip == before and recv.last_pk_set_update == remembered
+    assert d.chip == before and d.chip.last_pk_set == remembered
     assert descramble(d.chip, chip_process(d.chip, derive), frame.scrambled_content) == (
         b"after the repeat")
 
@@ -413,14 +429,14 @@ def test_a_key_set_update_that_differs_is_checked_on_every_try(pipeline, pk_set_
     d, _, _ = _enrolled_bind_decoder_and_next_derive(pipeline, b"c")
     recv = d.chip.receiver
     (pk,) = recv.active_pk_set
-    honest = recv.last_pk_set_update
+    honest = d.chip.last_pk_set
     one_bit = bytearray(honest)
     one_bit[-1] ^= 1  # in the key, so the set still parses
     pk_set_parses.clear()
     chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, bytes(one_bit)))
     assert pk_set_parses == [bytes(one_bit)]
     assert recv.active_pk_set == (bytes(one_bit[-32:]),)
-    assert recv.last_pk_set_update == bytes(one_bit)
+    assert d.chip.last_pk_set == bytes(one_bit)
     malformed = _pk_set_msg(pk, pk)
     for _ in range(2):
         pk_set_parses.clear()
@@ -436,10 +452,10 @@ def test_a_key_set_update_that_differs_is_checked_on_every_try(pipeline, pk_set_
 def test_a_refused_key_set_update_keeps_the_set_and_the_record(pipeline, refused):
     d, derive, frame = _enrolled_bind_decoder_and_next_derive(pipeline, b"kept")
     recv = d.chip.receiver
-    pk_set, remembered = recv.active_pk_set, recv.last_pk_set_update
+    pk_set, remembered = recv.active_pk_set, d.chip.last_pk_set
     with pytest.raises((ProtocolError, WireError)):
         chip_process(d.chip, ChipChannelMsg(ChipMsgKind.PK_SET_UPDATE, refused))
-    assert recv.active_pk_set == pk_set and recv.last_pk_set_update == remembered
+    assert recv.active_pk_set == pk_set and d.chip.last_pk_set == remembered
     assert descramble(d.chip, chip_process(d.chip, derive), frame.scrambled_content) == b"kept"
 
 
@@ -453,7 +469,7 @@ def test_key_set_updates_a_b_a_parse_three_times(pipeline, pk_set_parses):
         chip_process(d.chip, msg)
     assert pk_set_parses == [a.payload, b.payload, a.payload]
     assert recv.active_pk_set == tuple(sorted((pk, b"\x01" * 32)))
-    assert recv.last_pk_set_update == a.payload
+    assert d.chip.last_pk_set == a.payload
 
 
 def test_a_sender_rotation_replaces_a_probes_key_set_record(pipeline, pk_set_parses):
@@ -464,13 +480,13 @@ def test_a_sender_rotation_replaces_a_probes_key_set_record(pipeline, pk_set_par
     recv = d.chip.receiver
     rogue = _pk_set_msg(b"\x0a" * 32)
     chip_process(d.chip, rogue)
-    assert recv.last_pk_set_update == rogue.payload
+    assert d.chip.last_pk_set == rogue.payload
     hemod.rotate_sender_key(headend, 0, master.child("rotate"))
     frame = hemod.epoch_tick(headend, b"rotated")
     assert process_frame(d, frame, None).descrambled == b"rotated"
     honest = headend.ca_systems[0].sender.sig_keypair.public_key
     assert recv.active_pk_set == (honest,)
-    assert recv.last_pk_set_update == build_pk_set_body((honest,))
+    assert d.chip.last_pk_set == build_pk_set_body((honest,))
     pk_set_parses.clear()
     chip_process(d.chip, rogue)
     assert pk_set_parses == [rogue.payload] and recv.active_pk_set == (b"\x0a" * 32,)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cwbind import bindproto, certproto, sim, suite as suitemod
 from cwbind.decoder import ChipChannelMsg, ChipMsgKind, derive_msg
-from cwbind.encoding import encode_id
+from cwbind.encoding import BROADCAST_ADDR, encode_id
 from cwbind.errors import CryptoError, CwbindError
 from cwbind.kinds import BIND, CERT
 from cwbind.phase1 import Bundle, SenderState
@@ -32,7 +32,16 @@ from cwbind.sim import (
     run_world,
 )
 from cwbind.ttp import Certificate
-from cwbind.wire import build_pk_set_body, decode_frame
+from cwbind.wire import (
+    BROADCAST_KINDS,
+    BroadcastFrame,
+    Emm,
+    EmmKind,
+    build_pk_set_body,
+    decode_frame,
+    emm_size,
+)
+from test_scramble import _count_primitives
 from test_slot import _rekey_shaped
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -928,22 +937,18 @@ def _changes(sent: dict, decoder: int, value) -> list[int]:
 
 
 def test_every_probed_decoder_epoch_still_delivers_a_load(monkeypatch):
-    # the load is built once per knowledge state but sent every epoch, and
-    # the chip checks every copy; epoch 4's sender rotation also re-enrolls
-    # the binding decoders
+    # the load is built once per knowledge state but delivered to the chip
+    # every epoch; epoch 4's sender rotation also re-enrolls the binding
+    # decoders
     calls: Counter = Counter()
-    epoch = [0]
     real_process = sim.process_frame
 
     def process_frame(decoder, frame, chip_filter):
-        epoch[0] = frame.epoch
-        return real_process(decoder, frame, chip_filter)
+        result = real_process(decoder, frame, chip_filter)
+        calls[int.from_bytes(decoder.decoder_id, "big"), frame.epoch] += sum(
+            msg.kind == ChipMsgKind.LOAD_LTK for msg in result.chip_msgs)
+        return result
 
-    for module in (bindproto, certproto):
-        def receive(recv, bundle, real=module.phase1_receive):
-            calls[int.from_bytes(recv.receiver_id, "big"), epoch[0]] += 1
-            return real(recv, bundle)
-        monkeypatch.setattr(module, "phase1_receive", receive)
     monkeypatch.setattr(sim, "process_frame", process_frame)
     sent, _ = _recorded_probes(monkeypatch)
     assert sorted(sent) == [(d, e) for d in PROBE_IDS for e in range(2, 12)]
@@ -1048,6 +1053,22 @@ def test_chip_filters_are_built_only_where_the_adversary_acts_or_reads(text, mon
                 if ev.verb in ("pirate-probe", "forge-sender") and ev.epoch <= epoch})
     assert asked == expected
     assert sum(expected.values()) < len(everyone) * config.epochs
+
+
+@pytest.mark.parametrize("text, expected", [
+    (PROBE_WORLD, {"x25519 exchange": 62, "ed25519 sign": 53, "ed25519 verify": 33,
+                   "aes-gcm encrypt": 137, "aes-gcm decrypt": 137, "aes-gcm context": 89,
+                   "aes-ctr setup": 24}),
+    (_rekey_shaped(), {"x25519 exchange": 136, "ed25519 sign": 101, "ed25519 verify": 64,
+                       "aes-gcm encrypt": 590, "aes-gcm decrypt": 628, "aes-gcm context": 209,
+                       "aes-ctr setup": 68}),
+], ids=["probe-world", "rekey-shaped"])
+def test_a_probed_world_makes_an_exact_number_of_primitive_calls(text, expected, monkeypatch):
+    # every call at the ``cryptography`` boundary: a chip that opened a
+    # repeated key load again, or a memo that lost an entry, adds to these
+    calls = _count_primitives(monkeypatch)
+    run_world(parse_scenario(text))
+    assert dict(calls) == expected
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():
@@ -1156,6 +1177,21 @@ def test_bandwidth_ledger_chip_channel_excluded_from_broadcast():
     assert ledger.broadcast_total() == (
         ledger.ecm + ledger.emm_broadcast + ledger.emm_receiver + ledger.content
     )
+
+
+@pytest.mark.parametrize("kind", list(EmmKind))
+@pytest.mark.parametrize("addressee", [BROADCAST_ADDR, encode_id(1)], ids=["broadcast", "receiver"])
+def test_the_ledger_counts_as_broadcast_exactly_what_the_frame_routes_to_everyone(kind, addressee):
+    # the head-end pairs each kind with its addressee, but the ledger, the
+    # adversary's capture and tamper and the router all go by the kind alone
+    emm = Emm(0, kind, addressee, b"\x00" * 40)
+    frame = BroadcastFrame(0, b"", (), (emm,))
+    to_everyone = all(frame.emms_for(0, encode_id(d)) == [emm] for d in (1, 2))
+    ledger = sim.BandwidthLedger()
+    ledger.add_frame(frame)
+    assert emm.is_broadcast() == to_everyone == (kind in BROADCAST_KINDS)
+    assert (ledger.emm_broadcast, ledger.emm_receiver) == (
+        (emm_size(emm), 0) if to_everyone else (0, emm_size(emm)))
 
 
 def test_broadcast_emm_bytes_identical_for_all_receivers(frames):
