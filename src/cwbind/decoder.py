@@ -412,7 +412,6 @@ class FrameResult:
     chip_msgs: list[ChipChannelMsg]
     descrambled: bytes | None
     errors: list[str]
-    derive_attempted: bool
 
 
 def process_frame(decoder: Decoder, frame, chip_filter) -> FrameResult:
@@ -450,10 +449,7 @@ def process_frame(decoder: Decoder, frame, chip_filter) -> FrameResult:
 
     chip = decoder.chip
     handle = None
-    derive_attempted = False
     for msg in msgs:
-        if msg.kind in WORD_KINDS:
-            derive_attempted = True
         try:
             result = chip_process(chip, msg)
         except CwbindError as exc:
@@ -468,4 +464,4 @@ def process_frame(decoder: Decoder, frame, chip_filter) -> FrameResult:
             descrambled = descramble(chip, handle, frame.scrambled_content)
         except CwbindError as exc:
             errors.append(f"descramble:{exc}")
-    return FrameResult(msgs, descrambled, errors, derive_attempted)
+    return FrameResult(msgs, descrambled, errors)

@@ -28,8 +28,10 @@ entitlement delivers the ECM key. The ECM key rotates whenever a receiver is
 de-authorized, so possession of the current key always coincides with the
 authorized set. Compliant and legacy ECMs are both emitted every epoch.
 
-The head-end holds the authority (``ttp``) and the one current copy of its
-public directory; each phase 1 delivery is handed that directory.
+The head-end holds the authority (``ttp``) and a copy of its directory,
+refreshed only when the authority rotates, that each phase 1 reads. A
+certificate sender rotation revokes in ``ttp`` alone, harmlessly: phase 1
+reads only receiver entries; chips learn of the revocation by ``CRL_UPDATE``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class HeadendState:
     rng: Drbg
     ca_systems: list[CaSystem]
     ttp: TtpState  # certifies and revokes certificate systems' sender keys
-    directory: Directory  # the authority's current public directory
+    directory: Directory  # the authority's directory as of its last rotation
     epoch: int = 0
     pk_set: tuple[bytes, ...] = ()  # every binding sender's key, sorted
     scrambler_key: bytes | None = field(default=None, repr=False)

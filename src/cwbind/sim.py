@@ -522,8 +522,7 @@ class World:
     rows: list[EpochRow] = field(default_factory=list)
     recovery_epoch: int | None = None
     decoders_replaced: int = 0
-    swap_counts: dict[bytes, int] = field(default_factory=dict)
-    rekey_labels: dict[str, int] = field(default_factory=dict)  # uses per seed label
+    label_uses: dict[str, int] = field(default_factory=dict)  # uses per seed label
     # per-epoch scratch, reset each tick
     epoch_interfered: set[bytes] = field(default_factory=set)
     epoch_one_shots: list[Event] = field(default_factory=list)
@@ -589,24 +588,24 @@ def build_world(config: ScenarioConfig) -> World:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_channel_key(world: World, decoder_id: bytes) -> bytes:
-    count = world.swap_counts.get(decoder_id, 0) + 1
-    world.swap_counts[decoder_id] = count
-    label = f"swap-{id_as_int(decoder_id)}-{count}"
-    return world.master.child(label).read(world.suite.secret_bytes)
+def _next_use(world: World, label: str) -> int:
+    """Count one more use of a seed label; the count includes this use."""
+    world.label_uses[label] = uses = world.label_uses.get(label, 0) + 1
+    return uses
 
 
 def _rekey_rng(world: World, label: str) -> Drbg:
     """The seed child for one sender re-key. A label used again in the same
     epoch gets a numbered variant, so every re-key draws a new key pair."""
-    uses = world.rekey_labels.get(label, 0) + 1
-    world.rekey_labels[label] = uses
+    uses = _next_use(world, label)
     return world.master.child(label if uses == 1 else f"{label}#{uses}")
 
 
 def _do_swap_client(world: World, decoder_id: bytes, enroll: bool = True) -> None:
     decoder = world.decoders[decoder_id]
-    new_key = _fresh_channel_key(world, decoder_id)
+    label = f"swap-{id_as_int(decoder_id)}"
+    rng = world.master.child(f"{label}-{_next_use(world, label)}")
+    new_key = rng.read(world.suite.secret_bytes)
     swap_client(decoder, new_key)
     ca = world.headend.ca_systems[decoder.ca_index]
     was_authorized = decoder_id in ca.authorized
@@ -953,7 +952,7 @@ def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
                 chip_bytes += 5 + len(msg.payload)
             if result.descrambled == content:
                 outcome = OUTCOME_DERIVED
-            elif result.errors or result.derive_attempted:
+            elif result.errors or result.descrambled is not None:  # refused, or a wrong word
                 outcome = OUTCOME_REJECTED
             else:
                 outcome = OUTCOME_EXCLUDED

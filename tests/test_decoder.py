@@ -136,7 +136,8 @@ def test_unentitled_client_emits_nothing(pipeline):
     frame = hemod.epoch_tick(headend, b"c")
     d = decoders[4]
     result = process_frame(d, frame, None)
-    assert not result.derive_attempted and result.descrambled is None
+    assert not any(msg.kind in decmod.WORD_KINDS for msg in result.chip_msgs)
+    assert result.descrambled is None
 
 
 def test_derive_messages_differ_across_decoders(pipeline):

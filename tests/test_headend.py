@@ -92,7 +92,8 @@ def test_zero_authorized_receivers_still_emits_frame(suite):
     assert len(frame.ecms) == 1
     d, _ = decoders[1]
     result = decmod.process_frame(d, frame, None)
-    assert result.descrambled is None and not result.derive_attempted
+    assert result.descrambled is None
+    assert not any(msg.kind in decmod.WORD_KINDS for msg in result.chip_msgs)
 
 
 def test_enroll_requires_provisioning_and_unrevoked_cert(suite):
@@ -149,7 +150,8 @@ def test_deauthorize_rotates_entitlement_key(suite):
     frame = hemod.epoch_tick(headend, content)
     assert decmod.process_frame(decoders[1][0], frame, None).descrambled == content
     r2 = decmod.process_frame(decoders[2][0], frame, None)
-    assert r2.descrambled is None and not r2.derive_attempted
+    assert r2.descrambled is None
+    assert not any(msg.kind in decmod.WORD_KINDS for msg in r2.chip_msgs)
 
 
 def test_reauthorization_restores_derivation(suite):

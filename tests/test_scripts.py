@@ -1,59 +1,69 @@
-"""Experiment scripts: each one the README lists runs to completion, except
+"""Experiment scripts: each one in ``scripts/`` runs to completion, except
 ``check_mutants.py``, whose bare run is the whole mutation sweep; its
-raise-site walker is tested here on a small module instead."""
+raise-site walker is tested here on a small module instead. The protocol
+comparison's claims are checked on its matrix, not on its printed table."""
 
 import functools
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cwbind.sim import load_scenario
+
 ROOT = Path(__file__).resolve().parent.parent
+ALL_SCRIPTS = sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
 # not check_mutants.py: a bare run runs tier-1 once per raise site in the package
-SCRIPTS = ("bandwidth_report.py", "count_lines.py", "recovery_contrast.py", "strength_table.py")
+SCRIPTS = [name for name in ALL_SCRIPTS if name != "check_mutants.py"]
 
 
-@functools.cache  # both recovery tests read one run
-def _run(script: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / script)], cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+def _module(script: str):
+    spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_exits_cleanly(script):
-    done = _run(script)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
 
 
-def _sections(text: str) -> dict[str, dict[str, str]]:
-    """``name:`` headers, each followed by indented ``field: value`` lines."""
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] = {}
-    for line in text.splitlines():
-        if line and not line[0].isspace() and line.endswith(":"):
-            current = sections.setdefault(line[:-1], {})
-        elif ":" in line:
-            field, value = line.split(":", 1)
-            current[field.strip()] = value.strip()
-    return sections
+def test_readme_lists_exactly_the_scripts():
+    block = (ROOT / "README.md").read_text().split("## Experiment scripts", 1)[1].split("```")[1]
+    assert sorted(re.findall(r"python scripts/(\S+)", block)) == ALL_SCRIPTS
 
 
-def test_recovery_contrast_reports_the_headline_claim():
-    # the binding protocol recovers with no decoder replaced, the
-    # certificate protocol replaces all 8, and no pirate probe gets through
-    done = _run("recovery_contrast.py")
-    assert done.returncode == 0, done.stderr
-    sections = _sections(done.stdout)
-    assert sections["recovery-bind"]["decoders replaced"] == "0"
-    assert sections["recovery-cert"]["decoders replaced"] == "8"
-    for name in ("recovery-bind", "recovery-cert"):
-        assert sections[name]["pirate probes rejected"] == "39/39"
+@functools.cache  # every claim reads one run of each scenario
+def _matrix() -> dict[str, dict[str, object]]:
+    return _module("compare_protocols").matrix()
+
+
+def test_binding_recovers_in_place_where_certificate_replaces_every_decoder():
+    # the paper's headline: after a compromise of everything but the chips
+    matrix = _matrix()
+    population = len(load_scenario(ROOT / "scenarios" / "recovery-cert.scn").decoders)
+    assert population > 0
+    assert matrix["decoders replaced"] == {"cert": population, "bind": 0}
+    assert matrix["recovery success"] == {"cert": True, "bind": True}
+    assert matrix["authenticity violations"] == {"cert": 0, "bind": 0}
+    for rejected, probes in matrix["pirate probes rejected"].values():
+        assert rejected == probes > 0
+
+
+def test_binding_costs_no_more_broadcast_bytes_than_certificate():
+    matrix = _matrix()
+    assert matrix["ecm"]["bind"] == matrix["ecm"]["cert"]
+    assert matrix["emm-broadcast"]["bind"] <= matrix["emm-broadcast"]["cert"]
 
 
 def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
@@ -67,10 +77,7 @@ def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
 
 
 def test_count_lines_fails_a_package_over_its_limit(tmp_path):
-    spec = importlib.util.spec_from_file_location("count_lines",
-                                                  ROOT / "scripts" / "count_lines.py")
-    count_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(count_lines)
+    count_lines = _module("count_lines")
     assert count_lines.LIMIT == 3604
     module = tmp_path / "m.py"
     for lines, status in [(count_lines.LIMIT + 1, 1), (count_lines.LIMIT, 0)]:
@@ -83,10 +90,7 @@ def test_count_lines_fails_a_package_over_its_limit(tmp_path):
 
 
 def test_check_mutants_walks_each_package_error_raise(tmp_path):
-    spec = importlib.util.spec_from_file_location("check_mutants",
-                                                  ROOT / "scripts" / "check_mutants.py")
-    check_mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_mutants)
+    check_mutants = _module("check_mutants")
     names = check_mutants.error_names(
         "class CwbindError(Exception): pass\nclass WireError(CwbindError): pass\n"
         "class Short(WireError): pass\nclass Other(Exception): pass\n")

@@ -981,6 +981,28 @@ def test_a_certificate_forge_probe_rebuilds_after_rotate_ttp(monkeypatch):
     assert world.adversary.minted_serial == 0x7F000000 + 6
 
 
+def test_the_head_ends_directory_is_replaced_only_when_the_authority_rotates(monkeypatch):
+    # a probe's forged load is rebuilt when the directory changes, so every
+    # probed report depends on when that is: at rotate-ttp (4) and recover
+    # (8), and at none of the sender rotations of either kind (2, 6)
+    directories = []
+    epoch_tick = sim.hemod.epoch_tick
+
+    def recording(headend, content):
+        directories.append(headend.directory)
+        return epoch_tick(headend, content)
+
+    monkeypatch.setattr(sim.hemod, "epoch_tick", recording)
+    run_world(parse_scenario("\n".join(
+        ["scenario directory", "seed 7", "epochs 10", "ca 0 cert", "ca 1 bind",
+         "decoder 1 ca 0", "decoder 2 ca 1", "at 0 authorize 0 1", "at 0 authorize 1 2",
+         "at 2 rotate-sender 0", "at 2 rotate-sender 1", "at 4 rotate-ttp",
+         "at 6 rotate-sender 0", "at 6 rotate-sender 1", "at 8 recover"]) + "\n"))
+    assert len(directories) == 10
+    assert [epoch for epoch in range(1, 10)
+            if directories[epoch] is not directories[epoch - 1]] == [4, 8]
+
+
 def test_a_probes_first_set_is_phase1_send_from_that_epochs_draws(monkeypatch):
     # the binding forge probe's first epoch draws its rogue key, then the
     # long-term key and ephemeral key through ``phase1_send``, then the secret
