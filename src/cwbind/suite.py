@@ -17,14 +17,14 @@ only parameter:
     random material, so nonce determinism never repeats a (key, nonce) pair
     with two plaintexts.
 
-``keygen`` returns a key pair only after its self-test (a PKE round trip, or
-a signature that verifies); any failure raises ``CryptoError`` naming it.
-The self-test signature is verified directly, outside the ``_verify`` memo
-below, since it is never checked again. Honest parties (the authority,
-senders, receivers) draw their keys through ``keygen``. The simulated
-adversary's forged signing keys are attack inputs no one relies on, so
-``sim`` loads them with ``load_sig_keypair(rng.read(32))``: the same pair
-from the same bytes without the test, which draws nothing from ``rng``.
+``keygen`` returns a key pair only after a pairwise-consistency test (NIST
+SP 800-56A Rev. 3, 5.6.2.1.4), raising ``CryptoError`` if it fails. An X25519
+pair's Montgomery-ladder step X25519(k, 9) must give back the public half that
+fixed-base multiplication made (RFC 7748, 6.1); an Ed25519 pair's signature
+must verify, outside the ``_verify`` memo below (it is never checked again).
+Neither test draws from ``rng``. Honest parties draw their keys through
+``keygen``; ``sim`` loads the adversary's forged signing keys, which no one
+relies on, untested: ``load_sig_keypair(rng.read(32))`` gives the same pair.
 
 SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
 called from ``hashlib`` directly.
@@ -113,6 +113,7 @@ GCM_NONCE_LEN = 12
 GCM_TAG_LEN = 16
 _TRAILER = GCM_NONCE_LEN + GCM_TAG_LEN  # the overhead of one AES-GCM output
 PUBLIC_KEY_LEN = 32  # Ed25519 and X25519 alike
+_BASE_POINT = X25519PublicKey.from_public_bytes(b"\x09" + bytes(31))  # u = 9
 
 VALID_SECRET_BITS = (128, 192, 256)
 
@@ -261,21 +262,20 @@ class CipherSuite:
     def keygen(self, purpose: str, rng: Drbg) -> KeyPair:
         if purpose not in ("pke", "sig"):
             raise ValueError(f"unknown keygen purpose: {purpose!r}")
-        try:
-            if purpose == "pke":
-                pair = _pair(X25519PrivateKey, rng.read(32))
-                probe = b"\x5a" * 16
-                ciphertext = self.pke_encrypt(pair.public_key, probe, rng)
-                passed = self.pke_decrypt(pair, ciphertext) == probe
-            else:
-                # verified outside ``_verify``: this signature is never checked again
-                pair = _pair(Ed25519PrivateKey, rng.read(32))
-                sm = self.sign(pair, b"self-test")
+        if purpose == "pke":
+            pair = _pair(X25519PrivateKey, rng.read(32))
+            passed = pair.loaded.exchange(_BASE_POINT) == pair.public_key
+        else:
+            # verified outside ``_verify``: this signature is never checked again
+            pair = _pair(Ed25519PrivateKey, rng.read(32))
+            sm = self.sign(pair, b"self-test")
+            try:
                 Ed25519PublicKey.from_public_bytes(pair.public_key).verify(sm.signature,
                                                                            sm.message)
+            except InvalidSignature:
+                passed = False
+            else:
                 passed = sm.message == b"self-test"
-        except (CryptoError, InvalidSignature):
-            passed = False
         if not passed:
             raise CryptoError(f"fresh {purpose} key pair failed its self-test")
         return pair

@@ -552,7 +552,8 @@ def test_shipped_scenario_matches_expected_report(path):
 @pytest.mark.parametrize("stem", ["multi-ca", "recovery-bind", "recovery-cert"])
 def test_wider_secrets_keep_the_shipped_outcomes_and_verdicts(stem, bits):
     # PKE wraps under a 32-byte key at every size, so at 192 bits a wrap
-    # through the length-checked sym_encrypt would fail the keygen self-test
+    # through the length-checked sym_encrypt would fail every enrollment here
+    # and test_suite's round-trip property at each size
     config = replace(load_scenario(SCENARIO_DIR / f"{stem}.scn"), secret_bits=bits)
     lines = run_world(config)[0].to_text().splitlines()
     expected = (SCENARIO_DIR / "expected" / f"{stem}.report").read_text().splitlines()
@@ -1078,11 +1079,11 @@ def test_chip_filters_are_built_only_where_the_adversary_acts_or_reads(text, mon
 
 
 @pytest.mark.parametrize("text, expected", [
-    (PROBE_WORLD, {"x25519 exchange": 62, "ed25519 sign": 53, "ed25519 verify": 33,
-                   "aes-gcm encrypt": 137, "aes-gcm decrypt": 137, "aes-gcm context": 89,
+    (PROBE_WORLD, {"x25519 exchange": 54, "ed25519 sign": 53, "ed25519 verify": 33,
+                   "aes-gcm encrypt": 129, "aes-gcm decrypt": 129, "aes-gcm context": 73,
                    "aes-ctr setup": 24}),
-    (_rekey_shaped(), {"x25519 exchange": 136, "ed25519 sign": 101, "ed25519 verify": 64,
-                       "aes-gcm encrypt": 590, "aes-gcm decrypt": 628, "aes-gcm context": 209,
+    (_rekey_shaped(), {"x25519 exchange": 120, "ed25519 sign": 101, "ed25519 verify": 64,
+                       "aes-gcm encrypt": 574, "aes-gcm decrypt": 612, "aes-gcm context": 177,
                        "aes-ctr setup": 68}),
 ], ids=["probe-world", "rekey-shaped"])
 def test_a_probed_world_makes_an_exact_number_of_primitive_calls(text, expected, monkeypatch):
@@ -1091,6 +1092,23 @@ def test_a_probed_world_makes_an_exact_number_of_primitive_calls(text, expected,
     calls = _count_primitives(monkeypatch)
     run_world(parse_scenario(text))
     assert dict(calls) == expected
+
+
+@pytest.mark.parametrize("kind, fixed_signs", [("bind", 3), ("cert", 4)])
+def test_build_cost_per_receiver_does_not_grow_with_the_population(kind, fixed_signs,
+                                                                   monkeypatch):
+    # each added receiver costs 2 exchanges (one of them its key pair's
+    # ladder self-test), 2 AES-GCM contexts, 2 encrypts and 2 signs, and
+    # opens nothing; the authority and the sender cost a fixed amount
+    calls = _count_primitives(monkeypatch)
+    for n in (4, 16):
+        calls.clear()
+        build_world(parse_scenario("\n".join(
+            ["scenario build-cost", "seed 1", "epochs 1", f"ca 0 {kind}"]
+            + [f"decoder {d} ca 0" for d in range(1, n + 1)]) + "\n"))
+        assert dict(calls) == {"x25519 exchange": 2 * n, "aes-gcm context": 2 * n + 1,
+                               "aes-gcm encrypt": 2 * n + 1, "ed25519 sign": 2 * n + fixed_signs,
+                               "ed25519 verify": 3}
 
 
 def test_legacy_decoder_accepts_redistributed_word_and_verdict_reports_it():

@@ -485,7 +485,7 @@ def test_a_rekey_shaped_world_makes_an_exact_number_of_x25519_exchanges(monkeypa
     monkeypatch.setattr(_CountingExchanges, "exchanges", 0)
     report = run_world(parse_scenario(_rekey_shaped()))[0]
     assert report.implicit_key_auth and report.recovery_success
-    assert _CountingExchanges.exchanges == 136
+    assert _CountingExchanges.exchanges == 120
 
 
 @given(st.integers(0, 200), st.integers(1, 255))
