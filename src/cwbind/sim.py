@@ -12,21 +12,21 @@ A scenario is a line-oriented text file (``#`` comments, blank lines ignored)::
     rotate-auth <ca> every <W> count <C>   # rotating authorized subset
     at <epoch> <action ...>
 
-Actions, with the argument shapes ``ACTION_ARGS`` checks::
+Actions, one ``ACTIONS`` entry each, with the argument shapes it checks::
 
     authorize <ca> <ca-decoder>      deauthorize <ca> <ca-decoder>
     enroll <ca> <ca-decoder>         swap-client <decoder>
     rotate-ttp                       rotate-sender <sender-ca>
-    recover
-    compromise control-word <decoder> | sender-keys <sender-ca> | ttp-key
-               | ca-client <decoder>
-    tamper <class> <bit>             class: ecm | emm-broadcast | emm-receiver
-                                            | chip-derive | chip-load-ltk
-    replay <src> <dst> <class>       class: chip-derive | chip-load-ltk
-                                            | emm-receiver | ecm
-    inject-cw <decoder>              one-shot raw control-word injection
-    pirate-probe <decoder>           persistent best-effort pirate injection
-    forge-sender <ca> <ca-decoder>   persistent rogue-sender message sets
+    recover                          compromise ttp-key
+    compromise control-word <decoder>    compromise ca-client <decoder>
+    compromise sender-keys <sender-ca>
+    tamper <class> <bit>             # class: ecm | emm-broadcast | emm-receiver
+                                     #        | chip-derive | chip-load-ltk
+    replay <src> <dst> <class>       # class: chip-derive | chip-load-ltk
+                                     #        | emm-receiver | ecm
+    inject-cw <decoder>              # one-shot raw control-word injection
+    pirate-probe <decoder>           # persistent best-effort pirate injection
+    forge-sender <ca> <ca-decoder>   # persistent rogue-sender message sets
 
 Every ``<ca>`` and decoder (``<src>`` and ``<dst>`` too) must be declared;
 a ``<ca-decoder>`` must be on the CA system just named, and a ``<sender-ca>``
@@ -48,25 +48,22 @@ The adversary keeps the latest message of each class a scheduled ``replay``
 reads: per-receiver EMMs by addressee and ECMs by CA system when a replay of
 that class is scheduled, and the chip messages of each replay source (a
 decoder that a scheduled ``replay`` of class ``chip-derive`` or
-``chip-load-ltk`` reads from). It interposes on a replay source's chip
-channel in every epoch, and on any other decoder's only in an epoch where it
-acts on that decoder (an epoch with a one-shot tamper, replay or inject-cw,
-or a probed decoder). ``compromise control-word`` models ongoing extraction
-from an authorized decoder: it survives client swaps and chip replacement,
-because extraction is assumed cheap and repeatable; recovery targets key
-material, not the extraction capability. ``compromise`` of sender keys and
-the authority key takes a snapshot: material rotated afterwards is not
-leaked. A forge probe's, or a certificate pirate probe's, rogue signing
-key is loaded once, from its first forged set's draws, with
-``CipherSuite.load_sig_keypair``: only honest key pairs pay ``keygen``'s
-self-test. A forged load is sealed by the protocol's own ``phase1_send`` on
-a throwaway sender state around the rogue or stolen signing key (for a
-certificate chip, with a sender certificate minted with the stolen
-authority key), and rebuilt only when the adversary's knowledge changes:
-another signing key, stolen authority key or directory. Each probed epoch
-still sends it with a fresh DERIVE, so the chip runs every check. A probe's
-draws for an epoch come from one child of the adversary's generator, derived
-only in an epoch that draws.
+``chip-load-ltk`` reads from; ``run_epoch`` says when it interposes).
+``compromise control-word`` models ongoing extraction from an authorized
+decoder: it survives client swaps and chip replacement, because extraction
+is assumed cheap and repeatable; recovery targets key material, not the
+extraction capability. ``compromise`` of sender keys and the authority key
+takes a snapshot: material rotated afterwards is not leaked. A forge
+probe's, or a certificate pirate probe's, rogue signing key is loaded once,
+from its first forged set's draws, with ``CipherSuite.load_sig_keypair``:
+only honest key pairs pay ``keygen``'s self-test. A forged load is sealed by
+the protocol's own ``phase1_send`` on a throwaway sender state around the
+rogue or stolen signing key (for a certificate chip, with a sender
+certificate minted with the stolen authority key), and rebuilt only when the
+adversary's knowledge changes: another signing key, stolen authority key or
+directory. Each probed epoch still sends it with a fresh DERIVE, so the chip
+runs every check. A probe's draws for an epoch come from one child of the
+adversary's generator, derived only in an epoch that draws.
 
 ``recover`` performs the full restoration procedure: swap compromised
 clients, rotate the authority key pair (re-issuing receiver certificates),
@@ -86,6 +83,7 @@ decoder whose messages were not interfered with lands on ``K``.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,27 +120,6 @@ from .wire import (
 CHIP_CLASSES = ("chip-derive", "chip-load-ltk")
 TAMPER_CLASSES = ("ecm", "emm-broadcast", "emm-receiver") + CHIP_CLASSES
 REPLAY_CLASSES = CHIP_CLASSES + ("emm-receiver", "ecm")
-
-# each action's argument shape in the module docstring's terms; "int", or a
-# tuple of the accepted words. ``compromise`` is keyed with its target.
-ACTION_ARGS: dict[str, tuple] = {
-    "authorize": ("ca", "ca-decoder"),
-    "deauthorize": ("ca", "ca-decoder"),
-    "enroll": ("ca", "ca-decoder"),
-    "swap-client": ("decoder",),
-    "rotate-ttp": (),
-    "rotate-sender": ("sender-ca",),
-    "recover": (),
-    "compromise control-word": ("decoder",),
-    "compromise sender-keys": ("sender-ca",),
-    "compromise ttp-key": (),
-    "compromise ca-client": ("decoder",),
-    "tamper": (TAMPER_CLASSES, "int"),
-    "replay": ("decoder", "decoder", REPLAY_CLASSES),
-    "inject-cw": ("decoder",),
-    "pirate-probe": ("decoder",),
-    "forge-sender": ("ca", "ca-decoder"),
-}
 
 # each one-value directive: the ``ScenarioConfig`` field it sets, and its type
 _SCALARS = {"scenario": ("name", str), "seed": ("seed", int), "epochs": ("epochs", int),
@@ -229,14 +206,19 @@ class ScenarioConfig:
                 raise ValueError(f"scenario line {ev.line}: {exc}") from None
 
 
+def _action(ev: Event) -> tuple[str, tuple[str, ...]]:
+    """An event's ``ACTIONS`` key and the arguments after it."""
+    if ev.verb == "compromise" and ev.args:
+        return f"compromise {ev.args[0]}", ev.args[1:]
+    return ev.verb, ev.args
+
+
 def _check_action(ev: Event, kinds: list[CaKind], ca_of: dict[int, int]) -> None:
-    """Check an event against its ``ACTION_ARGS`` shape; ``ca_of``: decoder -> CA."""
-    name, args = ev.verb, ev.args
-    if name == "compromise" and args:
-        name, args = f"compromise {args[0]}", args[1:]
-    shape = ACTION_ARGS.get(name)
-    if shape is None:
+    """Check an event against its ``ACTIONS`` shape; ``ca_of``: decoder -> CA."""
+    name, args = _action(ev)
+    if name not in ACTIONS:
         raise ValueError(f"unknown action {name!r}")
+    shape = ACTIONS[name][0]
     if len(args) != len(shape):
         raise ValueError(f"{name} takes {len(shape)} argument(s), got {len(args)}")
     ca = None
@@ -281,11 +263,11 @@ def _expand_rotate_auth(line: int, ca_index: int, every: int, count: int,
 
 
 def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
-    scalars: dict[str, str | int] = {"name": name_hint}
+    scalars: dict[str, str | int] = {}
     ca_kinds: list[str] = []
     decoders: list[DecoderSpec] = []
     events: list[Event] = []
-    rotate_auth: list[tuple[int, int, int, int]] = []
+    rotate_auth: dict[int, tuple[int, int, int]] = {}  # ca -> (line, every, count)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,6 +280,8 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                 raise ValueError(f"{head} takes {_FIELDS[head]} field(s), got {len(fields) - 1}")
             if head in _SCALARS:
                 key, convert = _SCALARS[head]
+                if key in scalars:
+                    raise ValueError(f"duplicate {head} directive")
                 scalars[key] = convert(fields[1])
             elif head == "ca":
                 index = int(fields[1])
@@ -314,7 +298,9 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
                 every, count = int(fields[3]), int(fields[5])
                 if every <= 0 or count <= 0:
                     raise ValueError(f"rotate-auth every {every} count {count}: both must be > 0")
-                rotate_auth.append((lineno, int(fields[1]), every, count))
+                if int(fields[1]) in rotate_auth:
+                    raise ValueError(f"duplicate rotate-auth for ca {int(fields[1])}")
+                rotate_auth[int(fields[1])] = (lineno, every, count)
             elif head == "at":
                 if len(fields) < 3:
                     raise ValueError(
@@ -327,11 +313,12 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
 
     if "seed" not in scalars or "epochs" not in scalars:
         raise ValueError("scenario must declare both seed and epochs")
-    for line, ca_index, every, count in rotate_auth:  # after every decoder is declared
+    for ca_index, (line, every, count) in rotate_auth.items():  # after every decoder is declared
         events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders,
                                           scalars["epochs"]))
     events.sort(key=lambda ev: ev.epoch)  # stable: preserves file order per epoch
-    return ScenarioConfig(ca_kinds=ca_kinds, decoders=decoders, events=events, **scalars)
+    return ScenarioConfig(ca_kinds=ca_kinds, decoders=decoders, events=events,
+                          **{"name": name_hint} | scalars)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -523,20 +510,25 @@ class World:
     recovery_epoch: int | None = None
     decoders_replaced: int = 0
     label_uses: dict[str, int] = field(default_factory=dict)  # uses per seed label
+    authorized: int = 0  # the last row's authorized mask; only events change it
     # per-epoch scratch, reset each tick
     epoch_interfered: set[bytes] = field(default_factory=set)
     epoch_one_shots: list[Event] = field(default_factory=list)
+    content: Drbg = field(init=False, repr=False)  # each epoch's content, read in turn
     # the decoder set and each decoder's CA system never change after build
     _ids_by_ca: dict[int, list[bytes]] = field(init=False, repr=False)
     # delivery order: (id, id as an integer, decoder), in id order
     _delivery: list[tuple[bytes, int, Decoder]] = field(init=False, repr=False)
+    _position: dict[bytes, int] = field(init=False, repr=False)  # bit n: n-th delivered
 
     def __post_init__(self) -> None:
+        self.content = self.master.child("content")
         self._ids_by_ca = {}
         self._delivery = []
         for decoder_id, decoder in sorted(self.decoders.items()):
             self._ids_by_ca.setdefault(decoder.ca_index, []).append(decoder_id)
             self._delivery.append((decoder_id, id_as_int(decoder_id), decoder))
+        self._position = {decoder_id: n for n, (decoder_id, _, _) in enumerate(self._delivery)}
 
     def decoder_ids_by_ca(self) -> dict[int, list[bytes]]:
         """Decoder ids per CA system, in id order; shared, so read only."""
@@ -620,9 +612,11 @@ def _do_swap_client(world: World, decoder_id: bytes, enroll: bool = True) -> Non
 def _do_recover(world: World, epoch: int) -> None:
     """Restore every compromised component except the chips themselves."""
     # fresh clients for every compromised one; the sender re-keying pass
-    # below re-enrolls and re-entitles the whole population
+    # below re-enrolls and re-entitles the population of every system with
+    # a sender, so only a legacy system's clients are enrolled here
     for decoder_id in sorted(world.adversary.client_taps):
-        _do_swap_client(world, decoder_id, enroll=False)
+        _do_swap_client(world, decoder_id,
+                        enroll=world.decoders[decoder_id].client.kind.proto is None)
     world.adversary.client_taps.clear()
 
     world.rotate_ttp()
@@ -645,49 +639,58 @@ def _do_recover(world: World, epoch: int) -> None:
     world.recovery_epoch = epoch
 
 
+def _steal_sender_keys(world: World, event: Event, ca_index: str) -> None:
+    ca = world.headend.ca_systems[int(ca_index)]  # validation admits only systems with a sender
+    world.adversary.sender_snapshots[ca.index] = SenderSnapshot(
+        ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
+
+
+def _steal_ttp_key(world: World, event: Event) -> None:
+    world.adversary.authority_key = (world.headend.ttp.generation, world.headend.ttp.keypair)
+
+
+def _probe(world: World, event: Event, *args: str) -> None:  # the decoder comes last
+    world.adversary.probes[encode_id(int(args[-1]))] = Probe(event.verb)
+
+
+def _one_shot(world: World, event: Event, *args: str) -> None:  # acts in this epoch's delivery
+    world.epoch_one_shots.append(event)
+
+
+# action key (``compromise`` with its target) -> (argument shape in the module
+# docstring's terms: "int", or a tuple of the accepted words; handler, called
+# as (world, event, *args); whether it is the adversary's, for adversary_step)
+ACTIONS: dict[str, tuple[tuple, Callable[..., None], bool]] = {
+    "authorize": (("ca", "ca-decoder"), lambda w, ev, ca, d: hemod.authorize(
+        w.headend, int(ca), encode_id(int(d)), True), False),
+    "deauthorize": (("ca", "ca-decoder"), lambda w, ev, ca, d: hemod.authorize(
+        w.headend, int(ca), encode_id(int(d)), False), False),
+    "enroll": (("ca", "ca-decoder"), lambda w, ev, ca, d: hemod.enroll_receiver(
+        w.headend, int(ca), encode_id(int(d))), False),
+    "swap-client": (("decoder",), lambda w, ev, d: _do_swap_client(w, encode_id(int(d))), False),
+    "rotate-ttp": ((), lambda w, ev: w.rotate_ttp(), False),
+    "rotate-sender": (("sender-ca",), lambda w, ev, ca: hemod.rotate_sender_key(
+        w.headend, int(ca), _rekey_rng(w, f"sender-rotate-{int(ca)}-{ev.epoch}")), False),
+    "recover": ((), lambda w, ev: _do_recover(w, ev.epoch), False),
+    "compromise control-word": (("decoder",), lambda w, ev, d: w.adversary.cw_taps.add(
+        encode_id(int(d))), True),
+    "compromise sender-keys": (("sender-ca",), _steal_sender_keys, True),
+    "compromise ttp-key": ((), _steal_ttp_key, True),
+    "compromise ca-client": (("decoder",), lambda w, ev, d: w.adversary.client_taps.add(
+        encode_id(int(d))), True),
+    "tamper": ((TAMPER_CLASSES, "int"), _one_shot, True),
+    "replay": (("decoder", "decoder", REPLAY_CLASSES), _one_shot, True),
+    "inject-cw": (("decoder",), _one_shot, True),
+    "pirate-probe": (("decoder",), _probe, True),
+    "forge-sender": (("ca", "ca-decoder"), _probe, True),
+}
+
+
 def adversary_step(world: World, event: Event) -> None:
     """Apply one adversary action to the world (state-changing actions act
     immediately; message-level actions are queued for this epoch's delivery)."""
-    adv = world.adversary
-    if event.verb == "compromise":
-        what = event.args[0]
-        if what == "control-word":
-            adv.cw_taps.add(encode_id(int(event.args[1])))
-        elif what == "ca-client":
-            adv.client_taps.add(encode_id(int(event.args[1])))
-        elif what == "sender-keys":  # validation admits only systems with a sender
-            ca = world.headend.ca_systems[int(event.args[1])]
-            adv.sender_snapshots[ca.index] = SenderSnapshot(
-                ca.sender.sig_keypair, dict(ca.sender.ltk_store), ca.ecm_key)
-        elif what == "ttp-key":
-            adv.authority_key = (world.headend.ttp.generation, world.headend.ttp.keypair)
-    elif event.verb in ("pirate-probe", "forge-sender"):  # the decoder comes last
-        adv.probes[encode_id(int(event.args[-1]))] = Probe(event.verb)
-    elif event.verb in ("tamper", "replay", "inject-cw"):
-        world.epoch_one_shots.append(event)
-    else:
-        raise ValueError(f"not an adversary action: {event.verb}")
-
-
-def _apply_event(world: World, event: Event, epoch: int) -> None:
-    if event.verb == "authorize":
-        hemod.authorize(world.headend, int(event.args[0]), encode_id(int(event.args[1])), True)
-    elif event.verb == "deauthorize":
-        hemod.authorize(world.headend, int(event.args[0]), encode_id(int(event.args[1])), False)
-    elif event.verb == "enroll":
-        hemod.enroll_receiver(world.headend, int(event.args[0]), encode_id(int(event.args[1])))
-    elif event.verb == "rotate-ttp":
-        world.rotate_ttp()
-    elif event.verb == "rotate-sender":
-        ca_index = int(event.args[0])
-        hemod.rotate_sender_key(world.headend, ca_index,
-                                _rekey_rng(world, f"sender-rotate-{ca_index}-{epoch}"))
-    elif event.verb == "swap-client":
-        _do_swap_client(world, encode_id(int(event.args[0])))
-    elif event.verb == "recover":
-        _do_recover(world, epoch)
-    else:
-        adversary_step(world, event)
+    name, args = _action(event)
+    ACTIONS[name][1](world, event, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +811,7 @@ def _tamper_frame(world: World, frame: BroadcastFrame, event: Event) -> Broadcas
 
 def _chip_filter_for(world: World, decoder: Decoder, epoch: int):
     """Build the chip-channel interposition for one decoder this epoch.
-    ``run_world`` asks for it only for a decoder the adversary may act on
+    ``run_epoch`` asks for it only for a decoder the adversary may act on
     or read this epoch. The interposer captures a replay source's own chip
     messages before it alters them."""
     adv = world.adversary
@@ -902,70 +905,73 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
 
 
 def run_world(config: ScenarioConfig) -> tuple[RunReport, World]:
-    """Build and run a world: the report, and the world as the last epoch left it.
-
-    Each epoch decides once which decoders' chip channels the adversary
-    interposes on: every decoder in an epoch with a one-shot event, else
-    the probed decoders and the chip-class replay sources."""
+    """Build and run a world: the report, and the world as the last epoch left it."""
     world = build_world(config)
-    content_rng = world.master.child("content")
     events_by_epoch: dict[int, list[Event]] = {}
     for event in config.events:
         events_by_epoch.setdefault(event.epoch, []).append(event)
-
-    # bit n of a row's masks stands for the n-th decoder delivered
-    position = {decoder_id: n for n, (decoder_id, _, _) in enumerate(world._delivery)}
-    authorized = 0
     for epoch in range(config.epochs):
-        world.epoch_interfered = set()
-        world.epoch_one_shots = []
-        for event in events_by_epoch.get(epoch, []):
-            _apply_event(world, event, epoch)
-
-        content = content_rng.read(config.content_bytes)
-        frame = hemod.epoch_tick(world.headend, content)
-        for event in world.epoch_one_shots:
-            if event.verb == "tamper":
-                frame = _tamper_frame(world, frame, event)
-        world.ledger.add_frame(frame)
-        world.adversary.capture_frame(frame)
-        _update_adversary_ecm_knowledge(world, frame)
-
-        if epoch == 0 or epoch in events_by_epoch:  # only events change it
-            authorized = sum(1 << position[decoder_id] for ca in world.headend.ca_systems
-                             for decoder_id in ca.authorized)
-
-        adv = world.adversary
-        cw_taps = adv.cw_taps
-        # the decoders the adversary may act on or read this epoch: any of
-        # them in an epoch with a one-shot event, else the probed decoders
-        # and the chip-class replay sources
-        interposed = (world.decoders if world.epoch_one_shots
-                      else adv.replay_sources.union(adv.probes))
-        outcomes: list[str] = []
-        chip_bytes = 0
-        for decoder_id, _, decoder in world._delivery:
-            chip_filter = (_chip_filter_for(world, decoder, epoch)
-                           if decoder_id in interposed else None)
-            result = process_frame(decoder, frame, chip_filter)
-            for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
-                chip_bytes += 5 + len(msg.payload)
-            if result.descrambled == content:
-                outcome = OUTCOME_DERIVED
-            elif result.errors or result.descrambled is not None:  # refused, or a wrong word
-                outcome = OUTCOME_REJECTED
-            else:
-                outcome = OUTCOME_EXCLUDED
-            outcomes.append(outcome)
-            if cw_taps and decoder_id in cw_taps and outcome == OUTCOME_DERIVED:
-                # live extraction: the tap reads the word as the chip derives
-                # it, in time for a probe of a later decoder this epoch
-                adv.known_cw = world.headend.scrambler_key
-        world.ledger.chip_channel += chip_bytes
-        interfered = sum(1 << position[decoder_id] for decoder_id in world.epoch_interfered)
-        world.rows.append(EpochRow(epoch, authorized, interfered, "".join(outcomes).encode()))
-
+        run_epoch(world, events_by_epoch.get(epoch, []), epoch)
     return _build_report(world), world
+
+
+def run_epoch(world: World, events: list[Event], epoch: int) -> EpochRow:
+    """Apply an epoch's events, then tick, deliver, and append and return its row.
+    The epoch decides once which decoders' chip channels the adversary
+    interposes on: every decoder in an epoch with a one-shot event, else
+    the probed decoders and the chip-class replay sources."""
+    world.epoch_interfered = set()
+    world.epoch_one_shots = []
+    for event in events:
+        name, args = _action(event)
+        _, handler, adversarial = ACTIONS[name]
+        if adversarial:
+            adversary_step(world, event)
+        else:
+            handler(world, event, *args)
+
+    content = world.content.read(world.config.content_bytes)
+    frame = hemod.epoch_tick(world.headend, content)
+    for event in world.epoch_one_shots:
+        if event.verb == "tamper":
+            frame = _tamper_frame(world, frame, event)
+    world.ledger.add_frame(frame)
+    world.adversary.capture_frame(frame)
+    _update_adversary_ecm_knowledge(world, frame)
+
+    position = world._position
+    if events or not world.rows:
+        world.authorized = sum(1 << position[decoder_id] for ca in world.headend.ca_systems
+                               for decoder_id in ca.authorized)
+
+    adv = world.adversary
+    cw_taps = adv.cw_taps
+    interposed = (world.decoders if world.epoch_one_shots
+                  else adv.replay_sources.union(adv.probes))
+    outcomes: list[str] = []
+    chip_bytes = 0
+    for decoder_id, _, decoder in world._delivery:
+        chip_filter = (_chip_filter_for(world, decoder, epoch)
+                       if decoder_id in interposed else None)
+        result = process_frame(decoder, frame, chip_filter)
+        for msg in result.chip_msgs:  # a chip message encodes as u8 kind | lp(payload)
+            chip_bytes += 5 + len(msg.payload)
+        if result.descrambled == content:
+            outcome = OUTCOME_DERIVED
+        elif result.errors or result.descrambled is not None:  # refused, or a wrong word
+            outcome = OUTCOME_REJECTED
+        else:
+            outcome = OUTCOME_EXCLUDED
+        outcomes.append(outcome)
+        if cw_taps and decoder_id in cw_taps and outcome == OUTCOME_DERIVED:
+            # live extraction: the tap reads the word as the chip derives
+            # it, in time for a probe of a later decoder this epoch
+            adv.known_cw = world.headend.scrambler_key
+    world.ledger.chip_channel += chip_bytes
+    interfered = sum(1 << position[decoder_id] for decoder_id in world.epoch_interfered)
+    row = EpochRow(epoch, world.authorized, interfered, "".join(outcomes).encode())
+    world.rows.append(row)
+    return row
 
 
 # an outcome row's codes as binary digits, 1 for ``K``

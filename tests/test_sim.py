@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -168,12 +169,34 @@ def test_directive_with_a_wrong_field_count_rejected(line, shape):
     ("ca 1 bogus", "unknown CA kind 'bogus'"),
     ("rotate-auth 3 every 2 count 1", "rotate-auth for ca 3 with no decoders"),
     ("rotate-auth 0 every 2 count 4", "rotate-auth count exceeds decoder population"),
+    # a one-value directive appears once, and a system has one rotate-auth
+    # schedule; the repeat's line is named
+    ("scenario y", "duplicate scenario directive"),
+    ("seed 5", "duplicate seed directive"),
+    ("epochs 4", "duplicate epochs directive"),
+    ("secret-bits 128\nsecret-bits 192", "duplicate secret-bits directive"),
+    ("content-bytes 32\ncontent-bytes 16", "duplicate content-bytes directive"),
+    ("rotate-auth 0 every 2 count 1\nrotate-auth 0 every 3 count 1",
+     "duplicate rotate-auth for ca 0"),
 ])
 def test_event_and_ca_kind_errors_name_the_line(line, message):
     # the event checks and the rotate-auth expansion run after parsing, so
     # each parsed event and each rotate-auth line carries its line number
-    with pytest.raises(ValueError, match=f"^scenario line 6: {message}"):
+    lineno = 6 + line.count("\n")  # a repeat is named by its second line
+    with pytest.raises(ValueError, match=f"^scenario line {lineno}: {message}"):
         parse_scenario("scenario x\nseed 1\nepochs 5\nca 0 bind\ndecoder 1 ca 0\n" + line + "\n")
+
+
+def test_the_docstring_names_exactly_the_action_table():
+    # the docstring's action block is the one other place an action is
+    # named: each cell before a ``#`` is a key followed by its <arguments>
+    block = sim.__doc__.split("checks::\n\n", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for line in block.splitlines():
+        for cell in re.split(r"\s{2,}", line.split("#", 1)[0].strip()):
+            if cell:
+                named.add(cell.split(" <", 1)[0])
+    assert named == set(sim.ACTIONS)
 
 
 def test_quiet_epochs_build_no_chip_filter(monkeypatch):
@@ -627,6 +650,17 @@ def test_rotate_ttp_strands_certificate_chips_at_the_next_sender_rotation():
     assert report.authenticity_violations == 0
     assert report.decoders_replaced == 0
     assert world.headend.ttp.generation == world.headend.directory.generation == 2
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_run_epoch_steps_a_built_world_to_the_shipped_rows(path):
+    # everything one epoch hands the next lives on the world
+    config = load_scenario(path)
+    world = build_world(config)
+    for epoch in range(config.epochs):
+        row = sim.run_epoch(world, [ev for ev in config.events if ev.epoch == epoch], epoch)
+        assert row is world.rows[-1]
+    assert world.rows == run_world(config)[0].rows
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
@@ -1150,6 +1184,33 @@ at 4 inject-cw 2
     assert "epoch 4 auth 1 interfered 2 outcomes 1=K 2=K\n" in report_text
     assert "epoch 5 auth 1 interfered - outcomes 1=K 2=X\n" in report_text
     assert "verdict recovery-success fail\n" in report_text
+
+
+def test_recover_enrolls_a_compromised_legacy_client_again():
+    # a legacy system has no sender to re-key, so recover enrolls its
+    # swapped client itself, or decoder 3 reads X from the recover epoch on
+    text = """
+scenario legacy-recover
+seed 1
+epochs 5
+ca 0 bind
+ca 1 cert
+ca 2 legacy
+decoder 1 ca 0
+decoder 2 ca 1
+decoder 3 ca 2
+decoder 4 ca 2
+at 0 authorize 0 1
+at 0 authorize 1 2
+at 0 authorize 2 3
+at 0 authorize 2 4
+at 1 compromise ca-client 3
+at 2 recover
+"""
+    report = run_world(parse_scenario(text))[0]
+    assert _outcomes(report) == [{1: "K", 2: "K", 3: "K", 4: "K"}] * 5
+    assert report.implicit_key_auth and report.recovery_success
+    assert report.authenticity_violations == 0
 
 
 BRANCH_WORLD = """
