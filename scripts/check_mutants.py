@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Check that tier-1 notices the loss of any protocol rejection in ``cwbind``.
+"""Check that tier-1 notices the loss of any rejection in ``cwbind``.
 
 Every ``raise`` of ``CwbindError`` or one of its subclasses in
-``src/cwbind`` is a deliberate rejection. For each one in turn, the sweep
-replaces that single statement with ``pass`` in a temporary copy of the
-repository and runs the tier-1 tests there with ``-x``. A mutant that still
-passes is a survivor: no test notices that the check is gone. Survivors are
-printed as ``file:line message``, and the exit status is 1 if there is any.
-The tree itself is never written.
+``src/cwbind`` is a deliberate protocol rejection, and every ``raise`` of
+``ValueError`` refuses a bad argument or scenario. For each one in turn,
+the sweep replaces that single statement with ``pass`` in a temporary copy
+of the repository and runs the tier-1 tests there with ``-x``. A mutant
+that still passes is a survivor: no test notices that the check is gone.
+Survivors are printed as ``file:line message``, and the exit status is 1 if
+there is any. The tree itself is never written.
 
     python scripts/check_mutants.py
 
@@ -39,6 +40,12 @@ def error_names(source: str, base: str = "CwbindError") -> set[str]:
                 isinstance(b, ast.Name) and b.id in names for b in node.bases):
             names.add(node.name)
     return names
+
+
+def swept_names(errors_source: str) -> set[str]:
+    """The exceptions whose raises the sweep walks: ``ValueError``, and
+    ``CwbindError`` with every class of ``errors_source`` derived from it."""
+    return error_names(errors_source) | {"ValueError"}
 
 
 def raise_sites(source: str, names: set[str]) -> list[ast.Raise]:
@@ -74,7 +81,7 @@ def without(source: str, site: ast.Raise) -> str:
 
 
 def main() -> int:
-    names = error_names((ROOT / PACKAGE / "errors.py").read_text())
+    names = swept_names((ROOT / PACKAGE / "errors.py").read_text())
     survivors = checked = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"

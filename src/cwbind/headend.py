@@ -29,7 +29,7 @@ de-authorized, so possession of the current key always coincides with the
 authorized set. Compliant and legacy ECMs are both emitted every epoch.
 
 The head-end holds the authority (``ttp``) and a copy of its directory,
-refreshed only when the authority rotates, that each phase 1 reads. A
+refreshed only by ``rotate_authority``, that each phase 1 reads. A
 certificate sender rotation revokes in ``ttp`` alone, harmlessly: phase 1
 reads only receiver entries; chips learn of the revocation by ``CRL_UPDATE``.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from . import bindproto, certproto
+from . import bindproto, certproto, ttp as ttpmod
 from .encoding import BROADCAST_ADDR, encode_id
 from .errors import ProtocolError
 from .kinds import CaKind
@@ -126,10 +126,10 @@ def _queue_pk_set_updates(headend: HeadendState, systems: list[CaSystem]) -> Non
 
 
 def headend_init(suite: CipherSuite, kinds: list[CaKind], rng: Drbg,
-                 ttp: TtpState, directory: Directory) -> HeadendState:
+                 ttp: TtpState) -> HeadendState:
     """Build one CA system per kind record. Certificate systems need the
     authority to issue their sender certificates, and the head-end keeps it,
-    with its ``directory``, to re-certify them on rotation and to look
+    with a copy of its directory, to re-certify them on rotation and to look
     receivers up; binding systems involve no authority call."""
     systems: list[CaSystem] = []
     for index, kind in enumerate(kinds):
@@ -143,12 +143,19 @@ def headend_init(suite: CipherSuite, kinds: list[CaKind], rng: Drbg,
         ca.ecm_key = rng.read(suite.secret_bytes)
         systems.append(ca)
     headend = HeadendState(suite=suite, rng=rng, ca_systems=systems, ttp=ttp,
-                           directory=directory)
+                           directory=ttpmod.parse_directory(suite, ttpmod.export_directory(ttp)))
     headend.pk_set = _bind_pk_set(headend)
     for ca in systems:
         _queue_announcement(ca)
     _queue_pk_set_updates(headend, systems)
     return headend
+
+
+def rotate_authority(headend: HeadendState, rng: Drbg) -> None:
+    """Rotate the authority (``ttp.rotate``) and refresh the head-end's
+    copy of its directory, which every later phase 1 reads."""
+    ttpmod.rotate(headend.ttp, rng)
+    headend.directory = ttpmod.parse_directory(headend.suite, ttpmod.export_directory(headend.ttp))
 
 
 def provision_receiver(headend: HeadendState, ca_index: int,

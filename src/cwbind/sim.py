@@ -54,10 +54,9 @@ decoder: it survives client swaps and chip replacement, because extraction
 is assumed cheap and repeatable; recovery targets key material, not the
 extraction capability. ``compromise`` of sender keys and the authority key
 takes a snapshot: material rotated afterwards is not leaked. A forge
-probe's, or a certificate pirate probe's, rogue signing key is loaded once,
-from its first forged set's draws, with ``CipherSuite.load_sig_keypair``:
-only honest key pairs pay ``keygen``'s self-test. A forged load is sealed by
-the protocol's own ``phase1_send`` on a throwaway sender state around the
+probe's, or a certificate pirate probe's, rogue signing key is drawn with
+``keygen`` once, from its first forged set's draws. A forged load is sealed
+by the protocol's own ``phase1_send`` on a throwaway sender state around the
 rogue or stolen signing key (for a certificate chip, with a sender
 certificate minted with the stolen authority key), and rebuilt only when the
 adversary's knowledge changes: another signing key, stolen authority key or
@@ -314,6 +313,8 @@ def parse_scenario(text: str, name_hint: str = "unnamed") -> ScenarioConfig:
     if "seed" not in scalars or "epochs" not in scalars:
         raise ValueError("scenario must declare both seed and epochs")
     for ca_index, (line, every, count) in rotate_auth.items():  # after every decoder is declared
+        if not 0 <= ca_index < len(ca_kinds):
+            raise ValueError(f"scenario line {line}: rotate-auth references unknown ca {ca_index}")
         events.extend(_expand_rotate_auth(line, ca_index, every, count, decoders,
                                           scalars["epochs"]))
     events.sort(key=lambda ev: ev.epoch)  # stable: preserves file order per epoch
@@ -535,11 +536,9 @@ class World:
         return self._ids_by_ca
 
     def rotate_ttp(self) -> None:
-        """Rotate the head-end's authority key pair and store the new
-        directory on the head-end, where every later phase 1 reads it."""
-        ttp = self.headend.ttp
-        ttpmod.rotate(ttp, self.master.child(f"ttp-rotate-{ttp.generation}"))
-        self.headend.directory = ttpmod.parse_directory(self.suite, ttpmod.export_directory(ttp))
+        """Rotate the head-end's authority from the seed child of its generation."""
+        generation = self.headend.ttp.generation
+        hemod.rotate_authority(self.headend, self.master.child(f"ttp-rotate-{generation}"))
 
 
 def build_world(config: ScenarioConfig) -> World:
@@ -560,8 +559,7 @@ def build_world(config: ScenarioConfig) -> World:
         if decoder.chip_public_key() is not None:
             ttpmod.register_receiver(ttp, decoder_id, decoder.chip_public_key())
 
-    directory = ttpmod.parse_directory(suite, ttpmod.export_directory(ttp))
-    headend = hemod.headend_init(suite, config.kinds, master.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, config.kinds, master.child("headend"), ttp)
     for decoder_id, decoder in decoders.items():  # in scenario order
         hemod.provision_receiver(headend, decoder.ca_index, decoder_id, decoder.client.channel_key)
         hemod.enroll_receiver(headend, decoder.ca_index, decoder_id)
@@ -617,7 +615,6 @@ def _do_recover(world: World, epoch: int) -> None:
     for decoder_id in sorted(world.adversary.client_taps):
         _do_swap_client(world, decoder_id,
                         enroll=world.decoders[decoder_id].client.kind.proto is None)
-    world.adversary.client_taps.clear()
 
     world.rotate_ttp()
 
@@ -715,7 +712,7 @@ def _sealed_set(world: World, decoder: Decoder, probe: Probe, sig_pair: KeyPair 
     if sig_pair is None:
         if probe.rogue is None:
             rng = adv.rng.child(label)
-            probe.rogue = world.suite.load_sig_keypair(rng.read(32))
+            probe.rogue = world.suite.keygen("sig", rng)
         sig_pair = probe.rogue
     basis = (sig_pair.public_key, adv.authority_key if kind.certified else None,
              world.headend.directory)
@@ -895,10 +892,9 @@ def _update_adversary_ecm_knowledge(world: World, frame: BroadcastFrame) -> None
                 continue
             ca = headend.ca_systems[ecm.ca_system_id]
             if ca.kind.binds:
-                adv.known_rand[ecm.ca_system_id] = secret
-                if headend.pk_set:
-                    adv.known_cw = world.suite.bound_secret(headend.pk_set, secret,
-                                                            world.suite.secret_bits)
+                adv.known_rand[ecm.ca_system_id] = secret  # a bind system: pk_set is not empty
+                adv.known_cw = world.suite.bound_secret(headend.pk_set, secret,
+                                                        world.suite.secret_bits)
             else:
                 adv.known_cw = secret
             break

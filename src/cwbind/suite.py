@@ -22,9 +22,8 @@ SP 800-56A Rev. 3, 5.6.2.1.4), raising ``CryptoError`` if it fails. An X25519
 pair's Montgomery-ladder step X25519(k, 9) must give back the public half that
 fixed-base multiplication made (RFC 7748, 6.1); an Ed25519 pair's signature
 must verify, outside the ``_verify`` memo below (it is never checked again).
-Neither test draws from ``rng``. Honest parties draw their keys through
-``keygen``; ``sim`` loads the adversary's forged signing keys, which no one
-relies on, untested: ``load_sig_keypair(rng.read(32))`` gives the same pair.
+Neither test draws from ``rng``: a pair reads exactly 32 bytes. Every key
+pair in a world, the adversary's forged signers' too, comes from ``keygen``.
 
 SHA-512 (the binding, the nonce, the wrap key, the scrambler, the Drbg) is
 called from ``hashlib`` directly.
@@ -247,12 +246,6 @@ class CipherSuite:
                                                       keystream=self._keystream))
         self.bound_secret = lru_cache(maxsize=16)(binding.bound_secret)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CipherSuite) and self.secret_bits == other.secret_bits
-
-    def __hash__(self) -> int:
-        return hash(self.secret_bits)
-
     def __repr__(self) -> str:
         return f"CipherSuite({self.secret_bits})"
 
@@ -279,10 +272,6 @@ class CipherSuite:
         if not passed:
             raise CryptoError(f"fresh {purpose} key pair failed its self-test")
         return pair
-
-    def load_sig_keypair(self, private_key: bytes) -> KeyPair:
-        """Rebuild a stored signature key pair from its private half."""
-        return _pair(Ed25519PrivateKey, private_key)
 
     def pke_encrypt(self, public_key: bytes, plaintext: bytes, rng: Drbg) -> bytes:
         eph = X25519PrivateKey.from_private_bytes(rng.read(32))

@@ -163,8 +163,7 @@ def test_criterion_05_message_authenticity_bit_tampering(suite):
     decoder = make_decoder(suite, BIND, 0, encode_id(5), master.child("chip"), channel_key,
                            ttp2.generation, ttp2.keypair.public_key)
     register_receiver(ttp2, encode_id(5), decoder.chip_public_key())
-    directory2 = parse_directory(suite, export_directory(ttp2))
-    headend = hemod.headend_init(suite, [BIND], master.child("he"), ttp2, directory2)
+    headend = hemod.headend_init(suite, [BIND], master.child("he"), ttp2)
     hemod.provision_receiver(headend, 0, encode_id(5), channel_key)
     hemod.enroll_receiver(headend, 0, encode_id(5))
     hemod.authorize(headend, 0, encode_id(5), True)

@@ -42,7 +42,8 @@ def test_duplicate_keys_rejected():
 
 
 def test_empty_key_list_rejected():
-    with pytest.raises(ValueError):
+    # without its own check, the equal-length check refuses it instead
+    with pytest.raises(ValueError, match="^binding input needs at least one public key$"):
         BindingInput(public_keys=(), rand=b"\xaa")
 
 

@@ -158,8 +158,7 @@ def test_epoch_tick_bind_secret_matches_sha512_oracle(world, suite):
     # the head-end's control word is the SHA-512 prefix of the random value
     # its bind ECM carries and the one binding sender's key
     ttp, _, _, _, rng = world
-    directory = parse_directory(suite, export_directory(ttp))
-    headend = hemod.headend_init(suite, [BIND], rng.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, [BIND], rng.child("headend"), ttp)
     ca = headend.ca_systems[0]
     pk = ca.sender.sig_keypair.public_key
     ecm = hemod.epoch_tick(headend, b"\x00" * 32).ecms[0]

@@ -28,7 +28,7 @@ from cwbind.errors import CryptoError, CwbindError, ProtocolError, WireError
 from cwbind.kinds import BIND, CA_KINDS, CERT, LEGACY
 from cwbind.phase1 import Bundle
 from cwbind.suite import Drbg
-from cwbind.ttp import export_directory, parse_directory, register_receiver, ttp_init
+from cwbind.ttp import register_receiver, ttp_init
 from cwbind.wire import (
     BROADCAST_KINDS,
     BroadcastFrame,
@@ -58,14 +58,13 @@ def pipeline(suite):
         decoders[decoder_id] = d
         if d.chip_public_key() is not None:
             register_receiver(ttp, d.decoder_id, d.chip_public_key())
-    directory = parse_directory(suite, export_directory(ttp))
-    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp)
     for decoder_id, d in decoders.items():
         hemod.provision_receiver(headend, d.ca_index, d.decoder_id,
                                  master.child(f"prov-{decoder_id}").read(16))
         hemod.enroll_receiver(headend, d.ca_index, d.decoder_id)
         hemod.authorize(headend, d.ca_index, d.decoder_id, True)
-    return headend, decoders, master, directory
+    return headend, decoders, master, headend.directory
 
 
 def test_enroll_emm_yields_exactly_one_load_msg(pipeline):
@@ -609,8 +608,7 @@ def test_deauthorization_frame_work_per_decoder_is_its_own_emms(suite):
         decoders[d.decoder_id] = d
         if d.chip_public_key() is not None:
             register_receiver(ttp, d.decoder_id, d.chip_public_key())
-    directory = parse_directory(suite, export_directory(ttp))
-    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp)
     for decoder_id, d in decoders.items():
         hemod.provision_receiver(headend, d.ca_index, decoder_id, d.client.channel_key)
         hemod.enroll_receiver(headend, d.ca_index, decoder_id)

@@ -31,11 +31,10 @@ def build_world(suite, kinds, decoder_plan, seed=1234):
         decoders[decoder_id] = (d, channel_key)
         if d.chip_public_key() is not None:
             register_receiver(ttp, d.decoder_id, d.chip_public_key())
-    directory = parse_directory(suite, export_directory(ttp))
-    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp, directory)
+    headend = hemod.headend_init(suite, kinds, master.child("headend"), ttp)
     for d, channel_key in decoders.values():
         hemod.provision_receiver(headend, d.ca_index, d.decoder_id, channel_key)
-    return master, ttp, directory, headend, decoders
+    return master, ttp, headend.directory, headend, decoders
 
 
 def enroll_and_authorize(headend, decoders, ids):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cwbind import binding, suite as suitemod
 from cwbind.errors import CryptoError
 from cwbind.sim import load_scenario, run_world
-from cwbind.suite import CipherSuite, SignedMessage
+from cwbind.suite import CipherSuite, Drbg, SignedMessage
 from cwbind.wire import ECM_MAGIC, ecm_aad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -100,9 +100,9 @@ def test_memoised_verify_recover_matches_ed25519_and_caches_no_failure(seed, mes
                                                                         target, index):
     suite = CipherSuite()
     for other_seed, other_message in cached:
-        pair = suite.load_sig_keypair(other_seed)
+        pair = suite.keygen("sig", Drbg(other_seed))
         suite.verify_recover(pair.public_key, suite.sign(pair, other_message))
-    pair = suite.load_sig_keypair(seed)
+    pair = suite.keygen("sig", Drbg(seed))
     sm = suite.sign(pair, message)
     Ed25519PublicKey.from_public_bytes(pair.public_key).verify(sm.signature, sm.message)
     assert suite.verify_recover(pair.public_key, sm) == message
@@ -110,7 +110,7 @@ def test_memoised_verify_recover_matches_ed25519_and_caches_no_failure(seed, mes
 
     parts = {"public_key": pair.public_key, "signature": sm.signature, "message": message}
     if target == "public_key":
-        parts[target] = suite.load_sig_keypair(_flip(seed, index)).public_key  # a wrong key
+        parts[target] = suite.keygen("sig", Drbg(_flip(seed, index))).public_key  # a wrong key
     else:
         parts[target] = _flip(parts[target], index)
     with pytest.raises(InvalidSignature):

@@ -91,10 +91,10 @@ def test_count_lines_fails_a_package_over_its_limit(tmp_path):
 
 def test_check_mutants_walks_each_package_error_raise(tmp_path):
     check_mutants = _module("check_mutants")
-    names = check_mutants.error_names(
+    names = check_mutants.swept_names(
         "class CwbindError(Exception): pass\nclass WireError(CwbindError): pass\n"
         "class Short(WireError): pass\nclass Other(Exception): pass\n")
-    assert names == {"CwbindError", "WireError", "Short"}
+    assert names == {"CwbindError", "WireError", "Short", "ValueError"}
     source = ('def f(x):\n'
               '    if x: raise Short("short")  # guard\n'
               '    if x is None:\n'
@@ -106,10 +106,14 @@ def test_check_mutants_walks_each_package_error_raise(tmp_path):
               '        f(1)\n'
               '    except Short:\n'
               '        raise\n'
-              '    raise CwbindError\n')
+              '    raise CwbindError\n'
+              'def h(n):\n'
+              '    if n < 0:\n'
+              '        raise ValueError(f"bad {n}")\n'
+              '    raise TypeError("not swept")\n')
     sites = check_mutants.raise_sites(source, names)
     assert [(site.lineno, check_mutants.message(site)) for site in sites] == [
-        (2, "short"), (4, "f'no {x}'"), (12, "CwbindError")]
-    first, second, _ = (check_mutants.without(source, site).splitlines() for site in sites)
+        (2, "short"), (4, "f'no {x}'"), (12, "CwbindError"), (15, "f'bad {n}'")]
+    first, second, *_ = (check_mutants.without(source, site).splitlines() for site in sites)
     assert first[1] == "    if x: pass  # guard"
     assert second[3:5] == ["        pass", ""] and len(second) == len(source.splitlines())

@@ -23,6 +23,7 @@ from cwbind.errors import CryptoError, CwbindError
 from cwbind.kinds import BIND, CERT
 from cwbind.phase1 import Bundle, SenderState
 from cwbind.sim import (
+    DecoderSpec,
     EpochRow,
     Event,
     ScenarioConfig,
@@ -81,23 +82,38 @@ def test_parse_errors_name_the_line():
 
 
 @pytest.mark.parametrize(
-    "mutation",
+    "mutation, message",
     [
-        lambda c: ScenarioConfig(c.name, c.seed, 0, c.ca_kinds, c.decoders, c.events),
-        lambda c: ScenarioConfig(c.name, c.seed, c.epochs, [], c.decoders, c.events),
-        lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
-                                 [Event(0, "authorize", ("0", "9"))]),
-        lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
-                                 [Event(99, "authorize", ("0", "1"))]),
-        lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
-                                 [Event(0, "sabotage", ())]),
-        lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
-                                 [Event(0, "tamper", ("nonsense", "1"))]),
+        (lambda c: ScenarioConfig(c.name, c.seed, 0, c.ca_kinds, c.decoders, c.events),
+         "epochs must be positive"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, [], c.decoders, c.events),
+         "at least one CA system is required"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
+                                  [Event(0, "authorize", ("0", "9"))]),
+         "event references unknown decoder 9"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
+                                  [Event(99, "authorize", ("0", "1"))]),
+         "event at epoch 99 outside run"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
+                                  [Event(0, "sabotage", ())]),
+         "unknown action 'sabotage'"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds, c.decoders,
+                                  [Event(0, "tamper", ("nonsense", "1"))]),
+         "tamper expects one of ecm, .*, got 'nonsense'"),
+        # a repeated id would merge two decoders; a missing CA would escape
+        # build_world as an IndexError
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds,
+                                  c.decoders + [DecoderSpec(1, 0)], []),
+         "decoder ids must be unique"),
+        (lambda c: ScenarioConfig(c.name, c.seed, c.epochs, c.ca_kinds,
+                                  c.decoders + [DecoderSpec(3, 1)], []),
+         "decoder 3 references missing ca 1"),
     ],
+    ids=[f"<lambda>{n}" for n in range(8)],  # the names pytest gives a lone lambda parameter
 )
-def test_invalid_configs_rejected(mutation):
+def test_invalid_configs_rejected(mutation, message):
     config = parse_scenario(MINI)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         mutation(config)
 
 
@@ -165,9 +181,16 @@ def test_directive_with_a_wrong_field_count_rejected(line, shape):
     ("at 1 bogus", "unknown action 'bogus'"),
     ("at 9 inject-cw 1", "event at epoch 9 outside run"),
     ("at 1 inject-cw 7", "event references unknown decoder 7"),
+    ("at 1 authorize 3 1", "event references unknown ca 3"),
+    ("at 1 rotate-sender 3", "event references unknown ca 3"),
     ("at 1 tamper ecm x", "invalid literal for int"),
     ("ca 1 bogus", "unknown CA kind 'bogus'"),
-    ("rotate-auth 3 every 2 count 1", "rotate-auth for ca 3 with no decoders"),
+    ("rotate-auth 3 every 2 count 1", "rotate-auth references unknown ca 3"),
+    ("ca 1 legacy\nrotate-auth 1 every 2 count 1", "rotate-auth for ca 1 with no decoders"),
+    # out of order, ca 0 would take the kind declared for ca 2
+    ("ca 2 cert", "ca systems must be declared in order, got 2"),
+    ("decoder 2 sys 0", "expected 'decoder <id> ca <index>'"),
+    ("rotate-auth 0 each 2 count 1", "expected 'rotate-auth <ca> every <W> count <C>'"),
     ("rotate-auth 0 every 2 count 4", "rotate-auth count exceeds decoder population"),
     # a one-value directive appears once, and a system has one rotate-auth
     # schedule; the repeat's line is named
@@ -892,10 +915,10 @@ def test_replaced_cert_chips_refuse_retired_key_certificates_without_verifying(m
     assert _CountingVerifier.outcomes["fail"] == 0
 
 
-def test_only_honest_signature_keys_pay_the_keygen_self_test(monkeypatch):
-    # the authority and every sender draw self-tested keys; the adversary's
-    # forged signing keys are loaded from its probe draws, once per forge
-    # probe and once per certificate pirate probe
+def test_every_signature_key_pair_comes_from_keygen(monkeypatch):
+    # the authority, every sender and the adversary's forged signers draw
+    # self-tested keys; the adversary's come from its probe draws, once per
+    # forge probe and once per certificate pirate probe
     text = "\n".join(
         ["scenario probe-keys", "seed 21", "epochs 8", "ca 0 cert", "ca 1 bind"]
         + [f"decoder {i} ca {i // 6}" for i in range(12)]
@@ -903,32 +926,35 @@ def test_only_honest_signature_keys_pay_the_keygen_self_test(monkeypatch):
         + ["at 2 compromise control-word 0", "at 2 compromise ttp-key",
            "at 2 compromise sender-keys 1", "at 3 pirate-probe 4", "at 3 forge-sender 0 5",
            "at 3 pirate-probe 10", "at 3 forge-sender 1 11", "at 5 recover"]) + "\n"
-    keygens: list[tuple[str, str, str]] = []
-    loads: list[str] = []
-    real_keygen = suitemod.CipherSuite.keygen
-    real_load = suitemod.CipherSuite.load_sig_keypair
+    sig_keygens: list[tuple[str, str, int | None]] = []
+    pairs: list[str] = []
+    real_keygen, real_pair = suitemod.CipherSuite.keygen, suitemod._pair
 
     def recording_keygen(self, purpose, rng):
         caller = sys._getframe(1)
-        keygens.append((purpose, caller.f_globals["__name__"], caller.f_code.co_name))
+        if purpose == "sig":
+            sig_keygens.append((caller.f_globals["__name__"], caller.f_code.co_name,
+                                caller.f_locals.get("epoch")))
         return real_keygen(self, purpose, rng)
 
-    def recording_load(self, private_key):
-        loads.append(sys._getframe(1).f_code.co_name)
-        return real_load(self, private_key)
+    def recording_pair(private_cls, private_key):
+        if private_cls is suitemod.Ed25519PrivateKey:
+            pairs.append(sys._getframe(1).f_code.co_name)
+        return real_pair(private_cls, private_key)
 
     monkeypatch.setattr(suitemod.CipherSuite, "keygen", recording_keygen)
-    monkeypatch.setattr(suitemod.CipherSuite, "load_sig_keypair", recording_load)
+    monkeypatch.setattr(suitemod, "_pair", recording_pair)
     assert run_world(parse_scenario(text))[0].recovery_success
-    sig_keygens = [(module, func) for purpose, module, func in keygens if purpose == "sig"]
-    assert {module for module, _ in sig_keygens} <= {"cwbind.ttp", "cwbind.certproto",
-                                                     "cwbind.bindproto"}
-    assert all(func not in ("_probe_msgs", "_sealed_set") for _, func in sig_keygens)
+    assert pairs == ["keygen"] * 9  # no signing pair is built any other way
+    honest = [(module, func) for module, func, _ in sig_keygens if module != "cwbind.sim"]
+    assert {module for module, _ in honest} <= {"cwbind.ttp", "cwbind.certproto",
+                                                "cwbind.bindproto"}
     # the authority and two senders at setup, all three again at recover
-    assert len(sig_keygens) == 6
+    assert len(honest) == 6
     # forge on both kinds plus the certificate pirate probe, each on its
     # first epoch (3) only
-    assert loads == ["_sealed_set"] * 3
+    assert [entry for entry in sig_keygens if entry[0] == "cwbind.sim"] == [
+        ("cwbind.sim", "_sealed_set", 3)] * 3
 
 
 # a certificate pirate probe (2), a certificate forge probe (3), a binding
@@ -1043,7 +1069,7 @@ def test_a_probes_first_set_is_phase1_send_from_that_epochs_draws(monkeypatch):
     # long-term key and ephemeral key through ``phase1_send``, then the secret
     sent, world = _recorded_probes(monkeypatch)
     rng = world.master.child("adversary").child("probe-7-2")
-    rogue = world.suite.load_sig_keypair(rng.read(32))
+    rogue = world.suite.keygen("sig", rng)
     sender = SenderState(world.suite, rogue)
     directory = build_world(parse_scenario(PROBE_WORLD)).headend.directory
     bundle = bindproto.phase1_send(sender, directory, encode_id(7), rng)
@@ -1112,19 +1138,25 @@ def test_chip_filters_are_built_only_where_the_adversary_acts_or_reads(text, mon
     assert sum(expected.values()) < len(everyone) * config.epochs
 
 
-@pytest.mark.parametrize("text, expected", [
-    (PROBE_WORLD, {"x25519 exchange": 54, "ed25519 sign": 53, "ed25519 verify": 33,
-                   "aes-gcm encrypt": 129, "aes-gcm decrypt": 129, "aes-gcm context": 73,
-                   "aes-ctr setup": 24}),
-    (_rekey_shaped(), {"x25519 exchange": 120, "ed25519 sign": 101, "ed25519 verify": 64,
-                       "aes-gcm encrypt": 574, "aes-gcm decrypt": 612, "aes-gcm context": 177,
-                       "aes-ctr setup": 68}),
+@pytest.mark.parametrize("text, verdicts, expected", [
+    (PROBE_WORLD, (False, None),
+     {"x25519 exchange": 54, "ed25519 sign": 56, "ed25519 verify": 36, "aes-gcm encrypt": 129,
+      "aes-gcm decrypt": 129, "aes-gcm context": 73, "aes-ctr setup": 24}),
+    (_rekey_shaped(), (True, True),
+     {"x25519 exchange": 120, "ed25519 sign": 104, "ed25519 verify": 67, "aes-gcm encrypt": 574,
+      "aes-gcm decrypt": 612, "aes-gcm context": 177, "aes-ctr setup": 68}),
 ], ids=["probe-world", "rekey-shaped"])
-def test_a_probed_world_makes_an_exact_number_of_primitive_calls(text, expected, monkeypatch):
+def test_a_probed_world_makes_an_exact_number_of_primitive_calls(text, verdicts, expected,
+                                                                 monkeypatch):
     # every call at the ``cryptography`` boundary: a chip that opened a
-    # repeated key load again, or a memo that lost an entry, adds to these
+    # repeated key load again, or a memo that lost an entry, adds to these.
+    # Each rogue key's self-test is one sign and one verify. A chip takes a
+    # byte-identical copy of the load it last opened with no exchange;
+    # opening every copy again would add 34 to rekey-shaped's: the forged
+    # load re-sent to each of the two probed bind chips in 17 more epochs.
     calls = _count_primitives(monkeypatch)
-    run_world(parse_scenario(text))
+    report = run_world(parse_scenario(text))[0]
+    assert (report.implicit_key_auth, report.recovery_success) == verdicts
     assert dict(calls) == expected
 
 

@@ -46,6 +46,12 @@ def test_emm_round_trip_every_kind(kind):
     assert decode_emm(encode_emm(emm)) == emm
 
 
+@pytest.mark.parametrize("length", [0, 1, 7, 9])
+def test_encode_emm_refuses_an_addressee_that_is_not_8_bytes(length):
+    with pytest.raises(ValueError, match="^addressee must be 8 bytes$"):
+        encode_emm(Emm(3, EmmKind.PER_RECEIVER_ENROLL, bytes(length), b"\x42"))
+
+
 def test_ecm_round_trip():
     ecm = Ecm(ca_system_id=1, epoch=500, protected_secret=b"\x10" * 44)
     assert decode_ecm(encode_ecm(ecm)) == ecm
