@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given
 from hypothesis import strategies as st
@@ -454,6 +454,38 @@ def test_a_forge_probed_bind_chip_stores_one_forged_key():
     rogue = world.adversary.probes[encode_id(6)].rogue
     stored = world.decoders[encode_id(6)].chip.receiver.ltk_by_sender
     assert len(stored) == 4 and rogue.public_key in stored
+
+
+class _CountingExchanges:
+    """Stand-in for ``X25519PrivateKey`` that counts every exchange."""
+
+    exchanges = 0
+
+    def __init__(self, key):
+        self._key = key
+
+    @classmethod
+    def from_private_bytes(cls, data):
+        return cls(X25519PrivateKey.from_private_bytes(data))
+
+    def public_key(self):
+        return self._key.public_key()
+
+    def exchange(self, peer):
+        type(self).exchanges += 1
+        return self._key.exchange(peer)
+
+
+def test_a_rekey_shaped_world_makes_an_exact_number_of_x25519_exchanges(monkeypatch):
+    # key generation, every honest delivery and each probe's forged load
+    # cost exchanges; a chip takes a byte-identical copy of the load it last
+    # opened without one. Opening every copy again would add 34: the forged
+    # load re-sent to each of the two probed bind chips in 17 more epochs.
+    monkeypatch.setattr(suitemod, "X25519PrivateKey", _CountingExchanges)
+    monkeypatch.setattr(_CountingExchanges, "exchanges", 0)
+    report = run_world(parse_scenario(_rekey_shaped()))[0]
+    assert report.implicit_key_auth and report.recovery_success
+    assert _CountingExchanges.exchanges == 120
 
 
 @given(st.integers(0, 200), st.integers(1, 255))
